@@ -5,6 +5,9 @@ inserts exactly t error dimensions disjoint from it, so the requested
 and realized (rho, t) coincide and d_S(V, U) = rho + t.  Matrix mode
 mimics a receiver collecting random linear combinations plus corrupt
 packets; there (rho, t) are emergent and only reported.
+
+``make_trial`` is the one trial recipe shared by the harness and the
+property suites: seed -> random messages -> encode -> channel.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParameterError
+from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
@@ -19,24 +23,21 @@ from .linalg import (
     random_subspace_of,
     row_space,
 )
+from .rng import SplitMix64
 
 _INSERTION_ATTEMPT_CAP = 1000
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Requested erasure count rho, error count t, mode and seed."""
+    """Requested erasure count rho and error count t of the exact channel."""
 
     rho: int
     t: int
-    mode: str = "exact"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.rho < 0 or self.t < 0:
             raise ParameterError("rho and t must be non-negative")
-        if self.mode not in ("exact", "matrix"):
-            raise ParameterError(f"unknown channel mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -107,3 +108,25 @@ def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -
     return ChannelOutcome(
         U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v
     )
+
+
+def make_trial(
+    code: LayeredCode,
+    seed: int,
+    spec: ChannelSpec | None = None,
+    collected: int = 0,
+    error_packets: int = 0,
+) -> tuple[LayeredCodeword, ChannelOutcome]:
+    """One trial from its seed: random messages, encode, then the channel.
+
+    Given ``spec`` the exact channel runs, otherwise the matrix channel with
+    ``collected`` and ``error_packets``.  Both draw from the one SplitMix64
+    stream after the messages, so a trial is fixed by (code, seed, channel).
+    """
+    rng = SplitMix64(seed)
+    word = code.encode(code.random_messages(rng))
+    if spec is not None:
+        outcome = apply_exact(word.V, spec, rng)
+    else:
+        outcome = apply_matrix(word.V, collected, error_packets, rng)
+    return word, outcome

@@ -14,8 +14,7 @@ from .config import ExperimentConfig, load_config
 from .errors import CapacityError, ConfigError
 from .harness import run_scenario, run_search_beyond, run_simulate, run_verify
 from .linalg import dump_subspace
-from .channel import ChannelSpec, apply_exact
-from .rng import SplitMix64
+from .channel import ChannelSpec, make_trial
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -83,15 +82,8 @@ def _dump_guaranteed_failures(cfg: ExperimentConfig, result) -> None:
         if key in seen:
             continue
         seen.add(key)
-        rng = SplitMix64(record.seed)
-        word = code.encode(
-            [
-                [code.params.from_index(rng.randbelow(code.params.size)) for _ in range(layer.k)]
-                for layer in code.layers
-            ]
-        )
-        outcome = apply_exact(
-            word.V, ChannelSpec(rho=record.rho_requested, t=record.t_requested), rng
+        word, outcome = make_trial(
+            code, record.seed, ChannelSpec(rho=record.rho_requested, t=record.t_requested)
         )
         print(f"# failed trial {record.trial} rho {record.rho_requested} t {record.t_requested}")
         print("V")

@@ -28,7 +28,6 @@ from .linalg import MatrixFq, row_space
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
-REASON_MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)

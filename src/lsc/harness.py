@@ -1,10 +1,12 @@
 """Batch experiment drivers: simulate, verify, search-beyond, scenario.
 
 CSV columns and the fixture dump layout are frozen in docs/formats.md.
-Per-trial seeds are derived from (master seed, rho, t, trial index) only,
-so output is byte-identical for a given config regardless of worker
-count or scheduling, and scenario runs see the same channel outcomes as
-plain simulation runs with the same seed.
+Every trial is built by ``channel.make_trial`` from one derived seed:
+(master seed, rho, t, trial index) for the exact channel, (master seed,
+collected, error packets, trial index) for the matrix channel.  So output
+is byte-identical for a given config regardless of worker count or
+scheduling, and unicast and multi-source scenarios see the same channel
+outcomes as plain simulation runs with the same seed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence, TextIO
 
-from .channel import ChannelSpec, apply_exact, apply_matrix
+from .channel import ChannelSpec, make_trial
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
 from .gabidulin import DecodeFailure
@@ -27,7 +29,7 @@ from .properties import (
     SUITES,
     VerifyContext,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 
 CSV_COLUMNS = (
     "trial",
@@ -112,12 +114,12 @@ def _decode_with(code: LayeredCode, algorithm: str, received: Subspace, max_swee
     raise InvariantError(f"unknown algorithm {algorithm!r}")
 
 
-def _random_messages(code: LayeredCode, rng: SplitMix64):
-    size = code.params.size
-    return [
-        [code.params.from_index(rng.randbelow(size)) for _ in range(layer.k)]
-        for layer in code.layers
-    ]
+def _layer_distances(code: LayeredCode, word, received: Subspace) -> tuple[int, ...]:
+    """d_S(V_l, U_l) per layer, U_l extracted from the received space unstripped."""
+    return tuple(
+        subspace_distance(component, code.extract_component(received, layer, strip=False))
+        for layer, component in enumerate(word.components, start=1)
+    )
 
 
 def run_trial(
@@ -135,22 +137,12 @@ def run_trial(
     """One encode -> channel -> decode cycle, one record per algorithm."""
     if channel_mode == "exact":
         seed = derive_seed(master_seed, rho, t, trial)
+        word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
     else:
         seed = derive_seed(master_seed, collected or 0, error_packets, trial)
-    rng = SplitMix64(seed)
-    word = code.encode(_random_messages(code, rng))
-    if channel_mode == "exact":
-        outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
-    else:
-        outcome = apply_matrix(word.V, collected, error_packets, rng)
+        word, outcome = make_trial(code, seed, collected=collected, error_packets=error_packets)
     ds = subspace_distance(word.V, outcome.U)
-    layer_ds = tuple(
-        subspace_distance(
-            word.components[layer - 1],
-            code.extract_component(outcome.U, layer, strip=False),
-        )
-        for layer in range(1, code.num_layers + 1)
-    )
+    layer_ds = _layer_distances(code, word, outcome.U)
     records = []
     for algorithm in algorithms:
         report = _decode_with(code, algorithm, outcome.U, max_sweeps)
@@ -192,11 +184,8 @@ def _worker_init(q: int, m: int, modulus: tuple[int, ...], shape: tuple[tuple[in
     _WORKER_CODE = LayeredCode.standard(FieldParams(q, m, modulus), shape)
 
 
-def _worker_trial(args) -> list[TrialRecord]:
-    (master_seed, trial, rho, t, algorithms, max_sweeps, mode, collected, errors) = args
-    return run_trial(
-        _WORKER_CODE, master_seed, trial, rho, t, algorithms, max_sweeps, mode, collected, errors
-    )
+def _worker_trial(job) -> list[TrialRecord]:
+    return run_trial(_WORKER_CODE, *job)
 
 
 def _run_grid(
@@ -219,11 +208,7 @@ def _run_grid(
         ) as pool:
             chunks = pool.map(_worker_trial, jobs, chunksize=max(1, len(jobs) // (cfg.workers * 8)))
     else:
-        chunks = [
-            run_trial(code, cfg.seed, trial, rho, t, algorithms, cfg.max_sweeps,
-                      cfg.channel_mode, cfg.collected, cfg.error_packets)
-            for (_, trial, rho, t, *_rest) in jobs
-        ]
+        chunks = [run_trial(code, *job) for job in jobs]
     return [record for chunk in chunks for record in chunk]
 
 
@@ -323,11 +308,15 @@ def _harness_suite(ctx: VerifyContext) -> list[PropertyResult]:
     det_viol = 0 if first.csv_text == second.csv_text else 1
     det = PropertyResult("harness.csv_deterministic", 1, det_viol)
 
+    rho_at, t_at, algorithm_at, success_at = (
+        CSV_COLUMNS.index(name)
+        for name in ("rho_requested", "t_requested", "algorithm", "success")
+    )
     recount: dict[tuple, int] = {}
     for line in first.csv_text.strip().splitlines()[1:]:
         cells = line.split(",")
-        key = (cells[3], cells[4], cells[2])
-        recount[key] = recount.get(key, 0) + int(cells[11])
+        key = (cells[rho_at], cells[t_at], cells[algorithm_at])
+        recount[key] = recount.get(key, 0) + int(cells[success_at])
     cons_viol = 0
     for row in first.summary:
         key = (str(row.rho), str(row.t), row.algorithm)
@@ -466,12 +455,10 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     while trial < cfg.search_budget and len(found) < len(wanted):
         rho, t = grid[trial % len(grid)]
         seed = derive_seed(cfg.seed, rho, t, trial)
-        rng = SplitMix64(seed)
-        word = code.encode(_random_messages(code, rng))
-        outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
+        word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
         ds = subspace_distance(word.V, outcome.U)
         r1 = code.decode_alg1(outcome.U)
-        r2 = code.decode_alg2(outcome.U, max_sweeps=cfg.max_sweeps)
+        r2 = code.decode_alg2(outcome.U)
         alg1_full = r1.all_ok and r1.recombined == word.V
         alg2_full = r2.all_ok and r2.recombined == word.V
         classification = {
@@ -480,13 +467,7 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
             "alg1-only": alg1_full and not r2.all_ok,
         }
         if any(classification[t_] for t_ in wanted if t_ not in found):
-            layer_ds = tuple(
-                subspace_distance(
-                    word.components[layer - 1],
-                    code.extract_component(outcome.U, layer, strip=False),
-                )
-                for layer in range(1, code.num_layers + 1)
-            )
+            layer_ds = _layer_distances(code, word, outcome.U)
             retry = _retry_distances(code, word, r1, r2)
             for target in wanted:
                 if target in found or not classification[target]:
@@ -550,7 +531,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
 def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Adaptive layer count: rate vs. success under a fixed channel."""
     rho, t = _single_grid_point(cfg)
+    spec = ChannelSpec(rho=rho, t=t)
     params = cfg.field_params()
+    algorithms = cfg.algorithms()
     rows = []
     summary = ["multicast sweep (adaptive layer count)"]
     for count in range(1, len(cfg.layers) + 1):
@@ -560,16 +543,14 @@ def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
             summary.append(f"layers={count}: skipped (channel outside bounds)")
             continue
         rate = sum(k for _, k in shape) * params.m
-        for algorithm in cfg.algorithms():
-            successes = 0
-            for trial in range(cfg.trials):
-                seed = derive_seed(cfg.seed, count, rho, t, trial)
-                rng = SplitMix64(seed)
-                word = code.encode(_random_messages(code, rng))
-                outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
+        # the trial seed does not depend on the algorithm: build each trial once
+        wins = dict.fromkeys(algorithms, 0)
+        for trial in range(cfg.trials):
+            word, outcome = make_trial(code, derive_seed(cfg.seed, count, rho, t, trial), spec)
+            for algorithm in algorithms:
                 report = _decode_with(code, algorithm, outcome.U, cfg.max_sweeps)
-                if report.recombined == word.V:
-                    successes += 1
+                wins[algorithm] += report.recombined == word.V
+        for algorithm, successes in wins.items():
             rows.append(
                 (str(count), str(rate), algorithm, str(cfg.trials), str(successes))
             )
@@ -599,6 +580,7 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
 def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Receiver wants one layer: extract it and run only that decoder."""
     rho, t = _single_grid_point(cfg)
+    spec = ChannelSpec(rho=rho, t=t)
     code = cfg.build_code()
     layer = cfg.unicast_layer
     lifted = code.component_lifted(layer)
@@ -606,9 +588,7 @@ def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:
     successes = 0
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, rho, t, trial)
-        rng = SplitMix64(seed)
-        word = code.encode(_random_messages(code, rng))
-        outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
+        word, outcome = make_trial(code, seed, spec)
         extracted = code.extract_component(outcome.U, layer)
         result = subspace_decode(lifted, extracted)
         ok = (

@@ -105,6 +105,14 @@ class LayeredCode:
             raise ParameterError("component matrix has the wrong shape")
         return self.embed_component(layer, lifted_mod.lift(code, matrix))
 
+    def random_messages(self, rng) -> list[list[ExtFieldElement]]:
+        """Uniform messages: one ``rng.randbelow`` per symbol, layer by layer."""
+        params = self.params
+        return [
+            [params.from_index(rng.randbelow(params.size)) for _ in range(code.k)]
+            for code in self.layers
+        ]
+
     def encode(self, messages: Sequence[Sequence[ExtFieldElement]]) -> "LayeredCodeword":
         if len(messages) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} messages")

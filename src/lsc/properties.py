@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .channel import ChannelSpec, apply_exact, apply_matrix
+from .channel import ChannelSpec, apply_exact, apply_matrix, make_trial
 from .field import FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from .layered import LayeredCode
@@ -98,14 +98,6 @@ class VerifyContext:
 
 def _tiny_code() -> LayeredCode:
     return LayeredCode.standard(FieldParams.default(2, 2), [(2, 1), (2, 1)])
-
-
-def _random_messages(code: LayeredCode, rng: SplitMix64):
-    size = code.params.size
-    return [
-        [code.params.from_index(rng.randbelow(size)) for _ in range(layer.k)]
-        for layer in code.layers
-    ]
 
 
 def guaranteed_grid(code: LayeredCode) -> tuple[tuple[int, int], ...]:
@@ -401,10 +393,10 @@ def extraction_bound_suite(ctx: VerifyContext) -> list[PropertyResult]:
     grid = [(r, t) for r in range(rho_max + 1) for t in range(t_max + 1)]
     violations = 0
     for trial in range(n_trials):
-        rng = SplitMix64(derive_seed(ctx.seed, 8, trial))
         rho, t = grid[trial % len(grid)]
-        word = code.encode(_random_messages(code, rng))
-        outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
+        word, outcome = make_trial(
+            code, derive_seed(ctx.seed, 8, trial), ChannelSpec(rho=rho, t=t)
+        )
         ds = subspace_distance(word.V, outcome.U)
         for layer in range(1, code.num_layers + 1):
             u_l = code.extract_component(outcome.U, layer, strip=False)
@@ -425,9 +417,9 @@ def guaranteed_recovery_suite(ctx: VerifyContext) -> list[PropertyResult]:
     checks = c3_viol = t4_viol = 0
     for rho, t in grid:
         for trial in range(per_point):
-            rng = SplitMix64(derive_seed(ctx.seed, 9, rho, t, trial))
-            word = code.encode(_random_messages(code, rng))
-            outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
+            word, outcome = make_trial(
+                code, derive_seed(ctx.seed, 9, rho, t, trial), ChannelSpec(rho=rho, t=t)
+            )
             checks += 1
             reports = [
                 code.decode_alg1(outcome.U),
@@ -456,7 +448,7 @@ def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
     n_random = ctx.count("random_checks", 10_000) // 20
     ds_checks = ds_viol = 0
     for _ in range(n_random):
-        word = code.encode(_random_messages(code, rng))
+        word = code.encode(code.random_messages(rng))
         for i in range(code.num_layers):
             for j in range(i + 1, code.num_layers):
                 ds_checks += 1
@@ -521,10 +513,10 @@ def dominance_suite(ctx: VerifyContext) -> list[PropertyResult]:
     violations = 0
     observed_failures = 0
     for trial in range(n_trials):
-        rng = SplitMix64(derive_seed(ctx.seed, 11, trial))
         rho = rho_values[trial % len(rho_values)]
-        word = code.encode(_random_messages(code, rng))
-        outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=0), rng)
+        word, outcome = make_trial(
+            code, derive_seed(ctx.seed, 11, trial), ChannelSpec(rho=rho, t=0)
+        )
         plain = code.decode_alg2(outcome.U)
         iterative = code.decode_alg2(outcome.U, iterative=True)
         if not plain.decoded_layers <= iterative.decoded_layers:
@@ -547,8 +539,9 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     n_trials = ctx.count("random_checks", 10_000)
     contract_viol = 0
     for trial in range(n_trials):
-        rng = SplitMix64(derive_seed(ctx.seed, 12, trial))
-        word = code.encode(_random_messages(code, rng))
+        # rho and t are drawn between encode and channel, so no make_trial here
+        rng = ctx.rng(12, trial)
+        word = code.encode(code.random_messages(rng))
         rho = rng.randbelow(min(4, code.total_length) + 1)
         t = rng.randbelow(min(4, params.m) + 1)
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
@@ -564,13 +557,11 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     contract = PropertyResult("channel.exact_contract", n_trials, contract_viol)
 
     det_checks = det_viol = 0
-    word = code.encode(
-        _random_messages(code, SplitMix64(derive_seed(ctx.seed, 13)))
-    )
+    word = code.encode(code.random_messages(ctx.rng(13)))
     for trial in range(50):
         spec = ChannelSpec(rho=trial % 3, t=trial % 2)
-        first = apply_exact(word.V, spec, SplitMix64(derive_seed(ctx.seed, 14, trial)))
-        second = apply_exact(word.V, spec, SplitMix64(derive_seed(ctx.seed, 14, trial)))
+        first = apply_exact(word.V, spec, ctx.rng(14, trial))
+        second = apply_exact(word.V, spec, ctx.rng(14, trial))
         det_checks += 1
         if first.U != second.U:
             det_viol += 1
@@ -578,8 +569,8 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
 
     bounds_checks = bounds_viol = 0
     for trial in range(ctx.count("random_checks", 10_000) // 10):
-        rng = SplitMix64(derive_seed(ctx.seed, 15, trial))
-        word = code.encode(_random_messages(code, rng))
+        rng = ctx.rng(15, trial)
+        word = code.encode(code.random_messages(rng))
         collected = rng.randbelow(code.total_length + 3)
         errors = rng.randbelow(3)
         outcome = apply_matrix(word.V, collected, errors, rng)

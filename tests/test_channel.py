@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from lsc.channel import ChannelSpec, apply_exact, apply_matrix
+from lsc.channel import ChannelSpec, apply_exact, apply_matrix, make_trial
 from lsc.errors import ParameterError
 from lsc.linalg import (
     MatrixFq,
@@ -22,7 +22,21 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         ChannelSpec(rho=-1, t=0)
     with pytest.raises(ParameterError):
-        ChannelSpec(rho=0, t=0, mode="weird")
+        ChannelSpec(rho=0, t=-1)
+    # the spec only describes the exact channel; a mode it would ignore is refused
+    with pytest.raises(TypeError):
+        ChannelSpec(rho=1, t=1, mode="matrix")
+
+
+def test_make_trial_is_messages_encode_channel(example_code):
+    rng = SplitMix64(60)
+    word = example_code.encode(example_code.random_messages(rng))
+    outcome = apply_exact(word.V, ChannelSpec(rho=2, t=1), rng)
+    assert make_trial(example_code, 60, ChannelSpec(rho=2, t=1)) == (word, outcome)
+    rng = SplitMix64(61)
+    word = example_code.encode(example_code.random_messages(rng))
+    outcome = apply_matrix(word.V, 6, 1, rng)
+    assert make_trial(example_code, 61, collected=6, error_packets=1) == (word, outcome)
 
 
 def test_identity_channel(example_code, fp24):

@@ -1,10 +1,16 @@
 """CLI end-to-end: verbs, flags, exit codes."""
 
+import dataclasses
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from lsc import cli, harness
+from lsc.channel import make_trial
+from lsc.config import load_config
+from lsc.linalg import dump_subspace
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
@@ -102,6 +108,28 @@ def test_search_beyond_exit_codes(tmp_path):
     proc = run_cli("search-beyond", "--config", str(impossible), "--out", str(out))
     assert proc.returncode == 3
     assert "not found" in proc.stderr
+
+
+def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch, capsys):
+    # guaranteed-regime failures never occur, so feed the dump a synthetic one
+    cfg = load_config(str(CONFIGS / "default.ini"))
+    built = []
+
+    def recording_make_trial(*args, **kwargs):
+        built.append(make_trial(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "make_trial", recording_make_trial)
+    (record,) = harness.run_trial(cfg.build_code(), cfg.seed, 3, 1, 1, ("alg1",), cfg.max_sweeps)
+    ((word, outcome),) = built
+    assert record.success
+    failed = dataclasses.replace(record, success=False)
+    result = harness.SimulateResult([record, failed, failed], "", [], 1)
+    cli._dump_guaranteed_failures(cfg, result)
+    assert capsys.readouterr().out == (
+        "# failed trial 3 rho 1 t 1\n"
+        f"V\n{dump_subspace(word.V)}U\n{dump_subspace(outcome.U)}"
+    )
 
 
 def test_verify_quick(tmp_path):

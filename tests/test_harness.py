@@ -1,5 +1,6 @@
 """Harness drivers: CSV stability, worker independence, verify manifest."""
 
+import hashlib
 import io
 import pathlib
 
@@ -268,6 +269,65 @@ mode = multicast
     rows = [line.split(",") for line in result.csv_text.strip().splitlines()[1:]]
     # rate accumulates k_l * m per layer and the noiseless channel never fails
     assert [(r[0], r[1], r[4]) for r in rows] == [("1", "4", "10"), ("2", "8", "10")]
+
+
+PINNED_SCENARIO = """\
+[field]
+q = 2
+m = 4
+
+[code]
+layers = 3:1, 4:1
+
+[channel]
+rho = 2
+t = 1
+
+[run]
+algorithm = {algorithm}
+trials = 6
+seed = 4242
+max_sweeps = 4
+
+[scenario]
+mode = {mode}
+unicast_layer = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, algorithm, csv_sha256, summary_sha256",
+    [
+        (
+            "multicast",
+            "both",
+            "6847b9937b171eb2ab9b6ed008206cd83d5a7d26a71f7a02d02b5a44a0e77c90",
+            "6e7c7a8e6926832d1bdb6528a129f77f5987a641c4f2a1c13dce3f1d568addba",
+        ),
+        (
+            "unicast",
+            "alg1",
+            "f4073c2194d699e9fb1294760a3636f38e1dbb675120a4a7c935ba6f7a42d8aa",
+            "e557ea0ecdf5cba48faae7fd1cfdbc57df0363f6bbd1aae7da31345684302083",
+        ),
+        (
+            "multi-source",
+            "both",
+            "13971af7eff4e6c4b7674ae7b301996dc89ab6fbcdf9615485cca9459f5b9104",
+            "82805ec18ba3f990290e08e36c1ad7e3329c5db442e9b0efeba9a4d1d91da5b8",
+        ),
+    ],
+)
+def test_scenario_output_bytes_pinned(mode, algorithm, csv_sha256, summary_sha256):
+    """Scenario CSV and summary bytes are pinned, so trial construction,
+    seeds and row order cannot drift.  The point lies beyond the
+    guaranteed regime, so the algorithms disagree and the row order shows
+    in the counts."""
+    text = PINNED_SCENARIO.format(mode=mode, algorithm=algorithm)
+    result = run_scenario(parse_config(text, "pinned.ini"))
+    assert hashlib.sha256(result.csv_text.encode()).hexdigest() == csv_sha256
+    summary = "\n".join(result.summary_lines)
+    assert hashlib.sha256(summary.encode()).hexdigest() == summary_sha256
 
 
 def test_scenario_requires_single_grid_point():

@@ -17,14 +17,6 @@ from lsc.linalg import (
 from lsc.rng import SplitMix64
 
 
-def _random_messages(code, rng):
-    size = code.params.size
-    return [
-        [code.params.from_index(rng.randbelow(size)) for _ in range(layer.k)]
-        for layer in code.layers
-    ]
-
-
 def test_shape_and_distances(example_code):
     assert example_code.total_length == 7
     assert example_code.ambient_dim == 11
@@ -35,7 +27,7 @@ def test_shape_and_distances(example_code):
 
 def test_encode_block_structure(fp24, example_code):
     rng = SplitMix64(31)
-    word = example_code.encode(_random_messages(example_code, rng))
+    word = example_code.encode(example_code.random_messages(rng))
     assert word.V.dim == 7
     # layer 2 rows carry zeros on layer 1's identity block and vice versa
     for row in word.components[0].basis.entries:
@@ -49,6 +41,14 @@ def test_encode_block_structure(fp24, example_code):
     assert zero_word.V.basis == expected
 
 
+def test_random_messages_draw_order(fp24):
+    # one randbelow(|F|) per symbol, layer by layer: every seeded trial relies on it
+    code = LayeredCode.standard(fp24, [(4, 2), (3, 1)])
+    draws = SplitMix64(30)
+    d0, d1, d2 = (fp24.from_index(draws.randbelow(16)) for _ in range(3))
+    assert code.random_messages(SplitMix64(30)) == [[d0, d1], [d2]]
+
+
 def test_single_layer_reduces_to_lifting(fp24):
     code = LayeredCode.standard(fp24, [(3, 1)])
     msg = [fp24.from_index(9)]
@@ -59,7 +59,7 @@ def test_single_layer_reduces_to_lifting(fp24):
 def test_extract_component_roundtrip(example_code):
     rng = SplitMix64(32)
     for _ in range(20):
-        word = example_code.encode(_random_messages(example_code, rng))
+        word = example_code.encode(example_code.random_messages(rng))
         for layer in (1, 2):
             stripped = example_code.extract_component(word.V, layer)
             assert stripped == lift(
@@ -74,7 +74,7 @@ def test_extract_component_membership_oracle(tiny_code):
     """Every received vector vanishing on the other blocks lands in the extraction."""
     rng = SplitMix64(33)
     for _ in range(10):
-        word = tiny_code.encode(_random_messages(tiny_code, rng))
+        word = tiny_code.encode(tiny_code.random_messages(rng))
         outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), rng)
         for layer in (1, 2):
             extracted = tiny_code.extract_component(outcome.U, layer, strip=False)
@@ -102,7 +102,7 @@ def test_extract_validation(example_code):
 
 def test_recompose_roundtrip_and_failure_dims(fp24, example_code):
     rng = SplitMix64(34)
-    word = example_code.encode(_random_messages(example_code, rng))
+    word = example_code.encode(example_code.random_messages(rng))
     stripped = [
         lift(example_code.layers[i], word.component_matrices[i]) for i in range(2)
     ]
@@ -153,7 +153,7 @@ def test_extraction_distance_bound_and_identities(example_code):
     rng = SplitMix64(35)
     for _ in range(300):
         rho, t = rng.randbelow(5), rng.randbelow(5)
-        word = example_code.encode(_random_messages(example_code, rng))
+        word = example_code.encode(example_code.random_messages(rng))
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
         ds = subspace_distance(word.V, outcome.U)
         for layer in (1, 2):
@@ -168,7 +168,7 @@ def test_guaranteed_regime_both_algorithms(example_code):
     rng = SplitMix64(36)
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(60):
-            word = example_code.encode(_random_messages(example_code, rng))
+            word = example_code.encode(example_code.random_messages(rng))
             outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
             for report in (
                 example_code.decode_alg1(outcome.U),
@@ -183,7 +183,7 @@ def test_sic_accumulated_distance_monotone(example_code):
     rng = SplitMix64(37)
     for rho, t in [(1, 1), (2, 0), (0, 2)]:
         for _ in range(40):
-            word = example_code.encode(_random_messages(example_code, rng))
+            word = example_code.encode(example_code.random_messages(rng))
             outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
             report = example_code.decode_alg2(outcome.U)
             chain = [subspace_distance(word.V, s) for s in report.accumulated]
@@ -204,7 +204,7 @@ def test_beyond_capability_patterns(example_code):
     while not (seen_alg1_beyond and seen_rescue) and trials < 4000:
         trials += 1
         rho, t = (2, 2) if trials % 2 else (2, 1)
-        word = example_code.encode(_random_messages(example_code, rng))
+        word = example_code.encode(example_code.random_messages(rng))
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
         layer_ds = tuple(
             subspace_distance(
@@ -241,7 +241,7 @@ def test_beyond_capability_patterns(example_code):
 
 def test_alg2_order_is_configurable(example_code):
     rng = SplitMix64(39)
-    word = example_code.encode(_random_messages(example_code, rng))
+    word = example_code.encode(example_code.random_messages(rng))
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), rng)
     forward = example_code.decode_alg2(outcome.U, order=[1, 2])
     assert forward.all_ok and forward.recombined == word.V
@@ -257,7 +257,7 @@ def test_iterative_dominance_erasure_only(example_code):
     failures = rescued = 0
     for trial in range(150):
         rho = 3 + (trial % 2)
-        word = example_code.encode(_random_messages(example_code, rng))
+        word = example_code.encode(example_code.random_messages(rng))
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=0), rng)
         plain = example_code.decode_alg2(outcome.U)
         iterative = example_code.decode_alg2(outcome.U, iterative=True)
@@ -271,7 +271,7 @@ def test_iterative_dominance_erasure_only(example_code):
 
 def test_report_bookkeeping(example_code):
     rng = SplitMix64(41)
-    word = example_code.encode(_random_messages(example_code, rng))
+    word = example_code.encode(example_code.random_messages(rng))
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=0), rng)
     report = example_code.decode_alg2(outcome.U, iterative=True)
     assert report.sweeps >= 1
