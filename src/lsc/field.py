@@ -1,28 +1,38 @@
 """Arithmetic in the prime field F_q and the extension field F_{q^m}.
 
 Base-field elements are plain ints in ``range(q)`` (the ``BaseElement``
-alias).  Extension-field elements carry their coordinates in the
-polynomial basis 1, a, ..., a^(m-1), constant term first, where ``a`` is
-a root of the defining modulus.  ``q`` must be prime in this release.
+alias).  An extension-field element has coordinates in the polynomial
+basis 1, a, ..., a^(m-1), constant term first, where ``a`` is a root of
+the defining modulus.  Its *index* is the int whose base-q digits, least
+significant first, are those coordinates (``coords_of`` and ``index_of``
+convert).  ``q`` must be prime in this
+release, and a field has at most 2^16 elements.
 
-Multiplication is schoolbook multiply-and-reduce; for small fields a
-product table is built lazily as an internal speedup and a test pins it
-bit-identical to the schoolbook path.
+All arithmetic runs on indices, in ``FieldOps``.  Products, inverses,
+powers and the Frobenius map x -> x^(q^i) are lookups in log/antilog
+tables over a primitive element g.  g is found by search: the modulus is
+only required to be irreducible, so ``a`` need not generate the
+multiplicative group.  Addition is XOR for q = 2; for odd q it goes
+through a Zech-log table, log(1 + g^k).  The tables are built on first
+use, once per field per process.  ``ExtFieldElement`` is the public
+coordinate-tuple type; its operators convert to indices and back.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
 
 BaseElement = int
 
-# Largest field size for which dense multiplication/inverse tables are built.
-_TABLE_LIMIT = 512
+# Largest supported field.  The tables hold about three entries per
+# element, so 2^16 elements cost a few MB; 2^24 would cost over 1 GB.
+_MAX_FIELD_SIZE = 1 << 16
 
 # Default modulus per (q, m): the monic irreducible of degree m over F_q
 # with the fewest nonzero terms, ties broken by the ascending list of
@@ -79,17 +89,6 @@ def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
     """Remainder of a mod b over F_q; b need not be monic."""
     b = _poly_trim(b)
@@ -118,6 +117,23 @@ def _irreducible(modulus: Sequence[int], q: int) -> bool:
     return True
 
 
+def coords_of(index: int, q: int, m: int) -> tuple[int, ...]:
+    """The m base-q digits of an element index, least significant first."""
+    out = []
+    for _ in range(m):
+        index, digit = divmod(index, q)
+        out.append(digit)
+    return tuple(out)
+
+
+def index_of(coords: Sequence[int], q: int) -> int:
+    """The element index whose base-q digits are ``coords``."""
+    idx = 0
+    for c in reversed(coords):
+        idx = idx * q + c
+    return idx
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Defines F_{q^m}: prime q, extension degree m, irreducible modulus.
@@ -136,6 +152,12 @@ class FieldParams:
             raise ParameterError(f"q must be prime in this release, got {self.q}")
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
+        # m > 16 short-cuts q^m for absurd m (q >= 2)
+        if self.m > 16 or self.q**self.m > _MAX_FIELD_SIZE:
+            raise ParameterError(
+                f"q^m = {self.q}^{self.m} elements is too many; "
+                f"at most 2^16 = {_MAX_FIELD_SIZE} are supported"
+            )
         mod = _poly_trim(tuple(c % self.q for c in self.modulus))
         if len(mod) != self.m + 1:
             raise ParameterError(
@@ -164,6 +186,11 @@ class FieldParams:
     def size(self) -> int:
         return self.q**self.m
 
+    @property
+    def ops(self) -> "FieldOps":
+        """Arithmetic on element indices; built on first use, shared per process."""
+        return _field_ops(self.q, self.m, self.modulus)
+
     # --- element factories ---
 
     def element(self, coords: Sequence[int]) -> "ExtFieldElement":
@@ -187,11 +214,7 @@ class FieldParams:
         """Element whose coordinates are the base-q digits of index."""
         if not 0 <= index < self.size:
             raise ParameterError(f"index {index} outside [0, {self.size})")
-        coords = []
-        for _ in range(self.m):
-            coords.append(index % self.q)
-            index //= self.q
-        return ExtFieldElement(self, tuple(coords))
+        return ExtFieldElement(self, coords_of(index, self.q, self.m))
 
     def elements(self) -> Iterator["ExtFieldElement"]:
         for i in range(self.size):
@@ -200,110 +223,180 @@ class FieldParams:
     def random_element(self, rng) -> "ExtFieldElement":
         return self.from_index(rng.randbelow(self.size))
 
-    # --- internal arithmetic tables ---
 
-    @cached_property
-    def _xpow_reductions(self) -> tuple[tuple[int, ...], ...]:
-        """Coordinates of x^e mod modulus for e = m .. 2m-2."""
-        out = []
-        for e in range(self.m, 2 * self.m - 1):
-            poly = [0] * e + [1]
-            red = _poly_mod(poly, self.modulus, self.q)
-            out.append(tuple(red) + (0,) * (self.m - len(red)))
-        return tuple(out)
+# --- arithmetic on indices ---
 
-    def _mul_coords(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        q, m = self.q, self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % q
-        out = conv[:m]
-        reductions = self._xpow_reductions
-        for e in range(m, 2 * m - 1):
-            c = conv[e]
-            if c:
-                red = reductions[e - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * red[i]) % q
-        return tuple(out)
 
-    @cached_property
-    def _tables(self) -> tuple[list[list[int]], list[int]] | None:
-        """(product table, inverse table) by element index, or None if large."""
-        size = self.size
-        if size > _TABLE_LIMIT:
-            return None
-        coords = [tuple(self.from_index(i).coords) for i in range(size)]
-        index_of = {c: i for i, c in enumerate(coords)}
-        mul = [[0] * size for _ in range(size)]
-        inv = [0] * size
-        for i in range(size):
-            row = mul[i]
-            for j in range(i, size):
-                p = index_of[self._mul_coords(coords[i], coords[j])]
-                row[j] = p
-                mul[j][i] = p
-            if i:
-                # row scan: exactly one j with product 1
-                inv[i] = row.index(1)
-        return mul, inv
+class FieldOps:
+    """Arithmetic of one F_{q^m} on element indices (see the module docstring).
 
-    def _pow_coords(self, coords: tuple[int, ...], n: int) -> tuple[int, ...]:
-        result = (1,) + (0,) * (self.m - 1)
-        base = coords
-        while n:
-            if n & 1:
-                result = self._mul_coords(result, base)
-            base = self._mul_coords(base, base)
-            n >>= 1
-        return result
+    ``exp[i]`` is g^i for 0 <= i < 2(q^m - 1), so a sum of two logarithms
+    needs no reduction; ``log[a]`` is the logarithm of a nonzero a.
+    ``add`` and ``sub`` are chosen per characteristic: XOR for q = 2,
+    Zech logarithms for odd q.
+    """
 
-    @cached_property
-    def _frobenius_maps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For i in 0..m-1 the matrix of x -> x^(q^i) in the polynomial basis.
+    __slots__ = ("q", "m", "exp", "log", "zech", "add", "sub", "_order", "_qpow")
 
-        Applying the map is a matrix-vector product over F_q, valid because
-        x -> x^q is F_q-linear.
-        """
-        q, m = self.q, self.m
+    def __init__(self, q: int, m: int, modulus: tuple[int, ...]) -> None:
+        self.q, self.m = q, m
+        order = q**m - 1
+        powers = _generator_powers(q, m, modulus)
+        self.exp = powers + powers
+        self.log = [0] * (order + 1)
+        for i, a in enumerate(powers):
+            self.log[a] = i
+        self._order = order
+        # q^i mod (q^m - 1): the Frobenius map multiplies logarithms by it
+        self._qpow = [q**i % order for i in range(m)]
+        if q == 2:
+            self.zech = None
+            self.add = self.sub = operator.xor
+        else:
+            # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; adding 1
+            # changes only the lowest digit of an index
+            self.zech = []
+            for a in powers:
+                low = a % q
+                plus_one = a - low + (low + 1) % q
+                self.zech.append(self.log[plus_one] if plus_one else -1)
+            self.add = self._add_odd
+            self.sub = self._sub_odd
 
-        def matmul(a, b):
-            return tuple(
-                tuple(
-                    sum(a[r][i] * b[i][c] for i in range(m)) % q for c in range(m)
-                )
-                for r in range(m)
-            )
+    def mul(self, a: int, b: int) -> int:
+        if a and b:
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
 
-        # column j of the one-step map holds the coordinates of (a^j)^q
-        cols = []
-        for j in range(m):
-            e = [0] * m
-            e[j] = 1
-            cols.append(self._pow_coords(tuple(e), q))
-        one_step = tuple(tuple(cols[c][r] for c in range(m)) for r in range(m))
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self.exp[self._order - self.log[a]]
 
-        identity = tuple(
-            tuple(1 if r == c else 0 for c in range(m)) for r in range(m)
-        )
-        maps = [identity]
-        for _ in range(m - 1):
-            maps.append(matmul(one_step, maps[-1]))
-        return tuple(maps)
+    def pow(self, a: int, n: int) -> int:
+        if a:
+            return self.exp[self.log[a] * n % self._order]
+        if n < 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return 0 if n else 1
 
-    def _frobenius_coords(self, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
-        q, m = self.q, self.m
-        mat = self._frobenius_maps[i % m]
-        return tuple(
-            sum(mat[r][c] * coords[c] for c in range(m)) % q for r in range(m)
-        )
+    def frob(self, a: int, i: int) -> int:
+        """a^(q^i); F_q-linear in a, periodic in i with period m."""
+        if a:
+            return self.exp[self.log[a] * self._qpow[i % self.m] % self._order]
+        return 0
+
+    def _add_logs(self, la: int, lb: int) -> int:
+        """g^la + g^lb = g^la * (1 + g^(lb - la))."""
+        z = self.zech[(lb - la) % self._order]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def _add_odd(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        return self._add_logs(self.log[a], self.log[b])
+
+    def _sub_odd(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        # -1 = g^((q^m - 1) / 2) for odd q
+        lb = self.log[b] + self._order // 2
+        if not a:
+            return self.exp[lb]
+        return self._add_logs(self.log[a], lb)
+
+
+@lru_cache(maxsize=16)
+def _field_ops(q: int, m: int, modulus: tuple[int, ...]) -> FieldOps:
+    return FieldOps(q, m, modulus)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digit_add(a: int, b: int, q: int) -> int:
+    """Sum of two indices, digit by digit mod q."""
+    if q == 2:
+        return a ^ b
+    out, place = 0, 1
+    while a or b:
+        a, da = divmod(a, q)
+        b, db = divmod(b, q)
+        out += (da + db) % q * place
+        place *= q
+    return out
+
+
+def _generator_powers(q: int, m: int, modulus: tuple[int, ...]) -> list[int]:
+    """[g^0, ..., g^(q^m - 2)] as indices, g the primitive element of least index.
+
+    g is primitive when g^((q^m - 1) / p) != 1 for every prime p dividing
+    q^m - 1.  Products here are shift-and-add on indices; they run only
+    while the tables are built.
+    """
+    size = q**m
+    order = size - 1
+    top = size // q
+    # wrap[c] is the index of c * x^m mod the modulus: -c * (its lower terms)
+    wrap = [
+        index_of([(-c * coef) % q for coef in modulus[:m]], q) for c in range(q)
+    ]
+
+    def times_x(a: int) -> int:
+        high, low = divmod(a, top)
+        return _digit_add(low * q, wrap[high], q)
+
+    def times(a: int, b: int) -> int:
+        digits = []
+        while b:
+            b, digit = divmod(b, q)
+            digits.append(digit)
+        out = 0
+        for digit in reversed(digits):
+            out = times_x(out)
+            for _ in range(digit):
+                out = _digit_add(out, a, q)
+        return out
+
+    def power(a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = times(out, a)
+            a = times(a, a)
+            e >>= 1
+        return out
+
+    primes = _prime_factors(order)
+    g = next(
+        c for c in range(1, size) if all(power(c, order // p) != 1 for p in primes)
+    )
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(times(powers[-1], g))
+    return powers
 
 
 @dataclass(frozen=True)
 class ExtFieldElement:
-    """An element of F_{q^m} as an m-tuple of base-field coordinates."""
+    """An element of F_{q^m} as an m-tuple of base-field coordinates.
+
+    The operators convert their operands to indices, compute with
+    ``FieldParams.ops`` and convert the result back.
+    """
 
     params: FieldParams
     coords: tuple[int, ...]
@@ -323,76 +416,44 @@ class ExtFieldElement:
 
     def __add__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_params(other)
-        q = self.params.q
-        return ExtFieldElement(
-            self.params, tuple((a + b) % q for a, b in zip(self.coords, other.coords))
-        )
+        ops = self.params.ops
+        return self.params.from_index(ops.add(self.to_index(), other.to_index()))
 
     def __sub__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_params(other)
-        q = self.params.q
-        return ExtFieldElement(
-            self.params, tuple((a - b) % q for a, b in zip(self.coords, other.coords))
-        )
+        ops = self.params.ops
+        return self.params.from_index(ops.sub(self.to_index(), other.to_index()))
 
     def __neg__(self) -> "ExtFieldElement":
-        q = self.params.q
-        return ExtFieldElement(self.params, tuple((-a) % q for a in self.coords))
+        return self.params.from_index(self.params.ops.sub(0, self.to_index()))
 
     def __mul__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_params(other)
-        tables = self.params._tables
-        if tables is not None:
-            mul, _ = tables
-            idx = mul[self.to_index()][other.to_index()]
-            return self.params.from_index(idx)
-        return ExtFieldElement(
-            self.params, self.params._mul_coords(self.coords, other.coords)
-        )
+        ops = self.params.ops
+        return self.params.from_index(ops.mul(self.to_index(), other.to_index()))
 
     def scale_base(self, c: int) -> "ExtFieldElement":
-        """Multiply by a base-field scalar (coordinate-wise)."""
-        q = self.params.q
-        c %= q
-        return ExtFieldElement(self.params, tuple((a * c) % q for a in self.coords))
+        """Multiply by a base-field scalar (whose index is the scalar itself)."""
+        ops = self.params.ops
+        return self.params.from_index(ops.mul(self.to_index(), c % self.params.q))
 
     def inverse(self) -> "ExtFieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        tables = self.params._tables
-        if tables is not None:
-            _, inv = tables
-            return self.params.from_index(inv[self.to_index()])
-        return self ** (self.params.size - 2)
+        return self.params.from_index(self.params.ops.inv(self.to_index()))
 
     def __pow__(self, n: int) -> "ExtFieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.params.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.params.from_index(self.params.ops.pow(self.to_index(), n))
 
     def frobenius(self, i: int) -> "ExtFieldElement":
         """Return self^(q^i); F_q-linear in self, periodic with period m."""
         if i < 0:
             raise ParameterError("frobenius exponent must be non-negative")
-        return ExtFieldElement(
-            self.params, self.params._frobenius_coords(self.coords, i)
-        )
+        return self.params.from_index(self.params.ops.frob(self.to_index(), i))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def to_index(self) -> int:
-        idx = 0
-        for c in reversed(self.coords):
-            idx = idx * self.params.q + c
-        return idx
+        return index_of(self.coords, self.params.q)
 
     def __repr__(self) -> str:
         return f"Ext({','.join(map(str, self.coords))})"

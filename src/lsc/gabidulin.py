@@ -14,16 +14,25 @@ where mu and delta count the supplied column/row erasure directions and
 the rank is taken modulo those hint spaces (plain rank when no hints are
 supplied).  ``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.
+
+The algorithms (linearized-polynomial evaluation, composition, left
+division and subspace annihilators, encoding, the decoder and its
+F_{q^m} nullspace, the brute-force oracle) compute on element indices
+with ``FieldParams.ops``.  The public surface holds ``ExtFieldElement``
+values and converts at that boundary: ``LinearizedPoly``,
+``RankCodeword``, and the arguments and results of ``GabidulinCode``
+methods.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import ExtFieldElement, FieldParams
+from .field import ExtFieldElement, FieldOps, FieldParams, coords_of, index_of
 from .linalg import MatrixFq, row_space
 
 REASON_RADIUS = "radius-exceeded"
@@ -41,13 +50,88 @@ class DecodeFailure:
         return False
 
 
+# --- linearized polynomials on element indices ---
+#
+# A coefficient list holds, at position i, the index of the coefficient
+# of x^(q^i), with trailing zeros trimmed; the zero polynomial is [].
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], x: int) -> int:
+    add, mul, frob = ops.add, ops.mul, ops.frob
+    acc = 0
+    for i, c in enumerate(coeffs):
+        if c:
+            acc = add(acc, mul(c, frob(x, i)))
+    return acc
+
+
+def _lp_compose(ops: FieldOps, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a(b(x)); coefficient k is sum_{i+j=k} a_i * b_j^(q^i)."""
+    if not a or not b:
+        return []
+    add, mul, frob = ops.add, ops.mul, ops.frob
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = add(out[i + j], mul(ai, frob(bj, i)))
+    return _trim(out)
+
+
+def _lp_divide_left(
+    ops: FieldOps, num: Sequence[int], left: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) with num = left(quotient(x)) + remainder.
+
+    The remainder has lower q-degree than ``left``.
+    """
+    if not left:
+        raise ZeroDivisionError("division by the zero polynomial")
+    sub, mul, frob = ops.sub, ops.mul, ops.frob
+    m = ops.m
+    l = len(left) - 1
+    lead_inv = ops.inv(left[-1])
+    work = list(num)
+    quot = [0] * max(0, len(work) - l)
+    while len(work) - 1 >= l and work:
+        j = len(work) - 1 - l
+        # solve left_l * c^(q^l) = top  =>  c = (top / left_l)^(q^(m-l))
+        c = frob(mul(work[-1], lead_inv), (m - l) % m)
+        quot[j] = c
+        for u, lu in enumerate(left):
+            if lu:
+                work[u + j] = sub(work[u + j], mul(lu, frob(c, u)))
+        _trim(work)
+    return _trim(quot), work
+
+
+def _lp_annihilator(ops: FieldOps, elements: Sequence[int]) -> list[int]:
+    """Monic polynomial whose kernel is the F_q-span of linearly independent elements."""
+    sigma = [1]
+    for z in elements:
+        w = _lp_evaluate(ops, sigma, z)
+        if not w:
+            raise ParameterError("annihilator basis is linearly dependent")
+        # x^q - w^(q-1) x vanishes at w
+        sigma = _lp_compose(ops, [ops.sub(0, ops.pow(w, ops.q - 1)), 1], sigma)
+    return sigma
+
+
 @dataclass(frozen=True)
 class LinearizedPoly:
     """Sum of a_i x^(q^i); evaluation is F_q-linear.
 
     Coefficients are stored with index i holding the coefficient of
     x^(q^i), trailing zeros trimmed; the zero polynomial has no
-    coefficients.
+    coefficients.  The methods compute on element indices.
     """
 
     params: FieldParams
@@ -59,6 +143,13 @@ class LinearizedPoly:
         while out and out[-1].is_zero():
             out.pop()
         return cls(params, tuple(out))
+
+    @classmethod
+    def _from_indices(cls, params: FieldParams, coeffs: Sequence[int]) -> "LinearizedPoly":
+        return cls(params, tuple(params.from_index(c) for c in coeffs))
+
+    def _indices(self) -> list[int]:
+        return [c.to_index() for c in self.coeffs]
 
     @classmethod
     def zero(cls, params: FieldParams) -> "LinearizedPoly":
@@ -77,11 +168,8 @@ class LinearizedPoly:
         return not self.coeffs
 
     def evaluate(self, x: ExtFieldElement) -> ExtFieldElement:
-        acc = self.params.zero()
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                acc = acc + c * x.frobenius(i)
-        return acc
+        params = self.params
+        return params.from_index(_lp_evaluate(params.ops, self._indices(), x.to_index()))
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -99,43 +187,18 @@ class LinearizedPoly:
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """self(other(x)); coefficient k is sum_{i+j=k} a_i * b_j^(q^i)."""
-        if self.is_zero() or other.is_zero():
-            return LinearizedPoly.zero(self.params)
-        out = [self.params.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b.frobenius(i)
-        return LinearizedPoly.from_coeffs(self.params, out)
+        params = self.params
+        return LinearizedPoly._from_indices(
+            params, _lp_compose(params.ops, self._indices(), other._indices())
+        )
 
     def divide_left(self, left: "LinearizedPoly") -> tuple["LinearizedPoly", "LinearizedPoly"]:
         """Solve self = left(quotient(x)) + remainder with q-deg(remainder) < q-deg(left)."""
-        if left.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
         params = self.params
-        m = params.m
-        l = left.q_degree
-        lead_inv = left.coeffs[-1].inverse()
-        work = list(self.coeffs)
-        quot = [params.zero()] * max(0, len(work) - l)
-        while len(work) - 1 >= l and work:
-            top = work[-1]
-            j = len(work) - 1 - l
-            # solve left_l * c^(q^l) = top  =>  c = (top / left_l)^(q^(m-l))
-            c = (top * lead_inv).frobenius((m - l) % m)
-            quot[j] = c
-            for u in range(l + 1):
-                if left.coeffs[u].is_zero():
-                    continue
-                work[u + j] = work[u + j] - left.coeffs[u] * c.frobenius(u)
-            while work and work[-1].is_zero():
-                work.pop()
+        quot, rem = _lp_divide_left(params.ops, self._indices(), left._indices())
         return (
-            LinearizedPoly.from_coeffs(params, quot),
-            LinearizedPoly.from_coeffs(params, work),
+            LinearizedPoly._from_indices(params, quot),
+            LinearizedPoly._from_indices(params, rem),
         )
 
     @staticmethod
@@ -145,16 +208,8 @@ class LinearizedPoly:
         The elements must be linearly independent over F_q; the result has
         q-degree equal to their count.
         """
-        sigma = LinearizedPoly.identity(params)
-        for z in elements:
-            w = sigma.evaluate(z)
-            if w.is_zero():
-                raise ParameterError("annihilator basis is linearly dependent")
-            factor = LinearizedPoly.from_coeffs(
-                params, (-(w ** (params.q - 1)), params.one())
-            )
-            sigma = factor.compose(sigma)
-        return sigma
+        sigma = _lp_annihilator(params.ops, [z.to_index() for z in elements])
+        return LinearizedPoly._from_indices(params, sigma)
 
 
 @dataclass(frozen=True)
@@ -234,6 +289,10 @@ class GabidulinCode:
     def min_rank_distance(self) -> int:
         return self.n - self.k + 1
 
+    @cached_property
+    def _points(self) -> tuple[int, ...]:
+        return tuple(g.to_index() for g in self.eval_points)
+
     def encode(self, message: Sequence[ExtFieldElement]) -> RankCodeword:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points."""
         if len(message) != self.k:
@@ -241,8 +300,13 @@ class GabidulinCode:
         for u in message:
             if u.params != self.params:
                 raise ParameterError("message symbol from a different field")
-        f = LinearizedPoly.from_coeffs(self.params, message)
-        return RankCodeword(tuple(f.evaluate(g) for g in self.eval_points))
+        symbols = self._evaluate([u.to_index() for u in message])
+        return RankCodeword(tuple(self.params.from_index(s) for s in symbols))
+
+    def _evaluate(self, f: Sequence[int]) -> list[int]:
+        """The linearized polynomial f (on indices) at every evaluation point."""
+        ops = self.params.ops
+        return [_lp_evaluate(ops, f, g) for g in self._points]
 
     def _check_received(self, received: RankCodeword) -> None:
         if received.n != self.n:
@@ -268,6 +332,8 @@ class GabidulinCode:
         """
         self._check_received(received)
         params = self.params
+        ops = params.ops
+        add, sub, mul, frob = ops.add, ops.sub, ops.mul, ops.frob
         m, n, k = params.m, self.n, self.k
         d = self.min_rank_distance
 
@@ -279,22 +345,21 @@ class GabidulinCode:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
 
-        sigma = LinearizedPoly.subspace_annihilator(
-            params, [ExtFieldElement(params, r) for r in zb.entries]
-        )
+        sigma = _lp_annihilator(ops, [index_of(r, params.q) for r in zb.entries])
         proj = cb.kernel_basis()  # (n - mu) x n, rows annihilate the column hints
         n_prime = proj.rows
         k_prime = k + delta
 
-        def combine(vals: Sequence[ExtFieldElement], weights: tuple[int, ...]) -> ExtFieldElement:
-            acc = params.zero()
+        def combine(vals: Sequence[int], weights: tuple[int, ...]) -> int:
+            acc = 0
             for w, v in zip(weights, vals):
                 if w:
-                    acc = acc + v.scale_base(w)
+                    acc = add(acc, mul(v, w))
             return acc
 
-        g_proj = [combine(self.eval_points, row) for row in proj.entries]
-        r_sigma = [sigma.evaluate(s) for s in received.symbols]
+        r = [s.to_index() for s in received.symbols]
+        g_proj = [combine(self._points, row) for row in proj.entries]
+        r_sigma = [_lp_evaluate(ops, sigma, s) for s in r]
         r_proj = [combine(r_sigma, row) for row in proj.entries]
 
         # interpolation system: V(r'_s) - N(g'_s) = 0 with q-deg V <= tau_max,
@@ -303,29 +368,29 @@ class GabidulinCode:
         n_n = k_prime + tau_max
         rows = []
         for s in range(n_prime):
-            row = [r_proj[s].frobenius(j) for j in range(n_v)]
-            row += [-(g_proj[s].frobenius(j)) for j in range(n_n)]
+            row = [frob(r_proj[s], j) for j in range(n_v)]
+            row += [sub(0, frob(g_proj[s], j)) for j in range(n_n)]
             rows.append(row)
-        solutions = _ext_nullspace(params, rows, n_v + n_n)
+        solutions = _ext_nullspace(ops, rows, n_v + n_n)
 
         for sol in solutions:
-            locator = LinearizedPoly.from_coeffs(params, sol[:n_v])
-            if locator.is_zero():
+            locator = _trim(sol[:n_v])
+            if not locator:
                 continue
-            numer = LinearizedPoly.from_coeffs(params, sol[n_v:])
-            f_sigma, rem = numer.divide_left(locator)
-            if not rem.is_zero():
+            numer = _trim(sol[n_v:])
+            f_sigma, rem = _lp_divide_left(ops, numer, locator)
+            if rem:
                 continue
-            f, rem = f_sigma.divide_left(sigma)
-            if not rem.is_zero() or f.q_degree >= k:
+            f, rem = _lp_divide_left(ops, f_sigma, sigma)
+            if rem or len(f) > k:
                 continue
-            message = tuple(f.coeffs) + (params.zero(),) * (k - len(f.coeffs))
-            codeword = self.encode(message)
-            error = received.as_matrix() - codeword.as_matrix()
+            codeword = self._evaluate(f)
+            error_rows = tuple(coords_of(sub(a, b), params.q, m) for a, b in zip(r, codeword))
+            error = MatrixFq(params.q, n, m, error_rows)
             q_ann = zb.kernel_basis().transpose()  # m x (m - delta)
             residual = (proj @ error) @ q_ann
             if 2 * residual.rank() + mu + delta <= d - 1:
-                return message
+                return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
     def _canonical_hint(self, hint: MatrixFq | None, width: int, name: str) -> MatrixFq:
@@ -339,24 +404,28 @@ class GabidulinCode:
 
     # --- exhaustive oracle ---
 
-    def iter_messages(self, cap: int = 1 << 20):
-        if self.params.size**self.k > cap:
-            raise CapacityError(
-                f"message space {self.params.size ** self.k} exceeds the cap {cap}"
-            )
+    def _message_indices(self, cap: int):
         size = self.params.size
-        for idx in itertools.product(range(size), repeat=self.k):
-            yield tuple(self.params.from_index(i) for i in idx)
+        if size**self.k > cap:
+            raise CapacityError(f"message space {size ** self.k} exceeds the cap {cap}")
+        return itertools.product(range(size), repeat=self.k)
+
+    def iter_messages(self, cap: int = 1 << 20):
+        from_index = self.params.from_index
+        for idx in self._message_indices(cap):
+            yield tuple(from_index(i) for i in idx)
 
     def brute_force_decode(self, received: RankCodeword, cap: int = 1 << 20):
         """Minimum rank-distance decoding by full enumeration; ties fail."""
         self._check_received(received)
+        q, m = self.params.q, self.params.m
         rec = received.as_matrix()
         best = None
         best_dist = None
         tie = False
-        for message in self.iter_messages(cap):
-            cand = self.encode(message).as_matrix()
+        for message in self._message_indices(cap):
+            symbols = self._evaluate(message)
+            cand = MatrixFq(q, self.n, m, tuple(coords_of(s, q, m) for s in symbols))
             dist = (rec - cand).rank()
             if best_dist is None or dist < best_dist:
                 best, best_dist, tie = message, dist, False
@@ -364,42 +433,39 @@ class GabidulinCode:
                 tie = True
         if tie:
             return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best_dist}")
-        return best
+        return tuple(self.params.from_index(u) for u in best)
 
 
-def _ext_nullspace(
-    params: FieldParams, rows: list[list[ExtFieldElement]], ncols: int
-) -> list[list[ExtFieldElement]]:
-    """Nullspace basis of a homogeneous system over F_{q^m}."""
+def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Nullspace basis of a homogeneous system over F_{q^m}, on element indices."""
+    sub, mul = ops.sub, ops.mul
     work = [list(r) for r in rows]
     nrows = len(work)
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not work[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, nrows) if work[i][col]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [x * inv for x in work[r]]
+        inv = ops.inv(work[r][col])
+        work[r] = [mul(x, inv) for x in work[r]]
         for i in range(nrows):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = work[i][col]
+            if i != r and f:
+                work[i] = [sub(a, mul(f, b)) for a, b in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == nrows:
             break
     pivot_set = set(pivots)
-    zero = params.zero()
-    one = params.one()
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
+        vec = [0] * ncols
+        vec[free] = 1
         for i, p in enumerate(pivots):
-            vec[p] = -work[i][free]
+            vec[p] = sub(0, work[i][free])
         basis.append(vec)
     return basis

@@ -184,8 +184,36 @@ def _worker_init(q: int, m: int, modulus: tuple[int, ...], shape: tuple[tuple[in
     _WORKER_CODE = LayeredCode.standard(FieldParams(q, m, modulus), shape)
 
 
-def _worker_trial(job) -> list[TrialRecord]:
-    return run_trial(_WORKER_CODE, *job)
+def _in_worker(task):
+    trial_fn, job = task
+    return trial_fn(_WORKER_CODE, job)
+
+
+def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) -> list:
+    """``[trial_fn(code, job) for job in jobs]``, on ``cfg.workers`` processes.
+
+    Results keep the order of ``jobs``.  ``trial_fn`` is a module-level
+    function, so that it pickles by name; each worker rebuilds ``code``
+    once, from its field and shape.
+    """
+    if cfg.workers > 1 and len(jobs) > 1:
+        params = code.params
+        shape = tuple((layer.n, layer.k) for layer in code.layers)
+        with multiprocessing.Pool(
+            processes=cfg.workers,
+            initializer=_worker_init,
+            initargs=(params.q, params.m, params.modulus, shape),
+        ) as pool:
+            return pool.map(
+                _in_worker,
+                [(trial_fn, job) for job in jobs],
+                chunksize=max(1, len(jobs) // (cfg.workers * 8)),
+            )
+    return [trial_fn(code, job) for job in jobs]
+
+
+def _grid_trial(code: LayeredCode, job) -> list[TrialRecord]:
+    return run_trial(code, *job)
 
 
 def _run_grid(
@@ -198,17 +226,7 @@ def _run_grid(
         for rho, t in grid
         for trial in range(cfg.trials)
     ]
-    if cfg.workers > 1 and len(jobs) > 1:
-        params = code.params
-        shape = tuple((layer.n, layer.k) for layer in code.layers)
-        with multiprocessing.Pool(
-            processes=cfg.workers,
-            initializer=_worker_init,
-            initargs=(params.q, params.m, params.modulus, shape),
-        ) as pool:
-            chunks = pool.map(_worker_trial, jobs, chunksize=max(1, len(jobs) // (cfg.workers * 8)))
-    else:
-        chunks = [run_trial(code, *job) for job in jobs]
+    chunks = _map_trials(cfg, code, _grid_trial, jobs)
     return [record for chunk in chunks for record in chunk]
 
 
@@ -528,29 +546,47 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     return _scenario_unicast(cfg)
 
 
+def _multicast_trial(code: LayeredCode, job) -> tuple[bool, ...]:
+    """Per algorithm, whether one trial of the first ``count`` layers decodes."""
+    count, seed, spec, algorithms, max_sweeps = job
+    code = LayeredCode(code.layers[:count])
+    word, outcome = make_trial(code, seed, spec)
+    return tuple(
+        _decode_with(code, algorithm, outcome.U, max_sweeps).recombined == word.V
+        for algorithm in algorithms
+    )
+
+
 def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Adaptive layer count: rate vs. success under a fixed channel."""
     rho, t = _single_grid_point(cfg)
     spec = ChannelSpec(rho=rho, t=t)
-    params = cfg.field_params()
+    code = cfg.build_code()
+    m = code.params.m
     algorithms = cfg.algorithms()
+    counts = range(1, len(cfg.layers) + 1)
+    # a count is skipped when the channel does not fit its code
+    fits = {
+        count: rho <= sum(n for n, _ in cfg.layers[:count]) and t <= m for count in counts
+    }
+    # the trial seed does not depend on the algorithm: build each trial once
+    jobs = [
+        (count, derive_seed(cfg.seed, count, rho, t, trial), spec, algorithms, cfg.max_sweeps)
+        for count in counts
+        if fits[count]
+        for trial in range(cfg.trials)
+    ]
+    outcomes = iter(_map_trials(cfg, code, _multicast_trial, jobs))
     rows = []
     summary = ["multicast sweep (adaptive layer count)"]
-    for count in range(1, len(cfg.layers) + 1):
-        shape = cfg.layers[:count]
-        code = LayeredCode.standard(params, shape)
-        if rho > code.total_length or t > params.m:
+    for count in counts:
+        if not fits[count]:
             summary.append(f"layers={count}: skipped (channel outside bounds)")
             continue
-        rate = sum(k for _, k in shape) * params.m
-        # the trial seed does not depend on the algorithm: build each trial once
-        wins = dict.fromkeys(algorithms, 0)
-        for trial in range(cfg.trials):
-            word, outcome = make_trial(code, derive_seed(cfg.seed, count, rho, t, trial), spec)
-            for algorithm in algorithms:
-                report = _decode_with(code, algorithm, outcome.U, cfg.max_sweeps)
-                wins[algorithm] += report.recombined == word.V
-        for algorithm, successes in wins.items():
+        rate = sum(k for _, k in cfg.layers[:count]) * m
+        trials = [next(outcomes) for _ in range(cfg.trials)]
+        for i, algorithm in enumerate(algorithms):
+            successes = sum(trial[i] for trial in trials)
             rows.append(
                 (str(count), str(rate), algorithm, str(cfg.trials), str(successes))
             )
@@ -577,29 +613,31 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(csv_text, summary, records)
 
 
+def _unicast_trial(code: LayeredCode, job) -> bool:
+    """Whether one trial's layer decodes from its extracted component alone."""
+    seed, spec, layer = job
+    word, outcome = make_trial(code, seed, spec)
+    extracted = code.extract_component(outcome.U, layer)
+    result = subspace_decode(code.component_lifted(layer), extracted)
+    return (
+        not isinstance(result, DecodeFailure)
+        and result.matrix == word.component_matrices[layer - 1]
+    )
+
+
 def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Receiver wants one layer: extract it and run only that decoder."""
     rho, t = _single_grid_point(cfg)
     spec = ChannelSpec(rho=rho, t=t)
     code = cfg.build_code()
     layer = cfg.unicast_layer
-    lifted = code.component_lifted(layer)
-    rows = []
-    successes = 0
-    for trial in range(cfg.trials):
-        seed = derive_seed(cfg.seed, rho, t, trial)
-        word, outcome = make_trial(code, seed, spec)
-        extracted = code.extract_component(outcome.U, layer)
-        result = subspace_decode(lifted, extracted)
-        ok = (
-            not isinstance(result, DecodeFailure)
-            and result.matrix == word.component_matrices[layer - 1]
-        )
-        successes += ok
-        rows.append(
-            (str(trial), str(seed), str(rho), str(t), str(layer), "1" if ok else "0")
-        )
+    seeds = [derive_seed(cfg.seed, rho, t, trial) for trial in range(cfg.trials)]
+    outcomes = _map_trials(cfg, code, _unicast_trial, [(seed, spec, layer) for seed in seeds])
+    rows = [
+        (str(trial), str(seed), str(rho), str(t), str(layer), "1" if ok else "0")
+        for trial, (seed, ok) in enumerate(zip(seeds, outcomes))
+    ]
     summary = [
-        f"unicast layer {layer}: {successes}/{cfg.trials} recovered",
+        f"unicast layer {layer}: {sum(outcomes)}/{cfg.trials} recovered",
     ]
     return ScenarioResult(render_csv(SCENARIO_UNICAST_COLUMNS, rows), summary)

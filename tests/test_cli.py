@@ -88,6 +88,14 @@ def test_config_error_exit_code(tmp_path):
     assert "bad.ini:2" in proc.stderr
     proc = run_cli("simulate", "--config", str(tmp_path / "missing.ini"))
     assert proc.returncode == 2
+    # an irreducible modulus, but F_(2^17) is above the 2^16-element bound
+    big = tmp_path / "big.ini"
+    modulus = ",".join(str(int(i in (0, 3, 17))) for i in range(18))  # x^17 + x^3 + 1
+    big.write_text(f"[field]\nq = 2\nm = 17\nmodulus = {modulus}\n")
+    proc = run_cli("simulate", "--config", str(big))
+    assert proc.returncode == 2
+    assert "big.ini:4" in proc.stderr and "2^16" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_beyond_exit_codes(tmp_path):

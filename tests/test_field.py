@@ -3,7 +3,7 @@
 import pytest
 
 from lsc.errors import ParameterError
-from lsc.field import DEFAULT_MODULI, FieldParams
+from lsc.field import DEFAULT_MODULI, FieldParams, coords_of, index_of
 from lsc.rng import SplitMix64
 
 
@@ -48,11 +48,53 @@ def test_mul_matches_schoolbook_oracle(fp24):
             assert (a * b).coords == expected
 
 
-def test_table_path_is_bit_identical_to_schoolbook(fp24):
-    assert fp24._tables is not None
-    for a in fp24.elements():
-        for b in fp24.elements():
-            assert (a * b).coords == fp24._mul_coords(a.coords, b.coords)
+def _digits(index, q, m):
+    """In-test oracle: base-q digits of an element index, least significant first."""
+    return tuple(index // q**i % q for i in range(m))
+
+
+def _check_int_path(params, seed):
+    """Index arithmetic against coordinate-wise oracles: every pair of
+    elements up to 2^8 elements, 2000 seeded random pairs above that."""
+    q, m, size, modulus = params.q, params.m, params.size, params.modulus
+    ops = params.ops
+    if size <= 1 << 8:
+        pairs = [(a, b) for a in range(size) for b in range(size)]
+    else:
+        rng = SplitMix64(seed)
+        pairs = [(rng.randbelow(size), rng.randbelow(size)) for _ in range(2000)]
+    one = _digits(1, q, m)
+    for a, b in pairs:
+        ca, cb = _digits(a, q, m), _digits(b, q, m)
+        assert _digits(ops.mul(a, b), q, m) == _poly_mul_mod(ca, cb, modulus, q)
+        assert _digits(ops.add(a, b), q, m) == tuple((x + y) % q for x, y in zip(ca, cb))
+        assert _digits(ops.sub(a, b), q, m) == tuple((x - y) % q for x, y in zip(ca, cb))
+    for a in sorted({a for pair in pairs for a in pair}):
+        coords = _digits(a, q, m)
+        assert coords_of(a, q, m) == coords and index_of(coords, q) == a
+        if a:
+            assert _poly_mul_mod(coords, _digits(ops.inv(a), q, m), modulus, q) == one
+        power = coords  # a^(q^i), by q - 1 schoolbook products per step
+        for i in range(m):
+            assert _digits(ops.frob(a, i), q, m) == power
+            step = power
+            for _ in range(q - 1):
+                step = _poly_mul_mod(step, power, modulus, q)
+            power = step
+        assert power == coords  # a^(q^m) = a
+
+
+@pytest.mark.parametrize("q, m", sorted(DEFAULT_MODULI))
+def test_int_path_matches_oracles(q, m):
+    _check_int_path(FieldParams.default(q, m), seed=100 * q + m)
+
+
+def test_int_path_with_non_primitive_modulus():
+    # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1, so x has order 5, not 15
+    params = FieldParams(2, 4, (1, 1, 1, 1, 1))
+    alpha, one = params.alpha(), params.one()
+    assert [alpha**k == one for k in range(1, 6)] == [False] * 4 + [True]
+    _check_int_path(params, seed=5)
 
 
 def test_inverse_by_exhaustive_search(fp24):
@@ -129,6 +171,10 @@ def test_rejects_bad_parameters():
         FieldParams(2, 4, (1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4 is reducible
     with pytest.raises(ParameterError):
         FieldParams.default(2, 99)
+    # at most 2^16 elements: x^16+x^5+x^3+x^2+1 is accepted, x^17+x^3+1 is not
+    FieldParams(2, 16, tuple(int(i in (0, 2, 3, 5, 16)) for i in range(17)))
+    with pytest.raises(ParameterError):
+        FieldParams(2, 17, tuple(int(i in (0, 3, 17)) for i in range(18)))
 
 
 def test_mismatched_fields_rejected(fp24):

@@ -288,6 +288,7 @@ algorithm = {algorithm}
 trials = 6
 seed = 4242
 max_sweeps = 4
+workers = {workers}
 
 [scenario]
 mode = {mode}
@@ -322,12 +323,13 @@ def test_scenario_output_bytes_pinned(mode, algorithm, csv_sha256, summary_sha25
     """Scenario CSV and summary bytes are pinned, so trial construction,
     seeds and row order cannot drift.  The point lies beyond the
     guaranteed regime, so the algorithms disagree and the row order shows
-    in the counts."""
-    text = PINNED_SCENARIO.format(mode=mode, algorithm=algorithm)
-    result = run_scenario(parse_config(text, "pinned.ini"))
-    assert hashlib.sha256(result.csv_text.encode()).hexdigest() == csv_sha256
-    summary = "\n".join(result.summary_lines)
-    assert hashlib.sha256(summary.encode()).hexdigest() == summary_sha256
+    in the counts.  Two workers must give the same bytes as one."""
+    for workers in (1, 2):
+        text = PINNED_SCENARIO.format(mode=mode, algorithm=algorithm, workers=workers)
+        result = run_scenario(parse_config(text, "pinned.ini"))
+        assert hashlib.sha256(result.csv_text.encode()).hexdigest() == csv_sha256
+        summary = "\n".join(result.summary_lines)
+        assert hashlib.sha256(summary.encode()).hexdigest() == summary_sha256
 
 
 def test_scenario_requires_single_grid_point():
