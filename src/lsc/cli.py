@@ -41,6 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be non-negative")
         cfg.seed = args.seed
     if args.trials is not None:
         if args.trials < 0:

@@ -324,8 +324,12 @@ def _cross_validate(cfg: ExperimentConfig, sections) -> None:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text (byte {exc.start})") from None
     return parse_config(text, source=path)

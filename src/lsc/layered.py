@@ -12,25 +12,25 @@ decoding splits per layer:
   back into the working space before extracting the next, optionally
   sweeping again over failed layers until nothing new decodes.
 
+A layer's coordinates (its identity columns, then the payload columns)
+are fixed, so one cached column map places rows for encoding, embedding
+and recomposing; extraction is one elimination with the others in front.
+
 Failed layers contribute the zero subspace to the recomposed estimate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvariantError, ParameterError
 from .field import ExtFieldElement, FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode
-from .linalg import (
-    MatrixFq,
-    Subspace,
-    coordinate_zero_subspace,
-    intersection,
-    subspace_sum,
-)
+from .linalg import MatrixFq, Subspace, row_space, rref, subspace_sum
 
 from . import lifted as lifted_mod
 
@@ -68,20 +68,30 @@ class LayeredCode:
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         """offsets[l-1] = sum of n_i for i < l (0-based column of layer l's block)."""
-        out = []
-        acc = 0
-        for code in self.layers:
-            out.append(acc)
-            acc += code.n
-        return tuple(out)
+        return tuple(accumulate((code.n for code in self.layers[:-1]), initial=0))
 
-    @property
+    @cached_property
     def total_length(self) -> int:
         return sum(code.n for code in self.layers)
 
     @property
     def ambient_dim(self) -> int:
         return self.total_length + self.params.m
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per layer, every full-ambient column in extraction order.
+
+        Every other layer's identity columns come first; the last n_l + m
+        are the component coordinates: the layer's identity columns, then
+        the payload columns.
+        """
+        return tuple(
+            tuple(c for c in range(self.total_length) if not offset <= c < offset + code.n)
+            + tuple(range(offset, offset + code.n))
+            + tuple(range(self.total_length, self.ambient_dim))
+            for offset, code in zip(self.offsets, self.layers)
+        )
 
     def component_lifted(self, layer: int) -> lifted_mod.LiftedCode:
         self._check_layer(layer)
@@ -116,26 +126,20 @@ class LayeredCode:
     def encode(self, messages: Sequence[Sequence[ExtFieldElement]]) -> "LayeredCodeword":
         if len(messages) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} messages")
-        matrices = []
-        components = []
-        rows: list[tuple[int, ...]] = []
-        n_total, m = self.total_length, self.params.m
-        for idx, (code, message) in enumerate(zip(self.layers, messages)):
-            matrix = code.encode(message).as_matrix()
-            matrices.append(matrix)
-            components.append(self.component_subspace(idx + 1, matrix))
-            offset = self.offsets[idx]
-            for i in range(code.n):
-                header = [0] * n_total
-                header[offset + i] = 1
-                rows.append(tuple(header) + matrix.entries[i])
-        basis = MatrixFq(self.params.q, n_total, self.ambient_dim, tuple(rows))
-        overall = Subspace(self.ambient_dim, basis)
+        matrices = tuple(
+            code.encode(message).as_matrix() for code, message in zip(self.layers, messages)
+        )
+        components = tuple(
+            self.component_subspace(layer, matrix) for layer, matrix in enumerate(matrices, 1)
+        )
+        # disjoint identity blocks in layer order: the stacked bases are already canonical
+        rows = tuple(row for comp in components for row in comp.basis.entries)
+        basis = MatrixFq(self.params.q, len(rows), self.ambient_dim, rows)
         return LayeredCodeword(
             code=self,
-            component_matrices=tuple(matrices),
-            components=tuple(components),
-            V=overall,
+            component_matrices=matrices,
+            components=components,
+            V=Subspace(self.ambient_dim, basis),
         )
 
     # --- layer extraction and embedding ---
@@ -143,59 +147,55 @@ class LayeredCode:
     def extract_component(self, received: Subspace, layer: int, strip: bool = True) -> Subspace:
         """Vectors of the received space supported only on layer's columns.
 
-        Intersects with the subspace vanishing on every other layer's
-        identity block, then (by default) strips those known-zero
-        coordinates, giving a space in the component ambient n_l + m.
+        One elimination with every other layer's identity columns in front:
+        the reduced rows pivoting past them span the vectors vanishing there,
+        and their remaining columns, kept in order, are already the canonical
+        basis in the component ambient n_l + m.  ``strip=False`` reinserts the
+        known-zero columns.
         """
         self._check_layer(layer)
         if received.ambient_dim != self.ambient_dim:
             raise ParameterError("received space has the wrong ambient dimension")
-        code = self.layers[layer - 1]
-        offset = self.offsets[layer - 1]
-        zero_coords = set(range(1, offset + 1)) | set(
-            range(offset + code.n + 1, self.total_length + 1)
-        )
-        mask = coordinate_zero_subspace(self.params.q, self.ambient_dim, zero_coords)
-        component = intersection(received, mask)
-        if not strip:
-            return component
-        keep = list(range(offset, offset + code.n)) + list(
-            range(self.total_length, self.ambient_dim)
-        )
-        basis = component.basis.select_columns(keep)
-        return Subspace(code.n + self.params.m, basis)
+        order = self._columns[layer - 1]
+        width = self.layers[layer - 1].n + self.params.m
+        front = self.ambient_dim - width
+        permuted = [[row[c] for c in order] for row in received.basis.entries]
+        reduced, pivots = rref(permuted, self.ambient_dim, self.params.q)
+        kept = reduced[bisect_left(pivots, front) : len(pivots)]
+        rows = tuple(tuple(row[front:]) for row in kept)
+        stripped = Subspace(width, MatrixFq(self.params.q, len(rows), width, rows))
+        return stripped if strip else self.embed_component(layer, stripped)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
-        self._check_layer(layer)
-        code = self.layers[layer - 1]
-        if stripped.ambient_dim != code.n + self.params.m:
-            raise ParameterError("component space has the wrong ambient dimension")
-        offset = self.offsets[layer - 1]
-        rows = []
-        for row in stripped.basis.entries:
-            full = [0] * self.ambient_dim
-            for i in range(code.n):
-                full[offset + i] = row[i]
-            for j in range(self.params.m):
-                full[self.total_length + j] = row[code.n + j]
-            rows.append(tuple(full))
-        basis = MatrixFq(self.params.q, len(rows), self.ambient_dim, tuple(rows))
-        return Subspace(self.ambient_dim, basis)
+        return Subspace(self.ambient_dim, self._place(layer, stripped))
 
     def recompose(self, components: Sequence[Subspace]) -> Subspace:
         """Direct-sum the per-layer estimates back into the full ambient."""
         if len(components) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} component spaces")
-        total = Subspace.zero(self.params.q, self.ambient_dim)
-        expected = 0
-        for idx, comp in enumerate(components):
-            embedded = self.embed_component(idx + 1, comp)
-            expected += embedded.dim
-            total = subspace_sum(total, embedded)
-        if total.dim != expected:
+        placed = [self._place(layer, comp) for layer, comp in enumerate(components, 1)]
+        rows = tuple(row for basis in placed for row in basis.entries)
+        stacked = MatrixFq(self.params.q, len(rows), self.ambient_dim, rows)
+        total = row_space(stacked, self.ambient_dim)
+        if total.dim != len(rows):
             raise InvariantError("component estimates do not combine by direct sum")
         return total
+
+    def _place(self, layer: int, stripped: Subspace) -> MatrixFq:
+        """A component-ambient basis with its columns moved to the full ambient."""
+        self._check_layer(layer)
+        width = self.layers[layer - 1].n + self.params.m
+        if stripped.ambient_dim != width:
+            raise ParameterError("component space has the wrong ambient dimension")
+        columns = self._columns[layer - 1][-width:]
+        rows = []
+        for row in stripped.basis.entries:
+            full = [0] * self.ambient_dim
+            for c, x in zip(columns, row):
+                full[c] = x
+            rows.append(tuple(full))
+        return MatrixFq(self.params.q, len(rows), self.ambient_dim, tuple(rows))
 
     # --- decoding ---
 

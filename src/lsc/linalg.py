@@ -220,14 +220,6 @@ class MatrixFq:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def select_columns(self, cols: Sequence[int]) -> "MatrixFq":
-        return MatrixFq(
-            self.q,
-            self.rows,
-            len(cols),
-            tuple(tuple(row[c] for c in cols) for row in self.entries),
-        )
-
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
 

@@ -10,6 +10,7 @@ import pytest
 from lsc import cli, harness
 from lsc.channel import make_trial
 from lsc.config import load_config
+from lsc.errors import ConfigError
 from lsc.linalg import dump_subspace
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -96,6 +97,24 @@ def test_config_error_exit_code(tmp_path):
     assert proc.returncode == 2
     assert "big.ini:4" in proc.stderr and "2^16" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # not UTF-8: a UTF-16 byte-order mark, and a Latin-1 byte on line 3
+    utf16 = tmp_path / "utf16.ini"
+    utf16.write_bytes("[run]\nseed = 1\n".encode("utf-16"))
+    assert utf16.read_bytes()[:2] == b"\xff\xfe"
+    proc = run_cli("simulate", "--config", str(utf16))
+    assert proc.returncode == 2
+    assert "utf16.ini:1" in proc.stderr and "UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin.ini:3: not UTF-8"):
+        load_config(str(latin))
+
+
+def test_negative_seed_override_rejected(capsys):
+    args = ["simulate", "--config", str(CONFIGS / "default.ini"), "--trials", "1"]
+    assert cli.main([*args, "--seed", "-1"]) == 2
+    assert "--seed: must be non-negative" in capsys.readouterr().err
 
 
 def test_search_beyond_exit_codes(tmp_path):

@@ -4,17 +4,25 @@ import pytest
 
 from lsc.channel import ChannelSpec, apply_exact
 from lsc.errors import InvariantError, ParameterError
+from lsc.field import FieldParams
 from lsc.gabidulin import GabidulinCode
 from lsc.layered import STATUS_OK, LayeredCode
 from lsc.lifted import lift
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    coordinate_zero_subspace,
     intersection,
     is_direct_sum,
     subspace_distance,
 )
 from lsc.rng import SplitMix64
+
+
+@pytest.fixture(scope="module")
+def q3_three_layers():
+    """q=3, m=2, layers (1,1),(2,1),(1,1): the middle block touches neither end."""
+    return LayeredCode.standard(FieldParams.default(3, 2), [(1, 1), (2, 1), (1, 1)])
 
 
 def test_shape_and_distances(example_code):
@@ -70,27 +78,36 @@ def test_extract_component_roundtrip(example_code):
             assert example_code.embed_component(layer, stripped) == unstripped
 
 
-def test_extract_component_membership_oracle(tiny_code):
-    """Every received vector vanishing on the other blocks lands in the extraction."""
+def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
+    """Every received vector vanishing on the other blocks lands in the extraction.
+
+    The extraction also equals its definition, the intersection with the
+    subspace vanishing on every other identity block, for received spaces
+    from the channel and for the zero and the full space.
+    """
     rng = SplitMix64(33)
-    for _ in range(10):
-        word = tiny_code.encode(tiny_code.random_messages(rng))
-        outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), rng)
-        for layer in (1, 2):
-            extracted = tiny_code.extract_component(outcome.U, layer, strip=False)
-            offset = tiny_code.offsets[layer - 1]
-            n_l = tiny_code.layers[layer - 1].n
-            zero_cols = [
-                c
-                for c in range(tiny_code.total_length)
-                if not offset <= c < offset + n_l
-            ]
-            member = {
-                v
-                for v in outcome.U.vectors()
-                if all(v[c] == 0 for c in zero_cols)
-            }
-            assert set(extracted.vectors()) == member
+    three_layers_q2 = LayeredCode.standard(FieldParams.default(2, 3), [(2, 1), (3, 2), (1, 1)])
+    for code in (tiny_code, q3_three_layers, three_layers_q2):
+        q, ambient = code.params.q, code.ambient_dim
+        received = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+        for _ in range(10):
+            word = code.encode(code.random_messages(rng))
+            received.append(apply_exact(word.V, ChannelSpec(rho=1, t=1), rng).U)
+        for U in received:
+            for layer in range(1, code.num_layers + 1):
+                extracted = code.extract_component(U, layer, strip=False)
+                offset = code.offsets[layer - 1]
+                n_l = code.layers[layer - 1].n
+                zero_cols = [
+                    c for c in range(code.total_length) if not offset <= c < offset + n_l
+                ]
+                member = {v for v in U.vectors() if all(v[c] == 0 for c in zero_cols)}
+                assert set(extracted.vectors()) == member
+                mask = coordinate_zero_subspace(q, ambient, [c + 1 for c in zero_cols])
+                assert extracted == intersection(U, mask)
+                stripped = code.extract_component(U, layer)
+                assert stripped.ambient_dim == n_l + code.params.m
+                assert code.embed_component(layer, stripped) == extracted
 
 
 def test_extract_validation(example_code):
@@ -100,13 +117,16 @@ def test_extract_validation(example_code):
         example_code.extract_component(Subspace.zero(2, 9), 1)
 
 
-def test_recompose_roundtrip_and_failure_dims(fp24, example_code):
+def test_recompose_roundtrip_and_failure_dims(fp24, example_code, q3_three_layers):
     rng = SplitMix64(34)
     word = example_code.encode(example_code.random_messages(rng))
     stripped = [
         lift(example_code.layers[i], word.component_matrices[i]) for i in range(2)
     ]
     assert example_code.recompose(stripped) == word.V
+    word3 = q3_three_layers.encode(q3_three_layers.random_messages(rng))
+    lifts = [lift(c, x) for c, x in zip(q3_three_layers.layers, word3.component_matrices)]
+    assert q3_three_layers.recompose(lifts) == word3.V
     # replacing a layer with the zero subspace drops exactly n_l dimensions
     partial = [stripped[0], Subspace.zero(2, 8)]
     assert example_code.recompose(partial).dim == word.V.dim - 4
@@ -116,6 +136,11 @@ def test_recompose_collision_raises(fp24, example_code):
     bad = Subspace.full(2, 7)  # not a lifted component; overlaps everything
     with pytest.raises((InvariantError, ParameterError)):
         example_code.recompose([bad, bad])
+    # both layers claim the same payload vector: the sum is not direct
+    first = Subspace(7, MatrixFq(2, 1, 7, ((0, 0, 0, 1, 0, 0, 0),)))
+    second = Subspace(8, MatrixFq(2, 1, 8, ((0, 0, 0, 0, 1, 0, 0, 0),)))
+    with pytest.raises(InvariantError):
+        example_code.recompose([first, second])
 
 
 def test_distinct_component_tuples_give_distinct_codewords(tiny_code):
