@@ -63,29 +63,21 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
         raise ParameterError(
             f"t = {spec.t} exceeds ambient - dim(V) = {v.ambient_dim - v.dim}"
         )
-    q = v.q
-    kept = random_subspace_of(v, v.dim - spec.rho, rng)
-
-    picked: list[tuple[int, ...]] = []
+    n = v.ambient_dim
+    stacked = random_subspace_of(v, v.dim - spec.rho, rng).basis
     span = v  # insertions must stay independent of all of V, not just the kept part
     for _ in range(spec.t):
         for _attempt in range(_INSERTION_ATTEMPT_CAP):
-            cand = tuple(rng.randbelow(q) for _ in range(v.ambient_dim))
-            if not span.contains_vector(cand):
-                picked.append(cand)
-                span = row_space(
-                    span.basis.vstack(MatrixFq(q, 1, v.ambient_dim, (cand,))),
-                    v.ambient_dim,
-                )
+            cand = MatrixFq.random(v.q, 1, n, rng)
+            grown = row_space(span.basis.vstack(cand), n)
+            if grown.dim > span.dim:
+                stacked = stacked.vstack(cand)
+                span = grown
                 break
         else:
             raise CapacityError("insertion sampling exceeded its attempt cap")
 
-    stacked = list(kept.basis.entries) + picked
-    u = row_space(
-        MatrixFq(q, len(stacked), v.ambient_dim, tuple(stacked)),
-        v.ambient_dim,
-    )
+    u = row_space(stacked, n)
     if u.dim != v.dim - spec.rho + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
     return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t, V=v)

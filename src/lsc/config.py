@@ -326,7 +326,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark, if any
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from None
     except UnicodeDecodeError as exc:

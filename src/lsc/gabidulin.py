@@ -268,7 +268,7 @@ class GabidulinCode:
         for g in self.eval_points:
             if g.params != self.params:
                 raise ParameterError("evaluation point from a different field")
-        coords = MatrixFq(
+        coords = MatrixFq._from_entries(
             self.params.q, self.n, self.params.m, tuple(g.coords for g in self.eval_points)
         )
         if coords.rank() != self.n:
@@ -295,18 +295,28 @@ class GabidulinCode:
 
     def encode(self, message: Sequence[ExtFieldElement]) -> RankCodeword:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points."""
+        symbols = self._evaluate(self._indices(message))
+        return RankCodeword(tuple(self.params.from_index(s) for s in symbols))
+
+    def _indices(self, message: Sequence[ExtFieldElement]) -> list[int]:
+        """The element indices of a message, after checking its length and field."""
         if len(message) != self.k:
             raise ParameterError(f"message must have length {self.k}")
         for u in message:
             if u.params != self.params:
                 raise ParameterError("message symbol from a different field")
-        symbols = self._evaluate([u.to_index() for u in message])
-        return RankCodeword(tuple(self.params.from_index(s) for s in symbols))
+        return [u.to_index() for u in message]
 
     def _evaluate(self, f: Sequence[int]) -> list[int]:
         """The linearized polynomial f (on indices) at every evaluation point."""
         ops = self.params.ops
         return [_lp_evaluate(ops, f, g) for g in self._points]
+
+    def _codeword_matrix(self, f: Sequence[int]) -> MatrixFq:
+        """The codeword of the message with element indices f, as its n x m matrix."""
+        q, m = self.params.q, self.params.m
+        rows = tuple(coords_of(s, q, m) for s in self._evaluate(f))
+        return MatrixFq._from_entries(q, self.n, m, rows)
 
     def _check_received(self, received: RankCodeword) -> None:
         if received.n != self.n:
@@ -386,7 +396,7 @@ class GabidulinCode:
                 continue
             codeword = self._evaluate(f)
             error_rows = tuple(coords_of(sub(a, b), params.q, m) for a, b in zip(r, codeword))
-            error = MatrixFq(params.q, n, m, error_rows)
+            error = MatrixFq._from_entries(params.q, n, m, error_rows)
             q_ann = zb.kernel_basis().transpose()  # m x (m - delta)
             residual = (proj @ error) @ q_ann
             if 2 * residual.rank() + mu + delta <= d - 1:
@@ -395,7 +405,7 @@ class GabidulinCode:
 
     def _canonical_hint(self, hint: MatrixFq | None, width: int, name: str) -> MatrixFq:
         if hint is None:
-            return MatrixFq(self.params.q, 0, width, ())
+            return MatrixFq.zeros(self.params.q, 0, width)
         if not isinstance(hint, MatrixFq) or hint.q != self.params.q:
             raise ParameterError(f"{name} must be a MatrixFq over F_{self.params.q}")
         if hint.cols != width:
@@ -418,15 +428,12 @@ class GabidulinCode:
     def brute_force_decode(self, received: RankCodeword, cap: int = 1 << 20):
         """Minimum rank-distance decoding by full enumeration; ties fail."""
         self._check_received(received)
-        q, m = self.params.q, self.params.m
         rec = received.as_matrix()
         best = None
         best_dist = None
         tie = False
         for message in self._message_indices(cap):
-            symbols = self._evaluate(message)
-            cand = MatrixFq(q, self.n, m, tuple(coords_of(s, q, m) for s in symbols))
-            dist = (rec - cand).rank()
+            dist = (rec - self._codeword_matrix(message)).rank()
             if best_dist is None or dist < best_dist:
                 best, best_dist, tie = message, dist, False
             elif dist == best_dist:

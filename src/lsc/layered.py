@@ -13,15 +13,15 @@ decoding splits per layer:
   sweeping again over failed layers until nothing new decodes.
 
 A layer's coordinates (its identity columns, then the payload columns)
-are fixed, so one cached column map places rows for encoding, embedding
-and recomposing; extraction is one elimination with the others in front.
+are fixed, so one cached column map serves encoding, embedding and
+recomposing (``linalg.embed``) and extraction (``linalg.shorten``, one
+elimination with the other columns in front).
 
 Failed layers contribute the zero subspace to the recomposed estimate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import accumulate
@@ -30,7 +30,7 @@ from typing import Sequence
 from .errors import InvariantError, ParameterError
 from .field import ExtFieldElement, FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode
-from .linalg import MatrixFq, Subspace, row_space, rref, subspace_sum
+from .linalg import MatrixFq, Subspace, embed, row_space, shorten, subspace_sum
 
 from . import lifted as lifted_mod
 
@@ -80,15 +80,13 @@ class LayeredCode:
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per layer, every full-ambient column in extraction order.
+        """Per layer, the full-ambient columns of the component coordinates.
 
-        Every other layer's identity columns come first; the last n_l + m
-        are the component coordinates: the layer's identity columns, then
-        the payload columns.
+        The layer's identity columns, then the payload columns; both runs
+        increase, so a component basis placed there stays canonical.
         """
         return tuple(
-            tuple(c for c in range(self.total_length) if not offset <= c < offset + code.n)
-            + tuple(range(offset, offset + code.n))
+            tuple(range(offset, offset + code.n))
             + tuple(range(self.total_length, self.ambient_dim))
             for offset, code in zip(self.offsets, self.layers)
         )
@@ -127,19 +125,21 @@ class LayeredCode:
         if len(messages) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} messages")
         matrices = tuple(
-            code.encode(message).as_matrix() for code, message in zip(self.layers, messages)
+            code._codeword_matrix(code._indices(message))
+            for code, message in zip(self.layers, messages)
         )
         components = tuple(
             self.component_subspace(layer, matrix) for layer, matrix in enumerate(matrices, 1)
         )
         # disjoint identity blocks in layer order: the stacked bases are already canonical
-        rows = tuple(row for comp in components for row in comp.basis.entries)
-        basis = MatrixFq(self.params.q, len(rows), self.ambient_dim, rows)
+        basis = components[0].basis
+        for comp in components[1:]:
+            basis = basis.vstack(comp.basis)
         return LayeredCodeword(
             code=self,
             component_matrices=matrices,
             components=components,
-            V=Subspace(self.ambient_dim, basis),
+            V=Subspace._unchecked(self.ambient_dim, basis),
         )
 
     # --- layer extraction and embedding ---
@@ -147,55 +147,34 @@ class LayeredCode:
     def extract_component(self, received: Subspace, layer: int, strip: bool = True) -> Subspace:
         """Vectors of the received space supported only on layer's columns.
 
-        One elimination with every other layer's identity columns in front:
-        the reduced rows pivoting past them span the vectors vanishing there,
-        and their remaining columns, kept in order, are already the canonical
-        basis in the component ambient n_l + m.  ``strip=False`` reinserts the
+        ``shorten`` on the layer's columns: the result is the canonical basis
+        in the component ambient n_l + m.  ``strip=False`` reinserts the
         known-zero columns.
         """
         self._check_layer(layer)
         if received.ambient_dim != self.ambient_dim:
             raise ParameterError("received space has the wrong ambient dimension")
-        order = self._columns[layer - 1]
-        width = self.layers[layer - 1].n + self.params.m
-        front = self.ambient_dim - width
-        permuted = [[row[c] for c in order] for row in received.basis.entries]
-        reduced, pivots = rref(permuted, self.ambient_dim, self.params.q)
-        kept = reduced[bisect_left(pivots, front) : len(pivots)]
-        rows = tuple(tuple(row[front:]) for row in kept)
-        stripped = Subspace(width, MatrixFq(self.params.q, len(rows), width, rows))
+        stripped = shorten(received, self._columns[layer - 1])
         return stripped if strip else self.embed_component(layer, stripped)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
-        return Subspace(self.ambient_dim, self._place(layer, stripped))
+        self._check_layer(layer)
+        if stripped.ambient_dim != self.layers[layer - 1].n + self.params.m:
+            raise ParameterError("component space has the wrong ambient dimension")
+        return embed(stripped, self._columns[layer - 1], self.ambient_dim)
 
     def recompose(self, components: Sequence[Subspace]) -> Subspace:
         """Direct-sum the per-layer estimates back into the full ambient."""
         if len(components) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} component spaces")
-        placed = [self._place(layer, comp) for layer, comp in enumerate(components, 1)]
-        rows = tuple(row for basis in placed for row in basis.entries)
-        stacked = MatrixFq(self.params.q, len(rows), self.ambient_dim, rows)
+        stacked = MatrixFq.zeros(self.params.q, 0, self.ambient_dim)
+        for layer, comp in enumerate(components, 1):
+            stacked = stacked.vstack(self.embed_component(layer, comp).basis)
         total = row_space(stacked, self.ambient_dim)
-        if total.dim != len(rows):
+        if total.dim != stacked.rows:
             raise InvariantError("component estimates do not combine by direct sum")
         return total
-
-    def _place(self, layer: int, stripped: Subspace) -> MatrixFq:
-        """A component-ambient basis with its columns moved to the full ambient."""
-        self._check_layer(layer)
-        width = self.layers[layer - 1].n + self.params.m
-        if stripped.ambient_dim != width:
-            raise ParameterError("component space has the wrong ambient dimension")
-        columns = self._columns[layer - 1][-width:]
-        rows = []
-        for row in stripped.basis.entries:
-            full = [0] * self.ambient_dim
-            for c, x in zip(columns, row):
-                full[c] = x
-            rows.append(tuple(full))
-        return MatrixFq(self.params.q, len(rows), self.ambient_dim, tuple(rows))
 
     # --- decoding ---
 

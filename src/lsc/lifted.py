@@ -52,16 +52,10 @@ def lift(inner: GabidulinCode, codeword) -> Subspace:
         matrix = codeword.as_matrix()
     else:
         matrix = codeword
-    n, m = inner.n, inner.params.m
-    if matrix.rows != n or matrix.cols != m or matrix.q != inner.params.q:
-        raise ParameterError(f"codeword matrix must be {n}x{m} over F_{inner.params.q}")
-    rows = []
-    for i in range(n):
-        header = [0] * n
-        header[i] = 1
-        rows.append(tuple(header) + matrix.entries[i])
-    basis = MatrixFq(inner.params.q, n, n + m, tuple(rows))
-    return Subspace(n + m, basis)
+    n, m, q = inner.n, inner.params.m, inner.params.q
+    if matrix.rows != n or matrix.cols != m or matrix.q != q:
+        raise ParameterError(f"codeword matrix must be {n}x{m} over F_{q}")
+    return Subspace._unchecked(n + m, MatrixFq.identity(q, n).hstack(matrix))
 
 
 def reduce_received(code: LiftedCode, received: Subspace):
@@ -94,9 +88,11 @@ def reduce_received(code: LiftedCode, received: Subspace):
             word_rows.append(header_pivot_rows[i][n:])
         else:
             word_rows.append((0,) * m)
-    word = RankCodeword.from_matrix(inner.params, MatrixFq(q, n, m, tuple(word_rows)))
+    word = RankCodeword.from_matrix(
+        inner.params, MatrixFq._from_entries(q, n, m, tuple(word_rows))
+    )
 
-    row_hints = MatrixFq(q, len(payload_rows), m, tuple(payload_rows))
+    row_hints = MatrixFq._from_entries(q, len(payload_rows), m, tuple(payload_rows))
 
     col_rows = []
     for j in erased:
@@ -105,7 +101,7 @@ def reduce_received(code: LiftedCode, received: Subspace):
         for i, row in header_pivot_rows.items():
             vec[i] = row[j]
         col_rows.append(tuple(vec))
-    col_hints = MatrixFq(q, len(col_rows), n, tuple(col_rows))
+    col_hints = MatrixFq._from_entries(q, len(col_rows), n, tuple(col_rows))
     return word, row_hints, col_hints
 
 
@@ -121,7 +117,8 @@ def subspace_decode(code: LiftedCode, received: Subspace):
     )
     if isinstance(outcome, DecodeFailure):
         return outcome
-    return LiftedDecodeResult(code.inner.encode(outcome).as_matrix(), outcome)
+    matrix = code.inner._codeword_matrix([u.to_index() for u in outcome])
+    return LiftedDecodeResult(matrix, outcome)
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,12 @@ class SubspaceOracleResult:
 @lru_cache(maxsize=16)
 def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
     """All (subspace, matrix, message) triples of the lifted code."""
+    inner = code.inner
+    from_index = inner.params.from_index
     out = []
-    for message in code.inner.iter_messages(cap):
-        matrix = code.inner.encode(message).as_matrix()
-        out.append((lift(code.inner, matrix), matrix, message))
+    for indices in inner._message_indices(cap):
+        matrix = inner._codeword_matrix(indices)
+        out.append((lift(inner, matrix), matrix, tuple(from_index(i) for i in indices)))
     return tuple(out)
 
 

@@ -5,21 +5,40 @@ dropped, which makes RREF a canonical form: two subspaces are equal iff
 their stored bases are entry-identical.  The zero subspace has a 0 x N
 basis.
 
-Most operations reduce to one Gaussian elimination; for q = 2 the
-elimination runs on bit-packed rows (one int per row, column 0 in the
-most significant bit) which is an order of magnitude faster and produces
-the same canonical output as the generic path.
+Storage: a matrix keeps its rows in one format chosen by q.  For q = 2
+each row is one int with column 0 in the most significant bit, so adding
+rows is XOR and moving a run of columns is a shift and a mask; for odd q
+each row is a tuple of ints.  Every operation here works on the stored
+rows.  ``MatrixFq.entries`` is the row-major tuple view for callers; for
+q = 2 it is unpacked on first use and cached.  No other module sees the
+packed rows.  At N <= 40 one machine word holds a row, so elimination is
+a plain XOR sweep with no Four-Russians tables (cf. M4RI, Albrecht, Bard
+and Hart, ACM TOMS 2010).
+
+Trust: the public constructors ``MatrixFq(q, rows, cols, entries)``,
+``MatrixFq.from_rows`` and ``Subspace(ambient_dim, basis)`` check their
+arguments (shape, entry range, canonical basis), and ``parse_subspace``
+goes through them.  Every result that is in range and canonical by
+construction (eliminations, sums, intersections, products, stacks and
+column moves here; lifts, codewords, hints and channel outputs in the
+other modules) is built by ``MatrixFq._unchecked`` or
+``Subspace._unchecked``, which skip those checks.  The test suite points
+both at the checked constructors and runs the pipeline, so the
+invariants they skip stay checked.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
 
 _ENUMERATION_CAP = 1 << 20
+_set = object.__setattr__
 
 
 def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -46,33 +65,54 @@ def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[
     return rows, pivots
 
 
-def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    packed = []
+def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
+    """RREF of packed rows: the nonzero reduced rows in pivot order, and the pivots.
+
+    Each incoming row loses its top bit to the kept row that leads with it
+    until its top bit is new, and is then kept: the kept rows have distinct
+    leading bits, and in descending order they are an echelon form.  Back
+    substitution then clears each leading bit from the rows above it.
+    """
+    by_lead: dict[int, int] = {}
+    for v in rows:
+        while v:
+            top = 1 << (v.bit_length() - 1)
+            row = by_lead.get(top)
+            if row is None:
+                by_lead[top] = v
+                break
+            v ^= row
+    kept = sorted(by_lead.values(), reverse=True)
+    for i in range(len(kept) - 1, 0, -1):
+        row = kept[i]
+        lead = 1 << (row.bit_length() - 1)
+        for j in range(i):
+            if kept[j] & lead:
+                kept[j] ^= row
+    return kept, [ncols - row.bit_length() for row in kept]
+
+
+def _pack(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    out = []
     for row in rows:
         v = 0
         for x in row:
             v = (v << 1) | x
-        packed.append(v)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << (ncols - 1 - col)
-        pivot = next((i for i in range(r, len(packed)) if packed[i] & bit), None)
-        if pivot is None:
-            continue
-        packed[r], packed[pivot] = packed[pivot], packed[r]
-        prow = packed[r]
-        for i in range(len(packed)):
-            if i != r and packed[i] & bit:
-                packed[i] ^= prow
-        pivots.append(col)
-        r += 1
-        if r == len(packed):
-            break
-    out = []
-    for v in packed:
-        out.append([(v >> (ncols - 1 - c)) & 1 for c in range(ncols)])
-    return out, pivots
+        out.append(v)
+    return tuple(out)
+
+
+def _unpack(data: Iterable[int], ncols: int) -> tuple[tuple[int, ...], ...]:
+    shifts = range(ncols - 1, -1, -1)
+    return tuple(tuple([(v >> s) & 1 for s in shifts]) for v in data)
+
+
+def _eliminate(q: int, ncols: int, data: Sequence) -> tuple[list, list[int]]:
+    """The nonzero RREF rows of stored rows, in the stored format, and the pivots."""
+    if q == 2:
+        return _rref_gf2(data, ncols)
+    reduced, pivots = _rref_generic([list(row) for row in data], q)
+    return [tuple(row) for row in reduced[: len(pivots)]], pivots
 
 
 def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[int]], list[int]]:
@@ -86,33 +126,104 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
     Returns:
         (reduced rows including trailing zero rows, pivot column list).
     """
-    work = [list(r) for r in rows]
     if q == 2:
-        return _rref_gf2(work, ncols)
-    return _rref_generic(work, q)
+        reduced, pivots = _rref_gf2(_pack(rows), ncols)
+        out = [list(row) for row in _unpack(reduced, ncols)]
+        out.extend([0] * ncols for _ in range(len(rows) - len(out)))
+        return out, pivots
+    return _rref_generic([list(r) for r in rows], q)
 
 
-@dataclass(frozen=True)
+def _check_dims(q: int, rows: int, cols: int) -> None:
+    if q < 2:
+        raise ParameterError("q must be at least 2")
+    if rows < 0 or cols < 0:
+        raise ParameterError("matrix dimensions must be non-negative")
+
+
 class MatrixFq:
-    """An immutable rows x cols matrix over F_q, entries row-major."""
+    """An immutable rows x cols matrix over F_q.
 
-    q: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    ``entries`` is the row-major tuple of row tuples; for q = 2 the rows
+    are stored packed (see the module docstring).
+    """
+
+    __slots__ = ("q", "rows", "cols", "_data", "_entries")
+
+    def __init__(self, q: int, rows: int, cols: int, entries: Iterable[Sequence[int]]) -> None:
+        _set(self, "q", q)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_entries", tuple(map(tuple, entries)))
+        self.__post_init__()
+        _set(self, "_data", _pack(self._entries) if q == 2 else self._entries)
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ParameterError("q must be at least 2")
-        if self.rows < 0 or self.cols < 0:
-            raise ParameterError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows:
+        _check_dims(self.q, self.rows, self.cols)
+        if len(self._entries) != self.rows:
             raise ParameterError("row count does not match entries")
-        for row in self.entries:
+        for row in self._entries:
             if len(row) != self.cols:
                 raise ParameterError("ragged matrix rows")
             if any(not 0 <= x < self.q for x in row):
                 raise ParameterError(f"entries must lie in [0, {self.q})")
+
+    @classmethod
+    def _unchecked(cls, q: int, rows: int, cols: int, data: tuple) -> "MatrixFq":
+        """A matrix from rows already in the stored format, without checks."""
+        matrix = object.__new__(cls)
+        _set(matrix, "q", q)
+        _set(matrix, "rows", rows)
+        _set(matrix, "cols", cols)
+        _set(matrix, "_data", data)
+        if q != 2:
+            _set(matrix, "_entries", data)
+        return matrix
+
+    @classmethod
+    def _from_entries(
+        cls, q: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]
+    ) -> "MatrixFq":
+        """``_unchecked`` from row tuples in range, which become the ``entries`` view."""
+        if q != 2:
+            return cls._unchecked(q, rows, cols, entries)
+        matrix = cls._unchecked(q, rows, cols, _pack(entries))
+        _set(matrix, "_entries", entries)
+        return matrix
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._entries
+        except AttributeError:
+            entries = _unpack(self._data, self.cols)
+            _set(self, "_entries", entries)
+            return entries
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not MatrixFq:
+            return NotImplemented
+        return (self.q, self.rows, self.cols, self._data) == (
+            other.q, other.rows, other.cols, other._data
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.rows, self.cols, self._data))
+
+    def __repr__(self) -> str:
+        return (
+            f"MatrixFq(q={self.q!r}, rows={self.rows!r}, cols={self.cols!r}, "
+            f"entries={self.entries!r})"
+        )
+
+    def __reduce__(self):
+        return (MatrixFq, (self.q, self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, q: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "MatrixFq":
@@ -125,17 +236,22 @@ class MatrixFq:
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "MatrixFq":
-        return cls(q, rows, cols, tuple((0,) * cols for _ in range(rows)))
+        _check_dims(q, rows, cols)
+        return cls._unchecked(q, rows, cols, (0 if q == 2 else (0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, q: int, n: int) -> "MatrixFq":
-        return cls(
+        _check_dims(q, n, n)
+        if q == 2:
+            return cls._unchecked(q, n, n, tuple(1 << (n - 1 - i) for i in range(n)))
+        return cls._unchecked(
             q, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
-        return cls(
+        _check_dims(q, rows, cols)
+        return cls._from_entries(
             q,
             rows,
             cols,
@@ -151,30 +267,22 @@ class MatrixFq:
             )
 
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
-        self._check_shape(other)
-        q = self.q
-        return MatrixFq(
-            q,
-            self.rows,
-            self.cols,
-            tuple(
-                tuple((a + b) % q for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._add(other, 1)
 
     def __sub__(self, other: "MatrixFq") -> "MatrixFq":
+        return self._add(other, -1)
+
+    def _add(self, other: "MatrixFq", sign: int) -> "MatrixFq":
         self._check_shape(other)
         q = self.q
-        return MatrixFq(
-            q,
-            self.rows,
-            self.cols,
-            tuple(
-                tuple((a - b) % q for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        if q == 2:
+            data = tuple(a ^ b for a, b in zip(self._data, other._data))
+        else:
+            data = tuple(
+                tuple((a + sign * b) % q for a, b in zip(ra, rb))
+                for ra, rb in zip(self._data, other._data)
+            )
+        return MatrixFq._unchecked(q, self.rows, self.cols, data)
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
         if self.q != other.q:
@@ -184,70 +292,89 @@ class MatrixFq:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         q = self.q
-        cols_t = tuple(zip(*other.entries)) if other.entries else ()
         out = []
-        for row in self.entries:
+        if q == 2:
+            # row i of the product is the XOR of other's rows at the set bits of row i
+            brows = other._data
+            top = self.cols - 1
+            for a in self._data:
+                acc = 0
+                while a:
+                    low = a & -a
+                    acc ^= brows[top + 1 - low.bit_length()]
+                    a ^= low
+                out.append(acc)
+            return MatrixFq._unchecked(q, self.rows, other.cols, tuple(out))
+        cols_t = tuple(zip(*other._data)) if other._data else ()
+        for row in self._data:
             if other.cols == 0:
                 out.append(())
                 continue
             out.append(
                 tuple(sum(a * b for a, b in zip(row, col)) % q for col in cols_t)
             )
-        return MatrixFq(q, self.rows, other.cols, tuple(out))
+        return MatrixFq._unchecked(q, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "MatrixFq":
-        if not self.entries:
-            return MatrixFq(self.q, self.cols, 0, tuple(() for _ in range(self.cols)))
-        return MatrixFq(self.q, self.cols, self.rows, tuple(zip(*self.entries)))
+        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return MatrixFq._from_entries(self.q, self.cols, self.rows, columns)
 
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.rows != other.rows or self.q != other.q:
             raise ParameterError("hstack requires equal row counts and field")
-        return MatrixFq(
-            self.q,
-            self.rows,
-            self.cols + other.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        if self.q == 2:
+            shift = other.cols
+            data = tuple((a << shift) | b for a, b in zip(self._data, other._data))
+        else:
+            data = tuple(a + b for a, b in zip(self._data, other._data))
+        return MatrixFq._unchecked(self.q, self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.cols != other.cols or self.q != other.q:
             raise ParameterError("vstack requires equal column counts and field")
-        return MatrixFq(
-            self.q, self.rows + other.rows, self.cols, self.entries + other.entries
+        return MatrixFq._unchecked(
+            self.q, self.rows + other.rows, self.cols, self._data + other._data
         )
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
+        if self.q == 2:
+            return not any(self._data)
+        return not any(map(any, self._data))
 
     def rref(self) -> tuple["MatrixFq", tuple[int, ...]]:
-        reduced, pivots = rref(self.entries, self.cols, self.q)
-        return (
-            MatrixFq(self.q, self.rows, self.cols, tuple(tuple(r) for r in reduced)),
-            tuple(pivots),
-        )
+        reduced, pivots = _eliminate(self.q, self.cols, self._data)
+        zero = 0 if self.q == 2 else (0,) * self.cols
+        data = tuple(reduced) + (zero,) * (self.rows - len(reduced))
+        return MatrixFq._unchecked(self.q, self.rows, self.cols, data), tuple(pivots)
 
     def rank(self) -> int:
-        _, pivots = rref(self.entries, self.cols, self.q)
-        return len(pivots)
+        return len(_eliminate(self.q, self.cols, self._data)[1])
 
     def kernel_basis(self) -> "MatrixFq":
         """Basis (as rows, one per free column, RREF-canonical) of {x : M x = 0}."""
-        reduced, pivots = rref(self.entries, self.cols, self.q)
-        q = self.q
+        q, cols = self.q, self.cols
+        reduced, pivots = _eliminate(q, cols, self._data)
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        free = [c for c in range(cols) if c not in pivot_set]
         rows = []
         for f in free:
-            vec = [0] * self.cols
+            if q == 2:
+                shift = cols - 1 - f
+                vec = 1 << shift
+                for row, p in zip(reduced, pivots):
+                    if (row >> shift) & 1:
+                        vec |= 1 << (cols - 1 - p)
+                rows.append(vec)
+                continue
+            vec = [0] * cols
             vec[f] = 1
-            for r, p in enumerate(pivots):
-                vec[p] = (-reduced[r][f]) % q
+            for row, p in zip(reduced, pivots):
+                vec[p] = (-row[f]) % q
             rows.append(tuple(vec))
-        return MatrixFq(q, len(rows), self.cols, tuple(rows))
+        return MatrixFq._unchecked(q, len(rows), cols, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -275,6 +402,14 @@ class Subspace:
                 raise ParameterError("pivot columns must be elsewhere zero")
             last = pivot
 
+    @classmethod
+    def _unchecked(cls, ambient_dim: int, basis: MatrixFq) -> "Subspace":
+        """A subspace from a canonical basis of width ``ambient_dim``, without checks."""
+        space = object.__new__(cls)
+        _set(space, "ambient_dim", ambient_dim)
+        _set(space, "basis", basis)
+        return space
+
     @property
     def q(self) -> int:
         return self.basis.q
@@ -285,11 +420,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, q: int, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, MatrixFq(q, 0, ambient_dim, ()))
+        return cls._unchecked(ambient_dim, MatrixFq.zeros(q, 0, ambient_dim))
 
     @classmethod
     def full(cls, q: int, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, MatrixFq.identity(q, ambient_dim))
+        return cls._unchecked(ambient_dim, MatrixFq.identity(q, ambient_dim))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.q != other.q:
@@ -299,17 +434,17 @@ class Subspace:
         if len(vector) != self.ambient_dim:
             raise ParameterError("vector length does not match ambient dimension")
         q = self.q
-        residue = [x % q for x in vector]
-        for row in self.basis.entries:
-            pivot = next(c for c, x in enumerate(row) if x)
-            f = residue[pivot]
-            if f:
-                residue = [(a - f * b) % q for a, b in zip(residue, row)]
-        return not any(residue)
+        row = tuple(x % q for x in vector)
+        return self._spans(MatrixFq._from_entries(q, 1, self.ambient_dim, (row,)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.basis.entries)
+        return self._spans(other.basis)
+
+    def _spans(self, matrix: MatrixFq) -> bool:
+        """True iff every row of ``matrix`` (same width and field) lies in the subspace."""
+        stacked = self.basis._data + matrix._data
+        return len(_eliminate(self.q, self.ambient_dim, stacked)[1]) == self.dim
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace (guarded by the enumeration cap)."""
@@ -334,47 +469,49 @@ class Subspace:
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, [{rows}])"
 
 
+def _span(q: int, ambient_dim: int, data: Sequence) -> Subspace:
+    """The subspace spanned by stored rows of width ``ambient_dim``."""
+    reduced, _ = _eliminate(q, ambient_dim, data)
+    basis = MatrixFq._unchecked(q, len(reduced), ambient_dim, tuple(reduced))
+    return Subspace._unchecked(ambient_dim, basis)
+
+
 def row_space(matrix: MatrixFq, ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the rows of ``matrix``."""
     if matrix.cols != ambient_dim:
         raise ParameterError("matrix width does not match ambient dimension")
-    reduced, pivots = rref(matrix.entries, matrix.cols, matrix.q)
-    basis = MatrixFq(
-        matrix.q, len(pivots), ambient_dim, tuple(tuple(r) for r in reduced[: len(pivots)])
-    )
-    return Subspace(ambient_dim, basis)
+    return _span(matrix.q, ambient_dim, matrix._data)
 
 
 def subspace_sum(v: Subspace, u: Subspace) -> Subspace:
     """Smallest subspace containing both operands (span of the joint bases)."""
     v._check_ambient(u)
-    stacked = v.basis.vstack(u.basis)
-    return row_space(stacked, v.ambient_dim)
+    return _span(v.q, v.ambient_dim, v.basis._data + u.basis._data)
 
 
 def intersection(v: Subspace, u: Subspace) -> Subspace:
     """Largest subspace contained in both operands.
 
     Uses the Zassenhaus block trick: row-reduce [B_v | B_v ; B_u | 0];
-    rows whose left half vanished span the intersection in the right half.
+    rows whose left half vanished span the intersection in the right half,
+    which is already in canonical form.
     """
     v._check_ambient(u)
     n = v.ambient_dim
     q = v.q
     if v.dim == 0 or u.dim == 0:
         return Subspace.zero(q, n)
-    block = [list(row) + list(row) for row in v.basis.entries]
-    block += [list(row) + [0] * n for row in u.basis.entries]
-    reduced, pivots = rref(block, 2 * n, q)
-    rows = []
-    for row in reduced:
-        if any(row[:n]):
-            continue
-        if any(row[n:]):
-            rows.append(tuple(row[n:]))
-    if not rows:
-        return Subspace.zero(q, n)
-    return row_space(MatrixFq(q, len(rows), n, tuple(rows)), n)
+    if q == 2:
+        block = [(row << n) | row for row in v.basis._data]
+        block += [row << n for row in u.basis._data]
+    else:
+        block = [row + row for row in v.basis._data]
+        block += [row + (0,) * n for row in u.basis._data]
+    reduced, pivots = _eliminate(q, 2 * n, block)
+    kept = reduced[bisect_left(pivots, n) :]
+    if q != 2:
+        kept = [row[n:] for row in kept]
+    return Subspace._unchecked(n, MatrixFq._unchecked(q, len(kept), n, tuple(kept)))
 
 
 def is_direct_sum(v: Subspace, u: Subspace) -> bool:
@@ -401,15 +538,110 @@ def coordinate_zero_subspace(q: int, ambient_dim: int, zero_coords: Iterable[int
     for idx in zset:
         if not 1 <= idx <= ambient_dim:
             raise ParameterError(f"coordinate {idx} outside [1, {ambient_dim}]")
-    rows = []
-    for c in range(ambient_dim):
-        if (c + 1) in zset:
+    identity = MatrixFq.identity(q, ambient_dim)
+    rows = tuple(row for c, row in enumerate(identity._data, 1) if c not in zset)
+    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, len(rows), ambient_dim, rows))
+
+
+# --- column moves: a subspace read at some coordinates, and back ---
+
+
+def _check_columns(columns: tuple[int, ...], ambient_dim: int) -> None:
+    if len(set(columns)) != len(columns) or not all(0 <= c < ambient_dim for c in columns):
+        raise ParameterError(f"columns must be distinct and lie in [0, {ambient_dim})")
+
+
+def _column_move(source: tuple[int, ...], src_width: int):
+    """How to put column ``source[j]`` at column j (zero where it is -1).
+
+    Returns the runs (src start, dst start, length) of consecutive columns
+    that move together, the same runs as packed-row (right shift, mask,
+    left shift) triples, and the destination width.
+    """
+    runs: list[tuple[int, int, int]] = []
+    for dst, src in enumerate(source):
+        if src < 0:
             continue
-        row = [0] * ambient_dim
-        row[c] = 1
-        rows.append(tuple(row))
-    basis = MatrixFq(q, len(rows), ambient_dim, tuple(rows))
-    return Subspace(ambient_dim, basis)
+        if runs and runs[-1][0] + runs[-1][2] == src and runs[-1][1] + runs[-1][2] == dst:
+            s, d, length = runs[-1]
+            runs[-1] = (s, d, length + 1)
+        else:
+            runs.append((src, dst, 1))
+    width = len(source)
+    shifts = tuple(
+        (src_width - s - length, (1 << length) - 1, width - d - length)
+        for s, d, length in runs
+    )
+    return tuple(runs), shifts, width
+
+
+def _move_columns(q: int, data: Sequence, move) -> tuple:
+    runs, shifts, width = move
+    out = []
+    if q == 2:
+        for row in data:
+            v = 0
+            for right, mask, left in shifts:
+                v |= ((row >> right) & mask) << left
+            out.append(v)
+        return tuple(out)
+    for row in data:
+        moved = [0] * width
+        for s, d, length in runs:
+            moved[d : d + length] = row[s : s + length]
+        out.append(tuple(moved))
+    return tuple(out)
+
+
+# Keyed by column tuples: a layered code asks for one plan per layer.
+@lru_cache(maxsize=64)
+def _shorten_plan(columns: tuple[int, ...], ambient_dim: int):
+    _check_columns(columns, ambient_dim)
+    keep = set(columns)
+    order = tuple(c for c in range(ambient_dim) if c not in keep) + columns
+    return ambient_dim - len(columns), _column_move(order, ambient_dim)
+
+
+@lru_cache(maxsize=64)
+def _embed_plan(columns: tuple[int, ...], width: int, ambient_dim: int):
+    if len(columns) != width:
+        raise ParameterError(f"need {width} columns, one per coordinate, got {len(columns)}")
+    _check_columns(columns, ambient_dim)
+    if list(columns) != sorted(columns):
+        raise ParameterError("embedding columns must increase")
+    source = [-1] * ambient_dim
+    for j, c in enumerate(columns):
+        source[c] = j
+    return _column_move(tuple(source), width)
+
+
+def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
+    """The vectors of ``u`` that vanish off ``columns``, read at ``columns``.
+
+    Coordinate j of the result is coordinate ``columns[j]`` (0-based) of
+    ``u``.  One elimination with every other column in front: the reduced
+    rows that pivot past them span the vectors vanishing there, and their
+    remaining columns, in the order given, are already the canonical basis.
+    """
+    q, n = u.q, u.ambient_dim
+    front, move = _shorten_plan(tuple(columns), n)
+    reduced, pivots = _eliminate(q, n, _move_columns(q, u.basis._data, move))
+    kept = reduced[bisect_left(pivots, front) :]
+    if q != 2:
+        kept = [row[front:] for row in kept]
+    width = n - front
+    return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
+
+
+def embed(u: Subspace, columns: Sequence[int], ambient_dim: int) -> Subspace:
+    """``u`` with coordinate j moved to coordinate ``columns[j]`` of F_q^ambient_dim.
+
+    The other coordinates are zero.  ``columns`` must increase, which keeps
+    the moved basis canonical; then ``shorten`` undoes ``embed``.
+    """
+    move = _embed_plan(tuple(columns), u.ambient_dim, ambient_dim)
+    data = _move_columns(u.q, u.basis._data, move)
+    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(u.q, u.dim, ambient_dim, data))
 
 
 # --- randomized constructions used by the channel and the test suites ---
@@ -456,16 +688,21 @@ def dump_subspace(v: Subspace) -> str:
 
 
 def parse_subspace(text: str, q: int) -> Subspace:
+    """Read a ``dump_subspace`` text; rows may span any basis, entries lie in [0, q)."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("ambient "):
         raise ParameterError("dump must start with an 'ambient N' header")
-    ambient = int(lines[0].split()[1])
+    header = lines[0].split()
+    if len(header) != 2 or not (header[1].isascii() and header[1].isdigit()):
+        raise ParameterError(f"dump header must be 'ambient N' with N >= 0, got {lines[0]!r}")
+    ambient = int(header[1])
     rows = []
     for ln in lines[1:]:
-        row = [int(ch) for ch in ln]
-        if len(row) != ambient:
+        if not (ln.isascii() and ln.isdigit()):
+            raise ParameterError(f"dump row {ln!r} holds a character that is not a digit")
+        if len(ln) != ambient:
             raise ParameterError("dump row width does not match the header")
-        rows.append(row)
+        rows.append(tuple(int(ch) for ch in ln))
     if not rows:
         return Subspace.zero(q, ambient)
-    return row_space(MatrixFq.from_rows(q, rows, ambient), ambient)
+    return row_space(MatrixFq(q, len(rows), ambient, rows), ambient)

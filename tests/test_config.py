@@ -1,8 +1,11 @@
 """Config parsing: accepted format, defaults, and line-precise errors."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
-from lsc.config import parse_config
+from lsc.config import load_config, parse_config
 from lsc.errors import ConfigError
 
 GOOD = """\
@@ -124,3 +127,11 @@ error_packets = 1
     cfg = parse_config(text, "m.ini")
     assert cfg.channel_mode == "matrix"
     assert cfg.collected == 9 and cfg.error_packets == 1
+
+
+def test_utf8_byte_order_mark_is_ignored(tmp_path):
+    original = pathlib.Path(__file__).parent.parent / "configs" / "default.ini"
+    marked = tmp_path / "bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    cfg = load_config(str(marked))
+    assert dataclasses.replace(cfg, source=str(original)) == load_config(str(original))

@@ -6,8 +6,8 @@ import pathlib
 
 import pytest
 
-from lsc.config import parse_config
-from lsc.errors import ConfigError
+from lsc.config import load_config, parse_config
+from lsc.errors import ConfigError, ParameterError
 from lsc.gabidulin import DecodeFailure
 from lsc.harness import (
     CSV_COLUMNS,
@@ -16,7 +16,14 @@ from lsc.harness import (
     run_simulate,
     run_verify,
 )
-from lsc.properties import PROPERTY_MANIFEST, PropertyResult, SUITES, VerifyContext
+from lsc.linalg import MatrixFq, Subspace
+from lsc.properties import (
+    PROPERTY_MANIFEST,
+    PropertyResult,
+    SUITES,
+    VerifyContext,
+    dominance_suite,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "simulate_tiny.csv"
 
@@ -330,6 +337,70 @@ def test_scenario_output_bytes_pinned(mode, algorithm, csv_sha256, summary_sha25
         assert hashlib.sha256(result.csv_text.encode()).hexdigest() == csv_sha256
         summary = "\n".join(result.summary_lines)
         assert hashlib.sha256(summary.encode()).hexdigest() == summary_sha256
+
+
+MATRIX_Q3 = """\
+[field]
+q = 3
+m = 4
+
+[code]
+layers = 3:1, 4:2
+
+[channel]
+mode = matrix
+collected = 8
+error_packets = 2
+
+[run]
+algorithm = both
+trials = 12
+seed = 77
+max_sweeps = 4
+"""
+
+
+def test_unchecked_results_pass_the_checked_constructors(monkeypatch):
+    """Route every unchecked construction through the checked constructors.
+
+    The canonical-form and range checks that results skip must all hold,
+    and the output bytes must not change."""
+    matrix_q3 = run_simulate(parse_config(MATRIX_Q3, "q3.ini")).csv_text
+    unchecked = MatrixFq._unchecked
+
+    def checked_matrix(cls, q, rows, cols, data):
+        return MatrixFq(q, rows, cols, unchecked(q, rows, cols, data).entries)
+
+    monkeypatch.setattr(MatrixFq, "_unchecked", classmethod(checked_matrix))
+    monkeypatch.setattr(
+        Subspace, "_unchecked", classmethod(lambda cls, n, basis: Subspace(n, basis))
+    )
+    with pytest.raises(ParameterError):
+        Subspace._unchecked(3, MatrixFq.zeros(2, 1, 3))
+
+    assert run_simulate(parse_config(TINY_SIM, "tiny.ini")).csv_text == GOLDEN.read_text()
+    assert run_simulate(parse_config(MATRIX_Q3, "q3.ini")).csv_text == matrix_q3
+    text = PINNED_SCENARIO.format(mode="multicast", algorithm="both", workers=1)
+    result = run_scenario(parse_config(text, "pinned.ini"))
+    assert hashlib.sha256(result.csv_text.encode()).hexdigest() == (
+        "6847b9937b171eb2ab9b6ed008206cd83d5a7d26a71f7a02d02b5a44a0e77c90"
+    )
+
+
+@pytest.mark.parametrize("seed", [2166945172, 2441639866])
+def test_iterative_dominance_guard_at_small_counts(seed):
+    """With 20 trials no plain-SIC failure shows at these seeds; the suite
+    draws further trials until one does instead of reporting a violation."""
+    cfg = load_config(str(pathlib.Path(__file__).parent.parent / "configs" / "default.ini"))
+    ctx = VerifyContext(
+        params=cfg.field_params(),
+        code=cfg.build_code(),
+        seed=seed,
+        counts={"dominance_trials": 20},
+    )
+    (result,) = dominance_suite(ctx)
+    assert result.passed, result.line()
+    assert 20 < result.checks <= 200
 
 
 def test_scenario_requires_single_grid_point():

@@ -1,6 +1,7 @@
 """Subspace lattice operations against exhaustive membership oracles."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -8,8 +9,10 @@ from lsc.errors import ParameterError
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    _rref_generic,
     coordinate_zero_subspace,
     dump_subspace,
+    embed,
     intersection,
     is_direct_sum,
     parse_subspace,
@@ -18,6 +21,7 @@ from lsc.linalg import (
     rank_distance,
     row_space,
     rref,
+    shorten,
     subspace_distance,
     subspace_sum,
 )
@@ -197,7 +201,22 @@ def test_dump_parse_roundtrip():
         ambient = rng.randint(1, 8)
         v = random_subspace(2, ambient, rng.randint(0, ambient), rng)
         assert parse_subspace(dump_subspace(v), 2) == v
+    for _ in range(50):
+        ambient = rng.randint(1, 8)
+        v = random_subspace(3, ambient, rng.randint(0, ambient), rng)
+        assert parse_subspace(dump_subspace(v), 3) == v
     assert dump_subspace(Subspace.zero(2, 5)) == "ambient 5\n"
+    for text in (
+        "ambient 3\n120\n",  # a digit >= q
+        "ambient x\n100\n",  # a header that is not an integer
+        "ambient -3\n",
+        "ambient 3\n1a0\n",  # a character that is not a digit
+        "ambient 3\n1 0\n",
+        "ambient 3\n1000\n",  # wrong width
+    ):
+        with pytest.raises(ParameterError):
+            parse_subspace(text, 2)
+    assert parse_subspace("ambient 3\n120\n", 3).basis.entries == ((1, 2, 0),)
 
 
 def test_q3_subspace_operations():
@@ -208,3 +227,182 @@ def test_q3_subspace_operations():
         assert subspace_sum(v, u).dim + intersection(v, u).dim == v.dim + u.dim
         inter = intersection(v, u)
         assert v.contains_subspace(inter) and u.contains_subspace(inter)
+
+
+# --- packed GF(2) rows against a plain-list reference ---
+
+
+def _ref_span(rows, q):
+    """List reference: the nonzero rows of the generic elimination."""
+    reduced, pivots = _rref_generic([list(r) for r in rows], q)
+    return tuple(tuple(r) for r in reduced[: len(pivots)])
+
+
+def _ref_intersection(a, b, n, q):
+    block = [tuple(r) + tuple(r) for r in a] + [tuple(r) + (0,) * n for r in b]
+    return _ref_span([r[n:] for r in _ref_span(block, q) if not any(r[:n])], q)
+
+
+def _ref_shorten(rows, columns, n, q):
+    others = [c for c in range(n) if c not in columns]
+    zero_off = [tuple(int(i == c) for i in range(n)) for c in columns]
+    inter = _ref_intersection(rows, zero_off, n, q)
+    assert all(row[c] == 0 for row in inter for c in others)
+    return _ref_span([tuple(row[c] for c in columns) for row in inter], q)
+
+
+def _ref_embed(rows, columns, n):
+    out = []
+    for row in rows:
+        full = [0] * n
+        for c, x in zip(columns, row):
+            full[c] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def _random_rows(rng, q, nrows, ncols):
+    return [[rng.randbelow(q) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("q, count", [(2, 200), (3, 40)])
+def test_packed_rows_match_list_reference(q, count):
+    """Every operation on stored rows agrees with the list reference (N <= 40)."""
+    rng = SplitMix64(40 + q)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        # mostly short matrices; sometimes enough rows for full rank
+        nrows = rng.randint(n, n + 2) if n <= 16 and not rng.randbelow(4) else rng.randint(0, 8)
+        a_rows = _random_rows(rng, q, nrows, n)
+        b_rows = _random_rows(rng, q, len(a_rows), n)
+        c_rows = _random_rows(rng, q, n, rng.randint(0, 6))
+        a = MatrixFq.from_rows(q, a_rows, n)
+        b = MatrixFq.from_rows(q, b_rows, n)
+        c = MatrixFq.from_rows(q, c_rows, len(c_rows[0]))
+        assert a.entries == tuple(map(tuple, a_rows))
+        assert (a + b).entries == tuple(
+            tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)
+        )
+        assert (a - b).entries == tuple(
+            tuple((x - y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)
+        )
+        assert (a @ c).entries == tuple(
+            tuple(sum(x * row[j] for x, row in zip(ra, c_rows)) % q for j in range(c.cols))
+            for ra in a_rows
+        )
+        assert a.transpose().entries == (tuple(zip(*a_rows)) if a_rows else ((),) * n)
+        assert a.transpose().transpose() == a
+        assert a.hstack(b).entries == tuple(tuple(x + y) for x, y in zip(a_rows, b_rows))
+        assert a.vstack(b).entries == tuple(map(tuple, a_rows + b_rows))
+        assert a.is_zero() == (not any(map(any, a_rows)))
+        reduced, pivots = _rref_generic([list(r) for r in a_rows], q)
+        got, got_pivots = a.rref()
+        assert got.entries == tuple(map(tuple, reduced)) and list(got_pivots) == pivots
+        assert rref(a_rows, n, q) == (reduced, pivots)
+        assert a.rank() == len(pivots)
+        kernel = a.kernel_basis()
+        assert kernel.rows == n - len(pivots)
+        assert (a @ kernel.transpose()).is_zero()
+        assert kernel.rank() == kernel.rows
+
+        v, u = row_space(a, n), row_space(b, n)
+        assert v.basis.entries == _ref_span(a_rows, q)
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v and hash(copy) == hash(v)
+        assert subspace_sum(v, u).basis.entries == _ref_span(a_rows + b_rows, q)
+        assert intersection(v, u).basis.entries == _ref_intersection(
+            v.basis.entries, u.basis.entries, n, q
+        )
+        probe = tuple(rng.randbelow(q) for _ in range(n))
+        assert v.contains_vector(probe) == (len(_ref_span(a_rows + [probe], q)) == v.dim)
+        for row in a_rows:
+            assert v.contains_vector(row)
+        assert subspace_sum(v, u).contains_subspace(u)
+        assert v.contains_subspace(u) == (len(_ref_span(a_rows + b_rows, q)) == v.dim)
+
+        columns = [c for c in range(n) if rng.randbelow(3)]
+        order = [columns[i] for i in sorted(range(len(columns)), key=lambda _: rng.next64())]
+        for cols in (columns, order):
+            short = shorten(u, cols)
+            assert short.ambient_dim == len(cols)
+            assert short.basis.entries == _ref_shorten(u.basis.entries, cols, n, q)
+        placed = embed(shorten(u, columns), columns, n)
+        assert placed.basis.entries == _ref_embed(shorten(u, columns).basis.entries, columns, n)
+        assert Subspace(n, placed.basis) == placed  # canonical
+        assert shorten(placed, columns) == shorten(u, columns)
+
+
+@pytest.mark.parametrize(
+    "q, layers, channel",
+    [
+        (2, [(3, 3), (2, 1)], ("exact", 1, 1)),  # k = n
+        (2, [(4, 2)], ("exact", 1, 1)),  # a single layer
+        (2, [(3, 1), (4, 1)], ("exact", "dim", 0)),  # rho = dim V
+        (2, [(3, 1), (4, 1)], ("exact", 0, "rest")),  # t = ambient - dim V
+        (2, [(3, 1), (4, 1)], ("matrix", 0, 0)),  # matrix mode, 0 packets
+        (3, [(2, 1), (2, 1)], ("matrix", 3, 1)),
+    ],
+)
+def test_edge_shapes_match_list_reference(q, layers, channel):
+    """Trials at the edge shapes: every space the decoders build is the list reference's."""
+    from lsc.channel import ChannelSpec, make_trial
+    from lsc.field import FieldParams
+    from lsc.layered import LayeredCode
+
+    code = LayeredCode.standard(FieldParams.default(q, 4), layers)
+    n = code.ambient_dim
+    mode, first, second = channel
+    for seed in range(6):
+        if mode == "exact":
+            rho = code.total_length if first == "dim" else first
+            t = code.params.m if second == "rest" else second
+            word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
+            assert outcome.U.dim == code.total_length - rho + t
+        else:
+            word, outcome = make_trial(code, seed, collected=first, error_packets=second)
+        assert word.V.basis.entries == _ref_span(word.V.basis.entries, q)
+        assert outcome.U.basis.entries == _ref_span(outcome.U.basis.entries, q)
+        for layer, (offset, inner) in enumerate(zip(code.offsets, code.layers), 1):
+            columns = list(range(offset, offset + inner.n)) + list(range(code.total_length, n))
+            extracted = code.extract_component(outcome.U, layer)
+            assert extracted.basis.entries == _ref_shorten(outcome.U.basis.entries, columns, n, q)
+        for report in (
+            code.decode_alg1(outcome.U),
+            code.decode_alg2(outcome.U),
+            code.decode_alg2(outcome.U, iterative=True),
+        ):
+            placed = []
+            for offset, inner, result in zip(code.offsets, code.layers, report.layers):
+                columns = list(range(offset, offset + inner.n))
+                columns += list(range(code.total_length, n))
+                placed += _ref_embed(result.component.basis.entries, columns, n)
+            assert report.recombined.basis.entries == _ref_span(placed, q)
+            for space in report.accumulated:
+                assert space.basis.entries == _ref_span(space.basis.entries, q)
+        if mode == "exact" and 2 * (rho + t) < code.min_distance():
+            assert code.decode_alg1(outcome.U).recombined == word.V
+
+
+def test_checked_constructors_reject_malformed_input():
+    for args in (
+        (2, 1, 2, ((0, 2),)),  # entry out of range
+        (3, 1, 2, ((0, -1),)),
+        (2, 2, 2, ((0, 1), (1,))),  # ragged rows
+        (2, 2, 2, ((0, 1),)),  # row count
+        (1, 0, 0, ()),  # q < 2
+        (2, -1, 2, ()),
+    ):
+        with pytest.raises(ParameterError):
+            MatrixFq(*args)
+    with pytest.raises(ParameterError):
+        MatrixFq.from_rows(2, [[1, 0], [1]])
+    for q, ambient, rows in (
+        (2, 3, ((1, 1, 0), (0, 0, 0))),  # zero row
+        (2, 3, ((0, 1, 0), (1, 0, 0))),  # not echelon
+        (2, 3, ((1, 1, 0), (0, 1, 0))),  # pivot column not elsewhere zero
+        (3, 2, ((2, 0),)),  # pivot entry not 1
+        (2, 4, ((1, 0, 0),)),  # width
+        (2, 1, ((1,), (1,))),  # more rows than the ambient
+    ):
+        with pytest.raises(ParameterError):
+            Subspace(ambient, MatrixFq(q, len(rows), len(rows[0]), rows))
