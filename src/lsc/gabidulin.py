@@ -18,22 +18,29 @@ oracle used to cross-check it.
 The algorithms (linearized-polynomial evaluation, composition, left
 division and subspace annihilators, encoding, the decoder and its
 F_{q^m} nullspace, the brute-force oracle) compute on element indices
-with ``FieldParams.ops``.  The public surface holds ``ExtFieldElement``
-values and converts at that boundary: ``LinearizedPoly``,
-``RankCodeword``, and the arguments and results of ``GabidulinCode``
-methods.
+with ``FieldParams.ops``.  ``RankCodeword`` stores indices too, and its
+``symbols`` are an ``ExtFieldElement`` view built only when read, so a
+word goes from ``encode`` or ``lifted.reduce_received`` into
+``decode_bounded`` with no element objects.  Words and hints meet their
+F_q matrices at one bridge, ``MatrixFq._from_indices`` and
+``MatrixFq._row_indices`` in ``linalg``.  The rest of the public surface
+holds ``ExtFieldElement`` values and converts at that boundary:
+``LinearizedPoly``, the messages ``encode`` takes, and the messages the
+decoders return.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import ExtFieldElement, FieldOps, FieldParams, coords_of, index_of
+from .field import ExtFieldElement, FieldOps, FieldParams
 from .linalg import MatrixFq, row_space
+
+_set = object.__setattr__
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -212,41 +219,88 @@ class LinearizedPoly:
         return LinearizedPoly._from_indices(params, sigma)
 
 
-@dataclass(frozen=True)
 class RankCodeword:
-    """A length-n word over F_{q^m}, equivalently an n x m matrix over F_q."""
+    """A length-n word over F_{q^m}, equivalently an n x m matrix over F_q.
 
-    symbols: tuple[ExtFieldElement, ...]
+    It stores the element index of each symbol.  ``symbols`` is the
+    ``ExtFieldElement`` view, built on first use and cached; equality,
+    hashing and pickling go by field and indices.
+    """
+
+    __slots__ = ("params", "_indices", "_symbols")
+
+    def __init__(self, symbols: Sequence[ExtFieldElement]) -> None:
+        symbols = tuple(symbols)
+        params = symbols[0].params if symbols else None
+        if any(s.params != params for s in symbols):
+            raise ParameterError("symbols from different fields")
+        _set(self, "params", params)
+        _set(self, "_indices", tuple(s.to_index() for s in symbols))
+        _set(self, "_symbols", symbols)
+
+    @classmethod
+    def _from_indices(cls, params: FieldParams, indices: Sequence[int]) -> "RankCodeword":
+        """The word whose symbols have these element indices, which must lie in range."""
+        word = object.__new__(cls)
+        _set(word, "params", params)
+        _set(word, "_indices", tuple(indices))
+        return word
+
+    @property
+    def symbols(self) -> tuple[ExtFieldElement, ...]:
+        try:
+            return self._symbols
+        except AttributeError:
+            symbols = tuple(map(self.params.from_index, self._indices))
+            _set(self, "_symbols", symbols)
+            return symbols
 
     @property
     def n(self) -> int:
-        return len(self.symbols)
+        return len(self._indices)
 
-    @property
-    def params(self) -> FieldParams:
-        return self.symbols[0].params
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RankCodeword:
+            return NotImplemented
+        return self._indices == other._indices and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.params, self._indices))
+
+    def __repr__(self) -> str:
+        return f"RankCodeword(symbols={self.symbols!r})"
+
+    def __reduce__(self):
+        return (RankCodeword, (self.symbols,))
 
     def as_matrix(self) -> MatrixFq:
         params = self.params
-        return MatrixFq(
-            params.q, self.n, params.m, tuple(s.coords for s in self.symbols)
-        )
+        return MatrixFq._from_indices(params.q, params.m, self._indices)
 
     @classmethod
     def from_matrix(cls, params: FieldParams, matrix: MatrixFq) -> "RankCodeword":
         if matrix.cols != params.m or matrix.q != params.q:
             raise ParameterError("matrix shape does not match the field")
-        return cls(tuple(ExtFieldElement(params, row) for row in matrix.entries))
+        return cls._from_indices(params, matrix._row_indices())
 
     def __add__(self, other: "RankCodeword") -> "RankCodeword":
-        if self.n != other.n:
-            raise ParameterError("length mismatch")
-        return RankCodeword(tuple(a + b for a, b in zip(self.symbols, other.symbols)))
+        return self._combine(other, self.params.ops.add)
 
     def __sub__(self, other: "RankCodeword") -> "RankCodeword":
+        return self._combine(other, self.params.ops.sub)
+
+    def _combine(self, other: "RankCodeword", op) -> "RankCodeword":
         if self.n != other.n:
             raise ParameterError("length mismatch")
-        return RankCodeword(tuple(a - b for a, b in zip(self.symbols, other.symbols)))
+        if self.params != other.params:
+            raise ParameterError("operands belong to different fields")
+        return RankCodeword._from_indices(self.params, map(op, self._indices, other._indices))
 
 
 @dataclass(frozen=True)
@@ -295,8 +349,7 @@ class GabidulinCode:
 
     def encode(self, message: Sequence[ExtFieldElement]) -> RankCodeword:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points."""
-        symbols = self._evaluate(self._indices(message))
-        return RankCodeword(tuple(self.params.from_index(s) for s in symbols))
+        return RankCodeword._from_indices(self.params, self._evaluate(self._indices(message)))
 
     def _indices(self, message: Sequence[ExtFieldElement]) -> list[int]:
         """The element indices of a message, after checking its length and field."""
@@ -314,14 +367,12 @@ class GabidulinCode:
 
     def _codeword_matrix(self, f: Sequence[int]) -> MatrixFq:
         """The codeword of the message with element indices f, as its n x m matrix."""
-        q, m = self.params.q, self.params.m
-        rows = tuple(coords_of(s, q, m) for s in self._evaluate(f))
-        return MatrixFq._from_entries(q, self.n, m, rows)
+        return MatrixFq._from_indices(self.params.q, self.params.m, self._evaluate(f))
 
     def _check_received(self, received: RankCodeword) -> None:
         if received.n != self.n:
             raise ParameterError(f"received word must have length {self.n}")
-        if received.symbols[0].params != self.params:
+        if received.params != self.params:
             raise ParameterError("received word from a different field")
 
     # --- bounded-distance errors-and-erasures decoding ---
@@ -355,7 +406,7 @@ class GabidulinCode:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
 
-        sigma = _lp_annihilator(ops, [index_of(r, params.q) for r in zb.entries])
+        sigma = _lp_annihilator(ops, zb._row_indices())
         proj = cb.kernel_basis()  # (n - mu) x n, rows annihilate the column hints
         n_prime = proj.rows
         k_prime = k + delta
@@ -367,7 +418,7 @@ class GabidulinCode:
                     acc = add(acc, mul(v, w))
             return acc
 
-        r = [s.to_index() for s in received.symbols]
+        r = received._indices
         g_proj = [combine(self._points, row) for row in proj.entries]
         r_sigma = [_lp_evaluate(ops, sigma, s) for s in r]
         r_proj = [combine(r_sigma, row) for row in proj.entries]
@@ -383,6 +434,9 @@ class GabidulinCode:
             rows.append(row)
         solutions = _ext_nullspace(ops, rows, n_v + n_n)
 
+        # m x (m - delta), projects out the row hints; built on first use (the
+        # identity when there are none)
+        q_ann = None
         for sol in solutions:
             locator = _trim(sol[:n_v])
             if not locator:
@@ -395,10 +449,12 @@ class GabidulinCode:
             if rem or len(f) > k:
                 continue
             codeword = self._evaluate(f)
-            error_rows = tuple(coords_of(sub(a, b), params.q, m) for a, b in zip(r, codeword))
-            error = MatrixFq._from_entries(params.q, n, m, error_rows)
-            q_ann = zb.kernel_basis().transpose()  # m x (m - delta)
-            residual = (proj @ error) @ q_ann
+            error = MatrixFq._from_indices(params.q, m, list(map(sub, r, codeword)))
+            residual = proj @ error
+            if delta:
+                if q_ann is None:
+                    q_ann = zb.kernel_basis().transpose()
+                residual = residual @ q_ann
             if 2 * residual.rank() + mu + delta <= d - 1:
                 return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")

@@ -117,7 +117,7 @@ class LayeredCode:
         """Uniform messages: one ``rng.randbelow`` per symbol, layer by layer."""
         params = self.params
         return [
-            [params.from_index(rng.randbelow(params.size)) for _ in range(code.k)]
+            list(map(params.from_index, rng.randbelow_many(params.size, code.k)))
             for code in self.layers
         ]
 

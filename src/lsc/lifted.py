@@ -7,6 +7,13 @@ row-space side information (inserted dimensions), missing header pivots
 yield column-space side information (lost dimensions), and the payload
 parts of the header-pivot rows form the received word handed to the
 rank-metric decoder.
+
+The reduction works on stored rows (``linalg.split_basis``) and reads each
+payload row as an element index (``MatrixFq._row_indices``), so the
+received word reaches ``GabidulinCode.decode_bounded`` as indices with no
+``ExtFieldElement`` built.  A decoded message comes back as elements, the
+public result of ``decode_bounded``, and goes to its codeword matrix
+through indices again (``GabidulinCode._codeword_matrix``).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .gabidulin import (
     GabidulinCode,
     RankCodeword,
 )
-from .linalg import MatrixFq, Subspace, subspace_distance
+from .linalg import MatrixFq, Subspace, split_basis, subspace_distance
 
 
 @dataclass(frozen=True)
@@ -67,41 +74,20 @@ def reduce_received(code: LiftedCode, received: Subspace):
     directions lost by the channel.
     """
     inner = code.inner
-    n, m, q = inner.n, inner.params.m, inner.params.q
+    n, q = inner.n, inner.params.q
     if received.ambient_dim != code.ambient_dim:
         raise ParameterError(
             f"received space ambient {received.ambient_dim} != {code.ambient_dim}"
         )
-    header_pivot_rows: dict[int, tuple[int, ...]] = {}
-    payload_rows = []
-    for row in received.basis.entries:
-        pivot = next(c for c, x in enumerate(row) if x)
-        if pivot < n:
-            header_pivot_rows[pivot] = row
-        else:
-            payload_rows.append(row[n:])
-    erased = [j for j in range(n) if j not in header_pivot_rows]
-
-    word_rows = []
-    for i in range(n):
-        if i in header_pivot_rows:
-            word_rows.append(header_pivot_rows[i][n:])
-        else:
-            word_rows.append((0,) * m)
-    word = RankCodeword.from_matrix(
-        inner.params, MatrixFq._from_entries(q, n, m, tuple(word_rows))
-    )
-
-    row_hints = MatrixFq._from_entries(q, len(payload_rows), m, tuple(payload_rows))
-
-    col_rows = []
-    for j in erased:
-        vec = [0] * n
-        vec[j] = q - 1
-        for i, row in header_pivot_rows.items():
-            vec[i] = row[j]
-        col_rows.append(tuple(vec))
-    col_hints = MatrixFq._from_entries(q, len(col_rows), n, tuple(col_rows))
+    pivots, header, payload, row_hints = split_basis(received, n)
+    symbols = [0] * n
+    for pivot, symbol in zip(pivots, payload._row_indices()):
+        symbols[pivot] = symbol
+    word = RankCodeword._from_indices(inner.params, symbols)
+    # erased header column j: -e_j plus, at each pivot i, entry j of row i;
+    # that is minus the kernel vector of the header rows at free column j
+    lost = header.kernel_basis()
+    col_hints = lost if q == 2 else MatrixFq.zeros(q, lost.rows, n) - lost
     return word, row_hints, col_hints
 
 

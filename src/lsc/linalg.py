@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
+from .field import coords_of, index_of
 
 _ENUMERATION_CAP = 1 << 20
 _set = object.__setattr__
@@ -65,24 +66,33 @@ def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[
     return rows, pivots
 
 
-def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
-    """RREF of packed rows: the nonzero reduced rows in pivot order, and the pivots.
+def _echelon_gf2(rows: Iterable[int]) -> dict[int, int]:
+    """Forward pass over packed rows: kept rows keyed by their bit lengths.
 
     Each incoming row loses its top bit to the kept row that leads with it
-    until its top bit is new, and is then kept: the kept rows have distinct
-    leading bits, and in descending order they are an echelon form.  Back
-    substitution then clears each leading bit from the rows above it.
+    until its top bit is new, and is then kept.  The kept rows have distinct
+    leading bits, so they are an echelon form of the same space, and their
+    count is its rank.
     """
     by_lead: dict[int, int] = {}
     for v in rows:
         while v:
-            top = 1 << (v.bit_length() - 1)
-            row = by_lead.get(top)
+            lead = v.bit_length()
+            row = by_lead.get(lead)
             if row is None:
-                by_lead[top] = v
+                by_lead[lead] = v
                 break
             v ^= row
-    kept = sorted(by_lead.values(), reverse=True)
+    return by_lead
+
+
+def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
+    """RREF of packed rows: the nonzero reduced rows in pivot order, and the pivots.
+
+    The forward pass (``_echelon_gf2``) in descending order, then back
+    substitution clears each leading bit from the rows above it.
+    """
+    kept = sorted(_echelon_gf2(rows).values(), reverse=True)
     for i in range(len(kept) - 1, 0, -1):
         row = kept[i]
         lead = 1 << (row.bit_length() - 1)
@@ -115,6 +125,13 @@ def _eliminate(q: int, ncols: int, data: Sequence) -> tuple[list, list[int]]:
     return [tuple(row) for row in reduced[: len(pivots)]], pivots
 
 
+def _rank(q: int, ncols: int, data: Sequence) -> int:
+    """The rank of stored rows: the forward pass only for q = 2, the pivot count otherwise."""
+    if q == 2:
+        return len(_echelon_gf2(data))
+    return len(_rref_generic([list(row) for row in data], q)[1])
+
+
 def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_q.
 
@@ -132,6 +149,27 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
         out.extend([0] * ncols for _ in range(len(rows) - len(out)))
         return out, pivots
     return _rref_generic([list(r) for r in rows], q)
+
+
+# --- the bridge between stored rows and F_{q^m} element indices ---
+#
+# A row of width m holds the coordinates of one element, column j being
+# coordinate j.  An element index has coordinate 0 as its least significant
+# base-q digit (``field.coords_of``), but a packed GF(2) row has column 0 in
+# its most significant bit, so for q = 2 the bridge is a bit reversal: two
+# lookups in a 256-entry byte table, for widths up to 16 (the largest
+# extension degree of a supported binary field).
+
+_REVERSED_BYTE = [0] * 256
+for _b in range(1, 256):
+    _REVERSED_BYTE[_b] = (_REVERSED_BYTE[_b >> 1] >> 1) | ((_b & 1) << 7)
+del _b
+
+
+def _reversal_shift(width: int) -> int:
+    if width > 16:
+        raise ParameterError(f"element rows are at most 16 bits wide, got {width}")
+    return 16 - width
 
 
 def _check_dims(q: int, rows: int, cols: int) -> None:
@@ -190,6 +228,26 @@ class MatrixFq:
         matrix = cls._unchecked(q, rows, cols, _pack(entries))
         _set(matrix, "_entries", entries)
         return matrix
+
+    @classmethod
+    def _from_indices(cls, q: int, m: int, indices: Sequence[int]) -> "MatrixFq":
+        """The len(indices) x m matrix whose row i holds the coordinates of
+        the F_{q^m} element with index ``indices[i]`` (the indices must lie in
+        [0, q^m)); ``_row_indices`` is its inverse."""
+        if q == 2:
+            rev, shift = _REVERSED_BYTE, _reversal_shift(m)
+            data = tuple(((rev[i & 255] << 8) | rev[i >> 8]) >> shift for i in indices)
+        else:
+            data = tuple(coords_of(i, q, m) for i in indices)
+        return cls._unchecked(q, len(data), m, data)
+
+    def _row_indices(self) -> list[int]:
+        """The element index whose coordinates each row holds."""
+        if self.q == 2:
+            rev, shift = _REVERSED_BYTE, _reversal_shift(self.cols)
+            return [((rev[v & 255] << 8) | rev[v >> 8]) >> shift for v in self._data]
+        q = self.q
+        return [index_of(row, q) for row in self._data]
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -250,13 +308,11 @@ class MatrixFq:
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
+        """Uniform entries, drawn in row-major order with ``rng.randbelow_many(q, ...)``."""
         _check_dims(q, rows, cols)
-        return cls._from_entries(
-            q,
-            rows,
-            cols,
-            tuple(tuple(rng.randbelow(q) for _ in range(cols)) for _ in range(rows)),
-        )
+        draws = iter(rng.randbelow_many(q, rows * cols))
+        entries = tuple(tuple(itertools.islice(draws, cols)) for _ in range(rows))
+        return cls._from_entries(q, rows, cols, entries)
 
     def _check_shape(self, other: "MatrixFq") -> None:
         if self.q != other.q:
@@ -351,7 +407,7 @@ class MatrixFq:
         return MatrixFq._unchecked(self.q, self.rows, self.cols, data), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_eliminate(self.q, self.cols, self._data)[1])
+        return _rank(self.q, self.cols, self._data)
 
     def kernel_basis(self) -> "MatrixFq":
         """Basis (as rows, one per free column, RREF-canonical) of {x : M x = 0}."""
@@ -443,8 +499,7 @@ class Subspace:
 
     def _spans(self, matrix: MatrixFq) -> bool:
         """True iff every row of ``matrix`` (same width and field) lies in the subspace."""
-        stacked = self.basis._data + matrix._data
-        return len(_eliminate(self.q, self.ambient_dim, stacked)[1]) == self.dim
+        return _rank(self.q, self.ambient_dim, self.basis._data + matrix._data) == self.dim
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace (guarded by the enumeration cap)."""
@@ -517,14 +572,52 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
 def is_direct_sum(v: Subspace, u: Subspace) -> bool:
     """True iff the operands intersect trivially."""
     v._check_ambient(u)
-    # dim(V) + dim(U) == dim(V+U) is equivalent and needs one elimination
-    return subspace_sum(v, u).dim == v.dim + u.dim
+    # dim(V) + dim(U) == dim(V+U) is equivalent and needs one forward pass
+    return _rank(v.q, v.ambient_dim, v.basis._data + u.basis._data) == v.dim + u.dim
 
 
 def subspace_distance(v: Subspace, u: Subspace) -> int:
-    """dim(V+U) - dim(V∩U) = dim(V) + dim(U) - 2 dim(V∩U)."""
+    """dim(V+U) - dim(V∩U) = 2 dim(V+U) - dim(V) - dim(U).
+
+    dim(V+U) is the rank of the stacked bases; no canonical sum is built.
+    """
     v._check_ambient(u)
-    return 2 * subspace_sum(v, u).dim - v.dim - u.dim
+    return 2 * _rank(v.q, v.ambient_dim, v.basis._data + u.basis._data) - v.dim - u.dim
+
+
+def split_basis(u: Subspace, n: int) -> tuple[list[int], MatrixFq, MatrixFq, MatrixFq]:
+    """``u``'s canonical basis cut before column n (0 <= n <= ambient).
+
+    Returns (pivots, head, tail, rest).  The basis rows that pivot before
+    column n pivot at ``pivots``; ``head`` holds their first n columns (a
+    reduced echelon matrix) and ``tail`` their other columns.  ``rest``
+    holds the other columns of the remaining rows, whose first n columns
+    are zero: it is a canonical basis of width ambient - n.
+    """
+    q, width = u.q, u.ambient_dim
+    if not 0 <= n <= width:
+        raise ParameterError(f"cut column {n} outside [0, {width}]")
+    data = u.basis._data
+    right = width - n
+    if q == 2:
+        lead = [width - v.bit_length() for v in data]
+        s = bisect_left(lead, n)
+        mask = (1 << right) - 1
+        head = tuple(v >> right for v in data[:s])
+        tail = tuple(v & mask for v in data[:s])
+        rest = data[s:]
+    else:
+        lead = [next(c for c, x in enumerate(row) if x) for row in data]
+        s = bisect_left(lead, n)
+        head = tuple(row[:n] for row in data[:s])
+        tail = tuple(row[n:] for row in data[:s])
+        rest = tuple(row[n:] for row in data[s:])
+    return (
+        lead[:s],
+        MatrixFq._unchecked(q, s, n, head),
+        MatrixFq._unchecked(q, s, right, tail),
+        MatrixFq._unchecked(q, len(rest), right, rest),
+    )
 
 
 def rank_distance(x: MatrixFq, y: MatrixFq) -> int:

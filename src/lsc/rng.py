@@ -43,15 +43,34 @@ class SplitMix64:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
+        return self.randbelow_many(n, 1)[0]
+
+    def randbelow_many(self, n: int, count: int) -> list[int]:
+        """``count`` uniform integers in [0, n), as ``count`` calls of ``randbelow(n)``.
+
+        A draw is ``next64() % n``, and a ``next64`` value in the top
+        2^64 mod n values is rejected and drawn again (none for n = 1).
+        One loop makes all the draws, with ``next64`` inlined.
+        """
         if n <= 0:
             raise ParameterError("randbelow requires a positive bound")
+        if count < 0:
+            raise ParameterError("count must be non-negative")
         if n == 1:
-            return 0
+            return [0] * count
         threshold = (1 << 64) - ((1 << 64) % n)
-        while True:
-            r = self.next64()
-            if r < threshold:
-                return r % n
+        state = self._state
+        out = []
+        while len(out) < count:
+            # next64 with mix64 inlined
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < threshold:
+                out.append(z % n)
+        self._state = state
+        return out
 
     def randint(self, a: int, b: int) -> int:
         """Uniform integer in [a, b] inclusive."""

@@ -1,10 +1,14 @@
 """Lifted subspace codes: lifting, reduction, decode vs oracle."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from lsc.channel import ChannelSpec, apply_exact
 from lsc.errors import ParameterError
-from lsc.gabidulin import DecodeFailure, GabidulinCode
+from lsc.field import ExtFieldElement, FieldParams
+from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from lsc.lifted import (
     LiftedCode,
     brute_force_subspace_decode,
@@ -13,7 +17,14 @@ from lsc.lifted import (
     reduce_received,
     subspace_decode,
 )
-from lsc.linalg import MatrixFq, Subspace, rank_distance, subspace_distance
+from lsc.linalg import (
+    MatrixFq,
+    Subspace,
+    embed,
+    random_subspace,
+    rank_distance,
+    subspace_distance,
+)
 from lsc.rng import SplitMix64
 
 
@@ -117,3 +128,121 @@ def test_extra_dimensions_are_handled(fp24, lifted31):
     assert outcome.U.dim == 5  # more dimensions than the code length
     result = subspace_decode(lifted31, outcome.U)
     assert result.message == msg
+
+
+def _reference_reduce(code, received):
+    """The list implementation of reduce_received: entries and ExtFieldElements."""
+    inner = code.inner
+    params = inner.params
+    n, m, q = inner.n, params.m, params.q
+    header_pivot_rows = {}
+    payload_rows = []
+    for row in received.basis.entries:
+        pivot = next(c for c, x in enumerate(row) if x)
+        if pivot < n:
+            header_pivot_rows[pivot] = row
+        else:
+            payload_rows.append(row[n:])
+    word_rows = [header_pivot_rows[i][n:] if i in header_pivot_rows else (0,) * m for i in range(n)]
+    symbols = tuple(ExtFieldElement(params, row) for row in word_rows)
+    col_rows = []
+    for j in range(n):
+        if j in header_pivot_rows:
+            continue
+        vec = [0] * n
+        vec[j] = q - 1
+        for i, row in header_pivot_rows.items():
+            vec[i] = row[j]
+        col_rows.append(tuple(vec))
+    return (
+        RankCodeword(symbols),
+        MatrixFq(q, len(payload_rows), m, payload_rows),
+        MatrixFq(q, len(col_rows), n, col_rows),
+    )
+
+
+def _assert_reduction_matches_reference(code, received):
+    word, row_hints, col_hints = reduce_received(code, received)
+    ref_word, ref_rows, ref_cols = _reference_reduce(code, received)
+    assert word == ref_word and word.symbols == ref_word.symbols
+    assert word.as_matrix() == ref_word.as_matrix()
+    assert row_hints == ref_rows and row_hints.entries == ref_rows.entries
+    assert col_hints == ref_cols and col_hints.entries == ref_cols.entries
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 5, 4, 2), (3, 3, 3, 1), (3, 4, 2, 1)])
+def test_reduce_received_matches_list_reference(q, m, n, k):
+    """Reduction on stored rows against the list implementation, edge shapes included."""
+    code = LiftedCode(GabidulinCode.standard(FieldParams.default(q, m), n, k))
+    inner, ambient = code.inner, code.ambient_dim
+    rng = SplitMix64(90 + 10 * q + n)
+    spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+    widest = 0
+    for _ in range(60):
+        # arbitrary received spaces, any pivots
+        spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
+        # every header pivot erased: the space lies in the payload columns
+        payload = random_subspace(q, m, rng.randint(0, m), rng)
+        spaces.append(embed(payload, range(n, ambient), ambient))
+        # channel outputs around a codeword, up to t = ambient - dim V
+        msg = [inner.params.from_index(i) for i in rng.randbelow_many(inner.params.size, k)]
+        codeword = lift(inner, inner.encode(msg))
+        rho = rng.randint(0, n)
+        t = m if not rng.randbelow(4) else rng.randint(0, m)
+        widest += t == m
+        spaces.append(apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U)
+    assert widest >= 5
+    for space in spaces:
+        _assert_reduction_matches_reference(code, space)
+
+
+def test_subspace_decode_reaches_decode_bounded_once(fp24, lifted31, monkeypatch):
+    """The traced entry point: one public decode_bounded call per subspace_decode."""
+    calls = []
+    original = GabidulinCode.decode_bounded
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GabidulinCode, "decode_bounded", counting)
+    inner = lifted31.inner
+    rng = SplitMix64(24)
+    outcomes = []
+    for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4)]:
+        msg = (fp24.from_index(rng.randbelow(16)),)
+        space = lift(inner, inner.encode(msg))
+        received = apply_exact(space, ChannelSpec(rho=rho, t=t), rng).U
+        before = len(calls)
+        outcomes.append(subspace_decode(lifted31, received))
+        assert len(calls) == before + 1 and calls[-1] is inner
+    assert any(isinstance(o, DecodeFailure) for o in outcomes)
+    assert any(not isinstance(o, DecodeFailure) for o in outcomes)
+
+
+def test_rank_codeword_value_semantics(fp24, lifted31):
+    inner = lifted31.inner
+    word = inner.encode((fp24.from_index(9),))
+    same = RankCodeword(tuple(word.symbols))
+    other = inner.encode((fp24.from_index(10),))
+    assert word == same and hash(word) == hash(same) and word != other
+    assert len({word, same, other}) == 2
+    for copy in (pickle.loads(pickle.dumps(word)), pickle.loads(pickle.dumps(same))):
+        assert copy == word and hash(copy) == hash(word) and copy.symbols == word.symbols
+    assert RankCodeword.from_matrix(fp24, word.as_matrix()) == word
+    assert (word + other) - other == word
+    assert (word - word).as_matrix().is_zero()
+    assert word.n == 3 and word.params == fp24
+    assert repr(word) == f"RankCodeword(symbols={word.symbols!r})"
+    with pytest.raises(FrozenInstanceError):
+        word.params = fp24
+    for bad in (MatrixFq.zeros(2, 3, 5), MatrixFq.zeros(3, 3, 4)):
+        with pytest.raises(ParameterError):
+            RankCodeword.from_matrix(fp24, bad)
+    with pytest.raises(ParameterError):
+        word + RankCodeword(word.symbols[:2])
+    f16 = FieldParams.default(2, 5)
+    with pytest.raises(ParameterError):
+        RankCodeword((fp24.one(), f16.one()))
+    with pytest.raises(ParameterError):
+        word - RankCodeword((f16.one(),) * 3)

@@ -406,3 +406,55 @@ def test_checked_constructors_reject_malformed_input():
     ):
         with pytest.raises(ParameterError):
             Subspace(ambient, MatrixFq(q, len(rows), len(rows[0]), rows))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subspace_distance_is_the_rank_of_the_stacked_bases(q):
+    """Rank-only distance against 2 dim(V+U) - dim V - dim U and the intersection."""
+    rng = SplitMix64(70 + q)
+    for _ in range(300 if q == 2 else 120):
+        ambient = rng.randint(1, 12 if q == 2 else 7)
+        v = random_subspace(q, ambient, rng.randint(0, ambient), rng)
+        if rng.randbelow(3):
+            u = random_subspace(q, ambient, rng.randint(0, ambient), rng)
+        else:  # overlapping pairs
+            u = subspace_sum(random_subspace_of(v, rng.randint(0, v.dim), rng),
+                             random_subspace(q, ambient, rng.randint(0, 2), rng))
+        expected = 2 * subspace_sum(v, u).dim - v.dim - u.dim
+        assert subspace_distance(v, u) == expected
+        assert expected == v.dim + u.dim - 2 * intersection(v, u).dim
+        assert is_direct_sum(v, u) == (intersection(v, u).dim == 0)
+    for ambient in (1, 5):
+        zero, full = Subspace.zero(q, ambient), Subspace.full(q, ambient)
+        some = random_subspace(q, ambient, 2 if ambient > 2 else 1, rng)
+        assert subspace_distance(zero, zero) == 0
+        assert subspace_distance(full, full) == 0
+        assert subspace_distance(zero, full) == ambient
+        assert subspace_distance(zero, some) == some.dim
+        assert subspace_distance(some, full) == ambient - some.dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_row_index_bridge_matches_coords(q):
+    """MatrixFq._from_indices / _row_indices agree with field.coords_of / index_of."""
+    from lsc.field import coords_of, index_of
+
+    rng = SplitMix64(80 + q)
+    for m in range(1, 13):
+        size = q**m
+        if size > 1 << 16:
+            break
+        indices = [0, 1, size - 1, size // q] + [rng.randbelow(size) for _ in range(40)]
+        matrix = MatrixFq._from_indices(q, m, indices)
+        assert (matrix.rows, matrix.cols) == (len(indices), m)
+        assert matrix.entries == tuple(coords_of(i, q, m) for i in indices)
+        assert matrix == MatrixFq(q, len(indices), m, [coords_of(i, q, m) for i in indices])
+        assert matrix._row_indices() == indices
+        rows = _random_rows(rng, q, 12, m)
+        checked = MatrixFq(q, len(rows), m, rows)
+        assert checked._row_indices() == [index_of(row, q) for row in rows]
+        assert MatrixFq._from_indices(q, m, checked._row_indices()) == checked
+    assert MatrixFq._from_indices(2, 16, [1, 1 << 15]).entries == (
+        (1,) + (0,) * 15, (0,) * 15 + (1,)
+    )
+    assert MatrixFq._from_indices(q, 3, []) == MatrixFq.zeros(q, 0, 3)
