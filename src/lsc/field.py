@@ -106,7 +106,9 @@ def _poly_mod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
-def _irreducible(modulus: Sequence[int], q: int) -> bool:
+# Keyed like ``_field_ops``: every ``cfg.build_code()`` rebuilds its FieldParams.
+@lru_cache(maxsize=64)
+def _irreducible(modulus: tuple[int, ...], q: int) -> bool:
     """Trial division against all monic polynomials of degree <= m/2."""
     m = len(modulus) - 1
     for deg in range(1, m // 2 + 1):

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import ExtFieldElement, FieldOps, FieldParams
-from .linalg import MatrixFq, row_space
+from .linalg import MatrixFq, Subspace, row_space
 
 _set = object.__setattr__
 
@@ -398,16 +398,16 @@ class GabidulinCode:
         m, n, k = params.m, self.n, self.k
         d = self.min_rank_distance
 
-        zb = self._canonical_hint(row_erasures, m, "row_erasures")
-        cb = self._canonical_hint(col_erasures, n, "col_erasures")
-        delta = zb.rows
-        mu = cb.rows
+        zs = self._canonical_hint(row_erasures, m, "row_erasures")
+        cs = self._canonical_hint(col_erasures, n, "col_erasures")
+        delta = zs.dim
+        mu = cs.dim
         if mu + delta > d - 1:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
 
-        sigma = _lp_annihilator(ops, zb._row_indices())
-        proj = cb.kernel_basis()  # (n - mu) x n, rows annihilate the column hints
+        sigma = _lp_annihilator(ops, zs.basis._row_indices())
+        proj = cs._basis_kernel()  # (n - mu) x n, rows annihilate the column hints
         n_prime = proj.rows
         k_prime = k + delta
 
@@ -453,20 +453,22 @@ class GabidulinCode:
             residual = proj @ error
             if delta:
                 if q_ann is None:
-                    q_ann = zb.kernel_basis().transpose()
+                    q_ann = zs._basis_kernel().transpose()
                 residual = residual @ q_ann
             if 2 * residual.rank() + mu + delta <= d - 1:
                 return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
-    def _canonical_hint(self, hint: MatrixFq | None, width: int, name: str) -> MatrixFq:
+    def _canonical_hint(self, hint: MatrixFq | None, width: int, name: str) -> Subspace:
+        """The space a hint's rows span: one elimination, whose canonical
+        basis also gives the hint's kernel (``Subspace._basis_kernel``)."""
         if hint is None:
-            return MatrixFq.zeros(self.params.q, 0, width)
+            return Subspace.zero(self.params.q, width)
         if not isinstance(hint, MatrixFq) or hint.q != self.params.q:
             raise ParameterError(f"{name} must be a MatrixFq over F_{self.params.q}")
         if hint.cols != width:
             raise ParameterError(f"{name} must have width {width}")
-        return row_space(hint, width).basis
+        return row_space(hint, width)
 
     # --- exhaustive oracle ---
 

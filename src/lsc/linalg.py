@@ -5,15 +5,21 @@ dropped, which makes RREF a canonical form: two subspaces are equal iff
 their stored bases are entry-identical.  The zero subspace has a 0 x N
 basis.
 
-Storage: a matrix keeps its rows in one format chosen by q.  For q = 2
-each row is one int with column 0 in the most significant bit, so adding
-rows is XOR and moving a run of columns is a shift and a mask; for odd q
-each row is a tuple of ints.  Every operation here works on the stored
-rows.  ``MatrixFq.entries`` is the row-major tuple view for callers; for
-q = 2 it is unpacked on first use and cached.  No other module sees the
-packed rows.  At N <= 40 one machine word holds a row, so elimination is
-a plain XOR sweep with no Four-Russians tables (cf. M4RI, Albrecht, Bard
-and Hart, ACM TOMS 2010).
+Storage: a matrix keeps each row as one int, column 0 most significant,
+with one fixed-width field per entry.  For q = 2 a field is one bit, so
+adding rows is XOR.  For odd q a field is one byte when (q-1) + (q-1)^2 <
+256 (q <= 13), else the fewest whole bytes that hold that sum: the
+largest value a row operation (a row plus a multiple of another) can
+leave in a field, so no field carries into the next.  A row operation
+adds the multiple of the other row as one int sum, then reduces every
+field mod q at once: for byte fields one ``bytes.translate`` through a
+residue table, for wider fields one field at a time.  Stored rows are
+always fully reduced, so equal matrices have equal rows.  Moving a run of
+columns is a shift and a mask for every q.  ``MatrixFq.entries`` is the
+row-major tuple view for callers, unpacked on first use and cached.  No
+other module sees the packed rows.  At N <= 40 one machine word holds a
+GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
+tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
 
 Trust: the public constructors ``MatrixFq(q, rows, cols, entries)``,
 ``MatrixFq.from_rows`` and ``Subspace(ambient_dim, basis)`` check their
@@ -36,13 +42,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import coords_of, index_of
 
 _ENUMERATION_CAP = 1 << 20
 _set = object.__setattr__
 
 
 def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Plain-list RREF, one list per row: the reference the tests check the
+    packed kernels against.  The program itself never calls it."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -64,6 +71,73 @@ def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[
         if r == nrows:
             break
     return rows, pivots
+
+
+# --- the packed row format ---
+
+
+@lru_cache(maxsize=16)
+def _field_bits(q: int) -> int:
+    """Bits per entry of a stored row over F_q (see the module docstring)."""
+    if q == 2:
+        return 1
+    top = (q - 1) + (q - 1) ** 2
+    return 8 * ((top.bit_length() + 7) // 8)
+
+
+@lru_cache(maxsize=256)
+def _reducer(q: int, ncols: int):
+    """The map that reduces every field of an odd-q row of ``ncols`` fields mod q.
+
+    A field may hold up to (q-1) + (q-1)^2 on the way in.
+    """
+    width = _field_bits(q)
+    if width == 8:
+        table = bytes(b % q for b in range(256))
+        to_bytes, from_bytes = int.to_bytes, int.from_bytes
+        return lambda v: from_bytes(to_bytes(v, ncols, "big").translate(table), "big")
+    mask = (1 << width) - 1
+    shifts = range((ncols - 1) * width, -1, -width)
+
+    def reduce(v: int) -> int:
+        out = 0
+        for s in shifts:
+            out = (out << width) | ((v >> s) & mask) % q
+        return out
+
+    return reduce
+
+
+def _pack(rows: Iterable[Sequence[int]], q: int) -> tuple[int, ...]:
+    """Row tuples with entries in [0, q) as stored rows."""
+    width = _field_bits(q)
+    if width == 8:
+        return tuple(int.from_bytes(bytes(row), "big") for row in rows)
+    out = []
+    for row in rows:
+        v = 0
+        for x in row:
+            v = (v << width) | x
+        out.append(v)
+    return tuple(out)
+
+
+def _unpack(data: Iterable[int], q: int, ncols: int) -> tuple[tuple[int, ...], ...]:
+    width = _field_bits(q)
+    if width == 8:
+        return tuple(tuple(v.to_bytes(ncols, "big")) for v in data)
+    mask = (1 << width) - 1
+    shifts = range((ncols - 1) * width, -1, -width)
+    return tuple(tuple([(v >> s) & mask for s in shifts]) for v in data)
+
+
+def _lead_columns(data: Iterable[int], q: int, ncols: int) -> list[int]:
+    """The column of the first nonzero entry of each nonzero stored row."""
+    width = _field_bits(q)
+    return [ncols - 1 - (v.bit_length() - 1) // width for v in data]
+
+
+# --- elimination ---
 
 
 def _echelon_gf2(rows: Iterable[int]) -> dict[int, int]:
@@ -102,38 +176,84 @@ def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     return kept, [ncols - row.bit_length() for row in kept]
 
 
-def _pack(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    out = []
-    for row in rows:
-        v = 0
-        for x in row:
-            v = (v << 1) | x
-        out.append(v)
-    return tuple(out)
+def _echelon_odd(rows: Iterable[int], q: int, ncols: int) -> dict[int, int]:
+    """``_echelon_gf2`` for odd q: kept rows scaled to lead 1, keyed by the
+    shift of their lead field.
+
+    An incoming row whose lead field meets a kept row's loses it by adding
+    (q - lead) times that row: the lead field becomes q, which reduces to 0.
+    """
+    width = _field_bits(q)
+    reduce = _reducer(q, ncols)
+    by_lead: dict[int, int] = {}
+    for v in rows:
+        while v:
+            shift = (v.bit_length() - 1) // width * width
+            row = by_lead.get(shift)
+            if row is None:
+                lead = v >> shift
+                by_lead[shift] = v if lead == 1 else reduce(v * pow(lead, -1, q))
+                break
+            v = reduce(v + (q - (v >> shift)) * row)
+    return by_lead
 
 
-def _unpack(data: Iterable[int], ncols: int) -> tuple[tuple[int, ...], ...]:
-    shifts = range(ncols - 1, -1, -1)
-    return tuple(tuple([(v >> s) & 1 for s in shifts]) for v in data)
+def _rref_odd(rows: Iterable[int], q: int, ncols: int) -> tuple[list[int], list[int]]:
+    """``_rref_gf2`` for odd q: the forward pass, then back substitution."""
+    width = _field_bits(q)
+    mask = (1 << width) - 1
+    reduce = _reducer(q, ncols)
+    by_lead = _echelon_odd(rows, q, ncols)
+    shifts = sorted(by_lead, reverse=True)
+    kept = [by_lead[s] for s in shifts]
+    for i in range(len(kept) - 1, 0, -1):
+        row, shift = kept[i], shifts[i]
+        for j in range(i):
+            x = (kept[j] >> shift) & mask
+            if x:
+                kept[j] = reduce(kept[j] + (q - x) * row)
+    return kept, [ncols - 1 - s // width for s in shifts]
 
 
-def _eliminate(q: int, ncols: int, data: Sequence) -> tuple[list, list[int]]:
-    """The nonzero RREF rows of stored rows, in the stored format, and the pivots."""
+def _eliminate(q: int, ncols: int, data: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The nonzero RREF rows of stored rows, as stored rows, and the pivots."""
     if q == 2:
         return _rref_gf2(data, ncols)
-    reduced, pivots = _rref_generic([list(row) for row in data], q)
-    return [tuple(row) for row in reduced[: len(pivots)]], pivots
+    return _rref_odd(data, q, ncols)
 
 
-def _rank(q: int, ncols: int, data: Sequence) -> int:
-    """The rank of stored rows: the forward pass only for q = 2, the pivot count otherwise."""
+def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
+    """The rank of stored rows: the size of the forward pass, no back substitution."""
     if q == 2:
         return len(_echelon_gf2(data))
-    return len(_rref_generic([list(row) for row in data], q)[1])
+    return len(_echelon_odd(data, q, ncols))
+
+
+def _kernel(q: int, ncols: int, reduced: Sequence[int], pivots: Sequence[int]) -> "MatrixFq":
+    """Basis (as rows, one per free column) of {x : R x = 0}, read off the
+    nonzero RREF rows R of some matrix and their pivots with no elimination."""
+    width = _field_bits(q)
+    mask = (1 << width) - 1
+    pivot_set = set(pivots)
+    rows = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        shift = (ncols - 1 - f) * width
+        vec = 1 << shift
+        for row, p in zip(reduced, pivots):
+            x = (row >> shift) & mask
+            if x:
+                vec |= (q - x) << ((ncols - 1 - p) * width)
+        rows.append(vec)
+    return MatrixFq._unchecked(q, len(rows), ncols, tuple(rows))
 
 
 def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_q.
+
+    Packs the rows, runs the elimination every ``MatrixFq`` and
+    ``Subspace`` operation runs, and unpacks the result.
 
     Args:
         rows: the matrix rows (not mutated).
@@ -143,33 +263,36 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
     Returns:
         (reduced rows including trailing zero rows, pivot column list).
     """
-    if q == 2:
-        reduced, pivots = _rref_gf2(_pack(rows), ncols)
-        out = [list(row) for row in _unpack(reduced, ncols)]
-        out.extend([0] * ncols for _ in range(len(rows) - len(out)))
-        return out, pivots
-    return _rref_generic([list(r) for r in rows], q)
+    data = _pack([[x % q for x in row] for row in rows], q)
+    reduced, pivots = _eliminate(q, ncols, data)
+    out = [list(row) for row in _unpack(reduced, q, ncols)]
+    out.extend([0] * ncols for _ in range(len(rows) - len(out)))
+    return out, pivots
 
 
 # --- the bridge between stored rows and F_{q^m} element indices ---
 #
 # A row of width m holds the coordinates of one element, column j being
 # coordinate j.  An element index has coordinate 0 as its least significant
-# base-q digit (``field.coords_of``), but a packed GF(2) row has column 0 in
-# its most significant bit, so for q = 2 the bridge is a bit reversal: two
-# lookups in a 256-entry byte table, for widths up to 16 (the largest
-# extension degree of a supported binary field).
+# base-q digit (``field.coords_of``), but a stored row has column 0 in its
+# most significant field, so the bridge is a table per (q, m), built once:
+# the row of index i is the row of i // q moved one field right, with the
+# digit i % q in front.
 
-_REVERSED_BYTE = [0] * 256
-for _b in range(1, 256):
-    _REVERSED_BYTE[_b] = (_REVERSED_BYTE[_b >> 1] >> 1) | ((_b & 1) << 7)
-del _b
+_MAX_INDEXED = 1 << 16  # the largest supported field (``field._MAX_FIELD_SIZE``)
 
 
-def _reversal_shift(width: int) -> int:
-    if width > 16:
-        raise ParameterError(f"element rows are at most 16 bits wide, got {width}")
-    return 16 - width
+@lru_cache(maxsize=16)
+def _index_rows(q: int, m: int) -> tuple[list[int], dict[int, int]]:
+    """The stored row of each element index below q^m, and the inverse map."""
+    if m > 16 or q**m > _MAX_INDEXED:
+        raise ParameterError(f"element rows index at most 2^16 elements, got {q}^{m}")
+    width = _field_bits(q)
+    top = (m - 1) * width
+    rows = [0] * q**m
+    for i in range(1, len(rows)):
+        rows[i] = (rows[i // q] >> width) | ((i % q) << top)
+    return rows, {v: i for i, v in enumerate(rows)}
 
 
 def _check_dims(q: int, rows: int, cols: int) -> None:
@@ -182,8 +305,8 @@ def _check_dims(q: int, rows: int, cols: int) -> None:
 class MatrixFq:
     """An immutable rows x cols matrix over F_q.
 
-    ``entries`` is the row-major tuple of row tuples; for q = 2 the rows
-    are stored packed (see the module docstring).
+    ``entries`` is the row-major tuple of row tuples; the rows are stored
+    packed (see the module docstring).
     """
 
     __slots__ = ("q", "rows", "cols", "_data", "_entries")
@@ -194,7 +317,7 @@ class MatrixFq:
         _set(self, "cols", cols)
         _set(self, "_entries", tuple(map(tuple, entries)))
         self.__post_init__()
-        _set(self, "_data", _pack(self._entries) if q == 2 else self._entries)
+        _set(self, "_data", _pack(self._entries, q))
 
     def __post_init__(self) -> None:
         _check_dims(self.q, self.rows, self.cols)
@@ -214,8 +337,6 @@ class MatrixFq:
         _set(matrix, "rows", rows)
         _set(matrix, "cols", cols)
         _set(matrix, "_data", data)
-        if q != 2:
-            _set(matrix, "_entries", data)
         return matrix
 
     @classmethod
@@ -223,9 +344,7 @@ class MatrixFq:
         cls, q: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]
     ) -> "MatrixFq":
         """``_unchecked`` from row tuples in range, which become the ``entries`` view."""
-        if q != 2:
-            return cls._unchecked(q, rows, cols, entries)
-        matrix = cls._unchecked(q, rows, cols, _pack(entries))
+        matrix = cls._unchecked(q, rows, cols, _pack(entries, q))
         _set(matrix, "_entries", entries)
         return matrix
 
@@ -234,27 +353,19 @@ class MatrixFq:
         """The len(indices) x m matrix whose row i holds the coordinates of
         the F_{q^m} element with index ``indices[i]`` (the indices must lie in
         [0, q^m)); ``_row_indices`` is its inverse."""
-        if q == 2:
-            rev, shift = _REVERSED_BYTE, _reversal_shift(m)
-            data = tuple(((rev[i & 255] << 8) | rev[i >> 8]) >> shift for i in indices)
-        else:
-            data = tuple(coords_of(i, q, m) for i in indices)
+        data = tuple(map(_index_rows(q, m)[0].__getitem__, indices))
         return cls._unchecked(q, len(data), m, data)
 
     def _row_indices(self) -> list[int]:
         """The element index whose coordinates each row holds."""
-        if self.q == 2:
-            rev, shift = _REVERSED_BYTE, _reversal_shift(self.cols)
-            return [((rev[v & 255] << 8) | rev[v >> 8]) >> shift for v in self._data]
-        q = self.q
-        return [index_of(row, q) for row in self._data]
+        return list(map(_index_rows(self.q, self.cols)[1].__getitem__, self._data))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         try:
             return self._entries
         except AttributeError:
-            entries = _unpack(self._data, self.cols)
+            entries = _unpack(self._data, self.q, self.cols)
             _set(self, "_entries", entries)
             return entries
 
@@ -295,16 +406,13 @@ class MatrixFq:
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "MatrixFq":
         _check_dims(q, rows, cols)
-        return cls._unchecked(q, rows, cols, (0 if q == 2 else (0,) * cols,) * rows)
+        return cls._unchecked(q, rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, q: int, n: int) -> "MatrixFq":
         _check_dims(q, n, n)
-        if q == 2:
-            return cls._unchecked(q, n, n, tuple(1 << (n - 1 - i) for i in range(n)))
-        return cls._unchecked(
-            q, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        width = _field_bits(q)
+        return cls._unchecked(q, n, n, tuple(1 << (n - 1 - i) * width for i in range(n)))
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
@@ -334,10 +442,8 @@ class MatrixFq:
         if q == 2:
             data = tuple(a ^ b for a, b in zip(self._data, other._data))
         else:
-            data = tuple(
-                tuple((a + sign * b) % q for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
-            )
+            reduce, factor = _reducer(q, self.cols), sign % q
+            data = tuple(reduce(a + factor * b) for a, b in zip(self._data, other._data))
         return MatrixFq._unchecked(q, self.rows, self.cols, data)
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
@@ -361,14 +467,20 @@ class MatrixFq:
                     a ^= low
                 out.append(acc)
             return MatrixFq._unchecked(q, self.rows, other.cols, tuple(out))
-        cols_t = tuple(zip(*other._data)) if other._data else ()
-        for row in self._data:
-            if other.cols == 0:
-                out.append(())
-                continue
-            out.append(
-                tuple(sum(a * b for a, b in zip(row, col)) % q for col in cols_t)
-            )
+        # row i of the product is the sum of a_ij times other's row j, reduced
+        # before a field can overflow: each term adds at most (q-1)^2 to a field
+        reduce = _reducer(q, other.cols)
+        budget = ((1 << _field_bits(q)) - q) // (q - 1) ** 2
+        brows = other._data
+        for coeffs in self.entries:
+            acc = terms = 0
+            for x, b in zip(coeffs, brows):
+                if x:
+                    acc += x * b
+                    terms += 1
+                    if terms == budget:
+                        acc, terms = reduce(acc), 0
+            out.append(reduce(acc) if terms else acc)
         return MatrixFq._unchecked(q, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "MatrixFq":
@@ -378,11 +490,8 @@ class MatrixFq:
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.rows != other.rows or self.q != other.q:
             raise ParameterError("hstack requires equal row counts and field")
-        if self.q == 2:
-            shift = other.cols
-            data = tuple((a << shift) | b for a, b in zip(self._data, other._data))
-        else:
-            data = tuple(a + b for a, b in zip(self._data, other._data))
+        shift = other.cols * _field_bits(self.q)
+        data = tuple((a << shift) | b for a, b in zip(self._data, other._data))
         return MatrixFq._unchecked(self.q, self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "MatrixFq") -> "MatrixFq":
@@ -396,14 +505,11 @@ class MatrixFq:
         return self.entries[i]
 
     def is_zero(self) -> bool:
-        if self.q == 2:
-            return not any(self._data)
-        return not any(map(any, self._data))
+        return not any(self._data)
 
     def rref(self) -> tuple["MatrixFq", tuple[int, ...]]:
         reduced, pivots = _eliminate(self.q, self.cols, self._data)
-        zero = 0 if self.q == 2 else (0,) * self.cols
-        data = tuple(reduced) + (zero,) * (self.rows - len(reduced))
+        data = tuple(reduced) + (0,) * (self.rows - len(reduced))
         return MatrixFq._unchecked(self.q, self.rows, self.cols, data), tuple(pivots)
 
     def rank(self) -> int:
@@ -411,26 +517,7 @@ class MatrixFq:
 
     def kernel_basis(self) -> "MatrixFq":
         """Basis (as rows, one per free column, RREF-canonical) of {x : M x = 0}."""
-        q, cols = self.q, self.cols
-        reduced, pivots = _eliminate(q, cols, self._data)
-        pivot_set = set(pivots)
-        free = [c for c in range(cols) if c not in pivot_set]
-        rows = []
-        for f in free:
-            if q == 2:
-                shift = cols - 1 - f
-                vec = 1 << shift
-                for row, p in zip(reduced, pivots):
-                    if (row >> shift) & 1:
-                        vec |= 1 << (cols - 1 - p)
-                rows.append(vec)
-                continue
-            vec = [0] * cols
-            vec[f] = 1
-            for row, p in zip(reduced, pivots):
-                vec[p] = (-row[f]) % q
-            rows.append(tuple(vec))
-        return MatrixFq._unchecked(q, len(rows), cols, tuple(rows))
+        return _kernel(self.q, self.cols, *_eliminate(self.q, self.cols, self._data))
 
 
 @dataclass(frozen=True)
@@ -481,6 +568,11 @@ class Subspace:
     @classmethod
     def full(cls, q: int, ambient_dim: int) -> "Subspace":
         return cls._unchecked(ambient_dim, MatrixFq.identity(q, ambient_dim))
+
+    def _basis_kernel(self) -> MatrixFq:
+        """``self.basis.kernel_basis()``, read off the canonical basis with no elimination."""
+        q, n, data = self.q, self.ambient_dim, self.basis._data
+        return _kernel(q, n, data, _lead_columns(data, q, n))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.q != other.q:
@@ -556,16 +648,12 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     q = v.q
     if v.dim == 0 or u.dim == 0:
         return Subspace.zero(q, n)
-    if q == 2:
-        block = [(row << n) | row for row in v.basis._data]
-        block += [row << n for row in u.basis._data]
-    else:
-        block = [row + row for row in v.basis._data]
-        block += [row + (0,) * n for row in u.basis._data]
+    shift = n * _field_bits(q)
+    block = [(row << shift) | row for row in v.basis._data]
+    block += [row << shift for row in u.basis._data]
     reduced, pivots = _eliminate(q, 2 * n, block)
+    # the kept rows are zero in the left half, so they are right-half rows
     kept = reduced[bisect_left(pivots, n) :]
-    if q != 2:
-        kept = [row[n:] for row in kept]
     return Subspace._unchecked(n, MatrixFq._unchecked(q, len(kept), n, tuple(kept)))
 
 
@@ -599,19 +687,13 @@ def split_basis(u: Subspace, n: int) -> tuple[list[int], MatrixFq, MatrixFq, Mat
         raise ParameterError(f"cut column {n} outside [0, {width}]")
     data = u.basis._data
     right = width - n
-    if q == 2:
-        lead = [width - v.bit_length() for v in data]
-        s = bisect_left(lead, n)
-        mask = (1 << right) - 1
-        head = tuple(v >> right for v in data[:s])
-        tail = tuple(v & mask for v in data[:s])
-        rest = data[s:]
-    else:
-        lead = [next(c for c, x in enumerate(row) if x) for row in data]
-        s = bisect_left(lead, n)
-        head = tuple(row[:n] for row in data[:s])
-        tail = tuple(row[n:] for row in data[:s])
-        rest = tuple(row[n:] for row in data[s:])
+    lead = _lead_columns(data, q, width)
+    s = bisect_left(lead, n)
+    shift = right * _field_bits(q)
+    mask = (1 << shift) - 1
+    head = tuple(v >> shift for v in data[:s])
+    tail = tuple(v & mask for v in data[:s])
+    rest = data[s:]
     return (
         lead[:s],
         MatrixFq._unchecked(q, s, n, head),
@@ -644,12 +726,12 @@ def _check_columns(columns: tuple[int, ...], ambient_dim: int) -> None:
         raise ParameterError(f"columns must be distinct and lie in [0, {ambient_dim})")
 
 
-def _column_move(source: tuple[int, ...], src_width: int):
+def _column_move(source: tuple[int, ...], src_width: int, field_bits: int):
     """How to put column ``source[j]`` at column j (zero where it is -1).
 
-    Returns the runs (src start, dst start, length) of consecutive columns
-    that move together, the same runs as packed-row (right shift, mask,
-    left shift) triples, and the destination width.
+    Returns one (right shift, mask, left shift) triple per run of
+    consecutive columns that move together, for rows of ``field_bits``
+    bits per entry.
     """
     runs: list[tuple[int, int, int]] = []
     for dst, src in enumerate(source):
@@ -661,42 +743,38 @@ def _column_move(source: tuple[int, ...], src_width: int):
         else:
             runs.append((src, dst, 1))
     width = len(source)
-    shifts = tuple(
-        (src_width - s - length, (1 << length) - 1, width - d - length)
+    return tuple(
+        (
+            (src_width - s - length) * field_bits,
+            (1 << length * field_bits) - 1,
+            (width - d - length) * field_bits,
+        )
         for s, d, length in runs
     )
-    return tuple(runs), shifts, width
 
 
-def _move_columns(q: int, data: Sequence, move) -> tuple:
-    runs, shifts, width = move
+def _move_columns(data: Sequence[int], move) -> tuple[int, ...]:
     out = []
-    if q == 2:
-        for row in data:
-            v = 0
-            for right, mask, left in shifts:
-                v |= ((row >> right) & mask) << left
-            out.append(v)
-        return tuple(out)
     for row in data:
-        moved = [0] * width
-        for s, d, length in runs:
-            moved[d : d + length] = row[s : s + length]
-        out.append(tuple(moved))
+        v = 0
+        for right, mask, left in move:
+            v |= ((row >> right) & mask) << left
+        out.append(v)
     return tuple(out)
 
 
-# Keyed by column tuples: a layered code asks for one plan per layer.
+# Keyed by column tuples and field width: a layered code asks for one plan
+# per layer.
 @lru_cache(maxsize=64)
-def _shorten_plan(columns: tuple[int, ...], ambient_dim: int):
+def _shorten_plan(columns: tuple[int, ...], ambient_dim: int, field_bits: int):
     _check_columns(columns, ambient_dim)
     keep = set(columns)
     order = tuple(c for c in range(ambient_dim) if c not in keep) + columns
-    return ambient_dim - len(columns), _column_move(order, ambient_dim)
+    return ambient_dim - len(columns), _column_move(order, ambient_dim, field_bits)
 
 
 @lru_cache(maxsize=64)
-def _embed_plan(columns: tuple[int, ...], width: int, ambient_dim: int):
+def _embed_plan(columns: tuple[int, ...], width: int, ambient_dim: int, field_bits: int):
     if len(columns) != width:
         raise ParameterError(f"need {width} columns, one per coordinate, got {len(columns)}")
     _check_columns(columns, ambient_dim)
@@ -705,7 +783,7 @@ def _embed_plan(columns: tuple[int, ...], width: int, ambient_dim: int):
     source = [-1] * ambient_dim
     for j, c in enumerate(columns):
         source[c] = j
-    return _column_move(tuple(source), width)
+    return _column_move(tuple(source), width, field_bits)
 
 
 def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
@@ -717,11 +795,9 @@ def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
     remaining columns, in the order given, are already the canonical basis.
     """
     q, n = u.q, u.ambient_dim
-    front, move = _shorten_plan(tuple(columns), n)
-    reduced, pivots = _eliminate(q, n, _move_columns(q, u.basis._data, move))
+    front, move = _shorten_plan(tuple(columns), n, _field_bits(q))
+    reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
     kept = reduced[bisect_left(pivots, front) :]
-    if q != 2:
-        kept = [row[front:] for row in kept]
     width = n - front
     return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
 
@@ -732,8 +808,8 @@ def embed(u: Subspace, columns: Sequence[int], ambient_dim: int) -> Subspace:
     The other coordinates are zero.  ``columns`` must increase, which keeps
     the moved basis canonical; then ``shorten`` undoes ``embed``.
     """
-    move = _embed_plan(tuple(columns), u.ambient_dim, ambient_dim)
-    data = _move_columns(u.q, u.basis._data, move)
+    move = _embed_plan(tuple(columns), u.ambient_dim, ambient_dim, _field_bits(u.q))
+    data = _move_columns(u.basis._data, move)
     return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(u.q, u.dim, ambient_dim, data))
 
 

@@ -177,6 +177,30 @@ def test_rejects_bad_parameters():
         FieldParams(2, 17, tuple(int(i in (0, 3, 17)) for i in range(18)))
 
 
+def test_irreducibility_check_runs_once_per_field(monkeypatch):
+    """A rebuilt field skips trial division; a reducible modulus raises every time."""
+    from lsc import field
+
+    field._irreducible.cache_clear()
+    calls = []
+    poly_mod = field._poly_mod
+    monkeypatch.setattr(
+        field, "_poly_mod", lambda *args: calls.append(args) or poly_mod(*args)
+    )
+    first = FieldParams(2, 12, DEFAULT_MODULI[(2, 12)])
+    assert len(calls) == 126  # every monic divisor of degree 1..6
+    calls.clear()
+    assert FieldParams.default(2, 12) == first
+    assert FieldParams(2, 12, first.modulus) == first
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            FieldParams(2, 4, (1, 0, 0, 0, 1))
+        with pytest.raises(ParameterError):
+            FieldParams(3, 2, (1, 0, 2))  # 2x^2 + 1 = 2(x + 1)(x + 2)
+    field._irreducible.cache_clear()
+
+
 def test_mismatched_fields_rejected(fp24):
     other = FieldParams.default(2, 3)
     with pytest.raises(ParameterError):

@@ -12,7 +12,7 @@ from lsc.gabidulin import (
     LinearizedPoly,
     RankCodeword,
 )
-from lsc.linalg import MatrixFq, random_full_rank_matrix, rank_distance
+from lsc.linalg import MatrixFq, random_full_rank_matrix, rank_distance, row_space
 from lsc.rng import SplitMix64
 
 
@@ -150,8 +150,26 @@ def test_brute_force_cap(fp24):
         code.brute_force_decode(received, cap=100)
 
 
+def _scrambled(hint, rng):
+    """Rows spanning the same space as ``hint`` but not canonical: each row
+    scaled, one duplicated, the sum of two appended, then all shuffled."""
+    q = hint.q
+    rows = []
+    for row in hint.entries:
+        scale = 1 + rng.randbelow(q - 1)
+        rows.append(tuple(x * scale % q for x in row))
+    rows.append(rows[rng.randbelow(len(rows))])
+    rows.append(tuple((x + y) % q for x, y in zip(rows[0], rows[-2])))
+    keys = [rng.next64() for _ in rows]
+    rows = [row for _, row in sorted(zip(keys, rows))]
+    return MatrixFq.from_rows(q, rows, hint.cols)
+
+
 def test_decoder_with_erasure_hints(fp24):
-    """Synthetic errors matching the hint structure decode within 2t+mu+delta <= d-1."""
+    """Synthetic errors matching the hint structure decode within 2t+mu+delta <= d-1.
+
+    The same hints in canonical form, and scrambled, decode alike.
+    """
     code = GabidulinCode.standard(fp24, 4, 1)
     rng = SplitMix64(14)
     for mu, delta, tau in [(1, 0, 1), (0, 1, 1), (2, 1, 0), (1, 2, 0), (3, 0, 0)]:
@@ -174,6 +192,10 @@ def test_decoder_with_erasure_hints(fp24):
             received = RankCodeword.from_matrix(fp24, word + err)
             got = code.decode_bounded(received, row_erasures=row_hint, col_erasures=col_hint)
             assert got == msg, (mu, delta, tau)
+            for form in (lambda h: row_space(h, h.cols).basis, lambda h: _scrambled(h, rng)):
+                rows, cols = (None if h is None else form(h) for h in (row_hint, col_hint))
+                again = code.decode_bounded(received, row_erasures=rows, col_erasures=cols)
+                assert again == msg, (mu, delta, tau)
 
 
 def test_malformed_side_information_raises(fp24, code31):

@@ -229,7 +229,7 @@ def test_q3_subspace_operations():
         assert v.contains_subspace(inter) and u.contains_subspace(inter)
 
 
-# --- packed GF(2) rows against a plain-list reference ---
+# --- packed rows against a plain-list reference ---
 
 
 def _ref_span(rows, q):
@@ -265,9 +265,13 @@ def _random_rows(rng, q, nrows, ncols):
     return [[rng.randbelow(q) for _ in range(ncols)] for _ in range(nrows)]
 
 
-@pytest.mark.parametrize("q, count", [(2, 200), (3, 40)])
+@pytest.mark.parametrize("q, count", [(2, 200), (3, 40), (5, 30), (7, 30), (17, 20)])
 def test_packed_rows_match_list_reference(q, count):
-    """Every operation on stored rows agrees with the list reference (N <= 40)."""
+    """Every operation on stored rows agrees with the list reference (N <= 40).
+
+    q = 2 has one-bit fields, q = 3, 5, 7 one-byte fields and q = 17 two-byte
+    fields (16 + 16^2 > 255).
+    """
     rng = SplitMix64(40 + q)
     for _ in range(count):
         n = rng.randint(1, 40)
@@ -341,15 +345,18 @@ def test_packed_rows_match_list_reference(q, count):
         (2, [(3, 1), (4, 1)], ("exact", 0, "rest")),  # t = ambient - dim V
         (2, [(3, 1), (4, 1)], ("matrix", 0, 0)),  # matrix mode, 0 packets
         (3, [(2, 1), (2, 1)], ("matrix", 3, 1)),
+        (5, [(4, 2), (3, 1)], ("exact", 1, 0)),
+        (7, [(3, 1), (2, 1)], ("matrix", 4, 1)),
     ],
 )
 def test_edge_shapes_match_list_reference(q, layers, channel):
     """Trials at the edge shapes: every space the decoders build is the list reference's."""
     from lsc.channel import ChannelSpec, make_trial
-    from lsc.field import FieldParams
+    from lsc.field import DEFAULT_MODULI, FieldParams
     from lsc.layered import LayeredCode
 
-    code = LayeredCode.standard(FieldParams.default(q, 4), layers)
+    m = 4 if (q, 4) in DEFAULT_MODULI else 3  # there is no (7, 4) default modulus
+    code = LayeredCode.standard(FieldParams.default(q, m), layers)
     n = code.ambient_dim
     mode, first, second = channel
     for seed in range(6):
@@ -408,7 +415,7 @@ def test_checked_constructors_reject_malformed_input():
             Subspace(ambient, MatrixFq(q, len(rows), len(rows[0]), rows))
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 17])
 def test_subspace_distance_is_the_rank_of_the_stacked_bases(q):
     """Rank-only distance against 2 dim(V+U) - dim V - dim U and the intersection."""
     rng = SplitMix64(70 + q)
@@ -418,8 +425,9 @@ def test_subspace_distance_is_the_rank_of_the_stacked_bases(q):
         if rng.randbelow(3):
             u = random_subspace(q, ambient, rng.randint(0, ambient), rng)
         else:  # overlapping pairs
-            u = subspace_sum(random_subspace_of(v, rng.randint(0, v.dim), rng),
-                             random_subspace(q, ambient, rng.randint(0, 2), rng))
+            inside = random_subspace_of(v, rng.randint(0, v.dim), rng)
+            outside = random_subspace(q, ambient, rng.randint(0, min(2, ambient)), rng)
+            u = subspace_sum(inside, outside)
         expected = 2 * subspace_sum(v, u).dim - v.dim - u.dim
         assert subspace_distance(v, u) == expected
         assert expected == v.dim + u.dim - 2 * intersection(v, u).dim
