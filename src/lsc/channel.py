@@ -19,9 +19,9 @@ from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
-    intersection,
     random_subspace_of,
     row_space,
+    subspace_distance,
 )
 from .rng import SplitMix64
 
@@ -96,7 +96,7 @@ def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -
         d = MatrixFq.random(q, collected_packets, error_packets, rng)
         y = y + (d @ z)
     u = row_space(y, v.ambient_dim)
-    inter = intersection(v, u).dim
+    inter = (v.dim + u.dim - subspace_distance(v, u)) // 2  # dim(V∩U)
     return ChannelOutcome(
         U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v
     )

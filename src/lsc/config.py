@@ -13,37 +13,11 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConfigError, ParameterError
 from .field import FieldParams
 from .layered import LayeredCode
+from .properties import VERIFY_COUNTS
 
 ALGORITHMS = ("alg1", "alg2", "alg2-iterative", "both")
 SCENARIO_MODES = ("multicast", "multi-source", "unicast")
 SEARCH_TARGETS = ("alg1-beyond", "alg2-rescues", "alg1-only")
-
-_KNOWN_KEYS: dict[str, set[str]] = {
-    "field": {"q", "m", "modulus"},
-    "code": {"layers"},
-    "channel": {"mode", "rho", "t", "collected", "error_packets"},
-    "run": {"algorithm", "trials", "seed", "max_sweeps", "workers"},
-    "scenario": {"mode", "unicast_layer"},
-    "search": {
-        "budget",
-        "report_every",
-        "targets",
-        "alg1-beyond.ds",
-        "alg1-beyond.layer_ds",
-        "alg2-rescues.ds",
-        "alg2-rescues.layer_ds",
-        "alg2-rescues.retry_ds",
-        "alg1-only.ds",
-        "alg1-only.layer_ds",
-    },
-    "verify": {
-        "random_checks",
-        "trials_per_point",
-        "extraction_trials",
-        "dominance_trials",
-        "enumeration_pairs",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -102,9 +76,116 @@ class ExperimentConfig:
         return tuple((r, t) for r in self.rho_values for t in self.t_values)
 
 
-def _parse_sections(text: str, source: str):
-    """Raw parse to {section: {key: (value, line)}} with strict syntax."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _int(minimum=None):
+    def parse(value, at, name):
+        try:
+            out = int(value)
+        except ValueError:
+            raise ConfigError(f"{at}: {name} must be an integer, got {value!r}") from None
+        if minimum is not None and out < minimum:
+            raise ConfigError(f"{at}: {name} must be >= {minimum}, got {out}")
+        return out
+
+    return parse
+
+
+def _int_list(value, at, name):
+    try:
+        return tuple(int(x.strip()) for x in value.split(",") if x.strip())
+    except ValueError:
+        raise ConfigError(f"{at}: {name} must be a comma list of integers") from None
+
+
+def _choice(options, message):
+    def parse(value, at, name):
+        if value not in options:
+            raise ConfigError(f"{at}: {message}")
+        return value
+
+    return parse
+
+
+def _layers(value, at, name):
+    layers = []
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}")
+        n_str, _, k_str = part.partition(":")
+        try:
+            layers.append((int(n_str), int(k_str)))
+        except ValueError:
+            raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}") from None
+    if not layers:
+        raise ConfigError(f"{at}: layers must list at least one n:k pair")
+    return tuple(layers)
+
+
+def _targets(value, at, name):
+    targets = tuple(x.strip() for x in value.split(",") if x.strip())
+    for target in targets:
+        if target not in SEARCH_TARGETS:
+            raise ConfigError(f"{at}: unknown search target {target!r}")
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            raise ConfigError(f"{at}: duplicate search target {target!r}")
+    return targets
+
+
+# (section, key) -> (ExperimentConfig attribute, parser), in parse order: the
+# first bad key in this order is the one a multi-error config reports.
+_SCHEMA = {
+    ("field", "q"): ("q", _int(2)),
+    ("field", "m"): ("m", _int(1)),
+    ("field", "modulus"): ("modulus", _int_list),
+    ("code", "layers"): ("layers", _layers),
+    ("channel", "mode"): (
+        "channel_mode",
+        _choice(("exact", "matrix"), "channel mode must be exact or matrix"),
+    ),
+    ("channel", "rho"): ("rho_values", _int_list),
+    ("channel", "t"): ("t_values", _int_list),
+    ("channel", "collected"): ("collected", _int(0)),
+    ("channel", "error_packets"): ("error_packets", _int(0)),
+    ("run", "algorithm"): (
+        "algorithm",
+        _choice(ALGORITHMS, f"algorithm must be one of {', '.join(ALGORITHMS)}"),
+    ),
+    ("run", "trials"): ("trials", _int(0)),
+    ("run", "seed"): ("seed", _int(0)),
+    ("run", "max_sweeps"): ("max_sweeps", _int(1)),
+    ("run", "workers"): ("workers", _int(1)),
+    ("scenario", "mode"): (
+        "scenario_mode",
+        _choice(SCENARIO_MODES, f"scenario mode must be one of {', '.join(SCENARIO_MODES)}"),
+    ),
+    ("scenario", "unicast_layer"): ("unicast_layer", _int(1)),
+    ("search", "budget"): ("search_budget", _int(1)),
+    ("search", "report_every"): ("search_report_every", _int(1)),
+    ("search", "targets"): ("search_targets", _targets),
+}
+
+# [search] "<target>.<pin>" keys: SearchProfile field -> parser, per target.
+_PIN_PARSERS = {"ds": _int(), "layer_ds": _int_list, "retry_ds": _int()}
+_PINS = {
+    "alg1-beyond": ("ds", "layer_ds"),
+    "alg2-rescues": ("ds", "layer_ds", "retry_ds"),
+    "alg1-only": ("ds", "layer_ds"),
+}
+
+_KNOWN_KEYS: set[tuple[str, str]] = {
+    *_SCHEMA,
+    *(("search", f"{target}.{pin}") for target, pins in _PINS.items() for pin in pins),
+    *(("verify", key) for key in VERIFY_COUNTS),
+}
+_SECTIONS = {section for section, _ in _KNOWN_KEYS}
+
+
+def _parse_sections(text: str, source: str) -> dict[tuple[str, str], tuple[str, int]]:
+    """Raw parse to {(section, key): (value, line)} with strict syntax."""
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,9 +193,8 @@ def _parse_sections(text: str, source: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN_KEYS:
+            if current not in _SECTIONS:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
@@ -123,167 +203,47 @@ def _parse_sections(text: str, source: str):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].split(";", 1)[0].strip()
-        if key not in _KNOWN_KEYS[current]:
+        if (current, key) not in _KNOWN_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}' in [{current}]")
-        if key in sections[current]:
+        if (current, key) in entries:
             raise ConfigError(f"{source}:{lineno}: duplicate key '{key}'")
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-def _get(sections, section, key):
-    return sections.get(section, {}).get(key)
-
-
-def _parse_int(source, entry, name, minimum=None):
-    value, line = entry
-    try:
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"{source}:{line}: {name} must be an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{source}:{line}: {name} must be >= {minimum}, got {out}")
-    return out
-
-
-def _parse_int_list(source, entry, name):
-    value, line = entry
-    try:
-        return tuple(int(x.strip()) for x in value.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"{source}:{line}: {name} must be a comma list of integers") from None
+        entries[(current, key)] = (value, lineno)
+    return entries
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    sections = _parse_sections(text, source)
+    entries = _parse_sections(text, source)
     cfg = ExperimentConfig(source=source)
-    for section, entries in sections.items():
-        for key, (_, line) in entries.items():
-            cfg.key_lines[(section, key)] = line
+    cfg.key_lines = {where: line for where, (_, line) in entries.items()}
 
-    entry = _get(sections, "field", "q")
-    if entry:
-        cfg.q = _parse_int(source, entry, "q", minimum=2)
-    entry = _get(sections, "field", "m")
-    if entry:
-        cfg.m = _parse_int(source, entry, "m", minimum=1)
-    entry = _get(sections, "field", "modulus")
-    if entry:
-        cfg.modulus = _parse_int_list(source, entry, "modulus")
+    def read(where, parse, name):
+        value, line = entries[where]
+        return parse(value, f"{source}:{line}", name)
 
-    entry = _get(sections, "code", "layers")
-    if entry:
-        value, line = entry
-        layers = []
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" not in part:
-                raise ConfigError(f"{source}:{line}: layers entries use 'n:k', got {part!r}")
-            n_str, _, k_str = part.partition(":")
-            try:
-                layers.append((int(n_str), int(k_str)))
-            except ValueError:
-                raise ConfigError(f"{source}:{line}: layers entries use 'n:k', got {part!r}") from None
-        if not layers:
-            raise ConfigError(f"{source}:{line}: layers must list at least one n:k pair")
-        cfg.layers = tuple(layers)
+    for where, (attr, parse) in _SCHEMA.items():
+        if where in entries:
+            setattr(cfg, attr, read(where, parse, where[1]))
+    for target, pins in _PINS.items():
+        given = {
+            pin: read(("search", f"{target}.{pin}"), _PIN_PARSERS[pin], pin)
+            for pin in pins
+            if ("search", f"{target}.{pin}") in entries
+        }
+        if given:
+            cfg.search_profiles[target] = SearchProfile(**given)
+    for key in VERIFY_COUNTS:
+        if ("verify", key) in entries:
+            cfg.verify_counts[key] = read(("verify", key), _int(1), key)
 
-    entry = _get(sections, "channel", "mode")
-    if entry:
-        value, line = entry
-        if value not in ("exact", "matrix"):
-            raise ConfigError(f"{source}:{line}: channel mode must be exact or matrix")
-        cfg.channel_mode = value
-    entry = _get(sections, "channel", "rho")
-    if entry:
-        cfg.rho_values = _parse_int_list(source, entry, "rho")
-    entry = _get(sections, "channel", "t")
-    if entry:
-        cfg.t_values = _parse_int_list(source, entry, "t")
-    entry = _get(sections, "channel", "collected")
-    if entry:
-        cfg.collected = _parse_int(source, entry, "collected", minimum=0)
-    entry = _get(sections, "channel", "error_packets")
-    if entry:
-        cfg.error_packets = _parse_int(source, entry, "error_packets", minimum=0)
-
-    entry = _get(sections, "run", "algorithm")
-    if entry:
-        value, line = entry
-        if value not in ALGORITHMS:
-            raise ConfigError(
-                f"{source}:{line}: algorithm must be one of {', '.join(ALGORITHMS)}"
-            )
-        cfg.algorithm = value
-    entry = _get(sections, "run", "trials")
-    if entry:
-        cfg.trials = _parse_int(source, entry, "trials", minimum=0)
-    entry = _get(sections, "run", "seed")
-    if entry:
-        cfg.seed = _parse_int(source, entry, "seed", minimum=0)
-    entry = _get(sections, "run", "max_sweeps")
-    if entry:
-        cfg.max_sweeps = _parse_int(source, entry, "max_sweeps", minimum=1)
-    entry = _get(sections, "run", "workers")
-    if entry:
-        cfg.workers = _parse_int(source, entry, "workers", minimum=1)
-
-    entry = _get(sections, "scenario", "mode")
-    if entry:
-        value, line = entry
-        if value not in SCENARIO_MODES:
-            raise ConfigError(
-                f"{source}:{line}: scenario mode must be one of {', '.join(SCENARIO_MODES)}"
-            )
-        cfg.scenario_mode = value
-    entry = _get(sections, "scenario", "unicast_layer")
-    if entry:
-        cfg.unicast_layer = _parse_int(source, entry, "unicast_layer", minimum=1)
-
-    entry = _get(sections, "search", "budget")
-    if entry:
-        cfg.search_budget = _parse_int(source, entry, "budget", minimum=1)
-    entry = _get(sections, "search", "report_every")
-    if entry:
-        cfg.search_report_every = _parse_int(source, entry, "report_every", minimum=1)
-    entry = _get(sections, "search", "targets")
-    if entry:
-        value, line = entry
-        targets = tuple(x.strip() for x in value.split(",") if x.strip())
-        for target in targets:
-            if target not in SEARCH_TARGETS:
-                raise ConfigError(
-                    f"{source}:{line}: unknown search target {target!r}"
-                )
-        cfg.search_targets = targets
-    for target in SEARCH_TARGETS:
-        ds = _get(sections, "search", f"{target}.ds")
-        layer_ds = _get(sections, "search", f"{target}.layer_ds")
-        retry = _get(sections, "search", f"{target}.retry_ds")
-        if ds or layer_ds or retry:
-            cfg.search_profiles[target] = SearchProfile(
-                ds=_parse_int(cfg.source, ds, "ds") if ds else None,
-                layer_ds=_parse_int_list(cfg.source, layer_ds, "layer_ds") if layer_ds else None,
-                retry_ds=_parse_int(cfg.source, retry, "retry_ds") if retry else None,
-            )
-
-    for key in _KNOWN_KEYS["verify"]:
-        entry = _get(sections, "verify", key)
-        if entry:
-            cfg.verify_counts[key] = _parse_int(source, entry, key, minimum=1)
-
-    _cross_validate(cfg, sections)
+    _cross_validate(cfg)
     return cfg
 
 
-def _cross_validate(cfg: ExperimentConfig, sections) -> None:
+def _cross_validate(cfg: ExperimentConfig) -> None:
     src = cfg.source
 
     def line_of(section, key, fallback=0):
-        entry = _get(sections, section, key)
-        return entry[1] if entry else fallback
+        return cfg.key_lines.get((section, key), fallback)
 
     try:
         params = cfg.field_params()

@@ -64,6 +64,15 @@ PROPERTY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("harness.summary_consistency", "summary counts equal recounts of the emitted rows"),
 )
 
+# Default of each count a [verify] config section may override.
+VERIFY_COUNTS: dict[str, int] = {
+    "random_checks": 10_000,
+    "trials_per_point": 1000,
+    "extraction_trials": 10_000,
+    "dominance_trials": 1000,
+    "enumeration_pairs": 300,
+}
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -89,8 +98,8 @@ class VerifyContext:
     seed: int = 1
     counts: dict[str, int] = dc_field(default_factory=dict)
 
-    def count(self, name: str, default: int) -> int:
-        return self.counts.get(name, default)
+    def count(self, name: str) -> int:
+        return self.counts.get(name, VERIFY_COUNTS[name])
 
     def rng(self, *path: int) -> SplitMix64:
         return SplitMix64(derive_seed(self.seed, *path))
@@ -117,7 +126,7 @@ def field_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = ctx.params
     size = params.size
     rng = ctx.rng(1)
-    n = ctx.count("random_checks", 10_000)
+    n = ctx.count("random_checks")
     violations = 0
     for _ in range(n):
         a = params.from_index(rng.randbelow(size))
@@ -157,7 +166,7 @@ def field_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def subspace_suite(ctx: VerifyContext) -> list[PropertyResult]:
     q = ctx.params.q
     rng = ctx.rng(2)
-    n = ctx.count("random_checks", 10_000)
+    n = ctx.count("random_checks")
     metric_viol = dim_viol = 0
     for _ in range(n):
         ambient = rng.randint(1, 11)
@@ -176,7 +185,7 @@ def subspace_suite(ctx: VerifyContext) -> list[PropertyResult]:
     metric = PropertyResult("subspace.metric_axioms", n, metric_viol)
     dims = PropertyResult("subspace.dim_identity", n, dim_viol)
 
-    pairs = ctx.count("enumeration_pairs", 300)
+    pairs = ctx.count("enumeration_pairs")
     enum_viol = 0
     enum_rng = ctx.rng(3)
     for _ in range(pairs):
@@ -202,7 +211,7 @@ def subspace_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def nested_deficiency_suite(ctx: VerifyContext) -> list[PropertyResult]:
     q = ctx.params.q
     rng = ctx.rng(4)
-    n = ctx.count("random_checks", 10_000)
+    n = ctx.count("random_checks")
     violations = 0
     for _ in range(n):
         ambient = rng.randint(1, 11)
@@ -226,7 +235,7 @@ def _desk_codes(params: FieldParams) -> list[GabidulinCode]:
 def gabidulin_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = FieldParams.default(2, 4)
     rng = ctx.rng(5)
-    n_checks = ctx.count("random_checks", 10_000) // 10
+    n_checks = ctx.count("random_checks") // 10
     lin_viol = 0
     code = GabidulinCode.standard(params, 4, 2)
     for _ in range(n_checks):
@@ -271,7 +280,7 @@ def gabidulin_suite(ctx: VerifyContext) -> list[PropertyResult]:
     # beyond-radius probes: agreement still required whenever the bounded
     # decoder succeeds and the oracle has a unique nearest codeword
     desk = _desk_codes(params)[0]
-    for _ in range(ctx.count("random_checks", 10_000) // 20):
+    for _ in range(ctx.count("random_checks") // 20):
         msg = (params.from_index(rng.randbelow(params.size)),)
         word = desk.encode(msg).as_matrix()
         noise = MatrixFq.random(2, desk.n, params.m, rng)
@@ -339,7 +348,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
 
     desk = GabidulinCode.standard(params, 3, 1)
     code = LiftedCode(desk)
-    per_point = ctx.count("trials_per_point", 1000)
+    per_point = ctx.count("trials_per_point")
     dec_checks = dec_viol = oracle_checks = oracle_viol = 0
     for rho in range(0, 3):
         for t in range(0, 3 - rho):
@@ -387,7 +396,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def extraction_bound_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
     params = code.params
-    n_trials = ctx.count("extraction_trials", 10_000)
+    n_trials = ctx.count("extraction_trials")
     rho_max = min(4, code.total_length)
     t_max = min(4, params.m)
     grid = [(r, t) for r in range(rho_max + 1) for t in range(t_max + 1)]
@@ -412,7 +421,7 @@ def extraction_bound_suite(ctx: VerifyContext) -> list[PropertyResult]:
 
 def guaranteed_recovery_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
-    per_point = ctx.count("trials_per_point", 1000)
+    per_point = ctx.count("trials_per_point")
     grid = guaranteed_grid(code)
     checks = c3_viol = t4_viol = 0
     for rho, t in grid:
@@ -445,7 +454,7 @@ def guaranteed_recovery_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
     rng = ctx.rng(10)
-    n_random = ctx.count("random_checks", 10_000) // 20
+    n_random = ctx.count("random_checks") // 20
     ds_checks = ds_viol = 0
     for _ in range(n_random):
         word = code.encode(code.random_messages(rng))
@@ -507,7 +516,7 @@ def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
 
 def dominance_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
-    n_trials = ctx.count("dominance_trials", 1000)
+    n_trials = ctx.count("dominance_trials")
     cap = (code.min_distance() - 1) // 2
     rho_values = [r for r in (cap + 1, cap + 2) if r <= code.total_length]
     violations = 0
@@ -540,7 +549,7 @@ def dominance_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
     params = code.params
-    n_trials = ctx.count("random_checks", 10_000)
+    n_trials = ctx.count("random_checks")
     contract_viol = 0
     for trial in range(n_trials):
         # rho and t are drawn between encode and channel, so no make_trial here
@@ -572,7 +581,7 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     determinism = PropertyResult("channel.determinism", det_checks, det_viol)
 
     bounds_checks = bounds_viol = 0
-    for trial in range(ctx.count("random_checks", 10_000) // 10):
+    for trial in range(ctx.count("random_checks") // 10):
         rng = ctx.rng(15, trial)
         word = code.encode(code.random_messages(rng))
         collected = rng.randbelow(code.total_length + 3)

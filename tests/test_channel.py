@@ -160,6 +160,20 @@ def test_matrix_mode_with_errors(example_code, fp24):
     assert saw_insertion
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_matrix_mode_realized_counts_match_intersection(q):
+    """rho and t from one rank equal dim V - dim(V∩U) and dim U - dim(V∩U)."""
+    rng = SplitMix64(59 + q)
+    for trial in range(60):
+        ambient = 2 + rng.randbelow(5)
+        v = random_subspace(q, ambient, rng.randbelow(ambient + 1), rng)
+        collected = 0 if trial % 6 == 0 else rng.randbelow(v.dim + 3)
+        outcome = apply_matrix(v, collected, rng.randbelow(3), rng)
+        inter = intersection(v, outcome.U).dim
+        assert outcome.realized_rho == v.dim - inter
+        assert outcome.realized_t == outcome.U.dim - inter
+
+
 def test_outcome_carries_ground_truth(example_code, fp24):
     word = example_code.encode([[fp24.from_index(1)], [fp24.from_index(1)]])
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), SplitMix64(58))

@@ -1,12 +1,18 @@
 """Config parsing: accepted format, defaults, and line-precise errors."""
 
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lsc
+from lsc import config
 from lsc.config import load_config, parse_config
 from lsc.errors import ConfigError
+from lsc.properties import VERIFY_COUNTS
 
 GOOD = """\
 [field]
@@ -87,6 +93,25 @@ def test_comments_and_inline_comments():
         ("[field]\nq = 4\n", "q must be prime"),
         ("[field]\nmodulus = 1,0,0,0,1\n", "reducible"),
         ("[search]\ntargets = alg9\n", "unknown search target"),
+        (
+            "[search]\ntargets = alg1-beyond, alg1-beyond\n",
+            "nope.ini:2: duplicate search target 'alg1-beyond'",
+        ),
+        ("[field]\nq = 1\n", "nope.ini:2: q must be >= 2, got 1"),
+        ("[field]\nm = 0\n", "nope.ini:2: m must be >= 1, got 0"),
+        ("[channel]\ncollected = -1\n", "nope.ini:2: collected must be >= 0, got -1"),
+        ("[channel]\nerror_packets = -1\n", "nope.ini:2: error_packets must be >= 0, got -1"),
+        ("[run]\nseed = -1\n", "nope.ini:2: seed must be >= 0, got -1"),
+        ("[run]\nmax_sweeps = 0\n", "nope.ini:2: max_sweeps must be >= 1, got 0"),
+        ("[run]\nworkers = 0\n", "nope.ini:2: workers must be >= 1, got 0"),
+        ("[scenario]\nunicast_layer = 0\n", "nope.ini:2: unicast_layer must be >= 1, got 0"),
+        ("[search]\nbudget = 0\n", "nope.ini:2: budget must be >= 1, got 0"),
+        ("[search]\nreport_every = 0\n", "nope.ini:2: report_every must be >= 1, got 0"),
+        ("[verify]\nrandom_checks = 0\n", "nope.ini:2: random_checks must be >= 1, got 0"),
+        ("[verify]\ntrials_per_point = 0\n", "nope.ini:2: trials_per_point must be >= 1, got 0"),
+        ("[verify]\nextraction_trials = 0\n", "nope.ini:2: extraction_trials must be >= 1, got 0"),
+        ("[verify]\ndominance_trials = 0\n", "nope.ini:2: dominance_trials must be >= 1, got 0"),
+        ("[verify]\nenumeration_pairs = 0\n", "nope.ini:2: enumeration_pairs must be >= 1, got 0"),
     ],
 )
 def test_line_precise_errors(text, fragment):
@@ -115,6 +140,42 @@ alg2-rescues.retry_ds = 2
 def test_verify_overrides_parse():
     cfg = parse_config("[verify]\nrandom_checks = 50\n", "v.ini")
     assert cfg.verify_counts == {"random_checks": 50}
+
+
+def test_verify_error_independent_of_hash_seed():
+    """Several bad [verify] counts: the first in schema order is reported, whatever the seed."""
+    text = (
+        "[verify]\nrandom_checks = 0\ntrials_per_point = 0\nextraction_trials = 0\n"
+        "dominance_trials = 0\nenumeration_pairs = 0\n"
+    )
+    script = (
+        "import sys\n"
+        "from lsc.config import parse_config\n"
+        "from lsc.errors import ConfigError\n"
+        "try:\n"
+        "    parse_config(sys.argv[1], 'v.ini')\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(lsc.__file__).resolve().parent.parent)
+    messages = set()
+    for hash_seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, text], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout.strip())
+    assert messages == {"v.ini:2: random_checks must be >= 1, got 0"}
+
+
+def test_formats_doc_config_block_covers_schema():
+    """The docs/formats.md config block names every accepted key, with the verify defaults."""
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    block = doc.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block, "formats.md")
+    assert set(cfg.key_lines) == config._KNOWN_KEYS
+    assert cfg.verify_counts == VERIFY_COUNTS
 
 
 def test_matrix_mode_config():
