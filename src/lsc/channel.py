@@ -49,6 +49,15 @@ class ChannelOutcome:
     realized_t: int
     V: Subspace
 
+    @property
+    def distance(self) -> int:
+        """d_S(V, U), fixed by the realized counts in both modes.
+
+        dim(V∩U) = dim V - rho and dim U = dim(V∩U) + t, so
+        d_S = dim V + dim U - 2 dim(V∩U) = rho + t.
+        """
+        return self.realized_rho + self.realized_t
+
 
 def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     """Sample U with exactly the requested erasures and insertions.

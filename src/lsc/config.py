@@ -76,13 +76,13 @@ class ExperimentConfig:
         return tuple((r, t) for r in self.rho_values for t in self.t_values)
 
 
-def _int(minimum=None):
+def _int(minimum):
     def parse(value, at, name):
         try:
             out = int(value)
         except ValueError:
             raise ConfigError(f"{at}: {name} must be an integer, got {value!r}") from None
-        if minimum is not None and out < minimum:
+        if out < minimum:
             raise ConfigError(f"{at}: {name} must be >= {minimum}, got {out}")
         return out
 
@@ -94,6 +94,14 @@ def _int_list(value, at, name):
         return tuple(int(x.strip()) for x in value.split(",") if x.strip())
     except ValueError:
         raise ConfigError(f"{at}: {name} must be a comma list of integers") from None
+
+
+def _distance_list(value, at, name):
+    out = _int_list(value, at, name)
+    for x in out:
+        if x < 0:
+            raise ConfigError(f"{at}: {name} must be >= 0, got {x}")
+    return out
 
 
 def _choice(options, message):
@@ -125,6 +133,8 @@ def _layers(value, at, name):
 
 def _targets(value, at, name):
     targets = tuple(x.strip() for x in value.split(",") if x.strip())
+    if not targets:
+        raise ConfigError(f"{at}: targets must list at least one search target")
     for target in targets:
         if target not in SEARCH_TARGETS:
             raise ConfigError(f"{at}: unknown search target {target!r}")
@@ -168,7 +178,7 @@ _SCHEMA = {
 }
 
 # [search] "<target>.<pin>" keys: SearchProfile field -> parser, per target.
-_PIN_PARSERS = {"ds": _int(), "layer_ds": _int_list, "retry_ds": _int()}
+_PIN_PARSERS = {"ds": _int(0), "layer_ds": _distance_list, "retry_ds": _int(0)}
 _PINS = {
     "alg1-beyond": ("ds", "layer_ds"),
     "alg2-rescues": ("ds", "layer_ds", "retry_ds"),

@@ -13,11 +13,14 @@ succeeds whenever some codeword c satisfies
 where mu and delta count the supplied column/row erasure directions and
 the rank is taken modulo those hint spaces (plain rank when no hints are
 supplied).  ``brute_force_decode`` is the independent minimum-distance
-oracle used to cross-check it.
+oracle used to cross-check it.  It shares nothing with the decoder but
+encoding: each code builds its codebook once, on the first oracle call
+(every message's element indices and its codeword's stored rows), and
+every call scans it with one row difference and one rank per codeword.
 
 The algorithms (linearized-polynomial evaluation, composition, left
 division and subspace annihilators, encoding, the decoder and its
-F_{q^m} nullspace, the brute-force oracle) compute on element indices
+F_{q^m} nullspace, the codebook) compute on element indices
 with ``FieldParams.ops``.  ``RankCodeword`` stores indices too, and its
 ``symbols`` are an ``ExtFieldElement`` view built only when read, so a
 word goes from ``encode`` or ``lifted.reduce_received`` into
@@ -38,7 +41,7 @@ from typing import Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import ExtFieldElement, FieldOps, FieldParams
-from .linalg import MatrixFq, Subspace, row_space
+from .linalg import MatrixFq, Subspace, _add_rows, _rank, row_space
 
 _set = object.__setattr__
 
@@ -472,33 +475,50 @@ class GabidulinCode:
 
     # --- exhaustive oracle ---
 
-    def _message_indices(self, cap: int):
-        size = self.params.size
-        if size**self.k > cap:
-            raise CapacityError(f"message space {size ** self.k} exceeds the cap {cap}")
-        return itertools.product(range(size), repeat=self.k)
+    def _check_cap(self, cap: int) -> None:
+        size = self.params.size**self.k
+        if size > cap:
+            raise CapacityError(f"message space {size} exceeds the cap {cap}")
 
     def iter_messages(self, cap: int = 1 << 20):
+        self._check_cap(cap)
         from_index = self.params.from_index
-        for idx in self._message_indices(cap):
+        for idx in itertools.product(range(self.params.size), repeat=self.k):
             yield tuple(from_index(i) for i in idx)
 
+    @cached_property
+    def _codebook(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(messages, codewords): every message as element indices, in
+        ``iter_messages`` order, and its codeword as stored rows.
+
+        Built on the first oracle call that passes its cap check, then read
+        by every later call and by ``lifted.codeword_subspaces``.
+        """
+        messages = tuple(itertools.product(range(self.params.size), repeat=self.k))
+        return messages, tuple(self._codeword_matrix(f)._data for f in messages)
+
     def brute_force_decode(self, received: RankCodeword, cap: int = 1 << 20):
-        """Minimum rank-distance decoding by full enumeration; ties fail."""
+        """Minimum rank-distance decoding by a scan of the codebook; ties fail.
+
+        The first codeword at the least distance wins unless a later one is
+        as near.  The cap is checked before the codebook is built or read.
+        """
         self._check_received(received)
-        rec = received.as_matrix()
-        best = None
-        best_dist = None
+        self._check_cap(cap)
+        q, m = self.params.q, self.params.m
+        rec = received.as_matrix()._data
+        messages, codewords = self._codebook
+        best = best_dist = None
         tie = False
-        for message in self._message_indices(cap):
-            dist = (rec - self._codeword_matrix(message)).rank()
+        for i, rows in enumerate(codewords):
+            dist = _rank(q, m, _add_rows(q, m, rec, rows, -1))
             if best_dist is None or dist < best_dist:
-                best, best_dist, tie = message, dist, False
+                best, best_dist, tie = i, dist, False
             elif dist == best_dist:
                 tie = True
         if tie:
             return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best_dist}")
-        return tuple(self.params.from_index(u) for u in best)
+        return tuple(map(self.params.from_index, messages[best]))
 
 
 def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -141,15 +141,16 @@ def run_trial(
     else:
         seed = derive_seed(master_seed, collected or 0, error_packets, trial)
         word, outcome = make_trial(code, seed, collected=collected, error_packets=error_packets)
-    ds = subspace_distance(word.V, outcome.U)
+    ds = outcome.distance
     layer_ds = _layer_distances(code, word, outcome.U)
     records = []
     for algorithm in algorithms:
         report = _decode_with(code, algorithm, outcome.U, max_sweeps)
         chain: tuple[int, ...] = ()
         if report.accumulated:
-            chain = tuple(
-                subspace_distance(word.V, s) for s in report.accumulated
+            # accumulated[0] is the received space, at distance ds
+            chain = (ds,) + tuple(
+                subspace_distance(word.V, s) for s in report.accumulated[1:]
             ) + (subspace_distance(word.V, report.recombined),)
         records.append(
             TrialRecord(
@@ -474,7 +475,7 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
         rho, t = grid[trial % len(grid)]
         seed = derive_seed(cfg.seed, rho, t, trial)
         word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
-        ds = subspace_distance(word.V, outcome.U)
+        ds = outcome.distance
         r1 = code.decode_alg1(outcome.U)
         r2 = code.decode_alg2(outcome.U)
         alg1_full = r1.all_ok and r1.recombined == word.V

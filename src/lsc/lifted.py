@@ -14,6 +14,10 @@ received word reaches ``GabidulinCode.decode_bounded`` as indices with no
 ``ExtFieldElement`` built.  A decoded message comes back as elements, the
 public result of ``decode_bounded``, and goes to its codeword matrix
 through indices again (``GabidulinCode._codeword_matrix``).
+
+The exhaustive oracle ``brute_force_subspace_decode`` reads
+``codeword_subspaces``, which lifts the inner code's codebook (built once
+per code, see ``gabidulin``) rather than encoding every message again.
 """
 
 from __future__ import annotations
@@ -116,13 +120,16 @@ class SubspaceOracleResult:
 
 @lru_cache(maxsize=16)
 def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
-    """All (subspace, matrix, message) triples of the lifted code."""
+    """All (subspace, matrix, message) triples of the lifted code, in message
+    order: the inner code's codebook, lifted."""
     inner = code.inner
+    inner._check_cap(cap)
+    q, m, n = inner.params.q, inner.params.m, inner.n
     from_index = inner.params.from_index
     out = []
-    for indices in inner._message_indices(cap):
-        matrix = inner._codeword_matrix(indices)
-        out.append((lift(inner, matrix), matrix, tuple(from_index(i) for i in indices)))
+    for indices, rows in zip(*inner._codebook):
+        matrix = MatrixFq._unchecked(q, n, m, rows)
+        out.append((lift(inner, matrix), matrix, tuple(map(from_index, indices))))
     return tuple(out)
 
 

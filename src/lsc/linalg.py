@@ -17,7 +17,9 @@ residue table, for wider fields one field at a time.  Stored rows are
 always fully reduced, so equal matrices have equal rows.  Moving a run of
 columns is a shift and a mask for every q.  ``MatrixFq.entries`` is the
 row-major tuple view for callers, unpacked on first use and cached.  No
-other module sees the packed rows.  At N <= 40 one machine word holds a
+other module looks inside the packed rows; the one that holds some is
+``GabidulinCode``'s oracle codebook, which only hands them back to
+``_add_rows`` and ``_rank``.  At N <= 40 one machine word holds a
 GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
 tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
 
@@ -39,6 +41,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
@@ -227,6 +230,14 @@ def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
     if q == 2:
         return len(_echelon_gf2(data))
     return len(_echelon_odd(data, q, ncols))
+
+
+def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> tuple[int, ...]:
+    """The stored rows of A + sign * B (sign 1 or -1) for equal-shape stored rows."""
+    if q == 2:
+        return tuple(map(xor, a, b))
+    reduce, factor = _reducer(q, ncols), sign % q
+    return tuple(reduce(x + factor * y) for x, y in zip(a, b))
 
 
 def _kernel(q: int, ncols: int, reduced: Sequence[int], pivots: Sequence[int]) -> "MatrixFq":
@@ -438,13 +449,8 @@ class MatrixFq:
 
     def _add(self, other: "MatrixFq", sign: int) -> "MatrixFq":
         self._check_shape(other)
-        q = self.q
-        if q == 2:
-            data = tuple(a ^ b for a, b in zip(self._data, other._data))
-        else:
-            reduce, factor = _reducer(q, self.cols), sign % q
-            data = tuple(reduce(a + factor * b) for a, b in zip(self._data, other._data))
-        return MatrixFq._unchecked(q, self.rows, self.cols, data)
+        data = _add_rows(self.q, self.cols, self._data, other._data, sign)
+        return MatrixFq._unchecked(self.q, self.rows, self.cols, data)
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
         if self.q != other.q:
@@ -594,16 +600,25 @@ class Subspace:
         return _rank(self.q, self.ambient_dim, self.basis._data + matrix._data) == self.dim
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^dim vectors of the subspace (guarded by the enumeration cap)."""
+        """All q^dim vectors of the subspace (guarded by the enumeration cap).
+
+        The vector sum_i c_i b_i over the canonical basis comes in the
+        ``itertools.product`` order of its coefficients (c_1, ..., c_dim):
+        each basis row in turn adds each of its multiples to every vector so
+        far, one row operation per new vector.
+        """
         if self.q**self.dim > _ENUMERATION_CAP:
             raise CapacityError("subspace too large to enumerate")
-        q = self.q
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            vec = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis.entries):
-                if c:
-                    vec = [(a + c * b) % q for a, b in zip(vec, row)]
-            yield tuple(vec)
+        q, n = self.q, self.ambient_dim
+        span = [0]
+        if q == 2:
+            for row in self.basis._data:
+                span = [x for v in span for x in (v, v ^ row)]
+        else:
+            reduce = _reducer(q, n)
+            for row in self.basis._data:
+                span = [reduce(v + c * row) for v in span for c in range(q)]
+        yield from _unpack(span, q, n)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return subspace_sum(self, other)

@@ -112,6 +112,11 @@ def test_comments_and_inline_comments():
         ("[verify]\nextraction_trials = 0\n", "nope.ini:2: extraction_trials must be >= 1, got 0"),
         ("[verify]\ndominance_trials = 0\n", "nope.ini:2: dominance_trials must be >= 1, got 0"),
         ("[verify]\nenumeration_pairs = 0\n", "nope.ini:2: enumeration_pairs must be >= 1, got 0"),
+        ("[search]\ntargets =\n", "nope.ini:2: targets must list at least one search target"),
+        ("[search]\ntargets = ,\n", "nope.ini:2: targets must list at least one search target"),
+        ("[search]\nalg1-beyond.ds = -1\n", "nope.ini:2: ds must be >= 0, got -1"),
+        ("[search]\nalg2-rescues.retry_ds = -1\n", "nope.ini:2: retry_ds must be >= 0, got -1"),
+        ("[search]\nalg1-only.layer_ds = 2,-1\n", "nope.ini:2: layer_ds must be >= 0, got -1"),
     ],
 )
 def test_line_precise_errors(text, fragment):

@@ -148,6 +148,49 @@ def test_brute_force_cap(fp24):
     received = code.encode([fp24.zero()] * 4)
     with pytest.raises(CapacityError):
         code.brute_force_decode(received, cap=100)
+    assert "_codebook" not in vars(code)  # the cap is checked before anything is built
+
+
+def _reference_brute_force(code, received):
+    """The oracle without a codebook: encode every message for every
+    received word, then rank(received - codeword); ties fail."""
+    rec = received.as_matrix()
+    best = best_dist = None
+    tie = False
+    for message in itertools.product(range(code.params.size), repeat=code.k):
+        dist = (rec - code._codeword_matrix(message)).rank()
+        if best_dist is None or dist < best_dist:
+            best, best_dist, tie = message, dist, False
+        elif dist == best_dist:
+            tie = True
+    if tie:
+        return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
+    return tuple(code.params.from_index(u) for u in best)
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 3, 3, 1)])
+def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
+    params = FieldParams.default(q, m)
+    code = GabidulinCode.standard(params, n, k)
+    rng = SplitMix64(100 * q + 10 * m + n)
+    ties = unique = 0
+    for trial in range(150):
+        noise = MatrixFq.random(q, n, m, rng)
+        if trial % 2:  # near a codeword: usually a unique nearest one
+            msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+            noise = code.encode(msg).as_matrix() + noise
+        received = RankCodeword.from_matrix(params, noise)
+        got = code.brute_force_decode(received)
+        assert got == _reference_brute_force(code, received)
+        if isinstance(got, DecodeFailure):
+            ties += 1
+        else:
+            unique += 1
+    assert ties and unique
+    # the codebook is built now; a smaller cap still refuses the code
+    assert "_codebook" in vars(code)
+    with pytest.raises(CapacityError):
+        code.brute_force_decode(received, cap=params.size**k - 1)
 
 
 def _scrambled(hint, rng):

@@ -16,7 +16,7 @@ from lsc.harness import (
     run_simulate,
     run_verify,
 )
-from lsc.linalg import MatrixFq, Subspace
+from lsc.linalg import MatrixFq, Subspace, row_space
 from lsc.properties import (
     PROPERTY_MANIFEST,
     PropertyResult,
@@ -171,6 +171,29 @@ def test_fault_injection_separates_suites(monkeypatch):
     assert recovery["layered.guaranteed_recovery"].violations > 0
     extraction = extraction_bound_suite(ctx)[0]
     assert extraction.violations == 0
+
+
+@pytest.mark.parametrize("operation", ["subspace_sum", "intersection"])
+def test_enumeration_references_catch_a_dropped_basis_row(monkeypatch, fp24, operation):
+    """subspace.enumeration_agreement flags a sum or an intersection that
+    lost the last row of its basis."""
+    import lsc.properties as properties
+
+    ctx = VerifyContext(
+        params=fp24, code=None, seed=5, counts={"random_checks": 20, "enumeration_pairs": 40}
+    )
+    clean = {r.name: r for r in properties.subspace_suite(ctx)}
+    assert clean["subspace.enumeration_agreement"].violations == 0
+    correct = getattr(properties, operation)
+
+    def drop_last_row(v, u):
+        out = correct(v, u)
+        kept = MatrixFq.from_rows(2, out.basis.entries[:-1], out.ambient_dim)
+        return row_space(kept, out.ambient_dim)
+
+    monkeypatch.setattr(properties, operation, drop_last_row)
+    faulty = {r.name: r for r in properties.subspace_suite(ctx)}
+    assert faulty["subspace.enumeration_agreement"].violations > 0
 
 
 def test_search_finds_patterns_and_respects_profiles():

@@ -1,16 +1,18 @@
 """Lifted subspace codes: lifting, reduction, decode vs oracle."""
 
+import itertools
 import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from lsc.channel import ChannelSpec, apply_exact
-from lsc.errors import ParameterError
+from lsc.errors import CapacityError, ParameterError
 from lsc.field import ExtFieldElement, FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from lsc.lifted import (
     LiftedCode,
+    SubspaceOracleResult,
     brute_force_subspace_decode,
     codeword_subspaces,
     lift,
@@ -102,6 +104,51 @@ def test_never_contradicts_oracle(fp24, lifted31):
         oracle = brute_force_subspace_decode(lifted31, outcome.U)
         if not isinstance(result, DecodeFailure) and not isinstance(oracle, DecodeFailure):
             assert result.message == oracle.message
+
+
+def _reference_subspace_oracle(code, received):
+    """The lifted oracle without a codebook: lift the encoding of every
+    message, then d_S to the received space; ties fail."""
+    inner = code.inner
+    best = best_dist = None
+    tie = False
+    for indices in itertools.product(range(inner.params.size), repeat=inner.k):
+        matrix = inner._codeword_matrix(indices)
+        dist = subspace_distance(lift(inner, matrix), received)
+        if best_dist is None or dist < best_dist:
+            best, best_dist, tie = (matrix, indices), dist, False
+        elif dist == best_dist:
+            tie = True
+    if tie:
+        return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
+    matrix, indices = best
+    message = tuple(inner.params.from_index(u) for u in indices)
+    return SubspaceOracleResult(lift(inner, matrix), matrix, message)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 2, 2), (3, 3, 2)])
+def test_lifted_oracle_matches_reference_enumeration(q, m, n):
+    code = LiftedCode(GabidulinCode.standard(FieldParams.default(q, m), n, 1))
+    inner = code.inner
+    rng = SplitMix64(1000 + 10 * q + m)
+    ties = unique = 0
+    for trial in range(120):
+        if trial % 2:
+            received = random_subspace(q, n + m, rng.randbelow(n + m + 1), rng)
+        else:  # a lifted codeword through the channel
+            msg = (inner.params.from_index(rng.randbelow(inner.params.size)),)
+            sent = lift(inner, inner.encode(msg))
+            rho, t = rng.randbelow(n + 1), rng.randbelow(m + 1)
+            received = apply_exact(sent, ChannelSpec(rho=rho, t=t), rng).U
+        got = brute_force_subspace_decode(code, received)
+        assert got == _reference_subspace_oracle(code, received)
+        if isinstance(got, DecodeFailure):
+            ties += 1
+        else:
+            unique += 1
+    assert ties and unique
+    with pytest.raises(CapacityError):
+        brute_force_subspace_decode(code, received, cap=inner.params.size - 1)
 
 
 def test_oracle_tie_case(fp24, lifted31):

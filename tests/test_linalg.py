@@ -47,6 +47,25 @@ def test_row_space_example():
     assert set(s.vectors()) == _span_vectors(m.entries, 2, 4)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 17])
+def test_vectors_enumerate_the_span_in_coefficient_order(q):
+    """vectors() yields sum_i c_i b_i over the canonical basis, for c in
+    itertools.product order, each vector once."""
+    rng = SplitMix64(40 + q)
+    for _ in range(20):
+        ambient = 1 + rng.randbelow(5)
+        space = random_subspace(q, ambient, rng.randbelow(min(ambient, 3) + 1), rng)
+        expected = []
+        for coeffs in itertools.product(range(q), repeat=space.dim):
+            vec = [0] * ambient
+            for c, row in zip(coeffs, space.basis.entries):
+                vec = [(a + c * b) % q for a, b in zip(vec, row)]
+            expected.append(tuple(vec))
+        got = list(space.vectors())
+        assert got == expected
+        assert len(set(got)) == q**space.dim
+
+
 def test_row_space_trivial_cases():
     assert row_space(MatrixFq.zeros(2, 3, 4), 4).dim == 0
     assert row_space(MatrixFq.identity(2, 4), 4) == Subspace.full(2, 4)
