@@ -19,7 +19,8 @@ from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
-    random_subspace_of,
+    _rank,
+    random_full_rank_matrix,
     row_space,
     subspace_distance,
 )
@@ -62,9 +63,12 @@ class ChannelOutcome:
 def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     """Sample U with exactly the requested erasures and insertions.
 
-    V' is a uniform full-rank-combination subspace of V with dim(V) - rho
-    dimensions; E is built by rejection sampling of vectors independent
-    of V, which forces E ∩ V = {0} and hence realized == requested.
+    The kept part is spanned by C·B for a uniform full-rank (dim(V) - rho)
+    x dim(V) matrix C and V's basis B; E is built by rejection sampling of
+    vectors independent of V and of the insertions so far (a forward-pass
+    rank of the stored rows), which forces E ∩ V = {0} and hence realized
+    == requested.  One elimination per trial: the final ``row_space``
+    reduces the kept rows and the insertions together.
     """
     if spec.rho > v.dim:
         raise ParameterError(f"rho = {spec.rho} exceeds dim(V) = {v.dim}")
@@ -72,22 +76,22 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
         raise ParameterError(
             f"t = {spec.t} exceeds ambient - dim(V) = {v.ambient_dim - v.dim}"
         )
-    n = v.ambient_dim
-    stacked = random_subspace_of(v, v.dim - spec.rho, rng).basis
-    span = v  # insertions must stay independent of all of V, not just the kept part
+    q, n, kept = v.q, v.ambient_dim, v.dim - spec.rho
+    rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data if kept else ()
+    # insertions must stay independent of all of V, not just the kept part
+    span = v.basis._data
     for _ in range(spec.t):
         for _attempt in range(_INSERTION_ATTEMPT_CAP):
-            cand = MatrixFq.random(v.q, 1, n, rng)
-            grown = row_space(span.basis.vstack(cand), n)
-            if grown.dim > span.dim:
-                stacked = stacked.vstack(cand)
-                span = grown
+            cand = MatrixFq.random(q, 1, n, rng)._data
+            if _rank(q, n, span + cand) > len(span):
+                span += cand
+                rows += cand
                 break
         else:
             raise CapacityError("insertion sampling exceeded its attempt cap")
 
-    u = row_space(stacked, n)
-    if u.dim != v.dim - spec.rho + spec.t:
+    u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
+    if u.dim != kept + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
     return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t, V=v)
 

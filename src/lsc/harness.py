@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
 from .gabidulin import DecodeFailure
 from .layered import STATUS_OK, LayerDecodeReport, LayeredCode
-from .lifted import subspace_decode
+from .lifted import lift, subspace_decode
 from .linalg import Subspace, dump_subspace, subspace_distance
 from .properties import (
     PROPERTY_MANIFEST,
@@ -114,11 +114,22 @@ def _decode_with(code: LayeredCode, algorithm: str, received: Subspace, max_swee
     raise InvariantError(f"unknown algorithm {algorithm!r}")
 
 
+def _component_distance(code: LayeredCode, word, layer: int, space: Subspace) -> int:
+    """d_S(V_l, U_l) for U_l the layer extracted from ``space``.
+
+    Both sides stay in the component ambient n_l + m: V_l is the lift of
+    the layer's codeword matrix and U_l the stripped extraction.  Placing
+    both in the full ambient moves no dimension, so the distance is the same.
+    """
+    v_l = lift(code.layers[layer - 1], word.component_matrices[layer - 1])
+    return subspace_distance(v_l, code.extract_component(space, layer))
+
+
 def _layer_distances(code: LayeredCode, word, received: Subspace) -> tuple[int, ...]:
-    """d_S(V_l, U_l) per layer, U_l extracted from the received space unstripped."""
+    """d_S(V_l, U_l) per layer, U_l extracted from the received space."""
     return tuple(
-        subspace_distance(component, code.extract_component(received, layer, strip=False))
-        for layer, component in enumerate(word.components, start=1)
+        _component_distance(code, word, layer, received)
+        for layer in range(1, code.num_layers + 1)
     )
 
 
@@ -430,8 +441,7 @@ def _retry_distances(code: LayeredCode, word, alg1_report, alg2_report) -> tuple
             i for i, l in enumerate(alg2_report.attempt_layers) if l == layer
         )
         before = alg2_report.accumulated[last_attempt]
-        extracted = code.extract_component(before, layer, strip=False)
-        out.append((layer, subspace_distance(word.components[layer - 1], extracted)))
+        out.append((layer, _component_distance(code, word, layer, before)))
     return tuple(out)
 
 

@@ -50,32 +50,6 @@ _ENUMERATION_CAP = 1 << 20
 _set = object.__setattr__
 
 
-def _rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Plain-list RREF, one list per row: the reference the tests check the
-    packed kernels against.  The program itself never calls it."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, q)
-        if inv != 1:
-            rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 # --- the packed row format ---
 
 

@@ -1,0 +1,29 @@
+"""The plain-list RREF the tests check the packed-row kernels against."""
+
+
+def rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """RREF over F_q (q prime), one list per row, in place.
+
+    Returns (reduced rows including trailing zero rows, pivot column list).
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        if inv != 1:
+            rows[r] = [(x * inv) % q for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots

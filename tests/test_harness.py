@@ -6,17 +6,22 @@ import pathlib
 
 import pytest
 
+from lsc.channel import ChannelSpec, make_trial
 from lsc.config import load_config, parse_config
 from lsc.errors import ConfigError, ParameterError
+from lsc.field import FieldParams
 from lsc.gabidulin import DecodeFailure
 from lsc.harness import (
     CSV_COLUMNS,
+    _component_distance,
+    _layer_distances,
     run_scenario,
     run_search_beyond,
     run_simulate,
     run_verify,
 )
-from lsc.linalg import MatrixFq, Subspace, row_space
+from lsc.layered import LayeredCode
+from lsc.linalg import MatrixFq, Subspace, row_space, subspace_distance
 from lsc.properties import (
     PROPERTY_MANIFEST,
     PropertyResult,
@@ -24,6 +29,7 @@ from lsc.properties import (
     VerifyContext,
     dominance_suite,
 )
+from lsc.rng import derive_seed
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "simulate_tiny.csv"
 
@@ -505,3 +511,32 @@ seed = 13
     layer2_ok = sum(1 for r in result.records if r.layer_status[1] == "ok")
     assert layer1_ok == len(result.records)  # distance 6 covers rho + t = 2
     assert layer2_ok < layer1_ok  # distance 4 does not
+
+
+@pytest.mark.parametrize("q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])])
+def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, shape):
+    """d_S(V_l, U_l) read in the component ambient equals the distance
+    between V_l and the unstripped extraction in the full ambient, on the
+    received space and on every SIC working space."""
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+
+    def full_ambient(word, space):
+        return tuple(
+            subspace_distance(component, code.extract_component(space, layer, strip=False))
+            for layer, component in enumerate(word.components, start=1)
+        )
+
+    for trial in range(60):
+        seed = derive_seed(17, q, trial)
+        if trial % 3:
+            spec = ChannelSpec(rho=trial % 4, t=(trial // 4) % 4)
+            word, outcome = make_trial(code, seed, spec)
+        else:
+            word, outcome = make_trial(code, seed, collected=6, error_packets=trial // 3 % 3)
+        assert _layer_distances(code, word, outcome.U) == full_ambient(word, outcome.U)
+        for space in code.decode_alg2(outcome.U, iterative=True).accumulated[1:]:
+            got = tuple(
+                _component_distance(code, word, layer, space)
+                for layer in range(1, code.num_layers + 1)
+            )
+            assert got == full_ambient(word, space)

@@ -9,7 +9,6 @@ from lsc.errors import ParameterError
 from lsc.linalg import (
     MatrixFq,
     Subspace,
-    _rref_generic,
     coordinate_zero_subspace,
     dump_subspace,
     embed,
@@ -26,6 +25,7 @@ from lsc.linalg import (
     subspace_sum,
 )
 from lsc.rng import SplitMix64
+from rref_reference import rref_generic
 
 
 def _span_vectors(rows, q, ambient):
@@ -181,9 +181,7 @@ def test_rref_gf2_matches_generic():
         cols = rng.randint(1, 7)
         entries = [[rng.randbelow(2) for _ in range(cols)] for _ in range(rows)]
         fast, fast_p = rref(entries, cols, 2)
-        from lsc.linalg import _rref_generic
-
-        slow, slow_p = _rref_generic([list(r) for r in entries], 2)
+        slow, slow_p = rref_generic([list(r) for r in entries], 2)
         assert [list(r) for r in fast] == [list(r) for r in slow]
         assert list(fast_p) == list(slow_p)
 
@@ -253,7 +251,7 @@ def test_q3_subspace_operations():
 
 def _ref_span(rows, q):
     """List reference: the nonzero rows of the generic elimination."""
-    reduced, pivots = _rref_generic([list(r) for r in rows], q)
+    reduced, pivots = rref_generic([list(r) for r in rows], q)
     return tuple(tuple(r) for r in reduced[: len(pivots)])
 
 
@@ -318,7 +316,7 @@ def test_packed_rows_match_list_reference(q, count):
         assert a.hstack(b).entries == tuple(tuple(x + y) for x, y in zip(a_rows, b_rows))
         assert a.vstack(b).entries == tuple(map(tuple, a_rows + b_rows))
         assert a.is_zero() == (not any(map(any, a_rows)))
-        reduced, pivots = _rref_generic([list(r) for r in a_rows], q)
+        reduced, pivots = rref_generic([list(r) for r in a_rows], q)
         got, got_pivots = a.rref()
         assert got.entries == tuple(map(tuple, reduced)) and list(got_pivots) == pivots
         assert rref(a_rows, n, q) == (reduced, pivots)
