@@ -12,9 +12,16 @@ All arithmetic runs on indices, in ``FieldOps``.  Products, inverses,
 powers and the Frobenius map x -> x^(q^i) are lookups in log/antilog
 tables over a primitive element g.  g is found by search: the modulus is
 only required to be irreducible, so ``a`` need not generate the
-multiplicative group.  Addition is XOR for q = 2; for odd q it goes
-through a Zech-log table, log(1 + g^k).  The tables are built on first
-use, once per field per process.  ``ExtFieldElement`` is the public
+multiplicative group.  The log/antilog pair carries a zero sentinel:
+the logarithm of 0 is 2(q^m - 1), and the antilog table is 0 from that
+index on, so a product, or a product with a power of g, is one lookup
+with no test for zero.  Kernels that multiply many elements by one
+(``gabidulin``'s elimination, evaluation and division) add logarithms
+directly.  Addition is XOR for q = 2; for odd q it goes through a
+Zech-log table, log(1 + g^k).  The tables are built on first use, once
+per field per process, and held by the module-level ``_field_ops``
+cache, never by a ``FieldParams``, which is pickled with every element.
+``ExtFieldElement`` is the public
 coordinate-tuple type; its operators convert to indices and back.
 """
 
@@ -30,7 +37,7 @@ from .errors import ParameterError
 
 BaseElement = int
 
-# Largest supported field.  The tables hold about three entries per
+# Largest supported field.  The tables hold about six entries per
 # element, so 2^16 elements cost a few MB; 2^24 would cost over 1 GB.
 _MAX_FIELD_SIZE = 1 << 16
 
@@ -232,25 +239,32 @@ class FieldParams:
 class FieldOps:
     """Arithmetic of one F_{q^m} on element indices (see the module docstring).
 
-    ``exp[i]`` is g^i for 0 <= i < 2(q^m - 1), so a sum of two logarithms
-    needs no reduction; ``log[a]`` is the logarithm of a nonzero a.
-    ``add`` and ``sub`` are chosen per characteristic: XOR for q = 2,
+    ``zlog`` and ``zexp`` are the log/antilog pair with a zero sentinel:
+    ``zlog[a]`` is the logarithm of a nonzero a and ``zlog[0]`` is
+    2(q^m - 1); ``zexp[i]`` is g^i for 0 <= i < 2(q^m - 1) and 0 from
+    there on.  So ``zexp[zlog[a] + zlog[b]]`` is a * b for every a and b,
+    zero or not, and ``zexp[zlog[a] + e]`` is a * g^e for 0 <= e <= q^m - 1.
+    ``order`` is q^m - 1, ``qpow[i]`` is q^i mod (q^m - 1) (the Frobenius
+    map multiplies logarithms by it) and ``minus_one`` is the logarithm of
+    -1.  ``add`` and ``sub`` are chosen per characteristic: XOR for q = 2,
     Zech logarithms for odd q.
     """
 
-    __slots__ = ("q", "m", "exp", "log", "zech", "add", "sub", "_order", "_qpow")
+    __slots__ = ("q", "m", "zexp", "zlog", "zech", "add", "sub", "order", "qpow", "minus_one")
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...]) -> None:
         self.q, self.m = q, m
         order = q**m - 1
         powers = _generator_powers(q, m, modulus)
-        self.exp = powers + powers
-        self.log = [0] * (order + 1)
+        # indices up to zlog[0] + zlog[0] = 4 * order
+        self.zexp = powers + powers + [0] * (2 * order + 1)
+        self.zlog = [2 * order] * (order + 1)
         for i, a in enumerate(powers):
-            self.log[a] = i
-        self._order = order
-        # q^i mod (q^m - 1): the Frobenius map multiplies logarithms by it
-        self._qpow = [q**i % order for i in range(m)]
+            self.zlog[a] = i
+        self.order = order
+        self.qpow = [q**i % order for i in range(m)]
+        # -1 = g^((q^m - 1) / 2) for odd q, and 1 = g^0 for q = 2
+        self.minus_one = 0 if q == 2 else order // 2
         if q == 2:
             self.zech = None
             self.add = self.sub = operator.xor
@@ -261,23 +275,21 @@ class FieldOps:
             for a in powers:
                 low = a % q
                 plus_one = a - low + (low + 1) % q
-                self.zech.append(self.log[plus_one] if plus_one else -1)
+                self.zech.append(self.zlog[plus_one] if plus_one else -1)
             self.add = self._add_odd
             self.sub = self._sub_odd
 
     def mul(self, a: int, b: int) -> int:
-        if a and b:
-            return self.exp[self.log[a] + self.log[b]]
-        return 0
+        return self.zexp[self.zlog[a] + self.zlog[b]]
 
     def inv(self, a: int) -> int:
         if not a:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.exp[self._order - self.log[a]]
+        return self.zexp[self.order - self.zlog[a]]
 
     def pow(self, a: int, n: int) -> int:
         if a:
-            return self.exp[self.log[a] * n % self._order]
+            return self.zexp[self.zlog[a] * n % self.order]
         if n < 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return 0 if n else 1
@@ -285,29 +297,28 @@ class FieldOps:
     def frob(self, a: int, i: int) -> int:
         """a^(q^i); F_q-linear in a, periodic in i with period m."""
         if a:
-            return self.exp[self.log[a] * self._qpow[i % self.m] % self._order]
+            return self.zexp[self.zlog[a] * self.qpow[i % self.m] % self.order]
         return 0
 
     def _add_logs(self, la: int, lb: int) -> int:
         """g^la + g^lb = g^la * (1 + g^(lb - la))."""
-        z = self.zech[(lb - la) % self._order]
-        return self.exp[la + z] if z >= 0 else 0
+        z = self.zech[(lb - la) % self.order]
+        return self.zexp[la + z] if z >= 0 else 0
 
     def _add_odd(self, a: int, b: int) -> int:
         if not a:
             return b
         if not b:
             return a
-        return self._add_logs(self.log[a], self.log[b])
+        return self._add_logs(self.zlog[a], self.zlog[b])
 
     def _sub_odd(self, a: int, b: int) -> int:
         if not b:
             return a
-        # -1 = g^((q^m - 1) / 2) for odd q
-        lb = self.log[b] + self._order // 2
+        lb = self.zlog[b] + self.minus_one
         if not a:
-            return self.exp[lb]
-        return self._add_logs(self.log[a], lb)
+            return self.zexp[lb]
+        return self._add_logs(self.zlog[a], lb)
 
 
 @lru_cache(maxsize=16)

@@ -12,7 +12,21 @@ succeeds whenever some codeword c satisfies
 
 where mu and delta count the supplied column/row erasure directions and
 the rank is taken modulo those hint spaces (plain rank when no hints are
-supplied).  ``brute_force_decode`` is the independent minimum-distance
+supplied).
+
+The decoder does only the work its hints ask for.  Each hint is reduced
+to its canonical basis by one elimination; no hint, or a hint of 0 rows,
+spans nothing.  Column hints (mu > 0) project the word and the
+evaluation points onto the kernel of the hints, y = P r and g' = P g;
+without them y and g' are the word and the points.  Row hints (delta >
+0) put y through their annihilator sigma and divide each candidate by
+sigma once more; without them there is no sigma.  A candidate f is then
+checked at the projected points: P (r - f(g)) = y - f(g'), because f
+is F_q-linear, so the residual is n - mu field elements, and its rank
+modulo the row hints is the rank of the residual rows stacked on the
+row-hint basis, less delta.
+
+``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.  It shares nothing with the decoder but
 encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
@@ -21,15 +35,17 @@ every call scans it with one row difference and one rank per codeword.
 The algorithms (linearized-polynomial evaluation, composition, left
 division and subspace annihilators, encoding, the decoder and its
 F_{q^m} nullspace, the codebook) compute on element indices
-with ``FieldParams.ops``.  ``RankCodeword`` stores indices too, and its
-``symbols`` are an ``ExtFieldElement`` view built only when read, so a
-word goes from ``encode`` or ``lifted.reduce_received`` into
-``decode_bounded`` with no element objects.  Words and hints meet their
-F_q matrices at one bridge, ``MatrixFq._from_indices`` and
-``MatrixFq._row_indices`` in ``linalg``.  The rest of the public surface
-holds ``ExtFieldElement`` values and converts at that boundary:
-``LinearizedPoly``, the messages ``encode`` takes, and the messages the
-decoders return.
+with ``FieldParams.ops``; the kernels that multiply one element into
+many (evaluation, left division, the interpolation rows and the
+nullspace) add logarithms on its zero-sentinel tables.
+``RankCodeword`` stores indices too, and its ``symbols`` are an
+``ExtFieldElement`` view built only when read, so a word goes from
+``encode`` or ``lifted.reduce_received`` into ``decode_bounded`` with no
+element objects.  Words and hints meet their F_q matrices at one bridge,
+``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in ``linalg``.
+The rest of the public surface holds ``ExtFieldElement`` values and
+converts at that boundary: ``LinearizedPoly``, the messages ``encode``
+takes, and the messages the decoders return.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ from typing import Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import ExtFieldElement, FieldOps, FieldParams
-from .linalg import MatrixFq, Subspace, _add_rows, _rank, row_space
+from .linalg import MatrixFq, _add_rows, _eliminate, _kernel, _rank
 
 _set = object.__setattr__
 
@@ -73,11 +89,14 @@ def _trim(coeffs: list[int]) -> list[int]:
 
 
 def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], x: int) -> int:
-    add, mul, frob = ops.add, ops.mul, ops.frob
+    """sum_i c_i x^(q^i): each term is one antilog lookup, zero coefficients included."""
+    if not x:
+        return 0
+    zexp, zlog, add, order = ops.zexp, ops.zlog, ops.add, ops.order
+    lx = zlog[x]
     acc = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = add(acc, mul(c, frob(x, i)))
+    for c, qp in zip(coeffs, itertools.cycle(ops.qpow)):
+        acc = add(acc, zexp[zlog[c] + lx * qp % order])
     return acc
 
 
@@ -101,24 +120,28 @@ def _lp_divide_left(
 ) -> tuple[list[int], list[int]]:
     """(quotient, remainder) with num = left(quotient(x)) + remainder.
 
-    The remainder has lower q-degree than ``left``.
+    The remainder has lower q-degree than ``left``.  Each step subtracts
+    left(c x^(q^j)); its terms are antilog lookups on the logarithms of
+    ``left``'s coefficients.
     """
     if not left:
         raise ZeroDivisionError("division by the zero polynomial")
-    sub, mul, frob = ops.sub, ops.mul, ops.frob
-    m = ops.m
+    zexp, zlog, add, order, qpow, m = ops.zexp, ops.zlog, ops.add, ops.order, ops.qpow, ops.m
+    minus_one = ops.minus_one
     l = len(left) - 1
-    lead_inv = ops.inv(left[-1])
-    work = list(num)
+    lead_log = zlog[left[-1]]
+    # u, log(left_u) and q^u mod (q^m - 1) of each nonzero coefficient
+    terms = [(u, zlog[lu], qpow[u % m]) for u, lu in enumerate(left) if lu]
+    to_root = qpow[(m - l) % m]
+    work = _trim(list(num))
     quot = [0] * max(0, len(work) - l)
     while len(work) - 1 >= l and work:
         j = len(work) - 1 - l
         # solve left_l * c^(q^l) = top  =>  c = (top / left_l)^(q^(m-l))
-        c = frob(mul(work[-1], lead_inv), (m - l) % m)
-        quot[j] = c
-        for u, lu in enumerate(left):
-            if lu:
-                work[u + j] = sub(work[u + j], mul(lu, frob(c, u)))
+        lc = (zlog[work[-1]] - lead_log) * to_root % order
+        quot[j] = zexp[lc]
+        for u, lu, qp in terms:
+            work[u + j] = add(work[u + j], zexp[lu + (lc * qp + minus_one) % order])
         _trim(work)
     return _trim(quot), work
 
@@ -177,11 +200,17 @@ class LinearizedPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _check_field(self, params: FieldParams) -> None:
+        if params != self.params:
+            raise ParameterError("operands belong to different fields")
+
     def evaluate(self, x: ExtFieldElement) -> ExtFieldElement:
+        self._check_field(x.params)
         params = self.params
         return params.from_index(_lp_evaluate(params.ops, self._indices(), x.to_index()))
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
+        self._check_field(other.params)
         n = max(len(self.coeffs), len(other.coeffs))
         zero = self.params.zero()
         a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
@@ -189,6 +218,7 @@ class LinearizedPoly:
         return LinearizedPoly.from_coeffs(self.params, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
+        self._check_field(other.params)
         n = max(len(self.coeffs), len(other.coeffs))
         zero = self.params.zero()
         a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
@@ -197,6 +227,7 @@ class LinearizedPoly:
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """self(other(x)); coefficient k is sum_{i+j=k} a_i * b_j^(q^i)."""
+        self._check_field(other.params)
         params = self.params
         return LinearizedPoly._from_indices(
             params, _lp_compose(params.ops, self._indices(), other._indices())
@@ -204,6 +235,7 @@ class LinearizedPoly:
 
     def divide_left(self, left: "LinearizedPoly") -> tuple["LinearizedPoly", "LinearizedPoly"]:
         """Solve self = left(quotient(x)) + remainder with q-deg(remainder) < q-deg(left)."""
+        self._check_field(left.params)
         params = self.params
         quot, rem = _lp_divide_left(params.ops, self._indices(), left._indices())
         return (
@@ -218,6 +250,8 @@ class LinearizedPoly:
         The elements must be linearly independent over F_q; the result has
         q-degree equal to their count.
         """
+        if any(z.params != params for z in elements):
+            raise ParameterError("operands belong to different fields")
         sigma = _lp_annihilator(params.ops, [z.to_index() for z in elements])
         return LinearizedPoly._from_indices(params, sigma)
 
@@ -393,85 +427,91 @@ class GabidulinCode:
         the error column space.  Both are in the form produced by the
         lifted-code reduction.  Returns the message (tuple of k elements)
         or a DecodeFailure value.
+
+        A hint costs only when it spans something: the projection runs
+        only for column hints (mu > 0), and the annihilator sigma with the
+        second left division only for row hints (delta > 0).  A candidate
+        f is checked on its residual at the projected points,
+        y_i - f(g'_i), which is the projected error because f is
+        F_q-linear (see the module docstring).
         """
         self._check_received(received)
         params = self.params
         ops = params.ops
-        add, sub, mul, frob = ops.add, ops.sub, ops.mul, ops.frob
-        m, n, k = params.m, self.n, self.k
+        q, m, n, k = params.q, params.m, self.n, self.k
         d = self.min_rank_distance
 
-        zs = self._canonical_hint(row_erasures, m, "row_erasures")
-        cs = self._canonical_hint(col_erasures, n, "col_erasures")
-        delta = zs.dim
-        mu = cs.dim
+        row_basis, _ = self._hint_basis(row_erasures, m, "row_erasures")
+        col_basis, col_pivots = self._hint_basis(col_erasures, n, "col_erasures")
+        delta = len(row_basis)
+        mu = len(col_basis)
         if mu + delta > d - 1:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
 
-        sigma = _lp_annihilator(ops, zs.basis._row_indices())
-        proj = cs._basis_kernel()  # (n - mu) x n, rows annihilate the column hints
-        n_prime = proj.rows
-        k_prime = k + delta
+        if mu:
+            # (n - mu) x n over F_q; its rows annihilate the column hints
+            proj = _kernel(q, n, col_basis, col_pivots).entries
+            word = [_combine(ops, received._indices, row) for row in proj]
+            points = [_combine(ops, self._points, row) for row in proj]
+        else:
+            word, points = received._indices, self._points
+        if delta:
+            hint_elements = MatrixFq._unchecked(q, delta, m, row_basis)._row_indices()
+            sigma = _lp_annihilator(ops, hint_elements)
+            word_sigma = [_lp_evaluate(ops, sigma, y) for y in word]
+        else:
+            word_sigma = word
 
-        def combine(vals: Sequence[int], weights: tuple[int, ...]) -> int:
-            acc = 0
-            for w, v in zip(weights, vals):
-                if w:
-                    acc = add(acc, mul(v, w))
-            return acc
-
-        r = received._indices
-        g_proj = [combine(self._points, row) for row in proj.entries]
-        r_sigma = [_lp_evaluate(ops, sigma, s) for s in r]
-        r_proj = [combine(r_sigma, row) for row in proj.entries]
-
-        # interpolation system: V(r'_s) - N(g'_s) = 0 with q-deg V <= tau_max,
-        # q-deg N <= k' + tau_max - 1
+        # interpolation system: V(y'_s) - N(g'_s) = 0 with q-deg V <= tau_max,
+        # q-deg N <= k + delta + tau_max - 1
         n_v = tau_max + 1
-        n_n = k_prime + tau_max
+        n_n = k + delta + tau_max
+        # entries y^(q^j) and -g^(q^j), one antilog lookup each; g' is never 0,
+        # since P has full rank and the points are independent
+        zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
+        qpow_v, qpow_n = ops.qpow[:n_v], ops.qpow[:n_n]
         rows = []
-        for s in range(n_prime):
-            row = [frob(r_proj[s], j) for j in range(n_v)]
-            row += [sub(0, frob(g_proj[s], j)) for j in range(n_n)]
+        for y, g in zip(word_sigma, points):
+            ly, lg = zlog[y], zlog[g]
+            row = [zexp[ly * qp % order] for qp in qpow_v] if y else [0] * n_v
+            row += [zexp[(lg * qp + minus_one) % order] for qp in qpow_n]
             rows.append(row)
-        solutions = _ext_nullspace(ops, rows, n_v + n_n)
-
-        # m x (m - delta), projects out the row hints; built on first use (the
-        # identity when there are none)
-        q_ann = None
-        for sol in solutions:
+        for sol in _ext_nullspace(ops, rows, n_v + n_n):
             locator = _trim(sol[:n_v])
             if not locator:
                 continue
-            numer = _trim(sol[n_v:])
-            f_sigma, rem = _lp_divide_left(ops, numer, locator)
+            f, rem = _lp_divide_left(ops, _trim(sol[n_v:]), locator)
             if rem:
                 continue
-            f, rem = _lp_divide_left(ops, f_sigma, sigma)
-            if rem or len(f) > k:
-                continue
-            codeword = self._evaluate(f)
-            error = MatrixFq._from_indices(params.q, m, list(map(sub, r, codeword)))
-            residual = proj @ error
             if delta:
-                if q_ann is None:
-                    q_ann = zs._basis_kernel().transpose()
-                residual = residual @ q_ann
-            if 2 * residual.rank() + mu + delta <= d - 1:
+                f, rem = _lp_divide_left(ops, f, sigma)
+                if rem:
+                    continue
+            if len(f) > k:
+                continue
+            # P (r - f(g)) = y - f(g'); its rank modulo the row hints is
+            # rank([residual; row hints]) - delta
+            residual = list(map(ops.sub, word, (_lp_evaluate(ops, f, g) for g in points)))
+            stacked = MatrixFq._from_indices(q, m, residual)._data + row_basis
+            if 2 * (_rank(q, m, stacked) - delta) + mu + delta <= d - 1:
                 return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
-    def _canonical_hint(self, hint: MatrixFq | None, width: int, name: str) -> Subspace:
-        """The space a hint's rows span: one elimination, whose canonical
-        basis also gives the hint's kernel (``Subspace._basis_kernel``)."""
+    def _hint_basis(
+        self, hint: MatrixFq | None, width: int, name: str
+    ) -> tuple[tuple[int, ...], list[int]]:
+        """The canonical basis of the space a hint's rows span, as stored rows,
+        and its pivots: one elimination, which also gives the hint's kernel
+        (``linalg._kernel``).  No hint spans nothing."""
         if hint is None:
-            return Subspace.zero(self.params.q, width)
+            return (), []
         if not isinstance(hint, MatrixFq) or hint.q != self.params.q:
             raise ParameterError(f"{name} must be a MatrixFq over F_{self.params.q}")
         if hint.cols != width:
             raise ParameterError(f"{name} must have width {width}")
-        return row_space(hint, width)
+        basis, pivots = _eliminate(hint.q, width, hint._data)
+        return tuple(basis), pivots
 
     # --- exhaustive oracle ---
 
@@ -521,36 +561,55 @@ class GabidulinCode:
         return tuple(map(self.params.from_index, messages[best]))
 
 
+def _combine(ops: FieldOps, values: Sequence[int], weights: Sequence[int]) -> int:
+    """sum_i weights[i] * values[i] for weights in F_q, whose indices are themselves."""
+    add, mul = ops.add, ops.mul
+    acc = 0
+    for w, v in zip(weights, values):
+        if w:
+            acc = add(acc, mul(v, w))
+    return acc
+
+
 def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Nullspace basis of a homogeneous system over F_{q^m}, on element indices."""
-    sub, mul = ops.sub, ops.mul
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ops.inv(work[r][col])
-        work[r] = [mul(x, inv) for x in work[r]]
-        for i in range(nrows):
-            f = work[i][col]
-            if i != r and f:
-                work[i] = [sub(a, mul(f, b)) for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    pivot_set = set(pivots)
+    """Nullspace basis of a homogeneous system over F_{q^m}, on element indices:
+    one vector per free column, 1 there and 0 at the other free columns.
+
+    A forward pass (as ``linalg._echelon_gf2``) keeps each row, scaled to
+    lead 1, under its leading column once the kept rows have cleared its
+    earlier entries; a row subtracts a multiple of a kept row by adding
+    logarithms to the kept row's, one antilog lookup per entry.  Back
+    substitution then solves each basis vector's pivot entries.
+    """
+    zexp, zlog, add, sub, order = ops.zexp, ops.zlog, ops.add, ops.sub, ops.order
+    minus_one = ops.minus_one
+    kept: dict[int, list[int]] = {}  # leading column -> logarithms of the kept row
+    for row in rows:
+        for col in range(ncols):
+            f = row[col]
+            if not f:
+                continue
+            logs = kept.get(col)
+            if logs is None:
+                scale = order - zlog[f]
+                kept[col] = [zlog[zexp[zlog[x] + scale]] for x in row]
+                break
+            lf = (zlog[f] + minus_one) % order
+            row = [add(a, zexp[lf + lb]) for a, lb in zip(row, logs)]
+    pivots = sorted(kept, reverse=True)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in kept:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = sub(0, work[i][free])
+        # x_p = -sum_{c > p} row_p[c] x_c; it is 0 for every pivot p > free
+        for p in pivots:
+            if p < free:
+                logs = kept[p]
+                acc = 0
+                for c in range(p + 1, ncols):
+                    acc = add(acc, zexp[logs[c] + zlog[vec[c]]])
+                vec[p] = sub(0, acc)
         basis.append(vec)
     return basis

@@ -17,9 +17,11 @@ residue table, for wider fields one field at a time.  Stored rows are
 always fully reduced, so equal matrices have equal rows.  Moving a run of
 columns is a shift and a mask for every q.  ``MatrixFq.entries`` is the
 row-major tuple view for callers, unpacked on first use and cached.  No
-other module looks inside the packed rows; the one that holds some is
-``GabidulinCode``'s oracle codebook, which only hands them back to
-``_add_rows`` and ``_rank``.  At N <= 40 one machine word holds a
+other module looks inside the packed rows.  ``gabidulin`` holds some
+without reading them: its oracle codebook hands them back to
+``_add_rows`` and ``_rank``, and its decoder eliminates a hint's rows
+with ``_eliminate`` and hands the basis to ``_kernel``, ``_rank`` and
+``MatrixFq._unchecked``.  At N <= 40 one machine word holds a
 GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
 tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
 
@@ -548,11 +550,6 @@ class Subspace:
     @classmethod
     def full(cls, q: int, ambient_dim: int) -> "Subspace":
         return cls._unchecked(ambient_dim, MatrixFq.identity(q, ambient_dim))
-
-    def _basis_kernel(self) -> MatrixFq:
-        """``self.basis.kernel_basis()``, read off the canonical basis with no elimination."""
-        q, n, data = self.q, self.ambient_dim, self.basis._data
-        return _kernel(q, n, data, _lead_columns(data, q, n))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.q != other.q:

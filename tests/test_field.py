@@ -97,6 +97,27 @@ def test_int_path_with_non_primitive_modulus():
     _check_int_path(params, seed=5)
 
 
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (5, 2), (7, 2), (2, 12)])
+def test_zero_sentinel_tables(q, m):
+    """zexp[zlog[a] + zlog[b]] is the schoolbook product, zeros included: every
+    pair in fields of up to 49 elements, 3000 seeded pairs and zeros above."""
+    params = FieldParams.default(q, m)
+    ops, size, order = params.ops, params.size, params.size - 1
+    assert ops.zlog[0] == 2 * order
+    assert len(ops.zexp) == 4 * order + 1 and not any(ops.zexp[2 * order :])
+    if size <= 49:
+        pairs = [(a, b) for a in range(size) for b in range(size)]
+    else:
+        rng = SplitMix64(size)
+        pairs = [(rng.randbelow(size), rng.randbelow(size)) for _ in range(3000)]
+        pairs += [(0, 0), (0, 1), (order, 0)]
+    zero = (0,) * m
+    for a, b in pairs:
+        ca, cb = _digits(a, q, m), _digits(b, q, m)
+        expected = _poly_mul_mod(ca, cb, params.modulus, q) if a and b else zero
+        assert _digits(ops.zexp[ops.zlog[a] + ops.zlog[b]], q, m) == expected
+
+
 def test_inverse_by_exhaustive_search(fp24):
     alpha = fp24.alpha()
     # oracle: scan the 15 nonzero elements for the product 1

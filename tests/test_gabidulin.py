@@ -1,4 +1,4 @@
-"""Gabidulin encoding and decoding against the brute-force oracle."""
+"""Gabidulin encoding and decoding against the brute-force oracle and the reference decoder."""
 
 import itertools
 
@@ -14,6 +14,7 @@ from lsc.gabidulin import (
 )
 from lsc.linalg import MatrixFq, random_full_rank_matrix, rank_distance, row_space
 from lsc.rng import SplitMix64
+from gabidulin_reference import decode_bounded as reference_decode
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +295,134 @@ def test_subspace_annihilator_kernel(fp24):
     }
     kernel = {e.to_index() for e in fp24.elements() if sigma.evaluate(e).is_zero()}
     assert kernel == span
+
+
+def test_linearized_poly_rejects_operands_from_other_fields(fp24):
+    f9, f4096 = FieldParams.default(3, 2), FieldParams.default(2, 12)
+    poly = LinearizedPoly.from_coeffs(fp24, [fp24.from_index(3), fp24.one()])
+    other = LinearizedPoly.from_coeffs(f9, [f9.from_index(4), f9.one()])
+    calls = [
+        lambda: poly.evaluate(f9.from_index(5)),
+        lambda: poly.evaluate(f4096.from_index(4000)),
+        lambda: poly.compose(other),
+        lambda: other.compose(poly),
+        lambda: poly.divide_left(other),
+        lambda: poly + LinearizedPoly.zero(f9),
+        lambda: poly - LinearizedPoly.zero(f9),
+        lambda: LinearizedPoly.subspace_annihilator(fp24, [fp24.one(), f9.from_index(3)]),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="operands belong to different fields"):
+            call()
+
+
+# --- the decoder against the reference decoder (tests/gabidulin_reference.py) ---
+
+
+def _agree(code, received, rows=None, cols=None):
+    """decode_bounded and the reference decoder give the same message, or a
+    DecodeFailure with the same reason and detail."""
+    got = code.decode_bounded(received, row_erasures=rows, col_erasures=cols)
+    assert got == reference_decode(code, received, rows, cols)
+    return got
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 3, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1)])
+def test_decoder_matches_reference_exhaustively(q, m, n, k):
+    """Every received word, with no hints and with every one-row row hint or
+    column hint, the zero row included."""
+    params = FieldParams.default(q, m)
+    code = GabidulinCode.standard(params, n, k)
+    row_hints = [MatrixFq(q, 1, m, (v,)) for v in itertools.product(range(q), repeat=m)]
+    col_hints = [MatrixFq(q, 1, n, (v,)) for v in itertools.product(range(q), repeat=n)]
+    hints = [(None, None)] + [(h, None) for h in row_hints] + [(None, h) for h in col_hints]
+    decoded = failed = 0
+    for word in itertools.product(params.elements(), repeat=n):
+        received = RankCodeword(word)
+        for rows, cols in hints:
+            if isinstance(_agree(code, received, rows, cols), DecodeFailure):
+                failed += 1
+            else:
+                decoded += 1
+    assert decoded and failed
+
+
+def _random_hint(q, rows, width, rng):
+    """A hint with ``rows`` independent rows (None or 0 rows when there are
+    none), half the time scrambled by ``_scrambled``."""
+    if not rows:
+        return None if rng.randbelow(2) else MatrixFq.zeros(q, 0, width)
+    hint = random_full_rank_matrix(q, rows, width, rng)
+    return _scrambled(hint, rng) if rng.randbelow(2) else hint
+
+
+@pytest.mark.parametrize("q, max_m, trials", [(2, 12, 150), (3, 6, 120), (5, 4, 80), (7, 3, 80)])
+def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
+    """Random fields, codes on random evaluation points, and errors built from
+    column-hint, row-hint and unhinted parts, mostly inside the radius."""
+    rng = SplitMix64(1000 + q)
+    decoded = failed = 0
+    for trial in range(trials):
+        m = 1 + rng.randbelow(max_m)
+        params = FieldParams.default(q, m)
+        n = 1 + rng.randbelow(m)
+        k = 1 + rng.randbelow(n)
+        points = RankCodeword.from_matrix(params, random_full_rank_matrix(q, n, m, rng)).symbols
+        code = GabidulinCode(params, n, k, points)
+        msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+        word = code.encode(msg).as_matrix()
+        # 2 tau + mu + delta <= budget; one trial in four may go beyond d - 1
+        budget = n - k + (rng.randbelow(3) if trial % 4 == 0 else 0)
+        mu = rng.randbelow(min(n, budget) + 1)
+        delta = rng.randbelow(min(m, budget - mu) + 1)
+        tau = rng.randbelow(min(n, m, (budget - mu - delta) // 2) + 1)
+        cols = _random_hint(q, mu, n, rng)
+        rows = _random_hint(q, delta, m, rng)
+        err = MatrixFq.zeros(q, n, m)
+        if mu:
+            err = err + cols.transpose() @ MatrixFq.random(q, cols.rows, m, rng)
+        if delta:
+            err = err + MatrixFq.random(q, n, rows.rows, rng) @ rows
+        if tau:
+            u = random_full_rank_matrix(q, tau, n, rng).transpose()
+            err = err + u @ random_full_rank_matrix(q, tau, m, rng)
+        if trial % 4 == 1:  # and one in four takes uniform noise on top
+            err = err + MatrixFq.random(q, n, m, rng)
+        received = RankCodeword.from_matrix(params, word + err)
+        got = _agree(code, received, rows, cols)
+        if isinstance(got, DecodeFailure):
+            failed += 1
+        else:
+            decoded += 1
+    assert decoded and failed
+
+
+def test_decoder_matches_reference_on_edge_cases():
+    """k = n, n = 1, 0-row hints against None, hints with zero, repeated and
+    dependent rows, and mu + delta at and above d - 1."""
+    rng = SplitMix64(31)
+    for q, m in [(2, 4), (3, 4)]:
+        params = FieldParams.default(q, m)
+        for n, k in [(4, 4), (1, 1), (3, 3), (4, 1)]:
+            code = GabidulinCode.standard(params, n, k)
+            empty = MatrixFq.zeros(q, 0, m), MatrixFq.zeros(q, 0, n)
+            for trial in range(30):
+                msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+                noise = MatrixFq.random(q, n, m, rng) if trial % 2 else MatrixFq.zeros(q, n, m)
+                received = RankCodeword.from_matrix(params, code.encode(msg).as_matrix() + noise)
+                assert _agree(code, received, *empty) == _agree(code, received)
+        code = GabidulinCode.standard(params, 4, 1)  # d - 1 = 3
+        for mu, delta in [(2, 1), (0, 3), (3, 0), (2, 2), (0, 4), (4, 0)]:
+            for _ in range(20):
+                received = RankCodeword.from_matrix(params, MatrixFq.random(q, 4, m, rng))
+                rows = random_full_rank_matrix(q, delta, m, rng) if delta else None
+                cols = random_full_rank_matrix(q, mu, 4, rng) if mu else None
+                got = _agree(code, received, rows, cols)
+                if mu + delta > 3:
+                    assert got.detail == f"mu+delta = {mu + delta} exceeds d-1 = 3"
+                # zero, repeated and dependent rows span the same hint spaces
+                noisy = [
+                    None if h is None else h.vstack(MatrixFq.zeros(q, 1, h.cols)).vstack(_scrambled(h, rng))
+                    for h in (rows, cols)
+                ]
+                assert _agree(code, received, *noisy) == got
