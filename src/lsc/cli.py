@@ -74,20 +74,18 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 def _dump_guaranteed_failures(cfg: ExperimentConfig, result) -> None:
     """Re-derive and dump failed guaranteed-regime trials for diagnosis."""
     code = cfg.build_code()
+    exact = cfg.channel_mode == "exact"
     seen = set()
     for record in result.records:
-        if record.success or record.rho_requested is None:
-            continue
-        if 2 * (record.rho_requested + record.t_requested) >= code.min_distance():
+        if record.success or record.ds_vu > code.capability:
             continue
         key = (record.trial, record.rho_requested, record.t_requested)
         if key in seen:
             continue
         seen.add(key)
-        word, outcome = make_trial(
-            code, record.seed, ChannelSpec(rho=record.rho_requested, t=record.t_requested)
-        )
-        print(f"# failed trial {record.trial} rho {record.rho_requested} t {record.t_requested}")
+        spec = ChannelSpec(rho=record.rho_requested, t=record.t_requested) if exact else None
+        word, outcome = make_trial(code, record.seed, spec, cfg.collected, cfg.error_packets)
+        print(f"# failed trial {record.trial} rho {record.rho_realized} t {record.t_realized}")
         print("V")
         print(dump_subspace(word.V), end="")
         print("U")

@@ -12,6 +12,7 @@ outcomes as plain simulation runs with the same seed.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence, TextIO
@@ -201,25 +202,34 @@ def _in_worker(task):
     return trial_fn(_WORKER_CODE, job)
 
 
-def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) -> list:
-    """``[trial_fn(code, job) for job in jobs]``, on ``cfg.workers`` processes.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Results keep the order of ``jobs``.  ``trial_fn`` is a module-level
-    function, so that it pickles by name; each worker rebuilds ``code``
-    once, from its field and shape.
+
+def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) -> list:
+    """``[trial_fn(code, job) for job in jobs]``, on up to ``cfg.workers`` processes.
+
+    No more processes start than there are jobs or usable CPUs.  Results
+    keep the order of ``jobs``.  ``trial_fn`` is a module-level function,
+    so that it pickles by name; each worker rebuilds ``code`` once, from
+    its field and shape.
     """
-    if cfg.workers > 1 and len(jobs) > 1:
+    processes = min(cfg.workers, len(jobs), _usable_cpus())
+    if processes > 1:
         params = code.params
         shape = tuple((layer.n, layer.k) for layer in code.layers)
         with multiprocessing.Pool(
-            processes=cfg.workers,
+            processes=processes,
             initializer=_worker_init,
             initargs=(params.q, params.m, params.modulus, shape),
         ) as pool:
             return pool.map(
                 _in_worker,
                 [(trial_fn, job) for job in jobs],
-                chunksize=max(1, len(jobs) // (cfg.workers * 8)),
+                chunksize=max(1, len(jobs) // (processes * 8)),
             )
     return [trial_fn(code, job) for job in jobs]
 
@@ -283,8 +293,12 @@ class SimulateResult:
         return "\n".join(lines)
 
 
-def summarize(records: Sequence[TrialRecord], min_distance: int, channel_mode: str) -> tuple[list[SummaryRow], int]:
-    """Aggregate the emitted rows; this is the only accounting path."""
+def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[SummaryRow], int]:
+    """Aggregate the emitted rows; this is the only accounting path.
+
+    A row is in the guaranteed regime when its ds_vu is within ``capability``,
+    on either channel, and a bucket when all its rows are.
+    """
     buckets: dict[tuple, list[TrialRecord]] = {}
     for record in records:
         buckets.setdefault((record.rho_requested, record.t_requested, record.algorithm), []).append(record)
@@ -295,14 +309,8 @@ def summarize(records: Sequence[TrialRecord], min_distance: int, channel_mode: s
     ):
         rows = buckets[(rho, t, algorithm)]
         successes = sum(1 for r in rows if r.success)
-        guaranteed = (
-            channel_mode == "exact"
-            and rho is not None
-            and t is not None
-            and 2 * (rho + t) < min_distance
-        )
-        if guaranteed:
-            guaranteed_failures += len(rows) - successes
+        guaranteed_failures += sum(1 for r in rows if r.ds_vu <= capability and not r.success)
+        guaranteed = all(r.ds_vu <= capability for r in rows)
         summary.append(SummaryRow(rho, t, algorithm, len(rows), successes, guaranteed))
     return summary, guaranteed_failures
 
@@ -316,7 +324,7 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
         grid = ((None, None),)
     records = _run_grid(cfg, code, grid)
     csv_text = render_csv(CSV_COLUMNS, (r.csv_row() for r in records))
-    summary, failures = summarize(records, code.min_distance(), cfg.channel_mode)
+    summary, failures = summarize(records, code.capability)
     return SimulateResult(records, csv_text, summary, failures)
 
 
@@ -467,16 +475,11 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     decoding succeeds while SIC loses a layer).
     """
     code = cfg.build_code()
-    min_distance = code.min_distance()
-    grid = [
-        (rho, t)
-        for rho, t in cfg.grid()
-        if 2 * (rho + t) >= min_distance
-    ]
+    grid = [(rho, t) for rho, t in cfg.grid() if rho + t > code.capability]
     if not grid:
         raise ConfigError(
             f"{cfg.where('channel', 'rho')}: search needs grid points with "
-            f"2(rho+t) >= {min_distance}; none configured"
+            f"2(rho+t) >= {code.min_distance()}; none configured"
         )
     wanted = list(cfg.search_targets)
     found: dict[str, SearchInstance] = {}
@@ -491,7 +494,7 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
         alg1_full = r1.all_ok and r1.recombined == word.V
         alg2_full = r2.all_ok and r2.recombined == word.V
         classification = {
-            "alg1-beyond": 2 * ds >= min_distance and alg1_full,
+            "alg1-beyond": ds > code.capability and alg1_full,
             "alg2-rescues": (not r1.all_ok) and alg2_full,
             "alg1-only": alg1_full and not r2.all_ok,
         }

@@ -18,6 +18,10 @@ recomposing (``linalg.embed``) and extraction (``linalg.shorten``, one
 elimination with the other columns in front).
 
 Failed layers contribute the zero subspace to the recomposed estimate.
+
+``LayeredCode.capability`` is the one statement of the guaranteed regime:
+a received space U with d_S(V, U) <= capability, that is
+2 d_S(V, U) < d_S, is decoded by every decoder, whatever the channel.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ class LayeredCode:
     def min_distance(self) -> int:
         """Minimum subspace distance: the smallest component distance."""
         return min(2 * code.min_rank_distance for code in self.layers)
+
+    @cached_property
+    def capability(self) -> int:
+        """The largest d_S(V, U) with 2 d_S(V, U) < d_S: every decoder recovers V."""
+        return (self.min_distance() - 1) // 2
 
     def _check_layer(self, layer: int) -> None:
         if not 1 <= layer <= self.num_layers:

@@ -32,7 +32,7 @@ from .gabidulin import (
     GabidulinCode,
     RankCodeword,
 )
-from .linalg import MatrixFq, Subspace, split_basis, subspace_distance
+from .linalg import MatrixFq, Subspace, _kernel, split_basis, subspace_distance
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ def reduce_received(code: LiftedCode, received: Subspace):
         symbols[pivot] = symbol
     word = RankCodeword._from_indices(inner.params, symbols)
     # erased header column j: -e_j plus, at each pivot i, entry j of row i;
-    # that is minus the kernel vector of the header rows at free column j
-    lost = header.kernel_basis()
+    # that is minus the kernel vector of the header rows at free column j,
+    # read off the header, which is already reduced with these pivots
+    lost = _kernel(q, n, header._data, pivots)
     col_hints = lost if q == 2 else MatrixFq.zeros(q, lost.rows, n) - lost
     return word, row_hints, col_hints
 

@@ -110,8 +110,8 @@ def _tiny_code() -> LayeredCode:
 
 
 def guaranteed_grid(code: LayeredCode) -> tuple[tuple[int, int], ...]:
-    """All (rho, t) with 2(rho+t) < d_S(code) within the channel bounds."""
-    cap = (code.min_distance() - 1) // 2
+    """All (rho, t) with rho + t within the code's capability and the channel bounds."""
+    cap = code.capability
     pairs = []
     for rho in range(0, min(cap, code.total_length) + 1):
         for t in range(0, min(cap - rho, code.params.m) + 1):
@@ -351,21 +351,20 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = LiftedCode(desk)
     per_point = ctx.count("trials_per_point")
     dec_checks = dec_viol = oracle_checks = oracle_viol = 0
-    for rho in range(0, 3):
-        for t in range(0, 3 - rho):
-            for trial in range(per_point):
-                trial_rng = SplitMix64(derive_seed(ctx.seed, 6, rho, t, trial))
-                msg = (params.from_index(trial_rng.randbelow(16)),)
-                v = lift(desk, desk.encode(msg))
-                outcome = apply_exact(v, ChannelSpec(rho=rho, t=t), trial_rng)
-                result = subspace_decode(code, outcome.U)
-                dec_checks += 1
-                if isinstance(result, DecodeFailure) or result.message != msg:
-                    dec_viol += 1
-                oracle = brute_force_subspace_decode(code, outcome.U)
-                oracle_checks += 1
-                if isinstance(oracle, DecodeFailure) or oracle.message != msg:
-                    oracle_viol += 1
+    for rho, t in guaranteed_grid(LayeredCode((desk,))):
+        for trial in range(per_point):
+            trial_rng = SplitMix64(derive_seed(ctx.seed, 6, rho, t, trial))
+            msg = (params.from_index(trial_rng.randbelow(16)),)
+            v = lift(desk, desk.encode(msg))
+            outcome = apply_exact(v, ChannelSpec(rho=rho, t=t), trial_rng)
+            result = subspace_decode(code, outcome.U)
+            dec_checks += 1
+            if isinstance(result, DecodeFailure) or result.message != msg:
+                dec_viol += 1
+            oracle = brute_force_subspace_decode(code, outcome.U)
+            oracle_checks += 1
+            if isinstance(oracle, DecodeFailure) or oracle.message != msg:
+                oracle_viol += 1
     guaranteed = PropertyResult("lifted.guaranteed_decode", dec_checks, dec_viol)
 
     for trial in range(per_point):
@@ -518,8 +517,7 @@ def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
 def dominance_suite(ctx: VerifyContext) -> list[PropertyResult]:
     code = ctx.code
     n_trials = ctx.count("dominance_trials")
-    cap = (code.min_distance() - 1) // 2
-    rho_values = [r for r in (cap + 1, cap + 2) if r <= code.total_length]
+    rho_values = [r for r in (code.capability + 1, code.capability + 2) if r <= code.total_length]
     violations = 0
     observed_failures = 0
     # past n_trials, draw on until plain SIC fails once, so that a small

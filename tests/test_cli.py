@@ -8,12 +8,43 @@ import sys
 import pytest
 
 from lsc import cli, harness
+from lsc import lifted as lifted_mod
 from lsc.channel import make_trial
-from lsc.config import load_config
+from lsc.config import load_config, parse_config
 from lsc.errors import ConfigError
+from lsc.gabidulin import DecodeFailure
 from lsc.linalg import dump_subspace
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
+# the default code on the matrix channel: at this seed, four of the six
+# trials land within the capability 2, and two beyond it
+MATRIX_SIM = """\
+[field]
+q = 2
+m = 4
+
+[code]
+layers = 3:1, 4:1
+
+[channel]
+mode = matrix
+collected = 8
+error_packets = 1
+
+[run]
+algorithm = alg1
+trials = 6
+seed = 6
+"""
+
+
+def _fail_every_decode(monkeypatch):
+    monkeypatch.setattr(
+        lifted_mod,
+        "subspace_decode",
+        lambda code, received: DecodeFailure("radius-exceeded", "fault injection"),
+    )
 
 
 def run_cli(*args, timeout=600):
@@ -157,6 +188,47 @@ def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch, capsys):
         "# failed trial 3 rho 1 t 1\n"
         f"V\n{dump_subspace(word.V)}U\n{dump_subspace(outcome.U)}"
     )
+
+
+def test_matrix_channel_failures_within_capability_are_gated(monkeypatch, tmp_path, capsys):
+    _fail_every_decode(monkeypatch)
+    result = harness.run_simulate(parse_config(MATRIX_SIM, "matrix.ini"))
+    inside = [r for r in result.records if r.ds_vu <= 2]
+    assert 0 < len(inside) < len(result.records)
+    assert not any(r.success for r in result.records)
+    assert result.guaranteed_failures == len(inside)
+    config = tmp_path / "matrix.ini"
+    config.write_text(MATRIX_SIM)
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "rows.csv")]
+    assert cli.main(args) == 1
+    assert f"guaranteed-regime failures: {len(inside)}" in capsys.readouterr().out
+
+
+def test_dump_prints_the_failed_matrix_channel_trials(monkeypatch, tmp_path, capsys):
+    _fail_every_decode(monkeypatch)
+    built = {}
+
+    def recording_make_trial(code, seed, *args, **kwargs):
+        built[seed] = make_trial(code, seed, *args, **kwargs)
+        return built[seed]
+
+    monkeypatch.setattr(harness, "make_trial", recording_make_trial)
+    config = tmp_path / "matrix.ini"
+    config.write_text(MATRIX_SIM)
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "rows.csv"), "--dump"]
+    assert cli.main(args) == 1
+    expected = ""
+    for record in harness.run_simulate(parse_config(MATRIX_SIM, "matrix.ini")).records:
+        if record.ds_vu > 2:
+            continue
+        word, outcome = built[record.seed]
+        expected += (
+            f"# failed trial {record.trial} rho {record.rho_realized} t {record.t_realized}\n"
+            f"V\n{dump_subspace(word.V)}U\n{dump_subspace(outcome.U)}"
+        )
+    assert expected
+    out = capsys.readouterr().out
+    assert out[out.index("# failed trial"):] == expected
 
 
 def test_verify_quick(tmp_path):

@@ -97,6 +97,58 @@ def test_simulate_deterministic_and_worker_independent():
     assert parallel.csv_text == first.csv_text
 
 
+def test_summary_regime_on_a_grid_across_the_capability():
+    text = TINY_SIM.replace("rho = 0,1", "rho = 0,1,2").replace("algorithm = both", "algorithm = alg1")
+    result = run_simulate(parse_config(text, "tiny.ini"))
+    assert [(row.rho, row.t, row.guaranteed) for row in result.summary] == [
+        (0, 0, True),
+        (0, 1, True),
+        (1, 0, True),
+        (1, 1, True),
+        (2, 0, True),
+        (2, 1, False),
+    ]
+
+
+def test_workers_start_no_more_processes_than_jobs_or_cpus(monkeypatch):
+    """A fake pool records the process count and runs the map serially."""
+    import multiprocessing
+    import os
+
+    from lsc import harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            started.append(chunksize)
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(harness, "_WORKER_CODE", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = parse_config(TINY_SIM.replace("trials = 4", "trials = 8").replace("both", "alg1"), "tiny.ini")
+    serial = run_simulate(cfg).csv_text
+    assert started == []
+    cfg.workers = 100_000
+    assert run_simulate(cfg).csv_text == serial
+    assert started == [2, 32 // (2 * 8)]  # 32 jobs on the 2 usable CPUs
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._usable_cpus() == 3
+
+
 def test_summary_is_recounted_from_rows():
     cfg = parse_config(TINY_SIM, "tiny.ini")
     result = run_simulate(cfg)

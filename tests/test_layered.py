@@ -174,6 +174,20 @@ def test_min_distance_achieved_on_tiny_code(tiny_code):
     assert dmin == tiny_code.min_distance() == 4
 
 
+def test_capability_is_the_largest_distance_below_half_the_minimum(example_code, tiny_code):
+    shapes = [
+        (2, 4, [(3, 1), (4, 1)]),  # sim-default and verify-quick
+        (2, 12, [(6, 2), (6, 2)]),  # sim-f4096
+        (3, 4, [(3, 1), (4, 2)]),  # sim-matrix-q3
+    ]
+    codes = [example_code, tiny_code] + [
+        LayeredCode.standard(FieldParams.default(q, m), shape) for q, m, shape in shapes
+    ]
+    for code, expected in zip(codes, [2, 1, 2, 4, 2]):
+        d = code.min_distance()
+        assert code.capability == max(x for x in range(d) if 2 * x < d) == expected
+
+
 def test_extraction_distance_bound_and_identities(example_code):
     rng = SplitMix64(35)
     for _ in range(300):
