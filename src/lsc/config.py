@@ -12,10 +12,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError, ParameterError
 from .field import FieldParams
+from . import layered
 from .layered import LayeredCode
 from .properties import VERIFY_COUNTS
 
-ALGORITHMS = ("alg1", "alg2", "alg2-iterative", "both")
+ALGORITHMS = layered.ALGORITHMS + ("both",)
 SCENARIO_MODES = ("multicast", "multi-source", "unicast")
 SEARCH_TARGETS = ("alg1-beyond", "alg2-rescues", "alg1-only")
 
@@ -69,7 +70,7 @@ class ExperimentConfig:
 
     def algorithms(self) -> tuple[str, ...]:
         if self.algorithm == "both":
-            return ("alg1", "alg2", "alg2-iterative")
+            return layered.ALGORITHMS
         return (self.algorithm,)
 
     def grid(self) -> tuple[tuple[int, int], ...]:
@@ -94,6 +95,17 @@ def _int_list(value, at, name):
         return tuple(int(x.strip()) for x in value.split(",") if x.strip())
     except ValueError:
         raise ConfigError(f"{at}: {name} must be a comma list of integers") from None
+
+
+def _grid_list(value, at, name):
+    """A channel grid axis: at least one value, none repeated."""
+    out = _int_list(value, at, name)
+    if not out:
+        raise ConfigError(f"{at}: {name} must list at least one value")
+    for i, x in enumerate(out):
+        if x in out[:i]:
+            raise ConfigError(f"{at}: duplicate {name} value {x}")
+    return out
 
 
 def _distance_list(value, at, name):
@@ -155,8 +167,8 @@ _SCHEMA = {
         "channel_mode",
         _choice(("exact", "matrix"), "channel mode must be exact or matrix"),
     ),
-    ("channel", "rho"): ("rho_values", _int_list),
-    ("channel", "t"): ("t_values", _int_list),
+    ("channel", "rho"): ("rho_values", _grid_list),
+    ("channel", "t"): ("t_values", _grid_list),
     ("channel", "collected"): ("collected", _int(0)),
     ("channel", "error_packets"): ("error_packets", _int(0)),
     ("run", "algorithm"): (
@@ -290,6 +302,13 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
             f"{src}:{line_of('scenario', 'unicast_layer')}: unicast_layer = {cfg.unicast_layer} "
             f"exceeds the layer count {len(cfg.layers)}"
         )
+
+    for target, profile in cfg.search_profiles.items():
+        if profile.layer_ds is not None and len(profile.layer_ds) != len(cfg.layers):
+            raise ConfigError(
+                f"{src}:{line_of('search', f'{target}.layer_ds')}: {target}.layer_ds has "
+                f"{len(profile.layer_ds)} entries; it needs one per layer ({len(cfg.layers)})"
+            )
 
 
 def load_config(path: str) -> ExperimentConfig:

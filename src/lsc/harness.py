@@ -21,7 +21,7 @@ from .channel import ChannelSpec, make_trial
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
 from .gabidulin import DecodeFailure
-from .layered import STATUS_OK, LayerDecodeReport, LayeredCode
+from .layered import STATUS_OK, LayeredCode
 from .lifted import lift, subspace_decode
 from .linalg import Subspace, dump_subspace, subspace_distance
 from .properties import (
@@ -105,16 +105,6 @@ class TrialRecord:
         )
 
 
-def _decode_with(code: LayeredCode, algorithm: str, received: Subspace, max_sweeps: int) -> LayerDecodeReport:
-    if algorithm == "alg1":
-        return code.decode_alg1(received)
-    if algorithm == "alg2":
-        return code.decode_alg2(received)
-    if algorithm == "alg2-iterative":
-        return code.decode_alg2(received, iterative=True, max_sweeps=max_sweeps)
-    raise InvariantError(f"unknown algorithm {algorithm!r}")
-
-
 def _component_distance(code: LayeredCode, word, layer: int, space: Subspace) -> int:
     """d_S(V_l, U_l) for U_l the layer extracted from ``space``.
 
@@ -157,7 +147,7 @@ def run_trial(
     layer_ds = _layer_distances(code, word, outcome.U)
     records = []
     for algorithm in algorithms:
-        report = _decode_with(code, algorithm, outcome.U, max_sweeps)
+        report = code.decode(outcome.U, algorithm, max_sweeps)
         chain: tuple[int, ...] = ()
         if report.accumulated:
             # accumulated[0] is the received space, at distance ds
@@ -566,7 +556,7 @@ def _multicast_trial(code: LayeredCode, job) -> tuple[bool, ...]:
     code = LayeredCode(code.layers[:count])
     word, outcome = make_trial(code, seed, spec)
     return tuple(
-        _decode_with(code, algorithm, outcome.U, max_sweeps).recombined == word.V
+        code.decode(outcome.U, algorithm, max_sweeps).recombined == word.V
         for algorithm in algorithms
     )
 

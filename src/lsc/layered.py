@@ -3,21 +3,30 @@
 The overall code stacks L lifted component codes with disjoint identity
 blocks sharing one payload block of width m.  Components combine by
 direct sum, and a codeword determines its components uniquely, so
-decoding splits per layer:
+decoding splits per layer.  One walk over the layers
+(``LayeredCode._walk``) serves the three decoders named in ``ALGORITHMS``:
 
-* parallel decoding extracts each component space independently and
-  hands it to the component decoder;
-* successive-interference-cancellation decoding walks the layers (by
+* ``alg1`` (parallel decoding) walks layers 1..L once and extracts each
+  component from the received space;
+* ``alg2`` (successive interference cancellation) walks the layers (by
   default from the last to the first), adding each decoded component
-  back into the working space before extracting the next, optionally
-  sweeping again over failed layers until nothing new decodes.
+  back into the working space before extracting the next;
+* ``alg2-iterative`` is alg2 sweeping again over failed layers until a
+  sweep decodes nothing new.
+
+``LayeredCode.decode(received, algorithm)`` runs one by name;
+``decode_alg1`` and ``decode_alg2`` are the same walk with the SIC order
+and sweep options spelled out.
 
 A layer's coordinates (its identity columns, then the payload columns)
-are fixed, so one cached column map serves encoding, embedding and
-recomposing (``linalg.embed``) and extraction (``linalg.shorten``, one
-elimination with the other columns in front).
+are fixed, so one cached column map serves encoding and embedding
+(``linalg.embed``) and extraction (``linalg.shorten``, one elimination
+with the other columns in front).
 
-Failed layers contribute the zero subspace to the recomposed estimate.
+A decoded component is a lift, so the recombined estimate is stacked
+like an encoded V: the embedded components in layer order, already
+canonical, with no elimination.  Failed layers contribute the zero
+subspace.  ``recompose`` direct-sums arbitrary per-layer estimates.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -29,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
 from .field import ExtFieldElement, FieldParams
@@ -40,6 +49,9 @@ from . import lifted as lifted_mod
 
 STATUS_OK = "ok"
 STATUS_FAIL = "fail"
+
+# the decoder names, in report order; ``LayeredCode.decode`` runs one by name
+ALGORITHMS = ("alg1", "alg2", "alg2-iterative")
 
 
 @dataclass(frozen=True)
@@ -140,15 +152,11 @@ class LayeredCode:
         components = tuple(
             self.component_subspace(layer, matrix) for layer, matrix in enumerate(matrices, 1)
         )
-        # disjoint identity blocks in layer order: the stacked bases are already canonical
-        basis = components[0].basis
-        for comp in components[1:]:
-            basis = basis.vstack(comp.basis)
         return LayeredCodeword(
             code=self,
             component_matrices=matrices,
             components=components,
-            V=Subspace._unchecked(self.ambient_dim, basis),
+            V=self._direct_sum(components),
         )
 
     # --- layer extraction and embedding ---
@@ -173,8 +181,15 @@ class LayeredCode:
             raise ParameterError("component space has the wrong ambient dimension")
         return embed(stripped, self._columns[layer - 1], self.ambient_dim)
 
+    def _direct_sum(self, components: Iterable[Subspace]) -> Subspace:
+        """Stack embedded lifts given in layer order: disjoint identity blocks keep it canonical."""
+        basis = MatrixFq.zeros(self.params.q, 0, self.ambient_dim)
+        for component in components:
+            basis = basis.vstack(component.basis)
+        return Subspace._unchecked(self.ambient_dim, basis)
+
     def recompose(self, components: Sequence[Subspace]) -> Subspace:
-        """Direct-sum the per-layer estimates back into the full ambient."""
+        """Direct-sum any per-layer estimates by one elimination, which checks the sum."""
         if len(components) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} component spaces")
         stacked = MatrixFq.zeros(self.params.q, 0, self.ambient_dim)
@@ -187,13 +202,18 @@ class LayeredCode:
 
     # --- decoding ---
 
+    def decode(self, received: Subspace, algorithm: str, max_sweeps: int = 8) -> "LayerDecodeReport":
+        """Run the decoder ``algorithm`` names, one of ``ALGORITHMS``, through
+        ``decode_alg1``/``decode_alg2``: perfbench times those per algorithm."""
+        if algorithm == "alg1":
+            return self.decode_alg1(received)
+        if algorithm in ALGORITHMS:
+            return self.decode_alg2(received, algorithm == "alg2-iterative", max_sweeps)
+        raise ParameterError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+
     def decode_alg1(self, received: Subspace) -> "LayerDecodeReport":
         """Decode every layer independently from the received space."""
-        results = []
-        for layer in range(1, self.num_layers + 1):
-            extracted = self.extract_component(received, layer)
-            results.append(self._attempt(layer, extracted))
-        return self._build_report("alg1", results, sweeps=1, accumulated=[], attempts=[])
+        return self._walk("alg1", received, range(1, self.num_layers + 1), 1, cancel=False)
 
     def decode_alg2(
         self,
@@ -212,50 +232,50 @@ class LayeredCode:
         """
         if max_sweeps < 1:
             raise ParameterError("max_sweeps must be at least 1")
-        if order is None:
-            order = list(range(self.num_layers, 0, -1))
-        else:
-            order = list(order)
-            if sorted(order) != list(range(1, self.num_layers + 1)):
-                raise ParameterError("order must be a permutation of the layers")
+        order = range(self.num_layers, 0, -1) if order is None else list(order)
+        if sorted(order) != list(range(1, self.num_layers + 1)):
+            raise ParameterError("order must be a permutation of the layers")
+        algorithm = "alg2-iterative" if iterative else "alg2"
+        return self._walk(algorithm, received, order, max_sweeps if iterative else 1, cancel=True)
 
+    def _walk(self, algorithm, received, order, max_sweeps, cancel) -> "LayerDecodeReport":
+        """The one decode loop: sweep ``order`` over the undecoded layers.
+
+        With ``cancel`` each decoded component joins the working space
+        before the next extraction, and the report records every working
+        space.  Sweeps stop at ``max_sweeps``, or when one decodes nothing
+        new or nothing is left to decode.
+        """
         working = received
         results: dict[int, LayerResult] = {}
-        accumulated = [working]
+        decoded: dict[int, Subspace] = {}  # layer -> component in the full ambient
+        accumulated = [working] if cancel else []
         attempts: list[int] = []
         sweeps = 0
-        while True:
+        while sweeps < max_sweeps:
             sweeps += 1
-            decoded_this_sweep = 0
+            decoded_before = len(decoded)
             for layer in order:
-                prior = results.get(layer)
-                if prior is not None and prior.status == STATUS_OK:
+                if layer in decoded:
                     continue
-                extracted = self.extract_component(working, layer)
-                result = self._attempt(layer, extracted)
+                result = self._attempt(layer, self.extract_component(working, layer))
                 results[layer] = result
                 if result.status == STATUS_OK:
-                    working = subspace_sum(
-                        working, self.embed_component(layer, result.component)
-                    )
-                    decoded_this_sweep += 1
-                accumulated.append(working)
-                attempts.append(layer)
-            if not iterative:
+                    decoded[layer] = self.embed_component(layer, result.component)
+                    if cancel:
+                        working = subspace_sum(working, decoded[layer])
+                if cancel:
+                    accumulated.append(working)
+                    attempts.append(layer)
+            if len(decoded) == decoded_before or len(decoded) == self.num_layers:
                 break
-            if decoded_this_sweep == 0 or all(
-                r.status == STATUS_OK for r in results.values()
-            ):
-                break
-            if sweeps == max_sweeps:
-                break
-        ordered = [results[layer] for layer in range(1, self.num_layers + 1)]
-        return self._build_report(
-            "alg2-iterative" if iterative else "alg2",
-            ordered,
+        return LayerDecodeReport(
+            algorithm=algorithm,
+            layers=[results[layer] for layer in range(1, self.num_layers + 1)],
+            recombined=self._direct_sum(decoded[layer] for layer in sorted(decoded)),
             sweeps=sweeps,
             accumulated=accumulated,
-            attempts=attempts,
+            attempt_layers=attempts,
         )
 
     def _attempt(self, layer: int, extracted: Subspace) -> "LayerResult":
@@ -277,17 +297,6 @@ class LayeredCode:
             matrix=outcome.matrix,
             message=outcome.message,
             component=lifted_mod.lift(code, outcome.matrix),
-        )
-
-    def _build_report(self, algorithm, results, sweeps, accumulated, attempts):
-        recombined = self.recompose([r.component for r in results])
-        return LayerDecodeReport(
-            algorithm=algorithm,
-            layers=list(results),
-            recombined=recombined,
-            sweeps=sweeps,
-            accumulated=list(accumulated),
-            attempt_layers=list(attempts),
         )
 
 

@@ -16,7 +16,7 @@ from operator import xor
 from .channel import ChannelSpec, apply_exact, apply_matrix, make_trial
 from .field import FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode, RankCodeword
-from .layered import LayeredCode
+from .layered import ALGORITHMS, LayeredCode
 from .lifted import (
     LiftedCode,
     brute_force_subspace_decode,
@@ -430,15 +430,12 @@ def guaranteed_recovery_suite(ctx: VerifyContext) -> list[PropertyResult]:
                 code, derive_seed(ctx.seed, 9, rho, t, trial), ChannelSpec(rho=rho, t=t)
             )
             checks += 1
-            reports = [
-                code.decode_alg1(outcome.U),
-                code.decode_alg2(outcome.U),
-                code.decode_alg2(outcome.U, iterative=True),
-            ]
-            for report in reports:
+            for algorithm in ALGORITHMS:
+                report = code.decode(outcome.U, algorithm)
                 if not report.all_ok or report.recombined != word.V:
                     c3_viol += 1
-            for report in reports[1:]:
+                if not report.accumulated:  # parallel decoding has no SIC chain
+                    continue
                 chain = [subspace_distance(word.V, s) for s in report.accumulated]
                 chain.append(subspace_distance(word.V, report.recombined))
                 if any(a < b for a, b in zip(chain, chain[1:])):

@@ -117,6 +117,15 @@ def test_comments_and_inline_comments():
         ("[search]\nalg1-beyond.ds = -1\n", "nope.ini:2: ds must be >= 0, got -1"),
         ("[search]\nalg2-rescues.retry_ds = -1\n", "nope.ini:2: retry_ds must be >= 0, got -1"),
         ("[search]\nalg1-only.layer_ds = 2,-1\n", "nope.ini:2: layer_ds must be >= 0, got -1"),
+        ("[channel]\nrho = 1,1\n", "nope.ini:2: duplicate rho value 1"),
+        ("[channel]\nt = 0,1,0\n", "nope.ini:2: duplicate t value 0"),
+        ("[channel]\nrho =\n", "nope.ini:2: rho must list at least one value"),
+        ("[channel]\nt = ,\n", "nope.ini:2: t must list at least one value"),
+        (
+            "[search]\nalg1-beyond.ds = 4\nalg1-beyond.layer_ds = 2,2,2\n",
+            "nope.ini:3: alg1-beyond.layer_ds has 3 entries; it needs one per layer (2)",
+        ),
+        ("[search]\nalg2-rescues.layer_ds =\n", "nope.ini:2: alg2-rescues.layer_ds has 0 entries"),
     ],
 )
 def test_line_precise_errors(text, fragment):

@@ -2,11 +2,13 @@
 
 import pytest
 
-from lsc.channel import ChannelSpec, apply_exact
+from layered_reference import decode_alg1 as reference_alg1
+from layered_reference import decode_alg2 as reference_alg2
+from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import InvariantError, ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import GabidulinCode
-from lsc.layered import STATUS_OK, LayeredCode
+from lsc.layered import ALGORITHMS, STATUS_OK, LayeredCode
 from lsc.lifted import lift
 from lsc.linalg import (
     MatrixFq,
@@ -336,3 +338,66 @@ def test_layer_field_mismatch_rejected(fp24):
                 GabidulinCode.standard(other, 3, 1),
             )
         )
+
+
+# --- the one walk against the hand-written loops (tests/layered_reference.py) ---
+
+
+def _assert_same_report(got, want):
+    assert got.algorithm == want.algorithm
+    for mine, theirs in zip(got.layers, want.layers, strict=True):
+        assert (mine.layer, mine.status, mine.reason) == (theirs.layer, theirs.status, theirs.reason)
+        assert (mine.matrix, mine.message, mine.component) == (
+            theirs.matrix, theirs.message, theirs.component
+        )
+    # the stacked lifts must already be the canonical basis recompose eliminates to
+    assert got.recombined.basis == want.recombined.basis
+    assert got.sweeps == want.sweeps
+    assert got.accumulated == want.accumulated
+    assert got.attempt_layers == want.attempt_layers
+
+
+def _differential_receptions(code):
+    """Received spaces on both channels, inside and beyond the capability."""
+    total, m = code.total_length, code.params.m
+    points = [(0, 0), (1, 1), (2, 1), (2, 2), (3, 0), (total - 1, 0), (3, 2), (total, m)]
+    for trial in range(4):
+        for rho, t in points:
+            yield make_trial(code, 1000 * trial + 10 * rho + t, ChannelSpec(rho=rho, t=t))[1].U
+        for collected, errors in [(total, 0), (total - 2, 1), (total + 1, 2), (2, 2)]:
+            seed = 5000 + 1000 * trial + 10 * collected + errors
+            yield make_trial(code, seed, collected=collected, error_packets=errors)[1].U
+
+
+@pytest.mark.parametrize(
+    "q, m, shape",
+    [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)]), (3, 2, [(1, 1), (2, 1), (1, 1)])],
+    ids=["q2", "q3", "q3-three-layers"],
+)
+def test_walk_matches_reference_decoders(q, m, shape):
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    ascending = list(range(1, code.num_layers + 1))
+    failed_layers = multi_sweeps = 0
+    for received in _differential_receptions(code):
+        alg1 = code.decode(received, "alg1")
+        _assert_same_report(alg1, reference_alg1(code, received))
+        failed_layers += code.num_layers - len(alg1.decoded_layers)
+        _assert_same_report(code.decode(received, "alg2"), reference_alg2(code, received))
+        for max_sweeps in range(1, 5):
+            got = code.decode(received, "alg2-iterative", max_sweeps)
+            _assert_same_report(got, reference_alg2(code, received, True, max_sweeps))
+            multi_sweeps += got.sweeps > 1
+        for iterative in (False, True):
+            _assert_same_report(
+                code.decode_alg2(received, iterative, order=ascending),
+                reference_alg2(code, received, iterative, order=ascending),
+            )
+    # the receptions reach failed layers and repeated sweeps, not only clean decodes
+    assert failed_layers > 0 and multi_sweeps > 0
+
+
+def test_decode_by_name(example_code):
+    _, outcome = make_trial(example_code, 7, ChannelSpec(rho=1, t=1))
+    assert [example_code.decode(outcome.U, name).algorithm for name in ALGORITHMS] == list(ALGORITHMS)
+    with pytest.raises(ParameterError, match="algorithm must be one of"):
+        example_code.decode(outcome.U, "both")
