@@ -7,7 +7,7 @@ mimics a receiver collecting random linear combinations plus corrupt
 packets; there (rho, t) are emergent and only reported.
 
 ``make_trial`` is the one trial recipe shared by the harness and the
-property suites: seed -> random messages -> encode -> channel.
+property suites: seed -> random codeword -> channel.
 """
 
 from __future__ import annotations
@@ -122,14 +122,14 @@ def make_trial(
     collected: int = 0,
     error_packets: int = 0,
 ) -> tuple[LayeredCodeword, ChannelOutcome]:
-    """One trial from its seed: random messages, encode, then the channel.
+    """One trial from its seed: a random codeword, then the channel.
 
     Given ``spec`` the exact channel runs, otherwise the matrix channel with
     ``collected`` and ``error_packets``.  Both draw from the one SplitMix64
     stream after the messages, so a trial is fixed by (code, seed, channel).
     """
     rng = SplitMix64(seed)
-    word = code.encode(code.random_messages(rng))
+    word = code.random_codeword(rng)
     if spec is not None:
         outcome = apply_exact(word.V, spec, rng)
     else:

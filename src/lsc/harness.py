@@ -20,9 +20,7 @@ from typing import Iterable, Sequence, TextIO
 from .channel import ChannelSpec, make_trial
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
-from .gabidulin import DecodeFailure
-from .layered import STATUS_OK, LayeredCode
-from .lifted import lift, subspace_decode
+from .layered import STATUS_OK, LayerDecodeReport, LayeredCode, LayeredCodeword
 from .linalg import Subspace, dump_subspace, subspace_distance
 from .properties import (
     PROPERTY_MANIFEST,
@@ -105,23 +103,47 @@ class TrialRecord:
         )
 
 
-def _component_distance(code: LayeredCode, word, layer: int, space: Subspace) -> int:
-    """d_S(V_l, U_l) for U_l the layer extracted from ``space``.
-
-    Both sides stay in the component ambient n_l + m: V_l is the lift of
-    the layer's codeword matrix and U_l the stripped extraction.  Placing
-    both in the full ambient moves no dimension, so the distance is the same.
-    """
-    v_l = lift(code.layers[layer - 1], word.component_matrices[layer - 1])
-    return subspace_distance(v_l, code.extract_component(space, layer))
-
-
-def _layer_distances(code: LayeredCode, word, received: Subspace) -> tuple[int, ...]:
-    """d_S(V_l, U_l) per layer, U_l extracted from the received space."""
+def _layer_distances(
+    code: LayeredCode, word: LayeredCodeword, received: Subspace
+) -> tuple[int, ...]:
+    """d_S(V_l, U_l) per layer, U_l the layer extracted from the received space."""
     return tuple(
-        _component_distance(code, word, layer, received)
-        for layer in range(1, code.num_layers + 1)
+        code.layer_distance(component, received, layer)
+        for layer, component in enumerate(word.components, 1)
     )
+
+
+def _ds_chain(word: LayeredCodeword, report: LayerDecodeReport, ds: int) -> tuple[int, ...]:
+    """d_S(V, .) of every SIC working space, then of the recombined estimate.
+
+    ``ds`` is d_S(V, U) for the received space U.  A working space only
+    grows, so an attempt that leaves its dimension alone leaves the
+    distance alone.  A decoded component C that is the sent one lies in V,
+    so V ∩ (A + C) = (V ∩ A) + C, and d_S(V, A + C) = d_S(V, A) -
+    (dim(A + C) - dim A) whatever A holds.  Only a miscorrected component
+    needs a real distance.  Empty for alg1, which has no working spaces.
+    """
+    if not report.accumulated:
+        return ()
+    sent = word.component_matrices
+    right = {
+        r.layer for r in report.layers if r.status == STATUS_OK and r.matrix == sent[r.layer - 1]
+    }
+    chain = [ds]
+    spaces = report.accumulated
+    for before, after, layer in zip(spaces, spaces[1:], report.attempt_layers):
+        grown = after.dim - before.dim
+        if grown and layer not in right:
+            ds = subspace_distance(word.V, after)
+        else:
+            ds -= grown
+        chain.append(ds)
+    if report.decoded_layers <= right:
+        # the recombined estimate is a subspace of V
+        chain.append(word.V.dim - report.recombined.dim)
+    else:
+        chain.append(subspace_distance(word.V, report.recombined))
+    return tuple(chain)
 
 
 def run_trial(
@@ -148,12 +170,6 @@ def run_trial(
     records = []
     for algorithm in algorithms:
         report = code.decode(outcome.U, algorithm, max_sweeps)
-        chain: tuple[int, ...] = ()
-        if report.accumulated:
-            # accumulated[0] is the received space, at distance ds
-            chain = (ds,) + tuple(
-                subspace_distance(word.V, s) for s in report.accumulated[1:]
-            ) + (subspace_distance(word.V, report.recombined),)
         records.append(
             TrialRecord(
                 trial=trial,
@@ -169,7 +185,7 @@ def run_trial(
                 layer_status=tuple(r.status for r in report.layers),
                 success=report.recombined == word.V,
                 sweeps=report.sweeps,
-                ds_chain=chain,
+                ds_chain=_ds_chain(word, report, ds),
             )
         )
     return records
@@ -439,7 +455,7 @@ def _retry_distances(code: LayeredCode, word, alg1_report, alg2_report) -> tuple
             i for i, l in enumerate(alg2_report.attempt_layers) if l == layer
         )
         before = alg2_report.accumulated[last_attempt]
-        out.append((layer, _component_distance(code, word, layer, before)))
+        out.append((layer, code.layer_distance(word.components[layer - 1], before, layer)))
     return tuple(out)
 
 
@@ -553,7 +569,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
 def _multicast_trial(code: LayeredCode, job) -> tuple[bool, ...]:
     """Per algorithm, whether one trial of the first ``count`` layers decodes."""
     count, seed, spec, algorithms, max_sweeps = job
-    code = LayeredCode(code.layers[:count])
+    code = code.prefixes[count - 1]
     word, outcome = make_trial(code, seed, spec)
     return tuple(
         code.decode(outcome.U, algorithm, max_sweeps).recombined == word.V
@@ -621,12 +637,8 @@ def _unicast_trial(code: LayeredCode, job) -> bool:
     """Whether one trial's layer decodes from its extracted component alone."""
     seed, spec, layer = job
     word, outcome = make_trial(code, seed, spec)
-    extracted = code.extract_component(outcome.U, layer)
-    result = subspace_decode(code.component_lifted(layer), extracted)
-    return (
-        not isinstance(result, DecodeFailure)
-        and result.matrix == word.component_matrices[layer - 1]
-    )
+    result = code.decode_layer(outcome.U, layer)
+    return result.status == STATUS_OK and result.matrix == word.component_matrices[layer - 1]
 
 
 def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:

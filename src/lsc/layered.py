@@ -19,9 +19,12 @@ decoding splits per layer.  One walk over the layers
 and sweep options spelled out.
 
 A layer's coordinates (its identity columns, then the payload columns)
-are fixed, so one cached column map serves encoding and embedding
-(``linalg.embed``) and extraction (``linalg.shorten``, one elimination
-with the other columns in front).
+are fixed.  A component is built in place, [0 | I | 0 | X] with no
+elimination (``linalg.identity_lift``), and one cached column map serves
+embedding (``linalg.embed``) and extraction (``linalg.shorten``, one
+elimination with the other columns in front).  ``layer_distance`` reads
+d_S between a component and a layer of some space off the same map, with
+no extraction.
 
 A decoded component is a lift, so the recombined estimate is stacked
 like an encoded V: the embedded components in layer order, already
@@ -43,7 +46,17 @@ from typing import Iterable, Sequence
 from .errors import InvariantError, ParameterError
 from .field import ExtFieldElement, FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode
-from .linalg import MatrixFq, Subspace, embed, row_space, shorten, subspace_sum
+from .linalg import (
+    MatrixFq,
+    Subspace,
+    embed,
+    identity_lift,
+    projection_rank,
+    row_space,
+    shorten,
+    subspace_distance,
+    subspace_sum,
+)
 
 from . import lifted as lifted_mod
 
@@ -107,6 +120,20 @@ class LayeredCode:
             for offset, code in zip(self.offsets, self.layers)
         )
 
+    @cached_property
+    def _off_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per layer, the other layers' identity columns: where its component vanishes."""
+        return tuple(
+            tuple(sorted(set(range(self.total_length)) - set(columns)))
+            for columns in self._columns
+        )
+
+    @cached_property
+    def prefixes(self) -> tuple["LayeredCode", ...]:
+        """``prefixes[c - 1]`` is the code of the first c layers; the last is this code."""
+        shorter = [LayeredCode(self.layers[:count]) for count in range(1, self.num_layers)]
+        return (*shorter, self)
+
     def component_lifted(self, layer: int) -> lifted_mod.LiftedCode:
         self._check_layer(layer)
         return lifted_mod.LiftedCode(self.layers[layer - 1])
@@ -130,24 +157,29 @@ class LayeredCode:
         """Row space of [0 | I_{n_l} | 0 | X_l] in the full ambient space."""
         self._check_layer(layer)
         code = self.layers[layer - 1]
-        if matrix.rows != code.n or matrix.cols != self.params.m:
-            raise ParameterError("component matrix has the wrong shape")
-        return self.embed_component(layer, lifted_mod.lift(code, matrix))
+        if matrix.rows != code.n or matrix.cols != self.params.m or matrix.q != self.params.q:
+            raise ParameterError(
+                f"component matrix must be {code.n}x{self.params.m} over F_{self.params.q}"
+            )
+        return identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
 
-    def random_messages(self, rng) -> list[list[ExtFieldElement]]:
-        """Uniform messages: one ``rng.randbelow`` per symbol, layer by layer."""
-        params = self.params
-        return [
-            list(map(params.from_index, rng.randbelow_many(params.size, code.k)))
-            for code in self.layers
-        ]
+    def random_codeword(self, rng) -> "LayeredCodeword":
+        """The codeword of uniform messages: one ``rng.randbelow`` per symbol,
+        layer by layer, drawn as element indices."""
+        size = self.params.size
+        return self._encode_indices([rng.randbelow_many(size, code.k) for code in self.layers])
 
     def encode(self, messages: Sequence[Sequence[ExtFieldElement]]) -> "LayeredCodeword":
         if len(messages) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} messages")
+        return self._encode_indices(
+            [code._indices(message) for code, message in zip(self.layers, messages)]
+        )
+
+    def _encode_indices(self, messages: Sequence[Sequence[int]]) -> "LayeredCodeword":
+        """Encode messages given as element indices, one list per layer."""
         matrices = tuple(
-            code._codeword_matrix(code._indices(message))
-            for code, message in zip(self.layers, messages)
+            code._codeword_matrix(message) for code, message in zip(self.layers, messages)
         )
         components = tuple(
             self.component_subspace(layer, matrix) for layer, matrix in enumerate(matrices, 1)
@@ -173,6 +205,21 @@ class LayeredCode:
             raise ParameterError("received space has the wrong ambient dimension")
         stripped = shorten(received, self._columns[layer - 1])
         return stripped if strip else self.embed_component(layer, stripped)
+
+    def layer_distance(self, component: Subspace, space: Subspace, layer: int) -> int:
+        """d_S(V_l, U_l) for ``component`` V_l of ``layer`` in the full ambient
+        and U_l the layer extracted from ``space``, with no extraction.
+
+        V_l vanishes off the layer's columns, so V_l ∩ space = V_l ∩ U_l,
+        and dim(space) - dim(U_l) is the rank of ``space`` read at the other
+        layers' identity columns.  Hence d_S(V_l, U_l) = d_S(V_l, space)
+        minus that rank; stripping columns moves no dimension, so the
+        distance is the same in the component ambient.
+        """
+        self._check_layer(layer)
+        return subspace_distance(component, space) - projection_rank(
+            space, self._off_columns[layer - 1]
+        )
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
@@ -258,10 +305,10 @@ class LayeredCode:
             for layer in order:
                 if layer in decoded:
                     continue
-                result = self._attempt(layer, self.extract_component(working, layer))
+                result = self.decode_layer(working, layer)
                 results[layer] = result
                 if result.status == STATUS_OK:
-                    decoded[layer] = self.embed_component(layer, result.component)
+                    decoded[layer] = self.component_subspace(layer, result.matrix)
                     if cancel:
                         working = subspace_sum(working, decoded[layer])
                 if cancel:
@@ -278,7 +325,10 @@ class LayeredCode:
             attempt_layers=attempts,
         )
 
-    def _attempt(self, layer: int, extracted: Subspace) -> "LayerResult":
+    def decode_layer(self, received: Subspace, layer: int) -> "LayerResult":
+        """Decode one layer from ``received`` alone: extract it, then run the
+        layer's lifted decoder.  Every decoder attempt is one such call."""
+        extracted = self.extract_component(received, layer)
         outcome = lifted_mod.subspace_decode(self.component_lifted(layer), extracted)
         code = self.layers[layer - 1]
         if isinstance(outcome, DecodeFailure):

@@ -32,7 +32,7 @@ from .gabidulin import (
     GabidulinCode,
     RankCodeword,
 )
-from .linalg import MatrixFq, Subspace, _kernel, split_basis, subspace_distance
+from .linalg import MatrixFq, Subspace, _kernel, identity_lift, split_basis, subspace_distance
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def lift(inner: GabidulinCode, codeword) -> Subspace:
     n, m, q = inner.n, inner.params.m, inner.params.q
     if matrix.rows != n or matrix.cols != m or matrix.q != q:
         raise ParameterError(f"codeword matrix must be {n}x{m} over F_{q}")
-    return Subspace._unchecked(n + m, MatrixFq.identity(q, n).hstack(matrix))
+    return identity_lift(matrix, 0, n + m)
 
 
 def reduce_received(code: LiftedCode, received: Subspace):

@@ -29,8 +29,8 @@ Trust: the public constructors ``MatrixFq(q, rows, cols, entries)``,
 ``MatrixFq.from_rows`` and ``Subspace(ambient_dim, basis)`` check their
 arguments (shape, entry range, canonical basis), and ``parse_subspace``
 goes through them.  Every result that is in range and canonical by
-construction (eliminations, sums, intersections, products, stacks and
-column moves here; lifts, codewords, hints and channel outputs in the
+construction (eliminations, sums, intersections, products, stacks,
+lifts and column moves here; codewords, hints and channel outputs in the
 other modules) is built by ``MatrixFq._unchecked`` or
 ``Subspace._unchecked``, which skip those checks.  The test suite points
 both at the checked constructors and runs the pipeline, so the
@@ -693,6 +693,22 @@ def rank_distance(x: MatrixFq, y: MatrixFq) -> int:
     return (x - y).rank()
 
 
+def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
+    """Row space of [0 | I_n | 0 | X] in F_q^ambient_dim for an n x m matrix X.
+
+    The identity block starts at column ``offset`` and X fills the last m
+    columns.  Row i is a unit at its pivot plus X's row i, so the rows are
+    already the canonical basis.
+    """
+    q, n, m = x.q, x.rows, x.cols
+    if offset < 0 or offset + n + m > ambient_dim:
+        raise ParameterError(f"an {n} x {m} lift at column {offset} does not fit in {ambient_dim}")
+    width = _field_bits(q)
+    unit = 1 << (ambient_dim - 1 - offset) * width
+    rows = tuple((unit >> i * width) | row for i, row in enumerate(x._data))
+    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
+
+
 def coordinate_zero_subspace(q: int, ambient_dim: int, zero_coords: Iterable[int]) -> Subspace:
     """Subspace of all vectors vanishing on the given 1-based coordinates."""
     zset = set(zero_coords)
@@ -786,6 +802,29 @@ def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
     kept = reduced[bisect_left(pivots, front) :]
     width = n - front
     return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
+
+
+@lru_cache(maxsize=64)
+def _column_mask(columns: tuple[int, ...], ambient_dim: int, field_bits: int) -> int:
+    _check_columns(columns, ambient_dim)
+    field = (1 << field_bits) - 1
+    mask = 0
+    for c in columns:
+        mask |= field << (ambient_dim - 1 - c) * field_bits
+    return mask
+
+
+def projection_rank(u: Subspace, columns: Sequence[int]) -> int:
+    """The dimension of ``u`` read at ``columns`` alone.
+
+    The rank of u's basis with every other column zeroed, by one forward
+    pass.  ``u.dim`` minus it is the dimension of the vectors of ``u``
+    that vanish at ``columns``, which ``shorten`` on the other columns
+    builds by a full elimination.
+    """
+    q, n = u.q, u.ambient_dim
+    mask = _column_mask(tuple(columns), n, _field_bits(q))
+    return _rank(q, n, [v & mask for v in u.basis._data])
 
 
 def embed(u: Subspace, columns: Sequence[int], ambient_dim: int) -> Subspace:

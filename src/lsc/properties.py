@@ -454,7 +454,7 @@ def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
     n_random = ctx.count("random_checks") // 20
     ds_checks = ds_viol = 0
     for _ in range(n_random):
-        word = code.encode(code.random_messages(rng))
+        word = code.random_codeword(rng)
         for i in range(code.num_layers):
             for j in range(i + 1, code.num_layers):
                 ds_checks += 1
@@ -550,7 +550,7 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     for trial in range(n_trials):
         # rho and t are drawn between encode and channel, so no make_trial here
         rng = ctx.rng(12, trial)
-        word = code.encode(code.random_messages(rng))
+        word = code.random_codeword(rng)
         rho = rng.randbelow(min(4, code.total_length) + 1)
         t = rng.randbelow(min(4, params.m) + 1)
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
@@ -566,7 +566,7 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     contract = PropertyResult("channel.exact_contract", n_trials, contract_viol)
 
     det_checks = det_viol = 0
-    word = code.encode(code.random_messages(ctx.rng(13)))
+    word = code.random_codeword(ctx.rng(13))
     for trial in range(50):
         spec = ChannelSpec(rho=trial % 3, t=trial % 2)
         first = apply_exact(word.V, spec, ctx.rng(14, trial))
@@ -579,7 +579,7 @@ def channel_suite(ctx: VerifyContext) -> list[PropertyResult]:
     bounds_checks = bounds_viol = 0
     for trial in range(ctx.count("random_checks") // 10):
         rng = ctx.rng(15, trial)
-        word = code.encode(code.random_messages(rng))
+        word = code.random_codeword(rng)
         collected = rng.randbelow(code.total_length + 3)
         errors = rng.randbelow(3)
         outcome = apply_matrix(word.V, collected, errors, rng)

@@ -1,9 +1,11 @@
-"""The two hand-written layered decoders the tests check ``LayeredCode`` against.
+"""Hand-written layered reference paths the tests check ``LayeredCode`` against.
 
 Parallel decoding (alg1) and successive interference cancellation (alg2,
 with ``iterative`` for alg2-iterative) each have their own loop, and
 every report rebuilds ``recombined`` with ``LayeredCode.recompose``, a
 full ``row_space`` elimination that checks the direct sum.
+``random_messages`` draws a codeword's messages as field elements, for
+the public ``encode``.
 """
 
 from lsc import lifted
@@ -11,6 +13,15 @@ from lsc.errors import ParameterError
 from lsc.gabidulin import DecodeFailure
 from lsc.layered import STATUS_FAIL, STATUS_OK, LayerDecodeReport, LayerResult
 from lsc.linalg import Subspace, subspace_sum
+
+
+def random_messages(code, rng):
+    """Uniform messages: one ``rng.randbelow`` per symbol, layer by layer."""
+    params = code.params
+    return [
+        [params.from_index(i) for i in rng.randbelow_many(params.size, component.k)]
+        for component in code.layers
+    ]
 
 
 def attempt(code, layer, extracted):

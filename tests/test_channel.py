@@ -30,11 +30,11 @@ def test_spec_validation():
 
 def test_make_trial_is_messages_encode_channel(example_code):
     rng = SplitMix64(60)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     outcome = apply_exact(word.V, ChannelSpec(rho=2, t=1), rng)
     assert make_trial(example_code, 60, ChannelSpec(rho=2, t=1)) == (word, outcome)
     rng = SplitMix64(61)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     outcome = apply_matrix(word.V, 6, 1, rng)
     assert make_trial(example_code, 61, collected=6, error_packets=1) == (word, outcome)
 

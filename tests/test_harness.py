@@ -13,14 +13,14 @@ from lsc.field import FieldParams
 from lsc.gabidulin import DecodeFailure
 from lsc.harness import (
     CSV_COLUMNS,
-    _component_distance,
     _layer_distances,
     run_scenario,
     run_search_beyond,
     run_simulate,
+    run_trial,
     run_verify,
 )
-from lsc.layered import LayeredCode
+from lsc.layered import ALGORITHMS, STATUS_OK, LayeredCode
 from lsc.linalg import MatrixFq, Subspace, row_space, subspace_distance
 from lsc.properties import (
     PROPERTY_MANIFEST,
@@ -588,7 +588,56 @@ def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, s
         assert _layer_distances(code, word, outcome.U) == full_ambient(word, outcome.U)
         for space in code.decode_alg2(outcome.U, iterative=True).accumulated[1:]:
             got = tuple(
-                _component_distance(code, word, layer, space)
-                for layer in range(1, code.num_layers + 1)
+                code.layer_distance(component, space, layer)
+                for layer, component in enumerate(word.components, start=1)
             )
             assert got == full_ambient(word, space)
+
+
+@pytest.mark.parametrize("q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])])
+def test_ds_chain_and_layer_ds_match_the_full_distances(q, m, shape):
+    """Every record's ``layer_ds`` and ``ds_chain`` equal the distances
+    computed in full: d_S(V_l, unstripped extraction of U) per layer, and
+    d_S(V, .) of every SIC working space and of the recombined estimate.
+
+    Both channels, all three decoders, inside and beyond the capability.
+    The grids reach far enough past the radius that SIC miscorrects
+    layers (at seed 23: 96 on the q = 2 code, 194 on the q = 3 code), so
+    the chain's real-distance branch is covered too.
+    """
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    grid = [(rho, t) for rho in range(5) for t in range(5)]
+    inside = beyond = miscorrected = 0
+    for trial in range(200):
+        rho, t = grid[trial % len(grid)]
+        collected, errors = 5 + trial % 5, trial % 4
+        exact = run_trial(code, 23, trial, rho, t, ALGORITHMS, 4)
+        matrix = run_trial(code, 23, trial, None, None, ALGORITHMS, 4, "matrix", collected, errors)
+        trials = (
+            (exact, make_trial(code, exact[0].seed, ChannelSpec(rho=rho, t=t))),
+            (matrix, make_trial(code, matrix[0].seed, collected=collected, error_packets=errors)),
+        )
+        for records, (word, outcome) in trials:
+            assert [r.algorithm for r in records] == list(ALGORITHMS)
+            layer_ds = tuple(
+                subspace_distance(component, code.extract_component(outcome.U, layer, strip=False))
+                for layer, component in enumerate(word.components, start=1)
+            )
+            for record in records:
+                report = code.decode(outcome.U, record.algorithm, 4)
+                chain = ()
+                if report.accumulated:
+                    chain = tuple(subspace_distance(word.V, s) for s in report.accumulated) + (
+                        subspace_distance(word.V, report.recombined),
+                    )
+                    miscorrected += sum(
+                        r.status == STATUS_OK and r.matrix != word.component_matrices[r.layer - 1]
+                        for r in report.layers
+                    )
+                assert record.layer_ds == layer_ds
+                assert record.ds_chain == chain
+                if record.ds_vu <= code.capability:
+                    inside += 1
+                else:
+                    beyond += 1
+    assert inside and beyond and miscorrected

@@ -4,6 +4,7 @@ import pytest
 
 from layered_reference import decode_alg1 as reference_alg1
 from layered_reference import decode_alg2 as reference_alg2
+from layered_reference import random_messages as reference_messages
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import InvariantError, ParameterError
 from lsc.field import FieldParams
@@ -37,7 +38,7 @@ def test_shape_and_distances(example_code):
 
 def test_encode_block_structure(fp24, example_code):
     rng = SplitMix64(31)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     assert word.V.dim == 7
     # layer 2 rows carry zeros on layer 1's identity block and vice versa
     for row in word.components[0].basis.entries:
@@ -51,12 +52,42 @@ def test_encode_block_structure(fp24, example_code):
     assert zero_word.V.basis == expected
 
 
-def test_random_messages_draw_order(fp24):
+def test_prefix_codes_are_built_once(q3_three_layers):
+    prefixes = q3_three_layers.prefixes
+    assert [code.layers for code in prefixes] == [
+        q3_three_layers.layers[:count] for count in (1, 2, 3)
+    ]
+    assert prefixes[-1] is q3_three_layers
+    assert q3_three_layers.prefixes is prefixes
+
+
+def test_random_codeword_draw_order(fp24):
     # one randbelow(|F|) per symbol, layer by layer: every seeded trial relies on it
     code = LayeredCode.standard(fp24, [(4, 2), (3, 1)])
     draws = SplitMix64(30)
     d0, d1, d2 = (fp24.from_index(draws.randbelow(16)) for _ in range(3))
-    assert code.random_messages(SplitMix64(30)) == [[d0, d1], [d2]]
+    rng = SplitMix64(30)
+    assert code.random_codeword(rng) == code.encode([[d0, d1], [d2]])
+    assert rng._state == draws._state
+
+
+# F_{7^4} has no built-in modulus; x^4 + x + 1 is irreducible over F_7
+@pytest.mark.parametrize(
+    "params",
+    [FieldParams.default(2, 4), FieldParams.default(3, 4), FieldParams.default(5, 4),
+     FieldParams(7, 4, (1, 1, 0, 0, 1))],
+    ids=lambda p: f"q{p.q}",
+)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_random_codeword_matches_encoding_random_messages(params, k):
+    """The index path gives the codeword the element path gives, from the
+    same draws, and leaves the stream in the same state."""
+    code = LayeredCode.standard(params, [(4, k), (3, 1), (2, min(k, 2))])
+    for seed in range(20):
+        by_index, by_element = SplitMix64(seed), SplitMix64(seed)
+        word = code.random_codeword(by_index)
+        assert word == code.encode(reference_messages(code, by_element))
+        assert by_index._state == by_element._state
 
 
 def test_single_layer_reduces_to_lifting(fp24):
@@ -69,7 +100,7 @@ def test_single_layer_reduces_to_lifting(fp24):
 def test_extract_component_roundtrip(example_code):
     rng = SplitMix64(32)
     for _ in range(20):
-        word = example_code.encode(example_code.random_messages(rng))
+        word = example_code.random_codeword(rng)
         for layer in (1, 2):
             stripped = example_code.extract_component(word.V, layer)
             assert stripped == lift(
@@ -93,7 +124,7 @@ def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
         q, ambient = code.params.q, code.ambient_dim
         received = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
         for _ in range(10):
-            word = code.encode(code.random_messages(rng))
+            word = code.random_codeword(rng)
             received.append(apply_exact(word.V, ChannelSpec(rho=1, t=1), rng).U)
         for U in received:
             for layer in range(1, code.num_layers + 1):
@@ -121,12 +152,12 @@ def test_extract_validation(example_code):
 
 def test_recompose_roundtrip_and_failure_dims(fp24, example_code, q3_three_layers):
     rng = SplitMix64(34)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     stripped = [
         lift(example_code.layers[i], word.component_matrices[i]) for i in range(2)
     ]
     assert example_code.recompose(stripped) == word.V
-    word3 = q3_three_layers.encode(q3_three_layers.random_messages(rng))
+    word3 = q3_three_layers.random_codeword(rng)
     lifts = [lift(c, x) for c, x in zip(q3_three_layers.layers, word3.component_matrices)]
     assert q3_three_layers.recompose(lifts) == word3.V
     # replacing a layer with the zero subspace drops exactly n_l dimensions
@@ -194,7 +225,7 @@ def test_extraction_distance_bound_and_identities(example_code):
     rng = SplitMix64(35)
     for _ in range(300):
         rho, t = rng.randbelow(5), rng.randbelow(5)
-        word = example_code.encode(example_code.random_messages(rng))
+        word = example_code.random_codeword(rng)
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
         ds = subspace_distance(word.V, outcome.U)
         for layer in (1, 2):
@@ -209,7 +240,7 @@ def test_guaranteed_regime_both_algorithms(example_code):
     rng = SplitMix64(36)
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(60):
-            word = example_code.encode(example_code.random_messages(rng))
+            word = example_code.random_codeword(rng)
             outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
             for report in (
                 example_code.decode_alg1(outcome.U),
@@ -224,7 +255,7 @@ def test_sic_accumulated_distance_monotone(example_code):
     rng = SplitMix64(37)
     for rho, t in [(1, 1), (2, 0), (0, 2)]:
         for _ in range(40):
-            word = example_code.encode(example_code.random_messages(rng))
+            word = example_code.random_codeword(rng)
             outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
             report = example_code.decode_alg2(outcome.U)
             chain = [subspace_distance(word.V, s) for s in report.accumulated]
@@ -245,7 +276,7 @@ def test_beyond_capability_patterns(example_code):
     while not (seen_alg1_beyond and seen_rescue) and trials < 4000:
         trials += 1
         rho, t = (2, 2) if trials % 2 else (2, 1)
-        word = example_code.encode(example_code.random_messages(rng))
+        word = example_code.random_codeword(rng)
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
         layer_ds = tuple(
             subspace_distance(
@@ -282,7 +313,7 @@ def test_beyond_capability_patterns(example_code):
 
 def test_alg2_order_is_configurable(example_code):
     rng = SplitMix64(39)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), rng)
     forward = example_code.decode_alg2(outcome.U, order=[1, 2])
     assert forward.all_ok and forward.recombined == word.V
@@ -298,7 +329,7 @@ def test_iterative_dominance_erasure_only(example_code):
     failures = rescued = 0
     for trial in range(150):
         rho = 3 + (trial % 2)
-        word = example_code.encode(example_code.random_messages(rng))
+        word = example_code.random_codeword(rng)
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=0), rng)
         plain = example_code.decode_alg2(outcome.U)
         iterative = example_code.decode_alg2(outcome.U, iterative=True)
@@ -312,7 +343,7 @@ def test_iterative_dominance_erasure_only(example_code):
 
 def test_report_bookkeeping(example_code):
     rng = SplitMix64(41)
-    word = example_code.encode(example_code.random_messages(rng))
+    word = example_code.random_codeword(rng)
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=0), rng)
     report = example_code.decode_alg2(outcome.U, iterative=True)
     assert report.sweeps >= 1

@@ -12,9 +12,11 @@ from lsc.linalg import (
     coordinate_zero_subspace,
     dump_subspace,
     embed,
+    identity_lift,
     intersection,
     is_direct_sum,
     parse_subspace,
+    projection_rank,
     random_subspace,
     random_subspace_of,
     rank_distance,
@@ -351,6 +353,22 @@ def test_packed_rows_match_list_reference(q, count):
         assert placed.basis.entries == _ref_embed(shorten(u, columns).basis.entries, columns, n)
         assert Subspace(n, placed.basis) == placed  # canonical
         assert shorten(placed, columns) == shorten(u, columns)
+        others = [c for c in range(n) if c not in columns]
+        masked = [tuple(x if j in others else 0 for j, x in enumerate(row)) for row in b_rows]
+        assert projection_rank(u, others) == len(_ref_span(masked, q))
+        assert projection_rank(u, others) == u.dim - shorten(u, columns).dim
+
+        offset = rng.randint(0, 3)
+        ambient = offset + n + c.cols + rng.randint(0, 3)
+        gap = (0,) * (ambient - offset - n - c.cols)
+        lifted = identity_lift(c, offset, ambient)
+        assert lifted.basis.entries == tuple(
+            (0,) * offset + tuple(int(i == j) for j in range(n)) + gap + tuple(row)
+            for i, row in enumerate(c_rows)
+        )
+        assert Subspace(ambient, lifted.basis) == lifted  # canonical
+        with pytest.raises(ParameterError):
+            identity_lift(c, offset + len(gap) + 1, ambient)
 
 
 @pytest.mark.parametrize(
