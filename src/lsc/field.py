@@ -229,9 +229,6 @@ class FieldParams:
         for i in range(self.size):
             yield self.from_index(i)
 
-    def random_element(self, rng) -> "ExtFieldElement":
-        return self.from_index(rng.randbelow(self.size))
-
 
 # --- arithmetic on indices ---
 

@@ -480,6 +480,7 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     fails a layer but SIC recovers everything), ``alg1-only`` (parallel
     decoding succeeds while SIC loses a layer).
     """
+    _exact_channel_only(cfg, "search-beyond")
     code = cfg.build_code()
     grid = [(rho, t) for rho, t in cfg.grid() if rho + t > code.capability]
     if not grid:
@@ -538,6 +539,15 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     return SearchResult(found=found, missing=missing, trials_used=trial)
 
 
+def _exact_channel_only(cfg: ExperimentConfig, verb: str) -> None:
+    """``search-beyond`` and ``scenario`` draw from the exact channel only."""
+    if cfg.channel_mode != "exact":
+        raise ConfigError(
+            f"{cfg.where('channel', 'mode')}: {verb} uses the exact channel only; "
+            f"mode = {cfg.channel_mode} is not supported"
+        )
+
+
 # --- scenario modes ---
 
 
@@ -559,6 +569,7 @@ def _single_grid_point(cfg: ExperimentConfig) -> tuple[int, int]:
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
+    _exact_channel_only(cfg, "scenario")
     if cfg.scenario_mode == "multicast":
         return _scenario_multicast(cfg)
     if cfg.scenario_mode == "multi-source":

@@ -26,10 +26,12 @@ elimination with the other columns in front).  ``layer_distance`` reads
 d_S between a component and a layer of some space off the same map, with
 no extraction.
 
-A decoded component is a lift, so the recombined estimate is stacked
-like an encoded V: the embedded components in layer order, already
-canonical, with no elimination.  Failed layers contribute the zero
-subspace.  ``recompose`` direct-sums arbitrary per-layer estimates.
+A decoded layer is stored once, as its matrix X_l and message
+(``LayerResult``); its component is placed from X_l as in encoding, so
+the recombined estimate is stacked like an encoded V: the embedded
+components in layer order, already canonical, with no elimination.
+Failed layers contribute the zero subspace.  ``recompose`` direct-sums
+arbitrary per-layer estimates.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -134,9 +136,13 @@ class LayeredCode:
         shorter = [LayeredCode(self.layers[:count]) for count in range(1, self.num_layers)]
         return (*shorter, self)
 
+    @cached_property
+    def _lifted(self) -> tuple[lifted_mod.LiftedCode, ...]:
+        return tuple(lifted_mod.LiftedCode(code) for code in self.layers)
+
     def component_lifted(self, layer: int) -> lifted_mod.LiftedCode:
         self._check_layer(layer)
-        return lifted_mod.LiftedCode(self.layers[layer - 1])
+        return self._lifted[layer - 1]
 
     def min_distance(self) -> int:
         """Minimum subspace distance: the smallest component distance."""
@@ -330,24 +336,9 @@ class LayeredCode:
         layer's lifted decoder.  Every decoder attempt is one such call."""
         extracted = self.extract_component(received, layer)
         outcome = lifted_mod.subspace_decode(self.component_lifted(layer), extracted)
-        code = self.layers[layer - 1]
         if isinstance(outcome, DecodeFailure):
-            return LayerResult(
-                layer=layer,
-                status=STATUS_FAIL,
-                reason=outcome.reason,
-                matrix=None,
-                message=None,
-                component=Subspace.zero(self.params.q, code.n + self.params.m),
-            )
-        return LayerResult(
-            layer=layer,
-            status=STATUS_OK,
-            reason=None,
-            matrix=outcome.matrix,
-            message=outcome.message,
-            component=lifted_mod.lift(code, outcome.matrix),
-        )
+            return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
+        return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)
 
 
 @dataclass(frozen=True)
@@ -362,14 +353,15 @@ class LayeredCodeword:
 
 @dataclass(frozen=True)
 class LayerResult:
-    """Outcome of one component decode attempt."""
+    """Outcome of one component decode attempt: the decoded codeword matrix
+    X_l and its message, both None on failure.  The lift <[I | X_l]> follows
+    from the matrix (``LayeredCode.component_subspace``)."""
 
     layer: int
     status: str
     reason: str | None
     matrix: MatrixFq | None
     message: tuple[ExtFieldElement, ...] | None
-    component: Subspace  # in the component ambient; zero subspace on failure
 
 
 @dataclass

@@ -112,13 +112,6 @@ def subspace_decode(code: LiftedCode, received: Subspace):
     return LiftedDecodeResult(matrix, outcome)
 
 
-@dataclass(frozen=True)
-class SubspaceOracleResult:
-    codeword: Subspace
-    matrix: MatrixFq
-    message: tuple[ExtFieldElement, ...]
-
-
 @lru_cache(maxsize=16)
 def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
     """All (subspace, matrix, message) triples of the lifted code, in message
@@ -135,7 +128,8 @@ def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
 
 
 def brute_force_subspace_decode(code: LiftedCode, received: Subspace, cap: int = 1 << 20):
-    """Minimum subspace-distance decoding by full enumeration; ties fail."""
+    """Minimum subspace-distance decoding by full enumeration; ties fail.
+    A success is a ``LiftedDecodeResult``, as from ``subspace_decode``."""
     if received.ambient_dim != code.ambient_dim:
         raise ParameterError("ambient dimension mismatch")
     best = None
@@ -144,7 +138,7 @@ def brute_force_subspace_decode(code: LiftedCode, received: Subspace, cap: int =
     for subspace, matrix, message in codeword_subspaces(code, cap):
         dist = subspace_distance(subspace, received)
         if best_dist is None or dist < best_dist:
-            best = SubspaceOracleResult(subspace, matrix, message)
+            best = LiftedDecodeResult(matrix, message)
             best_dist, tie = dist, False
         elif dist == best_dist:
             tie = True

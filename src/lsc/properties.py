@@ -329,7 +329,6 @@ def _all_small_rank_errors(params: FieldParams, n: int, max_rank: int) -> list[M
 
 def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = FieldParams.default(2, 4)
-    rng = ctx.rng(6)
     dist_checks = dist_viol = 0
     for desk in _desk_codes(params):
         code = LiftedCode(desk)
@@ -348,25 +347,27 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     identity = PropertyResult("lifted.distance_identity", dist_checks, dist_viol)
 
     desk = GabidulinCode.standard(params, 3, 1)
+    single = LayeredCode((desk,))
     code = LiftedCode(desk)
     per_point = ctx.count("trials_per_point")
     dec_checks = dec_viol = oracle_checks = oracle_viol = 0
-    for rho, t in guaranteed_grid(LayeredCode((desk,))):
+    for rho, t in guaranteed_grid(single):
         for trial in range(per_point):
-            trial_rng = SplitMix64(derive_seed(ctx.seed, 6, rho, t, trial))
-            msg = (params.from_index(trial_rng.randbelow(16)),)
-            v = lift(desk, desk.encode(msg))
-            outcome = apply_exact(v, ChannelSpec(rho=rho, t=t), trial_rng)
+            seed = derive_seed(ctx.seed, 6, rho, t, trial)
+            word, outcome = make_trial(single, seed, ChannelSpec(rho=rho, t=t))
+            sent = word.component_matrices[0]
             result = subspace_decode(code, outcome.U)
             dec_checks += 1
-            if isinstance(result, DecodeFailure) or result.message != msg:
+            if isinstance(result, DecodeFailure) or result.matrix != sent:
                 dec_viol += 1
             oracle = brute_force_subspace_decode(code, outcome.U)
             oracle_checks += 1
-            if isinstance(oracle, DecodeFailure) or oracle.message != msg:
+            if isinstance(oracle, DecodeFailure) or oracle.matrix != sent:
                 oracle_viol += 1
     guaranteed = PropertyResult("lifted.guaranteed_decode", dec_checks, dec_viol)
 
+    # not make_trial, which draws the message first: these trials draw
+    # their (rho, t) before the message, and the verify text pins that stream
     for trial in range(per_point):
         trial_rng = SplitMix64(derive_seed(ctx.seed, 7, trial))
         rho = trial_rng.randbelow(4)

@@ -124,8 +124,3 @@ class SplitMix64:
         if b < a:
             raise ParameterError("empty range")
         return a + self.randbelow(b - a + 1)
-
-    def choice(self, seq):
-        if not seq:
-            raise ParameterError("cannot choose from an empty sequence")
-        return seq[self.randbelow(len(seq))]

@@ -3,7 +3,8 @@
 Parallel decoding (alg1) and successive interference cancellation (alg2,
 with ``iterative`` for alg2-iterative) each have their own loop, and
 every report rebuilds ``recombined`` with ``LayeredCode.recompose``, a
-full ``row_space`` elimination that checks the direct sum.
+full ``row_space`` elimination that checks the direct sum.  The loops
+lift and embed each decoded matrix themselves (``component``).
 ``random_messages`` draws a codeword's messages as field elements, for
 the public ``encode``.
 """
@@ -27,24 +28,17 @@ def random_messages(code, rng):
 def attempt(code, layer, extracted):
     """One component decode of ``extracted`` (in the component ambient)."""
     outcome = lifted.subspace_decode(code.component_lifted(layer), extracted)
-    component_code = code.layers[layer - 1]
     if isinstance(outcome, DecodeFailure):
-        return LayerResult(
-            layer=layer,
-            status=STATUS_FAIL,
-            reason=outcome.reason,
-            matrix=None,
-            message=None,
-            component=Subspace.zero(code.params.q, component_code.n + code.params.m),
-        )
-    return LayerResult(
-        layer=layer,
-        status=STATUS_OK,
-        reason=None,
-        matrix=outcome.matrix,
-        message=outcome.message,
-        component=lifted.lift(component_code, outcome.matrix),
-    )
+        return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
+    return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)
+
+
+def component(code, result):
+    """The lift of a decoded matrix in the component ambient; zero on failure."""
+    inner = code.layers[result.layer - 1]
+    if result.status != STATUS_OK:
+        return Subspace.zero(code.params.q, inner.n + code.params.m)
+    return lifted.lift(inner, result.matrix)
 
 
 def decode_alg1(code, received):
@@ -82,7 +76,8 @@ def decode_alg2(code, received, iterative=False, max_sweeps=8, order=None):
             result = attempt(code, layer, code.extract_component(working, layer))
             results[layer] = result
             if result.status == STATUS_OK:
-                working = subspace_sum(working, code.embed_component(layer, result.component))
+                decoded = code.embed_component(layer, component(code, result))
+                working = subspace_sum(working, decoded)
                 decoded_this_sweep += 1
             accumulated.append(working)
             attempts.append(layer)
@@ -101,7 +96,7 @@ def _report(code, algorithm, results, sweeps, accumulated, attempts):
     return LayerDecodeReport(
         algorithm=algorithm,
         layers=list(results),
-        recombined=code.recompose([r.component for r in results]),
+        recombined=code.recompose([component(code, r) for r in results]),
         sweeps=sweeps,
         accumulated=list(accumulated),
         attempt_layers=list(attempts),

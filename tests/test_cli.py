@@ -252,3 +252,26 @@ def test_scenario_verb(tmp_path):
     proc = run_cli("scenario", "--config", str(scen), "--out", str(out))
     assert proc.returncode == 0
     assert out.read_text().startswith("trial,seed,rho_requested")
+
+
+@pytest.mark.parametrize(
+    "verb, scenario_mode, rho, t",
+    [
+        ("scenario", "unicast", 9, 0),  # rho beyond dim V: was a ParameterError traceback
+        ("scenario", "multicast", 1, 1),  # was the exact channel, silently
+        ("scenario", "multi-source", 1, 1),  # was labelled with a rho and t it never used
+        ("search-beyond", "multicast", 9, 7),
+    ],
+)
+def test_matrix_channel_is_a_config_error_for_exact_only_verbs(
+    tmp_path, capsys, verb, scenario_mode, rho, t
+):
+    path = tmp_path / "matrix.ini"
+    path.write_text(
+        "[channel]\nrho = {}\nt = {}\nmode = matrix\ncollected = 4\n\n"
+        "[run]\ntrials = 2\n\n[scenario]\nmode = {}\n".format(rho, t, scenario_mode)
+    )
+    assert cli.main([verb, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"matrix.ini:4: {verb} uses the exact channel only" in err
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import pytest
 from layered_reference import decode_alg1 as reference_alg1
 from layered_reference import decode_alg2 as reference_alg2
 from layered_reference import random_messages as reference_messages
+from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import InvariantError, ParameterError
 from lsc.field import FieldParams
@@ -351,11 +352,11 @@ def test_report_bookkeeping(example_code):
     assert report.stage_dims[0] == outcome.U.dim
     alg1 = example_code.decode_alg1(outcome.U)
     assert alg1.sweeps == 1 and alg1.accumulated == []
-    # failed layers contribute the zero subspace
+    # a failed layer holds no matrix and no message
     if not alg1.all_ok:
         for res in alg1.layers:
             if res.status != STATUS_OK:
-                assert res.component.dim == 0
+                assert res.matrix is None and res.message is None
 
 
 def test_layer_field_mismatch_rejected(fp24):
@@ -378,9 +379,9 @@ def _assert_same_report(got, want):
     assert got.algorithm == want.algorithm
     for mine, theirs in zip(got.layers, want.layers, strict=True):
         assert (mine.layer, mine.status, mine.reason) == (theirs.layer, theirs.status, theirs.reason)
-        assert (mine.matrix, mine.message, mine.component) == (
-            theirs.matrix, theirs.message, theirs.component
-        )
+        assert (mine.matrix, mine.message) == (theirs.matrix, theirs.message)
+        if mine.status != STATUS_OK:
+            assert mine.matrix is None and mine.message is None
     # the stacked lifts must already be the canonical basis recompose eliminates to
     assert got.recombined.basis == want.recombined.basis
     assert got.sweeps == want.sweeps
@@ -389,15 +390,15 @@ def _assert_same_report(got, want):
 
 
 def _differential_receptions(code):
-    """Received spaces on both channels, inside and beyond the capability."""
+    """Channel outcomes on both channels, inside and beyond the capability."""
     total, m = code.total_length, code.params.m
     points = [(0, 0), (1, 1), (2, 1), (2, 2), (3, 0), (total - 1, 0), (3, 2), (total, m)]
     for trial in range(4):
         for rho, t in points:
-            yield make_trial(code, 1000 * trial + 10 * rho + t, ChannelSpec(rho=rho, t=t))[1].U
+            yield make_trial(code, 1000 * trial + 10 * rho + t, ChannelSpec(rho=rho, t=t))[1]
         for collected, errors in [(total, 0), (total - 2, 1), (total + 1, 2), (2, 2)]:
             seed = 5000 + 1000 * trial + 10 * collected + errors
-            yield make_trial(code, seed, collected=collected, error_packets=errors)[1].U
+            yield make_trial(code, seed, collected=collected, error_packets=errors)[1]
 
 
 @pytest.mark.parametrize(
@@ -409,7 +410,8 @@ def test_walk_matches_reference_decoders(q, m, shape):
     code = LayeredCode.standard(FieldParams.default(q, m), shape)
     ascending = list(range(1, code.num_layers + 1))
     failed_layers = multi_sweeps = 0
-    for received in _differential_receptions(code):
+    for outcome in _differential_receptions(code):
+        received = outcome.U
         alg1 = code.decode(received, "alg1")
         _assert_same_report(alg1, reference_alg1(code, received))
         failed_layers += code.num_layers - len(alg1.decoded_layers)
@@ -425,6 +427,29 @@ def test_walk_matches_reference_decoders(q, m, shape):
             )
     # the receptions reach failed layers and repeated sweeps, not only clean decodes
     assert failed_layers > 0 and multi_sweeps > 0
+
+
+@pytest.mark.parametrize(
+    "q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])], ids=["q2", "q3"]
+)
+def test_an_attempt_builds_no_lift(monkeypatch, q, m, shape):
+    """A decoded layer is its matrix: no trial or decoder lifts one again."""
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    for layer in range(1, code.num_layers + 1):
+        assert code.component_lifted(layer) is code.component_lifted(layer)
+
+    def no_lift(inner, codeword):
+        raise AssertionError("lifted.lift called while decoding")
+
+    monkeypatch.setattr(lifted_mod, "lift", no_lift)
+    inside = beyond = failed_layers = 0
+    for outcome in _differential_receptions(code):
+        inside += outcome.distance <= code.capability
+        beyond += outcome.distance > code.capability
+        for algorithm in ALGORITHMS:
+            report = code.decode(outcome.U, algorithm)
+            failed_layers += code.num_layers - len(report.decoded_layers)
+    assert inside and beyond and failed_layers
 
 
 def test_decode_by_name(example_code):

@@ -12,7 +12,7 @@ from lsc.field import ExtFieldElement, FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from lsc.lifted import (
     LiftedCode,
-    SubspaceOracleResult,
+    LiftedDecodeResult,
     brute_force_subspace_decode,
     codeword_subspaces,
     lift,
@@ -123,7 +123,7 @@ def _reference_subspace_oracle(code, received):
         return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
     matrix, indices = best
     message = tuple(inner.params.from_index(u) for u in indices)
-    return SubspaceOracleResult(lift(inner, matrix), matrix, message)
+    return LiftedDecodeResult(matrix, message)
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 2, 2), (3, 3, 2)])

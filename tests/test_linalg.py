@@ -389,6 +389,7 @@ def test_edge_shapes_match_list_reference(q, layers, channel):
     from lsc.channel import ChannelSpec, make_trial
     from lsc.field import DEFAULT_MODULI, FieldParams
     from lsc.layered import LayeredCode
+    from lsc.lifted import lift
 
     m = 4 if (q, 4) in DEFAULT_MODULI else 3  # there is no (7, 4) default modulus
     code = LayeredCode.standard(FieldParams.default(q, m), layers)
@@ -417,7 +418,8 @@ def test_edge_shapes_match_list_reference(q, layers, channel):
             for offset, inner, result in zip(code.offsets, code.layers, report.layers):
                 columns = list(range(offset, offset + inner.n))
                 columns += list(range(code.total_length, n))
-                placed += _ref_embed(result.component.basis.entries, columns, n)
+                if result.matrix is not None:  # a failed layer places nothing
+                    placed += _ref_embed(lift(inner, result.matrix).basis.entries, columns, n)
             assert report.recombined.basis.entries == _ref_span(placed, q)
             for space in report.accumulated:
                 assert space.basis.entries == _ref_span(space.basis.entries, q)
