@@ -21,7 +21,6 @@ from .layered import (
     LayeredCodeword,
 )
 from .lifted import (
-    LiftedCode,
     LiftedDecodeResult,
     brute_force_subspace_decode,
     lift,
@@ -58,7 +57,6 @@ __all__ = [
     "LayerResult",
     "LayeredCode",
     "LayeredCodeword",
-    "LiftedCode",
     "LiftedDecodeResult",
     "LinearizedPoly",
     "MatrixFq",

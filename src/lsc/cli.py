@@ -22,36 +22,53 @@ EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
 
 
+# the override flags each verb honours; argparse rejects the rest (exit 2).
+# search-beyond stops at ``[search] budget``, so it takes no --trials
+VERB_FLAGS = {
+    "simulate": ("--seed", "--trials", "--workers", "--out", "--dump"),
+    "verify": ("--seed",),
+    "search-beyond": ("--seed", "--out"),
+    "scenario": ("--seed", "--trials", "--workers", "--out"),
+    "dump-code": ("--dump",),
+}
+_FLAG_OPTIONS = {
+    "--seed": dict(type=int, help="override config seed"),
+    "--trials": dict(type=int, help="override trial count"),
+    "--workers": dict(type=int, help="override worker count"),
+    "--out": dict(help="write the CSV / found instances here"),
+    "--dump": dict(action="store_true", help="emit fixture dumps"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsc",
         description="Layered subspace codes: simulation and verification harness",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("simulate", "verify", "search-beyond", "scenario", "dump-code"):
+    for verb, flags in VERB_FLAGS.items():
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="experiment config path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
-        p.add_argument("--out", default=None, help="write CSV / fixture dumps here")
-        p.add_argument("--dump", action="store_true", help="emit fixture dumps")
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_OPTIONS[flag])
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.seed is not None:
-        if args.seed < 0:
+    """Apply the override flags the verb has (``VERB_FLAGS``) and the user gave."""
+    seed, trials, workers = (getattr(args, name, None) for name in ("seed", "trials", "workers"))
+    if seed is not None:
+        if seed < 0:
             raise ConfigError("--seed: must be non-negative")
-        cfg.seed = args.seed
-    if args.trials is not None:
-        if args.trials < 0:
+        cfg.seed = seed
+    if trials is not None:
+        if trials < 0:
             raise ConfigError("--trials: must be non-negative")
-        cfg.trials = args.trials
-    if args.workers is not None:
-        if args.workers < 1:
+        cfg.trials = trials
+    if workers is not None:
+        if workers < 1:
             raise ConfigError("--workers: must be at least 1")
-        cfg.workers = args.workers
+        cfg.workers = workers
 
 
 def _write_out(path: str | None, text: str) -> None:

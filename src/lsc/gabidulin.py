@@ -41,8 +41,10 @@ nullspace) add logarithms on its zero-sentinel tables.
 ``RankCodeword`` stores indices too, and its ``symbols`` are an
 ``ExtFieldElement`` view built only when read, so a word goes from
 ``encode`` or ``lifted.reduce_received`` into ``decode_bounded`` with no
-element objects.  Words and hints meet their F_q matrices at one bridge,
-``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in ``linalg``.
+element objects.  Words, points and hints meet their F_q matrices at one
+bridge, ``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in
+``linalg``: the projection P r and P g is a ``MatrixFq`` product across it,
+and the points' independence is the rank of their matrix.
 The rest of the public surface holds ``ExtFieldElement`` values and
 converts at that boundary: ``LinearizedPoly``, the messages ``encode``
 takes, and the messages the decoders return.
@@ -359,10 +361,7 @@ class GabidulinCode:
         for g in self.eval_points:
             if g.params != self.params:
                 raise ParameterError("evaluation point from a different field")
-        coords = MatrixFq._from_entries(
-            self.params.q, self.n, self.params.m, tuple(g.coords for g in self.eval_points)
-        )
-        if coords.rank() != self.n:
+        if MatrixFq._from_indices(self.params.q, self.params.m, self._points).rank() != self.n:
             raise ParameterError("evaluation points must be F_q-linearly independent")
 
     @classmethod
@@ -451,9 +450,9 @@ class GabidulinCode:
 
         if mu:
             # (n - mu) x n over F_q; its rows annihilate the column hints
-            proj = _kernel(q, n, col_basis, col_pivots).entries
-            word = [_combine(ops, received._indices, row) for row in proj]
-            points = [_combine(ops, self._points, row) for row in proj]
+            proj = _kernel(q, n, col_basis, col_pivots)
+            word = (proj @ MatrixFq._from_indices(q, m, received._indices))._row_indices()
+            points = (proj @ MatrixFq._from_indices(q, m, self._points))._row_indices()
         else:
             word, points = received._indices, self._points
         if delta:
@@ -559,16 +558,6 @@ class GabidulinCode:
         if tie:
             return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best_dist}")
         return tuple(map(self.params.from_index, messages[best]))
-
-
-def _combine(ops: FieldOps, values: Sequence[int], weights: Sequence[int]) -> int:
-    """sum_i weights[i] * values[i] for weights in F_q, whose indices are themselves."""
-    add, mul = ops.add, ops.mul
-    acc = 0
-    for w, v in zip(weights, values):
-        if w:
-            acc = add(acc, mul(v, w))
-    return acc
 
 
 def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -136,14 +136,6 @@ class LayeredCode:
         shorter = [LayeredCode(self.layers[:count]) for count in range(1, self.num_layers)]
         return (*shorter, self)
 
-    @cached_property
-    def _lifted(self) -> tuple[lifted_mod.LiftedCode, ...]:
-        return tuple(lifted_mod.LiftedCode(code) for code in self.layers)
-
-    def component_lifted(self, layer: int) -> lifted_mod.LiftedCode:
-        self._check_layer(layer)
-        return self._lifted[layer - 1]
-
     def min_distance(self) -> int:
         """Minimum subspace distance: the smallest component distance."""
         return min(2 * code.min_rank_distance for code in self.layers)
@@ -199,18 +191,17 @@ class LayeredCode:
 
     # --- layer extraction and embedding ---
 
-    def extract_component(self, received: Subspace, layer: int, strip: bool = True) -> Subspace:
+    def extract_component(self, received: Subspace, layer: int) -> Subspace:
         """Vectors of the received space supported only on layer's columns.
 
         ``shorten`` on the layer's columns: the result is the canonical basis
-        in the component ambient n_l + m.  ``strip=False`` reinserts the
+        in the component ambient n_l + m.  ``embed_component`` reinserts the
         known-zero columns.
         """
         self._check_layer(layer)
         if received.ambient_dim != self.ambient_dim:
             raise ParameterError("received space has the wrong ambient dimension")
-        stripped = shorten(received, self._columns[layer - 1])
-        return stripped if strip else self.embed_component(layer, stripped)
+        return shorten(received, self._columns[layer - 1])
 
     def layer_distance(self, component: Subspace, space: Subspace, layer: int) -> int:
         """d_S(V_l, U_l) for ``component`` V_l of ``layer`` in the full ambient
@@ -335,7 +326,7 @@ class LayeredCode:
         """Decode one layer from ``received`` alone: extract it, then run the
         layer's lifted decoder.  Every decoder attempt is one such call."""
         extracted = self.extract_component(received, layer)
-        outcome = lifted_mod.subspace_decode(self.component_lifted(layer), extracted)
+        outcome = lifted_mod.subspace_decode(self.layers[layer - 1], extracted)
         if isinstance(outcome, DecodeFailure):
             return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
         return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)

@@ -15,6 +15,11 @@ received word reaches ``GabidulinCode.decode_bounded`` as indices with no
 public result of ``decode_bounded``, and goes to its codeword matrix
 through indices again (``GabidulinCode._codeword_matrix``).
 
+Every function here takes the inner ``GabidulinCode`` itself and checks
+a received space against its ambient n + m; the lifted code has no object
+of its own.  A one-layer ``LayeredCode`` is the same code, and states its
+minimum distance 2 (n - k + 1).
+
 The exhaustive oracle ``brute_force_subspace_decode`` reads
 ``codeword_subspaces``, which lifts the inner code's codebook (built once
 per code, see ``gabidulin``) rather than encoding every message again.
@@ -36,22 +41,6 @@ from .linalg import MatrixFq, Subspace, _kernel, identity_lift, split_basis, sub
 
 
 @dataclass(frozen=True)
-class LiftedCode:
-    """The subspace code { <[I_n | X]> : X in the inner Gabidulin code }."""
-
-    inner: GabidulinCode
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.inner.n + self.inner.params.m
-
-    @property
-    def min_subspace_distance(self) -> int:
-        """Twice the inner minimum rank distance (verified exhaustively in tests)."""
-        return 2 * self.inner.min_rank_distance
-
-
-@dataclass(frozen=True)
 class LiftedDecodeResult:
     matrix: MatrixFq
     message: tuple[ExtFieldElement, ...]
@@ -69,7 +58,13 @@ def lift(inner: GabidulinCode, codeword) -> Subspace:
     return identity_lift(matrix, 0, n + m)
 
 
-def reduce_received(code: LiftedCode, received: Subspace):
+def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
+    ambient = inner.n + inner.params.m
+    if received.ambient_dim != ambient:
+        raise ParameterError(f"received space ambient {received.ambient_dim} != {ambient}")
+
+
+def reduce_received(inner: GabidulinCode, received: Subspace):
     """Split a received space into (received word, row hints, column hints).
 
     Returns (r, row_erasures, col_erasures) where r is an n x m received
@@ -77,12 +72,8 @@ def reduce_received(code: LiftedCode, received: Subspace):
     the pure-payload basis vectors, and col_erasures rows span the header
     directions lost by the channel.
     """
-    inner = code.inner
+    _check_ambient(inner, received)
     n, q = inner.n, inner.params.q
-    if received.ambient_dim != code.ambient_dim:
-        raise ParameterError(
-            f"received space ambient {received.ambient_dim} != {code.ambient_dim}"
-        )
     pivots, header, payload, row_hints = split_basis(received, n)
     symbols = [0] * n
     for pivot, symbol in zip(pivots, payload._row_indices()):
@@ -96,27 +87,24 @@ def reduce_received(code: LiftedCode, received: Subspace):
     return word, row_hints, col_hints
 
 
-def subspace_decode(code: LiftedCode, received: Subspace):
+def subspace_decode(inner: GabidulinCode, received: Subspace):
     """Recover (X, message) from a received space, or DecodeFailure.
 
-    Succeeds whenever 2 d_S(V, received) < d_S(code) for some codeword V;
-    beyond that radius success is opportunistic.
+    Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
+    codeword V; beyond that radius success is opportunistic.
     """
-    word, row_hints, col_hints = reduce_received(code, received)
-    outcome = code.inner.decode_bounded(
-        word, row_erasures=row_hints, col_erasures=col_hints
-    )
+    word, row_hints, col_hints = reduce_received(inner, received)
+    outcome = inner.decode_bounded(word, row_erasures=row_hints, col_erasures=col_hints)
     if isinstance(outcome, DecodeFailure):
         return outcome
-    matrix = code.inner._codeword_matrix([u.to_index() for u in outcome])
+    matrix = inner._codeword_matrix([u.to_index() for u in outcome])
     return LiftedDecodeResult(matrix, outcome)
 
 
 @lru_cache(maxsize=16)
-def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
+def codeword_subspaces(inner: GabidulinCode, cap: int = 1 << 20):
     """All (subspace, matrix, message) triples of the lifted code, in message
     order: the inner code's codebook, lifted."""
-    inner = code.inner
     inner._check_cap(cap)
     q, m, n = inner.params.q, inner.params.m, inner.n
     from_index = inner.params.from_index
@@ -127,15 +115,14 @@ def codeword_subspaces(code: LiftedCode, cap: int = 1 << 20):
     return tuple(out)
 
 
-def brute_force_subspace_decode(code: LiftedCode, received: Subspace, cap: int = 1 << 20):
+def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace, cap: int = 1 << 20):
     """Minimum subspace-distance decoding by full enumeration; ties fail.
     A success is a ``LiftedDecodeResult``, as from ``subspace_decode``."""
-    if received.ambient_dim != code.ambient_dim:
-        raise ParameterError("ambient dimension mismatch")
+    _check_ambient(inner, received)
     best = None
     best_dist = None
     tie = False
-    for subspace, matrix, message in codeword_subspaces(code, cap):
+    for subspace, matrix, message in codeword_subspaces(inner, cap):
         dist = subspace_distance(subspace, received)
         if best_dist is None or dist < best_dist:
             best = LiftedDecodeResult(matrix, message)

@@ -18,7 +18,6 @@ from .field import FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from .layered import ALGORITHMS, LayeredCode
 from .lifted import (
-    LiftedCode,
     brute_force_subspace_decode,
     codeword_subspaces,
     lift,
@@ -331,8 +330,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = FieldParams.default(2, 4)
     dist_checks = dist_viol = 0
     for desk in _desk_codes(params):
-        code = LiftedCode(desk)
-        triples = codeword_subspaces(code)
+        triples = codeword_subspaces(desk)
         dmin = None
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
@@ -342,13 +340,12 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
                 if ds != 2 * dr:
                     dist_viol += 1
                 dmin = ds if dmin is None else min(dmin, ds)
-        if dmin != code.min_subspace_distance:
+        if dmin != LayeredCode((desk,)).min_distance():
             dist_viol += 1
     identity = PropertyResult("lifted.distance_identity", dist_checks, dist_viol)
 
     desk = GabidulinCode.standard(params, 3, 1)
     single = LayeredCode((desk,))
-    code = LiftedCode(desk)
     per_point = ctx.count("trials_per_point")
     dec_checks = dec_viol = oracle_checks = oracle_viol = 0
     for rho, t in guaranteed_grid(single):
@@ -356,11 +353,11 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
             seed = derive_seed(ctx.seed, 6, rho, t, trial)
             word, outcome = make_trial(single, seed, ChannelSpec(rho=rho, t=t))
             sent = word.component_matrices[0]
-            result = subspace_decode(code, outcome.U)
+            result = subspace_decode(desk, outcome.U)
             dec_checks += 1
             if isinstance(result, DecodeFailure) or result.matrix != sent:
                 dec_viol += 1
-            oracle = brute_force_subspace_decode(code, outcome.U)
+            oracle = brute_force_subspace_decode(desk, outcome.U)
             oracle_checks += 1
             if isinstance(oracle, DecodeFailure) or oracle.matrix != sent:
                 oracle_viol += 1
@@ -375,14 +372,14 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
         msg = (params.from_index(trial_rng.randbelow(16)),)
         v = lift(desk, desk.encode(msg))
         outcome = apply_exact(v, ChannelSpec(rho=rho, t=t), trial_rng)
-        result = subspace_decode(code, outcome.U)
-        oracle = brute_force_subspace_decode(code, outcome.U)
+        result = subspace_decode(desk, outcome.U)
+        oracle = brute_force_subspace_decode(desk, outcome.U)
         oracle_checks += 1
         if not isinstance(result, DecodeFailure) and not isinstance(oracle, DecodeFailure):
             if result.message != oracle.message:
                 oracle_viol += 1
         if (
-            2 * subspace_distance(v, outcome.U) < code.min_subspace_distance
+            2 * subspace_distance(v, outcome.U) < single.min_distance()
             and not isinstance(oracle, DecodeFailure)
             and isinstance(result, DecodeFailure)
         ):
@@ -409,7 +406,7 @@ def extraction_bound_suite(ctx: VerifyContext) -> list[PropertyResult]:
         )
         ds = subspace_distance(word.V, outcome.U)
         for layer in range(1, code.num_layers + 1):
-            u_l = code.extract_component(outcome.U, layer, strip=False)
+            u_l = code.embed_component(layer, code.extract_component(outcome.U, layer))
             v_l = word.components[layer - 1]
             if subspace_distance(v_l, u_l) > ds:
                 violations += 1

@@ -27,7 +27,7 @@ def random_messages(code, rng):
 
 def attempt(code, layer, extracted):
     """One component decode of ``extracted`` (in the component ambient)."""
-    outcome = lifted.subspace_decode(code.component_lifted(layer), extracted)
+    outcome = lifted.subspace_decode(code.layers[layer - 1], extracted)
     if isinstance(outcome, DecodeFailure):
         return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
     return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)

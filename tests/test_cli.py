@@ -56,6 +56,52 @@ def run_cli(*args, timeout=600):
     )
 
 
+# every (verb, flag) pair the verb would ignore; the other 13 pairs are honoured
+IGNORED_FLAGS = [
+    ("verify", "--trials"),
+    ("verify", "--workers"),
+    ("verify", "--out"),
+    ("verify", "--dump"),
+    ("search-beyond", "--trials"),
+    ("search-beyond", "--workers"),
+    ("search-beyond", "--dump"),
+    ("scenario", "--dump"),
+    ("dump-code", "--seed"),
+    ("dump-code", "--trials"),
+    ("dump-code", "--workers"),
+    ("dump-code", "--out"),
+]
+# each flag's arguments on the command line, and the value they parse to
+FLAG_VALUES = {
+    "--seed": (["3"], 3),
+    "--trials": (["2"], 2),
+    "--workers": (["1"], 1),
+    "--out": (["x.out"], "x.out"),
+    "--dump": ([], True),
+}
+
+
+@pytest.mark.parametrize("verb, flag", IGNORED_FLAGS)
+def test_an_ignored_flag_is_a_usage_error(verb, flag):
+    proc = run_cli(verb, "--config", str(CONFIGS / "default.ini"), flag, *FLAG_VALUES[flag][0])
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_every_honoured_flag_parses():
+    parser = cli._build_parser()
+    verbs = ("simulate", "verify", "search-beyond", "scenario", "dump-code")
+    honoured = [
+        (verb, flag) for verb in verbs for flag in FLAG_VALUES if (verb, flag) not in IGNORED_FLAGS
+    ]
+    assert len(honoured) == 13
+    for verb, flag in honoured:
+        argv, value = FLAG_VALUES[flag]
+        assert getattr(parser.parse_args([verb, "--config", "x.ini", flag, *argv]), flag[2:]) == value
+
+
 def test_dump_code(tmp_path):
     proc = run_cli("dump-code", "--config", str(CONFIGS / "default.ini"))
     assert proc.returncode == 0

@@ -356,7 +356,14 @@ def _random_hint(q, rows, width, rng):
     return _scrambled(hint, rng) if rng.randbelow(2) else hint
 
 
-@pytest.mark.parametrize("q, max_m, trials", [(2, 12, 150), (3, 6, 120), (5, 4, 80), (7, 3, 80)])
+# F_17 and F_289 = F_17[x]/(x^2 + 3): a stored row over F_17 has two-byte
+# entries, so the column-hint projection takes the product's wide-field path
+TWO_BYTE_MODULI = {(17, 1): (3, 1), (17, 2): (3, 0, 1)}
+
+
+@pytest.mark.parametrize(
+    "q, max_m, trials", [(2, 12, 150), (3, 6, 120), (5, 4, 80), (7, 3, 80), (17, 2, 200)]
+)
 def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
     """Random fields, codes on random evaluation points, and errors built from
     column-hint, row-hint and unhinted parts, mostly inside the radius."""
@@ -364,7 +371,10 @@ def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
     decoded = failed = 0
     for trial in range(trials):
         m = 1 + rng.randbelow(max_m)
-        params = FieldParams.default(q, m)
+        if (q, m) in TWO_BYTE_MODULI:
+            params = FieldParams(q, m, TWO_BYTE_MODULI[q, m])
+        else:
+            params = FieldParams.default(q, m)
         n = 1 + rng.randbelow(m)
         k = 1 + rng.randbelow(n)
         points = RankCodeword.from_matrix(params, random_full_rank_matrix(q, n, m, rng)).symbols

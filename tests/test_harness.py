@@ -574,7 +574,9 @@ def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, s
 
     def full_ambient(word, space):
         return tuple(
-            subspace_distance(component, code.extract_component(space, layer, strip=False))
+            subspace_distance(
+                component, code.embed_component(layer, code.extract_component(space, layer))
+            )
             for layer, component in enumerate(word.components, start=1)
         )
 
@@ -620,7 +622,10 @@ def test_ds_chain_and_layer_ds_match_the_full_distances(q, m, shape):
         for records, (word, outcome) in trials:
             assert [r.algorithm for r in records] == list(ALGORITHMS)
             layer_ds = tuple(
-                subspace_distance(component, code.extract_component(outcome.U, layer, strip=False))
+                subspace_distance(
+                    component,
+                    code.embed_component(layer, code.extract_component(outcome.U, layer)),
+                )
                 for layer, component in enumerate(word.components, start=1)
             )
             for record in records:

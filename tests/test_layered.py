@@ -107,9 +107,7 @@ def test_extract_component_roundtrip(example_code):
             assert stripped == lift(
                 example_code.layers[layer - 1], word.component_matrices[layer - 1]
             )
-            unstripped = example_code.extract_component(word.V, layer, strip=False)
-            assert unstripped == word.components[layer - 1]
-            assert example_code.embed_component(layer, stripped) == unstripped
+            assert example_code.embed_component(layer, stripped) == word.components[layer - 1]
 
 
 def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
@@ -129,9 +127,11 @@ def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
             received.append(apply_exact(word.V, ChannelSpec(rho=1, t=1), rng).U)
         for U in received:
             for layer in range(1, code.num_layers + 1):
-                extracted = code.extract_component(U, layer, strip=False)
-                offset = code.offsets[layer - 1]
+                stripped = code.extract_component(U, layer)
                 n_l = code.layers[layer - 1].n
+                assert stripped.ambient_dim == n_l + code.params.m
+                extracted = code.embed_component(layer, stripped)
+                offset = code.offsets[layer - 1]
                 zero_cols = [
                     c for c in range(code.total_length) if not offset <= c < offset + n_l
                 ]
@@ -139,9 +139,6 @@ def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
                 assert set(extracted.vectors()) == member
                 mask = coordinate_zero_subspace(q, ambient, [c + 1 for c in zero_cols])
                 assert extracted == intersection(U, mask)
-                stripped = code.extract_component(U, layer)
-                assert stripped.ambient_dim == n_l + code.params.m
-                assert code.embed_component(layer, stripped) == extracted
 
 
 def test_extract_validation(example_code):
@@ -230,7 +227,9 @@ def test_extraction_distance_bound_and_identities(example_code):
         outcome = apply_exact(word.V, ChannelSpec(rho=rho, t=t), rng)
         ds = subspace_distance(word.V, outcome.U)
         for layer in (1, 2):
-            u_l = example_code.extract_component(outcome.U, layer, strip=False)
+            u_l = example_code.embed_component(
+                layer, example_code.extract_component(outcome.U, layer)
+            )
             v_l = word.components[layer - 1]
             assert subspace_distance(v_l, u_l) <= ds
             assert intersection(v_l, outcome.U) == intersection(v_l, u_l)
@@ -282,7 +281,7 @@ def test_beyond_capability_patterns(example_code):
         layer_ds = tuple(
             subspace_distance(
                 word.components[l - 1],
-                example_code.extract_component(outcome.U, l, strip=False),
+                example_code.embed_component(l, example_code.extract_component(outcome.U, l)),
             )
             for l in (1, 2)
         )
@@ -306,7 +305,9 @@ def test_beyond_capability_patterns(example_code):
                 and r2.recombined == word.V
             ):
                 # the layer-1 retry sees the space after layer 2 was added back
-                retry = example_code.extract_component(r2.accumulated[1], 1, strip=False)
+                retry = example_code.embed_component(
+                    1, example_code.extract_component(r2.accumulated[1], 1)
+                )
                 assert subspace_distance(word.components[0], retry) == 2
                 seen_rescue = True
     assert seen_alg1_beyond and seen_rescue
@@ -435,8 +436,6 @@ def test_walk_matches_reference_decoders(q, m, shape):
 def test_an_attempt_builds_no_lift(monkeypatch, q, m, shape):
     """A decoded layer is its matrix: no trial or decoder lifts one again."""
     code = LayeredCode.standard(FieldParams.default(q, m), shape)
-    for layer in range(1, code.num_layers + 1):
-        assert code.component_lifted(layer) is code.component_lifted(layer)
 
     def no_lift(inner, codeword):
         raise AssertionError("lifted.lift called while decoding")

@@ -10,8 +10,8 @@ from lsc.channel import ChannelSpec, apply_exact
 from lsc.errors import CapacityError, ParameterError
 from lsc.field import ExtFieldElement, FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
+from lsc.layered import LayeredCode
 from lsc.lifted import (
-    LiftedCode,
     LiftedDecodeResult,
     brute_force_subspace_decode,
     codeword_subspaces,
@@ -31,85 +31,82 @@ from lsc.rng import SplitMix64
 
 
 @pytest.fixture(scope="module")
-def lifted31(fp24):
-    return LiftedCode(GabidulinCode.standard(fp24, 3, 1))
+def inner31(fp24):
+    return GabidulinCode.standard(fp24, 3, 1)
 
 
-def test_lift_structure(fp24, lifted31):
-    inner = lifted31.inner
-    zero = lift(inner, MatrixFq.zeros(2, 3, 4))
+def test_lift_structure(fp24, inner31):
+    zero = lift(inner31, MatrixFq.zeros(2, 3, 4))
     assert zero.dim == 3
     assert zero.basis.entries[0] == (1, 0, 0, 0, 0, 0, 0)
-    subspaces = {lift(inner, inner.encode(m)) for m in inner.iter_messages()}
+    subspaces = {lift(inner31, inner31.encode(m)) for m in inner31.iter_messages()}
     assert len(subspaces) == 16  # injectivity
 
 
 def test_min_subspace_distance_values(fp24):
-    assert LiftedCode(GabidulinCode.standard(fp24, 3, 1)).min_subspace_distance == 6
-    assert LiftedCode(GabidulinCode.standard(fp24, 4, 1)).min_subspace_distance == 8
-    assert LiftedCode(GabidulinCode.standard(fp24, 3, 3)).min_subspace_distance == 2
+    """A lifted code is a one-layer layered code, with d_S = 2 d_R."""
+    for n, k, d_s in [(3, 1, 6), (4, 1, 8), (3, 3, 2)]:
+        assert LayeredCode((GabidulinCode.standard(fp24, n, k),)).min_distance() == d_s
 
 
 def test_distance_identity_exhaustive(fp24):
     for n in (3, 4):
-        code = LiftedCode(GabidulinCode.standard(fp24, n, 1))
-        triples = codeword_subspaces(code)
+        inner = GabidulinCode.standard(fp24, n, 1)
+        triples = codeword_subspaces(inner)
         dmin = None
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
                 ds = subspace_distance(triples[i][0], triples[j][0])
                 assert ds == 2 * rank_distance(triples[i][1], triples[j][1])
                 dmin = ds if dmin is None else min(dmin, ds)
-        assert dmin == code.min_subspace_distance
+        assert dmin == LayeredCode((inner,)).min_distance()
 
 
-def test_reduction_on_clean_codeword(fp24, lifted31):
-    inner = lifted31.inner
+def test_reduction_on_clean_codeword(fp24, inner31):
     msg = (fp24.from_index(13),)
-    space = lift(inner, inner.encode(msg))
-    word, row_hints, col_hints = reduce_received(lifted31, space)
+    space = lift(inner31, inner31.encode(msg))
+    word, row_hints, col_hints = reduce_received(inner31, space)
     assert row_hints.rows == 0 and col_hints.rows == 0
-    assert word.as_matrix() == inner.encode(msg).as_matrix()
+    assert word.as_matrix() == inner31.encode(msg).as_matrix()
 
 
-def test_decode_zero_distance(fp24, lifted31):
-    for msg in lifted31.inner.iter_messages():
-        space = lift(lifted31.inner, lifted31.inner.encode(msg))
-        result = subspace_decode(lifted31, space)
+def test_decode_zero_distance(fp24, inner31):
+    for msg in inner31.iter_messages():
+        space = lift(inner31, inner31.encode(msg))
+        result = subspace_decode(inner31, space)
         assert result.message == msg
 
 
-def test_guaranteed_regime_random_trials(fp24, lifted31):
+def test_guaranteed_regime_random_trials(fp24, inner31):
     rng = SplitMix64(21)
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(150):
             msg = (fp24.from_index(rng.randbelow(16)),)
-            space = lift(lifted31.inner, lifted31.inner.encode(msg))
+            space = lift(inner31, inner31.encode(msg))
             outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
-            result = subspace_decode(lifted31, outcome.U)
+            result = subspace_decode(inner31, outcome.U)
             assert not isinstance(result, DecodeFailure)
             assert result.message == msg
-            oracle = brute_force_subspace_decode(lifted31, outcome.U)
+            oracle = brute_force_subspace_decode(inner31, outcome.U)
             assert oracle.message == msg
 
 
-def test_never_contradicts_oracle(fp24, lifted31):
+def test_never_contradicts_oracle(fp24, inner31):
     rng = SplitMix64(22)
     for _ in range(400):
         rho, t = rng.randbelow(4), rng.randbelow(4)
         msg = (fp24.from_index(rng.randbelow(16)),)
-        space = lift(lifted31.inner, lifted31.inner.encode(msg))
+        space = lift(inner31, inner31.encode(msg))
         outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
-        result = subspace_decode(lifted31, outcome.U)
-        oracle = brute_force_subspace_decode(lifted31, outcome.U)
+        result = subspace_decode(inner31, outcome.U)
+        oracle = brute_force_subspace_decode(inner31, outcome.U)
         if not isinstance(result, DecodeFailure) and not isinstance(oracle, DecodeFailure):
             assert result.message == oracle.message
 
 
-def _reference_subspace_oracle(code, received):
+def _reference_subspace_oracle(inner, received):
     """The lifted oracle without a codebook: lift the encoding of every
     message, then d_S to the received space; ties fail."""
-    inner = code.inner
     best = best_dist = None
     tie = False
     for indices in itertools.product(range(inner.params.size), repeat=inner.k):
@@ -128,8 +125,7 @@ def _reference_subspace_oracle(code, received):
 
 @pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 2, 2), (3, 3, 2)])
 def test_lifted_oracle_matches_reference_enumeration(q, m, n):
-    code = LiftedCode(GabidulinCode.standard(FieldParams.default(q, m), n, 1))
-    inner = code.inner
+    inner = GabidulinCode.standard(FieldParams.default(q, m), n, 1)
     rng = SplitMix64(1000 + 10 * q + m)
     ties = unique = 0
     for trial in range(120):
@@ -140,46 +136,44 @@ def test_lifted_oracle_matches_reference_enumeration(q, m, n):
             sent = lift(inner, inner.encode(msg))
             rho, t = rng.randbelow(n + 1), rng.randbelow(m + 1)
             received = apply_exact(sent, ChannelSpec(rho=rho, t=t), rng).U
-        got = brute_force_subspace_decode(code, received)
-        assert got == _reference_subspace_oracle(code, received)
+        got = brute_force_subspace_decode(inner, received)
+        assert got == _reference_subspace_oracle(inner, received)
         if isinstance(got, DecodeFailure):
             ties += 1
         else:
             unique += 1
     assert ties and unique
     with pytest.raises(CapacityError):
-        brute_force_subspace_decode(code, received, cap=inner.params.size - 1)
+        brute_force_subspace_decode(inner, received, cap=inner.params.size - 1)
 
 
-def test_oracle_tie_case(fp24, lifted31):
+def test_oracle_tie_case(fp24, inner31):
     # the zero subspace is equidistant from every lifted codeword
-    outcome = brute_force_subspace_decode(lifted31, Subspace.zero(2, 7))
+    outcome = brute_force_subspace_decode(inner31, Subspace.zero(2, 7))
     assert isinstance(outcome, DecodeFailure)
     assert outcome.reason == "tie"
 
 
-def test_ambient_mismatch_rejected(fp24, lifted31):
+def test_ambient_mismatch_rejected(fp24, inner31):
     with pytest.raises(ParameterError):
-        subspace_decode(lifted31, Subspace.zero(2, 8))
+        subspace_decode(inner31, Subspace.zero(2, 8))
     with pytest.raises(ParameterError):
-        lift(lifted31.inner, MatrixFq.zeros(2, 2, 4))
+        lift(inner31, MatrixFq.zeros(2, 2, 4))
 
 
-def test_extra_dimensions_are_handled(fp24, lifted31):
+def test_extra_dimensions_are_handled(fp24, inner31):
     """Payload-pivot dimensions flow through the hint path, not a rejection."""
-    inner = lifted31.inner
     msg = (fp24.from_index(6),)
-    space = lift(inner, inner.encode(msg))
+    space = lift(inner31, inner31.encode(msg))
     rng = SplitMix64(23)
     outcome = apply_exact(space, ChannelSpec(rho=0, t=2), rng)
     assert outcome.U.dim == 5  # more dimensions than the code length
-    result = subspace_decode(lifted31, outcome.U)
+    result = subspace_decode(inner31, outcome.U)
     assert result.message == msg
 
 
-def _reference_reduce(code, received):
+def _reference_reduce(inner, received):
     """The list implementation of reduce_received: entries and ExtFieldElements."""
-    inner = code.inner
     params = inner.params
     n, m, q = inner.n, params.m, params.q
     header_pivot_rows = {}
@@ -208,9 +202,9 @@ def _reference_reduce(code, received):
     )
 
 
-def _assert_reduction_matches_reference(code, received):
-    word, row_hints, col_hints = reduce_received(code, received)
-    ref_word, ref_rows, ref_cols = _reference_reduce(code, received)
+def _assert_reduction_matches_reference(inner, received):
+    word, row_hints, col_hints = reduce_received(inner, received)
+    ref_word, ref_rows, ref_cols = _reference_reduce(inner, received)
     assert word == ref_word and word.symbols == ref_word.symbols
     assert word.as_matrix() == ref_word.as_matrix()
     assert row_hints == ref_rows and row_hints.entries == ref_rows.entries
@@ -220,8 +214,8 @@ def _assert_reduction_matches_reference(code, received):
 @pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 5, 4, 2), (3, 3, 3, 1), (3, 4, 2, 1)])
 def test_reduce_received_matches_list_reference(q, m, n, k):
     """Reduction on stored rows against the list implementation, edge shapes included."""
-    code = LiftedCode(GabidulinCode.standard(FieldParams.default(q, m), n, k))
-    inner, ambient = code.inner, code.ambient_dim
+    inner = GabidulinCode.standard(FieldParams.default(q, m), n, k)
+    ambient = n + m
     rng = SplitMix64(90 + 10 * q + n)
     spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
     widest = 0
@@ -240,10 +234,10 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
         spaces.append(apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U)
     assert widest >= 5
     for space in spaces:
-        _assert_reduction_matches_reference(code, space)
+        _assert_reduction_matches_reference(inner, space)
 
 
-def test_subspace_decode_reaches_decode_bounded_once(fp24, lifted31, monkeypatch):
+def test_subspace_decode_reaches_decode_bounded_once(fp24, inner31, monkeypatch):
     """The traced entry point: one public decode_bounded call per subspace_decode."""
     calls = []
     original = GabidulinCode.decode_bounded
@@ -253,25 +247,23 @@ def test_subspace_decode_reaches_decode_bounded_once(fp24, lifted31, monkeypatch
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(GabidulinCode, "decode_bounded", counting)
-    inner = lifted31.inner
     rng = SplitMix64(24)
     outcomes = []
     for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4)]:
         msg = (fp24.from_index(rng.randbelow(16)),)
-        space = lift(inner, inner.encode(msg))
+        space = lift(inner31, inner31.encode(msg))
         received = apply_exact(space, ChannelSpec(rho=rho, t=t), rng).U
         before = len(calls)
-        outcomes.append(subspace_decode(lifted31, received))
-        assert len(calls) == before + 1 and calls[-1] is inner
+        outcomes.append(subspace_decode(inner31, received))
+        assert len(calls) == before + 1 and calls[-1] is inner31
     assert any(isinstance(o, DecodeFailure) for o in outcomes)
     assert any(not isinstance(o, DecodeFailure) for o in outcomes)
 
 
-def test_rank_codeword_value_semantics(fp24, lifted31):
-    inner = lifted31.inner
-    word = inner.encode((fp24.from_index(9),))
+def test_rank_codeword_value_semantics(fp24, inner31):
+    word = inner31.encode((fp24.from_index(9),))
     same = RankCodeword(tuple(word.symbols))
-    other = inner.encode((fp24.from_index(10),))
+    other = inner31.encode((fp24.from_index(10),))
     assert word == same and hash(word) == hash(same) and word != other
     assert len({word, same, other}) == 2
     for copy in (pickle.loads(pickle.dumps(word)), pickle.loads(pickle.dumps(same))):
