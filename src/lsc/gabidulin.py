@@ -14,17 +14,31 @@ where mu and delta count the supplied column/row erasure directions and
 the rank is taken modulo those hint spaces (plain rank when no hints are
 supplied).
 
-The decoder does only the work its hints ask for.  Each hint is reduced
-to its canonical basis by one elimination; no hint, or a hint of 0 rows,
-spans nothing.  Column hints (mu > 0) project the word and the
-evaluation points onto the kernel of the hints, y = P r and g' = P g;
-without them y and g' are the word and the points.  Row hints (delta >
-0) put y through their annihilator sigma and divide each candidate by
-sigma once more; without them there is no sigma.  A candidate f is then
-checked at the projected points: P (r - f(g)) = y - f(g'), because f
-is F_q-linear, so the residual is n - mu field elements, and its rank
-modulo the row hints is the rank of the residual rows stacked on the
-row-hint basis, less delta.
+The decoder has two parts.  ``decode_bounded``, the public entry, checks
+its inputs and reduces each hint to its canonical basis by one
+elimination; no hint, or a hint of 0 rows, spans nothing.  Column hints
+(mu > 0) give the projection P, the kernel of the hints, and the
+projected word y = P r; without them y is the word.  The private core,
+``_decode_projected``, takes y, the rows of P (none when mu = 0) and the
+row-hint basis, all on element indices, and returns message indices; the
+entry turns them into elements.  ``lifted.subspace_decode`` calls the
+core directly, with a P and y it reads off the received space (see
+``lifted``).
+
+In the core, the points are projected, g' = P g, when mu > 0.  Row hints
+(delta > 0) put y through their annihilator sigma and divide each
+candidate by sigma once more; without them there is no sigma.  A
+candidate f is then checked at the projected points: P (r - f(g)) =
+y - f(g'), because f is F_q-linear, so the residual is n - mu field
+elements, and its rank modulo the row hints is the rank of the residual
+rows stacked on the row-hint basis, less delta.
+
+Only the row space of P matters.  Another projection T P, with T
+invertible over F_q, gives T y and T g'; x -> x^(q^j) is F_q-linear, so
+each interpolation row becomes an F_q-combination of the old rows and
+the system keeps its row space.  The nullspace, its canonical basis, the
+order of the candidates and the rank of each residual are unchanged, and
+so is the outcome.
 
 ``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.  It shares nothing with the decoder but
@@ -39,15 +53,14 @@ with ``FieldParams.ops``; the kernels that multiply one element into
 many (evaluation, left division, the interpolation rows and the
 nullspace) add logarithms on its zero-sentinel tables.
 ``RankCodeword`` stores indices too, and its ``symbols`` are an
-``ExtFieldElement`` view built only when read, so a word goes from
-``encode`` or ``lifted.reduce_received`` into ``decode_bounded`` with no
-element objects.  Words, points and hints meet their F_q matrices at one
-bridge, ``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in
-``linalg``: the projection P r and P g is a ``MatrixFq`` product across it,
-and the points' independence is the rank of their matrix.
-The rest of the public surface holds ``ExtFieldElement`` values and
-converts at that boundary: ``LinearizedPoly``, the messages ``encode``
-takes, and the messages the decoders return.
+``ExtFieldElement`` view built only when read.  Words, points and hints
+meet their F_q matrices at one bridge, ``MatrixFq._from_indices`` and
+``MatrixFq._row_indices`` in ``linalg``: the projections P r and P g are
+``MatrixFq`` products across it, and the points' independence is the
+rank of their matrix.  The rest of the public surface holds
+``ExtFieldElement`` values and converts at that boundary:
+``LinearizedPoly``, the messages ``encode`` takes, and the messages the
+public decoders return.
 """
 
 from __future__ import annotations
@@ -361,7 +374,7 @@ class GabidulinCode:
         for g in self.eval_points:
             if g.params != self.params:
                 raise ParameterError("evaluation point from a different field")
-        if MatrixFq._from_indices(self.params.q, self.params.m, self._points).rank() != self.n:
+        if self._points_matrix.rank() != self.n:
             raise ParameterError("evaluation points must be F_q-linearly independent")
 
     @classmethod
@@ -382,6 +395,11 @@ class GabidulinCode:
     @cached_property
     def _points(self) -> tuple[int, ...]:
         return tuple(g.to_index() for g in self.eval_points)
+
+    @cached_property
+    def _points_matrix(self) -> MatrixFq:
+        """The evaluation points as the rows of an n x m matrix over F_q."""
+        return MatrixFq._from_indices(self.params.q, self.params.m, self._points)
 
     def encode(self, message: Sequence[ExtFieldElement]) -> RankCodeword:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points."""
@@ -423,38 +441,65 @@ class GabidulinCode:
 
         ``row_erasures`` rows (width m) span a known subspace of the error
         row space; ``col_erasures`` rows (width n) span a known subspace of
-        the error column space.  Both are in the form produced by the
-        lifted-code reduction.  Returns the message (tuple of k elements)
-        or a DecodeFailure value.
+        the error column space.  Any rows spanning those spaces will do.
+        Returns the message (tuple of k elements) or a DecodeFailure value.
 
-        A hint costs only when it spans something: the projection runs
-        only for column hints (mu > 0), and the annihilator sigma with the
-        second left division only for row hints (delta > 0).  A candidate
-        f is checked on its residual at the projected points,
-        y_i - f(g'_i), which is the projected error because f is
-        F_q-linear (see the module docstring).
+        Each hint is reduced to its canonical basis; column hints (mu > 0)
+        give the projection P, their kernel, and the projected word P r.
+        The rest is ``_decode_projected``.
         """
         self._check_received(received)
+        params = self.params
+        q, m, n = params.q, params.m, self.n
+        row_basis, _ = self._hint_basis(row_erasures, m, "row_erasures")
+        col_basis, col_pivots = self._hint_basis(col_erasures, n, "col_erasures")
+        if col_basis:
+            # (n - mu) x n over F_q; its rows annihilate the column hints
+            kernel = _kernel(q, n, col_basis, col_pivots)
+            word = (kernel @ MatrixFq._from_indices(q, m, received._indices))._row_indices()
+            proj = kernel._data
+        else:
+            word, proj = received._indices, None
+        outcome = self._decode_projected(word, proj, row_basis)
+        if isinstance(outcome, DecodeFailure):
+            return outcome
+        return tuple(map(params.from_index, outcome))
+
+    def _decode_projected(
+        self, word: Sequence[int], proj: tuple[int, ...] | None, row_basis: tuple[int, ...]
+    ):
+        """The decoder once its hints are in place; returns the message as k
+        element indices, or a DecodeFailure.
+
+        ``proj`` holds the stored rows of a full-rank (n - mu) x n projection
+        P whose row space is the annihilator of the column-erasure space
+        (None when mu = 0), and ``word`` is the projected word P r as
+        element indices.  ``row_basis`` holds the canonical basis of the
+        row-erasure space as stored rows of width m (delta rows).  Only the
+        row space of P matters: another P' = T P with T invertible over F_q
+        gives the same outcome (see the module docstring).
+
+        A hint costs only when it spans something: the points are projected
+        only for mu > 0, and the annihilator sigma with the second left
+        division only for delta > 0.  A candidate f is checked on its
+        residual at the projected points, y_i - f(g'_i), which is the
+        projected error because f is F_q-linear.
+        """
         params = self.params
         ops = params.ops
         q, m, n, k = params.q, params.m, self.n, self.k
         d = self.min_rank_distance
-
-        row_basis, _ = self._hint_basis(row_erasures, m, "row_erasures")
-        col_basis, col_pivots = self._hint_basis(col_erasures, n, "col_erasures")
         delta = len(row_basis)
-        mu = len(col_basis)
+        mu = 0 if proj is None else n - len(proj)
         if mu + delta > d - 1:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
 
-        if mu:
-            # (n - mu) x n over F_q; its rows annihilate the column hints
-            proj = _kernel(q, n, col_basis, col_pivots)
-            word = (proj @ MatrixFq._from_indices(q, m, received._indices))._row_indices()
-            points = (proj @ MatrixFq._from_indices(q, m, self._points))._row_indices()
+        if proj is None:
+            points = self._points
         else:
-            word, points = received._indices, self._points
+            proj = MatrixFq._unchecked(q, n - mu, n, proj)
+            points = (proj @ self._points_matrix)._row_indices()
         if delta:
             hint_elements = MatrixFq._unchecked(q, delta, m, row_basis)._row_indices()
             sigma = _lp_annihilator(ops, hint_elements)
@@ -494,7 +539,7 @@ class GabidulinCode:
             residual = list(map(ops.sub, word, (_lp_evaluate(ops, f, g) for g in points)))
             stacked = MatrixFq._from_indices(q, m, residual)._data + row_basis
             if 2 * (_rank(q, m, stacked) - delta) + mu + delta <= d - 1:
-                return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
+                return f + [0] * (k - len(f))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
     def _hint_basis(

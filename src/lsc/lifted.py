@@ -1,19 +1,33 @@
 """Lifting a rank-metric code into a subspace code, and back.
 
 A codeword matrix X becomes the row space of [I_n | X], an n-dimensional
-subspace of F_q^(n+m).  Decoding a received space splits its canonical
-basis at the identity/payload column boundary: payload-pivot rows yield
-row-space side information (inserted dimensions), missing header pivots
-yield column-space side information (lost dimensions), and the payload
-parts of the header-pivot rows form the received word handed to the
-rank-metric decoder.
+subspace of F_q^(n+m).  Decoding a received space cuts its canonical
+basis at the identity/payload column boundary (``linalg.split_basis``,
+through the one private ``_split`` both entries share).  The rows that
+pivot in the header form H, reduced, with n - mu rows at the surviving
+header pivots; their payload parts are the payload rows.  The other
+rows, whose header is zero, give the row-space side information
+(inserted dimensions) as a canonical basis.
 
-The reduction works on stored rows (``linalg.split_basis``) and reads each
-payload row as an element index (``MatrixFq._row_indices``), so the
-received word reaches ``GabidulinCode.decode_bounded`` as indices with no
-``ExtFieldElement`` built.  A decoded message comes back as elements, the
-public result of ``decode_bounded``, and goes to its codeword matrix
-through indices again (``GabidulinCode._codeword_matrix``).
+``reduce_received`` spells that out as the inputs of the public
+``GabidulinCode.decode_bounded``: the received word r (payload row i at
+pivot i, erased rows zero), the row hints, and the column hints, the
+header directions lost by the channel (the kernel of H, up to sign).
+
+``subspace_decode`` does not take that detour.  The decoder wants a
+projection onto the annihilator of the column hints, and the word
+projected there.  The column hints span the kernel of H, so that
+annihilator is the row space of H, and H itself is a projection.  Its
+projected word is the payload: row i of H is 1 at its own pivot and 0 at
+the others, and r is 0 off the pivots, so H r = payload.  So the decoder
+core (``GabidulinCode._decode_projected``) gets H's rows, the payload
+rows as element indices and the row-hint basis as they are, with no
+kernel, no hint elimination and no product.  ``decode_bounded`` on the
+reduction would project with T H for some invertible T over F_q, which
+gives the same outcome (see ``gabidulin``).  The core returns message
+indices; they go to the codeword matrix directly
+(``GabidulinCode._codeword_matrix``), and the message elements are built
+once, for the result.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
 a received space against its ambient n + m; the lifted code has no object
@@ -64,17 +78,23 @@ def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
         raise ParameterError(f"received space ambient {received.ambient_dim} != {ambient}")
 
 
+def _split(inner: GabidulinCode, received: Subspace):
+    """(pivots, header, payload, rest): the received space's canonical basis
+    cut at the header/payload boundary (``linalg.split_basis``)."""
+    _check_ambient(inner, received)
+    return split_basis(received, inner.n)
+
+
 def reduce_received(inner: GabidulinCode, received: Subspace):
     """Split a received space into (received word, row hints, column hints).
 
     Returns (r, row_erasures, col_erasures) where r is an n x m received
     word with erased rows zeroed, row_erasures rows span the payloads of
     the pure-payload basis vectors, and col_erasures rows span the header
-    directions lost by the channel.
+    directions lost by the channel: the inputs of ``decode_bounded``.
     """
-    _check_ambient(inner, received)
     n, q = inner.n, inner.params.q
-    pivots, header, payload, row_hints = split_basis(received, n)
+    pivots, header, payload, row_hints = _split(inner, received)
     symbols = [0] * n
     for pivot, symbol in zip(pivots, payload._row_indices()):
         symbols[pivot] = symbol
@@ -91,14 +111,17 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     """Recover (X, message) from a received space, or DecodeFailure.
 
     Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
-    codeword V; beyond that radius success is opportunistic.
+    codeword V; beyond that radius success is opportunistic.  The reduced
+    header is the decoder's projection and the payload rows its projected
+    word (see the module docstring).
     """
-    word, row_hints, col_hints = reduce_received(inner, received)
-    outcome = inner.decode_bounded(word, row_erasures=row_hints, col_erasures=col_hints)
+    pivots, header, payload, row_hints = _split(inner, received)
+    proj = header._data if len(pivots) < inner.n else None
+    outcome = inner._decode_projected(payload._row_indices(), proj, row_hints._data)
     if isinstance(outcome, DecodeFailure):
         return outcome
-    matrix = inner._codeword_matrix([u.to_index() for u in outcome])
-    return LiftedDecodeResult(matrix, outcome)
+    message = tuple(map(inner.params.from_index, outcome))
+    return LiftedDecodeResult(inner._codeword_matrix(outcome), message)
 
 
 @lru_cache(maxsize=16)

@@ -23,8 +23,10 @@ from lsc.linalg import (
     MatrixFq,
     Subspace,
     embed,
+    random_full_rank_matrix,
     random_subspace,
     rank_distance,
+    split_basis,
     subspace_distance,
 )
 from lsc.rng import SplitMix64
@@ -237,27 +239,121 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
         _assert_reduction_matches_reference(inner, space)
 
 
-def test_subspace_decode_reaches_decode_bounded_once(fp24, inner31, monkeypatch):
-    """The traced entry point: one public decode_bounded call per subspace_decode."""
-    calls = []
-    original = GabidulinCode.decode_bounded
+def test_every_decode_reaches_the_core_once(fp24, inner31, monkeypatch):
+    """One decoder core run per subspace_decode and per decode_bounded call,
+    failures included; the lifted path does not go through decode_bounded."""
+    core_calls, public_calls = [], []
+    core, public = GabidulinCode._decode_projected, GabidulinCode.decode_bounded
 
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
+    def counting_core(self, *args):
+        core_calls.append(self)
+        return core(self, *args)
 
-    monkeypatch.setattr(GabidulinCode, "decode_bounded", counting)
+    def counting_public(self, *args, **kwargs):
+        public_calls.append(self)
+        return public(self, *args, **kwargs)
+
+    monkeypatch.setattr(GabidulinCode, "_decode_projected", counting_core)
+    monkeypatch.setattr(GabidulinCode, "decode_bounded", counting_public)
     rng = SplitMix64(24)
-    outcomes = []
+    lifted_outcomes, direct_outcomes = [], []
     for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4)]:
         msg = (fp24.from_index(rng.randbelow(16)),)
         space = lift(inner31, inner31.encode(msg))
         received = apply_exact(space, ChannelSpec(rho=rho, t=t), rng).U
-        before = len(calls)
-        outcomes.append(subspace_decode(inner31, received))
-        assert len(calls) == before + 1 and calls[-1] is inner31
-    assert any(isinstance(o, DecodeFailure) for o in outcomes)
-    assert any(not isinstance(o, DecodeFailure) for o in outcomes)
+        before = len(core_calls)
+        lifted_outcomes.append(subspace_decode(inner31, received))
+        assert len(core_calls) == before + 1 and core_calls[-1] is inner31
+        assert not public_calls
+        word, rows, cols = reduce_received(inner31, received)
+        for hints in ((rows, cols), (None, None)):
+            before = len(core_calls)
+            direct_outcomes.append(inner31.decode_bounded(word, *hints))
+            assert len(core_calls) == before + 1 and core_calls[-1] is inner31
+        public_calls.clear()
+    for outcomes in (lifted_outcomes, direct_outcomes):
+        assert any(isinstance(o, DecodeFailure) for o in outcomes)
+        assert any(not isinstance(o, DecodeFailure) for o in outcomes)
+    # (3, 0) erases every header direction: mu = n fails the radius check
+    assert lifted_outcomes[2].detail == "mu+delta = 3 exceeds d-1 = 2"
+
+
+def _reference_subspace_decode(inner, received):
+    """The lifted attempt through the public decoder: the reduction's column
+    hints, their kernel as the projection, elements back to indices."""
+    word, row_hints, col_hints = reduce_received(inner, received)
+    outcome = inner.decode_bounded(word, row_erasures=row_hints, col_erasures=col_hints)
+    if isinstance(outcome, DecodeFailure):
+        return outcome
+    matrix = inner._codeword_matrix([u.to_index() for u in outcome])
+    return LiftedDecodeResult(matrix, outcome)
+
+
+# F_289 = F_17[x]/(x^2 + 3), as in test_gabidulin: stored rows over F_17
+# have two-byte entries
+F289_MODULUS = (3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "q, m, n, k",
+    [
+        (2, 4, 3, 1),
+        (2, 4, 4, 4),  # k = n: d - 1 = 0
+        (2, 12, 5, 2),
+        (2, 12, 12, 6),
+        (3, 3, 3, 1),
+        (3, 4, 4, 2),
+        (5, 3, 3, 1),
+        (7, 2, 2, 1),
+        (7, 3, 3, 3),
+        (17, 2, 2, 1),
+    ],
+)
+def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
+    """The reduced header as the decoder's projection gives, field for field,
+    what the hint round trip through decode_bounded gives."""
+    params = FieldParams(q, m, F289_MODULUS) if q == 17 else FieldParams.default(q, m)
+    rng = SplitMix64(7000 + 100 * q + m)
+    points = RankCodeword.from_matrix(params, random_full_rank_matrix(q, n, m, rng)).symbols
+    inner = GabidulinCode(params, n, k, points)
+    ambient, d = n + m, n - k + 1
+    spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+    for _ in range(40):
+        spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
+        # every header pivot erased
+        payload = random_subspace(q, m, rng.randint(0, m), rng)
+        spaces.append(embed(payload, range(n, ambient), ambient))
+        # channel outputs around a codeword, up to t = ambient - dim V
+        msg = [params.from_index(i) for i in rng.randbelow_many(params.size, k)]
+        codeword = lift(inner, inner.encode(msg))
+        rho = rng.randint(0, n)
+        t = m if not rng.randbelow(4) else rng.randint(0, m)
+        spaces.append(apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U)
+        # mu + delta = d - 1 and = d: mu header directions erased, delta inserted
+        for budget in (d - 1, d):
+            mu = rng.randint(max(0, budget - m), min(n, budget))
+            channel = ChannelSpec(rho=mu, t=budget - mu)
+            spaces.append(apply_exact(codeword, channel, rng).U)
+    seen = {"decoded": 0, "decoded-mu>0": 0, "radius": 0, "nothing-near": 0, "d-1": 0, "d": 0}
+    for space in spaces:
+        pivots, _, _, rest = split_basis(space, n)
+        erasures = n - len(pivots) + rest.rows
+        seen["d-1"] += erasures == d - 1
+        seen["d"] += erasures == d
+        got = subspace_decode(inner, space)
+        want = _reference_subspace_decode(inner, space)
+        assert type(got) is type(want)
+        if isinstance(want, DecodeFailure):
+            assert (got.reason, got.detail) == (want.reason, want.detail)
+            seen["radius" if "mu+delta" in want.detail else "nothing-near"] += 1
+        else:
+            assert got.matrix == want.matrix and got.matrix.entries == want.matrix.entries
+            assert got.message == want.message
+            seen["decoded"] += 1
+            seen["decoded-mu>0"] += len(pivots) < n
+    if k == n:  # d - 1 = 0 and every word is a codeword
+        assert not seen.pop("nothing-near") and not seen.pop("decoded-mu>0")
+    assert all(seen.values()), seen
 
 
 def test_rank_codeword_value_semantics(fp24, inner31):
