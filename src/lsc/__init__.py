@@ -21,7 +21,6 @@ from .layered import (
     LayeredCodeword,
 )
 from .lifted import (
-    LiftedDecodeResult,
     brute_force_subspace_decode,
     lift,
     subspace_decode,
@@ -57,7 +56,6 @@ __all__ = [
     "LayerResult",
     "LayeredCode",
     "LayeredCodeword",
-    "LiftedDecodeResult",
     "LinearizedPoly",
     "MatrixFq",
     "ParameterError",

@@ -175,6 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
+        # subspace dumps hold one digit per entry (docs/formats.md)
+        if cfg.q > 10 and (args.verb == "search-beyond" or args.verb == "simulate" and args.dump):
+            where = cfg.where("field", "q")
+            raise ConfigError(f"{where}: subspace dumps need q <= 10, got {cfg.q}")
         handler = {
             "simulate": _cmd_simulate,
             "verify": _cmd_verify,

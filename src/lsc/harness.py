@@ -126,9 +126,7 @@ def _ds_chain(word: LayeredCodeword, report: LayerDecodeReport, ds: int) -> tupl
     if not report.accumulated:
         return ()
     sent = word.component_matrices
-    right = {
-        r.layer for r in report.layers if r.status == STATUS_OK and r.matrix == sent[r.layer - 1]
-    }
+    right = {r.layer for r in report.layers if r.matrix == sent[r.layer - 1]}
     chain = [ds]
     spaces = report.accumulated
     for before, after, layer in zip(spaces, spaces[1:], report.attempt_layers):
@@ -649,7 +647,7 @@ def _unicast_trial(code: LayeredCode, job) -> bool:
     seed, spec, layer = job
     word, outcome = make_trial(code, seed, spec)
     result = code.decode_layer(outcome.U, layer)
-    return result.status == STATUS_OK and result.matrix == word.component_matrices[layer - 1]
+    return result.matrix == word.component_matrices[layer - 1]
 
 
 def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:

@@ -26,11 +26,11 @@ elimination with the other columns in front).  ``layer_distance`` reads
 d_S between a component and a layer of some space off the same map, with
 no extraction.
 
-A decoded layer is stored once, as its matrix X_l and message
-(``LayerResult``); its component is placed from X_l as in encoding, so
-the recombined estimate is stacked like an encoded V: the embedded
-components in layer order, already canonical, with no elimination.
-Failed layers contribute the zero subspace.  ``recompose`` direct-sums
+A decoded layer is stored once, as its matrix X_l (``LayerResult``),
+which fixes the message; its component is placed from X_l as in
+encoding, so the recombined estimate is stacked like an encoded V: the
+embedded components in layer order, already canonical, with no
+elimination.  Failed layers contribute the zero subspace.  ``recompose`` direct-sums
 arbitrary per-layer estimates.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
@@ -199,8 +199,9 @@ class LayeredCode:
         known-zero columns.
         """
         self._check_layer(layer)
-        if received.ambient_dim != self.ambient_dim:
-            raise ParameterError("received space has the wrong ambient dimension")
+        q, ambient = self.params.q, self.ambient_dim
+        if received.ambient_dim != ambient or received.q != q:
+            raise ParameterError(f"received space must lie in F_{q}^{ambient}")
         return shorten(received, self._columns[layer - 1])
 
     def layer_distance(self, component: Subspace, space: Subspace, layer: int) -> int:
@@ -221,8 +222,9 @@ class LayeredCode:
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
         self._check_layer(layer)
-        if stripped.ambient_dim != self.layers[layer - 1].n + self.params.m:
-            raise ParameterError("component space has the wrong ambient dimension")
+        q, ambient = self.params.q, self.layers[layer - 1].n + self.params.m
+        if stripped.ambient_dim != ambient or stripped.q != q:
+            raise ParameterError(f"component space must lie in F_{q}^{ambient}")
         return embed(stripped, self._columns[layer - 1], self.ambient_dim)
 
     def _direct_sum(self, components: Iterable[Subspace]) -> Subspace:
@@ -304,7 +306,7 @@ class LayeredCode:
                     continue
                 result = self.decode_layer(working, layer)
                 results[layer] = result
-                if result.status == STATUS_OK:
+                if result.matrix is not None:
                     decoded[layer] = self.component_subspace(layer, result.matrix)
                     if cancel:
                         working = subspace_sum(working, decoded[layer])
@@ -328,8 +330,8 @@ class LayeredCode:
         extracted = self.extract_component(received, layer)
         outcome = lifted_mod.subspace_decode(self.layers[layer - 1], extracted)
         if isinstance(outcome, DecodeFailure):
-            return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
-        return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)
+            return LayerResult(layer, None, outcome.reason)
+        return LayerResult(layer, outcome, None)
 
 
 @dataclass(frozen=True)
@@ -345,14 +347,17 @@ class LayeredCodeword:
 @dataclass(frozen=True)
 class LayerResult:
     """Outcome of one component decode attempt: the decoded codeword matrix
-    X_l and its message, both None on failure.  The lift <[I | X_l]> follows
-    from the matrix (``LayeredCode.component_subspace``)."""
+    X_l (None on failure) or the failure reason (None on success).  The
+    encoding is injective, so X_l fixes the message, and the lift
+    <[I | X_l]> follows from it (``LayeredCode.component_subspace``)."""
 
     layer: int
-    status: str
-    reason: str | None
     matrix: MatrixFq | None
-    message: tuple[ExtFieldElement, ...] | None
+    reason: str | None
+
+    @property
+    def status(self) -> str:
+        return STATUS_FAIL if self.matrix is None else STATUS_OK
 
 
 @dataclass
@@ -378,7 +383,3 @@ class LayerDecodeReport:
     @property
     def decoded_layers(self) -> frozenset[int]:
         return frozenset(r.layer for r in self.layers if r.status == STATUS_OK)
-
-    @property
-    def stage_dims(self) -> list[int]:
-        return [s.dim for s in self.accumulated]

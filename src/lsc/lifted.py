@@ -25,12 +25,12 @@ rows as element indices and the row-hint basis as they are, with no
 kernel, no hint elimination and no product.  ``decode_bounded`` on the
 reduction would project with T H for some invertible T over F_q, which
 gives the same outcome (see ``gabidulin``).  The core returns message
-indices; they go to the codeword matrix directly
-(``GabidulinCode._codeword_matrix``), and the message elements are built
-once, for the result.
+indices, and the result is their codeword matrix X
+(``GabidulinCode._codeword_matrix``): the encoding is injective, so X
+fixes the message, and no message elements are built.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
-a received space against its ambient n + m; the lifted code has no object
+that a received space lies in F_q^(n + m); the lifted code has no object
 of its own.  A one-layer ``LayeredCode`` is the same code, and states its
 minimum distance 2 (n - k + 1).
 
@@ -41,23 +41,15 @@ per code, see ``gabidulin``) rather than encoding every message again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError
-from .field import ExtFieldElement
 from .gabidulin import (
     DecodeFailure,
     GabidulinCode,
     RankCodeword,
 )
 from .linalg import MatrixFq, Subspace, _kernel, identity_lift, split_basis, subspace_distance
-
-
-@dataclass(frozen=True)
-class LiftedDecodeResult:
-    matrix: MatrixFq
-    message: tuple[ExtFieldElement, ...]
 
 
 def lift(inner: GabidulinCode, codeword) -> Subspace:
@@ -73,9 +65,9 @@ def lift(inner: GabidulinCode, codeword) -> Subspace:
 
 
 def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
-    ambient = inner.n + inner.params.m
-    if received.ambient_dim != ambient:
-        raise ParameterError(f"received space ambient {received.ambient_dim} != {ambient}")
+    q, ambient = inner.params.q, inner.n + inner.params.m
+    if received.ambient_dim != ambient or received.q != q:
+        raise ParameterError(f"received space must lie in F_{q}^{ambient}")
 
 
 def _split(inner: GabidulinCode, received: Subspace):
@@ -108,7 +100,7 @@ def reduce_received(inner: GabidulinCode, received: Subspace):
 
 
 def subspace_decode(inner: GabidulinCode, received: Subspace):
-    """Recover (X, message) from a received space, or DecodeFailure.
+    """Recover the n x m codeword matrix X from a received space, or DecodeFailure.
 
     Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
     codeword V; beyond that radius success is opportunistic.  The reduced
@@ -120,36 +112,32 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     outcome = inner._decode_projected(payload._row_indices(), proj, row_hints._data)
     if isinstance(outcome, DecodeFailure):
         return outcome
-    message = tuple(map(inner.params.from_index, outcome))
-    return LiftedDecodeResult(inner._codeword_matrix(outcome), message)
+    return inner._codeword_matrix(outcome)
 
 
 @lru_cache(maxsize=16)
 def codeword_subspaces(inner: GabidulinCode, cap: int = 1 << 20):
-    """All (subspace, matrix, message) triples of the lifted code, in message
-    order: the inner code's codebook, lifted."""
+    """All (subspace, matrix) pairs of the lifted code, in message order:
+    the inner code's codebook, lifted."""
     inner._check_cap(cap)
     q, m, n = inner.params.q, inner.params.m, inner.n
-    from_index = inner.params.from_index
     out = []
-    for indices, rows in zip(*inner._codebook):
+    for rows in inner._codebook[1]:
         matrix = MatrixFq._unchecked(q, n, m, rows)
-        out.append((lift(inner, matrix), matrix, tuple(map(from_index, indices))))
+        out.append((lift(inner, matrix), matrix))
     return tuple(out)
 
 
 def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace, cap: int = 1 << 20):
     """Minimum subspace-distance decoding by full enumeration; ties fail.
-    A success is a ``LiftedDecodeResult``, as from ``subspace_decode``."""
+    A success is the codeword matrix, as from ``subspace_decode``."""
     _check_ambient(inner, received)
-    best = None
-    best_dist = None
+    best = best_dist = None
     tie = False
-    for subspace, matrix, message in codeword_subspaces(inner, cap):
+    for subspace, matrix in codeword_subspaces(inner, cap):
         dist = subspace_distance(subspace, received)
         if best_dist is None or dist < best_dist:
-            best = LiftedDecodeResult(matrix, message)
-            best_dist, tie = dist, False
+            best, best_dist, tie = matrix, dist, False
         elif dist == best_dist:
             tie = True
     if tie:

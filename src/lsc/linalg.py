@@ -876,8 +876,11 @@ def random_subspace_of(v: Subspace, dim: int, rng) -> Subspace:
 
 
 def dump_subspace(v: Subspace) -> str:
+    """The docs/formats.md dump: one digit per entry, so an entry above 9 raises."""
     lines = [f"ambient {v.ambient_dim}"]
-    lines.extend("".join(str(x) for x in row) for row in v.basis.entries)
+    lines.extend("".join(map(str, row)) for row in v.basis.entries)
+    if any(len(line) != v.ambient_dim for line in lines[1:]):
+        raise ParameterError("dump entries are single digits: an entry is above 9")
     return "\n".join(lines) + "\n"
 
 

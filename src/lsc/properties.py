@@ -330,13 +330,13 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = FieldParams.default(2, 4)
     dist_checks = dist_viol = 0
     for desk in _desk_codes(params):
-        triples = codeword_subspaces(desk)
+        pairs = codeword_subspaces(desk)
         dmin = None
-        for i in range(len(triples)):
-            for j in range(i + 1, len(triples)):
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
                 dist_checks += 1
-                ds = subspace_distance(triples[i][0], triples[j][0])
-                dr = rank_distance(triples[i][1], triples[j][1])
+                ds = subspace_distance(pairs[i][0], pairs[j][0])
+                dr = rank_distance(pairs[i][1], pairs[j][1])
                 if ds != 2 * dr:
                     dist_viol += 1
                 dmin = ds if dmin is None else min(dmin, ds)
@@ -355,11 +355,11 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
             sent = word.component_matrices[0]
             result = subspace_decode(desk, outcome.U)
             dec_checks += 1
-            if isinstance(result, DecodeFailure) or result.matrix != sent:
+            if result != sent:
                 dec_viol += 1
             oracle = brute_force_subspace_decode(desk, outcome.U)
             oracle_checks += 1
-            if isinstance(oracle, DecodeFailure) or oracle.matrix != sent:
+            if oracle != sent:
                 oracle_viol += 1
     guaranteed = PropertyResult("lifted.guaranteed_decode", dec_checks, dec_viol)
 
@@ -376,7 +376,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
         oracle = brute_force_subspace_decode(desk, outcome.U)
         oracle_checks += 1
         if not isinstance(result, DecodeFailure) and not isinstance(oracle, DecodeFailure):
-            if result.message != oracle.message:
+            if result != oracle:
                 oracle_viol += 1
         if (
             2 * subspace_distance(v, outcome.U) < single.min_distance()

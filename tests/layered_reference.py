@@ -12,7 +12,7 @@ the public ``encode``.
 from lsc import lifted
 from lsc.errors import ParameterError
 from lsc.gabidulin import DecodeFailure
-from lsc.layered import STATUS_FAIL, STATUS_OK, LayerDecodeReport, LayerResult
+from lsc.layered import STATUS_OK, LayerDecodeReport, LayerResult
 from lsc.linalg import Subspace, subspace_sum
 
 
@@ -29,8 +29,8 @@ def attempt(code, layer, extracted):
     """One component decode of ``extracted`` (in the component ambient)."""
     outcome = lifted.subspace_decode(code.layers[layer - 1], extracted)
     if isinstance(outcome, DecodeFailure):
-        return LayerResult(layer, STATUS_FAIL, outcome.reason, None, None)
-    return LayerResult(layer, STATUS_OK, None, outcome.matrix, outcome.message)
+        return LayerResult(layer, None, outcome.reason)
+    return LayerResult(layer, outcome, None)
 
 
 def component(code, result):

@@ -277,6 +277,43 @@ def test_dump_prints_the_failed_matrix_channel_trials(monkeypatch, tmp_path, cap
     assert out[out.index("# failed trial"):] == expected
 
 
+# F_121 = F_11[x]/(x^2 + 1): dump entries could need two digits
+Q11_CONFIG = """\
+[field]
+q = 11
+m = 2
+modulus = 1,0,1
+
+[code]
+layers = 1:1, 2:1
+
+[channel]
+rho = 1
+t = 1
+
+[run]
+trials = 2
+"""
+
+
+def test_dumping_verbs_need_q_at_most_10(tmp_path, capsys):
+    """search-beyond and simulate --dump stop before any trial when q > 10,
+    at the [field] q line; the verbs that write no such dump still run."""
+    config = tmp_path / "q11.ini"
+    config.write_text(Q11_CONFIG)
+    out = tmp_path / "out.txt"
+    for args in (["search-beyond"], ["simulate", "--dump"]):
+        assert cli.main([*args, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "q11.ini:2: subspace dumps need q <= 10, got 11" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text().startswith("trial,seed,algorithm")
+    assert cli.main(["dump-code", "--config", str(config), "--dump"]) == 0
+    assert "zero-message codeword\nambient 5\n" in capsys.readouterr().out
+
+
 def test_verify_quick(tmp_path):
     quick = tmp_path / "quick.ini"
     quick.write_text(

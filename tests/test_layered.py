@@ -1,5 +1,7 @@
 """Layered code construction, extraction, and both decoding algorithms."""
 
+import dataclasses
+
 import pytest
 
 from layered_reference import decode_alg1 as reference_alg1
@@ -10,7 +12,7 @@ from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import InvariantError, ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import GabidulinCode
-from lsc.layered import ALGORITHMS, STATUS_OK, LayeredCode
+from lsc.layered import ALGORITHMS, STATUS_FAIL, STATUS_OK, LayeredCode, LayerResult
 from lsc.lifted import lift
 from lsc.linalg import (
     MatrixFq,
@@ -18,6 +20,7 @@ from lsc.linalg import (
     coordinate_zero_subspace,
     intersection,
     is_direct_sum,
+    random_subspace,
     subspace_distance,
 )
 from lsc.rng import SplitMix64
@@ -146,6 +149,37 @@ def test_extract_validation(example_code):
         example_code.extract_component(Subspace.zero(2, 11), 3)
     with pytest.raises(ParameterError):
         example_code.extract_component(Subspace.zero(2, 9), 1)
+
+
+@pytest.mark.parametrize(
+    "q, shape, space_q",
+    [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)],
+    ids=["q3-code-gf2-space", "f16-code-f3-space"],
+)
+def test_received_space_over_another_field_rejected(q, shape, space_q):
+    """A space of the right ambient over another F_q is a ParameterError in
+    every decode entry and in ``embed_component``.  Unchecked, GF(2) spaces
+    ran a q = 3 code to a report, a KeyError or a ParameterError, F_3
+    spaces an F_16 code to an IndexError, and an F_3 component embedded
+    into an F_16 code's ambient."""
+    code = LayeredCode.standard(FieldParams.default(q, 4), shape)
+    ambient = code.ambient_dim
+    rng = SplitMix64(36)
+    spaces = [Subspace.full(space_q, ambient), Subspace.zero(space_q, ambient)]
+    spaces += [random_subspace(space_q, ambient, rng.randint(1, ambient), rng) for _ in range(20)]
+    where = rf"must lie in F_{q}\^{ambient}"
+    for space in spaces:
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ParameterError, match=where):
+                code.decode(space, algorithm)
+        for layer in (1, 2):
+            with pytest.raises(ParameterError, match=where):
+                code.decode_layer(space, layer)
+            with pytest.raises(ParameterError, match=where):
+                code.extract_component(space, layer)
+    for layer, inner in enumerate(code.layers, 1):
+        with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^{inner.n + 4}"):
+            code.embed_component(layer, Subspace.full(space_q, inner.n + 4))
 
 
 def test_recompose_roundtrip_and_failure_dims(fp24, example_code, q3_three_layers):
@@ -350,14 +384,31 @@ def test_report_bookkeeping(example_code):
     report = example_code.decode_alg2(outcome.U, iterative=True)
     assert report.sweeps >= 1
     assert len(report.accumulated) == len(report.attempt_layers) + 1
-    assert report.stage_dims[0] == outcome.U.dim
+    assert report.accumulated[0] == outcome.U
     alg1 = example_code.decode_alg1(outcome.U)
     assert alg1.sweeps == 1 and alg1.accumulated == []
-    # a failed layer holds no matrix and no message
+    # a failed layer holds no matrix, only its reason
     if not alg1.all_ok:
         for res in alg1.layers:
             if res.status != STATUS_OK:
-                assert res.matrix is None and res.message is None
+                assert res.matrix is None and res.reason is not None
+
+
+def test_layer_result_status_reads_the_matrix(example_code):
+    """A layer result holds its layer, matrix and reason; ``ok`` means a matrix."""
+    assert [f.name for f in dataclasses.fields(LayerResult)] == ["layer", "matrix", "reason"]
+    rng = SplitMix64(42)
+    statuses = set()
+    for rho in (0, 4):
+        word, outcome = make_trial(example_code, rng.randbelow(1 << 32), ChannelSpec(rho=rho, t=0))
+        for result in example_code.decode_alg1(outcome.U).layers:
+            statuses.add(result.status)
+            if result.matrix is None:
+                assert result.status == STATUS_FAIL and result.reason is not None
+            else:
+                assert result.status == STATUS_OK and result.reason is None
+                assert result.matrix == word.component_matrices[result.layer - 1]
+    assert statuses == {STATUS_OK, STATUS_FAIL}
 
 
 def test_layer_field_mismatch_rejected(fp24):
@@ -380,9 +431,9 @@ def _assert_same_report(got, want):
     assert got.algorithm == want.algorithm
     for mine, theirs in zip(got.layers, want.layers, strict=True):
         assert (mine.layer, mine.status, mine.reason) == (theirs.layer, theirs.status, theirs.reason)
-        assert (mine.matrix, mine.message) == (theirs.matrix, theirs.message)
+        assert mine.matrix == theirs.matrix
         if mine.status != STATUS_OK:
-            assert mine.matrix is None and mine.message is None
+            assert mine.matrix is None and mine.reason is not None
     # the stacked lifts must already be the canonical basis recompose eliminates to
     assert got.recombined.basis == want.recombined.basis
     assert got.sweeps == want.sweeps

@@ -12,7 +12,6 @@ from lsc.field import ExtFieldElement, FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
 from lsc.layered import LayeredCode
 from lsc.lifted import (
-    LiftedDecodeResult,
     brute_force_subspace_decode,
     codeword_subspaces,
     lift,
@@ -54,12 +53,15 @@ def test_min_subspace_distance_values(fp24):
 def test_distance_identity_exhaustive(fp24):
     for n in (3, 4):
         inner = GabidulinCode.standard(fp24, n, 1)
-        triples = codeword_subspaces(inner)
+        pairs = codeword_subspaces(inner)
+        assert [matrix for _, matrix in pairs] == [
+            inner.encode(msg).as_matrix() for msg in inner.iter_messages()
+        ]
         dmin = None
-        for i in range(len(triples)):
-            for j in range(i + 1, len(triples)):
-                ds = subspace_distance(triples[i][0], triples[j][0])
-                assert ds == 2 * rank_distance(triples[i][1], triples[j][1])
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                ds = subspace_distance(pairs[i][0], pairs[j][0])
+                assert ds == 2 * rank_distance(pairs[i][1], pairs[j][1])
                 dmin = ds if dmin is None else min(dmin, ds)
         assert dmin == LayeredCode((inner,)).min_distance()
 
@@ -76,7 +78,7 @@ def test_decode_zero_distance(fp24, inner31):
     for msg in inner31.iter_messages():
         space = lift(inner31, inner31.encode(msg))
         result = subspace_decode(inner31, space)
-        assert result.message == msg
+        assert result == inner31.encode(msg).as_matrix()
 
 
 def test_guaranteed_regime_random_trials(fp24, inner31):
@@ -84,13 +86,14 @@ def test_guaranteed_regime_random_trials(fp24, inner31):
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(150):
             msg = (fp24.from_index(rng.randbelow(16)),)
-            space = lift(inner31, inner31.encode(msg))
+            sent = inner31.encode(msg).as_matrix()
+            space = lift(inner31, sent)
             outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
             result = subspace_decode(inner31, outcome.U)
             assert not isinstance(result, DecodeFailure)
-            assert result.message == msg
+            assert result == sent
             oracle = brute_force_subspace_decode(inner31, outcome.U)
-            assert oracle.message == msg
+            assert oracle == sent
 
 
 def test_never_contradicts_oracle(fp24, inner31):
@@ -103,7 +106,7 @@ def test_never_contradicts_oracle(fp24, inner31):
         result = subspace_decode(inner31, outcome.U)
         oracle = brute_force_subspace_decode(inner31, outcome.U)
         if not isinstance(result, DecodeFailure) and not isinstance(oracle, DecodeFailure):
-            assert result.message == oracle.message
+            assert result == oracle
 
 
 def _reference_subspace_oracle(inner, received):
@@ -115,14 +118,12 @@ def _reference_subspace_oracle(inner, received):
         matrix = inner._codeword_matrix(indices)
         dist = subspace_distance(lift(inner, matrix), received)
         if best_dist is None or dist < best_dist:
-            best, best_dist, tie = (matrix, indices), dist, False
+            best, best_dist, tie = matrix, dist, False
         elif dist == best_dist:
             tie = True
     if tie:
         return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
-    matrix, indices = best
-    message = tuple(inner.params.from_index(u) for u in indices)
-    return LiftedDecodeResult(matrix, message)
+    return best
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 2, 2), (3, 3, 2)])
@@ -163,6 +164,21 @@ def test_ambient_mismatch_rejected(fp24, inner31):
         lift(inner31, MatrixFq.zeros(2, 2, 4))
 
 
+@pytest.mark.parametrize("code_q, space_q", [(3, 2), (2, 3)])
+def test_received_space_over_another_field_rejected(code_q, space_q):
+    """A space of the right ambient over another F_q is a ParameterError in
+    every lifted entry, not a wrong answer or an IndexError."""
+    inner = GabidulinCode.standard(FieldParams.default(code_q, 4), 3, 1)
+    ambient = inner.n + 4
+    rng = SplitMix64(25)
+    spaces = [Subspace.full(space_q, ambient), Subspace.zero(space_q, ambient)]
+    spaces += [random_subspace(space_q, ambient, rng.randint(1, ambient), rng) for _ in range(20)]
+    for space in spaces:
+        for entry in (subspace_decode, reduce_received, brute_force_subspace_decode):
+            with pytest.raises(ParameterError, match=rf"must lie in F_{code_q}\^{ambient}"):
+                entry(inner, space)
+
+
 def test_extra_dimensions_are_handled(fp24, inner31):
     """Payload-pivot dimensions flow through the hint path, not a rejection."""
     msg = (fp24.from_index(6),)
@@ -171,7 +187,7 @@ def test_extra_dimensions_are_handled(fp24, inner31):
     outcome = apply_exact(space, ChannelSpec(rho=0, t=2), rng)
     assert outcome.U.dim == 5  # more dimensions than the code length
     result = subspace_decode(inner31, outcome.U)
-    assert result.message == msg
+    assert result == inner31.encode(msg).as_matrix()
 
 
 def _reference_reduce(inner, received):
@@ -280,13 +296,9 @@ def test_every_decode_reaches_the_core_once(fp24, inner31, monkeypatch):
 
 def _reference_subspace_decode(inner, received):
     """The lifted attempt through the public decoder: the reduction's column
-    hints, their kernel as the projection, elements back to indices."""
+    hints, their kernel as the projection; a success is the message."""
     word, row_hints, col_hints = reduce_received(inner, received)
-    outcome = inner.decode_bounded(word, row_erasures=row_hints, col_erasures=col_hints)
-    if isinstance(outcome, DecodeFailure):
-        return outcome
-    matrix = inner._codeword_matrix([u.to_index() for u in outcome])
-    return LiftedDecodeResult(matrix, outcome)
+    return inner.decode_bounded(word, row_erasures=row_hints, col_erasures=col_hints)
 
 
 # F_289 = F_17[x]/(x^2 + 3), as in test_gabidulin: stored rows over F_17
@@ -342,13 +354,15 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
         seen["d"] += erasures == d
         got = subspace_decode(inner, space)
         want = _reference_subspace_decode(inner, space)
-        assert type(got) is type(want)
         if isinstance(want, DecodeFailure):
+            assert type(got) is DecodeFailure
             assert (got.reason, got.detail) == (want.reason, want.detail)
             seen["radius" if "mu+delta" in want.detail else "nothing-near"] += 1
         else:
-            assert got.matrix == want.matrix and got.matrix.entries == want.matrix.entries
-            assert got.message == want.message
+            assert type(got) is MatrixFq
+            matrix = inner._codeword_matrix([u.to_index() for u in want])
+            assert got == matrix and got.entries == matrix.entries
+            assert got == inner.encode(want).as_matrix()
             seen["decoded"] += 1
             seen["decoded-mu>0"] += len(pivots) < n
     if k == n:  # d - 1 = 0 and every word is a codeword

@@ -238,6 +238,17 @@ def test_dump_parse_roundtrip():
     assert parse_subspace("ambient 3\n120\n", 3).basis.entries == ((1, 2, 0),)
 
 
+def test_dump_holds_single_digit_entries_only():
+    """Over F_11 the row (1, 10, 3) would dump as 1103 under ``ambient 3``;
+    the dump refuses it.  Entries up to 9 still round-trip for any q."""
+    wide = row_space(MatrixFq(11, 1, 3, [(1, 10, 3)]), 3)
+    with pytest.raises(ParameterError, match="single digits"):
+        dump_subspace(wide)
+    narrow = row_space(MatrixFq(11, 2, 3, [(1, 0, 9), (0, 1, 4)]), 3)
+    assert dump_subspace(narrow) == "ambient 3\n109\n014\n"
+    assert parse_subspace(dump_subspace(narrow), 11) == narrow
+
+
 def test_q3_subspace_operations():
     rng = SplitMix64(10)
     for _ in range(100):
