@@ -2,12 +2,14 @@
 
 Verbs: simulate, verify, search-beyond, scenario, dump-code.
 Exit codes: 0 success, 1 property violation, 2 config error,
-3 search target not found.
+3 search target not found, 4 stdout closed by the reader (for example
+``| head``): the rest of the output is dropped, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ExperimentConfig, load_config
@@ -20,6 +22,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
+EXIT_BROKEN_PIPE = 4
 
 
 # the override flags each verb honours; argparse rejects the rest (exit 2).
@@ -186,7 +189,14 @@ def main(argv: list[str] | None = None) -> int:
             "scenario": _cmd_scenario,
             "dump-code": _cmd_dump_code,
         }[args.verb]
-        return handler(cfg, args)
+        code = handler(cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush at
+        # exit, to devnull (the Python docs' advice for SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

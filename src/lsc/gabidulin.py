@@ -397,6 +397,12 @@ class GabidulinCode:
         return tuple(g.to_index() for g in self.eval_points)
 
     @cached_property
+    def _subspace_decode_memo(self) -> dict:
+        """``lifted.subspace_decode``'s outcomes on this code, by received
+        basis; ``lifted`` bounds and fills it."""
+        return {}
+
+    @cached_property
     def _points_matrix(self) -> MatrixFq:
         """The evaluation points as the rows of an n x m matrix over F_q."""
         return MatrixFq._from_indices(self.params.q, self.params.m, self._points)

@@ -4,7 +4,10 @@ Parallel decoding (alg1) and successive interference cancellation (alg2,
 with ``iterative`` for alg2-iterative) each have their own loop, and
 every report rebuilds ``recombined`` with ``LayeredCode.recompose``, a
 full ``row_space`` elimination that checks the direct sum.  The loops
-lift and embed each decoded matrix themselves (``component``).
+lift and embed each decoded matrix themselves (``component``).  An
+attempt runs ``lifted._decode_space``, the lifted decode without
+``subspace_decode``'s memo, so every comparison with ``LayeredCode``
+compares the memoized path with the uncached one.
 ``random_messages`` draws a codeword's messages as field elements, for
 the public ``encode``.
 """
@@ -27,7 +30,7 @@ def random_messages(code, rng):
 
 def attempt(code, layer, extracted):
     """One component decode of ``extracted`` (in the component ambient)."""
-    outcome = lifted.subspace_decode(code.layers[layer - 1], extracted)
+    outcome = lifted._decode_space(code.layers[layer - 1], extracted)
     if isinstance(outcome, DecodeFailure):
         return LayerResult(layer, None, outcome.reason)
     return LayerResult(layer, outcome, None)

@@ -1,6 +1,7 @@
 """CLI end-to-end: verbs, flags, exit codes."""
 
 import dataclasses
+import os
 import pathlib
 import subprocess
 import sys
@@ -109,6 +110,33 @@ def test_dump_code(tmp_path):
     proc = run_cli("dump-code", "--config", str(CONFIGS / "default.ini"), "--dump")
     assert "zero-message codeword" in proc.stdout
     assert "ambient 11" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "verb, extra",
+    [("dump-code", ()), ("simulate", ("--trials", "1", "--out"))],
+)
+def test_a_closed_stdout_is_its_own_exit_code(tmp_path, verb, extra):
+    """A reader that is gone before the first write (``| head``) gives exit 4
+    and no traceback; simulate --out still writes its CSV."""
+    if extra:
+        extra += (str(tmp_path / "rows.csv"),)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsc", verb, "--config", str(CONFIGS / "default.ini"), *extra],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=600,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 4
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+    if verb == "simulate":
+        assert (tmp_path / "rows.csv").read_text().startswith("trial,seed,algorithm")
 
 
 def test_simulate_exit_zero_and_csv(tmp_path):

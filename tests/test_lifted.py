@@ -6,7 +6,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from lsc.channel import ChannelSpec, apply_exact
+from lsc import lifted as lifted_mod
+from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import CapacityError, ParameterError
 from lsc.field import ExtFieldElement, FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
@@ -255,9 +256,12 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
         _assert_reduction_matches_reference(inner, space)
 
 
-def test_every_decode_reaches_the_core_once(fp24, inner31, monkeypatch):
-    """One decoder core run per subspace_decode and per decode_bounded call,
-    failures included; the lifted path does not go through decode_bounded."""
+def test_every_decode_reaches_the_core_once(fp24, monkeypatch):
+    """Within one code each distinct received space reaches the decoder core
+    once, failures included: a repeat, even as another equal Subspace,
+    reaches it zero times and returns an equal outcome.  decode_bounded
+    runs the core on every call, and the lifted path does not go through it."""
+    inner = GabidulinCode.standard(fp24, 3, 1)  # built here: its memo starts empty
     core_calls, public_calls = [], []
     core, public = GabidulinCode._decode_projected, GabidulinCode.decode_bounded
 
@@ -272,26 +276,103 @@ def test_every_decode_reaches_the_core_once(fp24, inner31, monkeypatch):
     monkeypatch.setattr(GabidulinCode, "_decode_projected", counting_core)
     monkeypatch.setattr(GabidulinCode, "decode_bounded", counting_public)
     rng = SplitMix64(24)
+    first = {}
     lifted_outcomes, direct_outcomes = [], []
-    for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4)]:
+    for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4), (0, 0), (3, 0)]:
         msg = (fp24.from_index(rng.randbelow(16)),)
-        space = lift(inner31, inner31.encode(msg))
+        space = lift(inner, inner.encode(msg))
         received = apply_exact(space, ChannelSpec(rho=rho, t=t), rng).U
-        before = len(core_calls)
-        lifted_outcomes.append(subspace_decode(inner31, received))
-        assert len(core_calls) == before + 1 and core_calls[-1] is inner31
+        basis = received.basis
+        equal = Subspace(received.ambient_dim, MatrixFq(2, basis.rows, basis.cols, basis.entries))
+        for again in (received, received, equal):
+            before = len(core_calls)
+            outcome = subspace_decode(inner, again)
+            if received in first:
+                assert len(core_calls) == before
+                assert type(outcome) is type(first[received]) and outcome == first[received]
+            else:
+                assert len(core_calls) == before + 1 and core_calls[-1] is inner
+                first[received] = outcome
         assert not public_calls
-        word, rows, cols = reduce_received(inner31, received)
+        lifted_outcomes.append(outcome)
+        word, rows, cols = reduce_received(inner, received)
         for hints in ((rows, cols), (None, None)):
             before = len(core_calls)
-            direct_outcomes.append(inner31.decode_bounded(word, *hints))
-            assert len(core_calls) == before + 1 and core_calls[-1] is inner31
+            direct_outcomes.append(inner.decode_bounded(word, *hints))
+            assert len(core_calls) == before + 1 and core_calls[-1] is inner
         public_calls.clear()
+    assert len(core_calls) == len(first) + len(direct_outcomes)
+    # (3, 0) leaves the zero space both times: a repeat across trials
+    assert len(first) < len(lifted_outcomes)
     for outcomes in (lifted_outcomes, direct_outcomes):
         assert any(isinstance(o, DecodeFailure) for o in outcomes)
         assert any(not isinstance(o, DecodeFailure) for o in outcomes)
     # (3, 0) erases every header direction: mu = n fails the radius check
     assert lifted_outcomes[2].detail == "mu+delta = 3 exceeds d-1 = 2"
+
+
+def _assert_same_outcome(got, want):
+    """Two lifted outcomes agree field for field."""
+    assert type(got) is type(want)
+    if isinstance(want, DecodeFailure):
+        assert (got.reason, got.detail) == (want.reason, want.detail)
+    else:
+        assert got == want and got.entries == want.entries
+
+
+def test_memo_is_per_code(fp24, example_code):
+    """Equal codes built apart keep memos of their own: a fresh code starts
+    empty, and its decodes fill no other code's memo."""
+    _, outcome = make_trial(example_code, 3, ChannelSpec(rho=1, t=1))
+    example_code.decode(outcome.U, "alg2-iterative")
+    assert all(inner._subspace_decode_memo for inner in example_code.layers)
+    fresh = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    assert fresh == example_code
+    assert not any(inner._subspace_decode_memo for inner in fresh.layers)
+    before = [dict(inner._subspace_decode_memo) for inner in example_code.layers]
+    _, outcome = make_trial(fresh, 4, ChannelSpec(rho=2, t=1))
+    fresh.decode(outcome.U, "alg2-iterative")
+    assert all(inner._subspace_decode_memo for inner in fresh.layers)
+    assert [inner._subspace_decode_memo for inner in example_code.layers] == before
+
+
+def test_memo_never_grows_past_its_bound(fp24, monkeypatch):
+    """The memo holds at most MEMO_SIZE outcomes, and is emptied when full."""
+    assert lifted_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(lifted_mod, "MEMO_SIZE", 5)
+    inner = GabidulinCode.standard(fp24, 3, 1)
+    memo = inner._subspace_decode_memo
+    rng = SplitMix64(26)
+    spaces = {random_subspace(2, 7, rng.randint(0, 7), rng) for _ in range(40)}
+    assert len(spaces) > 10
+    sizes = []
+    for space in sorted(spaces, key=lambda s: s.basis._data):
+        _assert_same_outcome(subspace_decode(inner, space), lifted_mod._decode_space(inner, space))
+        sizes.append(len(memo))
+    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 5, 4, 2), (3, 3, 3, 1), (5, 2, 2, 1)])
+def test_memoized_decode_matches_the_uncached_one(q, m, n, k):
+    """At every (rho, t), failures included, the memoized outcome, on a miss
+    and on a hit, equals the uncached one field for field."""
+    params = FieldParams.default(q, m)
+    inner = GabidulinCode.standard(params, n, k)
+    rng = SplitMix64(8000 + 100 * q + 10 * m + n)
+    seen = {"ok": 0, "fail": 0, "hit": 0}
+    for rho in range(n + 1):
+        for t in range(m + 1):
+            for _ in range(6):
+                msg = [params.from_index(i) for i in rng.randbelow_many(params.size, k)]
+                codeword = lift(inner, inner.encode(msg))
+                received = apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U
+                want = lifted_mod._decode_space(inner, received)
+                hit = received.basis._data in inner._subspace_decode_memo
+                for _ in range(2):
+                    _assert_same_outcome(subspace_decode(inner, received), want)
+                seen["fail" if isinstance(want, DecodeFailure) else "ok"] += 1
+                seen["hit"] += hit
+    assert all(seen.values()), seen
 
 
 def _reference_subspace_decode(inner, received):
