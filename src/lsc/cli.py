@@ -147,6 +147,9 @@ def _cmd_scenario(cfg: ExperimentConfig, args) -> int:
     stream = sys.stderr if args.out is None else sys.stdout
     for line in result.summary_lines:
         print(line, file=stream)
+    if result.guaranteed_failures:
+        print(f"guaranteed-regime failures: {result.guaranteed_failures}", file=stream)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 

@@ -554,6 +554,8 @@ class ScenarioResult:
     csv_text: str
     summary_lines: list[str]
     records: list[TrialRecord] = dc_field(default_factory=list)
+    # failed records with ds_vu within the capability, counted as ``summarize`` does
+    guaranteed_failures: int = 0
 
 
 def _single_grid_point(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -639,7 +641,8 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
         for layer in range(1, code.num_layers + 1):
             ok = sum(1 for r in rows if r.layer_status[layer - 1] == STATUS_OK)
             summary.append(f"  layer {layer}: {ok}/{len(rows)}")
-    return ScenarioResult(csv_text, summary, records)
+    _, failures = summarize(records, code.capability)
+    return ScenarioResult(csv_text, summary, records, failures)
 
 
 def _unicast_trial(code: LayeredCode, job) -> bool:

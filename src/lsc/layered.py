@@ -33,6 +33,16 @@ embedded components in layer order, already canonical, with no
 elimination.  Failed layers contribute the zero subspace.  ``recompose`` direct-sums
 arbitrary per-layer estimates.
 
+An attempt is one step of the walk (``LayeredCode._step``): extract
+the layer from the working space, decode it, and on a success lift it
+and, under SIC, add the lift to the working space.  Each part is a pure
+function of (layer, working space), and the decoders repeat many steps,
+so each code keeps the extraction, the lift and the sum in
+``_step_memo``, made on first use and bounded like the decode memo
+(``lifted.MEMO_SIZE``).  The decode itself stays one
+``lifted.subspace_decode`` call per attempt, which has its own memo (see
+``lifted``).
+
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
 2 d_S(V, U) < d_S, is decoded by every decoder, whatever the channel.
@@ -198,11 +208,14 @@ class LayeredCode:
         in the component ambient n_l + m.  ``embed_component`` reinserts the
         known-zero columns.
         """
+        self._check_received(received, layer)
+        return shorten(received, self._columns[layer - 1])
+
+    def _check_received(self, received: Subspace, layer: int) -> None:
         self._check_layer(layer)
         q, ambient = self.params.q, self.ambient_dim
         if received.ambient_dim != ambient or received.q != q:
             raise ParameterError(f"received space must lie in F_{q}^{ambient}")
-        return shorten(received, self._columns[layer - 1])
 
     def layer_distance(self, component: Subspace, space: Subspace, layer: int) -> int:
         """d_S(V_l, U_l) for ``component`` V_l of ``layer`` in the full ambient
@@ -304,12 +317,9 @@ class LayeredCode:
             for layer in order:
                 if layer in decoded:
                     continue
-                result = self.decode_layer(working, layer)
-                results[layer] = result
-                if result.matrix is not None:
-                    decoded[layer] = self.component_subspace(layer, result.matrix)
-                    if cancel:
-                        working = subspace_sum(working, decoded[layer])
+                results[layer], lift, working = self._step(working, layer, cancel)
+                if lift is not None:
+                    decoded[layer] = lift
                 if cancel:
                     accumulated.append(working)
                     attempts.append(layer)
@@ -326,12 +336,47 @@ class LayeredCode:
 
     def decode_layer(self, received: Subspace, layer: int) -> "LayerResult":
         """Decode one layer from ``received`` alone: extract it, then run the
-        layer's lifted decoder.  Every decoder attempt is one such call."""
-        extracted = self.extract_component(received, layer)
-        outcome = lifted_mod.subspace_decode(self.layers[layer - 1], extracted)
+        layer's lifted decoder.  Every decoder attempt is one such step."""
+        return self._step(received, layer, cancel=False)[0]
+
+    @cached_property
+    def _step_memo(self) -> dict:
+        """``_step``'s pure results on this code, by (layer, working basis):
+        [extracted component, its lift, working + lift], the last two
+        filled once the step decodes.  At most ``lifted.MEMO_SIZE`` (4,096)
+        keys; emptied when full."""
+        return {}
+
+    def _step(self, working: Subspace, layer: int, cancel: bool):
+        """One attempt at ``layer`` on ``working``: (result, lift, next working).
+
+        The lift is the decoded component in the full ambient (None on a
+        failure); the next working space is working + lift when ``cancel``
+        and the layer decoded, else ``working``.  The extraction, the lift
+        and the sum are read from ``_step_memo``, looked up once the
+        space's field and ambient are checked, since a space over another
+        field can store the same rows.  The outcome is always one
+        ``lifted.subspace_decode`` call, whose own memo makes a repeat a
+        dict hit (see the module docstring).
+        """
+        self._check_received(working, layer)
+        memo = self._step_memo
+        key = (layer, working.basis._data)
+        step = memo.get(key)
+        if step is None:
+            if len(memo) >= lifted_mod.MEMO_SIZE:
+                memo.clear()
+            step = memo[key] = [self.extract_component(working, layer), None, None]
+        outcome = lifted_mod.subspace_decode(self.layers[layer - 1], step[0])
         if isinstance(outcome, DecodeFailure):
-            return LayerResult(layer, None, outcome.reason)
-        return LayerResult(layer, outcome, None)
+            return LayerResult(layer, None, outcome.reason), None, working
+        if step[1] is None:
+            step[1] = self.component_subspace(layer, outcome)
+        if not cancel:
+            return LayerResult(layer, outcome, None), step[1], working
+        if step[2] is None:
+            step[2] = subspace_sum(working, step[1])
+        return LayerResult(layer, outcome, None), step[1], step[2]
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,15 @@ and runs the uncached ``_decode_space`` only on a miss.  An outcome (a
 codeword matrix or a ``DecodeFailure``) is immutable, so reports share
 it.  The memo holds at most ``MEMO_SIZE`` = 4,096 outcomes and is
 emptied when full; ``ExperimentConfig.build_code`` builds fresh codes, so
-it lasts one run.  It sits here, not in ``LayeredCode._walk`` or
-``decode_layer``, so that every decoder attempt is still exactly one
-``subspace_decode`` call, which perfbench counts against the attempts a
-simulate CSV implies; the extraction before each call still runs.
+it lasts one run.
+
+One level up, ``LayeredCode._step`` keeps the pure rest of an attempt,
+by (layer, working space), under the same bound: the extraction, the
+lift of a decoded layer and the SIC sum (see ``layered``).  It does not
+hold the outcome: every decoder attempt is still exactly one
+``subspace_decode`` call, a dict hit here on a repeat, because
+perfbench counts those calls against the attempts a simulate CSV
+implies.  Folding the two memos into one waits on that check.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
 that a received space lies in F_q^(n + m); the lifted code has no object
@@ -66,7 +71,8 @@ from .gabidulin import (
 )
 from .linalg import MatrixFq, Subspace, _kernel, identity_lift, split_basis, subspace_distance
 
-# the most outcomes one code's memo holds before it is emptied
+# the most entries each memo of a code (``subspace_decode``'s and
+# ``LayeredCode._step``'s) holds before it is emptied
 MEMO_SIZE = 4096
 
 
@@ -124,7 +130,9 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     codeword V; beyond that radius success is opportunistic.  The outcome
     is ``_decode_space``'s, looked up first in the code's memo: at most
     ``MEMO_SIZE`` (4,096) outcomes keyed by the received space's canonical
-    basis, emptied when full (see the module docstring).
+    basis, emptied when full.  The layered walk calls this once per
+    attempt, a repeat included, and memoizes the extraction before it
+    itself (see the module docstring).
     """
     _check_ambient(inner, received)
     memo = inner._subspace_decode_memo

@@ -5,9 +5,11 @@ with ``iterative`` for alg2-iterative) each have their own loop, and
 every report rebuilds ``recombined`` with ``LayeredCode.recompose``, a
 full ``row_space`` elimination that checks the direct sum.  The loops
 lift and embed each decoded matrix themselves (``component``).  An
-attempt runs ``lifted._decode_space``, the lifted decode without
-``subspace_decode``'s memo, so every comparison with ``LayeredCode``
-compares the memoized path with the uncached one.
+attempt extracts with the public ``extract_component`` and runs
+``lifted._decode_space``, the lifted decode without ``subspace_decode``'s
+memo, and the loops add each lift back themselves, so every comparison
+with ``LayeredCode`` compares the walk and its two memos (``_step_memo``
+and the decode memo) with paths that keep none.
 ``random_messages`` draws a codeword's messages as field elements, for
 the public ``encode``.
 """

@@ -305,6 +305,25 @@ def test_dump_prints_the_failed_matrix_channel_trials(monkeypatch, tmp_path, cap
     assert out[out.index("# failed trial"):] == expected
 
 
+def test_multi_source_scenario_failures_within_capability_are_gated(
+    monkeypatch, tmp_path, capsys
+):
+    """A multi-source scenario runs simulate's records, so it applies the
+    same gate: a failed record within the capability exits 1."""
+    config = tmp_path / "ms.ini"
+    config.write_text(
+        "[channel]\nrho = 1\nt = 1\n\n[run]\nalgorithm = both\ntrials = 4\nseed = 3\n\n"
+        "[scenario]\nmode = multi-source\n"
+    )
+    args = ["scenario", "--config", str(config), "--out", str(tmp_path / "ms.csv")]
+    assert cli.main(args) == 0
+    assert "guaranteed-regime failures" not in capsys.readouterr().out
+    _fail_every_decode(monkeypatch)
+    assert cli.main(args) == 1
+    # every record lies at ds_vu = rho + t = 2, within the capability 2
+    assert "guaranteed-regime failures: 12\n" in capsys.readouterr().out
+
+
 # F_121 = F_11[x]/(x^2 + 1): dump entries could need two digits
 Q11_CONFIG = """\
 [field]

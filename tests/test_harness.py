@@ -540,6 +540,29 @@ mode = multi-source
     assert any("layer 2" in line for line in result.summary_lines)
 
 
+def test_scenario_multi_source_csv_is_the_simulate_csv():
+    """A multi-source scenario runs simulate's trials at its one point, so
+    the two CSVs are byte-identical (docs/formats.md)."""
+    text = """\
+[channel]
+rho = 2
+t = 1
+
+[run]
+algorithm = both
+trials = 50
+seed = 9
+
+[scenario]
+mode = multi-source
+"""
+    scenario = run_scenario(parse_config(text, "ms.ini"))
+    simulate = run_simulate(parse_config(text, "ms.ini"))
+    assert len(scenario.records) == 50 * len(ALGORITHMS)
+    assert scenario.csv_text == simulate.csv_text
+    assert scenario.guaranteed_failures == simulate.guaranteed_failures == 0
+
+
 def test_unequal_protection_layers_differ():
     """Layers with different distances see different failure rates."""
     text = """\

@@ -21,6 +21,7 @@ from lsc.linalg import (
     intersection,
     is_direct_sum,
     random_subspace,
+    row_space,
     subspace_distance,
 )
 from lsc.rng import SplitMix64
@@ -507,3 +508,158 @@ def test_decode_by_name(example_code):
     assert [example_code.decode(outcome.U, name).algorithm for name in ALGORITHMS] == list(ALGORITHMS)
     with pytest.raises(ParameterError, match="algorithm must be one of"):
         example_code.decode(outcome.U, "both")
+
+
+
+# --- the step memo: each (layer, working space) is extracted and cancelled once ---
+
+
+def _memo_off(monkeypatch):
+    """Give every lookup of both memos an empty dict: each step and each
+    lifted decode then runs in full."""
+    monkeypatch.setattr(LayeredCode, "_step_memo", property(lambda code: {}))
+    monkeypatch.setattr(GabidulinCode, "_subspace_decode_memo", property(lambda inner: {}))
+
+
+def _every_decode(code, received, decoders):
+    """The three decoders by name, iterative SIC capped at 1 to 4 sweeps,
+    and SIC in ascending order, run by ``decoders`` = (alg1, alg2), the
+    walk's or the reference's."""
+    alg1, alg2 = decoders
+    ascending = list(range(1, code.num_layers + 1))
+    reports = [alg1(code, received), alg2(code, received)]
+    reports += [alg2(code, received, True, sweeps) for sweeps in range(1, 5)]
+    reports += [alg2(code, received, iterative, order=ascending) for iterative in (False, True)]
+    return reports
+
+
+WALK = (LayeredCode.decode_alg1, LayeredCode.decode_alg2)
+REFERENCE = (reference_alg1, reference_alg2)
+
+
+def test_step_memo_is_per_code(fp24, example_code):
+    """A fresh code starts with an empty step memo, and equal codes built
+    apart fill none of each other's."""
+    fresh = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    assert fresh == example_code and fresh._step_memo == {}
+    _, outcome = make_trial(example_code, 3, ChannelSpec(rho=1, t=1))
+    example_code.decode(outcome.U, "alg2-iterative")
+    before = dict(example_code._step_memo)
+    assert before
+    _, outcome = make_trial(fresh, 4, ChannelSpec(rho=2, t=1))
+    fresh.decode(outcome.U, "alg2-iterative")
+    assert fresh._step_memo and example_code._step_memo == before
+
+
+def test_step_memo_never_grows_past_its_bound(fp24, monkeypatch):
+    """The step memo holds at most MEMO_SIZE keys, is emptied when full,
+    and the reports stay the reference's throughout."""
+    assert lifted_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(lifted_mod, "MEMO_SIZE", 5)
+    code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    sizes = []
+    step = LayeredCode._step
+
+    def recording_step(self, *args):
+        result = step(self, *args)
+        sizes.append(len(self._step_memo))
+        return result
+
+    monkeypatch.setattr(LayeredCode, "_step", recording_step)
+    for seed in range(8):
+        received = make_trial(code, seed, ChannelSpec(rho=2, t=1))[1].U
+        for got, want in zip(
+            _every_decode(code, received, WALK), _every_decode(code, received, REFERENCE), strict=True
+        ):
+            _assert_same_report(got, want)
+    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+@pytest.mark.parametrize(
+    "q, m, shape",
+    [(2, 4, [(3, 1), (4, 1)]), (3, 3, [(2, 1), (3, 1)]), (5, 2, [(2, 1), (2, 1)])],
+    ids=["q2", "q3", "q5"],
+)
+def test_step_memo_on_and_off_match_the_reference(monkeypatch, q, m, shape):
+    """At every (rho, t) the ambient allows, the walk with both memos on (one
+    code, warmed by every earlier decode) and with both off equals the
+    memo-free reference field for field, multi-sweep SIC and ascending
+    order included."""
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    dim = code.total_length
+    receptions = [
+        make_trial(code, 100 * trial + 10 * rho + t, ChannelSpec(rho=rho, t=t))[1].U
+        for rho in range(dim + 1)
+        for t in range(code.ambient_dim - dim + 1)
+        for trial in range(2)
+    ]
+    wants = [_every_decode(code, received, REFERENCE) for received in receptions]
+    failed_layers = multi_sweeps = 0
+    for memo in (True, False):
+        with monkeypatch.context() as patch:
+            if not memo:
+                _memo_off(patch)
+            for received, want in zip(receptions, wants):
+                got = _every_decode(code, received, WALK)
+                for mine, theirs in zip(got, want, strict=True):
+                    _assert_same_report(mine, theirs)
+                    failed_layers += code.num_layers - len(mine.decoded_layers)
+                    multi_sweeps += mine.sweeps > 1
+        if memo:
+            assert code._step_memo
+    assert failed_layers and multi_sweeps
+
+
+def test_each_step_is_extracted_once(monkeypatch, fp24):
+    """Over every decoder on many receptions, one code extracts each
+    distinct (layer, working space) exactly once, while the attempts at
+    them repeat."""
+    code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    extracted, attempts = [], []
+    extract = LayeredCode.extract_component
+
+    def recording_extract(self, received, layer):
+        extracted.append((layer, received.basis._data))
+        return extract(self, received, layer)
+
+    monkeypatch.setattr(LayeredCode, "extract_component", recording_extract)
+    for seed in range(30):
+        received = make_trial(code, seed, ChannelSpec(rho=2 + seed % 2, t=1))[1].U
+        for report in _every_decode(code, received, WALK):
+            if report.accumulated:
+                steps = zip(report.attempt_layers, report.accumulated)
+            else:
+                steps = ((layer, received) for layer in range(1, code.num_layers + 1))
+            attempts += [(layer, working.basis._data) for layer, working in steps]
+    assert len(set(extracted)) == len(extracted)
+    assert set(extracted) == set(attempts) and len(attempts) > 2 * len(extracted)
+
+
+@pytest.mark.parametrize("q, shape, space_q", [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)])
+def test_a_warmed_step_memo_still_rejects_another_field(q, shape, space_q):
+    """Over F_3 a row stores one byte per entry, over GF(2) one bit, so the
+    zero space, <e_10> and <e_2, e_10> in F^11 store the same rows over
+    both fields.  With the memo warmed on the code's own spaces, their
+    twins over the other field still raise."""
+    code = LayeredCode.standard(FieldParams.default(q, 4), shape)
+    assert code.ambient_dim == 11
+
+    def spaces(field):
+        units = [[int(c == j) for c in range(11)] for j in (2, 10)]
+        if field == 3:
+            units[0] = [int(c == 9) for c in range(11)]  # 2^8 = 256: e_9 over F_3, e_2 over GF(2)
+        return [Subspace.zero(field, 11)] + [
+            row_space(MatrixFq(field, len(rows), 11, rows), 11) for rows in (units[1:], units)
+        ]
+
+    for own, foreign in zip(spaces(q), spaces(space_q), strict=True):
+        assert own.basis._data == foreign.basis._data
+        for algorithm in ALGORITHMS:
+            code.decode(own, algorithm)
+        for layer in (1, 2):
+            assert (layer, own.basis._data) in code._step_memo
+            with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^11"):
+                code.decode_layer(foreign, layer)
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^11"):
+                code.decode(foreign, algorithm)
