@@ -19,7 +19,8 @@ from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
-    _rank,
+    _echelon,
+    _random_rows,
     random_full_rank_matrix,
     row_space,
     subspace_distance,
@@ -64,11 +65,13 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     """Sample U with exactly the requested erasures and insertions.
 
     The kept part is spanned by C·B for a uniform full-rank (dim(V) - rho)
-    x dim(V) matrix C and V's basis B; E is built by rejection sampling of
-    vectors independent of V and of the insertions so far (a forward-pass
-    rank of the stored rows), which forces E ∩ V = {0} and hence realized
-    == requested.  One elimination per trial: the final ``row_space``
-    reduces the kept rows and the insertions together.
+    x dim(V) matrix C and V's basis B; when rho = 0, C is square and C·B
+    spans V, so B itself stands in for the product (C is still drawn).  E
+    is built by rejection sampling of vectors independent of V and of the
+    insertions so far: each candidate extends one kept forward pass of
+    them, and is taken iff the pass grows.  That forces E ∩ V = {0} and
+    hence realized == requested.  One elimination per trial: the final
+    ``row_space`` reduces the kept rows and the insertions together.
     """
     if spec.rho > v.dim:
         raise ParameterError(f"rho = {spec.rho} exceeds dim(V) = {v.dim}")
@@ -77,14 +80,18 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
             f"t = {spec.t} exceeds ambient - dim(V) = {v.ambient_dim - v.dim}"
         )
     q, n, kept = v.q, v.ambient_dim, v.dim - spec.rho
-    rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data if kept else ()
+    rows = ()
+    if kept:
+        c = random_full_rank_matrix(q, kept, v.dim, rng)
+        rows = v.basis._data if kept == v.dim else (c @ v.basis)._data
     # insertions must stay independent of all of V, not just the kept part
-    span = v.basis._data
+    span = _echelon(q, n, v.basis._data)
     for _ in range(spec.t):
         for _attempt in range(_INSERTION_ATTEMPT_CAP):
-            cand = MatrixFq.random(q, 1, n, rng)._data
-            if _rank(q, n, span + cand) > len(span):
-                span += cand
+            cand = _random_rows(q, 1, n, rng)
+            before = len(span)
+            _echelon(q, n, cand, span)
+            if len(span) > before:
                 rows += cand
                 break
         else:

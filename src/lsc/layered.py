@@ -24,24 +24,29 @@ elimination (``linalg.identity_lift``), and one cached column map serves
 embedding (``linalg.embed``) and extraction (``linalg.shorten``, one
 elimination with the other columns in front).  ``layer_distance`` reads
 d_S between a component and a layer of some space off the same map, with
-no extraction.
+no extraction.  The last layer's columns are the trailing block, and the
+other layers' identity columns a leading one, so its extraction and the
+projection rank in its ``layer_distance`` are read off the canonical
+basis with no elimination (see ``linalg``).
 
-A decoded layer is stored once, as its matrix X_l (``LayerResult``),
-which fixes the message; its component is placed from X_l as in
-encoding, so the recombined estimate is stacked like an encoded V: the
-embedded components in layer order, already canonical, with no
-elimination.  Failed layers contribute the zero subspace.  ``recompose`` direct-sums
-arbitrary per-layer estimates.
+Encoding stacks the lifts' rows into V directly, and a random codeword
+draws every layer's message in one batch (the layers share F_{q^m}, so
+the stream is that of one batch per layer).  A decoded layer is stored
+once, as its matrix X_l (``LayerResult``), which fixes the message; its
+component is placed from X_l as in encoding, so the recombined estimate
+is stacked like an encoded V: the embedded components in layer order,
+already canonical, with no elimination.  Failed layers contribute the
+zero subspace.  ``recompose`` direct-sums arbitrary per-layer estimates.
 
 An attempt is one step of the walk (``LayeredCode._step``): extract
-the layer from the working space, decode it, and on a success lift it
-and, under SIC, add the lift to the working space.  Each part is a pure
-function of (layer, working space), and the decoders repeat many steps,
-so each code keeps the extraction, the lift and the sum in
-``_step_memo``, made on first use and bounded like the decode memo
-(``lifted.MEMO_SIZE``).  The decode itself stays one
-``lifted.subspace_decode`` call per attempt, which has its own memo (see
-``lifted``).
+the layer from the working space and decode it.  On a success the walk
+lifts it and, under SIC, adds the lift to the working space; a lone
+``decode_layer`` builds no lift.  Each part is a pure function of
+(layer, working space), and the decoders repeat many steps, so each
+code keeps the extraction, the lift and the sum in ``_step_memo``, made
+on first use and bounded like the decode memo (``lifted.MEMO_SIZE``).
+The decode itself stays one ``lifted.subspace_decode`` call per attempt,
+which has its own memo (see ``lifted``).
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
@@ -173,9 +178,10 @@ class LayeredCode:
 
     def random_codeword(self, rng) -> "LayeredCodeword":
         """The codeword of uniform messages: one ``rng.randbelow`` per symbol,
-        layer by layer, drawn as element indices."""
-        size = self.params.size
-        return self._encode_indices([rng.randbelow_many(size, code.k) for code in self.layers])
+        layer by layer, drawn as element indices in one batch (the layers
+        share F_{q^m}, so this is the stream of one batch per layer)."""
+        draws = iter(rng.randbelow_many(self.params.size, sum(code.k for code in self.layers)))
+        return self._encode_indices([list(islice(draws, code.k)) for code in self.layers])
 
     def encode(self, messages: Sequence[Sequence[ExtFieldElement]]) -> "LayeredCodeword":
         if len(messages) != self.num_layers:
@@ -185,12 +191,14 @@ class LayeredCode:
         )
 
     def _encode_indices(self, messages: Sequence[Sequence[int]]) -> "LayeredCodeword":
-        """Encode messages given as element indices, one list per layer."""
+        """Encode messages given as element indices, one list per layer; each
+        codeword matrix has its layer's shape, so it is lifted unchecked."""
         matrices = tuple(
             code._codeword_matrix(message) for code, message in zip(self.layers, messages)
         )
         components = tuple(
-            self.component_subspace(layer, matrix) for layer, matrix in enumerate(matrices, 1)
+            identity_lift(matrix, offset, self.ambient_dim)
+            for matrix, offset in zip(matrices, self.offsets)
         )
         return LayeredCodeword(
             code=self,
@@ -242,9 +250,8 @@ class LayeredCode:
 
     def _direct_sum(self, components: Iterable[Subspace]) -> Subspace:
         """Stack embedded lifts given in layer order: disjoint identity blocks keep it canonical."""
-        basis = MatrixFq.zeros(self.params.q, 0, self.ambient_dim)
-        for component in components:
-            basis = basis.vstack(component.basis)
+        rows = tuple(chain.from_iterable(component.basis._data for component in components))
+        basis = MatrixFq._unchecked(self.params.q, len(rows), self.ambient_dim, rows)
         return Subspace._unchecked(self.ambient_dim, basis)
 
     def recompose(self, components: Sequence[Subspace]) -> Subspace:
@@ -317,9 +324,17 @@ class LayeredCode:
             for layer in order:
                 if layer in decoded:
                     continue
-                results[layer], lift, working = self._step(working, layer, cancel)
-                if lift is not None:
-                    decoded[layer] = lift
+                results[layer], step = self._step(working, layer)
+                matrix = results[layer].matrix
+                if matrix is not None:
+                    # the lift and the sum are built here, where they are read
+                    if step[1] is None:
+                        step[1] = self.component_subspace(layer, matrix)
+                    decoded[layer] = step[1]
+                    if cancel:
+                        if step[2] is None:
+                            step[2] = subspace_sum(working, step[1])
+                        working = step[2]
                 if cancel:
                     accumulated.append(working)
                     attempts.append(layer)
@@ -336,26 +351,25 @@ class LayeredCode:
 
     def decode_layer(self, received: Subspace, layer: int) -> "LayerResult":
         """Decode one layer from ``received`` alone: extract it, then run the
-        layer's lifted decoder.  Every decoder attempt is one such step."""
-        return self._step(received, layer, cancel=False)[0]
+        layer's lifted decoder.  Every decoder attempt is one such step; this
+        one builds no lift."""
+        return self._step(received, layer)[0]
 
     @cached_property
     def _step_memo(self) -> dict:
         """``_step``'s pure results on this code, by (layer, working basis):
         [extracted component, its lift, working + lift], the last two
-        filled once the step decodes.  At most ``lifted.MEMO_SIZE`` (4,096)
-        keys; emptied when full."""
+        filled by ``_walk`` once the step decodes.  At most
+        ``lifted.MEMO_SIZE`` (4,096) keys; emptied when full."""
         return {}
 
-    def _step(self, working: Subspace, layer: int, cancel: bool):
-        """One attempt at ``layer`` on ``working``: (result, lift, next working).
+    def _step(self, working: Subspace, layer: int):
+        """One attempt at ``layer`` on ``working``: (result, memo entry).
 
-        The lift is the decoded component in the full ambient (None on a
-        failure); the next working space is working + lift when ``cancel``
-        and the layer decoded, else ``working``.  The extraction, the lift
-        and the sum are read from ``_step_memo``, looked up once the
+        The entry is ``_step_memo``'s list for the step, looked up once the
         space's field and ambient are checked, since a space over another
-        field can store the same rows.  The outcome is always one
+        field can store the same rows; its extraction is filled here, and
+        its lift and sum by the walk.  The outcome is always one
         ``lifted.subspace_decode`` call, whose own memo makes a repeat a
         dict hit (see the module docstring).
         """
@@ -369,14 +383,8 @@ class LayeredCode:
             step = memo[key] = [self.extract_component(working, layer), None, None]
         outcome = lifted_mod.subspace_decode(self.layers[layer - 1], step[0])
         if isinstance(outcome, DecodeFailure):
-            return LayerResult(layer, None, outcome.reason), None, working
-        if step[1] is None:
-            step[1] = self.component_subspace(layer, outcome)
-        if not cancel:
-            return LayerResult(layer, outcome, None), step[1], working
-        if step[2] is None:
-            step[2] = subspace_sum(working, step[1])
-        return LayerResult(layer, outcome, None), step[1], step[2]
+            return LayerResult(layer, None, outcome.reason), step
+        return LayerResult(layer, outcome, None), step
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 A codeword matrix X becomes the row space of [I_n | X], an n-dimensional
 subspace of F_q^(n+m).  Decoding a received space cuts its canonical
-basis at the identity/payload column boundary (``linalg.split_basis``,
-through the one private ``_split`` both entries share).  The rows that
-pivot in the header form H, reduced, with n - mu rows at the surviving
-header pivots; their payload parts are the payload rows.  The other
-rows, whose header is zero, give the row-space side information
-(inserted dimensions) as a canonical basis.
+basis at the identity/payload column boundary, in the one private
+``_split`` both entries share.  The cut is a test on stored rows, with
+no elimination and no ``MatrixFq`` built: the basis rows decrease, so
+the rows that pivot in the header are the prefix of rows at least
+2^(m b), b bits per entry (``linalg._head_rows``).  Shifted right by m b
+they form H, reduced, with n - mu rows at the surviving header pivots;
+their low m b bits are the payload rows, read as element indices.  The
+other rows, whose header is zero, give the row-space side information
+(inserted dimensions) as a canonical basis of width m as they are.
 
 ``reduce_received`` spells that out as the inputs of the public
 ``GabidulinCode.decode_bounded``: the received word r (payload row i at
@@ -35,18 +38,19 @@ alg1's attempt at layer L, and alg2-iterative's first sweep is all of
 alg2.  So ``subspace_decode`` keeps a memo on the inner code
 (``GabidulinCode._subspace_decode_memo``, made on first use), keyed by
 the received space's canonical basis once the ambient check has passed,
-and runs the uncached ``_decode_space`` only on a miss.  An outcome (a
-codeword matrix or a ``DecodeFailure``) is immutable, so reports share
-it.  The memo holds at most ``MEMO_SIZE`` = 4,096 outcomes and is
-emptied when full; ``ExperimentConfig.build_code`` builds fresh codes, so
-it lasts one run.
+and runs the uncached ``_decode_space`` only on a miss.  That check is
+the only one of a decode: ``_decode_space`` and ``_split`` run none.  An
+outcome (a codeword matrix or a ``DecodeFailure``) is immutable, so
+reports share it.  The memo holds at most ``MEMO_SIZE`` = 4,096 outcomes
+and is emptied when full; ``ExperimentConfig.build_code`` builds fresh
+codes, so it lasts one run.
 
-One level up, ``LayeredCode._step`` keeps the pure rest of an attempt,
-by (layer, working space), under the same bound: the extraction, the
-lift of a decoded layer and the SIC sum (see ``layered``).  It does not
-hold the outcome: every decoder attempt is still exactly one
-``subspace_decode`` call, a dict hit here on a repeat, because
-perfbench counts those calls against the attempts a simulate CSV
+One level up, ``LayeredCode._step_memo`` keeps the pure rest of an
+attempt, by (layer, working space), under the same bound: the
+extraction, the lift of a decoded layer and the SIC sum (see
+``layered``).  It does not hold the outcome: every decoder attempt is
+still exactly one ``subspace_decode`` call, a dict hit here on a repeat,
+because perfbench counts those calls against the attempts a simulate CSV
 implies.  Folding the two memos into one waits on that check.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
@@ -69,10 +73,20 @@ from .gabidulin import (
     GabidulinCode,
     RankCodeword,
 )
-from .linalg import MatrixFq, Subspace, _kernel, identity_lift, split_basis, subspace_distance
+from .linalg import (
+    MatrixFq,
+    Subspace,
+    _field_bits,
+    _head_rows,
+    _index_rows,
+    _kernel,
+    _lead_columns,
+    identity_lift,
+    subspace_distance,
+)
 
 # the most entries each memo of a code (``subspace_decode``'s and
-# ``LayeredCode._step``'s) holds before it is emptied
+# ``LayeredCode._step_memo``) holds before it is emptied
 MEMO_SIZE = 4096
 
 
@@ -95,10 +109,23 @@ def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
 
 
 def _split(inner: GabidulinCode, received: Subspace):
-    """(pivots, header, payload, rest): the received space's canonical basis
-    cut at the header/payload boundary (``linalg.split_basis``)."""
-    _check_ambient(inner, received)
-    return split_basis(received, inner.n)
+    """(header, payload, rest): the received space's canonical basis cut
+    before column n, as stored rows and with no ambient check.
+
+    The rows that lead before column n come first (``linalg._head_rows``):
+    ``header`` holds their first n columns, a reduced echelon matrix of
+    width n, and ``payload`` their other columns as element indices.
+    ``rest`` holds the remaining rows, whose first n columns are zero, so
+    they are a canonical basis of width m as they are.
+    """
+    q, m = inner.params.q, inner.params.m
+    data = received.basis._data
+    shift = m * _field_bits(q)
+    cut = _head_rows(data, shift)
+    low = (1 << shift) - 1
+    index = _index_rows(q, m)[1]
+    head = data[:cut]
+    return tuple(v >> shift for v in head), [index[v & low] for v in head], data[cut:]
 
 
 def reduce_received(inner: GabidulinCode, received: Subspace):
@@ -109,18 +136,20 @@ def reduce_received(inner: GabidulinCode, received: Subspace):
     the pure-payload basis vectors, and col_erasures rows span the header
     directions lost by the channel: the inputs of ``decode_bounded``.
     """
-    n, q = inner.n, inner.params.q
-    pivots, header, payload, row_hints = _split(inner, received)
+    _check_ambient(inner, received)
+    n, q, m = inner.n, inner.params.q, inner.params.m
+    header, payload, rest = _split(inner, received)
+    pivots = _lead_columns(header, q, n)
     symbols = [0] * n
-    for pivot, symbol in zip(pivots, payload._row_indices()):
+    for pivot, symbol in zip(pivots, payload):
         symbols[pivot] = symbol
     word = RankCodeword._from_indices(inner.params, symbols)
     # erased header column j: -e_j plus, at each pivot i, entry j of row i;
     # that is minus the kernel vector of the header rows at free column j,
     # read off the header, which is already reduced with these pivots
-    lost = _kernel(q, n, header._data, pivots)
+    lost = _kernel(q, n, header, pivots)
     col_hints = lost if q == 2 else MatrixFq.zeros(q, lost.rows, n) - lost
-    return word, row_hints, col_hints
+    return word, MatrixFq._unchecked(q, len(rest), m, rest), col_hints
 
 
 def subspace_decode(inner: GabidulinCode, received: Subspace):
@@ -149,9 +178,9 @@ def _decode_space(inner: GabidulinCode, received: Subspace):
     """``subspace_decode`` without the memo.  The reduced header is the
     decoder's projection and the payload rows its projected word (see the
     module docstring)."""
-    pivots, header, payload, row_hints = _split(inner, received)
-    proj = header._data if len(pivots) < inner.n else None
-    outcome = inner._decode_projected(payload._row_indices(), proj, row_hints._data)
+    header, payload, rest = _split(inner, received)
+    proj = header if len(header) < inner.n else None
+    outcome = inner._decode_projected(payload, proj, rest)
     if isinstance(outcome, DecodeFailure):
         return outcome
     return inner._codeword_matrix(outcome)

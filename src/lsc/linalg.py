@@ -16,14 +16,29 @@ field mod q at once: for byte fields one ``bytes.translate`` through a
 residue table, for wider fields one field at a time.  Stored rows are
 always fully reduced, so equal matrices have equal rows.  Moving a run of
 columns is a shift and a mask for every q.  ``MatrixFq.entries`` is the
-row-major tuple view for callers, unpacked on first use and cached.  No
-other module looks inside the packed rows.  ``gabidulin`` holds some
-without reading them: its oracle codebook hands them back to
-``_add_rows`` and ``_rank``, and its decoder eliminates a hint's rows
-with ``_eliminate`` and hands the basis to ``_kernel``, ``_rank`` and
-``MatrixFq._unchecked``.  At N <= 40 one machine word holds a
-GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
+row-major tuple view for callers, unpacked on first use and cached.  A
+random matrix is packed from one batch of draws in C (``_random_rows``:
+a base-2 numeral per GF(2) row, big-endian bytes per one-byte-field row).
+Besides this module only ``lifted`` looks inside the packed rows: it cuts
+a received basis at the header/payload boundary with ``_field_bits`` and
+``_head_rows`` and reads the payload as element indices (``_index_rows``).
+``gabidulin`` holds some without reading them: its oracle codebook hands
+them back to ``_add_rows`` and ``_rank``, and its decoder eliminates a
+hint's rows with ``_eliminate`` and hands the basis to ``_kernel``,
+``_rank`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
+a GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
 tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
+
+No elimination where the canonical basis answers.  Its rows lead at
+increasing columns, so the stored rows decrease, and the rows that lead
+before a column are a prefix, found by comparing each row with a power of
+two (``_head_rows``).  The vectors of a subspace that vanish on the first
+c columns are spanned by its basis rows that lead at c or later, already
+reduced; its rank read at the first c columns is the count of rows that
+lead before c.  So ``shorten`` on a trailing block of columns in order
+and ``projection_rank`` on a leading block need no elimination and no
+forward pass, and a lifted decode cuts the received basis in the same
+way.  Every other column set takes the elimination.
 
 Trust: the public constructors ``MatrixFq(q, rows, cols, entries)``,
 ``MatrixFq.from_rows`` and ``Subspace(ambient_dim, basis)`` check their
@@ -39,7 +54,6 @@ invariants they skip stay checked.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
@@ -116,18 +130,61 @@ def _lead_columns(data: Iterable[int], q: int, ncols: int) -> list[int]:
     return [ncols - 1 - (v.bit_length() - 1) // width for v in data]
 
 
+def _head_rows(data: Sequence[int], bits: int) -> int:
+    """How many rows of a canonical basis lead before its last ``bits`` bits.
+
+    A canonical basis leads at increasing columns, so its stored rows
+    decrease and those rows come first: a row leads there iff it is at
+    least 2^bits.
+    """
+    bound = 1 << bits
+    count = 0
+    for v in data:
+        if v < bound:
+            break
+        count += 1
+    return count
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _random_rows(q: int, rows: int, cols: int, rng) -> tuple[int, ...]:
+    """A uniform rows x cols matrix as stored rows, from one batch
+    ``rng.randbelow_many(q, rows * cols)`` read in row-major order.
+
+    Over GF(2) a row is its draws as the digits of a base-2 numeral, over
+    one-byte fields its draws as big-endian bytes: both conversions run
+    in C.  Wider fields pack one entry at a time.
+    """
+    draws = rng.randbelow_many(q, rows * cols)
+    if not cols:
+        return (0,) * rows
+    width = _field_bits(q)
+    if width == 1:
+        digits = bytes(draws).translate(_BIT_DIGITS)
+        return tuple(int(digits[i : i + cols], 2) for i in range(0, len(digits), cols))
+    if width == 8:
+        raw = bytes(draws)
+        return tuple(int.from_bytes(raw[i : i + cols], "big") for i in range(0, len(raw), cols))
+    return _pack(zip(*[iter(draws)] * cols), q)
+
+
 # --- elimination ---
 
 
-def _echelon_gf2(rows: Iterable[int]) -> dict[int, int]:
+def _echelon_gf2(rows: Iterable[int], by_lead: dict[int, int] | None = None) -> dict[int, int]:
     """Forward pass over packed rows: kept rows keyed by their bit lengths.
 
     Each incoming row loses its top bit to the kept row that leads with it
     until its top bit is new, and is then kept.  The kept rows have distinct
     leading bits, so they are an echelon form of the same space, and their
-    count is its rank.
+    count is its rank.  Given ``by_lead``, the forward pass of earlier rows,
+    the pass extends that dict in place: it grows by one for each incoming
+    row independent of everything before it.
     """
-    by_lead: dict[int, int] = {}
+    if by_lead is None:
+        by_lead = {}
     for v in rows:
         while v:
             lead = v.bit_length()
@@ -155,7 +212,9 @@ def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     return kept, [ncols - row.bit_length() for row in kept]
 
 
-def _echelon_odd(rows: Iterable[int], q: int, ncols: int) -> dict[int, int]:
+def _echelon_odd(
+    rows: Iterable[int], q: int, ncols: int, by_lead: dict[int, int] | None = None
+) -> dict[int, int]:
     """``_echelon_gf2`` for odd q: kept rows scaled to lead 1, keyed by the
     shift of their lead field.
 
@@ -164,7 +223,8 @@ def _echelon_odd(rows: Iterable[int], q: int, ncols: int) -> dict[int, int]:
     """
     width = _field_bits(q)
     reduce = _reducer(q, ncols)
-    by_lead: dict[int, int] = {}
+    if by_lead is None:
+        by_lead = {}
     for v in rows:
         while v:
             shift = (v.bit_length() - 1) // width * width
@@ -201,11 +261,19 @@ def _eliminate(q: int, ncols: int, data: Sequence[int]) -> tuple[list[int], list
     return _rref_odd(data, q, ncols)
 
 
+def _echelon(
+    q: int, ncols: int, data: Iterable[int], by_lead: dict[int, int] | None = None
+) -> dict[int, int]:
+    """The forward pass of stored rows (``_echelon_gf2`` or ``_echelon_odd``),
+    extending ``by_lead`` in place when given."""
+    if q == 2:
+        return _echelon_gf2(data, by_lead)
+    return _echelon_odd(data, q, ncols, by_lead)
+
+
 def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
     """The rank of stored rows: the size of the forward pass, no back substitution."""
-    if q == 2:
-        return len(_echelon_gf2(data))
-    return len(_echelon_odd(data, q, ncols))
+    return len(_echelon(q, ncols, data))
 
 
 def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> tuple[int, ...]:
@@ -405,9 +473,7 @@ class MatrixFq:
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
         """Uniform entries, drawn in row-major order with ``rng.randbelow_many(q, ...)``."""
         _check_dims(q, rows, cols)
-        draws = iter(rng.randbelow_many(q, rows * cols))
-        entries = tuple(tuple(itertools.islice(draws, cols)) for _ in range(rows))
-        return cls._from_entries(q, rows, cols, entries)
+        return cls._unchecked(q, rows, cols, _random_rows(q, rows, cols, rng))
 
     def _check_shape(self, other: "MatrixFq") -> None:
         if self.q != other.q:
@@ -659,35 +725,6 @@ def subspace_distance(v: Subspace, u: Subspace) -> int:
     return 2 * _rank(v.q, v.ambient_dim, v.basis._data + u.basis._data) - v.dim - u.dim
 
 
-def split_basis(u: Subspace, n: int) -> tuple[list[int], MatrixFq, MatrixFq, MatrixFq]:
-    """``u``'s canonical basis cut before column n (0 <= n <= ambient).
-
-    Returns (pivots, head, tail, rest).  The basis rows that pivot before
-    column n pivot at ``pivots``; ``head`` holds their first n columns (a
-    reduced echelon matrix) and ``tail`` their other columns.  ``rest``
-    holds the other columns of the remaining rows, whose first n columns
-    are zero: it is a canonical basis of width ambient - n.
-    """
-    q, width = u.q, u.ambient_dim
-    if not 0 <= n <= width:
-        raise ParameterError(f"cut column {n} outside [0, {width}]")
-    data = u.basis._data
-    right = width - n
-    lead = _lead_columns(data, q, width)
-    s = bisect_left(lead, n)
-    shift = right * _field_bits(q)
-    mask = (1 << shift) - 1
-    head = tuple(v >> shift for v in data[:s])
-    tail = tuple(v & mask for v in data[:s])
-    rest = data[s:]
-    return (
-        lead[:s],
-        MatrixFq._unchecked(q, s, n, head),
-        MatrixFq._unchecked(q, s, right, tail),
-        MatrixFq._unchecked(q, len(rest), right, rest),
-    )
-
-
 def rank_distance(x: MatrixFq, y: MatrixFq) -> int:
     """rank(X - Y) for equal-shape matrices over the same field."""
     return (x - y).rank()
@@ -769,9 +806,14 @@ def _move_columns(data: Sequence[int], move) -> tuple[int, ...]:
 # per layer.
 @lru_cache(maxsize=64)
 def _shorten_plan(columns: tuple[int, ...], ambient_dim: int, field_bits: int):
+    """(front, move): the count of other columns, and the column move that
+    puts them in front, or None when ``columns`` is the trailing block in
+    order and no column moves."""
     _check_columns(columns, ambient_dim)
     keep = set(columns)
     order = tuple(c for c in range(ambient_dim) if c not in keep) + columns
+    if order == tuple(range(ambient_dim)):
+        return ambient_dim - len(columns), None
     return ambient_dim - len(columns), _column_move(order, ambient_dim, field_bits)
 
 
@@ -795,23 +837,35 @@ def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
     ``u``.  One elimination with every other column in front: the reduced
     rows that pivot past them span the vectors vanishing there, and their
     remaining columns, in the order given, are already the canonical basis.
+    When ``columns`` is the trailing block in order, the other columns are
+    in front already and u's canonical basis is that reduction: the result
+    is its rows that lead past the cut, with no elimination.
     """
     q, n = u.q, u.ambient_dim
-    front, move = _shorten_plan(tuple(columns), n, _field_bits(q))
-    reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
-    kept = reduced[bisect_left(pivots, front) :]
+    bits = _field_bits(q)
+    front, move = _shorten_plan(tuple(columns), n, bits)
     width = n - front
+    if move is None:
+        data = u.basis._data
+        kept = data[_head_rows(data, width * bits) :]
+    else:
+        reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
+        kept = reduced[bisect_left(pivots, front) :]
     return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
 
 
 @lru_cache(maxsize=64)
-def _column_mask(columns: tuple[int, ...], ambient_dim: int, field_bits: int) -> int:
+def _projection_plan(columns: tuple[int, ...], ambient_dim: int, field_bits: int):
+    """(mask, tail): the mask of ``columns``, and the bits of the columns past
+    them when they are a leading block (in any order), else None."""
     _check_columns(columns, ambient_dim)
     field = (1 << field_bits) - 1
     mask = 0
     for c in columns:
         mask |= field << (ambient_dim - 1 - c) * field_bits
-    return mask
+    if sorted(columns) == list(range(len(columns))):
+        return mask, (ambient_dim - len(columns)) * field_bits
+    return mask, None
 
 
 def projection_rank(u: Subspace, columns: Sequence[int]) -> int:
@@ -820,10 +874,14 @@ def projection_rank(u: Subspace, columns: Sequence[int]) -> int:
     The rank of u's basis with every other column zeroed, by one forward
     pass.  ``u.dim`` minus it is the dimension of the vectors of ``u``
     that vanish at ``columns``, which ``shorten`` on the other columns
-    builds by a full elimination.
+    builds by a full elimination.  On a leading block the canonical basis
+    answers with no pass: its rows that lead inside the block stay
+    independent there, and the others vanish there.
     """
     q, n = u.q, u.ambient_dim
-    mask = _column_mask(tuple(columns), n, _field_bits(q))
+    mask, tail = _projection_plan(tuple(columns), n, _field_bits(q))
+    if tail is not None:
+        return _head_rows(u.basis._data, tail)
     return _rank(q, n, [v & mask for v in u.basis._data])
 
 

@@ -4,12 +4,16 @@ import itertools
 
 import pytest
 
-from lsc.channel import ChannelSpec, apply_exact, apply_matrix, make_trial
-from lsc.errors import ParameterError
+from lsc.channel import ChannelOutcome, ChannelSpec, apply_exact, apply_matrix, make_trial
+from lsc.errors import CapacityError, ParameterError
+from lsc.field import FieldParams
+from lsc.layered import LayeredCode
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    _rank,
     intersection,
+    random_full_rank_matrix,
     random_subspace,
     row_space,
     subspace_distance,
@@ -178,3 +182,47 @@ def test_outcome_carries_ground_truth(example_code, fp24):
     word = example_code.encode([[fp24.from_index(1)], [fp24.from_index(1)]])
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), SplitMix64(58))
     assert outcome.V == word.V
+
+
+def _apply_exact_before_shortcuts(v, spec, rng):
+    """``apply_exact`` as written before V's basis stood in for a square C·B
+    and the insertions extended one forward pass (argument checks dropped)."""
+    q, n, kept = v.q, v.ambient_dim, v.dim - spec.rho
+    rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data if kept else ()
+    # insertions must stay independent of all of V, not just the kept part
+    span = v.basis._data
+    for _ in range(spec.t):
+        for _attempt in range(1000):
+            cand = MatrixFq.random(q, 1, n, rng)._data
+            if _rank(q, n, span + cand) > len(span):
+                span += cand
+                rows += cand
+                break
+        else:
+            raise CapacityError("insertion sampling exceeded its attempt cap")
+
+    u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
+    if u.dim != kept + spec.t:
+        raise CapacityError("channel sampling produced a dependent insertion")
+    return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t, V=v)
+
+
+@pytest.mark.parametrize(
+    "q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 3, [(2, 1), (3, 1)]), (5, 2, [(2, 1), (2, 1)])]
+)
+def test_apply_exact_matches_the_path_before_its_shortcuts(q, m, shape):
+    """At every (rho, t), rho = 0 and dim V, t = 0 and ambient - dim V
+    included, the exact channel gives the outcome and leaves the stream
+    where the product-and-fresh-rank path does."""
+    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    dim = code.total_length
+    for rho in range(dim + 1):
+        for t in range(code.ambient_dim - dim + 1):
+            for seed in range(4):
+                rng = SplitMix64(1000 * q + 100 * rho + 10 * t + seed)
+                v = code.random_codeword(rng).V
+                mine, theirs = SplitMix64(seed), SplitMix64(seed)
+                spec = ChannelSpec(rho=rho, t=t)
+                got = apply_exact(v, spec, mine)
+                assert got == _apply_exact_before_shortcuts(v, spec, theirs)
+                assert mine._state == theirs._state

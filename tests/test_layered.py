@@ -23,6 +23,7 @@ from lsc.linalg import (
     random_subspace,
     row_space,
     subspace_distance,
+    subspace_sum,
 )
 from lsc.rng import SplitMix64
 
@@ -85,14 +86,25 @@ def test_random_codeword_draw_order(fp24):
 )
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_random_codeword_matches_encoding_random_messages(params, k):
-    """The index path gives the codeword the element path gives, from the
-    same draws, and leaves the stream in the same state."""
+    """The index path, one batch of draws for all layers, gives the codeword
+    the element path gives from one batch per layer, and leaves the stream
+    in the same state.  Its components and V, stacked with no elimination,
+    are the checked lifts and their sum."""
     code = LayeredCode.standard(params, [(4, k), (3, 1), (2, min(k, 2))])
     for seed in range(20):
         by_index, by_element = SplitMix64(seed), SplitMix64(seed)
         word = code.random_codeword(by_index)
         assert word == code.encode(reference_messages(code, by_element))
         assert by_index._state == by_element._state
+        lifts = [
+            code.component_subspace(layer, matrix)
+            for layer, matrix in enumerate(word.component_matrices, 1)
+        ]
+        assert list(word.components) == lifts
+        total = Subspace.zero(params.q, code.ambient_dim)
+        for component in lifts:
+            total = subspace_sum(total, component)
+        assert word.V == total and word.V.basis.entries == total.basis.entries
 
 
 def test_single_layer_reduces_to_lifting(fp24):
@@ -486,21 +498,27 @@ def test_walk_matches_reference_decoders(q, m, shape):
     "q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])], ids=["q2", "q3"]
 )
 def test_an_attempt_builds_no_lift(monkeypatch, q, m, shape):
-    """A decoded layer is its matrix: no trial or decoder lifts one again."""
+    """A decoded layer is its matrix: no trial or decoder lifts one again,
+    and ``decode_layer``, which reads no lift, places none in the full
+    ambient either."""
     code = LayeredCode.standard(FieldParams.default(q, m), shape)
 
-    def no_lift(inner, codeword):
-        raise AssertionError("lifted.lift called while decoding")
+    def no_lift(*args):
+        raise AssertionError("a lift built while decoding")
 
     monkeypatch.setattr(lifted_mod, "lift", no_lift)
-    inside = beyond = failed_layers = 0
+    inside = beyond = failed_layers = single_decodes = 0
     for outcome in _differential_receptions(code):
         inside += outcome.distance <= code.capability
         beyond += outcome.distance > code.capability
+        with monkeypatch.context() as patch:
+            patch.setattr(LayeredCode, "component_subspace", no_lift)
+            for layer in range(1, code.num_layers + 1):
+                single_decodes += code.decode_layer(outcome.U, layer).matrix is not None
         for algorithm in ALGORITHMS:
             report = code.decode(outcome.U, algorithm)
             failed_layers += code.num_layers - len(report.decoded_layers)
-    assert inside and beyond and failed_layers
+    assert inside and beyond and failed_layers and single_decodes
 
 
 def test_decode_by_name(example_code):

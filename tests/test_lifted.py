@@ -2,7 +2,9 @@
 
 import itertools
 import pickle
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,11 +24,12 @@ from lsc.lifted import (
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    _field_bits,
+    _lead_columns,
     embed,
     random_full_rank_matrix,
     random_subspace,
     rank_distance,
-    split_basis,
     subspace_distance,
 )
 from lsc.rng import SplitMix64
@@ -429,8 +432,8 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
             spaces.append(apply_exact(codeword, channel, rng).U)
     seen = {"decoded": 0, "decoded-mu>0": 0, "radius": 0, "nothing-near": 0, "d-1": 0, "d": 0}
     for space in spaces:
-        pivots, _, _, rest = split_basis(space, n)
-        erasures = n - len(pivots) + rest.rows
+        header, _, rest = lifted_mod._split(inner, space)
+        erasures = n - len(header) + len(rest)
         seen["d-1"] += erasures == d - 1
         seen["d"] += erasures == d
         got = subspace_decode(inner, space)
@@ -445,10 +448,67 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
             assert got == matrix and got.entries == matrix.entries
             assert got == inner.encode(want).as_matrix()
             seen["decoded"] += 1
-            seen["decoded-mu>0"] += len(pivots) < n
+            seen["decoded-mu>0"] += len(header) < n
     if k == n:  # d - 1 = 0 and every word is a codeword
         assert not seen.pop("nothing-near") and not seen.pop("decoded-mu>0")
     assert all(seen.values()), seen
+
+
+def split_basis(u: Subspace, n: int) -> tuple[list[int], MatrixFq, MatrixFq, MatrixFq]:
+    """``u``'s canonical basis cut before column n (0 <= n <= ambient).
+
+    Returns (pivots, head, tail, rest).  The basis rows that pivot before
+    column n pivot at ``pivots``; ``head`` holds their first n columns (a
+    reduced echelon matrix) and ``tail`` their other columns.  ``rest``
+    holds the other columns of the remaining rows, whose first n columns
+    are zero: it is a canonical basis of width ambient - n.
+    """
+    q, width = u.q, u.ambient_dim
+    if not 0 <= n <= width:
+        raise ParameterError(f"cut column {n} outside [0, {width}]")
+    data = u.basis._data
+    right = width - n
+    lead = _lead_columns(data, q, width)
+    s = bisect_left(lead, n)
+    shift = right * _field_bits(q)
+    mask = (1 << shift) - 1
+    head = tuple(v >> shift for v in data[:s])
+    tail = tuple(v & mask for v in data[:s])
+    rest = data[s:]
+    return (
+        lead[:s],
+        MatrixFq._unchecked(q, s, n, head),
+        MatrixFq._unchecked(q, s, right, tail),
+        MatrixFq._unchecked(q, len(rest), right, rest),
+    )
+
+
+@pytest.mark.parametrize(
+    "q, widths", [(2, (0, 1, 4, 12)), (3, (0, 3, 10)), (5, (0, 2, 6)), (7, (1, 5)), (17, (0, 3))]
+)
+def test_the_header_cut_matches_split_basis(q, widths):
+    """``lifted._split``'s stored-row cut equals the cut of ``split_basis``
+    (the eliminating-free cut it replaced, kept above as written) at every
+    header length n, 0 and the whole ambient (m = 0) included: on the zero
+    and full spaces, random spaces, and spaces with every header pivot
+    erased.  The cut reads only the field of the inner code, so a stand-in
+    with q and m (up to 12) serves for shapes no Gabidulin code has."""
+    rng = SplitMix64(3100 + q)
+    for m in widths:
+        inner = SimpleNamespace(params=SimpleNamespace(q=q, m=m))
+        for n in range(5):
+            ambient = n + m
+            spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+            for _ in range(8):
+                spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
+                payload = random_subspace(q, m, rng.randint(0, m), rng)
+                spaces.append(embed(payload, range(n, ambient), ambient))
+            for space in spaces:
+                header, payload, rest = lifted_mod._split(inner, space)
+                pivots, head, tail, left = split_basis(space, n)
+                assert header == head._data and rest == left._data
+                assert payload == tail._row_indices()
+                assert _lead_columns(header, q, n) == pivots
 
 
 def test_rank_codeword_value_semantics(fp24, inner31):

@@ -2,13 +2,21 @@
 
 import itertools
 import pickle
+from bisect import bisect_left
 
 import pytest
 
+from lsc import linalg
 from lsc.errors import ParameterError
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    _check_dims,
+    _column_move,
+    _eliminate,
+    _field_bits,
+    _move_columns,
+    _rank,
     coordinate_zero_subspace,
     dump_subspace,
     embed,
@@ -514,3 +522,92 @@ def test_row_index_bridge_matches_coords(q):
         (1,) + (0,) * 15, (0,) * 15 + (1,)
     )
     assert MatrixFq._from_indices(q, 3, []) == MatrixFq.zeros(q, 0, 3)
+
+
+# --- results read off the canonical basis, and the packed draws ---
+
+
+def _eliminating_shorten(u, columns):
+    """``shorten`` with no shortcut: move the other columns in front,
+    eliminate, and keep the rows that pivot past them."""
+    q, n = u.q, u.ambient_dim
+    keep = set(columns)
+    order = tuple(c for c in range(n) if c not in keep) + tuple(columns)
+    move = _column_move(order, n, _field_bits(q))
+    reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
+    kept = reduced[bisect_left(pivots, n - len(columns)) :]
+    width = len(columns)
+    return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
+
+
+def _eliminating_projection_rank(u, columns):
+    """``projection_rank`` with no shortcut: the rank of the masked rows."""
+    q, n = u.q, u.ambient_dim
+    bits = _field_bits(q)
+    mask = sum(((1 << bits) - 1) << (n - 1 - c) * bits for c in columns)
+    return _rank(q, n, [v & mask for v in u.basis._data])
+
+
+def _block_test_spaces(q, n, rng):
+    """The zero and full spaces, random spaces of every dimension, and spaces
+    that lie in a trailing block (every pivot before it erased)."""
+    spaces = [Subspace.zero(q, n), Subspace.full(q, n)]
+    spaces += [random_subspace(q, n, dim, rng) for dim in range(n + 1)]
+    for width in range(n + 1):
+        inner = random_subspace(q, width, rng.randint(0, width), rng)
+        spaces.append(embed(inner, range(n - width, n), n))
+    return spaces
+
+
+@pytest.mark.parametrize(
+    "q, ambients", [(2, (1, 7, 16)), (3, (5, 13)), (5, (4, 9)), (7, (6,)), (17, (5,))]
+)
+def test_block_shortcuts_match_the_eliminating_path(monkeypatch, q, ambients):
+    """``shorten`` on a trailing block in order and ``projection_rank`` on a
+    leading block (in any order) read the canonical basis: they equal the
+    eliminating path at every block width, 0 and the whole ambient
+    included, and run no elimination or forward pass."""
+    rng = SplitMix64(90 + q)
+    cases = []
+    for n in ambients:
+        for u in _block_test_spaces(q, n, rng):
+            for width in range(n + 1):
+                trailing = tuple(range(n - width, n))
+                leading = [c for c in range(width) if c % 2] + [c for c in range(width) if not c % 2]
+                cases.append(
+                    (u, trailing, leading, _eliminating_shorten(u, trailing),
+                     _eliminating_projection_rank(u, leading))
+                )
+
+    def no_elimination(*args):
+        raise AssertionError("an elimination ran where the canonical basis answers")
+
+    for name in ("_eliminate", "_rank", "_echelon_gf2", "_echelon_odd"):
+        monkeypatch.setattr(linalg, name, no_elimination)
+    for u, trailing, leading, short, rank in cases:
+        got = shorten(u, trailing)
+        assert got == short and got.ambient_dim == len(trailing)
+        assert projection_rank(u, leading) == rank
+        assert projection_rank(u, range(len(leading))) == rank
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 17])
+def test_random_rows_match_the_entry_by_entry_draws(q):
+    """``MatrixFq.random`` packs one batch of draws: its rows, its entries
+    and the generator state after it are those of building the matrix entry
+    by entry from the same batch, with 0 rows and 0 columns included."""
+
+    def entry_by_entry(q, rows, cols, rng):
+        _check_dims(q, rows, cols)
+        draws = iter(rng.randbelow_many(q, rows * cols))
+        entries = tuple(tuple(itertools.islice(draws, cols)) for _ in range(rows))
+        return MatrixFq._from_entries(q, rows, cols, entries)
+
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 40), (12, 12), (3, 24), (7, 3)]
+    for seed in range(10):
+        for rows, cols in shapes:
+            mine, theirs = SplitMix64(seed), SplitMix64(seed)
+            got, want = MatrixFq.random(q, rows, cols, mine), entry_by_entry(q, rows, cols, theirs)
+            assert got._data == want._data and got.entries == want.entries
+            assert (got.rows, got.cols) == (rows, cols)
+            assert mine._state == theirs._state
