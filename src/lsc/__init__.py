@@ -7,13 +7,8 @@ cancellation with an iterative variant.
 
 from .channel import ChannelOutcome, ChannelSpec, apply_exact, apply_matrix
 from .errors import CapacityError, ConfigError, InvariantError, ParameterError
-from .field import BaseElement, DEFAULT_MODULI, ExtFieldElement, FieldParams
-from .gabidulin import (
-    DecodeFailure,
-    GabidulinCode,
-    LinearizedPoly,
-    RankCodeword,
-)
+from .field import DEFAULT_MODULI, ExtFieldElement, FieldParams
+from .gabidulin import DecodeFailure, GabidulinCode
 from .layered import (
     LayerDecodeReport,
     LayerResult,
@@ -41,7 +36,6 @@ from .linalg import (
 from .rng import SplitMix64, derive_seed
 
 __all__ = [
-    "BaseElement",
     "CapacityError",
     "ChannelOutcome",
     "ChannelSpec",
@@ -56,10 +50,8 @@ __all__ = [
     "LayerResult",
     "LayeredCode",
     "LayeredCodeword",
-    "LinearizedPoly",
     "MatrixFq",
     "ParameterError",
-    "RankCodeword",
     "SplitMix64",
     "Subspace",
     "apply_exact",

@@ -1,12 +1,11 @@
 """Arithmetic in the prime field F_q and the extension field F_{q^m}.
 
-Base-field elements are plain ints in ``range(q)`` (the ``BaseElement``
-alias).  An extension-field element has coordinates in the polynomial
-basis 1, a, ..., a^(m-1), constant term first, where ``a`` is a root of
-the defining modulus.  Its *index* is the int whose base-q digits, least
-significant first, are those coordinates (``coords_of`` and ``index_of``
-convert).  ``q`` must be prime in this
-release, and a field has at most 2^16 elements.
+Base-field elements are plain ints in ``range(q)``.  An extension-field
+element has coordinates in the polynomial basis 1, a, ..., a^(m-1),
+constant term first, where ``a`` is a root of the defining modulus.  Its
+*index* is the int whose base-q digits, least significant first, are
+those coordinates (``coords_of`` and ``index_of`` convert).  ``q`` must
+be prime in this release, and a field has at most 2^16 elements.
 
 All arithmetic runs on indices, in ``FieldOps``.  Products, inverses,
 powers and the Frobenius map x -> x^(q^i) are lookups in log/antilog
@@ -34,8 +33,6 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-
-BaseElement = int
 
 # Largest supported field.  The tables hold about six entries per
 # element, so 2^16 elements cost a few MB; 2^24 would cost over 1 GB.
@@ -441,11 +438,6 @@ class ExtFieldElement:
         self._check_params(other)
         ops = self.params.ops
         return self.params.from_index(ops.mul(self.to_index(), other.to_index()))
-
-    def scale_base(self, c: int) -> "ExtFieldElement":
-        """Multiply by a base-field scalar (whose index is the scalar itself)."""
-        ops = self.params.ops
-        return self.params.from_index(ops.mul(self.to_index(), c % self.params.q))
 
     def inverse(self) -> "ExtFieldElement":
         return self.params.from_index(self.params.ops.inv(self.to_index()))

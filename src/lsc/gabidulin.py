@@ -46,35 +46,37 @@ encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
 every call scans it with one row difference and one rank per codeword.
 
+A rank-metric word, sent or received, is its n x m ``MatrixFq`` over
+F_q: row i holds the coordinates of symbol i (Silva, Kschischang and
+Koetter, "A rank-metric approach to error control in random network
+coding", IEEE T-IT 2008).  ``encode`` returns that matrix, and the public
+decoders take it and raise ``ParameterError`` for anything else: a tuple
+of elements, a matrix over another field, or the wrong shape.  Messages
+are the one ``ExtFieldElement`` surface: ``encode`` takes k elements and
+the public decoders return k elements.
+
 The algorithms (linearized-polynomial evaluation, composition, left
 division and subspace annihilators, encoding, the decoder and its
 F_{q^m} nullspace, the codebook) compute on element indices
 with ``FieldParams.ops``; the kernels that multiply one element into
 many (evaluation, left division, the interpolation rows and the
-nullspace) add logarithms on its zero-sentinel tables.
-``RankCodeword`` stores indices too, and its ``symbols`` are an
-``ExtFieldElement`` view built only when read.  Words, points and hints
-meet their F_q matrices at one bridge, ``MatrixFq._from_indices`` and
-``MatrixFq._row_indices`` in ``linalg``: the projections P r and P g are
-``MatrixFq`` products across it, and the points' independence is the
-rank of their matrix.  The rest of the public surface holds
-``ExtFieldElement`` values and converts at that boundary:
-``LinearizedPoly``, the messages ``encode`` takes, and the messages the
-public decoders return.
+nullspace) add logarithms on its zero-sentinel tables.  Words, points
+and hints meet their F_q matrices at one bridge,
+``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in ``linalg``:
+the projections P r and P g are ``MatrixFq`` products across it, and the
+points' independence is the rank of their matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import ExtFieldElement, FieldOps, FieldParams
 from .linalg import MatrixFq, _add_rows, _eliminate, _kernel, _rank
-
-_set = object.__setattr__
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -174,188 +176,6 @@ def _lp_annihilator(ops: FieldOps, elements: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class LinearizedPoly:
-    """Sum of a_i x^(q^i); evaluation is F_q-linear.
-
-    Coefficients are stored with index i holding the coefficient of
-    x^(q^i), trailing zeros trimmed; the zero polynomial has no
-    coefficients.  The methods compute on element indices.
-    """
-
-    params: FieldParams
-    coeffs: tuple[ExtFieldElement, ...]
-
-    @classmethod
-    def from_coeffs(cls, params: FieldParams, coeffs: Sequence[ExtFieldElement]) -> "LinearizedPoly":
-        out = list(coeffs)
-        while out and out[-1].is_zero():
-            out.pop()
-        return cls(params, tuple(out))
-
-    @classmethod
-    def _from_indices(cls, params: FieldParams, coeffs: Sequence[int]) -> "LinearizedPoly":
-        return cls(params, tuple(params.from_index(c) for c in coeffs))
-
-    def _indices(self) -> list[int]:
-        return [c.to_index() for c in self.coeffs]
-
-    @classmethod
-    def zero(cls, params: FieldParams) -> "LinearizedPoly":
-        return cls(params, ())
-
-    @classmethod
-    def identity(cls, params: FieldParams) -> "LinearizedPoly":
-        return cls(params, (params.one(),))
-
-    @property
-    def q_degree(self) -> int:
-        """Degree in the q-power ladder; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_field(self, params: FieldParams) -> None:
-        if params != self.params:
-            raise ParameterError("operands belong to different fields")
-
-    def evaluate(self, x: ExtFieldElement) -> ExtFieldElement:
-        self._check_field(x.params)
-        params = self.params
-        return params.from_index(_lp_evaluate(params.ops, self._indices(), x.to_index()))
-
-    def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._check_field(other.params)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.params.zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return LinearizedPoly.from_coeffs(self.params, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._check_field(other.params)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.params.zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return LinearizedPoly.from_coeffs(self.params, [x - y for x, y in zip(a, b)])
-
-    def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        """self(other(x)); coefficient k is sum_{i+j=k} a_i * b_j^(q^i)."""
-        self._check_field(other.params)
-        params = self.params
-        return LinearizedPoly._from_indices(
-            params, _lp_compose(params.ops, self._indices(), other._indices())
-        )
-
-    def divide_left(self, left: "LinearizedPoly") -> tuple["LinearizedPoly", "LinearizedPoly"]:
-        """Solve self = left(quotient(x)) + remainder with q-deg(remainder) < q-deg(left)."""
-        self._check_field(left.params)
-        params = self.params
-        quot, rem = _lp_divide_left(params.ops, self._indices(), left._indices())
-        return (
-            LinearizedPoly._from_indices(params, quot),
-            LinearizedPoly._from_indices(params, rem),
-        )
-
-    @staticmethod
-    def subspace_annihilator(params: FieldParams, elements: Sequence[ExtFieldElement]) -> "LinearizedPoly":
-        """Monic linearized polynomial whose kernel is the F_q-span of ``elements``.
-
-        The elements must be linearly independent over F_q; the result has
-        q-degree equal to their count.
-        """
-        if any(z.params != params for z in elements):
-            raise ParameterError("operands belong to different fields")
-        sigma = _lp_annihilator(params.ops, [z.to_index() for z in elements])
-        return LinearizedPoly._from_indices(params, sigma)
-
-
-class RankCodeword:
-    """A length-n word over F_{q^m}, equivalently an n x m matrix over F_q.
-
-    It stores the element index of each symbol.  ``symbols`` is the
-    ``ExtFieldElement`` view, built on first use and cached; equality,
-    hashing and pickling go by field and indices.
-    """
-
-    __slots__ = ("params", "_indices", "_symbols")
-
-    def __init__(self, symbols: Sequence[ExtFieldElement]) -> None:
-        symbols = tuple(symbols)
-        params = symbols[0].params if symbols else None
-        if any(s.params != params for s in symbols):
-            raise ParameterError("symbols from different fields")
-        _set(self, "params", params)
-        _set(self, "_indices", tuple(s.to_index() for s in symbols))
-        _set(self, "_symbols", symbols)
-
-    @classmethod
-    def _from_indices(cls, params: FieldParams, indices: Sequence[int]) -> "RankCodeword":
-        """The word whose symbols have these element indices, which must lie in range."""
-        word = object.__new__(cls)
-        _set(word, "params", params)
-        _set(word, "_indices", tuple(indices))
-        return word
-
-    @property
-    def symbols(self) -> tuple[ExtFieldElement, ...]:
-        try:
-            return self._symbols
-        except AttributeError:
-            symbols = tuple(map(self.params.from_index, self._indices))
-            _set(self, "_symbols", symbols)
-            return symbols
-
-    @property
-    def n(self) -> int:
-        return len(self._indices)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RankCodeword:
-            return NotImplemented
-        return self._indices == other._indices and self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((self.params, self._indices))
-
-    def __repr__(self) -> str:
-        return f"RankCodeword(symbols={self.symbols!r})"
-
-    def __reduce__(self):
-        return (RankCodeword, (self.symbols,))
-
-    def as_matrix(self) -> MatrixFq:
-        params = self.params
-        return MatrixFq._from_indices(params.q, params.m, self._indices)
-
-    @classmethod
-    def from_matrix(cls, params: FieldParams, matrix: MatrixFq) -> "RankCodeword":
-        if matrix.cols != params.m or matrix.q != params.q:
-            raise ParameterError("matrix shape does not match the field")
-        return cls._from_indices(params, matrix._row_indices())
-
-    def __add__(self, other: "RankCodeword") -> "RankCodeword":
-        return self._combine(other, self.params.ops.add)
-
-    def __sub__(self, other: "RankCodeword") -> "RankCodeword":
-        return self._combine(other, self.params.ops.sub)
-
-    def _combine(self, other: "RankCodeword", op) -> "RankCodeword":
-        if self.n != other.n:
-            raise ParameterError("length mismatch")
-        if self.params != other.params:
-            raise ParameterError("operands belong to different fields")
-        return RankCodeword._from_indices(self.params, map(op, self._indices, other._indices))
-
-
-@dataclass(frozen=True)
 class GabidulinCode:
     """Parameters (q, m, n, k) plus evaluation points; d_R = n - k + 1."""
 
@@ -407,9 +227,10 @@ class GabidulinCode:
         """The evaluation points as the rows of an n x m matrix over F_q."""
         return MatrixFq._from_indices(self.params.q, self.params.m, self._points)
 
-    def encode(self, message: Sequence[ExtFieldElement]) -> RankCodeword:
-        """Evaluate f = sum_j u_j x^(q^j) at the evaluation points."""
-        return RankCodeword._from_indices(self.params, self._evaluate(self._indices(message)))
+    def encode(self, message: Sequence[ExtFieldElement]) -> MatrixFq:
+        """Evaluate f = sum_j u_j x^(q^j) at the evaluation points; the
+        codeword is its n x m matrix over F_q."""
+        return self._codeword_matrix(self._indices(message))
 
     def _indices(self, message: Sequence[ExtFieldElement]) -> list[int]:
         """The element indices of a message, after checking its length and field."""
@@ -429,17 +250,18 @@ class GabidulinCode:
         """The codeword of the message with element indices f, as its n x m matrix."""
         return MatrixFq._from_indices(self.params.q, self.params.m, self._evaluate(f))
 
-    def _check_received(self, received: RankCodeword) -> None:
-        if received.n != self.n:
-            raise ParameterError(f"received word must have length {self.n}")
-        if received.params != self.params:
-            raise ParameterError("received word from a different field")
+    def _check_received(self, received: MatrixFq) -> None:
+        """A word is an n x m ``MatrixFq`` over F_q; anything else is a ParameterError."""
+        q, m, n = self.params.q, self.params.m, self.n
+        shape = (received.q, received.rows, received.cols) if isinstance(received, MatrixFq) else None
+        if shape != (q, n, m):
+            raise ParameterError(f"word must be a {n}x{m} MatrixFq over F_{q}")
 
     # --- bounded-distance errors-and-erasures decoding ---
 
     def decode_bounded(
         self,
-        received: RankCodeword,
+        received: MatrixFq,
         row_erasures: MatrixFq | None = None,
         col_erasures: MatrixFq | None = None,
     ):
@@ -462,10 +284,10 @@ class GabidulinCode:
         if col_basis:
             # (n - mu) x n over F_q; its rows annihilate the column hints
             kernel = _kernel(q, n, col_basis, col_pivots)
-            word = (kernel @ MatrixFq._from_indices(q, m, received._indices))._row_indices()
+            word = (kernel @ received)._row_indices()
             proj = kernel._data
         else:
-            word, proj = received._indices, None
+            word, proj = received._row_indices(), None
         outcome = self._decode_projected(word, proj, row_basis)
         if isinstance(outcome, DecodeFailure):
             return outcome
@@ -587,7 +409,7 @@ class GabidulinCode:
         messages = tuple(itertools.product(range(self.params.size), repeat=self.k))
         return messages, tuple(self._codeword_matrix(f)._data for f in messages)
 
-    def brute_force_decode(self, received: RankCodeword, cap: int = 1 << 20):
+    def brute_force_decode(self, received: MatrixFq, cap: int = 1 << 20):
         """Minimum rank-distance decoding by a scan of the codebook; ties fail.
 
         The first codeword at the least distance wins unless a later one is
@@ -596,7 +418,7 @@ class GabidulinCode:
         self._check_received(received)
         self._check_cap(cap)
         q, m = self.params.q, self.params.m
-        rec = received.as_matrix()._data
+        rec = received._data
         messages, codewords = self._codebook
         best = best_dist = None
         tie = False

@@ -13,9 +13,10 @@ other rows, whose header is zero, give the row-space side information
 (inserted dimensions) as a canonical basis of width m as they are.
 
 ``reduce_received`` spells that out as the inputs of the public
-``GabidulinCode.decode_bounded``: the received word r (payload row i at
-pivot i, erased rows zero), the row hints, and the column hints, the
-header directions lost by the channel (the kernel of H, up to sign).
+``GabidulinCode.decode_bounded``: the received word r, an n x m
+``MatrixFq`` (payload row i at pivot i, erased rows zero), the row
+hints, and the column hints, the header directions lost by the channel
+(the kernel of H, up to sign).
 
 ``subspace_decode`` does not take that detour.  The decoder wants a
 projection onto the annihilator of the column hints, and the word
@@ -68,11 +69,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ParameterError
-from .gabidulin import (
-    DecodeFailure,
-    GabidulinCode,
-    RankCodeword,
-)
+from .gabidulin import DecodeFailure, GabidulinCode
 from .linalg import (
     MatrixFq,
     Subspace,
@@ -90,16 +87,11 @@ from .linalg import (
 MEMO_SIZE = 4096
 
 
-def lift(inner: GabidulinCode, codeword) -> Subspace:
-    """Row space of [I_n | X]; already in reduced row echelon form."""
-    if isinstance(codeword, RankCodeword):
-        matrix = codeword.as_matrix()
-    else:
-        matrix = codeword
-    n, m, q = inner.n, inner.params.m, inner.params.q
-    if matrix.rows != n or matrix.cols != m or matrix.q != q:
-        raise ParameterError(f"codeword matrix must be {n}x{m} over F_{q}")
-    return identity_lift(matrix, 0, n + m)
+def lift(inner: GabidulinCode, matrix: MatrixFq) -> Subspace:
+    """Row space of [I_n | X] for the n x m codeword matrix X; already in
+    reduced row echelon form."""
+    inner._check_received(matrix)
+    return identity_lift(matrix, 0, inner.n + inner.params.m)
 
 
 def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
@@ -131,8 +123,8 @@ def _split(inner: GabidulinCode, received: Subspace):
 def reduce_received(inner: GabidulinCode, received: Subspace):
     """Split a received space into (received word, row hints, column hints).
 
-    Returns (r, row_erasures, col_erasures) where r is an n x m received
-    word with erased rows zeroed, row_erasures rows span the payloads of
+    Returns (r, row_erasures, col_erasures) where r is the n x m received
+    word, a ``MatrixFq`` with erased rows zeroed, row_erasures rows span the payloads of
     the pure-payload basis vectors, and col_erasures rows span the header
     directions lost by the channel: the inputs of ``decode_bounded``.
     """
@@ -143,7 +135,7 @@ def reduce_received(inner: GabidulinCode, received: Subspace):
     symbols = [0] * n
     for pivot, symbol in zip(pivots, payload):
         symbols[pivot] = symbol
-    word = RankCodeword._from_indices(inner.params, symbols)
+    word = MatrixFq._from_indices(q, m, symbols)
     # erased header column j: -e_j plus, at each pivot i, entry j of row i;
     # that is minus the kernel vector of the header rows at free column j,
     # read off the header, which is already reduced with these pivots

@@ -555,11 +555,6 @@ class MatrixFq:
     def is_zero(self) -> bool:
         return not any(self._data)
 
-    def rref(self) -> tuple["MatrixFq", tuple[int, ...]]:
-        reduced, pivots = _eliminate(self.q, self.cols, self._data)
-        data = tuple(reduced) + (0,) * (self.rows - len(reduced))
-        return MatrixFq._unchecked(self.q, self.rows, self.cols, data), tuple(pivots)
-
     def rank(self) -> int:
         return _rank(self.q, self.cols, self._data)
 
@@ -620,21 +615,6 @@ class Subspace:
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.q != other.q:
             raise ParameterError("subspaces live in different ambient spaces")
-
-    def contains_vector(self, vector: Sequence[int]) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise ParameterError("vector length does not match ambient dimension")
-        q = self.q
-        row = tuple(x % q for x in vector)
-        return self._spans(MatrixFq._from_entries(q, 1, self.ambient_dim, (row,)))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return self._spans(other.basis)
-
-    def _spans(self, matrix: MatrixFq) -> bool:
-        """True iff every row of ``matrix`` (same width and field) lies in the subspace."""
-        return _rank(self.q, self.ambient_dim, self.basis._data + matrix._data) == self.dim
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace (guarded by the enumeration cap).

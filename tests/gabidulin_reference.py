@@ -7,8 +7,11 @@ hints, composes with a degree-0 annihilator when there are no row
 hints, and checks a candidate on the full error matrix.  Its helpers
 compute with ``FieldOps.add/sub/mul/frob/inv/pow`` only.  Kept verbatim
 but for ``self`` -> ``code``, the codeword evaluation, which used the
-decoder's own ``_lp_evaluate``, and the hint kernels, which read
-``basis.kernel_basis()`` (the same matrix, by one more elimination).
+decoder's own ``_lp_evaluate``, the hint kernels, which read
+``basis.kernel_basis()`` (the same matrix, by one more elimination), and
+the received word, an n x m ``MatrixFq`` whose element indices it reads
+with ``received._row_indices()`` (it read ``received._indices`` when a
+word had a type of its own).
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def decode_bounded(
                 acc = add(acc, mul(v, w))
         return acc
 
-    r = received._indices
+    r = received._row_indices()
     g_proj = [combine(code._points, row) for row in proj.entries]
     r_sigma = [_lp_evaluate(ops, sigma, s) for s in r]
     r_proj = [combine(r_sigma, row) for row in proj.entries]

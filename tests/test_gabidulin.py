@@ -1,5 +1,6 @@
 """Gabidulin encoding and decoding against the brute-force oracle and the reference decoder."""
 
+import functools
 import itertools
 
 import pytest
@@ -9,11 +10,15 @@ from lsc.field import FieldParams
 from lsc.gabidulin import (
     DecodeFailure,
     GabidulinCode,
-    LinearizedPoly,
-    RankCodeword,
+    _lp_annihilator,
+    _lp_compose,
+    _lp_divide_left,
+    _lp_evaluate,
+    _trim,
 )
 from lsc.linalg import MatrixFq, random_full_rank_matrix, rank_distance, row_space
 from lsc.rng import SplitMix64
+import gabidulin_reference as reference
 from gabidulin_reference import decode_bounded as reference_decode
 
 
@@ -35,19 +40,26 @@ def _rank1_errors(q, n, m):
     return list(seen.values())
 
 
+def _points(params, matrix):
+    """The rows of an n x m matrix as n elements of F_{q^m}."""
+    return tuple(map(params.from_index, matrix._row_indices()))
+
+
 def test_encode_identity_polynomial(fp24, code31):
     # message [1] gives f = x, so the codeword is the evaluation points
     cw = code31.encode([fp24.one()])
-    assert cw.symbols == code31.eval_points
-    assert cw.symbols == (fp24.from_index(1), fp24.from_index(2), fp24.from_index(4))
+    assert (cw.q, cw.rows, cw.cols) == (2, 3, 4)
+    assert _points(fp24, cw) == code31.eval_points
+    assert cw._row_indices() == [1, 2, 4]
+    assert cw.entries == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def test_encode_zero_and_single_point(fp24):
     code = GabidulinCode.standard(fp24, 3, 1)
-    assert all(s.is_zero() for s in code.encode([fp24.zero()]).symbols)
+    assert code.encode([fp24.zero()]) == MatrixFq.zeros(2, 3, 4)
     tiny = GabidulinCode.standard(fp24, 1, 1)
     u = fp24.from_index(9)
-    assert tiny.encode([u]).symbols == (u * tiny.eval_points[0],)
+    assert _points(fp24, tiny.encode([u])) == (u * tiny.eval_points[0],)
 
 
 def test_encode_linearity(fp24):
@@ -57,9 +69,7 @@ def test_encode_linearity(fp24):
         u = [fp24.from_index(rng.randbelow(16)) for _ in range(2)]
         v = [fp24.from_index(rng.randbelow(16)) for _ in range(2)]
         s = [a + b for a, b in zip(u, v)]
-        assert code.encode(s).as_matrix() == (
-            code.encode(u).as_matrix() + code.encode(v).as_matrix()
-        )
+        assert code.encode(s) == code.encode(u) + code.encode(v)
 
 
 def test_min_rank_distance_values(fp24):
@@ -71,7 +81,7 @@ def test_min_rank_distance_values(fp24):
 def test_mrd_exhaustive(fp24):
     for n in (3, 4):
         code = GabidulinCode.standard(fp24, n, 1)
-        words = [code.encode(m).as_matrix() for m in code.iter_messages()]
+        words = [code.encode(m) for m in code.iter_messages()]
         dmin = min(
             rank_distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
         )
@@ -87,9 +97,9 @@ def test_decode_all_rank1_errors_exhaustive(fp24, code31):
     errors = _rank1_errors(2, 3, 4)
     assert len(errors) == 105
     for msg in code31.iter_messages():
-        word = code31.encode(msg).as_matrix()
+        word = code31.encode(msg)
         for err in errors:
-            received = RankCodeword.from_matrix(fp24, word + err)
+            received = word + err
             assert code31.decode_bounded(received) == msg
             assert code31.brute_force_decode(received) == msg
 
@@ -105,15 +115,14 @@ def test_rank2_errors_match_oracle_classification(fp24, code31):
         if err.rank() != 2:
             continue
         msg = (fp24.from_index(rng.randbelow(16)),)
-        received = RankCodeword.from_matrix(fp24, code31.encode(msg).as_matrix() + err)
+        received = code31.encode(msg) + err
         got = code31.decode_bounded(received)
         oracle = code31.brute_force_decode(received)
         if isinstance(oracle, DecodeFailure):
             assert isinstance(got, DecodeFailure)
             failure_cases += 1
         else:
-            nearest = code31.encode(oracle).as_matrix()
-            dist = rank_distance(received.as_matrix(), nearest)
+            dist = rank_distance(received, code31.encode(oracle))
             if dist <= 1:  # unique codeword within the bounded radius
                 assert got == oracle
                 wrong_codeword_cases += 1
@@ -127,7 +136,7 @@ def test_rank2_errors_match_oracle_classification(fp24, code31):
 def test_brute_force_truth_table_tiny():
     params = FieldParams.default(2, 2)
     code = GabidulinCode.standard(params, 2, 1)
-    words = {msg: code.encode(msg).as_matrix() for msg in code.iter_messages()}
+    words = {msg: code.encode(msg) for msg in code.iter_messages()}
     assert len(words) == 4
     ties = 0
     for entries in itertools.product(range(2), repeat=4):
@@ -135,7 +144,7 @@ def test_brute_force_truth_table_tiny():
         dists = {msg: rank_distance(received, w) for msg, w in words.items()}
         best = min(dists.values())
         argmins = [msg for msg, d in dists.items() if d == best]
-        got = code.brute_force_decode(RankCodeword.from_matrix(params, received))
+        got = code.brute_force_decode(received)
         if len(argmins) == 1:
             assert got == argmins[0]
         else:
@@ -155,11 +164,10 @@ def test_brute_force_cap(fp24):
 def _reference_brute_force(code, received):
     """The oracle without a codebook: encode every message for every
     received word, then rank(received - codeword); ties fail."""
-    rec = received.as_matrix()
     best = best_dist = None
     tie = False
     for message in itertools.product(range(code.params.size), repeat=code.k):
-        dist = (rec - code._codeword_matrix(message)).rank()
+        dist = (received - code._codeword_matrix(message)).rank()
         if best_dist is None or dist < best_dist:
             best, best_dist, tie = message, dist, False
         elif dist == best_dist:
@@ -176,11 +184,10 @@ def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
     rng = SplitMix64(100 * q + 10 * m + n)
     ties = unique = 0
     for trial in range(150):
-        noise = MatrixFq.random(q, n, m, rng)
+        received = MatrixFq.random(q, n, m, rng)
         if trial % 2:  # near a codeword: usually a unique nearest one
             msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
-            noise = code.encode(msg).as_matrix() + noise
-        received = RankCodeword.from_matrix(params, noise)
+            received = code.encode(msg) + received
         got = code.brute_force_decode(received)
         assert got == _reference_brute_force(code, received)
         if isinstance(got, DecodeFailure):
@@ -219,7 +226,7 @@ def test_decoder_with_erasure_hints(fp24):
     for mu, delta, tau in [(1, 0, 1), (0, 1, 1), (2, 1, 0), (1, 2, 0), (3, 0, 0)]:
         for _ in range(100):
             msg = (fp24.from_index(rng.randbelow(16)),)
-            word = code.encode(msg).as_matrix()
+            word = code.encode(msg)
             err = MatrixFq.zeros(2, 4, 4)
             col_hint = row_hint = None
             if mu:
@@ -233,7 +240,7 @@ def test_decoder_with_erasure_hints(fp24):
                 u = random_full_rank_matrix(2, tau, 4, rng).transpose()
                 v = random_full_rank_matrix(2, tau, 4, rng)
                 err = err + (u @ v)
-            received = RankCodeword.from_matrix(fp24, word + err)
+            received = word + err
             got = code.decode_bounded(received, row_erasures=row_hint, col_erasures=col_hint)
             assert got == msg, (mu, delta, tau)
             for form in (lambda h: row_space(h, h.cols).basis, lambda h: _scrambled(h, rng)):
@@ -264,56 +271,83 @@ def test_code_construction_validation(fp24):
         GabidulinCode.standard(fp24, 3, 1).encode([fp24.one(), fp24.one()])
 
 
-def test_linearized_poly_division_roundtrip(fp24):
-    rng = SplitMix64(15)
-    for _ in range(200):
-        left = LinearizedPoly.from_coeffs(
-            fp24,
-            [fp24.from_index(rng.randbelow(16)) for _ in range(2)]
-            + [fp24.from_index(1 + rng.randbelow(15))],
-        )
-        quotient = LinearizedPoly.from_coeffs(
-            fp24, [fp24.from_index(rng.randbelow(16)) for _ in range(3)]
-        )
-        remainder = LinearizedPoly.from_coeffs(
-            fp24, [fp24.from_index(rng.randbelow(16)) for _ in range(left.q_degree)]
-        )
-        combined = left.compose(quotient) + remainder
-        q, r = combined.divide_left(left)
-        assert left.compose(q) + r == combined
-        assert r.q_degree < left.q_degree
+# --- the linearized-polynomial kernels against tests/gabidulin_reference.py ---
 
 
-def test_subspace_annihilator_kernel(fp24):
-    z1, z2 = fp24.from_index(5), fp24.from_index(9)
-    sigma = LinearizedPoly.subspace_annihilator(fp24, [z1, z2])
-    assert sigma.q_degree == 2
-    span = {
-        (z1.scale_base(c1) + z2.scale_base(c2)).to_index()
-        for c1 in range(2)
-        for c2 in range(2)
-    }
-    kernel = {e.to_index() for e in fp24.elements() if sigma.evaluate(e).is_zero()}
-    assert kernel == span
+def _random_poly(ops, rng, length):
+    """A trimmed coefficient list of q-degree length - 1: random indices
+    under a nonzero top coefficient."""
+    if not length:
+        return []
+    size = ops.order + 1
+    return [rng.randbelow(size) for _ in range(length - 1)] + [1 + rng.randbelow(size - 1)]
 
 
-def test_linearized_poly_rejects_operands_from_other_fields(fp24):
-    f9, f4096 = FieldParams.default(3, 2), FieldParams.default(2, 12)
-    poly = LinearizedPoly.from_coeffs(fp24, [fp24.from_index(3), fp24.one()])
-    other = LinearizedPoly.from_coeffs(f9, [f9.from_index(4), f9.one()])
-    calls = [
-        lambda: poly.evaluate(f9.from_index(5)),
-        lambda: poly.evaluate(f4096.from_index(4000)),
-        lambda: poly.compose(other),
-        lambda: other.compose(poly),
-        lambda: poly.divide_left(other),
-        lambda: poly + LinearizedPoly.zero(f9),
-        lambda: poly - LinearizedPoly.zero(f9),
-        lambda: LinearizedPoly.subspace_annihilator(fp24, [fp24.one(), f9.from_index(3)]),
-    ]
-    for call in calls:
-        with pytest.raises(ParameterError, match="operands belong to different fields"):
-            call()
+# F_16 and F_9: odd q takes the minus_one logarithm and the Zech-log adds
+KERNEL_FIELDS = [(2, 4), (3, 2)]
+
+
+def test_linearized_poly_evaluation_and_composition():
+    """Evaluation and composition on indices equal the reference's, which
+    use only FieldOps.add/mul/frob, at q-degrees past m; a composition
+    evaluates as one polynomial inside the other."""
+    for q, m in KERNEL_FIELDS:
+        ops = FieldParams.default(q, m).ops
+        rng = SplitMix64(1500 + 10 * q + m)
+        for _ in range(300):
+            a = _random_poly(ops, rng, rng.randint(0, 6))
+            b = _random_poly(ops, rng, rng.randint(0, 6))
+            x = rng.randbelow(ops.order + 1)
+            assert _lp_evaluate(ops, a, x) == reference._lp_evaluate(ops, a, x)
+            composed = _lp_compose(ops, a, b)
+            assert composed == reference._lp_compose(ops, a, b)
+            assert _lp_evaluate(ops, composed, x) == _lp_evaluate(ops, a, _lp_evaluate(ops, b, x))
+
+
+def test_linearized_poly_division_roundtrip():
+    """Left division on indices equals the reference's, and num =
+    left(quotient(x)) + remainder with q-deg remainder < q-deg left."""
+    for q, m in KERNEL_FIELDS:
+        ops = FieldParams.default(q, m).ops
+        rng = SplitMix64(1550 + 10 * q + m)
+        for _ in range(300):
+            num = _random_poly(ops, rng, rng.randint(0, 7))
+            left = _random_poly(ops, rng, rng.randint(1, 4))
+            quot, rem = _lp_divide_left(ops, num, left)
+            assert (quot, rem) == reference._lp_divide_left(ops, num, left)
+            assert len(rem) < len(left)
+            product = _lp_compose(ops, left, quot)
+            width = max(len(product), len(rem))
+            product, rem = (c + [0] * (width - len(c)) for c in (product, rem))
+            assert _trim(list(map(ops.add, product, rem))) == num
+        with pytest.raises(ZeroDivisionError):
+            _lp_divide_left(ops, [1], [])
+
+
+def test_subspace_annihilator_kernel():
+    """The annihilator of independent elements is monic of q-degree their
+    count, equals the reference's, and vanishes exactly on their F_q-span;
+    dependent elements are a ParameterError in both."""
+    for q, m in KERNEL_FIELDS:
+        params = FieldParams.default(q, m)
+        ops = params.ops
+        rng = SplitMix64(1600 + 10 * q + m)
+        for dim in range(m + 1):
+            for _ in range(10):
+                basis = random_full_rank_matrix(q, dim, m, rng)._row_indices()
+                sigma = _lp_annihilator(ops, basis)
+                assert sigma == reference._lp_annihilator(ops, basis)
+                assert len(sigma) == dim + 1 and sigma[-1] == 1
+                span = {
+                    functools.reduce(ops.add, map(ops.mul, coeffs, basis), 0)
+                    for coeffs in itertools.product(range(q), repeat=dim)
+                }
+                kernel = {x for x in range(params.size) if not _lp_evaluate(ops, sigma, x)}
+                assert kernel == span
+        z = rng.randint(1, params.size - 1)
+        for annihilator in (_lp_annihilator, reference._lp_annihilator):
+            with pytest.raises(ParameterError, match="linearly dependent"):
+                annihilator(ops, [z, ops.mul(q - 1, z)])
 
 
 # --- the decoder against the reference decoder (tests/gabidulin_reference.py) ---
@@ -337,8 +371,8 @@ def test_decoder_matches_reference_exhaustively(q, m, n, k):
     col_hints = [MatrixFq(q, 1, n, (v,)) for v in itertools.product(range(q), repeat=n)]
     hints = [(None, None)] + [(h, None) for h in row_hints] + [(None, h) for h in col_hints]
     decoded = failed = 0
-    for word in itertools.product(params.elements(), repeat=n):
-        received = RankCodeword(word)
+    for word in itertools.product(range(params.size), repeat=n):
+        received = MatrixFq._from_indices(q, m, word)
         for rows, cols in hints:
             if isinstance(_agree(code, received, rows, cols), DecodeFailure):
                 failed += 1
@@ -377,10 +411,10 @@ def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
             params = FieldParams.default(q, m)
         n = 1 + rng.randbelow(m)
         k = 1 + rng.randbelow(n)
-        points = RankCodeword.from_matrix(params, random_full_rank_matrix(q, n, m, rng)).symbols
+        points = _points(params, random_full_rank_matrix(q, n, m, rng))
         code = GabidulinCode(params, n, k, points)
         msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
-        word = code.encode(msg).as_matrix()
+        word = code.encode(msg)
         # 2 tau + mu + delta <= budget; one trial in four may go beyond d - 1
         budget = n - k + (rng.randbelow(3) if trial % 4 == 0 else 0)
         mu = rng.randbelow(min(n, budget) + 1)
@@ -398,7 +432,7 @@ def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
             err = err + u @ random_full_rank_matrix(q, tau, m, rng)
         if trial % 4 == 1:  # and one in four takes uniform noise on top
             err = err + MatrixFq.random(q, n, m, rng)
-        received = RankCodeword.from_matrix(params, word + err)
+        received = word + err
         got = _agree(code, received, rows, cols)
         if isinstance(got, DecodeFailure):
             failed += 1
@@ -419,12 +453,12 @@ def test_decoder_matches_reference_on_edge_cases():
             for trial in range(30):
                 msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
                 noise = MatrixFq.random(q, n, m, rng) if trial % 2 else MatrixFq.zeros(q, n, m)
-                received = RankCodeword.from_matrix(params, code.encode(msg).as_matrix() + noise)
+                received = code.encode(msg) + noise
                 assert _agree(code, received, *empty) == _agree(code, received)
         code = GabidulinCode.standard(params, 4, 1)  # d - 1 = 3
         for mu, delta in [(2, 1), (0, 3), (3, 0), (2, 2), (0, 4), (4, 0)]:
             for _ in range(20):
-                received = RankCodeword.from_matrix(params, MatrixFq.random(q, 4, m, rng))
+                received = MatrixFq.random(q, 4, m, rng)
                 rows = random_full_rank_matrix(q, delta, m, rng) if delta else None
                 cols = random_full_rank_matrix(q, mu, 4, rng) if mu else None
                 got = _agree(code, received, rows, cols)

@@ -1,9 +1,7 @@
 """Lifted subspace codes: lifting, reduction, decode vs oracle."""
 
 import itertools
-import pickle
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import pytest
@@ -11,8 +9,8 @@ import pytest
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import CapacityError, ParameterError
-from lsc.field import ExtFieldElement, FieldParams
-from lsc.gabidulin import DecodeFailure, GabidulinCode, RankCodeword
+from lsc.field import FieldParams
+from lsc.gabidulin import DecodeFailure, GabidulinCode
 from lsc.layered import LayeredCode
 from lsc.lifted import (
     brute_force_subspace_decode,
@@ -59,7 +57,7 @@ def test_distance_identity_exhaustive(fp24):
         inner = GabidulinCode.standard(fp24, n, 1)
         pairs = codeword_subspaces(inner)
         assert [matrix for _, matrix in pairs] == [
-            inner.encode(msg).as_matrix() for msg in inner.iter_messages()
+            inner.encode(msg) for msg in inner.iter_messages()
         ]
         dmin = None
         for i in range(len(pairs)):
@@ -75,14 +73,14 @@ def test_reduction_on_clean_codeword(fp24, inner31):
     space = lift(inner31, inner31.encode(msg))
     word, row_hints, col_hints = reduce_received(inner31, space)
     assert row_hints.rows == 0 and col_hints.rows == 0
-    assert word.as_matrix() == inner31.encode(msg).as_matrix()
+    assert word == inner31.encode(msg)
 
 
 def test_decode_zero_distance(fp24, inner31):
     for msg in inner31.iter_messages():
         space = lift(inner31, inner31.encode(msg))
         result = subspace_decode(inner31, space)
-        assert result == inner31.encode(msg).as_matrix()
+        assert result == inner31.encode(msg)
 
 
 def test_guaranteed_regime_random_trials(fp24, inner31):
@@ -90,7 +88,7 @@ def test_guaranteed_regime_random_trials(fp24, inner31):
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(150):
             msg = (fp24.from_index(rng.randbelow(16)),)
-            sent = inner31.encode(msg).as_matrix()
+            sent = inner31.encode(msg)
             space = lift(inner31, sent)
             outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
             result = subspace_decode(inner31, outcome.U)
@@ -183,6 +181,36 @@ def test_received_space_over_another_field_rejected(code_q, space_q):
                 entry(inner, space)
 
 
+def test_a_word_is_an_n_by_m_matrix_over_f_q(fp24, inner31):
+    """decode_bounded, brute_force_decode and lift take a word only as an
+    n x m MatrixFq over F_q: the same word as a tuple of elements, a matrix
+    over another q, and the wrong row or column count are ParameterErrors.
+    reduce_received's word is such a matrix, and equals the reference's."""
+    msg = (fp24.from_index(7),)
+    word = inner31.encode(msg)
+    assert inner31.decode_bounded(word) == msg == inner31.brute_force_decode(word)
+    assert lift(inner31, word).basis.entries[0] == (1, 0, 0) + word.entries[0]
+    bad = [
+        tuple(map(fp24.from_index, word._row_indices())),
+        MatrixFq.zeros(3, 3, 4),
+        MatrixFq.zeros(2, 2, 4),
+        MatrixFq.zeros(2, 4, 4),
+        MatrixFq.zeros(2, 3, 3),
+        MatrixFq.zeros(2, 3, 5),
+    ]
+    entries = (inner31.decode_bounded, inner31.brute_force_decode, lambda w: lift(inner31, w))
+    for entry in entries:
+        for received in bad:
+            with pytest.raises(ParameterError, match=r"word must be a 3x4 MatrixFq over F_2"):
+                entry(received)
+    rng = SplitMix64(27)
+    for rho, t in [(0, 0), (1, 1), (2, 0), (0, 3), (3, 4)]:
+        received = apply_exact(lift(inner31, word), ChannelSpec(rho=rho, t=t), rng).U
+        reduced = reduce_received(inner31, received)[0]
+        assert type(reduced) is MatrixFq and (reduced.q, reduced.rows, reduced.cols) == (2, 3, 4)
+        assert reduced == _reference_reduce(inner31, received)[0]
+
+
 def test_extra_dimensions_are_handled(fp24, inner31):
     """Payload-pivot dimensions flow through the hint path, not a rejection."""
     msg = (fp24.from_index(6),)
@@ -191,11 +219,11 @@ def test_extra_dimensions_are_handled(fp24, inner31):
     outcome = apply_exact(space, ChannelSpec(rho=0, t=2), rng)
     assert outcome.U.dim == 5  # more dimensions than the code length
     result = subspace_decode(inner31, outcome.U)
-    assert result == inner31.encode(msg).as_matrix()
+    assert result == inner31.encode(msg)
 
 
 def _reference_reduce(inner, received):
-    """The list implementation of reduce_received: entries and ExtFieldElements."""
+    """The list implementation of reduce_received, on entries."""
     params = inner.params
     n, m, q = inner.n, params.m, params.q
     header_pivot_rows = {}
@@ -207,7 +235,6 @@ def _reference_reduce(inner, received):
         else:
             payload_rows.append(row[n:])
     word_rows = [header_pivot_rows[i][n:] if i in header_pivot_rows else (0,) * m for i in range(n)]
-    symbols = tuple(ExtFieldElement(params, row) for row in word_rows)
     col_rows = []
     for j in range(n):
         if j in header_pivot_rows:
@@ -218,7 +245,7 @@ def _reference_reduce(inner, received):
             vec[i] = row[j]
         col_rows.append(tuple(vec))
     return (
-        RankCodeword(symbols),
+        MatrixFq(q, n, m, word_rows),
         MatrixFq(q, len(payload_rows), m, payload_rows),
         MatrixFq(q, len(col_rows), n, col_rows),
     )
@@ -227,8 +254,7 @@ def _reference_reduce(inner, received):
 def _assert_reduction_matches_reference(inner, received):
     word, row_hints, col_hints = reduce_received(inner, received)
     ref_word, ref_rows, ref_cols = _reference_reduce(inner, received)
-    assert word == ref_word and word.symbols == ref_word.symbols
-    assert word.as_matrix() == ref_word.as_matrix()
+    assert word == ref_word and word.entries == ref_word.entries
     assert row_hints == ref_rows and row_hints.entries == ref_rows.entries
     assert col_hints == ref_cols and col_hints.entries == ref_cols.entries
 
@@ -410,7 +436,7 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
     what the hint round trip through decode_bounded gives."""
     params = FieldParams(q, m, F289_MODULUS) if q == 17 else FieldParams.default(q, m)
     rng = SplitMix64(7000 + 100 * q + m)
-    points = RankCodeword.from_matrix(params, random_full_rank_matrix(q, n, m, rng)).symbols
+    points = tuple(map(params.from_index, random_full_rank_matrix(q, n, m, rng)._row_indices()))
     inner = GabidulinCode(params, n, k, points)
     ambient, d = n + m, n - k + 1
     spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
@@ -446,7 +472,7 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
             assert type(got) is MatrixFq
             matrix = inner._codeword_matrix([u.to_index() for u in want])
             assert got == matrix and got.entries == matrix.entries
-            assert got == inner.encode(want).as_matrix()
+            assert got == inner.encode(want)
             seen["decoded"] += 1
             seen["decoded-mu>0"] += len(header) < n
     if k == n:  # d - 1 = 0 and every word is a codeword
@@ -509,30 +535,3 @@ def test_the_header_cut_matches_split_basis(q, widths):
                 assert header == head._data and rest == left._data
                 assert payload == tail._row_indices()
                 assert _lead_columns(header, q, n) == pivots
-
-
-def test_rank_codeword_value_semantics(fp24, inner31):
-    word = inner31.encode((fp24.from_index(9),))
-    same = RankCodeword(tuple(word.symbols))
-    other = inner31.encode((fp24.from_index(10),))
-    assert word == same and hash(word) == hash(same) and word != other
-    assert len({word, same, other}) == 2
-    for copy in (pickle.loads(pickle.dumps(word)), pickle.loads(pickle.dumps(same))):
-        assert copy == word and hash(copy) == hash(word) and copy.symbols == word.symbols
-    assert RankCodeword.from_matrix(fp24, word.as_matrix()) == word
-    assert (word + other) - other == word
-    assert (word - word).as_matrix().is_zero()
-    assert word.n == 3 and word.params == fp24
-    assert repr(word) == f"RankCodeword(symbols={word.symbols!r})"
-    with pytest.raises(FrozenInstanceError):
-        word.params = fp24
-    for bad in (MatrixFq.zeros(2, 3, 5), MatrixFq.zeros(3, 3, 4)):
-        with pytest.raises(ParameterError):
-            RankCodeword.from_matrix(fp24, bad)
-    with pytest.raises(ParameterError):
-        word + RankCodeword(word.symbols[:2])
-    f16 = FieldParams.default(2, 5)
-    with pytest.raises(ParameterError):
-        RankCodeword((fp24.one(), f16.one()))
-    with pytest.raises(ParameterError):
-        word - RankCodeword((f16.one(),) * 3)
