@@ -23,10 +23,8 @@ from .lifted import (
 from .linalg import (
     MatrixFq,
     Subspace,
-    coordinate_zero_subspace,
     dump_subspace,
     intersection,
-    is_direct_sum,
     parse_subspace,
     rank_distance,
     row_space,
@@ -57,11 +55,9 @@ __all__ = [
     "apply_exact",
     "apply_matrix",
     "brute_force_subspace_decode",
-    "coordinate_zero_subspace",
     "derive_seed",
     "dump_subspace",
     "intersection",
-    "is_direct_sum",
     "lift",
     "parse_subspace",
     "rank_distance",

@@ -104,18 +104,16 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
 
 
 def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -> ChannelOutcome:
-    """Receiver-side model: U = rowspace(A B + D Z) with uniform A, D, Z."""
+    """Receiver-side model: U = rowspace(A B + D Z) with uniform A, D, Z,
+    drawn in that order (Z and D draw nothing when there are no error
+    packets); A B + D Z is the one product [A | D] [B ; Z]."""
     if collected_packets < 0 or error_packets < 0:
         raise ParameterError("packet counts must be non-negative")
     q = v.q
-    b = v.basis
     a = MatrixFq.random(q, collected_packets, v.dim, rng)
-    y = a @ b
-    if error_packets:
-        z = MatrixFq.random(q, error_packets, v.ambient_dim, rng)
-        d = MatrixFq.random(q, collected_packets, error_packets, rng)
-        y = y + (d @ z)
-    u = row_space(y, v.ambient_dim)
+    z = MatrixFq.random(q, error_packets, v.ambient_dim, rng)
+    d = MatrixFq.random(q, collected_packets, error_packets, rng)
+    u = row_space(a.hstack(d) @ v.basis.vstack(z), v.ambient_dim)
     inter = (v.dim + u.dim - subspace_distance(v, u)) // 2  # dim(V∩U)
     return ChannelOutcome(
         U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v

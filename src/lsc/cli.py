@@ -166,7 +166,7 @@ def _cmd_dump_code(cfg: ExperimentConfig, args) -> int:
         )
     print(f"overall minimum subspace distance: {code.min_distance()}")
     if args.dump:
-        zero_messages = [[params.zero()] * layer.k for layer in code.layers]
+        zero_messages = [[0] * layer.k for layer in code.layers]
         word = code.encode(zero_messages)
         print("zero-message codeword")
         print(dump_subspace(word.V), end="")

@@ -19,9 +19,13 @@ with no test for zero.  Kernels that multiply many elements by one
 directly.  Addition is XOR for q = 2; for odd q it goes through a
 Zech-log table, log(1 + g^k).  The tables are built on first use, once
 per field per process, and held by the module-level ``_field_ops``
-cache, never by a ``FieldParams``, which is pickled with every element.
-``ExtFieldElement`` is the public
-coordinate-tuple type; its operators convert to indices and back.
+cache, never by a ``FieldParams``, which stays small and pickles by value.
+
+The codes speak indices too: a message, an evaluation point and a
+decoded message are tuples of element indices in [0, q^m).
+``ExtFieldElement``, the coordinate-tuple type, serves only the field's
+own property checks (``properties.field_suite``); its operators convert
+to indices and back.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
 
@@ -202,29 +206,11 @@ class FieldParams:
     def element(self, coords: Sequence[int]) -> "ExtFieldElement":
         return ExtFieldElement(self, tuple(c % self.q for c in coords))
 
-    def zero(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, (0,) * self.m)
-
-    def one(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, (1,) + (0,) * (self.m - 1))
-
-    def alpha(self) -> "ExtFieldElement":
-        """The polynomial-basis generator a (requires m >= 2)."""
-        if self.m < 2:
-            raise ParameterError("alpha is undefined for m = 1")
-        coords = [0] * self.m
-        coords[1] = 1
-        return ExtFieldElement(self, tuple(coords))
-
     def from_index(self, index: int) -> "ExtFieldElement":
         """Element whose coordinates are the base-q digits of index."""
         if not 0 <= index < self.size:
             raise ParameterError(f"index {index} outside [0, {self.size})")
         return ExtFieldElement(self, coords_of(index, self.q, self.m))
-
-    def elements(self) -> Iterator["ExtFieldElement"]:
-        for i in range(self.size):
-            yield self.from_index(i)
 
 
 # --- arithmetic on indices ---
@@ -426,14 +412,6 @@ class ExtFieldElement:
         ops = self.params.ops
         return self.params.from_index(ops.add(self.to_index(), other.to_index()))
 
-    def __sub__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        self._check_params(other)
-        ops = self.params.ops
-        return self.params.from_index(ops.sub(self.to_index(), other.to_index()))
-
-    def __neg__(self) -> "ExtFieldElement":
-        return self.params.from_index(self.params.ops.sub(0, self.to_index()))
-
     def __mul__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_params(other)
         ops = self.params.ops
@@ -442,17 +420,11 @@ class ExtFieldElement:
     def inverse(self) -> "ExtFieldElement":
         return self.params.from_index(self.params.ops.inv(self.to_index()))
 
-    def __pow__(self, n: int) -> "ExtFieldElement":
-        return self.params.from_index(self.params.ops.pow(self.to_index(), n))
-
     def frobenius(self, i: int) -> "ExtFieldElement":
         """Return self^(q^i); F_q-linear in self, periodic with period m."""
         if i < 0:
             raise ParameterError("frobenius exponent must be non-negative")
         return self.params.from_index(self.params.ops.frob(self.to_index(), i))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def to_index(self) -> int:
         return index_of(self.coords, self.params.q)

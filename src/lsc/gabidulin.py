@@ -20,10 +20,9 @@ elimination; no hint, or a hint of 0 rows, spans nothing.  Column hints
 (mu > 0) give the projection P, the kernel of the hints, and the
 projected word y = P r; without them y is the word.  The private core,
 ``_decode_projected``, takes y, the rows of P (none when mu = 0) and the
-row-hint basis, all on element indices, and returns message indices; the
-entry turns them into elements.  ``lifted.subspace_decode`` calls the
-core directly, with a P and y it reads off the received space (see
-``lifted``).
+row-hint basis, all on element indices, and returns the message's
+indices.  ``lifted.subspace_decode`` calls the core directly, with a P
+and y it reads off the received space (see ``lifted``).
 
 In the core, the points are projected, g' = P g, when mu > 0.  Row hints
 (delta > 0) put y through their annihilator sigma and divide each
@@ -51,9 +50,11 @@ F_q: row i holds the coordinates of symbol i (Silva, Kschischang and
 Koetter, "A rank-metric approach to error control in random network
 coding", IEEE T-IT 2008).  ``encode`` returns that matrix, and the public
 decoders take it and raise ``ParameterError`` for anything else: a tuple
-of elements, a matrix over another field, or the wrong shape.  Messages
-are the one ``ExtFieldElement`` surface: ``encode`` takes k elements and
-the public decoders return k elements.
+of symbols, a matrix over another field, or the wrong shape.  A
+message, the vector in F_{q^m}^k of that paper, is a tuple of k element
+indices in [0, q^m): ``encode`` takes one and raises ``ParameterError``
+for anything else, and the public decoders and ``iter_messages`` give
+one.  The evaluation points are element indices too.
 
 The algorithms (linearized-polynomial evaluation, composition, left
 division and subspace annihilators, encoding, the decoder and its
@@ -75,7 +76,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import ExtFieldElement, FieldOps, FieldParams
+from .field import FieldOps, FieldParams
 from .linalg import MatrixFq, _add_rows, _eliminate, _kernel, _rank
 
 REASON_RADIUS = "radius-exceeded"
@@ -182,7 +183,7 @@ class GabidulinCode:
     params: FieldParams
     n: int
     k: int
-    eval_points: tuple[ExtFieldElement, ...]
+    eval_points: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n <= self.params.m:
@@ -191,30 +192,20 @@ class GabidulinCode:
             )
         if len(self.eval_points) != self.n:
             raise ParameterError("need exactly n evaluation points")
-        for g in self.eval_points:
-            if g.params != self.params:
-                raise ParameterError("evaluation point from a different field")
+        points = _element_indices(self.params, self.eval_points, "evaluation point")
+        object.__setattr__(self, "eval_points", points)
         if self._points_matrix.rank() != self.n:
             raise ParameterError("evaluation points must be F_q-linearly independent")
 
     @classmethod
     def standard(cls, params: FieldParams, n: int, k: int) -> "GabidulinCode":
-        """Code on the first n polynomial-basis points 1, a, ..., a^(n-1)."""
-        points = []
-        for i in range(n):
-            coords = [0] * params.m
-            if i < params.m:
-                coords[i] = 1
-            points.append(ExtFieldElement(params, tuple(coords)))
-        return cls(params, n, k, tuple(points))
+        """Code on the first n polynomial-basis points 1, a, ..., a^(n-1),
+        whose indices are 1, q, ..., q^(n-1)."""
+        return cls(params, n, k, tuple(params.q**i for i in range(n)))
 
     @property
     def min_rank_distance(self) -> int:
         return self.n - self.k + 1
-
-    @cached_property
-    def _points(self) -> tuple[int, ...]:
-        return tuple(g.to_index() for g in self.eval_points)
 
     @cached_property
     def _subspace_decode_memo(self) -> dict:
@@ -225,26 +216,23 @@ class GabidulinCode:
     @cached_property
     def _points_matrix(self) -> MatrixFq:
         """The evaluation points as the rows of an n x m matrix over F_q."""
-        return MatrixFq._from_indices(self.params.q, self.params.m, self._points)
+        return MatrixFq._from_indices(self.params.q, self.params.m, self.eval_points)
 
-    def encode(self, message: Sequence[ExtFieldElement]) -> MatrixFq:
+    def encode(self, message: Sequence[int]) -> MatrixFq:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points; the
         codeword is its n x m matrix over F_q."""
         return self._codeword_matrix(self._indices(message))
 
-    def _indices(self, message: Sequence[ExtFieldElement]) -> list[int]:
-        """The element indices of a message, after checking its length and field."""
+    def _indices(self, message: Sequence[int]) -> tuple[int, ...]:
+        """A message of k element indices, after checking its length and range."""
         if len(message) != self.k:
             raise ParameterError(f"message must have length {self.k}")
-        for u in message:
-            if u.params != self.params:
-                raise ParameterError("message symbol from a different field")
-        return [u.to_index() for u in message]
+        return _element_indices(self.params, message, "message symbol")
 
     def _evaluate(self, f: Sequence[int]) -> list[int]:
         """The linearized polynomial f (on indices) at every evaluation point."""
         ops = self.params.ops
-        return [_lp_evaluate(ops, f, g) for g in self._points]
+        return [_lp_evaluate(ops, f, g) for g in self.eval_points]
 
     def _codeword_matrix(self, f: Sequence[int]) -> MatrixFq:
         """The codeword of the message with element indices f, as its n x m matrix."""
@@ -270,15 +258,14 @@ class GabidulinCode:
         ``row_erasures`` rows (width m) span a known subspace of the error
         row space; ``col_erasures`` rows (width n) span a known subspace of
         the error column space.  Any rows spanning those spaces will do.
-        Returns the message (tuple of k elements) or a DecodeFailure value.
+        Returns the message (tuple of k element indices) or a DecodeFailure value.
 
         Each hint is reduced to its canonical basis; column hints (mu > 0)
         give the projection P, their kernel, and the projected word P r.
         The rest is ``_decode_projected``.
         """
         self._check_received(received)
-        params = self.params
-        q, m, n = params.q, params.m, self.n
+        q, m, n = self.params.q, self.params.m, self.n
         row_basis, _ = self._hint_basis(row_erasures, m, "row_erasures")
         col_basis, col_pivots = self._hint_basis(col_erasures, n, "col_erasures")
         if col_basis:
@@ -291,7 +278,7 @@ class GabidulinCode:
         outcome = self._decode_projected(word, proj, row_basis)
         if isinstance(outcome, DecodeFailure):
             return outcome
-        return tuple(map(params.from_index, outcome))
+        return tuple(outcome)
 
     def _decode_projected(
         self, word: Sequence[int], proj: tuple[int, ...] | None, row_basis: tuple[int, ...]
@@ -324,7 +311,7 @@ class GabidulinCode:
         tau_max = (d - 1 - mu - delta) // 2
 
         if proj is None:
-            points = self._points
+            points = self.eval_points
         else:
             proj = MatrixFq._unchecked(q, n - mu, n, proj)
             points = (proj @ self._points_matrix)._row_indices()
@@ -393,10 +380,9 @@ class GabidulinCode:
             raise CapacityError(f"message space {size} exceeds the cap {cap}")
 
     def iter_messages(self, cap: int = 1 << 20):
+        """Every message, as k element indices, in ``itertools.product`` order."""
         self._check_cap(cap)
-        from_index = self.params.from_index
-        for idx in itertools.product(range(self.params.size), repeat=self.k):
-            yield tuple(from_index(i) for i in idx)
+        yield from itertools.product(range(self.params.size), repeat=self.k)
 
     @cached_property
     def _codebook(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -430,7 +416,16 @@ class GabidulinCode:
                 tie = True
         if tie:
             return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best_dist}")
-        return tuple(map(self.params.from_index, messages[best]))
+        return messages[best]
+
+
+def _element_indices(params: FieldParams, values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; a ParameterError unless each is an int in [0, q^m)."""
+    size = params.size
+    for x in values:
+        if not isinstance(x, int) or not 0 <= x < size:
+            raise ParameterError(f"{what} must be an element index in [0, {size}), got {x!r}")
+    return tuple(values)
 
 
 def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -61,7 +61,7 @@ from itertools import accumulate, chain, islice
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
-from .field import ExtFieldElement, FieldParams
+from .field import FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode
 from .linalg import (
     MatrixFq,
@@ -183,7 +183,8 @@ class LayeredCode:
         draws = iter(rng.randbelow_many(self.params.size, sum(code.k for code in self.layers)))
         return self._encode_indices([list(islice(draws, code.k)) for code in self.layers])
 
-    def encode(self, messages: Sequence[Sequence[ExtFieldElement]]) -> "LayeredCodeword":
+    def encode(self, messages: Sequence[Sequence[int]]) -> "LayeredCodeword":
+        """Encode one message per layer, each k_l element indices in [0, q^m)."""
         if len(messages) != self.num_layers:
             raise ParameterError(f"need {self.num_layers} messages")
         return self._encode_indices(

@@ -31,7 +31,7 @@ reduction would project with T H for some invertible T over F_q, which
 gives the same outcome (see ``gabidulin``).  The core returns message
 indices, and the result is their codeword matrix X
 (``GabidulinCode._codeword_matrix``): the encoding is injective, so X
-fixes the message, and no message elements are built.
+fixes the message.
 
 A lifted decode is a pure function of the inner code and the received
 space, and the layered decoders repeat many: alg2's first attempt is

@@ -40,16 +40,16 @@ and ``projection_rank`` on a leading block need no elimination and no
 forward pass, and a lifted decode cuts the received basis in the same
 way.  Every other column set takes the elimination.
 
-Trust: the public constructors ``MatrixFq(q, rows, cols, entries)``,
-``MatrixFq.from_rows`` and ``Subspace(ambient_dim, basis)`` check their
-arguments (shape, entry range, canonical basis), and ``parse_subspace``
-goes through them.  Every result that is in range and canonical by
-construction (eliminations, sums, intersections, products, stacks,
-lifts and column moves here; codewords, hints and channel outputs in the
-other modules) is built by ``MatrixFq._unchecked`` or
-``Subspace._unchecked``, which skip those checks.  The test suite points
-both at the checked constructors and runs the pipeline, so the
-invariants they skip stay checked.
+Trust: the public constructors ``MatrixFq(q, rows, cols, entries)`` and
+``Subspace(ambient_dim, basis)`` check their arguments (shape, entry
+range, canonical basis), and ``parse_subspace`` goes through them.
+Every result that is in range and canonical by construction
+(eliminations, sums, intersections, products, stacks, lifts and column
+moves here; codewords, hints and channel outputs in the other modules)
+is built by ``MatrixFq._unchecked`` or ``Subspace._unchecked``, which
+skip those checks.  The test suite points both at the checked
+constructors and runs the pipeline, so the invariants they skip stay
+checked.
 """
 
 from __future__ import annotations
@@ -450,24 +450,9 @@ class MatrixFq:
         return (MatrixFq, (self.q, self.rows, self.cols, self.entries))
 
     @classmethod
-    def from_rows(cls, q: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "MatrixFq":
-        tup = tuple(tuple(x % q for x in row) for row in rows)
-        if cols is None:
-            if not tup:
-                raise ParameterError("cols required for an empty matrix")
-            cols = len(tup[0])
-        return cls(q, len(tup), cols, tup)
-
-    @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "MatrixFq":
         _check_dims(q, rows, cols)
         return cls._unchecked(q, rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "MatrixFq":
-        _check_dims(q, n, n)
-        width = _field_bits(q)
-        return cls._unchecked(q, n, n, tuple(1 << (n - 1 - i) * width for i in range(n)))
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
@@ -549,9 +534,6 @@ class MatrixFq:
             self.q, self.rows + other.rows, self.cols, self._data + other._data
         )
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def is_zero(self) -> bool:
         return not any(self._data)
 
@@ -608,10 +590,6 @@ class Subspace:
     def zero(cls, q: int, ambient_dim: int) -> "Subspace":
         return cls._unchecked(ambient_dim, MatrixFq.zeros(q, 0, ambient_dim))
 
-    @classmethod
-    def full(cls, q: int, ambient_dim: int) -> "Subspace":
-        return cls._unchecked(ambient_dim, MatrixFq.identity(q, ambient_dim))
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.q != other.q:
             raise ParameterError("subspaces live in different ambient spaces")
@@ -636,12 +614,6 @@ class Subspace:
             for row in self.basis._data:
                 span = [reduce(v + c * row) for v in span for c in range(q)]
         yield from _unpack(span, q, n)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return subspace_sum(self, other)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersection(self, other)
 
     def __repr__(self) -> str:
         rows = ",".join("".join(map(str, r)) for r in self.basis.entries)
@@ -689,13 +661,6 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     return Subspace._unchecked(n, MatrixFq._unchecked(q, len(kept), n, tuple(kept)))
 
 
-def is_direct_sum(v: Subspace, u: Subspace) -> bool:
-    """True iff the operands intersect trivially."""
-    v._check_ambient(u)
-    # dim(V) + dim(U) == dim(V+U) is equivalent and needs one forward pass
-    return _rank(v.q, v.ambient_dim, v.basis._data + u.basis._data) == v.dim + u.dim
-
-
 def subspace_distance(v: Subspace, u: Subspace) -> int:
     """dim(V+U) - dim(V∩U) = 2 dim(V+U) - dim(V) - dim(U).
 
@@ -724,17 +689,6 @@ def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
     unit = 1 << (ambient_dim - 1 - offset) * width
     rows = tuple((unit >> i * width) | row for i, row in enumerate(x._data))
     return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
-
-
-def coordinate_zero_subspace(q: int, ambient_dim: int, zero_coords: Iterable[int]) -> Subspace:
-    """Subspace of all vectors vanishing on the given 1-based coordinates."""
-    zset = set(zero_coords)
-    for idx in zset:
-        if not 1 <= idx <= ambient_dim:
-            raise ParameterError(f"coordinate {idx} outside [1, {ambient_dim}]")
-    identity = MatrixFq.identity(q, ambient_dim)
-    rows = tuple(row for c, row in enumerate(identity._data, 1) if c not in zset)
-    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, len(rows), ambient_dim, rows))
 
 
 # --- column moves: a subspace read at some coordinates, and back ---

@@ -236,10 +236,11 @@ def gabidulin_suite(ctx: VerifyContext) -> list[PropertyResult]:
     n_checks = ctx.count("random_checks") // 10
     lin_viol = 0
     code = GabidulinCode.standard(params, 4, 2)
+    add = params.ops.add
     for _ in range(n_checks):
-        u = [params.from_index(rng.randbelow(16)) for _ in range(2)]
-        v = [params.from_index(rng.randbelow(16)) for _ in range(2)]
-        s = [a + b for a, b in zip(u, v)]
+        u = [rng.randbelow(16) for _ in range(2)]
+        v = [rng.randbelow(16) for _ in range(2)]
+        s = list(map(add, u, v))
         if code.encode(s) != code.encode(u) + code.encode(v):
             lin_viol += 1
     linearity = PropertyResult("gabidulin.encode_linearity", n_checks, lin_viol)
@@ -279,7 +280,7 @@ def gabidulin_suite(ctx: VerifyContext) -> list[PropertyResult]:
     # decoder succeeds and the oracle has a unique nearest codeword
     desk = desks[0]
     for _ in range(ctx.count("random_checks") // 20):
-        msg = (params.from_index(rng.randbelow(params.size)),)
+        msg = (rng.randbelow(params.size),)
         word = desk.encode(msg)
         received = word + MatrixFq.random(2, desk.n, params.m, rng)
         decoded = desk.decode_bounded(received)
@@ -366,7 +367,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
         trial_rng = SplitMix64(derive_seed(ctx.seed, 7, trial))
         rho = trial_rng.randbelow(4)
         t = trial_rng.randbelow(4)
-        msg = (params.from_index(trial_rng.randbelow(16)),)
+        msg = (trial_rng.randbelow(16),)
         v = lift(desk, desk.encode(msg))
         outcome = apply_exact(v, ChannelSpec(rho=rho, t=t), trial_rng)
         result = subspace_decode(desk, outcome.U)
@@ -463,9 +464,7 @@ def structure_suite(ctx: VerifyContext) -> list[PropertyResult]:
     p2_checks = p2_viol = 0
     for idx1 in range(size):
         for idx2 in range(size):
-            word = tiny.encode(
-                [[tiny.params.from_index(idx1)], [tiny.params.from_index(idx2)]]
-            )
+            word = tiny.encode([[idx1], [idx2]])
             tiny_words.append(word)
             stripped = [
                 lift(tiny.layers[layer], word.component_matrices[layer])

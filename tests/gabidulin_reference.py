@@ -11,7 +11,9 @@ decoder's own ``_lp_evaluate``, the hint kernels, which read
 ``basis.kernel_basis()`` (the same matrix, by one more elimination), and
 the received word, an n x m ``MatrixFq`` whose element indices it reads
 with ``received._row_indices()`` (it read ``received._indices`` when a
-word had a type of its own).
+word had a type of its own).  It reads the evaluation points as
+``code.eval_points`` and returns the message as k element indices, since
+both are indices now (it read ``code._points`` and returned elements).
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def decode_bounded(
         return acc
 
     r = received._row_indices()
-    g_proj = [combine(code._points, row) for row in proj.entries]
+    g_proj = [combine(code.eval_points, row) for row in proj.entries]
     r_sigma = [_lp_evaluate(ops, sigma, s) for s in r]
     r_proj = [combine(r_sigma, row) for row in proj.entries]
 
@@ -164,7 +166,7 @@ def decode_bounded(
         f, rem = _lp_divide_left(ops, f_sigma, sigma)
         if rem or len(f) > k:
             continue
-        codeword = [_lp_evaluate(ops, f, g) for g in code._points]
+        codeword = [_lp_evaluate(ops, f, g) for g in code.eval_points]
         error = MatrixFq._from_indices(params.q, m, list(map(sub, r, codeword)))
         residual = proj @ error
         if delta:
@@ -172,7 +174,7 @@ def decode_bounded(
                 q_ann = zs.basis.kernel_basis().transpose()
             residual = residual @ q_ann
         if 2 * residual.rank() + mu + delta <= d - 1:
-            return tuple(params.from_index(u) for u in f + [0] * (k - len(f)))
+            return tuple(f + [0] * (k - len(f)))
     return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
 

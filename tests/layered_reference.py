@@ -10,8 +10,8 @@ attempt extracts with the public ``extract_component`` and runs
 memo, and the loops add each lift back themselves, so every comparison
 with ``LayeredCode`` compares the walk and its two memos (``_step_memo``
 and the decode memo) with paths that keep none.
-``random_messages`` draws a codeword's messages as field elements, for
-the public ``encode``.
+``random_messages`` draws a codeword's messages as element indices, one
+batch per layer, for the public ``encode``.
 """
 
 from lsc import lifted
@@ -25,7 +25,7 @@ def random_messages(code, rng):
     """Uniform messages: one ``rng.randbelow`` per symbol, layer by layer."""
     params = code.params
     return [
-        [params.from_index(i) for i in rng.randbelow_many(params.size, component.k)]
+        rng.randbelow_many(params.size, component.k)
         for component in code.layers
     ]
 

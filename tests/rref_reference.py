@@ -1,4 +1,7 @@
-"""The plain-list RREF the tests check the packed-row kernels against."""
+"""The plain-list RREF the tests check the packed-row kernels against, and
+coordinate subspaces built through the checked constructors."""
+
+from lsc.linalg import MatrixFq, Subspace
 
 
 def rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -27,3 +30,15 @@ def rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[i
         if r == nrows:
             break
     return rows, pivots
+
+
+def unit_span(q: int, ambient_dim: int, columns) -> Subspace:
+    """The span of the unit vectors at ``columns`` (ascending, 0-based), by
+    the checked constructors: those unit rows are its canonical basis."""
+    rows = [tuple(int(c == col) for c in range(ambient_dim)) for col in columns]
+    return Subspace(ambient_dim, MatrixFq(q, len(rows), ambient_dim, rows))
+
+
+def full_space(q: int, ambient_dim: int) -> Subspace:
+    """F_q^ambient_dim, its canonical basis the identity."""
+    return unit_span(q, ambient_dim, range(ambient_dim))

@@ -89,7 +89,7 @@ def test_criterion_05_distance_bookkeeping(ctx, tiny_code):
     # equality, not just a bound: the tiny-code minimum is achieved
     params = tiny_code.params
     words = [
-        tiny_code.encode([[params.from_index(i)], [params.from_index(j)]]).V
+        tiny_code.encode([[i], [j]]).V
         for i in range(params.size)
         for j in range(params.size)
     ]

@@ -43,9 +43,9 @@ def test_make_trial_is_messages_encode_channel(example_code):
     assert make_trial(example_code, 61, collected=6, error_packets=1) == (word, outcome)
 
 
-def test_identity_channel(example_code, fp24):
+def test_identity_channel(example_code):
     rng = SplitMix64(51)
-    word = example_code.encode([[fp24.from_index(3)], [fp24.from_index(9)]])
+    word = example_code.encode([[3], [9]])
     outcome = apply_exact(word.V, ChannelSpec(rho=0, t=0), rng)
     assert outcome.U == word.V
     assert outcome.realized_rho == outcome.realized_t == 0
@@ -57,7 +57,7 @@ def test_exact_mode_contract(example_code):
     for _ in range(300):
         rho, t = rng.randbelow(5), rng.randbelow(5)
         msgs = [
-            [example_code.params.from_index(rng.randbelow(size))]
+            [rng.randbelow(size)]
             for _ in example_code.layers
         ]
         word = example_code.encode(msgs)
@@ -75,8 +75,8 @@ def test_exact_mode_contract(example_code):
             assert outcome.U.dim == 6 and subspace_distance(word.V, outcome.U) == 3
 
 
-def test_exact_mode_bounds(example_code, fp24):
-    word = example_code.encode([[fp24.zero()], [fp24.zero()]])
+def test_exact_mode_bounds(example_code):
+    word = example_code.encode([[0], [0]])
     rng = SplitMix64(53)
     with pytest.raises(ParameterError):
         apply_exact(word.V, ChannelSpec(rho=8, t=0), rng)
@@ -84,16 +84,16 @@ def test_exact_mode_bounds(example_code, fp24):
         apply_exact(word.V, ChannelSpec(rho=0, t=5), rng)
 
 
-def test_full_ambient_insertions(example_code, fp24):
+def test_full_ambient_insertions(example_code):
     # t can exhaust the ambient complement entirely
-    word = example_code.encode([[fp24.from_index(5)], [fp24.from_index(2)]])
+    word = example_code.encode([[5], [2]])
     rng = SplitMix64(54)
     outcome = apply_exact(word.V, ChannelSpec(rho=0, t=4), rng)
     assert outcome.U.dim == 11
 
 
-def test_determinism_and_pinned_stream(example_code, fp24):
-    word = example_code.encode([[fp24.from_index(7)], [fp24.from_index(11)]])
+def test_determinism_and_pinned_stream(example_code):
+    word = example_code.encode([[7], [11]])
     a = apply_exact(word.V, ChannelSpec(rho=2, t=1), SplitMix64(999))
     b = apply_exact(word.V, ChannelSpec(rho=2, t=1), SplitMix64(999))
     assert a.U == b.U
@@ -106,8 +106,8 @@ def test_determinism_and_pinned_stream(example_code, fp24):
     ]
 
 
-def test_matrix_mode_trivial_cases(example_code, fp24):
-    word = example_code.encode([[fp24.from_index(1)], [fp24.from_index(2)]])
+def test_matrix_mode_trivial_cases(example_code):
+    word = example_code.encode([[1], [2]])
     rng = SplitMix64(55)
     # plenty of packets, no errors: usually everything arrives; realized
     # values must stay within their bounds regardless
@@ -127,7 +127,7 @@ def test_matrix_mode_trivial_cases(example_code, fp24):
 def test_matrix_mode_distribution_matches_enumeration():
     """collected = dim(V) + 2 over a 2-dim space in ambient 4: the realized
     erasure distribution must match exhaustive enumeration of A."""
-    v = row_space(MatrixFq.from_rows(2, [[1, 0, 1, 0], [0, 1, 0, 1]]), 4)
+    v = row_space(MatrixFq(2, 2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]), 4)
     collected = 4
     exact_counts = {0: 0, 1: 0, 2: 0}
     for bits in itertools.product(range(2), repeat=collected * 2):
@@ -147,8 +147,8 @@ def test_matrix_mode_distribution_matches_enumeration():
         assert abs(observed[rho] / trials - p) <= tolerance, (rho, p, observed)
 
 
-def test_matrix_mode_with_errors(example_code, fp24):
-    word = example_code.encode([[fp24.from_index(4)], [fp24.from_index(8)]])
+def test_matrix_mode_with_errors(example_code):
+    word = example_code.encode([[4], [8]])
     rng = SplitMix64(57)
     saw_insertion = False
     for _ in range(100):
@@ -178,8 +178,8 @@ def test_matrix_mode_realized_counts_match_intersection(q):
         assert outcome.realized_t == outcome.U.dim - inter
 
 
-def test_outcome_carries_ground_truth(example_code, fp24):
-    word = example_code.encode([[fp24.from_index(1)], [fp24.from_index(1)]])
+def test_outcome_carries_ground_truth(example_code):
+    word = example_code.encode([[1], [1]])
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), SplitMix64(58))
     assert outcome.V == word.V
 
@@ -226,3 +226,45 @@ def test_apply_exact_matches_the_path_before_its_shortcuts(q, m, shape):
                 got = apply_exact(v, spec, mine)
                 assert got == _apply_exact_before_shortcuts(v, spec, theirs)
                 assert mine._state == theirs._state
+
+
+def _apply_matrix_two_products(v, collected_packets, error_packets, rng):
+    """``apply_matrix`` as written before A B + D Z became the one product
+    [A | D] [B ; Z] (verbatim)."""
+    if collected_packets < 0 or error_packets < 0:
+        raise ParameterError("packet counts must be non-negative")
+    q = v.q
+    b = v.basis
+    a = MatrixFq.random(q, collected_packets, v.dim, rng)
+    y = a @ b
+    if error_packets:
+        z = MatrixFq.random(q, error_packets, v.ambient_dim, rng)
+        d = MatrixFq.random(q, collected_packets, error_packets, rng)
+        y = y + (d @ z)
+    u = row_space(y, v.ambient_dim)
+    inter = (v.dim + u.dim - subspace_distance(v, u)) // 2  # dim(V∩U)
+    return ChannelOutcome(
+        U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_apply_matrix_matches_the_two_product_path(q):
+    """With 0, 1 or dim V + 2 collected packets and 0, 1 or 3 error packets,
+    over spaces of every dimension, the one product gives the U and the
+    realized (rho, t) of A B + D Z and leaves the stream where it does."""
+    rng = SplitMix64(90 + q)
+    for ambient in (1, 4, 7):
+        for dim in range(ambient + 1):
+            v = random_subspace(q, ambient, dim, rng)
+            for collected in (0, 1, dim + 2):
+                for errors in (0, 1, 3):
+                    seed = rng.next64()
+                    mine, theirs = SplitMix64(seed), SplitMix64(seed)
+                    got = apply_matrix(v, collected, errors, mine)
+                    want = _apply_matrix_two_products(v, collected, errors, theirs)
+                    assert got.U == want.U and got.U.basis.entries == want.U.basis.entries
+                    assert (got.realized_rho, got.realized_t) == (
+                        want.realized_rho, want.realized_t
+                    )
+                    assert mine._state == theirs._state

@@ -1,6 +1,7 @@
 """CLI end-to-end: verbs, flags, exit codes."""
 
 import dataclasses
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -111,6 +112,21 @@ def test_dump_code(tmp_path):
     assert "zero-message codeword" in proc.stdout
     assert "ambient 11" in proc.stdout
 
+
+# sha256 of the whole ``dump-code --dump`` text; CI checks the same pins
+DUMP_CODE_SHA256 = {
+    "default.ini": "1e824be95ff63c61965c79ad7c3cbc5599dbb340975d2405badee3ba1310e4bb",
+    "unequal_protection.ini": "ba98161fc667f88a5f7406fc0f6ff9d25148663717eaf49b8e7deeb8912860f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_CODE_SHA256))
+def test_dump_code_text_is_pinned(capsys, name):
+    """The code summary and the zero-message codeword, encoded from the
+    all-zero index lists, byte for byte."""
+    assert cli.main(["dump-code", "--config", str(CONFIGS / name), "--dump"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_CODE_SHA256[name]
 
 @pytest.mark.parametrize(
     "verb, extra",

@@ -25,25 +25,31 @@ def _poly_mul_mod(a, b, modulus, q):
     return tuple(prod)
 
 
+def _elements(params):
+    return [params.from_index(i) for i in range(params.size)]
+
+
 def test_add_examples(fp24):
     a = fp24.element([1, 1, 0, 0])  # 1 + x
     b = fp24.element([0, 1, 1, 0])  # x + x^2
     assert (a + b).coords == (1, 0, 1, 0)  # XOR oracle
-    assert a + fp24.zero() == a
-    assert (a + a).is_zero()  # characteristic 2
+    assert a + fp24.from_index(0) == a
+    assert (a + a).coords == (0, 0, 0, 0)  # characteristic 2
 
 
 def test_mul_examples(fp24):
-    alpha = fp24.alpha()
-    assert (alpha**3 * alpha).coords == (1, 1, 0, 0)  # x^4 = x + 1
+    alpha = fp24.element([0, 1, 0, 0])
+    assert (alpha * alpha * alpha * alpha).coords == (1, 1, 0, 0)  # x^4 = x + 1
     x = fp24.element([1, 0, 1, 1])
-    assert x * fp24.one() == x
-    assert x * x.inverse() == fp24.one()
+    one = fp24.from_index(1)
+    assert x * one == x
+    assert x * x.inverse() == one
 
 
 def test_mul_matches_schoolbook_oracle(fp24):
-    for a in fp24.elements():
-        for b in fp24.elements():
+    elements = _elements(fp24)
+    for a in elements:
+        for b in elements:
             expected = _poly_mul_mod(list(a.coords), list(b.coords), fp24.modulus, 2)
             assert (a * b).coords == expected
 
@@ -92,8 +98,8 @@ def test_int_path_matches_oracles(q, m):
 def test_int_path_with_non_primitive_modulus():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1, so x has order 5, not 15
     params = FieldParams(2, 4, (1, 1, 1, 1, 1))
-    alpha, one = params.alpha(), params.one()
-    assert [alpha**k == one for k in range(1, 6)] == [False] * 4 + [True]
+    x = index_of((0, 1, 0, 0), 2)
+    assert [params.ops.pow(x, k) == 1 for k in range(1, 6)] == [False] * 4 + [True]
     _check_int_path(params, seed=5)
 
 
@@ -119,26 +125,24 @@ def test_zero_sentinel_tables(q, m):
 
 
 def test_inverse_by_exhaustive_search(fp24):
-    alpha = fp24.alpha()
+    alpha, one = fp24.element([0, 1, 0, 0]), fp24.from_index(1)
+    nonzero = _elements(fp24)[1:]
     # oracle: scan the 15 nonzero elements for the product 1
-    matches = [
-        e for e in fp24.elements() if not e.is_zero() and (alpha * e) == fp24.one()
-    ]
+    matches = [e for e in nonzero if alpha * e == one]
     assert matches == [alpha.inverse()]
     assert alpha.inverse().coords == (1, 0, 0, 1)  # 1 + x^3
-    assert fp24.one().inverse() == fp24.one()
-    for e in fp24.elements():
-        if not e.is_zero():
-            assert e.inverse().inverse() == e
+    assert one.inverse() == one
+    for e in nonzero:
+        assert e.inverse().inverse() == e
 
 
 def test_inverse_of_zero_raises(fp24):
     with pytest.raises(ZeroDivisionError):
-        fp24.zero().inverse()
+        fp24.from_index(0).inverse()
 
 
 def test_frobenius(fp24):
-    for e in fp24.elements():
+    for e in _elements(fp24):
         assert e.frobenius(0) == e
         assert e.frobenius(fp24.m) == e
         assert e.frobenius(1) == e * e  # q = 2: squaring
@@ -176,10 +180,10 @@ def test_default_moduli_all_construct():
 
 def test_q3_field_arithmetic():
     params = FieldParams.default(3, 3)
-    one = params.one()
-    for e in params.elements():
-        assert e.frobenius(1) == e**3
-        if not e.is_zero():
+    one = params.from_index(1)
+    for e in _elements(params):
+        assert e.frobenius(1) == e * e * e
+        if e.to_index():
             assert e * e.inverse() == one
 
 
@@ -225,6 +229,6 @@ def test_irreducibility_check_runs_once_per_field(monkeypatch):
 def test_mismatched_fields_rejected(fp24):
     other = FieldParams.default(2, 3)
     with pytest.raises(ParameterError):
-        fp24.one() + other.one()
+        fp24.from_index(1) + other.from_index(1)
     with pytest.raises(ParameterError):
-        fp24.one() * other.one()
+        fp24.from_index(1) * other.from_index(1)

@@ -40,35 +40,29 @@ def _rank1_errors(q, n, m):
     return list(seen.values())
 
 
-def _points(params, matrix):
-    """The rows of an n x m matrix as n elements of F_{q^m}."""
-    return tuple(map(params.from_index, matrix._row_indices()))
-
-
-def test_encode_identity_polynomial(fp24, code31):
+def test_encode_identity_polynomial(code31):
     # message [1] gives f = x, so the codeword is the evaluation points
-    cw = code31.encode([fp24.one()])
+    cw = code31.encode([1])
     assert (cw.q, cw.rows, cw.cols) == (2, 3, 4)
-    assert _points(fp24, cw) == code31.eval_points
+    assert code31.eval_points == (1, 2, 4)
     assert cw._row_indices() == [1, 2, 4]
     assert cw.entries == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def test_encode_zero_and_single_point(fp24):
     code = GabidulinCode.standard(fp24, 3, 1)
-    assert code.encode([fp24.zero()]) == MatrixFq.zeros(2, 3, 4)
+    assert code.encode([0]) == MatrixFq.zeros(2, 3, 4)
     tiny = GabidulinCode.standard(fp24, 1, 1)
-    u = fp24.from_index(9)
-    assert _points(fp24, tiny.encode([u])) == (u * tiny.eval_points[0],)
+    assert tiny.encode([9])._row_indices() == [fp24.ops.mul(9, tiny.eval_points[0])]
 
 
 def test_encode_linearity(fp24):
     code = GabidulinCode.standard(fp24, 4, 2)
     rng = SplitMix64(12)
     for _ in range(200):
-        u = [fp24.from_index(rng.randbelow(16)) for _ in range(2)]
-        v = [fp24.from_index(rng.randbelow(16)) for _ in range(2)]
-        s = [a + b for a, b in zip(u, v)]
+        u = [rng.randbelow(16) for _ in range(2)]
+        v = [rng.randbelow(16) for _ in range(2)]
+        s = list(map(fp24.ops.add, u, v))
         assert code.encode(s) == code.encode(u) + code.encode(v)
 
 
@@ -104,7 +98,7 @@ def test_decode_all_rank1_errors_exhaustive(fp24, code31):
             assert code31.brute_force_decode(received) == msg
 
 
-def test_rank2_errors_match_oracle_classification(fp24, code31):
+def test_rank2_errors_match_oracle_classification(code31):
     """Beyond radius the decoder mirrors what the nearest-codeword analysis allows."""
     rng = SplitMix64(13)
     checked = wrong_codeword_cases = failure_cases = 0
@@ -114,7 +108,7 @@ def test_rank2_errors_match_oracle_classification(fp24, code31):
         err = a @ b
         if err.rank() != 2:
             continue
-        msg = (fp24.from_index(rng.randbelow(16)),)
+        msg = (rng.randbelow(16),)
         received = code31.encode(msg) + err
         got = code31.decode_bounded(received)
         oracle = code31.brute_force_decode(received)
@@ -155,7 +149,7 @@ def test_brute_force_truth_table_tiny():
 
 def test_brute_force_cap(fp24):
     code = GabidulinCode.standard(fp24, 4, 4)
-    received = code.encode([fp24.zero()] * 4)
+    received = code.encode([0] * 4)
     with pytest.raises(CapacityError):
         code.brute_force_decode(received, cap=100)
     assert "_codebook" not in vars(code)  # the cap is checked before anything is built
@@ -174,7 +168,7 @@ def _reference_brute_force(code, received):
             tie = True
     if tie:
         return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
-    return tuple(code.params.from_index(u) for u in best)
+    return best
 
 
 @pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 3, 3, 1)])
@@ -186,7 +180,7 @@ def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
     for trial in range(150):
         received = MatrixFq.random(q, n, m, rng)
         if trial % 2:  # near a codeword: usually a unique nearest one
-            msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+            msg = [rng.randbelow(params.size) for _ in range(k)]
             received = code.encode(msg) + received
         got = code.brute_force_decode(received)
         assert got == _reference_brute_force(code, received)
@@ -213,7 +207,7 @@ def _scrambled(hint, rng):
     rows.append(tuple((x + y) % q for x, y in zip(rows[0], rows[-2])))
     keys = [rng.next64() for _ in rows]
     rows = [row for _, row in sorted(zip(keys, rows))]
-    return MatrixFq.from_rows(q, rows, hint.cols)
+    return MatrixFq(q, len(rows), hint.cols, rows)
 
 
 def test_decoder_with_erasure_hints(fp24):
@@ -225,7 +219,7 @@ def test_decoder_with_erasure_hints(fp24):
     rng = SplitMix64(14)
     for mu, delta, tau in [(1, 0, 1), (0, 1, 1), (2, 1, 0), (1, 2, 0), (3, 0, 0)]:
         for _ in range(100):
-            msg = (fp24.from_index(rng.randbelow(16)),)
+            msg = (rng.randbelow(16),)
             word = code.encode(msg)
             err = MatrixFq.zeros(2, 4, 4)
             col_hint = row_hint = None
@@ -249,8 +243,8 @@ def test_decoder_with_erasure_hints(fp24):
                 assert again == msg, (mu, delta, tau)
 
 
-def test_malformed_side_information_raises(fp24, code31):
-    received = code31.encode([fp24.one()])
+def test_malformed_side_information_raises(code31):
+    received = code31.encode([1])
     with pytest.raises(ParameterError):
         code31.decode_bounded(received, row_erasures=MatrixFq.zeros(2, 1, 3))
     with pytest.raises(ParameterError):
@@ -264,12 +258,43 @@ def test_code_construction_validation(fp24):
         GabidulinCode.standard(fp24, 5, 1)  # n > m
     with pytest.raises(ParameterError):
         GabidulinCode.standard(fp24, 2, 3)  # k > n
-    dependent = (fp24.one(), fp24.one(), fp24.alpha())
+    dependent = (1, 1, 2)
     with pytest.raises(ParameterError):
         GabidulinCode(fp24, 3, 1, dependent)
     with pytest.raises(ParameterError):
-        GabidulinCode.standard(fp24, 3, 1).encode([fp24.one(), fp24.one()])
+        GabidulinCode.standard(fp24, 3, 1).encode([1, 1])
 
+
+
+def test_messages_and_points_are_element_indices(fp24, example_code):
+    """A message symbol and an evaluation point are ints in [0, q^m).  An
+    element object, a float, -1, q^m or a wrong length is a ParameterError,
+    never a TypeError or IndexError, in ``GabidulinCode.encode``,
+    ``LayeredCode.encode`` and the ``GabidulinCode`` constructor."""
+    code = GabidulinCode.standard(fp24, 3, 1)
+    for bad in (fp24.from_index(1), 1.0, -1, fp24.size):
+        with pytest.raises(ParameterError):
+            code.encode([bad])
+        for messages in ([[bad], [0]], [[0], [bad]]):
+            with pytest.raises(ParameterError):
+                example_code.encode(messages)
+        with pytest.raises(ParameterError):
+            GabidulinCode(fp24, 3, 1, (bad, 2, 4))
+    for wrong in ([], [0, 0]):
+        with pytest.raises(ParameterError):
+            code.encode(wrong)
+        with pytest.raises(ParameterError):
+            example_code.encode([wrong, [0]])
+    with pytest.raises(ParameterError):
+        example_code.encode([[0]])
+    for points in ((1, 2), (1, 2, 4, 8)):
+        with pytest.raises(ParameterError):
+            GabidulinCode(fp24, 3, 1, points)
+    # any sequence of indices will do; the points are kept as a tuple
+    assert code.encode((1,)) == code.encode([1])
+    listed = GabidulinCode(fp24, 3, 1, [1, 2, 4])
+    assert listed == code and hash(listed) == hash(code)
+    assert example_code.encode([(3,), [9]]) == example_code.encode([[3], [9]])
 
 # --- the linearized-polynomial kernels against tests/gabidulin_reference.py ---
 
@@ -411,9 +436,9 @@ def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
             params = FieldParams.default(q, m)
         n = 1 + rng.randbelow(m)
         k = 1 + rng.randbelow(n)
-        points = _points(params, random_full_rank_matrix(q, n, m, rng))
+        points = tuple(random_full_rank_matrix(q, n, m, rng)._row_indices())
         code = GabidulinCode(params, n, k, points)
-        msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+        msg = [rng.randbelow(params.size) for _ in range(k)]
         word = code.encode(msg)
         # 2 tau + mu + delta <= budget; one trial in four may go beyond d - 1
         budget = n - k + (rng.randbelow(3) if trial % 4 == 0 else 0)
@@ -451,7 +476,7 @@ def test_decoder_matches_reference_on_edge_cases():
             code = GabidulinCode.standard(params, n, k)
             empty = MatrixFq.zeros(q, 0, m), MatrixFq.zeros(q, 0, n)
             for trial in range(30):
-                msg = [params.from_index(rng.randbelow(params.size)) for _ in range(k)]
+                msg = [rng.randbelow(params.size) for _ in range(k)]
                 noise = MatrixFq.random(q, n, m, rng) if trial % 2 else MatrixFq.zeros(q, n, m)
                 received = code.encode(msg) + noise
                 assert _agree(code, received, *empty) == _agree(code, received)

@@ -17,15 +17,14 @@ from lsc.lifted import lift
 from lsc.linalg import (
     MatrixFq,
     Subspace,
-    coordinate_zero_subspace,
     intersection,
-    is_direct_sum,
     random_subspace,
     row_space,
     subspace_distance,
     subspace_sum,
 )
 from lsc.rng import SplitMix64
+from rref_reference import full_space, unit_span
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def test_shape_and_distances(example_code):
     assert [2 * l.min_rank_distance for l in example_code.layers] == [6, 8]
 
 
-def test_encode_block_structure(fp24, example_code):
+def test_encode_block_structure(example_code):
     rng = SplitMix64(31)
     word = example_code.random_codeword(rng)
     assert word.V.dim == 7
@@ -51,11 +50,10 @@ def test_encode_block_structure(fp24, example_code):
         assert all(x == 0 for x in row[3:7])
     for row in word.components[1].basis.entries:
         assert all(x == 0 for x in row[0:3])
-    assert is_direct_sum(word.components[0], word.components[1])
+    assert intersection(word.components[0], word.components[1]).dim == 0
     # all-zero messages give the identity-plus-zero-payload space
-    zero_word = example_code.encode([[fp24.zero()], [fp24.zero()]])
-    expected = MatrixFq.identity(2, 7).hstack(MatrixFq.zeros(2, 7, 4))
-    assert zero_word.V.basis == expected
+    zero_word = example_code.encode([[0], [0]])
+    assert zero_word.V == unit_span(2, 11, range(7))
 
 
 def test_prefix_codes_are_built_once(q3_three_layers):
@@ -71,7 +69,7 @@ def test_random_codeword_draw_order(fp24):
     # one randbelow(|F|) per symbol, layer by layer: every seeded trial relies on it
     code = LayeredCode.standard(fp24, [(4, 2), (3, 1)])
     draws = SplitMix64(30)
-    d0, d1, d2 = (fp24.from_index(draws.randbelow(16)) for _ in range(3))
+    d0, d1, d2 = (draws.randbelow(16) for _ in range(3))
     rng = SplitMix64(30)
     assert code.random_codeword(rng) == code.encode([[d0, d1], [d2]])
     assert rng._state == draws._state
@@ -87,7 +85,7 @@ def test_random_codeword_draw_order(fp24):
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_random_codeword_matches_encoding_random_messages(params, k):
     """The index path, one batch of draws for all layers, gives the codeword
-    the element path gives from one batch per layer, and leaves the stream
+    the public ``encode`` gives from one batch per layer, and leaves the stream
     in the same state.  Its components and V, stacked with no elimination,
     are the checked lifts and their sum."""
     code = LayeredCode.standard(params, [(4, k), (3, 1), (2, min(k, 2))])
@@ -109,7 +107,7 @@ def test_random_codeword_matches_encoding_random_messages(params, k):
 
 def test_single_layer_reduces_to_lifting(fp24):
     code = LayeredCode.standard(fp24, [(3, 1)])
-    msg = [fp24.from_index(9)]
+    msg = [9]
     word = code.encode([msg])
     assert word.V == lift(code.layers[0], code.layers[0].encode(msg))
 
@@ -137,7 +135,7 @@ def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
     three_layers_q2 = LayeredCode.standard(FieldParams.default(2, 3), [(2, 1), (3, 2), (1, 1)])
     for code in (tiny_code, q3_three_layers, three_layers_q2):
         q, ambient = code.params.q, code.ambient_dim
-        received = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+        received = [Subspace.zero(q, ambient), full_space(q, ambient)]
         for _ in range(10):
             word = code.random_codeword(rng)
             received.append(apply_exact(word.V, ChannelSpec(rho=1, t=1), rng).U)
@@ -153,7 +151,8 @@ def test_extract_component_membership_oracle(tiny_code, q3_three_layers):
                 ]
                 member = {v for v in U.vectors() if all(v[c] == 0 for c in zero_cols)}
                 assert set(extracted.vectors()) == member
-                mask = coordinate_zero_subspace(q, ambient, [c + 1 for c in zero_cols])
+                kept_cols = [c for c in range(ambient) if c not in zero_cols]
+                mask = unit_span(q, ambient, kept_cols)
                 assert extracted == intersection(U, mask)
 
 
@@ -178,7 +177,7 @@ def test_received_space_over_another_field_rejected(q, shape, space_q):
     code = LayeredCode.standard(FieldParams.default(q, 4), shape)
     ambient = code.ambient_dim
     rng = SplitMix64(36)
-    spaces = [Subspace.full(space_q, ambient), Subspace.zero(space_q, ambient)]
+    spaces = [full_space(space_q, ambient), Subspace.zero(space_q, ambient)]
     spaces += [random_subspace(space_q, ambient, rng.randint(1, ambient), rng) for _ in range(20)]
     where = rf"must lie in F_{q}\^{ambient}"
     for space in spaces:
@@ -192,7 +191,7 @@ def test_received_space_over_another_field_rejected(q, shape, space_q):
                 code.extract_component(space, layer)
     for layer, inner in enumerate(code.layers, 1):
         with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^{inner.n + 4}"):
-            code.embed_component(layer, Subspace.full(space_q, inner.n + 4))
+            code.embed_component(layer, full_space(space_q, inner.n + 4))
 
 
 def test_recompose_roundtrip_and_failure_dims(fp24, example_code, q3_three_layers):
@@ -211,7 +210,7 @@ def test_recompose_roundtrip_and_failure_dims(fp24, example_code, q3_three_layer
 
 
 def test_recompose_collision_raises(fp24, example_code):
-    bad = Subspace.full(2, 7)  # not a lifted component; overlaps everything
+    bad = full_space(2, 7)  # not a lifted component; overlaps everything
     with pytest.raises((InvariantError, ParameterError)):
         example_code.recompose([bad, bad])
     # both layers claim the same payload vector: the sum is not direct
@@ -226,7 +225,7 @@ def test_distinct_component_tuples_give_distinct_codewords(tiny_code):
     seen = {}
     for i in range(params.size):
         for j in range(params.size):
-            word = tiny_code.encode([[params.from_index(i)], [params.from_index(j)]])
+            word = tiny_code.encode([[i], [j]])
             assert word.V not in seen, "two component tuples gave one codeword"
             seen[word.V] = (i, j)
     assert len(seen) == params.size**2
@@ -238,7 +237,7 @@ def test_min_distance_achieved_on_tiny_code(tiny_code):
     for i in range(params.size):
         for j in range(params.size):
             words.append(
-                tiny_code.encode([[params.from_index(i)], [params.from_index(j)]]).V
+                tiny_code.encode([[i], [j]]).V
             )
     dmin = None
     pairs = 0

@@ -31,6 +31,7 @@ from lsc.linalg import (
     subspace_distance,
 )
 from lsc.rng import SplitMix64
+from rref_reference import full_space
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,8 @@ def test_distance_identity_exhaustive(fp24):
         assert dmin == LayeredCode((inner,)).min_distance()
 
 
-def test_reduction_on_clean_codeword(fp24, inner31):
-    msg = (fp24.from_index(13),)
+def test_reduction_on_clean_codeword(inner31):
+    msg = (13,)
     space = lift(inner31, inner31.encode(msg))
     word, row_hints, col_hints = reduce_received(inner31, space)
     assert row_hints.rows == 0 and col_hints.rows == 0
@@ -83,11 +84,11 @@ def test_decode_zero_distance(fp24, inner31):
         assert result == inner31.encode(msg)
 
 
-def test_guaranteed_regime_random_trials(fp24, inner31):
+def test_guaranteed_regime_random_trials(inner31):
     rng = SplitMix64(21)
     for rho, t in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         for _ in range(150):
-            msg = (fp24.from_index(rng.randbelow(16)),)
+            msg = (rng.randbelow(16),)
             sent = inner31.encode(msg)
             space = lift(inner31, sent)
             outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
@@ -98,11 +99,11 @@ def test_guaranteed_regime_random_trials(fp24, inner31):
             assert oracle == sent
 
 
-def test_never_contradicts_oracle(fp24, inner31):
+def test_never_contradicts_oracle(inner31):
     rng = SplitMix64(22)
     for _ in range(400):
         rho, t = rng.randbelow(4), rng.randbelow(4)
-        msg = (fp24.from_index(rng.randbelow(16)),)
+        msg = (rng.randbelow(16),)
         space = lift(inner31, inner31.encode(msg))
         outcome = apply_exact(space, ChannelSpec(rho=rho, t=t), rng)
         result = subspace_decode(inner31, outcome.U)
@@ -137,7 +138,7 @@ def test_lifted_oracle_matches_reference_enumeration(q, m, n):
         if trial % 2:
             received = random_subspace(q, n + m, rng.randbelow(n + m + 1), rng)
         else:  # a lifted codeword through the channel
-            msg = (inner.params.from_index(rng.randbelow(inner.params.size)),)
+            msg = (rng.randbelow(inner.params.size),)
             sent = lift(inner, inner.encode(msg))
             rho, t = rng.randbelow(n + 1), rng.randbelow(m + 1)
             received = apply_exact(sent, ChannelSpec(rho=rho, t=t), rng).U
@@ -173,7 +174,7 @@ def test_received_space_over_another_field_rejected(code_q, space_q):
     inner = GabidulinCode.standard(FieldParams.default(code_q, 4), 3, 1)
     ambient = inner.n + 4
     rng = SplitMix64(25)
-    spaces = [Subspace.full(space_q, ambient), Subspace.zero(space_q, ambient)]
+    spaces = [full_space(space_q, ambient), Subspace.zero(space_q, ambient)]
     spaces += [random_subspace(space_q, ambient, rng.randint(1, ambient), rng) for _ in range(20)]
     for space in spaces:
         for entry in (subspace_decode, reduce_received, brute_force_subspace_decode):
@@ -181,17 +182,17 @@ def test_received_space_over_another_field_rejected(code_q, space_q):
                 entry(inner, space)
 
 
-def test_a_word_is_an_n_by_m_matrix_over_f_q(fp24, inner31):
+def test_a_word_is_an_n_by_m_matrix_over_f_q(inner31):
     """decode_bounded, brute_force_decode and lift take a word only as an
-    n x m MatrixFq over F_q: the same word as a tuple of elements, a matrix
+    n x m MatrixFq over F_q: the same word as a tuple of element indices, a matrix
     over another q, and the wrong row or column count are ParameterErrors.
     reduce_received's word is such a matrix, and equals the reference's."""
-    msg = (fp24.from_index(7),)
+    msg = (7,)
     word = inner31.encode(msg)
     assert inner31.decode_bounded(word) == msg == inner31.brute_force_decode(word)
     assert lift(inner31, word).basis.entries[0] == (1, 0, 0) + word.entries[0]
     bad = [
-        tuple(map(fp24.from_index, word._row_indices())),
+        tuple(word._row_indices()),
         MatrixFq.zeros(3, 3, 4),
         MatrixFq.zeros(2, 2, 4),
         MatrixFq.zeros(2, 4, 4),
@@ -211,9 +212,9 @@ def test_a_word_is_an_n_by_m_matrix_over_f_q(fp24, inner31):
         assert reduced == _reference_reduce(inner31, received)[0]
 
 
-def test_extra_dimensions_are_handled(fp24, inner31):
+def test_extra_dimensions_are_handled(inner31):
     """Payload-pivot dimensions flow through the hint path, not a rejection."""
-    msg = (fp24.from_index(6),)
+    msg = (6,)
     space = lift(inner31, inner31.encode(msg))
     rng = SplitMix64(23)
     outcome = apply_exact(space, ChannelSpec(rho=0, t=2), rng)
@@ -265,7 +266,7 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
     inner = GabidulinCode.standard(FieldParams.default(q, m), n, k)
     ambient = n + m
     rng = SplitMix64(90 + 10 * q + n)
-    spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+    spaces = [Subspace.zero(q, ambient), full_space(q, ambient)]
     widest = 0
     for _ in range(60):
         # arbitrary received spaces, any pivots
@@ -274,7 +275,7 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
         payload = random_subspace(q, m, rng.randint(0, m), rng)
         spaces.append(embed(payload, range(n, ambient), ambient))
         # channel outputs around a codeword, up to t = ambient - dim V
-        msg = [inner.params.from_index(i) for i in rng.randbelow_many(inner.params.size, k)]
+        msg = rng.randbelow_many(inner.params.size, k)
         codeword = lift(inner, inner.encode(msg))
         rho = rng.randint(0, n)
         t = m if not rng.randbelow(4) else rng.randint(0, m)
@@ -308,7 +309,7 @@ def test_every_decode_reaches_the_core_once(fp24, monkeypatch):
     first = {}
     lifted_outcomes, direct_outcomes = [], []
     for rho, t in [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2), (3, 4), (0, 0), (3, 0)]:
-        msg = (fp24.from_index(rng.randbelow(16)),)
+        msg = (rng.randbelow(16),)
         space = lift(inner, inner.encode(msg))
         received = apply_exact(space, ChannelSpec(rho=rho, t=t), rng).U
         basis = received.basis
@@ -392,7 +393,7 @@ def test_memoized_decode_matches_the_uncached_one(q, m, n, k):
     for rho in range(n + 1):
         for t in range(m + 1):
             for _ in range(6):
-                msg = [params.from_index(i) for i in rng.randbelow_many(params.size, k)]
+                msg = rng.randbelow_many(params.size, k)
                 codeword = lift(inner, inner.encode(msg))
                 received = apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U
                 want = lifted_mod._decode_space(inner, received)
@@ -436,17 +437,17 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
     what the hint round trip through decode_bounded gives."""
     params = FieldParams(q, m, F289_MODULUS) if q == 17 else FieldParams.default(q, m)
     rng = SplitMix64(7000 + 100 * q + m)
-    points = tuple(map(params.from_index, random_full_rank_matrix(q, n, m, rng)._row_indices()))
+    points = tuple(random_full_rank_matrix(q, n, m, rng)._row_indices())
     inner = GabidulinCode(params, n, k, points)
     ambient, d = n + m, n - k + 1
-    spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+    spaces = [Subspace.zero(q, ambient), full_space(q, ambient)]
     for _ in range(40):
         spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
         # every header pivot erased
         payload = random_subspace(q, m, rng.randint(0, m), rng)
         spaces.append(embed(payload, range(n, ambient), ambient))
         # channel outputs around a codeword, up to t = ambient - dim V
-        msg = [params.from_index(i) for i in rng.randbelow_many(params.size, k)]
+        msg = rng.randbelow_many(params.size, k)
         codeword = lift(inner, inner.encode(msg))
         rho = rng.randint(0, n)
         t = m if not rng.randbelow(4) else rng.randint(0, m)
@@ -470,7 +471,7 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
             seen["radius" if "mu+delta" in want.detail else "nothing-near"] += 1
         else:
             assert type(got) is MatrixFq
-            matrix = inner._codeword_matrix([u.to_index() for u in want])
+            matrix = inner._codeword_matrix(want)
             assert got == matrix and got.entries == matrix.entries
             assert got == inner.encode(want)
             seen["decoded"] += 1
@@ -524,7 +525,7 @@ def test_the_header_cut_matches_split_basis(q, widths):
         inner = SimpleNamespace(params=SimpleNamespace(q=q, m=m))
         for n in range(5):
             ambient = n + m
-            spaces = [Subspace.zero(q, ambient), Subspace.full(q, ambient)]
+            spaces = [Subspace.zero(q, ambient), full_space(q, ambient)]
             for _ in range(8):
                 spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
                 payload = random_subspace(q, m, rng.randint(0, m), rng)

@@ -17,12 +17,10 @@ from lsc.linalg import (
     _field_bits,
     _move_columns,
     _rank,
-    coordinate_zero_subspace,
     dump_subspace,
     embed,
     identity_lift,
     intersection,
-    is_direct_sum,
     parse_subspace,
     projection_rank,
     random_subspace,
@@ -35,7 +33,7 @@ from lsc.linalg import (
     subspace_sum,
 )
 from lsc.rng import SplitMix64
-from rref_reference import rref_generic
+from rref_reference import full_space, rref_generic
 
 
 def _span_vectors(rows, q, ambient):
@@ -52,11 +50,11 @@ def _span_vectors(rows, q, ambient):
 
 def _line(q, vector, ambient):
     """The span of one vector."""
-    return row_space(MatrixFq.from_rows(q, [vector], ambient), ambient)
+    return row_space(MatrixFq(q, 1, ambient, [vector]), ambient)
 
 
 def test_row_space_example():
-    m = MatrixFq.from_rows(2, [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
+    m = MatrixFq(2, 3, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
     s = row_space(m, 4)
     assert s.dim == 2  # third row is the sum of the first two
     assert set(s.vectors()) == _span_vectors(m.entries, 2, 4)
@@ -83,12 +81,14 @@ def test_vectors_enumerate_the_span_in_coefficient_order(q):
 
 def test_row_space_trivial_cases():
     assert row_space(MatrixFq.zeros(2, 3, 4), 4).dim == 0
-    assert row_space(MatrixFq.identity(2, 4), 4) == Subspace.full(2, 4)
+    # the identity's rows, last first, reduce to the canonical basis of F_2^4
+    reversed_identity = MatrixFq(2, 4, 4, [[int(i + j == 3) for j in range(4)] for i in range(4)])
+    assert row_space(reversed_identity, 4) == full_space(2, 4)
 
 
 def test_sum_examples():
-    v = row_space(MatrixFq.from_rows(2, [[1, 0, 0]]), 3)
-    u = row_space(MatrixFq.from_rows(2, [[0, 1, 0]]), 3)
+    v = row_space(MatrixFq(2, 1, 3, [[1, 0, 0]]), 3)
+    u = row_space(MatrixFq(2, 1, 3, [[0, 1, 0]]), 3)
     both = subspace_sum(v, u)
     assert both.dim == 2
     assert set(both.vectors()) == _span_vectors([(1, 0, 0), (0, 1, 0)], 2, 3)
@@ -97,8 +97,8 @@ def test_sum_examples():
 
 
 def test_intersection_examples():
-    a = row_space(MatrixFq.from_rows(2, [[1, 0, 0], [0, 1, 0]]), 3)
-    b = row_space(MatrixFq.from_rows(2, [[0, 1, 0], [0, 0, 1]]), 3)
+    a = row_space(MatrixFq(2, 2, 3, [[1, 0, 0], [0, 1, 0]]), 3)
+    b = row_space(MatrixFq(2, 2, 3, [[0, 1, 0], [0, 0, 1]]), 3)
     inter = intersection(a, b)
     # oracle: membership of all 8 vectors
     expected = {
@@ -110,14 +110,6 @@ def test_intersection_examples():
     assert inter.basis.entries == ((0, 1, 0),)
     assert intersection(a, a) == a
     assert intersection(a, Subspace.zero(2, 3)).dim == 0
-
-
-def test_direct_sum_examples():
-    v = row_space(MatrixFq.from_rows(2, [[1, 0, 0]]), 3)
-    w = row_space(MatrixFq.from_rows(2, [[1, 1, 0]]), 3)
-    assert is_direct_sum(v, w)
-    assert is_direct_sum(v, Subspace.zero(2, 3))
-    assert not is_direct_sum(v, v)
 
 
 def test_subspace_distance_dimension_arithmetic():
@@ -168,7 +160,7 @@ def test_nested_subspace_deficiency_bound():
 
 
 def test_rank_distance_examples():
-    x = MatrixFq.from_rows(2, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+    x = MatrixFq(2, 3, 4, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
     zero = MatrixFq.zeros(2, 3, 4)
     assert rank_distance(x, x) == 0
     assert rank_distance(x, zero) == 1
@@ -176,17 +168,6 @@ def test_rank_distance_examples():
     assert len(_span_vectors(x.entries, 2, 4)) == 2  # dim 1
     with pytest.raises(ParameterError):
         rank_distance(x, MatrixFq.zeros(2, 2, 4))
-
-
-def test_coordinate_zero_subspace():
-    z = coordinate_zero_subspace(2, 3, {1})
-    assert z.basis.entries == ((0, 1, 0), (0, 0, 1))
-    assert coordinate_zero_subspace(2, 3, set()).dim == 3
-    assert coordinate_zero_subspace(2, 3, {1, 2, 3}).dim == 0
-    with pytest.raises(ParameterError):
-        coordinate_zero_subspace(2, 3, {0})
-    with pytest.raises(ParameterError):
-        coordinate_zero_subspace(2, 3, {4})
 
 
 def test_rref_gf2_matches_generic():
@@ -203,22 +184,22 @@ def test_rref_gf2_matches_generic():
 
 def test_canonical_form_is_equality():
     # two different spanning sets of the same space compare equal
-    a = row_space(MatrixFq.from_rows(2, [[1, 1, 0], [0, 1, 1]]), 3)
-    b = row_space(MatrixFq.from_rows(2, [[1, 0, 1], [0, 1, 1]]), 3)
+    a = row_space(MatrixFq(2, 2, 3, [[1, 1, 0], [0, 1, 1]]), 3)
+    b = row_space(MatrixFq(2, 2, 3, [[1, 0, 1], [0, 1, 1]]), 3)
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_subspace_validation_rejects_non_canonical():
     with pytest.raises(ParameterError):
-        Subspace(3, MatrixFq.from_rows(2, [[1, 1, 0], [0, 0, 0]]))
+        Subspace(3, MatrixFq(2, 2, 3, [[1, 1, 0], [0, 0, 0]]))
     with pytest.raises(ParameterError):
-        Subspace(3, MatrixFq.from_rows(2, [[0, 1, 0], [1, 0, 0]]))
+        Subspace(3, MatrixFq(2, 2, 3, [[0, 1, 0], [1, 0, 0]]))
 
 
 def test_ambient_mismatch_rejected():
-    v = Subspace.full(2, 3)
-    u = Subspace.full(2, 4)
+    v = full_space(2, 3)
+    u = full_space(2, 4)
     with pytest.raises(ParameterError):
         subspace_sum(v, u)
     with pytest.raises(ParameterError):
@@ -323,9 +304,9 @@ def test_packed_rows_match_list_reference(q, count):
         a_rows = _random_rows(rng, q, nrows, n)
         b_rows = _random_rows(rng, q, len(a_rows), n)
         c_rows = _random_rows(rng, q, n, rng.randint(0, 6))
-        a = MatrixFq.from_rows(q, a_rows, n)
-        b = MatrixFq.from_rows(q, b_rows, n)
-        c = MatrixFq.from_rows(q, c_rows, len(c_rows[0]))
+        a = MatrixFq(q, len(a_rows), n, a_rows)
+        b = MatrixFq(q, len(b_rows), n, b_rows)
+        c = MatrixFq(q, n, len(c_rows[0]), c_rows)
         assert a.entries == tuple(map(tuple, a_rows))
         assert (a + b).entries == tuple(
             tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)
@@ -363,7 +344,7 @@ def test_packed_rows_match_list_reference(q, count):
             v.basis.entries, u.basis.entries, n, q
         )
         probe = tuple(rng.randbelow(q) for _ in range(n))
-        spans_probe = _rank(q, n, v.basis._data + MatrixFq.from_rows(q, [probe], n)._data) == v.dim
+        spans_probe = _rank(q, n, v.basis._data + MatrixFq(q, 1, n, [probe])._data) == v.dim
         assert spans_probe == (len(_ref_span(a_rows + [probe], q)) == v.dim)
         assert _rank(q, n, v.basis._data + a._data) == v.dim
         assert subspace_sum(subspace_sum(v, u), u) == subspace_sum(v, u)
@@ -464,8 +445,6 @@ def test_checked_constructors_reject_malformed_input():
     ):
         with pytest.raises(ParameterError):
             MatrixFq(*args)
-    with pytest.raises(ParameterError):
-        MatrixFq.from_rows(2, [[1, 0], [1]])
     for q, ambient, rows in (
         (2, 3, ((1, 1, 0), (0, 0, 0))),  # zero row
         (2, 3, ((0, 1, 0), (1, 0, 0))),  # not echelon
@@ -494,9 +473,8 @@ def test_subspace_distance_is_the_rank_of_the_stacked_bases(q):
         expected = 2 * subspace_sum(v, u).dim - v.dim - u.dim
         assert subspace_distance(v, u) == expected
         assert expected == v.dim + u.dim - 2 * intersection(v, u).dim
-        assert is_direct_sum(v, u) == (intersection(v, u).dim == 0)
     for ambient in (1, 5):
-        zero, full = Subspace.zero(q, ambient), Subspace.full(q, ambient)
+        zero, full = Subspace.zero(q, ambient), full_space(q, ambient)
         some = random_subspace(q, ambient, 2 if ambient > 2 else 1, rng)
         assert subspace_distance(zero, zero) == 0
         assert subspace_distance(full, full) == 0
@@ -558,7 +536,7 @@ def _eliminating_projection_rank(u, columns):
 def _block_test_spaces(q, n, rng):
     """The zero and full spaces, random spaces of every dimension, and spaces
     that lie in a trailing block (every pivot before it erased)."""
-    spaces = [Subspace.zero(q, n), Subspace.full(q, n)]
+    spaces = [Subspace.zero(q, n), full_space(q, n)]
     spaces += [random_subspace(q, n, dim, rng) for dim in range(n + 1)]
     for width in range(n + 1):
         inner = random_subspace(q, width, rng.randint(0, width), rng)
