@@ -44,12 +44,11 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class ChannelOutcome:
-    """Received space plus ground truth for oracles."""
+    """The received space and the realized erasure and error counts."""
 
     U: Subspace
     realized_rho: int
     realized_t: int
-    V: Subspace
 
     @property
     def distance(self) -> int:
@@ -100,7 +99,7 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
     if u.dim != kept + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
-    return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t, V=v)
+    return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t)
 
 
 def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -> ChannelOutcome:
@@ -115,9 +114,7 @@ def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -
     d = MatrixFq.random(q, collected_packets, error_packets, rng)
     u = row_space(a.hstack(d) @ v.basis.vstack(z), v.ambient_dim)
     inter = (v.dim + u.dim - subspace_distance(v, u)) // 2  # dim(V∩U)
-    return ChannelOutcome(
-        U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v
-    )
+    return ChannelOutcome(U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter)
 
 
 def make_trial(

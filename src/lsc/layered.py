@@ -20,14 +20,15 @@ and sweep options spelled out.
 
 A layer's coordinates (its identity columns, then the payload columns)
 are fixed.  A component is built in place, [0 | I | 0 | X] with no
-elimination (``linalg.identity_lift``), and one cached column map serves
-embedding (``linalg.embed``) and extraction (``linalg.shorten``, one
-elimination with the other columns in front).  ``layer_distance`` reads
-d_S between a component and a layer of some space off the same map, with
-no extraction.  The last layer's columns are the trailing block, and the
-other layers' identity columns a leading one, so its extraction and the
-projection rank in its ``layer_distance`` are read off the canonical
-basis with no elimination (see ``linalg``).
+elimination (``linalg.identity_lift``), and one cached per-layer block
+(``_blocks``: the identity block's start and width, and the payload
+width) serves embedding (``linalg.embed``) and extraction
+(``linalg.shorten``: the block moves past the later layers' identity
+columns, then one elimination).  ``layer_distance`` reads d_S between a
+component and a layer of some space off the same block, with no
+extraction (``linalg.off_rank``).  The last layer has no later identity
+columns, so its extraction and the rank in its ``layer_distance`` are
+read off the canonical basis with no elimination (see ``linalg``).
 
 Encoding stacks the lifts' rows into V directly, and a random codeword
 draws every layer's message in one batch (the layers share F_{q^m}, so
@@ -68,7 +69,7 @@ from .linalg import (
     Subspace,
     embed,
     identity_lift,
-    projection_rank,
+    off_rank,
     row_space,
     shorten,
     subspace_distance,
@@ -125,25 +126,12 @@ class LayeredCode:
         return self.total_length + self.params.m
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per layer, the full-ambient columns of the component coordinates.
-
-        The layer's identity columns, then the payload columns; both runs
-        increase, so a component basis placed there stays canonical.
-        """
-        return tuple(
-            tuple(range(offset, offset + code.n))
-            + tuple(range(self.total_length, self.ambient_dim))
-            for offset, code in zip(self.offsets, self.layers)
-        )
-
-    @cached_property
-    def _off_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per layer, the other layers' identity columns: where its component vanishes."""
-        return tuple(
-            tuple(sorted(set(range(self.total_length)) - set(columns)))
-            for columns in self._columns
-        )
+    def _blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """Per layer, (start, width, tail) of its coordinates in the full
+        ambient: the identity block [offset, offset + n_l), then the m
+        payload columns (see ``linalg.shorten``)."""
+        m = self.params.m
+        return tuple((offset, code.n, m) for offset, code in zip(self.offsets, self.layers))
 
     @cached_property
     def prefixes(self) -> tuple["LayeredCode", ...]:
@@ -202,7 +190,6 @@ class LayeredCode:
             for matrix, offset in zip(matrices, self.offsets)
         )
         return LayeredCodeword(
-            code=self,
             component_matrices=matrices,
             components=components,
             V=self._direct_sum(components),
@@ -213,12 +200,13 @@ class LayeredCode:
     def extract_component(self, received: Subspace, layer: int) -> Subspace:
         """Vectors of the received space supported only on layer's columns.
 
-        ``shorten`` on the layer's columns: the result is the canonical basis
-        in the component ambient n_l + m.  ``embed_component`` reinserts the
-        known-zero columns.
+        ``shorten`` on the layer's block and the payload: the result is the
+        canonical basis in the component ambient n_l + m.
+        ``embed_component`` reinserts the known-zero columns.
         """
         self._check_received(received, layer)
-        return shorten(received, self._columns[layer - 1])
+        start, width, tail = self._blocks[layer - 1]
+        return shorten(received, start, width, tail)
 
     def _check_received(self, received: Subspace, layer: int) -> None:
         self._check_layer(layer)
@@ -237,9 +225,8 @@ class LayeredCode:
         distance is the same in the component ambient.
         """
         self._check_layer(layer)
-        return subspace_distance(component, space) - projection_rank(
-            space, self._off_columns[layer - 1]
-        )
+        start, width, tail = self._blocks[layer - 1]
+        return subspace_distance(component, space) - off_rank(space, start, width, tail)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
@@ -247,7 +234,8 @@ class LayeredCode:
         q, ambient = self.params.q, self.layers[layer - 1].n + self.params.m
         if stripped.ambient_dim != ambient or stripped.q != q:
             raise ParameterError(f"component space must lie in F_{q}^{ambient}")
-        return embed(stripped, self._columns[layer - 1], self.ambient_dim)
+        start, width, _ = self._blocks[layer - 1]
+        return embed(stripped, start, width, self.ambient_dim)
 
     def _direct_sum(self, components: Iterable[Subspace]) -> Subspace:
         """Stack embedded lifts given in layer order: disjoint identity blocks keep it canonical."""
@@ -295,7 +283,9 @@ class LayeredCode:
         component back into the working space before the next extraction.
         With ``iterative`` the sweep repeats over failed layers until a
         sweep decodes nothing new or ``max_sweeps`` is reached; decoded
-        layers are never revisited.
+        layers are never revisited.  Every sweep but the last decodes a
+        new layer, so a walk ends within L sweeps (``report.sweeps <=
+        num_layers``), and ``max_sweeps`` binds only below L.
         """
         if max_sweeps < 1:
             raise ParameterError("max_sweeps must be at least 1")
@@ -392,7 +382,6 @@ class LayeredCode:
 class LayeredCodeword:
     """A codeword with its per-layer matrices and component spaces."""
 
-    code: LayeredCode
     component_matrices: tuple[MatrixFq, ...]
     components: tuple[Subspace, ...]
     V: Subspace

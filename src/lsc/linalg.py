@@ -35,16 +35,20 @@ before a column are a prefix, found by comparing each row with a power of
 two (``_head_rows``).  The vectors of a subspace that vanish on the first
 c columns are spanned by its basis rows that lead at c or later, already
 reduced; its rank read at the first c columns is the count of rows that
-lead before c.  So ``shorten`` on a trailing block of columns in order
-and ``projection_rank`` on a leading block need no elimination and no
-forward pass, and a lifted decode cuts the received basis in the same
-way.  Every other column set takes the elimination.
+lead before c.  A layer of a layered code reads a block of columns and
+the trailing payload (``shorten``, ``off_rank`` and ``embed``); the other
+layers' identity columns lie before the block and in the gap after it.
+With no gap (the last layer) they are a leading block, so ``shorten`` and
+``off_rank`` need no elimination and no forward pass, and a lifted decode
+cuts the received basis in the same way.  With a gap each row moves the
+block past it, a shift and a mask, and one elimination (for the rank one
+forward pass) follows.
 
 Trust: the public constructors ``MatrixFq(q, rows, cols, entries)`` and
 ``Subspace(ambient_dim, basis)`` check their arguments (shape, entry
 range, canonical basis), and ``parse_subspace`` goes through them.
 Every result that is in range and canonical by construction
-(eliminations, sums, intersections, products, stacks, lifts and column
+(eliminations, sums, intersections, products, stacks, lifts and block
 moves here; codewords, hints and channel outputs in the other modules)
 is built by ``MatrixFq._unchecked`` or ``Subspace._unchecked``, which
 skip those checks.  The test suite points both at the checked
@@ -691,143 +695,84 @@ def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
     return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
 
 
-# --- column moves: a subspace read at some coordinates, and back ---
+# --- block moves: a layer's coordinates read off a space, and back ---
+#
+# The kept columns are a block [start, start + width) and the last ``tail``
+# columns.  A stored row of the ambient is A | B | C | P: the columns
+# before the block, the block, the gap between them and the tail.
 
 
-def _check_columns(columns: tuple[int, ...], ambient_dim: int) -> None:
-    if len(set(columns)) != len(columns) or not all(0 <= c < ambient_dim for c in columns):
-        raise ParameterError(f"columns must be distinct and lie in [0, {ambient_dim})")
-
-
-def _column_move(source: tuple[int, ...], src_width: int, field_bits: int):
-    """How to put column ``source[j]`` at column j (zero where it is -1).
-
-    Returns one (right shift, mask, left shift) triple per run of
-    consecutive columns that move together, for rows of ``field_bits``
-    bits per entry.
-    """
-    runs: list[tuple[int, int, int]] = []
-    for dst, src in enumerate(source):
-        if src < 0:
-            continue
-        if runs and runs[-1][0] + runs[-1][2] == src and runs[-1][1] + runs[-1][2] == dst:
-            s, d, length = runs[-1]
-            runs[-1] = (s, d, length + 1)
-        else:
-            runs.append((src, dst, 1))
-    width = len(source)
-    return tuple(
-        (
-            (src_width - s - length) * field_bits,
-            (1 << length * field_bits) - 1,
-            (width - d - length) * field_bits,
+# Keyed by the layout: a layered code asks for one plan per layer.
+@lru_cache(maxsize=64)
+def _block_plan(q: int, ambient_dim: int, start: int, width: int, tail: int) -> tuple[int, ...]:
+    """The shifts and masks of a layout for stored rows over F_q: the bits
+    of B and P together, of P, of C and of B, then the masks of C, of B, of
+    A and P, and of A and C.  The one fit check: a ParameterError when the
+    block and the tail do not fit."""
+    if min(start, width, tail) < 0 or start + width + tail > ambient_dim:
+        raise ParameterError(
+            f"a block of {width} at column {start} and a tail of {tail}"
+            f" do not fit in {ambient_dim}"
         )
-        for s, d, length in runs
-    )
+    bits = _field_bits(q)
+    low, block = tail * bits, width * bits
+    gap = (ambient_dim - start - width - tail) * bits
+    gap_mask = ((1 << gap) - 1) << low
+    block_mask = ((1 << block) - 1) << gap + low
+    rest, off = ~(gap_mask | block_mask), ~(block_mask | (1 << low) - 1)
+    return block + low, low, gap, block, gap_mask, block_mask, rest, off
 
 
-def _move_columns(data: Sequence[int], move) -> tuple[int, ...]:
-    out = []
-    for row in data:
-        v = 0
-        for right, mask, left in move:
-            v |= ((row >> right) & mask) << left
-        out.append(v)
-    return tuple(out)
+def shorten(u: Subspace, start: int, width: int, tail: int) -> Subspace:
+    """The vectors of ``u`` that vanish off the block and the tail, read at
+    the block and then the tail (width + tail coordinates).
 
-
-# Keyed by column tuples and field width: a layered code asks for one plan
-# per layer.
-@lru_cache(maxsize=64)
-def _shorten_plan(columns: tuple[int, ...], ambient_dim: int, field_bits: int):
-    """(front, move): the count of other columns, and the column move that
-    puts them in front, or None when ``columns`` is the trailing block in
-    order and no column moves."""
-    _check_columns(columns, ambient_dim)
-    keep = set(columns)
-    order = tuple(c for c in range(ambient_dim) if c not in keep) + columns
-    if order == tuple(range(ambient_dim)):
-        return ambient_dim - len(columns), None
-    return ambient_dim - len(columns), _column_move(order, ambient_dim, field_bits)
-
-
-@lru_cache(maxsize=64)
-def _embed_plan(columns: tuple[int, ...], width: int, ambient_dim: int, field_bits: int):
-    if len(columns) != width:
-        raise ParameterError(f"need {width} columns, one per coordinate, got {len(columns)}")
-    _check_columns(columns, ambient_dim)
-    if list(columns) != sorted(columns):
-        raise ParameterError("embedding columns must increase")
-    source = [-1] * ambient_dim
-    for j, c in enumerate(columns):
-        source[c] = j
-    return _column_move(tuple(source), width, field_bits)
-
-
-def shorten(u: Subspace, columns: Sequence[int]) -> Subspace:
-    """The vectors of ``u`` that vanish off ``columns``, read at ``columns``.
-
-    Coordinate j of the result is coordinate ``columns[j]`` (0-based) of
-    ``u``.  One elimination with every other column in front: the reduced
-    rows that pivot past them span the vectors vanishing there, and their
-    remaining columns, in the order given, are already the canonical basis.
-    When ``columns`` is the trailing block in order, the other columns are
-    in front already and u's canonical basis is that reduction: the result
-    is its rows that lead past the cut, with no elimination.
+    Each row A | B | C | P becomes A | C | B | P, and one elimination
+    follows: its rows below 2^((width + tail) bits) vanish at A and C, and
+    their B | P is already the canonical basis.  With no gap the canonical
+    basis is that reduction, so the result is its rows that lead past A,
+    with no move and no elimination.
     """
     q, n = u.q, u.ambient_dim
-    bits = _field_bits(q)
-    front, move = _shorten_plan(tuple(columns), n, bits)
-    width = n - front
-    if move is None:
-        data = u.basis._data
-        kept = data[_head_rows(data, width * bits) :]
-    else:
-        reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
-        kept = reduced[bisect_left(pivots, front) :]
-    return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
+    kept, _, gap, block, gap_mask, block_mask, rest, _ = _block_plan(q, n, start, width, tail)
+    data = u.basis._data
+    if gap:
+        moved = [(v & rest) | (v & gap_mask) << block | (v & block_mask) >> gap for v in data]
+        data = tuple(_eliminate(q, n, moved)[0])
+    rows = data[_head_rows(data, kept) :]
+    cols = width + tail
+    return Subspace._unchecked(cols, MatrixFq._unchecked(q, len(rows), cols, rows))
 
 
-@lru_cache(maxsize=64)
-def _projection_plan(columns: tuple[int, ...], ambient_dim: int, field_bits: int):
-    """(mask, tail): the mask of ``columns``, and the bits of the columns past
-    them when they are a leading block (in any order), else None."""
-    _check_columns(columns, ambient_dim)
-    field = (1 << field_bits) - 1
-    mask = 0
-    for c in columns:
-        mask |= field << (ambient_dim - 1 - c) * field_bits
-    if sorted(columns) == list(range(len(columns))):
-        return mask, (ambient_dim - len(columns)) * field_bits
-    return mask, None
+def off_rank(u: Subspace, start: int, width: int, tail: int) -> int:
+    """The rank of ``u`` read off the block and the tail: ``u.dim`` minus
+    the dimension of ``shorten(u, start, width, tail)``.
 
-
-def projection_rank(u: Subspace, columns: Sequence[int]) -> int:
-    """The dimension of ``u`` read at ``columns`` alone.
-
-    The rank of u's basis with every other column zeroed, by one forward
-    pass.  ``u.dim`` minus it is the dimension of the vectors of ``u``
-    that vanish at ``columns``, which ``shorten`` on the other columns
-    builds by a full elimination.  On a leading block the canonical basis
-    answers with no pass: its rows that lead inside the block stay
+    The rank of u's rows with the block and the tail zeroed, by one forward
+    pass.  With no gap the columns off them are a leading block, and the
+    canonical basis answers with no pass: its rows that lead there stay
     independent there, and the others vanish there.
     """
     q, n = u.q, u.ambient_dim
-    mask, tail = _projection_plan(tuple(columns), n, _field_bits(q))
-    if tail is not None:
-        return _head_rows(u.basis._data, tail)
-    return _rank(q, n, [v & mask for v in u.basis._data])
+    kept, _, gap, _, _, _, _, off = _block_plan(q, n, start, width, tail)
+    if not gap:
+        return _head_rows(u.basis._data, kept)
+    return _rank(q, n, [v & off for v in u.basis._data])
 
 
-def embed(u: Subspace, columns: Sequence[int], ambient_dim: int) -> Subspace:
-    """``u`` with coordinate j moved to coordinate ``columns[j]`` of F_q^ambient_dim.
+def embed(u: Subspace, start: int, width: int, ambient_dim: int) -> Subspace:
+    """``u`` placed at the block [start, start + width) and the last
+    ``u.ambient_dim - width`` columns of F_q^ambient_dim, the other
+    coordinates zero: ``shorten`` undoes it.
 
-    The other coordinates are zero.  ``columns`` must increase, which keeps
-    the moved basis canonical; then ``shorten`` undoes ``embed``.
+    Each row B | P becomes B | C | P with C zero; the moved basis stays
+    canonical.
     """
-    move = _embed_plan(tuple(columns), u.ambient_dim, ambient_dim, _field_bits(u.q))
-    data = _move_columns(u.basis._data, move)
-    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(u.q, u.dim, ambient_dim, data))
+    q = u.q
+    _, low, gap, _, _, _, _, _ = _block_plan(q, ambient_dim, start, width, u.ambient_dim - width)
+    left, tail_mask = gap + low, (1 << low) - 1
+    data = tuple([(v >> low) << left | v & tail_mask for v in u.basis._data])
+    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, u.dim, ambient_dim, data))
 
 
 # --- randomized constructions used by the channel and the test suites ---

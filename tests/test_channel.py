@@ -179,9 +179,11 @@ def test_matrix_mode_realized_counts_match_intersection(q):
 
 
 def test_outcome_carries_ground_truth(example_code):
+    """The outcome holds U and the realized counts, which fix d_S(V, U)."""
     word = example_code.encode([[1], [1]])
     outcome = apply_exact(word.V, ChannelSpec(rho=1, t=1), SplitMix64(58))
-    assert outcome.V == word.V
+    assert (outcome.realized_rho, outcome.realized_t) == (1, 1)
+    assert outcome.distance == subspace_distance(word.V, outcome.U) == 2
 
 
 def _apply_exact_before_shortcuts(v, spec, rng):
@@ -204,7 +206,7 @@ def _apply_exact_before_shortcuts(v, spec, rng):
     u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
     if u.dim != kept + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
-    return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t, V=v)
+    return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +232,7 @@ def test_apply_exact_matches_the_path_before_its_shortcuts(q, m, shape):
 
 def _apply_matrix_two_products(v, collected_packets, error_packets, rng):
     """``apply_matrix`` as written before A B + D Z became the one product
-    [A | D] [B ; Z] (verbatim)."""
+    [A | D] [B ; Z] (verbatim, but for the outcome's dropped V field)."""
     if collected_packets < 0 or error_packets < 0:
         raise ParameterError("packet counts must be non-negative")
     q = v.q
@@ -244,7 +246,7 @@ def _apply_matrix_two_products(v, collected_packets, error_packets, rng):
     u = row_space(y, v.ambient_dim)
     inter = (v.dim + u.dim - subspace_distance(v, u)) // 2  # dim(V∩U)
     return ChannelOutcome(
-        U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter, V=v
+        U=u, realized_rho=v.dim - inter, realized_t=u.dim - inter
     )
 
 

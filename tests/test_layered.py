@@ -484,6 +484,8 @@ def test_walk_matches_reference_decoders(q, m, shape):
             got = code.decode(received, "alg2-iterative", max_sweeps)
             _assert_same_report(got, reference_alg2(code, received, True, max_sweeps))
             multi_sweeps += got.sweeps > 1
+            # a walk ends within L sweeps: max_sweeps binds only below L
+            assert got.sweeps <= min(max_sweeps, code.num_layers)
         for iterative in (False, True):
             _assert_same_report(
                 code.decode_alg2(received, iterative, order=ascending),

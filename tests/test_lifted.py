@@ -273,7 +273,7 @@ def test_reduce_received_matches_list_reference(q, m, n, k):
         spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
         # every header pivot erased: the space lies in the payload columns
         payload = random_subspace(q, m, rng.randint(0, m), rng)
-        spaces.append(embed(payload, range(n, ambient), ambient))
+        spaces.append(embed(payload, 0, 0, ambient))
         # channel outputs around a codeword, up to t = ambient - dim V
         msg = rng.randbelow_many(inner.params.size, k)
         codeword = lift(inner, inner.encode(msg))
@@ -445,7 +445,7 @@ def test_subspace_decode_matches_the_public_decoder_chain(q, m, n, k):
         spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
         # every header pivot erased
         payload = random_subspace(q, m, rng.randint(0, m), rng)
-        spaces.append(embed(payload, range(n, ambient), ambient))
+        spaces.append(embed(payload, 0, 0, ambient))
         # channel outputs around a codeword, up to t = ambient - dim V
         msg = rng.randbelow_many(params.size, k)
         codeword = lift(inner, inner.encode(msg))
@@ -529,7 +529,7 @@ def test_the_header_cut_matches_split_basis(q, widths):
             for _ in range(8):
                 spaces.append(random_subspace(q, ambient, rng.randint(0, ambient), rng))
                 payload = random_subspace(q, m, rng.randint(0, m), rng)
-                spaces.append(embed(payload, range(n, ambient), ambient))
+                spaces.append(embed(payload, 0, 0, ambient))
             for space in spaces:
                 header, payload, rest = lifted_mod._split(inner, space)
                 pivots, head, tail, left = split_basis(space, n)

@@ -12,17 +12,14 @@ from lsc.linalg import (
     MatrixFq,
     Subspace,
     _check_dims,
-    _column_move,
     _eliminate,
-    _field_bits,
-    _move_columns,
     _rank,
     dump_subspace,
     embed,
     identity_lift,
     intersection,
+    off_rank,
     parse_subspace,
-    projection_rank,
     random_subspace,
     random_subspace_of,
     rank_distance,
@@ -289,6 +286,32 @@ def _random_rows(rng, q, nrows, ncols):
     return [[rng.randbelow(q) for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _block_shapes(n):
+    """Every (start, width, tail) in an ambient of n: every gap n - start -
+    width - tail, and widths, gaps and tails of 0."""
+    for start in range(n + 1):
+        for width in range(n - start + 1):
+            for tail in range(n - start - width + 1):
+                yield start, width, tail
+
+
+def _assert_block_moves(u, start, width, tail):
+    """``shorten``, ``off_rank`` and ``embed`` on one block shape against the
+    list reference, read at the block's columns and then the tail's."""
+    q, n = u.q, u.ambient_dim
+    columns = list(range(start, start + width)) + list(range(n - tail, n))
+    short = shorten(u, start, width, tail)
+    assert short.ambient_dim == width + tail
+    assert short.basis.entries == _ref_shorten(u.basis.entries, columns, n, q)
+    placed = embed(short, start, width, n)
+    assert placed.basis.entries == _ref_embed(short.basis.entries, columns, n)
+    assert Subspace(n, placed.basis) == placed  # canonical
+    assert shorten(placed, start, width, tail) == short
+    masked = [tuple(0 if j in columns else x for j, x in enumerate(row)) for row in u.basis.entries]
+    assert off_rank(u, start, width, tail) == len(_ref_span(masked, q))
+    assert off_rank(u, start, width, tail) == u.dim - short.dim
+
+
 @pytest.mark.parametrize("q, count", [(2, 200), (3, 40), (5, 30), (7, 30), (17, 20)])
 def test_packed_rows_match_list_reference(q, count):
     """Every operation on stored rows agrees with the list reference (N <= 40).
@@ -350,20 +373,9 @@ def test_packed_rows_match_list_reference(q, count):
         assert subspace_sum(subspace_sum(v, u), u) == subspace_sum(v, u)
         assert (subspace_sum(v, u) == v) == (len(_ref_span(a_rows + b_rows, q)) == v.dim)
 
-        columns = [c for c in range(n) if rng.randbelow(3)]
-        order = [columns[i] for i in sorted(range(len(columns)), key=lambda _: rng.next64())]
-        for cols in (columns, order):
-            short = shorten(u, cols)
-            assert short.ambient_dim == len(cols)
-            assert short.basis.entries == _ref_shorten(u.basis.entries, cols, n, q)
-        placed = embed(shorten(u, columns), columns, n)
-        assert placed.basis.entries == _ref_embed(shorten(u, columns).basis.entries, columns, n)
-        assert Subspace(n, placed.basis) == placed  # canonical
-        assert shorten(placed, columns) == shorten(u, columns)
-        others = [c for c in range(n) if c not in columns]
-        masked = [tuple(x if j in others else 0 for j, x in enumerate(row)) for row in b_rows]
-        assert projection_rank(u, others) == len(_ref_span(masked, q))
-        assert projection_rank(u, others) == u.dim - shorten(u, columns).dim
+        start = rng.randint(0, n)
+        width = rng.randint(0, n - start)
+        _assert_block_moves(u, start, width, rng.randint(0, n - start - width))
 
         offset = rng.randint(0, 3)
         ambient = offset + n + c.cols + rng.randint(0, 3)
@@ -377,6 +389,24 @@ def test_packed_rows_match_list_reference(q, count):
         with pytest.raises(ParameterError):
             identity_lift(c, offset + len(gap) + 1, ambient)
 
+    # every block shape in small ambients, on the zero, the full and random spaces
+    for n in range(7):
+        spaces = [Subspace.zero(q, n), full_space(q, n)]
+        spaces += [random_subspace(q, n, rng.randint(0, n), rng) for _ in range(2)]
+        for start, width, tail in _block_shapes(n):
+            for u in spaces:
+                _assert_block_moves(u, start, width, tail)
+        # one column too many: the block and the tail do not fit
+        u = spaces[-1]
+        for start, width, tail in ((n + 1, 0, 0), (0, n + 1, 0), (0, 0, n + 1), (-1, 0, 0)):
+            with pytest.raises(ParameterError):
+                shorten(u, start, width, tail)
+            with pytest.raises(ParameterError):
+                off_rank(u, start, width, tail)
+        for start, width in ((1, n), (-1, 0), (0, n + 1)):
+            with pytest.raises(ParameterError):
+                embed(u, start, width, n)
+
 
 @pytest.mark.parametrize(
     "q, layers, channel",
@@ -389,6 +419,7 @@ def test_packed_rows_match_list_reference(q, count):
         (3, [(2, 1), (2, 1)], ("matrix", 3, 1)),
         (5, [(4, 2), (3, 1)], ("exact", 1, 0)),
         (7, [(3, 1), (2, 1)], ("matrix", 4, 1)),
+        (2, [(2, 1), (3, 1), (2, 1)], ("exact", 1, 1)),  # a layer between two others
     ],
 )
 def test_edge_shapes_match_list_reference(q, layers, channel):
@@ -512,35 +543,32 @@ def test_row_index_bridge_matches_coords(q):
 # --- results read off the canonical basis, and the packed draws ---
 
 
-def _eliminating_shorten(u, columns):
-    """``shorten`` with no shortcut: move the other columns in front,
-    eliminate, and keep the rows that pivot past them."""
+def _eliminating_shorten(u, start, width, tail):
+    """``shorten`` with no gap and no shortcut: eliminate the basis again and
+    keep the rows that pivot past the first ``start`` columns."""
     q, n = u.q, u.ambient_dim
-    keep = set(columns)
-    order = tuple(c for c in range(n) if c not in keep) + tuple(columns)
-    move = _column_move(order, n, _field_bits(q))
-    reduced, pivots = _eliminate(q, n, _move_columns(u.basis._data, move))
-    kept = reduced[bisect_left(pivots, n - len(columns)) :]
-    width = len(columns)
-    return Subspace._unchecked(width, MatrixFq._unchecked(q, len(kept), width, tuple(kept)))
+    reduced, pivots = _eliminate(q, n, u.basis._data)
+    kept = tuple(reduced[bisect_left(pivots, start) :])
+    cols = width + tail
+    return Subspace._unchecked(cols, MatrixFq._unchecked(q, len(kept), cols, kept))
 
 
-def _eliminating_projection_rank(u, columns):
-    """``projection_rank`` with no shortcut: the rank of the masked rows."""
+def _eliminating_off_rank(u, start):
+    """``off_rank`` with no gap and no shortcut: the rank of the rows with
+    every column from ``start`` on zeroed."""
     q, n = u.q, u.ambient_dim
-    bits = _field_bits(q)
-    mask = sum(((1 << bits) - 1) << (n - 1 - c) * bits for c in columns)
-    return _rank(q, n, [v & mask for v in u.basis._data])
+    rows = [row[:start] + (0,) * (n - start) for row in u.basis.entries]
+    return _rank(q, n, MatrixFq(q, len(rows), n, rows)._data)
 
 
 def _block_test_spaces(q, n, rng):
     """The zero and full spaces, random spaces of every dimension, and spaces
-    that lie in a trailing block (every pivot before it erased)."""
+    that lie in the trailing columns (every pivot before them erased)."""
     spaces = [Subspace.zero(q, n), full_space(q, n)]
     spaces += [random_subspace(q, n, dim, rng) for dim in range(n + 1)]
     for width in range(n + 1):
         inner = random_subspace(q, width, rng.randint(0, width), rng)
-        spaces.append(embed(inner, range(n - width, n), n))
+        spaces.append(embed(inner, 0, 0, n))
     return spaces
 
 
@@ -548,32 +576,30 @@ def _block_test_spaces(q, n, rng):
     "q, ambients", [(2, (1, 7, 16)), (3, (5, 13)), (5, (4, 9)), (7, (6,)), (17, (5,))]
 )
 def test_block_shortcuts_match_the_eliminating_path(monkeypatch, q, ambients):
-    """``shorten`` on a trailing block in order and ``projection_rank`` on a
-    leading block (in any order) read the canonical basis: they equal the
-    eliminating path at every block width, 0 and the whole ambient
-    included, and run no elimination or forward pass."""
+    """With no gap (start + width + tail = ambient) ``shorten`` and
+    ``off_rank`` read the canonical basis: they equal the eliminating path
+    at every split of the kept columns into block and tail, 0 columns and
+    the whole ambient included, and run no elimination or forward pass."""
     rng = SplitMix64(90 + q)
     cases = []
     for n in ambients:
         for u in _block_test_spaces(q, n, rng):
-            for width in range(n + 1):
-                trailing = tuple(range(n - width, n))
-                leading = [c for c in range(width) if c % 2] + [c for c in range(width) if not c % 2]
-                cases.append(
-                    (u, trailing, leading, _eliminating_shorten(u, trailing),
-                     _eliminating_projection_rank(u, leading))
-                )
+            for start in range(n + 1):
+                rank = _eliminating_off_rank(u, start)
+                for width in range(n - start + 1):
+                    tail = n - start - width
+                    short = _eliminating_shorten(u, start, width, tail)
+                    cases.append((u, (start, width, tail), short, rank))
 
     def no_elimination(*args):
         raise AssertionError("an elimination ran where the canonical basis answers")
 
     for name in ("_eliminate", "_rank", "_echelon_gf2", "_echelon_odd"):
         monkeypatch.setattr(linalg, name, no_elimination)
-    for u, trailing, leading, short, rank in cases:
-        got = shorten(u, trailing)
-        assert got == short and got.ambient_dim == len(trailing)
-        assert projection_rank(u, leading) == rank
-        assert projection_rank(u, range(len(leading))) == rank
+    for u, block, short, rank in cases:
+        got = shorten(u, *block)
+        assert got == short and got.ambient_dim == block[1] + block[2]
+        assert off_rank(u, *block) == rank
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 17])
