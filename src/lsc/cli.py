@@ -1,9 +1,10 @@
 """Command-line harness.
 
 Verbs: simulate, verify, search-beyond, scenario, dump-code.
-Exit codes: 0 success, 1 property violation, 2 config error,
-3 search target not found, 4 stdout closed by the reader (for example
-``| head``): the rest of the output is dropped, with no traceback.
+Exit codes: 0 success, 1 property violation, 2 config error (an
+unwritable ``--out`` included), 3 search target not found, 4 stdout
+closed by the reader (for example ``| head``): the rest of the output is
+dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -74,17 +75,18 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.workers = workers
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def _open_out(path: str):
+    """The ``--out`` file, opened before any trial runs: an unwritable path
+    is a config error (exit 2), not a traceback after the whole run."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out: {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     result = run_simulate(cfg)
-    _write_out(args.out, result.csv_text)
+    (args.out or sys.stdout).write(result.csv_text)
     print(result.summary_text(), file=sys.stderr if args.out is None else sys.stdout)
     if args.dump and result.guaranteed_failures:
         _dump_guaranteed_failures(cfg, result)
@@ -124,7 +126,7 @@ def _cmd_search(cfg: ExperimentConfig, args) -> int:
         for target in cfg.search_targets
         if target in result.found
     )
-    _write_out(args.out, text)
+    (args.out or sys.stdout).write(text)
     for target in cfg.search_targets:
         if target in result.found:
             inst = result.found[target]
@@ -143,7 +145,7 @@ def _cmd_search(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_scenario(cfg: ExperimentConfig, args) -> int:
     result = run_scenario(cfg)
-    _write_out(args.out, result.csv_text)
+    (args.out or sys.stdout).write(result.csv_text)
     stream = sys.stderr if args.out is None else sys.stdout
     for line in result.summary_lines:
         print(line, file=stream)
@@ -192,7 +194,11 @@ def main(argv: list[str] | None = None) -> int:
             "scenario": _cmd_scenario,
             "dump-code": _cmd_dump_code,
         }[args.verb]
-        code = handler(cfg, args)
+        if getattr(args, "out", None) is None:
+            code = handler(cfg, args)
+        else:
+            with _open_out(args.out) as args.out:
+                code = handler(cfg, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

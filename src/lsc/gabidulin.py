@@ -56,13 +56,13 @@ indices in [0, q^m): ``encode`` takes one and raises ``ParameterError``
 for anything else, and the public decoders and ``iter_messages`` give
 one.  The evaluation points are element indices too.
 
-The algorithms (linearized-polynomial evaluation, composition, left
-division and subspace annihilators, encoding, the decoder and its
-F_{q^m} nullspace, the codebook) compute on element indices
-with ``FieldParams.ops``; the kernels that multiply one element into
-many (evaluation, left division, the interpolation rows and the
-nullspace) add logarithms on its zero-sentinel tables.  Words, points
-and hints meet their F_q matrices at one bridge,
+The algorithms (linearized-polynomial evaluation, left division and
+subspace annihilators, encoding, the decoder and its F_{q^m} nullspace,
+the codebook) compute on element indices with ``FieldParams.ops``; the
+kernels that multiply one element into many (evaluation, left division,
+the interpolation rows and the nullspace) add logarithms on its
+zero-sentinel tables.  Words, points and hints meet their F_q matrices
+at one bridge,
 ``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in ``linalg``:
 the projections P r and P g are ``MatrixFq`` products across it, and the
 points' independence is the rank of their matrix.
@@ -118,21 +118,6 @@ def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _lp_compose(ops: FieldOps, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a(b(x)); coefficient k is sum_{i+j=k} a_i * b_j^(q^i)."""
-    if not a or not b:
-        return []
-    add, mul, frob = ops.add, ops.mul, ops.frob
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = add(out[i + j], mul(ai, frob(bj, i)))
-    return _trim(out)
-
-
 def _lp_divide_left(
     ops: FieldOps, num: Sequence[int], left: Sequence[int]
 ) -> tuple[list[int], list[int]]:
@@ -171,8 +156,10 @@ def _lp_annihilator(ops: FieldOps, elements: Sequence[int]) -> list[int]:
         w = _lp_evaluate(ops, sigma, z)
         if not w:
             raise ParameterError("annihilator basis is linearly dependent")
-        # x^q - w^(q-1) x vanishes at w
-        sigma = _lp_compose(ops, [ops.sub(0, ops.pow(w, ops.q - 1)), 1], sigma)
+        # x^q - w^(q-1) x vanishes at w = sigma(z); applied after sigma, its
+        # coefficient k is sigma_(k-1)^q - w^(q-1) sigma_k
+        scale = ops.pow(w, ops.q - 1)
+        sigma = [ops.sub(ops.frob(hi, 1), ops.mul(scale, lo)) for hi, lo in zip([0, *sigma], [*sigma, 0])]
     return sigma
 
 

@@ -108,8 +108,8 @@ def _layer_distances(
 ) -> tuple[int, ...]:
     """d_S(V_l, U_l) per layer, U_l the layer extracted from the received space."""
     return tuple(
-        code.layer_distance(component, received, layer)
-        for layer, component in enumerate(word.components, 1)
+        code.layer_distance(matrix, received, layer)
+        for layer, matrix in enumerate(word.component_matrices, 1)
     )
 
 
@@ -453,7 +453,7 @@ def _retry_distances(code: LayeredCode, word, alg1_report, alg2_report) -> tuple
             i for i, l in enumerate(alg2_report.attempt_layers) if l == layer
         )
         before = alg2_report.accumulated[last_attempt]
-        out.append((layer, code.layer_distance(word.components[layer - 1], before, layer)))
+        out.append((layer, code.layer_distance(word.component_matrices[layer - 1], before, layer)))
     return tuple(out)
 
 

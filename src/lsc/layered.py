@@ -24,11 +24,9 @@ elimination (``linalg.identity_lift``), and one cached per-layer block
 (``_blocks``: the identity block's start and width, and the payload
 width) serves embedding (``linalg.embed``) and extraction
 (``linalg.shorten``: the block moves past the later layers' identity
-columns, then one elimination).  ``layer_distance`` reads d_S between a
-component and a layer of some space off the same block, with no
-extraction (``linalg.off_rank``).  The last layer has no later identity
-columns, so its extraction and the rank in its ``layer_distance`` are
-read off the canonical basis with no elimination (see ``linalg``).
+columns, then one elimination).  The last layer has no later identity
+columns, so its extraction is read off the canonical basis with no
+elimination (see ``linalg``).
 
 Encoding stacks the lifts' rows into V directly, and a random codeword
 draws every layer's message in one batch (the layers share F_{q^m}, so
@@ -47,7 +45,10 @@ lifts it and, under SIC, adds the lift to the working space; a lone
 code keeps the extraction, the lift and the sum in ``_step_memo``, made
 on first use and bounded like the decode memo (``lifted.MEMO_SIZE``).
 The decode itself stays one ``lifted.subspace_decode`` call per attempt,
-which has its own memo (see ``lifted``).
+which has its own memo (see ``lifted``).  ``layer_distance`` measures a
+layer on the extraction an attempt reads, d_S(lift(X_l), U_l) in the
+component ambient n_l + m, through the same memo entry: a trial's layer
+distances and its decodes extract each (layer, space) once.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -69,7 +70,6 @@ from .linalg import (
     Subspace,
     embed,
     identity_lift,
-    off_rank,
     row_space,
     shorten,
     subspace_distance,
@@ -214,19 +214,12 @@ class LayeredCode:
         if received.ambient_dim != ambient or received.q != q:
             raise ParameterError(f"received space must lie in F_{q}^{ambient}")
 
-    def layer_distance(self, component: Subspace, space: Subspace, layer: int) -> int:
-        """d_S(V_l, U_l) for ``component`` V_l of ``layer`` in the full ambient
-        and U_l the layer extracted from ``space``, with no extraction.
-
-        V_l vanishes off the layer's columns, so V_l ∩ space = V_l ∩ U_l,
-        and dim(space) - dim(U_l) is the rank of ``space`` read at the other
-        layers' identity columns.  Hence d_S(V_l, U_l) = d_S(V_l, space)
-        minus that rank; stripping columns moves no dimension, so the
-        distance is the same in the component ambient.
-        """
-        self._check_layer(layer)
-        start, width, tail = self._blocks[layer - 1]
-        return subspace_distance(component, space) - off_rank(space, start, width, tail)
+    def layer_distance(self, matrix: MatrixFq, space: Subspace, layer: int) -> int:
+        """d_S(lift(X_l), U_l) in the component ambient n_l + m, for the
+        codeword matrix X_l of ``layer`` and U_l the layer extracted from
+        ``space``: the extraction an attempt at ``layer`` on ``space`` decodes."""
+        extracted = self._memo_entry(space, layer)[0]
+        return subspace_distance(lifted_mod.lift(self.layers[layer - 1], matrix), extracted)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
@@ -348,30 +341,35 @@ class LayeredCode:
 
     @cached_property
     def _step_memo(self) -> dict:
-        """``_step``'s pure results on this code, by (layer, working basis):
-        [extracted component, its lift, working + lift], the last two
-        filled by ``_walk`` once the step decodes.  At most
-        ``lifted.MEMO_SIZE`` (4,096) keys; emptied when full."""
+        """The pure results of an attempt on this code (``_memo_entry``), by
+        (layer, working basis): [extracted component, its lift, working +
+        lift], the last two filled by ``_walk`` once the step decodes.  At
+        most ``lifted.MEMO_SIZE`` (4,096) keys; emptied when full."""
         return {}
 
-    def _step(self, working: Subspace, layer: int):
-        """One attempt at ``layer`` on ``working``: (result, memo entry).
-
-        The entry is ``_step_memo``'s list for the step, looked up once the
-        space's field and ambient are checked, since a space over another
-        field can store the same rows; its extraction is filled here, and
-        its lift and sum by the walk.  The outcome is always one
-        ``lifted.subspace_decode`` call, whose own memo makes a repeat a
-        dict hit (see the module docstring).
-        """
-        self._check_received(working, layer)
+    def _memo_entry(self, space: Subspace, layer: int) -> list:
+        """``_step_memo``'s entry for ``layer`` on ``space``, its extraction
+        made by ``extract_component`` on a miss; looked up once the space's
+        field and ambient are checked, since a space over another field can
+        store the same rows."""
+        self._check_received(space, layer)
         memo = self._step_memo
-        key = (layer, working.basis._data)
+        key = (layer, space.basis._data)
         step = memo.get(key)
         if step is None:
             if len(memo) >= lifted_mod.MEMO_SIZE:
                 memo.clear()
-            step = memo[key] = [self.extract_component(working, layer), None, None]
+            step = memo[key] = [self.extract_component(space, layer), None, None]
+        return step
+
+    def _step(self, working: Subspace, layer: int):
+        """One attempt at ``layer`` on ``working``: (result, memo entry).
+
+        The walk fills the entry's lift and sum.  The outcome is always one
+        ``lifted.subspace_decode`` call, whose own memo makes a repeat a
+        dict hit (see the module docstring).
+        """
+        step = self._memo_entry(working, layer)
         outcome = lifted_mod.subspace_decode(self.layers[layer - 1], step[0])
         if isinstance(outcome, DecodeFailure):
             return LayerResult(layer, None, outcome.reason), step

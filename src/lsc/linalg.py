@@ -34,15 +34,13 @@ increasing columns, so the stored rows decrease, and the rows that lead
 before a column are a prefix, found by comparing each row with a power of
 two (``_head_rows``).  The vectors of a subspace that vanish on the first
 c columns are spanned by its basis rows that lead at c or later, already
-reduced; its rank read at the first c columns is the count of rows that
-lead before c.  A layer of a layered code reads a block of columns and
-the trailing payload (``shorten``, ``off_rank`` and ``embed``); the other
-layers' identity columns lie before the block and in the gap after it.
-With no gap (the last layer) they are a leading block, so ``shorten`` and
-``off_rank`` need no elimination and no forward pass, and a lifted decode
-cuts the received basis in the same way.  With a gap each row moves the
-block past it, a shift and a mask, and one elimination (for the rank one
-forward pass) follows.
+reduced.  A layer of a layered code reads a block of columns and the
+trailing payload (``shorten`` and ``embed``); the other layers' identity
+columns lie before the block and in the gap after it.  With no gap (the
+last layer) they are a leading block, so ``shorten`` needs no
+elimination, and a lifted decode cuts the received basis in the same
+way.  With a gap each row moves the block past it, a shift and a mask,
+and one elimination follows.
 
 Trust: the public constructors ``MatrixFq(q, rows, cols, entries)`` and
 ``Subspace(ambient_dim, basis)`` check their arguments (shape, entry
@@ -706,9 +704,9 @@ def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
 @lru_cache(maxsize=64)
 def _block_plan(q: int, ambient_dim: int, start: int, width: int, tail: int) -> tuple[int, ...]:
     """The shifts and masks of a layout for stored rows over F_q: the bits
-    of B and P together, of P, of C and of B, then the masks of C, of B, of
-    A and P, and of A and C.  The one fit check: a ParameterError when the
-    block and the tail do not fit."""
+    of B and P together, of P, of C and of B, then the masks of C, of B,
+    and of A and P.  The one fit check: a ParameterError when the block
+    and the tail do not fit."""
     if min(start, width, tail) < 0 or start + width + tail > ambient_dim:
         raise ParameterError(
             f"a block of {width} at column {start} and a tail of {tail}"
@@ -719,8 +717,8 @@ def _block_plan(q: int, ambient_dim: int, start: int, width: int, tail: int) -> 
     gap = (ambient_dim - start - width - tail) * bits
     gap_mask = ((1 << gap) - 1) << low
     block_mask = ((1 << block) - 1) << gap + low
-    rest, off = ~(gap_mask | block_mask), ~(block_mask | (1 << low) - 1)
-    return block + low, low, gap, block, gap_mask, block_mask, rest, off
+    rest = ~(gap_mask | block_mask)
+    return block + low, low, gap, block, gap_mask, block_mask, rest
 
 
 def shorten(u: Subspace, start: int, width: int, tail: int) -> Subspace:
@@ -734,7 +732,7 @@ def shorten(u: Subspace, start: int, width: int, tail: int) -> Subspace:
     with no move and no elimination.
     """
     q, n = u.q, u.ambient_dim
-    kept, _, gap, block, gap_mask, block_mask, rest, _ = _block_plan(q, n, start, width, tail)
+    kept, _, gap, block, gap_mask, block_mask, rest = _block_plan(q, n, start, width, tail)
     data = u.basis._data
     if gap:
         moved = [(v & rest) | (v & gap_mask) << block | (v & block_mask) >> gap for v in data]
@@ -742,22 +740,6 @@ def shorten(u: Subspace, start: int, width: int, tail: int) -> Subspace:
     rows = data[_head_rows(data, kept) :]
     cols = width + tail
     return Subspace._unchecked(cols, MatrixFq._unchecked(q, len(rows), cols, rows))
-
-
-def off_rank(u: Subspace, start: int, width: int, tail: int) -> int:
-    """The rank of ``u`` read off the block and the tail: ``u.dim`` minus
-    the dimension of ``shorten(u, start, width, tail)``.
-
-    The rank of u's rows with the block and the tail zeroed, by one forward
-    pass.  With no gap the columns off them are a leading block, and the
-    canonical basis answers with no pass: its rows that lead there stay
-    independent there, and the others vanish there.
-    """
-    q, n = u.q, u.ambient_dim
-    kept, _, gap, _, _, _, _, off = _block_plan(q, n, start, width, tail)
-    if not gap:
-        return _head_rows(u.basis._data, kept)
-    return _rank(q, n, [v & off for v in u.basis._data])
 
 
 def embed(u: Subspace, start: int, width: int, ambient_dim: int) -> Subspace:
@@ -769,7 +751,7 @@ def embed(u: Subspace, start: int, width: int, ambient_dim: int) -> Subspace:
     canonical.
     """
     q = u.q
-    _, low, gap, _, _, _, _, _ = _block_plan(q, ambient_dim, start, width, u.ambient_dim - width)
+    _, low, gap, _, _, _, _ = _block_plan(q, ambient_dim, start, width, u.ambient_dim - width)
     left, tail_mask = gap + low, (1 << low) - 1
     data = tuple([(v >> low) << left | v & tail_mask for v in u.basis._data])
     return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, u.dim, ambient_dim, data))

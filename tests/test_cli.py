@@ -155,6 +155,26 @@ def test_a_closed_stdout_is_its_own_exit_code(tmp_path, verb, extra):
         assert (tmp_path / "rows.csv").read_text().startswith("trial,seed,algorithm")
 
 
+@pytest.mark.parametrize(
+    "verb, config",
+    [("simulate", "default.ini"), ("scenario", "unequal_protection.ini"), ("search-beyond", "search.ini")],
+)
+def test_an_unwritable_out_stops_before_any_trial(monkeypatch, capsys, tmp_path, verb, config):
+    """An ``--out`` path that cannot be opened (a missing directory, or a
+    directory) is exit 2 with ``--out: <path>: <reason>`` and no traceback,
+    before any trial runs."""
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was opened")
+
+    monkeypatch.setattr(harness, "make_trial", no_trial)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main([verb, "--config", str(CONFIGS / config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out: {out}: " in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_simulate_exit_zero_and_csv(tmp_path):
     out = tmp_path / "rows.csv"
     proc = run_cli(

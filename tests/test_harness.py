@@ -21,6 +21,7 @@ from lsc.harness import (
     run_verify,
 )
 from lsc.layered import ALGORITHMS, STATUS_OK, LayeredCode
+from lsc.lifted import lift
 from lsc.linalg import MatrixFq, Subspace, row_space, subspace_distance
 from lsc.properties import (
     PROPERTY_MANIFEST,
@@ -32,6 +33,7 @@ from lsc.properties import (
 from lsc.rng import derive_seed
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "simulate_tiny.csv"
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 TINY_SIM = """\
 [field]
@@ -588,6 +590,12 @@ seed = 13
     assert layer2_ok < layer1_ok  # distance 4 does not
 
 
+def _full_ambient_distance(code, component, space, layer):
+    """d_S between a layer's component V_l in the full ambient and the
+    unstripped extraction of ``space`` at that layer."""
+    return subspace_distance(component, code.embed_component(layer, code.extract_component(space, layer)))
+
+
 @pytest.mark.parametrize("q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])])
 def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, shape):
     """d_S(V_l, U_l) read in the component ambient equals the distance
@@ -597,9 +605,7 @@ def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, s
 
     def full_ambient(word, space):
         return tuple(
-            subspace_distance(
-                component, code.embed_component(layer, code.extract_component(space, layer))
-            )
+            _full_ambient_distance(code, component, space, layer)
             for layer, component in enumerate(word.components, start=1)
         )
 
@@ -613,10 +619,63 @@ def test_layer_distances_in_the_component_ambient_match_the_full_ambient(q, m, s
         assert _layer_distances(code, word, outcome.U) == full_ambient(word, outcome.U)
         for space in code.decode_alg2(outcome.U, iterative=True).accumulated[1:]:
             got = tuple(
-                code.layer_distance(component, space, layer)
-                for layer, component in enumerate(word.components, start=1)
+                code.layer_distance(matrix, space, layer)
+                for layer, matrix in enumerate(word.component_matrices, start=1)
             )
             assert got == full_ambient(word, space)
+
+
+def _attempt_code(name):
+    """The code of ``configs/<name>.ini``, or "q3": the q = 3 code of the
+    sim-matrix-q3 benchmark workload."""
+    if name == "q3":
+        return LayeredCode.standard(FieldParams.default(3, 4), [(3, 1), (4, 2)])
+    return load_config(str(CONFIGS / f"{name}.ini")).build_code()
+
+
+# unequal_protection's layers differ in k; three_layers' middle layer has
+# identity columns on both sides
+@pytest.mark.parametrize("name", ["default", "unequal_protection", "three_layers", "q3"])
+def test_layer_distance_is_measured_on_every_attempts_extraction(monkeypatch, name):
+    """At every attempt of every decoder, ``layer_distance(X_l, working, l)``
+    is d_S(lift(X_l), extraction) in the component ambient, computed on a
+    code with no step memo, and equals the full-ambient distance.  On an
+    alg1 trial the layer distances and the decode extract each layer of
+    the received space once: L ``extract_component`` calls in all."""
+    code = _attempt_code(name)
+    fresh = LayeredCode(code.layers)
+    extract = LayeredCode.extract_component
+    calls = []
+
+    def counted(self, received, layer):
+        if self is counting:
+            calls.append(layer)
+        return extract(self, received, layer)
+
+    monkeypatch.setattr(LayeredCode, "extract_component", counted)
+    for trial in range(40):
+        seed = derive_seed(29, code.params.q, trial)
+        if trial % 2:
+            word, outcome = make_trial(code, seed, ChannelSpec(rho=trial % 4, t=trial // 4 % 4))
+        else:
+            word, outcome = make_trial(code, seed, collected=5 + trial % 4, error_packets=trial // 2 % 3)
+        counting = LayeredCode(code.layers)
+        calls.clear()
+        _layer_distances(counting, word, outcome.U)
+        counting.decode(outcome.U, "alg1")
+        assert sorted(calls) == list(range(1, code.num_layers + 1))
+
+        attempts = [(outcome.U, layer) for layer in range(1, code.num_layers + 1)]
+        for algorithm in ALGORITHMS[1:]:
+            report = code.decode(outcome.U, algorithm, 4)
+            attempts += zip(report.accumulated, report.attempt_layers)
+        for space, layer in attempts:
+            matrix = word.component_matrices[layer - 1]
+            got = code.layer_distance(matrix, space, layer)
+            inner = code.layers[layer - 1]
+            assert got == subspace_distance(lift(inner, matrix), fresh.extract_component(space, layer))
+            assert got == _full_ambient_distance(code, word.components[layer - 1], space, layer)
+    assert "_step_memo" not in vars(fresh)
 
 
 @pytest.mark.parametrize("q, m, shape", [(2, 4, [(3, 1), (4, 1)]), (3, 4, [(3, 1), (4, 2)])])

@@ -18,7 +18,6 @@ from lsc.linalg import (
     embed,
     identity_lift,
     intersection,
-    off_rank,
     parse_subspace,
     random_subspace,
     random_subspace_of,
@@ -296,8 +295,8 @@ def _block_shapes(n):
 
 
 def _assert_block_moves(u, start, width, tail):
-    """``shorten``, ``off_rank`` and ``embed`` on one block shape against the
-    list reference, read at the block's columns and then the tail's."""
+    """``shorten`` and ``embed`` on one block shape against the list
+    reference, read at the block's columns and then the tail's."""
     q, n = u.q, u.ambient_dim
     columns = list(range(start, start + width)) + list(range(n - tail, n))
     short = shorten(u, start, width, tail)
@@ -307,9 +306,6 @@ def _assert_block_moves(u, start, width, tail):
     assert placed.basis.entries == _ref_embed(short.basis.entries, columns, n)
     assert Subspace(n, placed.basis) == placed  # canonical
     assert shorten(placed, start, width, tail) == short
-    masked = [tuple(0 if j in columns else x for j, x in enumerate(row)) for row in u.basis.entries]
-    assert off_rank(u, start, width, tail) == len(_ref_span(masked, q))
-    assert off_rank(u, start, width, tail) == u.dim - short.dim
 
 
 @pytest.mark.parametrize("q, count", [(2, 200), (3, 40), (5, 30), (7, 30), (17, 20)])
@@ -401,8 +397,6 @@ def test_packed_rows_match_list_reference(q, count):
         for start, width, tail in ((n + 1, 0, 0), (0, n + 1, 0), (0, 0, n + 1), (-1, 0, 0)):
             with pytest.raises(ParameterError):
                 shorten(u, start, width, tail)
-            with pytest.raises(ParameterError):
-                off_rank(u, start, width, tail)
         for start, width in ((1, n), (-1, 0), (0, n + 1)):
             with pytest.raises(ParameterError):
                 embed(u, start, width, n)
@@ -553,14 +547,6 @@ def _eliminating_shorten(u, start, width, tail):
     return Subspace._unchecked(cols, MatrixFq._unchecked(q, len(kept), cols, kept))
 
 
-def _eliminating_off_rank(u, start):
-    """``off_rank`` with no gap and no shortcut: the rank of the rows with
-    every column from ``start`` on zeroed."""
-    q, n = u.q, u.ambient_dim
-    rows = [row[:start] + (0,) * (n - start) for row in u.basis.entries]
-    return _rank(q, n, MatrixFq(q, len(rows), n, rows)._data)
-
-
 def _block_test_spaces(q, n, rng):
     """The zero and full spaces, random spaces of every dimension, and spaces
     that lie in the trailing columns (every pivot before them erased)."""
@@ -576,30 +562,28 @@ def _block_test_spaces(q, n, rng):
     "q, ambients", [(2, (1, 7, 16)), (3, (5, 13)), (5, (4, 9)), (7, (6,)), (17, (5,))]
 )
 def test_block_shortcuts_match_the_eliminating_path(monkeypatch, q, ambients):
-    """With no gap (start + width + tail = ambient) ``shorten`` and
-    ``off_rank`` read the canonical basis: they equal the eliminating path
-    at every split of the kept columns into block and tail, 0 columns and
-    the whole ambient included, and run no elimination or forward pass."""
+    """With no gap (start + width + tail = ambient) ``shorten`` reads the
+    canonical basis: it equals the eliminating path at every split of the
+    kept columns into block and tail, 0 columns and the whole ambient
+    included, and runs no elimination or forward pass."""
     rng = SplitMix64(90 + q)
     cases = []
     for n in ambients:
         for u in _block_test_spaces(q, n, rng):
             for start in range(n + 1):
-                rank = _eliminating_off_rank(u, start)
                 for width in range(n - start + 1):
                     tail = n - start - width
                     short = _eliminating_shorten(u, start, width, tail)
-                    cases.append((u, (start, width, tail), short, rank))
+                    cases.append((u, (start, width, tail), short))
 
     def no_elimination(*args):
         raise AssertionError("an elimination ran where the canonical basis answers")
 
     for name in ("_eliminate", "_rank", "_echelon_gf2", "_echelon_odd"):
         monkeypatch.setattr(linalg, name, no_elimination)
-    for u, block, short, rank in cases:
+    for u, block, short in cases:
         got = shorten(u, *block)
         assert got == short and got.ambient_dim == block[1] + block[2]
-        assert off_rank(u, *block) == rank
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 17])
