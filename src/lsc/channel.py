@@ -19,6 +19,7 @@ from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
+    _back_substitute,
     _echelon,
     _random_rows,
     random_full_rank_matrix,
@@ -65,12 +66,14 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
 
     The kept part is spanned by C·B for a uniform full-rank (dim(V) - rho)
     x dim(V) matrix C and V's basis B; when rho = 0, C is square and C·B
-    spans V, so B itself stands in for the product (C is still drawn).  E
-    is built by rejection sampling of vectors independent of V and of the
-    insertions so far: each candidate extends one kept forward pass of
-    them, and is taken iff the pass grows.  That forces E ∩ V = {0} and
-    hence realized == requested.  One elimination per trial: the final
-    ``row_space`` reduces the kept rows and the insertions together.
+    spans V, so no product is formed (C is still drawn).  E is built by
+    rejection sampling of vectors independent of V and of the insertions
+    so far: each candidate extends one kept forward pass of them, and is
+    taken iff the pass grows.  That forces E ∩ V = {0} and hence realized
+    == requested.  One elimination per trial: the final ``row_space``
+    reduces the kept rows and the insertions together.  At rho = 0 that
+    forward pass already spans U, so back substitution on it alone gives
+    U's canonical basis.
     """
     if spec.rho > v.dim:
         raise ParameterError(f"rho = {spec.rho} exceeds dim(V) = {v.dim}")
@@ -82,7 +85,8 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     rows = ()
     if kept:
         c = random_full_rank_matrix(q, kept, v.dim, rng)
-        rows = v.basis._data if kept == v.dim else (c @ v.basis)._data
+        if kept < v.dim:
+            rows = (c @ v.basis)._data
     # insertions must stay independent of all of V, not just the kept part
     span = _echelon(q, n, v.basis._data)
     for _ in range(spec.t):
@@ -96,7 +100,11 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
         else:
             raise CapacityError("insertion sampling exceeded its attempt cap")
 
-    u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
+    if kept == v.dim:
+        reduced, _ = _back_substitute(q, n, span)
+        u = Subspace._unchecked(n, MatrixFq._unchecked(q, len(reduced), n, tuple(reduced)))
+    else:
+        u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
     if u.dim != kept + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
     return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t)
@@ -105,7 +113,8 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
 def apply_matrix(v: Subspace, collected_packets: int, error_packets: int, rng) -> ChannelOutcome:
     """Receiver-side model: U = rowspace(A B + D Z) with uniform A, D, Z,
     drawn in that order (Z and D draw nothing when there are no error
-    packets); A B + D Z is the one product [A | D] [B ; Z]."""
+    packets, and [A | D] is then A itself); A B + D Z is the one product
+    [A | D] [B ; Z]."""
     if collected_packets < 0 or error_packets < 0:
         raise ParameterError("packet counts must be non-negative")
     q = v.q

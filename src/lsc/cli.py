@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_verb, load_config
 from .errors import CapacityError, ConfigError
 from .harness import run_scenario, run_search_beyond, run_simulate, run_verify
 from .linalg import dump_subspace
@@ -187,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.q > 10 and (args.verb == "search-beyond" or args.verb == "simulate" and args.dump):
             where = cfg.where("field", "q")
             raise ConfigError(f"{where}: subspace dumps need q <= 10, got {cfg.q}")
+        # every config error is raised before --out is opened
+        check_verb(cfg, args.verb)
         handler = {
             "simulate": _cmd_simulate,
             "verify": _cmd_verify,

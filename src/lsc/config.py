@@ -311,6 +311,36 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
             )
 
 
+def check_verb(cfg: ExperimentConfig, verb: str) -> None:
+    """The checks that only some verbs make, all on the config alone.
+
+    ``search-beyond`` and ``scenario`` draw from the exact channel only; a
+    search needs a grid point beyond the capability, and a scenario exactly
+    one grid point.  The CLI makes them before it opens ``--out``, and
+    ``run_search_beyond`` and ``run_scenario`` make them again for library
+    callers.
+    """
+    if verb not in ("search-beyond", "scenario"):
+        return
+    if cfg.channel_mode != "exact":
+        raise ConfigError(
+            f"{cfg.where('channel', 'mode')}: {verb} uses the exact channel only; "
+            f"mode = {cfg.channel_mode} is not supported"
+        )
+    if verb == "search-beyond":
+        code = cfg.build_code()
+        if all(rho + t <= code.capability for rho, t in cfg.grid()):
+            raise ConfigError(
+                f"{cfg.where('channel', 'rho')}: search needs grid points with "
+                f"2(rho+t) >= {code.min_distance()}; none configured"
+            )
+    elif len(cfg.grid()) != 1:
+        raise ConfigError(
+            f"{cfg.where('channel', 'rho')}: scenario modes use a fixed channel; "
+            f"configure exactly one rho and one t value"
+        )
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "rb") as handle:

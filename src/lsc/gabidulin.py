@@ -45,6 +45,20 @@ encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
 every call scans it with one row difference and one rank per codeword.
 
+A codeword is a pure function of its message, and a run meets the same
+messages again and again: each trial encodes one per layer, and each
+successful lifted decode returns the codeword matrix of the message it
+found.  So ``_codeword_matrix`` reads a memo on the code
+(``_codeword_memo``, made on first use and keyed by the message's index
+tuple) and evaluates (``_evaluate``) only on a miss.  The codebook
+evaluates outside the memo, so the oracle leaves it alone.  All four
+memos of a code (the codewords and lifted decodes of a
+``GabidulinCode``, and the steps and lifts of a ``LayeredCode``) hold at
+most ``MEMO_SIZE`` = 4,096 entries and are emptied when full
+(``_memo_put``, which reads the bound at call time).
+``ExperimentConfig.build_code`` builds fresh codes, so a memo lasts one
+run.
+
 A rank-metric word, sent or received, is its n x m ``MatrixFq`` over
 F_q: row i holds the coordinates of symbol i (Silva, Kschischang and
 Koetter, "A rank-metric approach to error control in random network
@@ -81,6 +95,20 @@ from .linalg import MatrixFq, _add_rows, _eliminate, _kernel, _rank
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
+
+# the most entries each memo of a code holds before it is emptied: the
+# codewords and lifted decodes of a ``GabidulinCode``, and the steps and
+# lifts of a ``LayeredCode``
+MEMO_SIZE = 4096
+
+
+def _memo_put(memo: dict, key, value):
+    """Store ``value`` under ``key`` in one of the code memos and return it;
+    a memo that already holds ``MEMO_SIZE`` entries is emptied first."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -197,7 +225,12 @@ class GabidulinCode:
     @cached_property
     def _subspace_decode_memo(self) -> dict:
         """``lifted.subspace_decode``'s outcomes on this code, by received
-        basis; ``lifted`` bounds and fills it."""
+        basis; ``lifted`` fills it through ``_memo_put``."""
+        return {}
+
+    @cached_property
+    def _codeword_memo(self) -> dict:
+        """``_codeword_matrix``'s codewords on this code, by message indices."""
         return {}
 
     @cached_property
@@ -216,14 +249,20 @@ class GabidulinCode:
             raise ParameterError(f"message must have length {self.k}")
         return _element_indices(self.params, message, "message symbol")
 
-    def _evaluate(self, f: Sequence[int]) -> list[int]:
-        """The linearized polynomial f (on indices) at every evaluation point."""
+    def _evaluate(self, f: Sequence[int]) -> MatrixFq:
+        """The linearized polynomial f (on indices) at every evaluation
+        point: the codeword of the message f as its n x m matrix."""
         ops = self.params.ops
-        return [_lp_evaluate(ops, f, g) for g in self.eval_points]
+        points = [_lp_evaluate(ops, f, g) for g in self.eval_points]
+        return MatrixFq._from_indices(self.params.q, self.params.m, points)
 
-    def _codeword_matrix(self, f: Sequence[int]) -> MatrixFq:
-        """The codeword of the message with element indices f, as its n x m matrix."""
-        return MatrixFq._from_indices(self.params.q, self.params.m, self._evaluate(f))
+    def _codeword_matrix(self, f: tuple[int, ...]) -> MatrixFq:
+        """The codeword of the message with element indices f, as its n x m
+        matrix: read from ``_codeword_memo``, evaluated on a miss."""
+        matrix = self._codeword_memo.get(f)
+        if matrix is None:
+            matrix = _memo_put(self._codeword_memo, f, self._evaluate(f))
+        return matrix
 
     def _check_received(self, received: MatrixFq) -> None:
         """A word is an n x m ``MatrixFq`` over F_q; anything else is a ParameterError."""
@@ -262,16 +301,13 @@ class GabidulinCode:
             proj = kernel._data
         else:
             word, proj = received._row_indices(), None
-        outcome = self._decode_projected(word, proj, row_basis)
-        if isinstance(outcome, DecodeFailure):
-            return outcome
-        return tuple(outcome)
+        return self._decode_projected(word, proj, row_basis)
 
     def _decode_projected(
         self, word: Sequence[int], proj: tuple[int, ...] | None, row_basis: tuple[int, ...]
     ):
-        """The decoder once its hints are in place; returns the message as k
-        element indices, or a DecodeFailure.
+        """The decoder once its hints are in place; returns the message, a
+        tuple of k element indices, or a DecodeFailure.
 
         ``proj`` holds the stored rows of a full-rank (n - mu) x n projection
         P whose row space is the annihilator of the column-erasure space
@@ -341,7 +377,7 @@ class GabidulinCode:
             residual = list(map(ops.sub, word, (_lp_evaluate(ops, f, g) for g in points)))
             stacked = MatrixFq._from_indices(q, m, residual)._data + row_basis
             if 2 * (_rank(q, m, stacked) - delta) + mu + delta <= d - 1:
-                return f + [0] * (k - len(f))
+                return tuple(f) + (0,) * (k - len(f))
         return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
     def _hint_basis(
@@ -380,7 +416,7 @@ class GabidulinCode:
         by every later call and by ``lifted.codeword_subspaces``.
         """
         messages = tuple(itertools.product(range(self.params.size), repeat=self.k))
-        return messages, tuple(self._codeword_matrix(f)._data for f in messages)
+        return messages, tuple(self._evaluate(f)._data for f in messages)
 
     def brute_force_decode(self, received: MatrixFq, cap: int = 1 << 20):
         """Minimum rank-distance decoding by a scan of the codebook; ties fail.

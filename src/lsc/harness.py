@@ -11,15 +11,14 @@ outcomes as plain simulation runs with the same seed.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence, TextIO
 
 from .channel import ChannelSpec, make_trial
-from .config import ExperimentConfig
-from .errors import ConfigError, InvariantError
+from .config import ExperimentConfig, check_verb
+from .errors import InvariantError
 from .layered import STATUS_OK, LayerDecodeReport, LayeredCode, LayeredCodeword
 from .linalg import Subspace, dump_subspace, subspace_distance
 from .properties import (
@@ -219,10 +218,13 @@ def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) 
     No more processes start than there are jobs or usable CPUs.  Results
     keep the order of ``jobs``.  ``trial_fn`` is a module-level function,
     so that it pickles by name; each worker rebuilds ``code`` once, from
-    its field and shape.
+    its field and shape.  ``multiprocessing`` is imported only when a pool
+    starts: a one-process run does not pay for the import.
     """
     processes = min(cfg.workers, len(jobs), _usable_cpus())
     if processes > 1:
+        import multiprocessing
+
         params = code.params
         shape = tuple((layer.n, layer.k) for layer in code.layers)
         with multiprocessing.Pool(
@@ -478,14 +480,9 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     fails a layer but SIC recovers everything), ``alg1-only`` (parallel
     decoding succeeds while SIC loses a layer).
     """
-    _exact_channel_only(cfg, "search-beyond")
+    check_verb(cfg, "search-beyond")
     code = cfg.build_code()
     grid = [(rho, t) for rho, t in cfg.grid() if rho + t > code.capability]
-    if not grid:
-        raise ConfigError(
-            f"{cfg.where('channel', 'rho')}: search needs grid points with "
-            f"2(rho+t) >= {code.min_distance()}; none configured"
-        )
     wanted = list(cfg.search_targets)
     found: dict[str, SearchInstance] = {}
     trial = 0
@@ -537,15 +534,6 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     return SearchResult(found=found, missing=missing, trials_used=trial)
 
 
-def _exact_channel_only(cfg: ExperimentConfig, verb: str) -> None:
-    """``search-beyond`` and ``scenario`` draw from the exact channel only."""
-    if cfg.channel_mode != "exact":
-        raise ConfigError(
-            f"{cfg.where('channel', 'mode')}: {verb} uses the exact channel only; "
-            f"mode = {cfg.channel_mode} is not supported"
-        )
-
-
 # --- scenario modes ---
 
 
@@ -558,18 +546,9 @@ class ScenarioResult:
     guaranteed_failures: int = 0
 
 
-def _single_grid_point(cfg: ExperimentConfig) -> tuple[int, int]:
-    grid = cfg.grid()
-    if len(grid) != 1:
-        raise ConfigError(
-            f"{cfg.where('channel', 'rho')}: scenario modes use a fixed channel; "
-            f"configure exactly one rho and one t value"
-        )
-    return grid[0]
-
-
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    _exact_channel_only(cfg, "scenario")
+    """The configured scenario mode, at the config's one grid point."""
+    check_verb(cfg, "scenario")
     if cfg.scenario_mode == "multicast":
         return _scenario_multicast(cfg)
     if cfg.scenario_mode == "multi-source":
@@ -590,7 +569,7 @@ def _multicast_trial(code: LayeredCode, job) -> tuple[bool, ...]:
 
 def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Adaptive layer count: rate vs. success under a fixed channel."""
-    rho, t = _single_grid_point(cfg)
+    ((rho, t),) = cfg.grid()
     spec = ChannelSpec(rho=rho, t=t)
     code = cfg.build_code()
     m = code.params.m
@@ -629,7 +608,7 @@ def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
     """Independent per-layer sources; report all-layer recovery statistics."""
-    rho, t = _single_grid_point(cfg)
+    ((rho, t),) = cfg.grid()
     code = cfg.build_code()
     records = _run_grid(cfg, code, [(rho, t)])
     csv_text = render_csv(CSV_COLUMNS, (r.csv_row() for r in records))
@@ -655,7 +634,7 @@ def _unicast_trial(code: LayeredCode, job) -> bool:
 
 def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:
     """Receiver wants one layer: extract it and run only that decoder."""
-    rho, t = _single_grid_point(cfg)
+    ((rho, t),) = cfg.grid()
     spec = ChannelSpec(rho=rho, t=t)
     code = cfg.build_code()
     layer = cfg.unicast_layer

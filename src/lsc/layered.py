@@ -42,13 +42,22 @@ the layer from the working space and decode it.  On a success the walk
 lifts it and, under SIC, adds the lift to the working space; a lone
 ``decode_layer`` builds no lift.  Each part is a pure function of
 (layer, working space), and the decoders repeat many steps, so each
-code keeps the extraction, the lift and the sum in ``_step_memo``, made
-on first use and bounded like the decode memo (``lifted.MEMO_SIZE``).
-The decode itself stays one ``lifted.subspace_decode`` call per attempt,
-which has its own memo (see ``lifted``).  ``layer_distance`` measures a
-layer on the extraction an attempt reads, d_S(lift(X_l), U_l) in the
-component ambient n_l + m, through the same memo entry: a trial's layer
-distances and its decodes extract each (layer, space) once.
+code keeps the extraction and the sum in ``_step_memo``.  The decode
+itself stays one ``lifted.subspace_decode`` call per attempt, which has
+its own memo (see ``lifted``).  ``layer_distance`` measures a layer on
+the extraction an attempt reads, d_S(lift(X_l), U_l) in the component
+ambient n_l + m, through the same memo entry: a trial's layer distances
+and its decodes extract each (layer, space) once.
+
+A lift is a pure function of the layer and its codeword X_l, and a
+trial lifts each sent X_l up to three times: in encoding, in the walk
+once the layer decodes, and in ``layer_distance``, in the component
+ambient.  So each code keeps one lift memo (``_lift_memo``), keyed by
+(layer, codeword rows) once the matrix's shape and field are known to
+fit: an entry holds the component in the full ambient and the lift in
+the component ambient, each made on first use.  The codewords come from
+the inner codes' own memo (see ``gabidulin``).  Both memos here are made
+on first use and bounded like the others (``gabidulin.MEMO_SIZE``).
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -64,7 +73,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
 from .field import FieldParams
-from .gabidulin import DecodeFailure, GabidulinCode
+from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
 from .linalg import (
     MatrixFq,
     Subspace,
@@ -162,14 +171,14 @@ class LayeredCode:
             raise ParameterError(
                 f"component matrix must be {code.n}x{self.params.m} over F_{self.params.q}"
             )
-        return identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
+        return self._component(layer, matrix)
 
     def random_codeword(self, rng) -> "LayeredCodeword":
         """The codeword of uniform messages: one ``rng.randbelow`` per symbol,
         layer by layer, drawn as element indices in one batch (the layers
         share F_{q^m}, so this is the stream of one batch per layer)."""
         draws = iter(rng.randbelow_many(self.params.size, sum(code.k for code in self.layers)))
-        return self._encode_indices([list(islice(draws, code.k)) for code in self.layers])
+        return self._encode_indices([tuple(islice(draws, code.k)) for code in self.layers])
 
     def encode(self, messages: Sequence[Sequence[int]]) -> "LayeredCodeword":
         """Encode one message per layer, each k_l element indices in [0, q^m)."""
@@ -179,15 +188,14 @@ class LayeredCode:
             [code._indices(message) for code, message in zip(self.layers, messages)]
         )
 
-    def _encode_indices(self, messages: Sequence[Sequence[int]]) -> "LayeredCodeword":
-        """Encode messages given as element indices, one list per layer; each
+    def _encode_indices(self, messages: Sequence[tuple[int, ...]]) -> "LayeredCodeword":
+        """Encode messages given as element indices, one tuple per layer; each
         codeword matrix has its layer's shape, so it is lifted unchecked."""
         matrices = tuple(
             code._codeword_matrix(message) for code, message in zip(self.layers, messages)
         )
         components = tuple(
-            identity_lift(matrix, offset, self.ambient_dim)
-            for matrix, offset in zip(matrices, self.offsets)
+            self._component(layer, matrix) for layer, matrix in enumerate(matrices, 1)
         )
         return LayeredCodeword(
             component_matrices=matrices,
@@ -219,7 +227,12 @@ class LayeredCode:
         codeword matrix X_l of ``layer`` and U_l the layer extracted from
         ``space``: the extraction an attempt at ``layer`` on ``space`` decodes."""
         extracted = self._memo_entry(space, layer)[0]
-        return subspace_distance(lifted_mod.lift(self.layers[layer - 1], matrix), extracted)
+        code = self.layers[layer - 1]
+        code._check_received(matrix)
+        lifts = self._lift_entry(layer, matrix)
+        if lifts[1] is None:
+            lifts[1] = identity_lift(matrix, 0, code.n + self.params.m)
+        return subspace_distance(lifts[1], extracted)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
@@ -311,14 +324,12 @@ class LayeredCode:
                 results[layer], step = self._step(working, layer)
                 matrix = results[layer].matrix
                 if matrix is not None:
-                    # the lift and the sum are built here, where they are read
-                    if step[1] is None:
-                        step[1] = self.component_subspace(layer, matrix)
-                    decoded[layer] = step[1]
+                    decoded[layer] = self._component(layer, matrix)
                     if cancel:
-                        if step[2] is None:
-                            step[2] = subspace_sum(working, step[1])
-                        working = step[2]
+                        # the sum is built here, where it is read
+                        if step[1] is None:
+                            step[1] = subspace_sum(working, decoded[layer])
+                        working = step[1]
                 if cancel:
                     accumulated.append(working)
                     attempts.append(layer)
@@ -342,10 +353,35 @@ class LayeredCode:
     @cached_property
     def _step_memo(self) -> dict:
         """The pure results of an attempt on this code (``_memo_entry``), by
-        (layer, working basis): [extracted component, its lift, working +
-        lift], the last two filled by ``_walk`` once the step decodes.  At
-        most ``lifted.MEMO_SIZE`` (4,096) keys; emptied when full."""
+        (layer, working basis): [extracted component, working + its decoded
+        lift], the sum filled by ``_walk`` once the step decodes under SIC.
+        At most ``gabidulin.MEMO_SIZE`` (4,096) keys; emptied when full."""
         return {}
+
+    @cached_property
+    def _lift_memo(self) -> dict:
+        """The lifts of codewords on this code (``_lift_entry``), by (layer,
+        codeword rows): [component in the full ambient, lift in the
+        component ambient], each made on first use.  At most
+        ``gabidulin.MEMO_SIZE`` (4,096) keys; emptied when full."""
+        return {}
+
+    def _lift_entry(self, layer: int, matrix: MatrixFq) -> list:
+        """``_lift_memo``'s entry for ``matrix``, a codeword matrix of
+        ``layer`` whose shape and field the caller has checked."""
+        key = (layer, matrix._data)
+        lifts = self._lift_memo.get(key)
+        if lifts is None:
+            lifts = _memo_put(self._lift_memo, key, [None, None])
+        return lifts
+
+    def _component(self, layer: int, matrix: MatrixFq) -> Subspace:
+        """[0 | I | 0 | X] in the full ambient for a checked codeword matrix
+        X of ``layer``, through ``_lift_memo``."""
+        lifts = self._lift_entry(layer, matrix)
+        if lifts[0] is None:
+            lifts[0] = identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
+        return lifts[0]
 
     def _memo_entry(self, space: Subspace, layer: int) -> list:
         """``_step_memo``'s entry for ``layer`` on ``space``, its extraction
@@ -353,19 +389,16 @@ class LayeredCode:
         field and ambient are checked, since a space over another field can
         store the same rows."""
         self._check_received(space, layer)
-        memo = self._step_memo
         key = (layer, space.basis._data)
-        step = memo.get(key)
+        step = self._step_memo.get(key)
         if step is None:
-            if len(memo) >= lifted_mod.MEMO_SIZE:
-                memo.clear()
-            step = memo[key] = [self.extract_component(space, layer), None, None]
+            step = _memo_put(self._step_memo, key, [self.extract_component(space, layer), None])
         return step
 
     def _step(self, working: Subspace, layer: int):
         """One attempt at ``layer`` on ``working``: (result, memo entry).
 
-        The walk fills the entry's lift and sum.  The outcome is always one
+        The walk fills the entry's sum.  The outcome is always one
         ``lifted.subspace_decode`` call, whose own memo makes a repeat a
         dict hit (see the module docstring).
         """

@@ -30,8 +30,8 @@ kernel, no hint elimination and no product.  ``decode_bounded`` on the
 reduction would project with T H for some invertible T over F_q, which
 gives the same outcome (see ``gabidulin``).  The core returns message
 indices, and the result is their codeword matrix X
-(``GabidulinCode._codeword_matrix``): the encoding is injective, so X
-fixes the message.
+(``GabidulinCode._codeword_matrix``, read from the code's codeword memo):
+the encoding is injective, so X fixes the message.
 
 A lifted decode is a pure function of the inner code and the received
 space, and the layered decoders repeat many: alg2's first attempt is
@@ -42,17 +42,19 @@ the received space's canonical basis once the ambient check has passed,
 and runs the uncached ``_decode_space`` only on a miss.  That check is
 the only one of a decode: ``_decode_space`` and ``_split`` run none.  An
 outcome (a codeword matrix or a ``DecodeFailure``) is immutable, so
-reports share it.  The memo holds at most ``MEMO_SIZE`` = 4,096 outcomes
-and is emptied when full; ``ExperimentConfig.build_code`` builds fresh
+reports share it.  Like every memo of a code, it holds at most
+``gabidulin.MEMO_SIZE`` = 4,096 entries and is emptied when full
+(``gabidulin._memo_put``); ``ExperimentConfig.build_code`` builds fresh
 codes, so it lasts one run.
 
 One level up, ``LayeredCode._step_memo`` keeps the pure rest of an
 attempt, by (layer, working space), under the same bound: the
-extraction, the lift of a decoded layer and the SIC sum (see
-``layered``).  It does not hold the outcome: every decoder attempt is
-still exactly one ``subspace_decode`` call, a dict hit here on a repeat,
-because perfbench counts those calls against the attempts a simulate CSV
-implies.  Folding the two memos into one waits on that check.
+extraction and the SIC sum, while ``LayeredCode._lift_memo`` keeps the
+lifts of each codeword (see ``layered``).  The step memo does not hold
+the outcome: every decoder attempt is still exactly one
+``subspace_decode`` call, a dict hit here on a repeat, because perfbench
+counts those calls against the attempts a simulate CSV implies.  Folding
+the two memos into one waits on that check.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
 that a received space lies in F_q^(n + m); the lifted code has no object
@@ -69,7 +71,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ParameterError
-from .gabidulin import DecodeFailure, GabidulinCode
+from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
 from .linalg import (
     MatrixFq,
     Subspace,
@@ -81,10 +83,6 @@ from .linalg import (
     identity_lift,
     subspace_distance,
 )
-
-# the most entries each memo of a code (``subspace_decode``'s and
-# ``LayeredCode._step_memo``) holds before it is emptied
-MEMO_SIZE = 4096
 
 
 def lift(inner: GabidulinCode, matrix: MatrixFq) -> Subspace:
@@ -150,8 +148,8 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
     codeword V; beyond that radius success is opportunistic.  The outcome
     is ``_decode_space``'s, looked up first in the code's memo: at most
-    ``MEMO_SIZE`` (4,096) outcomes keyed by the received space's canonical
-    basis, emptied when full.  The layered walk calls this once per
+    ``gabidulin.MEMO_SIZE`` (4,096) outcomes keyed by the received space's
+    canonical basis, emptied when full.  The layered walk calls this once per
     attempt, a repeat included, and memoizes the extraction before it
     itself (see the module docstring).
     """
@@ -160,9 +158,7 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     key = received.basis._data
     outcome = memo.get(key)
     if outcome is None:
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        outcome = memo[key] = _decode_space(inner, received)
+        outcome = _memo_put(memo, key, _decode_space(inner, received))
     return outcome
 
 

@@ -153,15 +153,14 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _random_rows(q: int, rows: int, cols: int, rng) -> tuple[int, ...]:
     """A uniform rows x cols matrix as stored rows, from one batch
-    ``rng.randbelow_many(q, rows * cols)`` read in row-major order.
+    ``rng.randbelow_many(q, rows * cols)`` read in row-major order; cols
+    is at least 1 (``MatrixFq.random`` draws no empty matrix).
 
     Over GF(2) a row is its draws as the digits of a base-2 numeral, over
     one-byte fields its draws as big-endian bytes: both conversions run
     in C.  Wider fields pack one entry at a time.
     """
     draws = rng.randbelow_many(q, rows * cols)
-    if not cols:
-        return (0,) * rows
     width = _field_bits(q)
     if width == 1:
         digits = bytes(draws).translate(_BIT_DIGITS)
@@ -198,22 +197,6 @@ def _echelon_gf2(rows: Iterable[int], by_lead: dict[int, int] | None = None) -> 
     return by_lead
 
 
-def _rref_gf2(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
-    """RREF of packed rows: the nonzero reduced rows in pivot order, and the pivots.
-
-    The forward pass (``_echelon_gf2``) in descending order, then back
-    substitution clears each leading bit from the rows above it.
-    """
-    kept = sorted(_echelon_gf2(rows).values(), reverse=True)
-    for i in range(len(kept) - 1, 0, -1):
-        row = kept[i]
-        lead = 1 << (row.bit_length() - 1)
-        for j in range(i):
-            if kept[j] & lead:
-                kept[j] ^= row
-    return kept, [ncols - row.bit_length() for row in kept]
-
-
 def _echelon_odd(
     rows: Iterable[int], q: int, ncols: int, by_lead: dict[int, int] | None = None
 ) -> dict[int, int]:
@@ -239,12 +222,26 @@ def _echelon_odd(
     return by_lead
 
 
-def _rref_odd(rows: Iterable[int], q: int, ncols: int) -> tuple[list[int], list[int]]:
-    """``_rref_gf2`` for odd q: the forward pass, then back substitution."""
+def _back_substitute(q: int, ncols: int, by_lead: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The nonzero RREF rows of a forward pass (``_echelon``), as stored
+    rows in pivot order, and the pivots.
+
+    The kept rows sorted by their leads, descending, are an echelon form
+    with leading entries 1; back substitution clears each lead from the
+    rows above it.
+    """
+    if q == 2:
+        kept = sorted(by_lead.values(), reverse=True)
+        for i in range(len(kept) - 1, 0, -1):
+            row = kept[i]
+            lead = 1 << (row.bit_length() - 1)
+            for j in range(i):
+                if kept[j] & lead:
+                    kept[j] ^= row
+        return kept, [ncols - row.bit_length() for row in kept]
     width = _field_bits(q)
     mask = (1 << width) - 1
     reduce = _reducer(q, ncols)
-    by_lead = _echelon_odd(rows, q, ncols)
     shifts = sorted(by_lead, reverse=True)
     kept = [by_lead[s] for s in shifts]
     for i in range(len(kept) - 1, 0, -1):
@@ -257,10 +254,9 @@ def _rref_odd(rows: Iterable[int], q: int, ncols: int) -> tuple[list[int], list[
 
 
 def _eliminate(q: int, ncols: int, data: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The nonzero RREF rows of stored rows, as stored rows, and the pivots."""
-    if q == 2:
-        return _rref_gf2(data, ncols)
-    return _rref_odd(data, q, ncols)
+    """The nonzero RREF rows of stored rows, as stored rows, and the pivots:
+    the forward pass, then back substitution."""
+    return _back_substitute(q, ncols, _echelon(q, ncols, data))
 
 
 def _echelon(
@@ -458,8 +454,13 @@ class MatrixFq:
 
     @classmethod
     def random(cls, q: int, rows: int, cols: int, rng) -> "MatrixFq":
-        """Uniform entries, drawn in row-major order with ``rng.randbelow_many(q, ...)``."""
+        """Uniform entries, drawn in row-major order with ``rng.randbelow_many(q, ...)``.
+
+        A matrix with no entries draws nothing, so it leaves the stream alone.
+        """
         _check_dims(q, rows, cols)
+        if not rows * cols:
+            return cls._unchecked(q, rows, cols, (0,) * rows)
         return cls._unchecked(q, rows, cols, _random_rows(q, rows, cols, rng))
 
     def _check_shape(self, other: "MatrixFq") -> None:
@@ -525,6 +526,10 @@ class MatrixFq:
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.rows != other.rows or self.q != other.q:
             raise ParameterError("hstack requires equal row counts and field")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         shift = other.cols * _field_bits(self.q)
         data = tuple((a << shift) | b for a, b in zip(self._data, other._data))
         return MatrixFq._unchecked(self.q, self.rows, self.cols + other.cols, data)

@@ -7,12 +7,15 @@ full ``row_space`` elimination that checks the direct sum.  The loops
 lift and embed each decoded matrix themselves (``component``).  An
 attempt extracts with the public ``extract_component`` and runs
 ``lifted._decode_space``, the lifted decode without ``subspace_decode``'s
-memo, and the loops add each lift back themselves, so every comparison
-with ``LayeredCode`` compares the walk and its two memos (``_step_memo``
-and the decode memo) with paths that keep none.
+memo, on a fresh copy of the inner code, whose codeword memo starts
+empty, and the loops add each lift back themselves, so every comparison
+with ``LayeredCode`` compares the walk and its four memos (the step,
+lift, decode and codeword memos) with paths that keep none.
 ``random_messages`` draws a codeword's messages as element indices, one
 batch per layer, for the public ``encode``.
 """
+
+import dataclasses
 
 from lsc import lifted
 from lsc.errors import ParameterError
@@ -32,7 +35,7 @@ def random_messages(code, rng):
 
 def attempt(code, layer, extracted):
     """One component decode of ``extracted`` (in the component ambient)."""
-    outcome = lifted._decode_space(code.layers[layer - 1], extracted)
+    outcome = lifted._decode_space(dataclasses.replace(code.layers[layer - 1]), extracted)
     if isinstance(outcome, DecodeFailure):
         return LayerResult(layer, None, outcome.reason)
     return LayerResult(layer, outcome, None)

@@ -230,6 +230,26 @@ def test_apply_exact_matches_the_path_before_its_shortcuts(q, m, shape):
                 assert mine._state == theirs._state
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_apply_exact_without_erasures_matches_row_space(q):
+    """At rho = 0 the exact channel reduces V and its insertions by back
+    substitution on the forward pass it extended.  Over spaces of every
+    dimension and at every t up to ambient - dim V, U and the stream after
+    it are those of the path that ends in ``row_space``."""
+    rng = SplitMix64(70 + q)
+    for ambient in (1, 4, 7):
+        for dim in range(ambient + 1):
+            v = random_subspace(q, ambient, dim, rng)
+            for t in range(ambient - dim + 1):
+                seed = rng.next64()
+                mine, theirs = SplitMix64(seed), SplitMix64(seed)
+                spec = ChannelSpec(rho=0, t=t)
+                got = apply_exact(v, spec, mine)
+                want = _apply_exact_before_shortcuts(v, spec, theirs)
+                assert got == want and got.U.basis.entries == want.U.basis.entries
+                assert mine._state == theirs._state
+
+
 def _apply_matrix_two_products(v, collected_packets, error_packets, rng):
     """``apply_matrix`` as written before A B + D Z became the one product
     [A | D] [B ; Z] (verbatim, but for the outcome's dropped V field)."""

@@ -441,3 +441,24 @@ def test_matrix_channel_is_a_config_error_for_exact_only_verbs(
     err = capsys.readouterr().err
     assert f"matrix.ini:4: {verb} uses the exact channel only" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb, channel, message",
+    [
+        ("search-beyond", "mode = matrix\ncollected = 4\nrho = 9\nt = 7", "2: search-beyond uses the exact channel only"),
+        ("search-beyond", "rho = 0, 1\nt = 0, 1", "2: search needs grid points with 2(rho+t) >= 6"),
+        ("scenario", "rho = 0, 1\nt = 1", "2: scenario modes use a fixed channel"),
+    ],
+    ids=["matrix-channel", "no-beyond-point", "two-grid-points"],
+)
+def test_a_config_error_of_one_verb_leaves_no_out_file(tmp_path, capsys, verb, channel, message):
+    """The checks that read only the config but belong to one verb run before
+    ``--out`` is opened: exit 2 at the key's line, and no file is made."""
+    config = tmp_path / "verb.ini"
+    config.write_text(f"[channel]\n{channel}\n\n[run]\ntrials = 2\n")
+    out = tmp_path / "out.txt"
+    assert cli.main([verb, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {config}:{message}" in err and "Traceback" not in err
+    assert not out.exists()

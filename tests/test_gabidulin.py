@@ -2,9 +2,12 @@
 
 import functools
 import itertools
+import pathlib
 
 import pytest
 
+from lsc import gabidulin as gabidulin_mod
+from lsc.config import load_config, parse_config
 from lsc.errors import CapacityError, ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import (
@@ -192,6 +195,65 @@ def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
     assert "_codebook" in vars(code)
     with pytest.raises(CapacityError):
         code.brute_force_decode(received, cap=params.size**k - 1)
+
+
+def _fresh_codeword(code, message):
+    """The codeword of ``message`` through no memo: the reference's own
+    polynomial evaluation at every point."""
+    ops = code.params.ops
+    points = [reference._lp_evaluate(ops, message, g) for g in code.eval_points]
+    return MatrixFq._from_indices(code.params.q, code.params.m, points)
+
+
+# the sim-matrix-q3 benchmark code: layer 2 has 81^2 messages, more than a memo holds
+Q3_CODE = "[field]\nq = 3\nm = 4\n\n[code]\nlayers = 3:1, 4:2\n"
+
+
+@pytest.mark.parametrize("name", ["default", "q3"])
+def test_memoized_codewords_equal_fresh_evaluations(name):
+    """Every message of both default.ini layers, and 500 random messages per
+    layer of the q = 3 code: on a miss and on a hit, the codeword memo gives
+    the fresh evaluation, and a hit is the stored matrix."""
+    if name == "default":
+        cfg = load_config(str(pathlib.Path(__file__).parent.parent / "configs" / "default.ini"))
+    else:
+        cfg = parse_config(Q3_CODE, "q3.ini")
+    rng = SplitMix64(33)
+    for code in cfg.build_code().layers:
+        if name == "default":
+            messages = list(code.iter_messages())
+        else:
+            messages = [tuple(rng.randbelow_many(code.params.size, code.k)) for _ in range(500)]
+        for message in messages:
+            want = _fresh_codeword(code, message)
+            got = code.encode(list(message))
+            assert got == want and got.entries == want.entries
+            assert code._codeword_matrix(message) is got
+        assert len(code._codeword_memo) == len(set(messages))
+
+
+def test_codeword_memo_never_grows_past_its_bound(fp24, monkeypatch):
+    """The codeword memo holds at most MEMO_SIZE codewords, and is emptied
+    when full."""
+    assert gabidulin_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
+    code = GabidulinCode.standard(fp24, 3, 1)
+    sizes = []
+    for message in [*code.iter_messages(), *code.iter_messages()]:
+        assert code.encode(message) == _fresh_codeword(code, message)
+        sizes.append(len(code._codeword_memo))
+    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+def test_the_oracle_leaves_the_codeword_memo_empty(fp24):
+    """The codebook evaluates every message outside the memo, so the oracle
+    fills no entry, and its codewords are the memoized ones."""
+    code = GabidulinCode.standard(fp24, 4, 2)
+    received = MatrixFq.random(2, 4, 4, SplitMix64(6))
+    code.brute_force_decode(received)
+    messages, codewords = code._codebook
+    assert "_codeword_memo" not in vars(code)
+    assert codewords == tuple(code._codeword_matrix(f)._data for f in messages)
 
 
 def _scrambled(hint, rng):

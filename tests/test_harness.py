@@ -470,6 +470,21 @@ def test_unchecked_results_pass_the_checked_constructors(monkeypatch):
     )
 
 
+def test_matrix_channel_without_error_packets_is_pinned():
+    """With no error packets the matrix channel draws no Z and no D, and
+    [A | D] is A: the CSV of a q = 3 run, with erasures and failures in it,
+    keeps the bytes it had when both were still built (sha256 measured at
+    cdff7ec)."""
+    text = MATRIX_Q3.replace("collected = 8", "collected = 6").replace(
+        "error_packets = 2", "error_packets = 0"
+    ).replace("trials = 12", "trials = 40")
+    result = run_simulate(parse_config(text, "q3.ini"))
+    assert hashlib.sha256(result.csv_text.encode()).hexdigest() == (
+        "1a59696a84f47a586fd508a6c57996f2bbb57ba09d60baebf8b24cd9f8876b7e"
+    )
+    assert not all(record.success for record in result.records)
+
+
 @pytest.mark.parametrize("seed", [2166945172, 2441639866])
 def test_iterative_dominance_guard_at_small_counts(seed):
     """With 20 trials no plain-SIC failure shows at these seeds; the suite

@@ -7,6 +7,7 @@ import pytest
 from layered_reference import decode_alg1 as reference_alg1
 from layered_reference import decode_alg2 as reference_alg2
 from layered_reference import random_messages as reference_messages
+from lsc import gabidulin as gabidulin_mod
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import InvariantError, ParameterError
@@ -513,7 +514,7 @@ def test_an_attempt_builds_no_lift(monkeypatch, q, m, shape):
         inside += outcome.distance <= code.capability
         beyond += outcome.distance > code.capability
         with monkeypatch.context() as patch:
-            patch.setattr(LayeredCode, "component_subspace", no_lift)
+            patch.setattr(LayeredCode, "_component", no_lift)
             for layer in range(1, code.num_layers + 1):
                 single_decodes += code.decode_layer(outcome.U, layer).matrix is not None
         for algorithm in ALGORITHMS:
@@ -534,10 +535,12 @@ def test_decode_by_name(example_code):
 
 
 def _memo_off(monkeypatch):
-    """Give every lookup of both memos an empty dict: each step and each
-    lifted decode then runs in full."""
+    """Give every lookup of all four memos an empty dict: each step, lift,
+    codeword and lifted decode then runs in full."""
     monkeypatch.setattr(LayeredCode, "_step_memo", property(lambda code: {}))
+    monkeypatch.setattr(LayeredCode, "_lift_memo", property(lambda code: {}))
     monkeypatch.setattr(GabidulinCode, "_subspace_decode_memo", property(lambda inner: {}))
+    monkeypatch.setattr(GabidulinCode, "_codeword_memo", property(lambda inner: {}))
 
 
 def _every_decode(code, received, decoders):
@@ -573,8 +576,8 @@ def test_step_memo_is_per_code(fp24, example_code):
 def test_step_memo_never_grows_past_its_bound(fp24, monkeypatch):
     """The step memo holds at most MEMO_SIZE keys, is emptied when full,
     and the reports stay the reference's throughout."""
-    assert lifted_mod.MEMO_SIZE == 4096
-    monkeypatch.setattr(lifted_mod, "MEMO_SIZE", 5)
+    assert gabidulin_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
     code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
     sizes = []
     step = LayeredCode._step
@@ -592,6 +595,64 @@ def test_step_memo_never_grows_past_its_bound(fp24, monkeypatch):
         ):
             _assert_same_report(got, want)
     assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+def test_lift_memo_never_grows_past_its_bound(fp24, monkeypatch):
+    """The lift memo holds at most MEMO_SIZE keys and is emptied when full,
+    while the components, the layer distances and the reports stay those
+    of the memo-free paths."""
+    assert gabidulin_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
+    code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    sizes = []
+    entry = LayeredCode._lift_entry
+
+    def recording_entry(self, *args):
+        lifts = entry(self, *args)
+        sizes.append(len(self._lift_memo))
+        return lifts
+
+    monkeypatch.setattr(LayeredCode, "_lift_entry", recording_entry)
+    for seed in range(10):
+        word, outcome = make_trial(code, seed, ChannelSpec(rho=2, t=1))
+        for layer, (matrix, component) in enumerate(
+            zip(word.component_matrices, word.components, strict=True), 1
+        ):
+            inner = code.layers[layer - 1]
+            assert component == code.embed_component(layer, lift(inner, matrix))
+            extracted = code.extract_component(outcome.U, layer)
+            want = subspace_distance(lift(inner, matrix), extracted)
+            assert code.layer_distance(matrix, outcome.U, layer) == want
+        for got, want in zip(
+            _every_decode(code, outcome.U, WALK), _every_decode(code, outcome.U, REFERENCE), strict=True
+        ):
+            _assert_same_report(got, want)
+    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+@pytest.mark.parametrize("q, shape, other_q", [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)])
+def test_a_warmed_lift_memo_still_rejects_a_wrong_matrix(q, shape, other_q):
+    """With both lifts of a codeword in the memo, a matrix that stores the
+    same rows but has another width, or lies over another field, is still
+    refused by ``component_subspace`` and ``layer_distance``."""
+    code = LayeredCode.standard(FieldParams.default(q, 4), shape)
+    words = [code.encode([[0] * inner.k for inner in code.layers])]
+    words.append(code.random_codeword(SplitMix64(5)))
+    for word in words:
+        for layer, matrix in enumerate(word.component_matrices, 1):
+            code.component_subspace(layer, matrix)
+            code.layer_distance(matrix, word.V, layer)
+            assert None not in code._lift_memo[(layer, matrix._data)]
+            wider = MatrixFq._unchecked(q, matrix.rows, matrix.cols + 1, matrix._data)
+            bad = [wider]
+            if matrix.is_zero():
+                bad.append(MatrixFq.zeros(other_q, matrix.rows, matrix.cols))
+            for wrong in bad:
+                assert wrong._data == matrix._data
+                with pytest.raises(ParameterError, match="component matrix must be"):
+                    code.component_subspace(layer, wrong)
+                with pytest.raises(ParameterError, match="word must be"):
+                    code.layer_distance(wrong, word.V, layer)
 
 
 @pytest.mark.parametrize(
@@ -625,7 +686,8 @@ def test_step_memo_on_and_off_match_the_reference(monkeypatch, q, m, shape):
                     failed_layers += code.num_layers - len(mine.decoded_layers)
                     multi_sweeps += mine.sweeps > 1
         if memo:
-            assert code._step_memo
+            assert code._step_memo and code._lift_memo
+            assert all(inner._codeword_memo for inner in code.layers)
     assert failed_layers and multi_sweeps
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from lsc import gabidulin as gabidulin_mod
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.errors import CapacityError, ParameterError
@@ -368,8 +369,8 @@ def test_memo_is_per_code(fp24, example_code):
 
 def test_memo_never_grows_past_its_bound(fp24, monkeypatch):
     """The memo holds at most MEMO_SIZE outcomes, and is emptied when full."""
-    assert lifted_mod.MEMO_SIZE == 4096
-    monkeypatch.setattr(lifted_mod, "MEMO_SIZE", 5)
+    assert gabidulin_mod.MEMO_SIZE == 4096
+    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
     inner = GabidulinCode.standard(fp24, 3, 1)
     memo = inner._subspace_decode_memo
     rng = SplitMix64(26)
