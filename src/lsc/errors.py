@@ -6,7 +6,7 @@ class ParameterError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration or sampling step exceeds its configured cap."""
+    """Raised past the fixed enumeration cap (2^20 items) or a sampling attempt cap."""
 
 
 class InvariantError(RuntimeError):

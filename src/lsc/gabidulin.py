@@ -44,6 +44,10 @@ oracle used to cross-check it.  It shares nothing with the decoder but
 encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
 every call scans it with one row difference and one rank per codeword.
+The lifted oracle scans the codewords' lifts, cached next to the codebook
+(``_lifted_codebook``); both pick by one rule, ``_nearest``.  The
+codebook lists the messages through ``iter_messages``, which checks the
+one enumeration cap (``linalg._ENUMERATION_CAP``) when it is called.
 
 A codeword is a pure function of its message, and a run meets the same
 messages again and again: each trial encodes one per layer, and each
@@ -91,7 +95,7 @@ from typing import Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import FieldOps, FieldParams
-from .linalg import MatrixFq, _add_rows, _eliminate, _kernel, _rank
+from .linalg import _ENUMERATION_CAP, MatrixFq, _add_rows, _eliminate, _kernel, _lift_rows, _rank
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -397,49 +401,52 @@ class GabidulinCode:
 
     # --- exhaustive oracle ---
 
-    def _check_cap(self, cap: int) -> None:
+    def iter_messages(self):
+        """An iterator over every message, as k element indices, in
+        ``itertools.product`` order; a message space larger than the
+        enumeration cap (``linalg._ENUMERATION_CAP``) is a CapacityError at
+        the call."""
         size = self.params.size**self.k
-        if size > cap:
-            raise CapacityError(f"message space {size} exceeds the cap {cap}")
-
-    def iter_messages(self, cap: int = 1 << 20):
-        """Every message, as k element indices, in ``itertools.product`` order."""
-        self._check_cap(cap)
-        yield from itertools.product(range(self.params.size), repeat=self.k)
+        if size > _ENUMERATION_CAP:
+            raise CapacityError(f"message space {size} exceeds the cap {_ENUMERATION_CAP}")
+        return itertools.product(range(self.params.size), repeat=self.k)
 
     @cached_property
     def _codebook(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(messages, codewords): every message as element indices, in
         ``iter_messages`` order, and its codeword as stored rows.
 
-        Built on the first oracle call that passes its cap check, then read
-        by every later call and by ``lifted.codeword_subspaces``.
+        Built on the first oracle call, after ``iter_messages`` has checked
+        the cap, then read by every later call.
         """
-        messages = tuple(itertools.product(range(self.params.size), repeat=self.k))
+        messages = tuple(self.iter_messages())
         return messages, tuple(self._evaluate(f)._data for f in messages)
 
-    def brute_force_decode(self, received: MatrixFq, cap: int = 1 << 20):
-        """Minimum rank-distance decoding by a scan of the codebook; ties fail.
+    @cached_property
+    def _lifted_codebook(self) -> tuple[tuple[int, ...], ...]:
+        """The stored rows of each codeword's lift [I_n | X], in codebook
+        order: what ``lifted.brute_force_subspace_decode`` scans."""
+        q, ambient = self.params.q, self.n + self.params.m
+        return tuple(_lift_rows(q, rows, 0, ambient) for rows in self._codebook[1])
 
-        The first codeword at the least distance wins unless a later one is
-        as near.  The cap is checked before the codebook is built or read.
-        """
+    @staticmethod
+    def _nearest(distances: list[int]):
+        """The index of the unique least of ``distances``, one per codeword in
+        codebook order, or a tie DecodeFailure when it occurs twice."""
+        best = min(distances)
+        if distances.count(best) > 1:
+            return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best}")
+        return distances.index(best)
+
+    def brute_force_decode(self, received: MatrixFq):
+        """Minimum rank-distance decoding by a scan of the codebook, one row
+        difference and one rank per codeword; ties fail (``_nearest``)."""
         self._check_received(received)
-        self._check_cap(cap)
         q, m = self.params.q, self.params.m
         rec = received._data
         messages, codewords = self._codebook
-        best = best_dist = None
-        tie = False
-        for i, rows in enumerate(codewords):
-            dist = _rank(q, m, _add_rows(q, m, rec, rows, -1))
-            if best_dist is None or dist < best_dist:
-                best, best_dist, tie = i, dist, False
-            elif dist == best_dist:
-                tie = True
-        if tie:
-            return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best_dist}")
-        return messages[best]
+        nearest = self._nearest([_rank(q, m, _add_rows(q, m, rec, rows, -1)) for rows in codewords])
+        return nearest if isinstance(nearest, DecodeFailure) else messages[nearest]
 
 
 def _element_indices(params: FieldParams, values: Sequence[int], what: str) -> tuple[int, ...]:

@@ -61,14 +61,12 @@ that a received space lies in F_q^(n + m); the lifted code has no object
 of its own.  A one-layer ``LayeredCode`` is the same code, and states its
 minimum distance 2 (n - k + 1).
 
-The exhaustive oracle ``brute_force_subspace_decode`` reads
-``codeword_subspaces``, which lifts the inner code's codebook (built once
-per code, see ``gabidulin``) rather than encoding every message again.
+The exhaustive oracle ``brute_force_subspace_decode`` scans the stored
+rows of the lifted codebook, cached on the inner code (see ``gabidulin``),
+with one stacked rank per codeword and no ``Subspace`` built.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import ParameterError
 from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
@@ -80,8 +78,8 @@ from .linalg import (
     _index_rows,
     _kernel,
     _lead_columns,
+    _rank,
     identity_lift,
-    subspace_distance,
 )
 
 
@@ -174,31 +172,18 @@ def _decode_space(inner: GabidulinCode, received: Subspace):
     return inner._codeword_matrix(outcome)
 
 
-@lru_cache(maxsize=16)
-def codeword_subspaces(inner: GabidulinCode, cap: int = 1 << 20):
-    """All (subspace, matrix) pairs of the lifted code, in message order:
-    the inner code's codebook, lifted."""
-    inner._check_cap(cap)
-    q, m, n = inner.params.q, inner.params.m, inner.n
-    out = []
-    for rows in inner._codebook[1]:
-        matrix = MatrixFq._unchecked(q, n, m, rows)
-        out.append((lift(inner, matrix), matrix))
-    return tuple(out)
+def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace):
+    """Minimum subspace-distance decoding by a scan of the lifted codebook;
+    ties fail.  A success is the codeword matrix, as from ``subspace_decode``.
 
-
-def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace, cap: int = 1 << 20):
-    """Minimum subspace-distance decoding by full enumeration; ties fail.
-    A success is the codeword matrix, as from ``subspace_decode``."""
+    d_S(lift X, U) = 2 rank([lift X; U]) - n - dim U, one stacked rank per
+    codeword; ``GabidulinCode._nearest`` picks the codeword.
+    """
     _check_ambient(inner, received)
-    best = best_dist = None
-    tie = False
-    for subspace, matrix in codeword_subspaces(inner, cap):
-        dist = subspace_distance(subspace, received)
-        if best_dist is None or dist < best_dist:
-            best, best_dist, tie = matrix, dist, False
-        elif dist == best_dist:
-            tie = True
-    if tie:
-        return DecodeFailure("tie", f"multiple codewords at distance {best_dist}")
-    return best
+    q, m, n = inner.params.q, inner.params.m, inner.n
+    basis, offset = received.basis._data, n + received.dim
+    distances = [2 * _rank(q, n + m, rows + basis) - offset for rows in inner._lifted_codebook]
+    nearest = inner._nearest(distances)
+    if isinstance(nearest, DecodeFailure):
+        return nearest
+    return MatrixFq._unchecked(q, n, m, inner._codebook[1][nearest])

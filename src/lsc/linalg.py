@@ -23,7 +23,8 @@ Besides this module only ``lifted`` looks inside the packed rows: it cuts
 a received basis at the header/payload boundary with ``_field_bits`` and
 ``_head_rows`` and reads the payload as element indices (``_index_rows``).
 ``gabidulin`` holds some without reading them: its oracle codebook hands
-them back to ``_add_rows`` and ``_rank``, and its decoder eliminates a
+them back to ``_add_rows`` and ``_rank``, lifted by ``_lift_rows`` for
+the lifted oracle, and its decoder eliminates a
 hint's rows with ``_eliminate`` and hands the basis to ``_kernel``,
 ``_rank`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
 a GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
@@ -64,6 +65,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
 
+# the most vectors of a subspace, or messages of a code, an enumeration lists
 _ENUMERATION_CAP = 1 << 20
 _set = object.__setattr__
 
@@ -602,7 +604,8 @@ class Subspace:
             raise ParameterError("subspaces live in different ambient spaces")
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^dim vectors of the subspace (guarded by the enumeration cap).
+        """An iterator over all q^dim vectors of the subspace; more than the
+        enumeration cap is a CapacityError at the call.
 
         The vector sum_i c_i b_i over the canonical basis comes in the
         ``itertools.product`` order of its coefficients (c_1, ..., c_dim):
@@ -620,7 +623,7 @@ class Subspace:
             reduce = _reducer(q, n)
             for row in self.basis._data:
                 span = [reduce(v + c * row) for v in span for c in range(q)]
-        yield from _unpack(span, q, n)
+        return iter(_unpack(span, q, n))
 
     def __repr__(self) -> str:
         rows = ",".join("".join(map(str, r)) for r in self.basis.entries)
@@ -692,10 +695,16 @@ def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
     q, n, m = x.q, x.rows, x.cols
     if offset < 0 or offset + n + m > ambient_dim:
         raise ParameterError(f"an {n} x {m} lift at column {offset} does not fit in {ambient_dim}")
+    rows = _lift_rows(q, x._data, offset, ambient_dim)
+    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
+
+
+def _lift_rows(q: int, data: Sequence[int], offset: int, ambient_dim: int) -> tuple[int, ...]:
+    """The stored rows of [0 | I_n | 0 | X] for the stored rows of X, with
+    no fit check: row i is the unit at column offset + i plus X's row i."""
     width = _field_bits(q)
     unit = 1 << (ambient_dim - 1 - offset) * width
-    rows = tuple((unit >> i * width) | row for i, row in enumerate(x._data))
-    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
+    return tuple((unit >> i * width) | row for i, row in enumerate(data))
 
 
 # --- block moves: a layer's coordinates read off a space, and back ---

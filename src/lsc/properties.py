@@ -17,12 +17,7 @@ from .channel import ChannelSpec, apply_exact, apply_matrix, make_trial
 from .field import FieldParams
 from .gabidulin import DecodeFailure, GabidulinCode
 from .layered import ALGORITHMS, LayeredCode
-from .lifted import (
-    brute_force_subspace_decode,
-    codeword_subspaces,
-    lift,
-    subspace_decode,
-)
+from .lifted import brute_force_subspace_decode, lift, subspace_decode
 from .linalg import (
     MatrixFq,
     intersection,
@@ -328,7 +323,7 @@ def lifted_suite(ctx: VerifyContext) -> list[PropertyResult]:
     params = FieldParams.default(2, 4)
     dist_checks = dist_viol = 0
     for desk in _desk_codes(params):
-        pairs = codeword_subspaces(desk)
+        pairs = [(lift(desk, word), word) for word in map(desk.encode, desk.iter_messages())]
         dmin = None
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):

@@ -9,9 +9,7 @@ import time
 import pytest
 
 from lsc.config import parse_config
-from lsc.field import FieldParams
 from lsc.harness import run_search_beyond, run_simulate
-from lsc.layered import LayeredCode
 from lsc.linalg import subspace_distance
 from lsc.properties import (
     VerifyContext,

@@ -10,14 +10,12 @@ from lsc.field import FieldParams
 from lsc.layered import LayeredCode
 from lsc.linalg import (
     MatrixFq,
-    Subspace,
     _rank,
     intersection,
     random_full_rank_matrix,
     random_subspace,
     row_space,
     subspace_distance,
-    subspace_sum,
 )
 from lsc.rng import SplitMix64
 

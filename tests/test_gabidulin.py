@@ -18,7 +18,8 @@ from lsc.gabidulin import (
     _lp_evaluate,
     _trim,
 )
-from lsc.linalg import MatrixFq, random_full_rank_matrix, rank_distance, row_space
+from lsc.lifted import brute_force_subspace_decode
+from lsc.linalg import MatrixFq, Subspace, random_full_rank_matrix, rank_distance, row_space
 from lsc.rng import SplitMix64
 import gabidulin_reference as reference
 from gabidulin_reference import decode_bounded as reference_decode
@@ -149,12 +150,17 @@ def test_brute_force_truth_table_tiny():
     assert ties > 0  # the equidistant case exists and fails as a tie
 
 
-def test_brute_force_cap(fp24):
-    code = GabidulinCode.standard(fp24, 4, 4)
-    received = code.encode([0] * 4)
-    with pytest.raises(CapacityError):
-        code.brute_force_decode(received, cap=100)
-    assert "_codebook" not in vars(code)  # the cap is checked before anything is built
+def test_brute_force_cap():
+    """4096^2 messages are more than the enumeration cap: iter_messages and
+    both oracles raise when they are called, before a codebook is built."""
+    code = GabidulinCode.standard(FieldParams.default(2, 12), 2, 2)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        code.iter_messages()
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        code.brute_force_decode(MatrixFq.zeros(2, 2, 12))
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        brute_force_subspace_decode(code, Subspace.zero(2, 14))
+    assert "_codebook" not in vars(code)
 
 
 def _reference_brute_force(code, received):
@@ -191,10 +197,6 @@ def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
         else:
             unique += 1
     assert ties and unique
-    # the codebook is built now; a smaller cap still refuses the code
-    assert "_codebook" in vars(code)
-    with pytest.raises(CapacityError):
-        code.brute_force_decode(received, cap=params.size**k - 1)
 
 
 def _fresh_codeword(code, message):

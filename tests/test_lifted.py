@@ -1,6 +1,9 @@
 """Lifted subspace codes: lifting, reduction, decode vs oracle."""
 
+import gc
 import itertools
+import pathlib
+import weakref
 from bisect import bisect_left
 from types import SimpleNamespace
 
@@ -9,13 +12,13 @@ import pytest
 from lsc import gabidulin as gabidulin_mod
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
-from lsc.errors import CapacityError, ParameterError
+from lsc.config import load_config
+from lsc.errors import ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import DecodeFailure, GabidulinCode
-from lsc.layered import LayeredCode
+from lsc.layered import ALGORITHMS, LayeredCode
 from lsc.lifted import (
     brute_force_subspace_decode,
-    codeword_subspaces,
     lift,
     reduce_received,
     subspace_decode,
@@ -31,6 +34,7 @@ from lsc.linalg import (
     rank_distance,
     subspace_distance,
 )
+from lsc.properties import _all_small_rank_errors
 from lsc.rng import SplitMix64
 from rref_reference import full_space
 
@@ -57,10 +61,7 @@ def test_min_subspace_distance_values(fp24):
 def test_distance_identity_exhaustive(fp24):
     for n in (3, 4):
         inner = GabidulinCode.standard(fp24, n, 1)
-        pairs = codeword_subspaces(inner)
-        assert [matrix for _, matrix in pairs] == [
-            inner.encode(msg) for msg in inner.iter_messages()
-        ]
+        pairs = [(lift(inner, word), word) for word in map(inner.encode, inner.iter_messages())]
         dmin = None
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
@@ -150,8 +151,6 @@ def test_lifted_oracle_matches_reference_enumeration(q, m, n):
         else:
             unique += 1
     assert ties and unique
-    with pytest.raises(CapacityError):
-        brute_force_subspace_decode(inner, received, cap=inner.params.size - 1)
 
 
 def test_oracle_tie_case(fp24, inner31):
@@ -159,6 +158,51 @@ def test_oracle_tie_case(fp24, inner31):
     outcome = brute_force_subspace_decode(inner31, Subspace.zero(2, 7))
     assert isinstance(outcome, DecodeFailure)
     assert outcome.reason == "tie"
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 3), (2, 4, 4), (3, 2, 2)])
+def test_the_two_oracles_agree_through_the_lifting_isometry(q, m, n):
+    """d_S(lift X, lift Y) = 2 d_R(X, Y), so on a lifted word the lifted
+    oracle finds the rank-metric oracle's codeword, or both tie and the
+    lifted tie is at twice the distance.  Every codeword plus every error of
+    rank <= 1, then 200 random words."""
+    params = FieldParams.default(q, m)
+    inner = GabidulinCode.standard(params, n, 1)
+    words = [inner.encode(msg) + err for msg in inner.iter_messages()
+             for err in _all_small_rank_errors(params, n, 1)]
+    rng = SplitMix64(70 + 10 * q + n)
+    words += [MatrixFq.random(q, n, m, rng) for _ in range(200)]
+    ties = 0
+    for word in words:
+        rank_outcome = inner.brute_force_decode(word)
+        got = brute_force_subspace_decode(inner, lift(inner, word))
+        if isinstance(rank_outcome, DecodeFailure):
+            ties += 1
+            distance = int(rank_outcome.detail.rsplit(" ", 1)[1])
+            assert got == DecodeFailure("tie", f"multiple codewords at distance {2 * distance}")
+        else:
+            assert got == inner.encode(rank_outcome)
+    assert 0 < ties < len(words)
+
+
+def _decode_and_drop():
+    """A weakref to layer 1's inner code of default.ini after a few decodes
+    of every algorithm and one lifted oracle call, with no other reference kept."""
+    code = load_config(str(pathlib.Path(__file__).parent.parent / "configs" / "default.ini")).build_code()
+    for seed in range(5):
+        _, outcome = make_trial(code, seed, ChannelSpec(rho=1, t=1))
+        for algorithm in ALGORITHMS:
+            code.decode(outcome.U, algorithm)
+    inner = code.layers[0]
+    brute_force_subspace_decode(inner, lift(inner, inner.encode((0,))))
+    return weakref.ref(inner)
+
+
+def test_a_code_is_freed_once_the_run_drops_it():
+    """No module-level cache keeps a code, or its memos, past its run."""
+    ref = _decode_and_drop()
+    gc.collect()
+    assert ref() is None
 
 
 def test_ambient_mismatch_rejected(fp24, inner31):

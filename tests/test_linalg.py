@@ -7,7 +7,7 @@ from bisect import bisect_left
 import pytest
 
 from lsc import linalg
-from lsc.errors import ParameterError
+from lsc.errors import CapacityError, ParameterError
 from lsc.linalg import (
     MatrixFq,
     Subspace,
@@ -73,6 +73,15 @@ def test_vectors_enumerate_the_span_in_coefficient_order(q):
         got = list(space.vectors())
         assert got == expected
         assert len(set(got)) == q**space.dim
+
+
+def test_vectors_checks_the_enumeration_cap_at_the_call():
+    """2^21 vectors are more than the enumeration cap: vectors() raises when
+    it is called, not at the first read of its iterator."""
+    space = full_space(2, 21)
+    assert 2**space.dim > linalg._ENUMERATION_CAP
+    with pytest.raises(CapacityError, match="too large to enumerate"):
+        space.vectors()
 
 
 def test_row_space_trivial_cases():
