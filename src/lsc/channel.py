@@ -65,15 +65,23 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     """Sample U with exactly the requested erasures and insertions.
 
     The kept part is spanned by C·B for a uniform full-rank (dim(V) - rho)
-    x dim(V) matrix C and V's basis B; when rho = 0, C is square and C·B
-    spans V, so no product is formed (C is still drawn).  E is built by
-    rejection sampling of vectors independent of V and of the insertions
-    so far: each candidate extends one kept forward pass of them, and is
-    taken iff the pass grows.  That forces E ∩ V = {0} and hence realized
-    == requested.  One elimination per trial: the final ``row_space``
-    reduces the kept rows and the insertions together.  At rho = 0 that
+    x dim(V) matrix C and V's basis B; at rho = 0 it is V itself, and no C
+    is drawn.  E is built by rejection sampling of vectors independent of
+    V and of the insertions so far: the missing candidates are drawn in one
+    batch (the same stream as one at a time), each extends one kept forward
+    pass in turn and is taken iff the pass grows, and only rejected ones are
+    drawn again, in at most ``_INSERTION_ATTEMPT_CAP`` batches.  That forces
+    E ∩ V = {0} and hence realized == requested.  The final ``row_space``
+    reduces the kept rows and the insertions together; at rho = 0 the
     forward pass already spans U, so back substitution on it alone gives
     U's canonical basis.
+
+    At rho = 0 no decoded result depends on the insertions drawn: U ⊇ V,
+    so each layer's extraction U_l ⊇ V_l has dimension n_l + t and lies at
+    subspace distance at least t (the dimension gap) from every lift, and
+    exactly t from the sent one.  A layer thus decodes iff t <= d_R(l) - 1,
+    a decoded component lies in V ⊆ U, and SIC never moves the working
+    space: every record is a function of (code, t).
     """
     if spec.rho > v.dim:
         raise ParameterError(f"rho = {spec.rho} exceeds dim(V) = {v.dim}")
@@ -83,22 +91,22 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
         )
     q, n, kept = v.q, v.ambient_dim, v.dim - spec.rho
     rows = ()
-    if kept:
-        c = random_full_rank_matrix(q, kept, v.dim, rng)
-        if kept < v.dim:
-            rows = (c @ v.basis)._data
+    if 0 < kept < v.dim:
+        rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data
     # insertions must stay independent of all of V, not just the kept part
     span = _echelon(q, n, v.basis._data)
-    for _ in range(spec.t):
-        for _attempt in range(_INSERTION_ATTEMPT_CAP):
-            cand = _random_rows(q, 1, n, rng)
+    inserted = 0
+    for _ in range(_INSERTION_ATTEMPT_CAP):
+        if inserted == spec.t:
+            break
+        for cand in _random_rows(q, spec.t - inserted, n, rng):
             before = len(span)
-            _echelon(q, n, cand, span)
+            _echelon(q, n, (cand,), span)
             if len(span) > before:
-                rows += cand
-                break
-        else:
-            raise CapacityError("insertion sampling exceeded its attempt cap")
+                rows += (cand,)
+                inserted += 1
+    if inserted < spec.t:
+        raise CapacityError("insertion sampling exceeded its attempt cap")
 
     if kept == v.dim:
         reduced, _ = _back_substitute(q, n, span)

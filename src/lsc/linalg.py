@@ -156,7 +156,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def _random_rows(q: int, rows: int, cols: int, rng) -> tuple[int, ...]:
     """A uniform rows x cols matrix as stored rows, from one batch
     ``rng.randbelow_many(q, rows * cols)`` read in row-major order; cols
-    is at least 1 (``MatrixFq.random`` draws no empty matrix).
+    is at least 1 (no caller draws an empty matrix).
 
     Over GF(2) a row is its draws as the digits of a base-2 numeral, over
     one-byte fields its draws as big-endian bytes: both conversions run
@@ -777,13 +777,21 @@ _SAMPLING_ATTEMPT_CAP = 1000
 
 
 def random_full_rank_matrix(q: int, rows: int, cols: int, rng) -> MatrixFq:
-    """Uniform rows x cols matrix conditioned on full rank (rejection)."""
+    """Uniform rows x cols matrix conditioned on full rank (rejection).
+
+    The rejection runs on stored rows: each draw is one ``_random_rows``
+    batch, as ``MatrixFq.random`` makes it, and its rank a forward pass; a
+    matrix is built only for the accepted draw.  Zero rows draw nothing.
+    """
     if rows > cols:
         raise ParameterError("cannot have rank beyond the column count")
+    _check_dims(q, rows, cols)
+    if not rows:
+        return MatrixFq._unchecked(q, 0, cols, ())
     for _ in range(_SAMPLING_ATTEMPT_CAP):
-        m = MatrixFq.random(q, rows, cols, rng)
-        if m.rank() == rows:
-            return m
+        data = _random_rows(q, rows, cols, rng)
+        if _rank(q, cols, data) == rows:
+            return MatrixFq._unchecked(q, rows, cols, data)
     raise CapacityError("full-rank rejection sampling exceeded its attempt cap")
 
 

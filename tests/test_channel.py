@@ -185,10 +185,14 @@ def test_outcome_carries_ground_truth(example_code):
 
 
 def _apply_exact_before_shortcuts(v, spec, rng):
-    """``apply_exact`` as written before V's basis stood in for a square C·B
-    and the insertions extended one forward pass (argument checks dropped)."""
+    """``apply_exact`` as written before the insertions extended one forward
+    pass and were drawn in batches (argument checks dropped), but for rho = 0:
+    there V's basis is the kept rows and no C is drawn."""
     q, n, kept = v.q, v.ambient_dim, v.dim - spec.rho
-    rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data if kept else ()
+    if kept == v.dim:
+        rows = v.basis._data
+    else:
+        rows = (random_full_rank_matrix(q, kept, v.dim, rng) @ v.basis)._data if kept else ()
     # insertions must stay independent of all of V, not just the kept part
     span = v.basis._data
     for _ in range(spec.t):
@@ -246,6 +250,70 @@ def test_apply_exact_without_erasures_matches_row_space(q):
                 want = _apply_exact_before_shortcuts(v, spec, theirs)
                 assert got == want and got.U.basis.entries == want.U.basis.entries
                 assert mine._state == theirs._state
+
+
+def _full_rank_by_whole_matrices(q, rows, cols, rng):
+    """``random_full_rank_matrix`` as written before it rejected on stored
+    rows: whole ``MatrixFq.random`` draws until one has full rank."""
+    if rows > cols:
+        raise ParameterError("cannot have rank beyond the column count")
+    for _ in range(1000):
+        m = MatrixFq.random(q, rows, cols, rng)
+        if m.rank() == rows:
+            return m
+    raise CapacityError("full-rank rejection sampling exceeded its attempt cap")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_random_full_rank_matrix_matches_whole_matrix_rejection(q):
+    """On 0 x k, k x k and k x n shapes (k < n) the rejection on stored rows
+    gives the matrix of whole-matrix rejection and leaves the stream where
+    it does; a shape with no full-rank matrix or a negative size is refused."""
+    rng = SplitMix64(80 + q)
+    for k in range(6):
+        for rows, cols in ((0, k), (k, k), (k, k + 1 + rng.randbelow(3))):
+            for _ in range(8):
+                seed = rng.next64()
+                mine, theirs = SplitMix64(seed), SplitMix64(seed)
+                got = random_full_rank_matrix(q, rows, cols, mine)
+                want = _full_rank_by_whole_matrices(q, rows, cols, theirs)
+                assert got == want and got.entries == want.entries
+                assert mine._state == theirs._state
+    for rows, cols in ((3, 2), (1, 0), (-1, 2), (-1, -1), (0, -1)):
+        with pytest.raises(ParameterError):
+            random_full_rank_matrix(q, rows, cols, SplitMix64(0))
+
+
+class _ZeroRng:
+    """A generator whose every draw is 0, so every matrix it gives is zero;
+    it counts its batches."""
+
+    def __init__(self):
+        self.batches = 0
+
+    def randbelow_many(self, n, count):
+        self.batches += 1
+        return [0] * count
+
+
+def test_rejection_loops_stop_at_their_caps(example_code):
+    """With no draw ever accepted, full-rank rejection stops after its 1,000
+    draws and insertion sampling after its 1,000 batches, each with the
+    error it raised before."""
+    zero = _ZeroRng()
+    with pytest.raises(CapacityError, match="full-rank rejection sampling exceeded its attempt cap"):
+        random_full_rank_matrix(2, 3, 5, zero)
+    assert zero.batches == 1000
+    v = example_code.encode([[3], [9]]).V
+    for rho, t in ((0, 1), (0, 4), (v.dim, 2)):
+        zero = _ZeroRng()
+        with pytest.raises(CapacityError, match="insertion sampling exceeded its attempt cap"):
+            apply_exact(v, ChannelSpec(rho=rho, t=t), zero)
+        assert zero.batches == 1000
+    zero = _ZeroRng()
+    with pytest.raises(CapacityError, match="full-rank rejection sampling exceeded its attempt cap"):
+        apply_exact(v, ChannelSpec(rho=1, t=1), zero)
+    assert zero.batches == 1000
 
 
 def _apply_matrix_two_products(v, collected_packets, error_packets, rng):

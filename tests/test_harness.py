@@ -1,5 +1,6 @@
 """Harness drivers: CSV stability, worker independence, verify manifest."""
 
+import dataclasses
 import hashlib
 import io
 import pathlib
@@ -743,3 +744,21 @@ def test_ds_chain_and_layer_ds_match_the_full_distances(q, m, shape):
                 else:
                     beyond += 1
     assert inside and beyond and miscorrected
+
+
+@pytest.mark.parametrize("name", ["default", "unequal_protection", "three_layers", "q3"])
+def test_records_without_erasures_depend_only_on_the_code_and_t(name):
+    """At rho = 0, U contains V, so every layer's extraction lies at
+    distance exactly t from its sent lift and at least t from every other:
+    each record, less its trial and seed, is fixed by (code, t) whatever
+    insertions the channel drew (``apply_exact``'s docstring)."""
+    code = _attempt_code(name)
+    for t in range(code.ambient_dim - code.total_length + 1):
+        seen = {
+            tuple(
+                dataclasses.replace(record, trial=0, seed=0)
+                for record in run_trial(code, 31, trial, 0, t, ALGORITHMS, 4)
+            )
+            for trial in range(60)
+        }
+        assert len(seen) == 1, (t, seen)
