@@ -56,9 +56,13 @@ class ExperimentConfig:
     verify_counts: dict[str, int] = dc_field(default_factory=dict)
     key_lines: dict[tuple[str, str], int] = dc_field(default_factory=dict)
 
-    def where(self, section: str, key: str) -> str:
-        line = self.key_lines.get((section, key))
-        return f"{self.source}:{line}" if line else self.source
+    def where(self, section: str, key: str, *fallbacks: tuple[str, str]) -> str:
+        """``file:line`` of the first of (section, key) and the ``fallbacks``
+        that the file sets, or the file alone when it sets none of them."""
+        for at in ((section, key), *fallbacks):
+            if at in self.key_lines:
+                return f"{self.source}:{self.key_lines[at]}"
+        return self.source
 
     def field_params(self) -> FieldParams:
         if self.modulus is not None:
@@ -262,21 +266,21 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def _cross_validate(cfg: ExperimentConfig) -> None:
-    src = cfg.source
-
-    def line_of(section, key, fallback=0):
-        return cfg.key_lines.get((section, key), fallback)
-
+    """Checks across keys.  A message names the line of the key it is
+    about, or, when the file leaves that key at its default, the line of
+    the key that makes the default wrong."""
+    where = cfg.where
     try:
         params = cfg.field_params()
     except ParameterError as exc:
-        line = line_of("field", "modulus", line_of("field", "q", line_of("field", "m")))
-        raise ConfigError(f"{src}:{line}: {exc}") from None
+        at = where("field", "modulus", ("field", "q"), ("field", "m"))
+        raise ConfigError(f"{at}: {exc}") from None
 
     for n, k in cfg.layers:
         if not 1 <= k <= n <= params.m:
             raise ConfigError(
-                f"{src}:{line_of('code', 'layers')}: layer ({n},{k}) violates 1 <= k <= n <= m = {params.m}"
+                f"{where('code', 'layers', ('field', 'm'))}: layer ({n},{k}) violates "
+                f"1 <= k <= n <= m = {params.m}"
             )
 
     total = sum(n for n, _ in cfg.layers)
@@ -284,29 +288,31 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         for rho in cfg.rho_values:
             if not 0 <= rho <= total:
                 raise ConfigError(
-                    f"{src}:{line_of('channel', 'rho')}: rho = {rho} outside [0, dim V = {total}]"
+                    f"{where('channel', 'rho', ('code', 'layers'))}: rho = {rho} "
+                    f"outside [0, dim V = {total}]"
                 )
         for t in cfg.t_values:
             if not 0 <= t <= params.m:
                 raise ConfigError(
-                    f"{src}:{line_of('channel', 't')}: t = {t} outside [0, ambient - dim V = {params.m}]"
+                    f"{where('channel', 't', ('field', 'm'))}: t = {t} "
+                    f"outside [0, ambient - dim V = {params.m}]"
                 )
     else:
         if cfg.collected is None:
             raise ConfigError(
-                f"{src}:{line_of('channel', 'mode')}: matrix mode requires 'collected'"
+                f"{where('channel', 'mode')}: matrix mode requires 'collected'"
             )
 
     if cfg.unicast_layer > len(cfg.layers):
         raise ConfigError(
-            f"{src}:{line_of('scenario', 'unicast_layer')}: unicast_layer = {cfg.unicast_layer} "
+            f"{where('scenario', 'unicast_layer')}: unicast_layer = {cfg.unicast_layer} "
             f"exceeds the layer count {len(cfg.layers)}"
         )
 
     for target, profile in cfg.search_profiles.items():
         if profile.layer_ds is not None and len(profile.layer_ds) != len(cfg.layers):
             raise ConfigError(
-                f"{src}:{line_of('search', f'{target}.layer_ds')}: {target}.layer_ds has "
+                f"{where('search', f'{target}.layer_ds')}: {target}.layer_ds has "
                 f"{len(profile.layer_ds)} entries; it needs one per layer ({len(cfg.layers)})"
             )
 
@@ -331,13 +337,13 @@ def check_verb(cfg: ExperimentConfig, verb: str) -> None:
         code = cfg.build_code()
         if all(rho + t <= code.capability for rho, t in cfg.grid()):
             raise ConfigError(
-                f"{cfg.where('channel', 'rho')}: search needs grid points with "
-                f"2(rho+t) >= {code.min_distance()}; none configured"
+                f"{cfg.where('channel', 'rho', ('code', 'layers'))}: search needs grid "
+                f"points with 2(rho+t) >= {code.min_distance()}; none configured"
             )
     elif len(cfg.grid()) != 1:
         raise ConfigError(
-            f"{cfg.where('channel', 'rho')}: scenario modes use a fixed channel; "
-            f"configure exactly one rho and one t value"
+            f"{cfg.where('channel', 'rho', ('scenario', 'mode'))}: scenario modes use a "
+            f"fixed channel; configure exactly one rho and one t value"
         )
 
 

@@ -228,8 +228,8 @@ class GabidulinCode:
 
     @cached_property
     def _subspace_decode_memo(self) -> dict:
-        """``lifted.subspace_decode``'s outcomes on this code, by received
-        basis; ``lifted`` fills it through ``_memo_put``."""
+        """``lifted.subspace_decode``'s outcomes on this code, by (q,
+        ambient, received basis rows); ``lifted`` fills it through ``_memo_put``."""
         return {}
 
     @cached_property

@@ -607,21 +607,18 @@ def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
-    """Independent per-layer sources; report all-layer recovery statistics."""
-    ((rho, t),) = cfg.grid()
-    code = cfg.build_code()
-    records = _run_grid(cfg, code, [(rho, t)])
-    csv_text = render_csv(CSV_COLUMNS, (r.csv_row() for r in records))
+    """Independent per-layer sources: ``run_simulate`` at the one grid
+    point, reported as all-layer and per-layer recovery counts."""
+    result = run_simulate(cfg)
     summary = ["multi-source multicast"]
     for algorithm in cfg.algorithms():
-        rows = [r for r in records if r.algorithm == algorithm]
+        rows = [r for r in result.records if r.algorithm == algorithm]
         all_ok = sum(1 for r in rows if r.success)
         summary.append(f"{algorithm}: all layers recovered {all_ok}/{len(rows)}")
-        for layer in range(1, code.num_layers + 1):
+        for layer in range(1, len(cfg.layers) + 1):
             ok = sum(1 for r in rows if r.layer_status[layer - 1] == STATUS_OK)
             summary.append(f"  layer {layer}: {ok}/{len(rows)}")
-    _, failures = summarize(records, code.capability)
-    return ScenarioResult(csv_text, summary, records, failures)
+    return ScenarioResult(result.csv_text, summary, result.records, result.guaranteed_failures)
 
 
 def _unicast_trial(code: LayeredCode, job) -> bool:

@@ -42,9 +42,13 @@ the layer from the working space and decode it.  On a success the walk
 lifts it and, under SIC, adds the lift to the working space; a lone
 ``decode_layer`` builds no lift.  Each part is a pure function of
 (layer, working space), and the decoders repeat many steps, so each
-code keeps the extraction and the sum in ``_step_memo``.  The decode
-itself stays one ``lifted.subspace_decode`` call per attempt, which has
-its own memo (see ``lifted``).  ``layer_distance`` measures a layer on
+code keeps the extraction and the sum in ``_step_memo``, keyed by the
+layer and the space's field, ambient and rows.  A key is stored only
+once ``extract_component`` has checked its space, so a hit is not
+checked again, and a space over another field or ambient misses and is
+refused.  The decode itself stays one ``lifted.subspace_decode`` call
+per attempt, which has its own memo (see ``lifted``).
+``layer_distance`` measures a layer on
 the extraction an attempt reads, d_S(lift(X_l), U_l) in the component
 ambient n_l + m, through the same memo entry: a trial's layer distances
 and its decodes extract each (layer, space) once.
@@ -162,16 +166,6 @@ class LayeredCode:
             raise ParameterError(f"layer {layer} outside [1, {self.num_layers}]")
 
     # --- encoding ---
-
-    def component_subspace(self, layer: int, matrix: MatrixFq) -> Subspace:
-        """Row space of [0 | I_{n_l} | 0 | X_l] in the full ambient space."""
-        self._check_layer(layer)
-        code = self.layers[layer - 1]
-        if matrix.rows != code.n or matrix.cols != self.params.m or matrix.q != self.params.q:
-            raise ParameterError(
-                f"component matrix must be {code.n}x{self.params.m} over F_{self.params.q}"
-            )
-        return self._component(layer, matrix)
 
     def random_codeword(self, rng) -> "LayeredCodeword":
         """The codeword of uniform messages: one ``rng.randbelow`` per symbol,
@@ -353,8 +347,9 @@ class LayeredCode:
     @cached_property
     def _step_memo(self) -> dict:
         """The pure results of an attempt on this code (``_memo_entry``), by
-        (layer, working basis): [extracted component, working + its decoded
-        lift], the sum filled by ``_walk`` once the step decodes under SIC.
+        (layer, q, ambient, working basis rows): [extracted component,
+        working + its decoded lift], the sum filled by ``_walk`` once the
+        step decodes under SIC.
         At most ``gabidulin.MEMO_SIZE`` (4,096) keys; emptied when full."""
         return {}
 
@@ -384,12 +379,13 @@ class LayeredCode:
         return lifts[0]
 
     def _memo_entry(self, space: Subspace, layer: int) -> list:
-        """``_step_memo``'s entry for ``layer`` on ``space``, its extraction
-        made by ``extract_component`` on a miss; looked up once the space's
-        field and ambient are checked, since a space over another field can
-        store the same rows."""
-        self._check_received(space, layer)
-        key = (layer, space.basis._data)
+        """``_step_memo``'s entry for ``layer`` on ``space``.  A space over
+        another field or ambient can store the same rows, so the key names
+        q and the ambient too.  A miss stores the extraction of
+        ``extract_component``, which checks the layer and the space first,
+        so a hit is a space that has passed that check."""
+        basis = space.basis
+        key = (layer, basis.q, space.ambient_dim, basis._data)
         step = self._step_memo.get(key)
         if step is None:
             step = _memo_put(self._step_memo, key, [self.extract_component(space, layer), None])
@@ -423,7 +419,7 @@ class LayerResult:
     """Outcome of one component decode attempt: the decoded codeword matrix
     X_l (None on failure) or the failure reason (None on success).  The
     encoding is injective, so X_l fixes the message, and the lift
-    <[I | X_l]> follows from it (``LayeredCode.component_subspace``)."""
+    <[I | X_l]> follows from it (``lifted.lift``)."""
 
     layer: int
     matrix: MatrixFq | None

@@ -38,11 +38,14 @@ space, and the layered decoders repeat many: alg2's first attempt is
 alg1's attempt at layer L, and alg2-iterative's first sweep is all of
 alg2.  So ``subspace_decode`` keeps a memo on the inner code
 (``GabidulinCode._subspace_decode_memo``, made on first use), keyed by
-the received space's canonical basis once the ambient check has passed,
-and runs the uncached ``_decode_space`` only on a miss.  That check is
-the only one of a decode: ``_decode_space`` and ``_split`` run none.  An
-outcome (a codeword matrix or a ``DecodeFailure``) is immutable, so
-reports share it.  Like every memo of a code, it holds at most
+the received space's field, ambient and canonical basis, and runs the
+ambient check and the uncached ``_decode_space`` only on a miss.  A key
+is stored only once its space has passed that check, so a hit is not
+checked again, and a space over another field or ambient that stores
+the same rows misses and is refused.  That check is the only one of a
+decode: ``_decode_space`` and ``_split`` run none.  An outcome (a
+codeword matrix or a ``DecodeFailure``) is immutable, so reports share
+it.  Like every memo of a code, it holds at most
 ``gabidulin.MEMO_SIZE`` = 4,096 entries and is emptied when full
 (``gabidulin._memo_put``); ``ExperimentConfig.build_code`` builds fresh
 codes, so it lasts one run.
@@ -147,15 +150,17 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     codeword V; beyond that radius success is opportunistic.  The outcome
     is ``_decode_space``'s, looked up first in the code's memo: at most
     ``gabidulin.MEMO_SIZE`` (4,096) outcomes keyed by the received space's
-    canonical basis, emptied when full.  The layered walk calls this once per
-    attempt, a repeat included, and memoizes the extraction before it
-    itself (see the module docstring).
+    field, ambient and canonical basis, emptied when full; the ambient
+    check runs on a miss.  The layered walk calls this once per attempt, a
+    repeat included, and memoizes the extraction before it itself (see the
+    module docstring).
     """
-    _check_ambient(inner, received)
     memo = inner._subspace_decode_memo
-    key = received.basis._data
+    basis = received.basis
+    key = (basis.q, received.ambient_dim, basis._data)
     outcome = memo.get(key)
     if outcome is None:
+        _check_ambient(inner, received)
         outcome = _memo_put(memo, key, _decode_space(inner, received))
     return outcome
 

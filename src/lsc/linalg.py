@@ -395,15 +395,6 @@ class MatrixFq:
         return matrix
 
     @classmethod
-    def _from_entries(
-        cls, q: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]
-    ) -> "MatrixFq":
-        """``_unchecked`` from row tuples in range, which become the ``entries`` view."""
-        matrix = cls._unchecked(q, rows, cols, _pack(entries, q))
-        _set(matrix, "_entries", entries)
-        return matrix
-
-    @classmethod
     def _from_indices(cls, q: int, m: int, indices: Sequence[int]) -> "MatrixFq":
         """The len(indices) x m matrix whose row i holds the coordinates of
         the F_{q^m} element with index ``indices[i]`` (the indices must lie in
@@ -521,10 +512,6 @@ class MatrixFq:
             out.append(reduce(acc) if terms else acc)
         return MatrixFq._unchecked(q, self.rows, other.cols, tuple(out))
 
-    def transpose(self) -> "MatrixFq":
-        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return MatrixFq._from_entries(self.q, self.cols, self.rows, columns)
-
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.rows != other.rows or self.q != other.q:
             raise ParameterError("hstack requires equal row counts and field")
@@ -543,15 +530,8 @@ class MatrixFq:
             self.q, self.rows + other.rows, self.cols, self._data + other._data
         )
 
-    def is_zero(self) -> bool:
-        return not any(self._data)
-
     def rank(self) -> int:
         return _rank(self.q, self.cols, self._data)
-
-    def kernel_basis(self) -> "MatrixFq":
-        """Basis (as rows, one per free column, RREF-canonical) of {x : M x = 0}."""
-        return _kernel(self.q, self.cols, *_eliminate(self.q, self.cols, self._data))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ hints, composes with a degree-0 annihilator when there are no row
 hints, and checks a candidate on the full error matrix.  Its helpers
 compute with ``FieldOps.add/sub/mul/frob/inv/pow`` only.  Kept verbatim
 but for ``self`` -> ``code``, the codeword evaluation, which used the
-decoder's own ``_lp_evaluate``, the hint kernels, which read
-``basis.kernel_basis()`` (the same matrix, by one more elimination), and
-the received word, an n x m ``MatrixFq`` whose element indices it reads
+decoder's own ``_lp_evaluate``, the hint kernels, which read ``_kernel``
+off one more elimination of the hint's canonical basis (it called
+``basis.kernel_basis()``, the same matrix), the transpose, now
+``rref_reference.transpose`` (it called ``MatrixFq.transpose``), and the
+received word, an n x m ``MatrixFq`` whose element indices it reads
 with ``received._row_indices()`` (it read ``received._indices`` when a
 word had a type of its own).  It reads the evaluation points as
 ``code.eval_points`` and returns the message as k element indices, since
@@ -23,7 +25,8 @@ from typing import Sequence
 from lsc.errors import ParameterError
 from lsc.field import FieldOps
 from lsc.gabidulin import REASON_RADIUS, DecodeFailure
-from lsc.linalg import MatrixFq, Subspace, row_space
+from lsc.linalg import MatrixFq, Subspace, _eliminate, _kernel, row_space
+from rref_reference import transpose
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -125,7 +128,8 @@ def decode_bounded(
     tau_max = (d - 1 - mu - delta) // 2
 
     sigma = _lp_annihilator(ops, zs.basis._row_indices())
-    proj = cs.basis.kernel_basis()  # (n - mu) x n, rows annihilate the column hints
+    # (n - mu) x n, rows annihilate the column hints
+    proj = _kernel(params.q, n, *_eliminate(params.q, n, cs.basis._data))
     n_prime = proj.rows
     k_prime = k + delta
 
@@ -171,7 +175,7 @@ def decode_bounded(
         residual = proj @ error
         if delta:
             if q_ann is None:
-                q_ann = zs.basis.kernel_basis().transpose()
+                q_ann = transpose(_kernel(params.q, m, *_eliminate(params.q, m, zs.basis._data)))
             residual = residual @ q_ann
         if 2 * residual.rank() + mu + delta <= d - 1:
             return tuple(f + [0] * (k - len(f)))

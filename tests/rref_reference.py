@@ -1,5 +1,6 @@
 """The plain-list RREF the tests check the packed-row kernels against, and
-coordinate subspaces built through the checked constructors."""
+the transpose and coordinate subspaces, built through the checked
+constructors."""
 
 from lsc.linalg import MatrixFq, Subspace
 
@@ -30,6 +31,12 @@ def rref_generic(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[i
         if r == nrows:
             break
     return rows, pivots
+
+
+def transpose(matrix: MatrixFq) -> MatrixFq:
+    """The cols x rows transpose, by the checked constructor."""
+    columns = list(zip(*matrix.entries)) if matrix.rows else [()] * matrix.cols
+    return MatrixFq(matrix.q, matrix.cols, matrix.rows, columns)
 
 
 def unit_span(q: int, ambient_dim: int, columns) -> Subspace:

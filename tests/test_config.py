@@ -134,6 +134,47 @@ def test_line_precise_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "source, text, message",
+    [
+        ("m2.ini", "[field]\nm = 2\n", "m2.ini:2: layer (3,1) violates 1 <= k <= n <= m = 2"),
+        ("rho0.ini", "[code]\nlayers = 1:1\n", "rho0.ini:2: rho = 2 outside [0, dim V = 1]"),
+        (
+            "t0.ini",
+            "[field]\nm = 1\n[code]\nlayers = 1:1\n[channel]\nrho = 0\n",
+            "t0.ini:2: t = 2 outside [0, ambient - dim V = 1]",
+        ),
+    ],
+)
+def test_a_defaulted_key_names_the_line_that_makes_it_wrong(source, text, message):
+    """A defaulted layers or t names the m line, a defaulted rho the layers
+    line: never line 0."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, source)
+    assert str(err.value) == message and ":0:" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        (
+            "search-beyond",
+            "[field]\nm = 6\n[code]\nlayers = 6:1\n",
+            "v.ini:4: search needs grid points with 2(rho+t) >= 12; none configured",
+        ),
+        ("scenario", "[scenario]\nmode = unicast\n", "v.ini:2: scenario modes use a fixed channel"),
+        ("scenario", "", "v.ini: scenario modes use a fixed channel"),
+    ],
+)
+def test_a_verb_check_on_a_defaulted_grid_names_its_fallback_line(verb, text, message):
+    """``check_verb`` falls back to the layers line for a search and to the
+    scenario mode line for a scenario, and names the file alone when the
+    file sets neither."""
+    with pytest.raises(ConfigError) as err:
+        config.check_verb(parse_config(text, "v.ini"), verb)
+    assert str(err.value).startswith(message) and ":0:" not in str(err.value)
+
+
 def test_search_profiles_parse():
     text = """\
 [search]

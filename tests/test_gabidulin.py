@@ -23,6 +23,7 @@ from lsc.linalg import MatrixFq, Subspace, random_full_rank_matrix, rank_distanc
 from lsc.rng import SplitMix64
 import gabidulin_reference as reference
 from gabidulin_reference import decode_bounded as reference_decode
+from rref_reference import transpose
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def test_rank2_errors_match_oracle_classification(code31):
     rng = SplitMix64(13)
     checked = wrong_codeword_cases = failure_cases = 0
     while checked < 300:
-        a = random_full_rank_matrix(2, 2, 3, rng).transpose()
+        a = transpose(random_full_rank_matrix(2, 2, 3, rng))
         b = random_full_rank_matrix(2, 2, 4, rng)
         err = a @ b
         if err.rank() != 2:
@@ -288,13 +289,13 @@ def test_decoder_with_erasure_hints(fp24):
             col_hint = row_hint = None
             if mu:
                 lam = random_full_rank_matrix(2, mu, 4, rng)
-                err = err + (lam.transpose() @ MatrixFq.random(2, mu, 4, rng))
+                err = err + (transpose(lam) @ MatrixFq.random(2, mu, 4, rng))
                 col_hint = lam
             if delta:
                 row_hint = random_full_rank_matrix(2, delta, 4, rng)
                 err = err + (MatrixFq.random(2, 4, delta, rng) @ row_hint)
             if tau:
-                u = random_full_rank_matrix(2, tau, 4, rng).transpose()
+                u = transpose(random_full_rank_matrix(2, tau, 4, rng))
                 v = random_full_rank_matrix(2, tau, 4, rng)
                 err = err + (u @ v)
             received = word + err
@@ -511,11 +512,11 @@ def test_decoder_matches_reference_on_random_inputs(q, max_m, trials):
         rows = _random_hint(q, delta, m, rng)
         err = MatrixFq.zeros(q, n, m)
         if mu:
-            err = err + cols.transpose() @ MatrixFq.random(q, cols.rows, m, rng)
+            err = err + transpose(cols) @ MatrixFq.random(q, cols.rows, m, rng)
         if delta:
             err = err + MatrixFq.random(q, n, rows.rows, rng) @ rows
         if tau:
-            u = random_full_rank_matrix(q, tau, n, rng).transpose()
+            u = transpose(random_full_rank_matrix(q, tau, n, rng))
             err = err + u @ random_full_rank_matrix(q, tau, m, rng)
         if trial % 4 == 1:  # and one in four takes uniform noise on top
             err = err + MatrixFq.random(q, n, m, rng)

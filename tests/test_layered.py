@@ -96,8 +96,8 @@ def test_random_codeword_matches_encoding_random_messages(params, k):
         assert word == code.encode(reference_messages(code, by_element))
         assert by_index._state == by_element._state
         lifts = [
-            code.component_subspace(layer, matrix)
-            for layer, matrix in enumerate(word.component_matrices, 1)
+            code.embed_component(layer, lift(inner, matrix))
+            for layer, (inner, matrix) in enumerate(zip(code.layers, word.component_matrices), 1)
         ]
         assert list(word.components) == lifts
         total = Subspace.zero(params.q, code.ambient_dim)
@@ -634,23 +634,20 @@ def test_lift_memo_never_grows_past_its_bound(fp24, monkeypatch):
 def test_a_warmed_lift_memo_still_rejects_a_wrong_matrix(q, shape, other_q):
     """With both lifts of a codeword in the memo, a matrix that stores the
     same rows but has another width, or lies over another field, is still
-    refused by ``component_subspace`` and ``layer_distance``."""
+    refused by ``layer_distance``."""
     code = LayeredCode.standard(FieldParams.default(q, 4), shape)
     words = [code.encode([[0] * inner.k for inner in code.layers])]
     words.append(code.random_codeword(SplitMix64(5)))
     for word in words:
         for layer, matrix in enumerate(word.component_matrices, 1):
-            code.component_subspace(layer, matrix)
             code.layer_distance(matrix, word.V, layer)
             assert None not in code._lift_memo[(layer, matrix._data)]
             wider = MatrixFq._unchecked(q, matrix.rows, matrix.cols + 1, matrix._data)
             bad = [wider]
-            if matrix.is_zero():
+            if not any(matrix._data):
                 bad.append(MatrixFq.zeros(other_q, matrix.rows, matrix.cols))
             for wrong in bad:
                 assert wrong._data == matrix._data
-                with pytest.raises(ParameterError, match="component matrix must be"):
-                    code.component_subspace(layer, wrong)
                 with pytest.raises(ParameterError, match="word must be"):
                     code.layer_distance(wrong, word.V, layer)
 
@@ -716,12 +713,41 @@ def test_each_step_is_extracted_once(monkeypatch, fp24):
     assert set(extracted) == set(attempts) and len(attempts) > 2 * len(extracted)
 
 
+def test_a_space_is_checked_once_per_memo_miss(monkeypatch, fp24):
+    """Over every decoder on many receptions, the step check runs once per
+    key the step memo stores and the ambient check once per key a decode
+    memo stores: never on a hit, while the attempts repeat."""
+    code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
+    calls = {"step": 0, "ambient": 0, "decode": 0}
+    check_received = LayeredCode._check_received
+    check_ambient, decode = lifted_mod._check_ambient, lifted_mod.subspace_decode
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(LayeredCode, "_check_received", counting("step", check_received))
+    monkeypatch.setattr(lifted_mod, "_check_ambient", counting("ambient", check_ambient))
+    monkeypatch.setattr(lifted_mod, "subspace_decode", counting("decode", decode))
+    for seed in range(30):
+        received = make_trial(code, seed, ChannelSpec(rho=2 + seed % 2, t=1))[1].U
+        _every_decode(code, received, WALK)
+    decoded = sum(len(inner._subspace_decode_memo) for inner in code.layers)
+    assert len(code._step_memo) < gabidulin_mod.MEMO_SIZE  # never emptied
+    assert calls["step"] == len(code._step_memo) and calls["ambient"] == decoded
+    assert calls["decode"] > 2 * calls["step"] >= 2 * calls["ambient"]
+
+
 @pytest.mark.parametrize("q, shape, space_q", [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)])
 def test_a_warmed_step_memo_still_rejects_another_field(q, shape, space_q):
     """Over F_3 a row stores one byte per entry, over GF(2) one bit, so the
     zero space, <e_10> and <e_2, e_10> in F^11 store the same rows over
-    both fields.  With the memo warmed on the code's own spaces, their
-    twins over the other field still raise."""
+    both fields, and the zero space and <e_11> in F_q^12 store the first
+    two too.  With the memo warmed on the code's own spaces, their twins
+    over the other field or in the wider ambient still raise."""
     code = LayeredCode.standard(FieldParams.default(q, 4), shape)
     assert code.ambient_dim == 11
 
@@ -738,9 +764,14 @@ def test_a_warmed_step_memo_still_rejects_another_field(q, shape, space_q):
         for algorithm in ALGORITHMS:
             code.decode(own, algorithm)
         for layer in (1, 2):
-            assert (layer, own.basis._data) in code._step_memo
+            assert (layer, q, 11, own.basis._data) in code._step_memo
             with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^11"):
                 code.decode_layer(foreign, layer)
         for algorithm in ALGORITHMS:
             with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^11"):
                 code.decode(foreign, algorithm)
+    for own, wider in zip(spaces(q), [Subspace.zero(q, 12), unit_span(q, 12, [11])]):
+        assert own.basis._data == wider.basis._data
+        for layer in (1, 2):
+            with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^11"):
+                code.decode_layer(wider, layer)

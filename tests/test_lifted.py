@@ -36,7 +36,7 @@ from lsc.linalg import (
 )
 from lsc.properties import _all_small_rank_errors
 from lsc.rng import SplitMix64
-from rref_reference import full_space
+from rref_reference import full_space, unit_span
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +225,27 @@ def test_received_space_over_another_field_rejected(code_q, space_q):
         for entry in (subspace_decode, reduce_received, brute_force_subspace_decode):
             with pytest.raises(ParameterError, match=rf"must lie in F_{code_q}\^{ambient}"):
                 entry(inner, space)
+
+
+@pytest.mark.parametrize("q, other_q", [(2, 3), (3, 2)])
+def test_a_warmed_decode_memo_still_rejects_a_twin(q, other_q):
+    """Over F_3 a row stores one byte per entry, over GF(2) one bit, so the
+    zero space and <e_(n+m-1)> in F^(n+m) store the same rows over both
+    fields, and the zero space and <e_(n+m)> in F_q^(n+m+1) store them too.
+    With the decode memo warmed on the code's own spaces, every twin over
+    the other field or in the wider ambient still raises."""
+    inner = GabidulinCode.standard(FieldParams.default(q, 4), 3, 1)
+    ambient = inner.n + 4
+    own = [Subspace.zero(q, ambient), unit_span(q, ambient, [ambient - 1])]
+    for space in own:
+        subspace_decode(inner, space)
+        assert (q, ambient, space.basis._data) in inner._subspace_decode_memo
+    for field, width in ((other_q, ambient), (q, ambient + 1)):
+        twins = [Subspace.zero(field, width), unit_span(field, width, [width - 1])]
+        for twin, space in zip(twins, own, strict=True):
+            assert twin.basis._data == space.basis._data
+            with pytest.raises(ParameterError, match=rf"must lie in F_{q}\^{ambient}"):
+                subspace_decode(inner, twin)
 
 
 def test_a_word_is_an_n_by_m_matrix_over_f_q(inner31):
@@ -442,7 +463,7 @@ def test_memoized_decode_matches_the_uncached_one(q, m, n, k):
                 codeword = lift(inner, inner.encode(msg))
                 received = apply_exact(codeword, ChannelSpec(rho=rho, t=t), rng).U
                 want = lifted_mod._decode_space(inner, received)
-                hit = received.basis._data in inner._subspace_decode_memo
+                hit = (q, n + m, received.basis._data) in inner._subspace_decode_memo
                 for _ in range(2):
                     _assert_same_outcome(subspace_decode(inner, received), want)
                 seen["fail" if isinstance(want, DecodeFailure) else "ok"] += 1

@@ -1,11 +1,23 @@
-"""The public surface: README's library example runs as written, and every
-name ``lsc`` exports resolves."""
+"""The public surface: README's library example runs as written, every
+name ``lsc`` exports resolves, and every public function that no ``src``
+code reads is on a list with its reason."""
 
+import ast
 import pathlib
 
 import lsc
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
+SRC = pathlib.Path(lsc.__file__).parent
+
+# public functions and methods that no src code reads, each with its reason
+UNREAD = {
+    "ExtFieldElement.inverse": "perfbench/tracer.py binds it by name (ROADMAP item 14)",
+    "lifted.reduce_received": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
+    "linalg.rref": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
+    "linalg.parse_subspace": "the public reader of the dump format (ROADMAP item 15)",
+    "SplitMix64.next64": "the one-draw reference stream every batch must equal",
+}
 
 
 def test_readme_library_example_runs():
@@ -20,3 +32,24 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from lsc import *", namespace)
     assert set(lsc.__all__) <= namespace.keys()
+
+
+def test_every_unread_public_function_is_accounted_for():
+    """An AST scan of ``src/lsc``: a public module function or method whose
+    name no src code reads (as a name or an attribute; an import or an
+    ``__all__`` string is no read) is either on ``UNREAD`` or is dead."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {f"{owner}.{name}" for owner, name in defined if name[0] != "_" and name not in read}
+    assert unread == UNREAD.keys()
