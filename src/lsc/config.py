@@ -341,8 +341,12 @@ def check_verb(cfg: ExperimentConfig, verb: str) -> None:
                 f"points with 2(rho+t) >= {code.min_distance()}; none configured"
             )
     elif len(cfg.grid()) != 1:
+        # the first axis the file lists more than one value for, else the mode
+        axes = (("rho", cfg.rho_values), ("t", cfg.t_values))
+        wide = [("channel", key) for key, values in axes if len(values) > 1]
+        first, *rest = wide + [("scenario", "mode")]
         raise ConfigError(
-            f"{cfg.where('channel', 'rho', ('scenario', 'mode'))}: scenario modes use a "
+            f"{cfg.where(*first, *rest)}: scenario modes use a "
             f"fixed channel; configure exactly one rho and one t value"
         )
 

@@ -17,9 +17,13 @@ index on, so a product, or a product with a power of g, is one lookup
 with no test for zero.  Kernels that multiply many elements by one
 (``gabidulin``'s elimination, evaluation and division) add logarithms
 directly.  Addition is XOR for q = 2; for odd q it goes through a
-Zech-log table, log(1 + g^k).  The tables are built on first use, once
-per field per process, and held by the module-level ``_field_ops``
-cache, never by a ``FieldParams``, which stays small and pickles by value.
+Zech-log table, log(1 + g^k).  The tables are built when a
+``FieldParams`` is constructed, once per field per process, and held by
+the module-level ``_field_ops`` cache, never by a ``FieldParams``, which
+stays small and pickles by value (an unpickled copy builds them on first
+use).  That build is the irreducibility test: the q^m - 1 powers of g
+are distinct and nonzero exactly when the modulus is irreducible (see
+``_generator_powers``), so no trial division runs.
 
 The codes speak indices too: a message, an evaluation point and a
 decoded message are tuples of element indices in [0, q^m).
@@ -30,7 +34,6 @@ to indices and back.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,17 +79,6 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 # --- polynomial helpers over F_q (coefficient lists, constant term first) ---
 
 
@@ -95,36 +87,6 @@ def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _poly_mod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
-    """Remainder of a mod b over F_q; b need not be monic."""
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    rem = list(_poly_trim(a))
-    inv_lead = pow(b[-1], -1, q)
-    while len(rem) >= len(b):
-        coef = (rem[-1] * inv_lead) % q
-        shift = len(rem) - len(b)
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - coef * bi) % q
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
-
-
-# Keyed like ``_field_ops``: every ``cfg.build_code()`` rebuilds its FieldParams.
-@lru_cache(maxsize=64)
-def _irreducible(modulus: tuple[int, ...], q: int) -> bool:
-    """Trial division against all monic polynomials of degree <= m/2."""
-    m = len(modulus) - 1
-    for deg in range(1, m // 2 + 1):
-        for lower in itertools.product(range(q), repeat=deg):
-            divisor = tuple(lower) + (1,)
-            if not _poly_mod(modulus, divisor, q):
-                return False
-    return True
 
 
 def coords_of(index: int, q: int, m: int) -> tuple[int, ...]:
@@ -144,6 +106,23 @@ def index_of(coords: Sequence[int], q: int) -> int:
     return idx
 
 
+def _too_many(q: int, m: int) -> ParameterError:
+    return ParameterError(
+        f"q^m = {q}^{m} elements is too many; "
+        f"at most 2^16 = {_MAX_FIELD_SIZE} are supported"
+    )
+
+
+def _check_q(q: int, m: int) -> None:
+    """Refuse a q that is not prime.  q^m <= 2^16 bounds q, so a larger q
+    is refused for its size first, and the prime test (``_prime_factors``,
+    the generator search's own) runs at most 256 trial divisions."""
+    if q > _MAX_FIELD_SIZE:
+        raise _too_many(q, m)
+    if _prime_factors(q) != [q]:
+        raise ParameterError(f"q must be prime in this release, got {q}")
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Defines F_{q^m}: prime q, extension degree m, irreducible modulus.
@@ -158,16 +137,12 @@ class FieldParams:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2 or not is_prime(self.q):
-            raise ParameterError(f"q must be prime in this release, got {self.q}")
+        _check_q(self.q, self.m)
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         # m > 16 short-cuts q^m for absurd m (q >= 2)
         if self.m > 16 or self.q**self.m > _MAX_FIELD_SIZE:
-            raise ParameterError(
-                f"q^m = {self.q}^{self.m} elements is too many; "
-                f"at most 2^16 = {_MAX_FIELD_SIZE} are supported"
-            )
+            raise _too_many(self.q, self.m)
         mod = _poly_trim(tuple(c % self.q for c in self.modulus))
         if len(mod) != self.m + 1:
             raise ParameterError(
@@ -177,13 +152,12 @@ class FieldParams:
             inv = pow(mod[-1], -1, self.q)
             mod = tuple((c * inv) % self.q for c in mod)
         object.__setattr__(self, "modulus", mod)
-        if not _irreducible(mod, self.q):
-            raise ParameterError(f"modulus {mod} is reducible over F_{self.q}")
+        # building the tables is the irreducibility test (``_generator_powers``)
+        _field_ops(self.q, self.m, mod)
 
     @classmethod
     def default(cls, q: int, m: int) -> "FieldParams":
-        if q < 2 or not is_prime(q):
-            raise ParameterError(f"q must be prime in this release, got {q}")
+        _check_q(q, m)
         try:
             modulus = DEFAULT_MODULI[(q, m)]
         except KeyError:
@@ -198,7 +172,8 @@ class FieldParams:
 
     @property
     def ops(self) -> "FieldOps":
-        """Arithmetic on element indices; built on first use, shared per process."""
+        """Arithmetic on element indices, shared per process: built when the
+        field is constructed, or on first use by an unpickled copy."""
         return _field_ops(self.q, self.m, self.modulus)
 
     # --- element factories ---
@@ -301,6 +276,7 @@ class FieldOps:
         return self._add_logs(self.zlog[a], lb)
 
 
+# Caches only tables that were built: a reducible modulus raises every time.
 @lru_cache(maxsize=16)
 def _field_ops(q: int, m: int, modulus: tuple[int, ...]) -> FieldOps:
     return FieldOps(q, m, modulus)
@@ -339,6 +315,13 @@ def _generator_powers(q: int, m: int, modulus: tuple[int, ...]) -> list[int]:
     g is primitive when g^((q^m - 1) / p) != 1 for every prime p dividing
     q^m - 1.  Products here are shift-and-add on indices; they run only
     while the tables are built.
+
+    The list is the irreducibility test: F_q[x]/(f) is a field iff its
+    q^m - 1 nonzero elements are units, so a reducible f has fewer units.
+    A unit's powers return to 1 early; a non-unit's never do and stay
+    among the non-units, so they repeat or reach 0.  Either way the q^m - 1
+    powers are not distinct and nonzero, and the modulus is refused.  The
+    search stops at the latest at f's lowest-degree factor, a non-unit.
     """
     size = q**m
     order = size - 1
@@ -380,6 +363,8 @@ def _generator_powers(q: int, m: int, modulus: tuple[int, ...]) -> list[int]:
     powers = [1]
     for _ in range(order - 1):
         powers.append(times(powers[-1], g))
+    if 0 in powers or len(set(powers)) != order:
+        raise ParameterError(f"modulus {modulus} is reducible over F_{q}")
     return powers
 
 

@@ -51,17 +51,18 @@ per attempt, which has its own memo (see ``lifted``).
 ``layer_distance`` measures a layer on
 the extraction an attempt reads, d_S(lift(X_l), U_l) in the component
 ambient n_l + m, through the same memo entry: a trial's layer distances
-and its decodes extract each (layer, space) once.
+and its decodes extract each (layer, space) once.  The distance is one
+stacked rank, 2 rank([lift X_l; U_l]) - n_l - dim U_l, on the stored
+rows, with no ``Subspace`` built for the lift.
 
-A lift is a pure function of the layer and its codeword X_l, and a
-trial lifts each sent X_l up to three times: in encoding, in the walk
-once the layer decodes, and in ``layer_distance``, in the component
-ambient.  So each code keeps one lift memo (``_lift_memo``), keyed by
-(layer, codeword rows) once the matrix's shape and field are known to
-fit: an entry holds the component in the full ambient and the lift in
-the component ambient, each made on first use.  The codewords come from
-the inner codes' own memo (see ``gabidulin``).  Both memos here are made
-on first use and bounded like the others (``gabidulin.MEMO_SIZE``).
+A component is a pure function of the layer and its codeword X_l, and a
+trial places each sent X_l twice: in encoding and in the walk once the
+layer decodes.  So each code keeps one lift memo (``_lift_memo``), keyed
+by (layer, codeword rows) once the matrix's shape and field are known to
+fit: an entry is the one component in the full ambient.  The codewords
+come from the inner codes' own memo (see ``gabidulin``).  Both memos
+here are made on first use and bounded like the others
+(``gabidulin.MEMO_SIZE``).
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -81,11 +82,12 @@ from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
 from .linalg import (
     MatrixFq,
     Subspace,
+    _lift_rows,
+    _rank,
     embed,
     identity_lift,
     row_space,
     shorten,
-    subspace_distance,
     subspace_sum,
 )
 
@@ -219,14 +221,16 @@ class LayeredCode:
     def layer_distance(self, matrix: MatrixFq, space: Subspace, layer: int) -> int:
         """d_S(lift(X_l), U_l) in the component ambient n_l + m, for the
         codeword matrix X_l of ``layer`` and U_l the layer extracted from
-        ``space``: the extraction an attempt at ``layer`` on ``space`` decodes."""
+        ``space``: the extraction an attempt at ``layer`` on ``space`` decodes.
+
+        2 rank([lift X_l; U_l]) - n_l - dim U_l, one stacked rank as in
+        ``lifted.brute_force_subspace_decode``."""
         extracted = self._memo_entry(space, layer)[0]
         code = self.layers[layer - 1]
         code._check_received(matrix)
-        lifts = self._lift_entry(layer, matrix)
-        if lifts[1] is None:
-            lifts[1] = identity_lift(matrix, 0, code.n + self.params.m)
-        return subspace_distance(lifts[1], extracted)
+        q, ambient = self.params.q, code.n + self.params.m
+        rows = _lift_rows(q, matrix._data, 0, ambient) + extracted.basis._data
+        return 2 * _rank(q, ambient, rows) - code.n - extracted.dim
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
@@ -355,28 +359,22 @@ class LayeredCode:
 
     @cached_property
     def _lift_memo(self) -> dict:
-        """The lifts of codewords on this code (``_lift_entry``), by (layer,
-        codeword rows): [component in the full ambient, lift in the
-        component ambient], each made on first use.  At most
-        ``gabidulin.MEMO_SIZE`` (4,096) keys; emptied when full."""
+        """The components of codewords on this code (``_component``), by
+        (layer, codeword rows).  At most ``gabidulin.MEMO_SIZE`` (4,096)
+        keys; emptied when full."""
         return {}
 
-    def _lift_entry(self, layer: int, matrix: MatrixFq) -> list:
-        """``_lift_memo``'s entry for ``matrix``, a codeword matrix of
-        ``layer`` whose shape and field the caller has checked."""
-        key = (layer, matrix._data)
-        lifts = self._lift_memo.get(key)
-        if lifts is None:
-            lifts = _memo_put(self._lift_memo, key, [None, None])
-        return lifts
-
     def _component(self, layer: int, matrix: MatrixFq) -> Subspace:
-        """[0 | I | 0 | X] in the full ambient for a checked codeword matrix
-        X of ``layer``, through ``_lift_memo``."""
-        lifts = self._lift_entry(layer, matrix)
-        if lifts[0] is None:
-            lifts[0] = identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
-        return lifts[0]
+        """[0 | I | 0 | X] in the full ambient for a codeword matrix X of
+        ``layer`` whose shape and field the caller has checked, through
+        ``_lift_memo``."""
+        key = (layer, matrix._data)
+        component = self._lift_memo.get(key)
+        if component is None:
+            component = _memo_put(
+                self._lift_memo, key, identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
+            )
+        return component
 
     def _memo_entry(self, space: Subspace, layer: int) -> list:
         """``_step_memo``'s entry for ``layer`` on ``space``.  A space over

@@ -58,6 +58,24 @@ def run_cli(*args, timeout=600):
     )
 
 
+@pytest.mark.parametrize("verb", ["simulate", "dump-code"])
+@pytest.mark.parametrize(
+    "modulus, line", [("", 2), ("modulus = 1, 1, 0, 0, 1\n", 3)], ids=["default", "modulus"]
+)
+def test_a_huge_prime_q_is_refused_for_its_size(tmp_path, verb, modulus, line):
+    """q = 2^61 - 1 is prime but no field of it fits: it is refused for its
+    size before any prime test, at the modulus line if the file sets one,
+    else the q line.  The timeout turns a hang into a failure."""
+    config = tmp_path / "big.ini"
+    config.write_text(f"[field]\nq = 2305843009213693951\n{modulus}")
+    proc = run_cli(verb, "--config", str(config), timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert (
+        f"config error: {config}:{line}: q^m = 2305843009213693951^4 elements is too many; "
+        "at most 2^16 = 65536 are supported"
+    ) in proc.stderr
+
+
 # every (verb, flag) pair the verb would ignore; the other 13 pairs are honoured
 IGNORED_FLAGS = [
     ("verify", "--trials"),

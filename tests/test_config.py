@@ -175,6 +175,26 @@ def test_a_verb_check_on_a_defaulted_grid_names_its_fallback_line(verb, text, me
     assert str(err.value).startswith(message) and ":0:" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "channel, line",
+    [
+        ("rho = 1\nt = 0,1", 3),
+        ("rho = 0,1\nt = 1", 2),
+        ("rho = 0,1\nt = 0,1", 2),
+        ("rho = 1", 4),
+    ],
+    ids=["wide-t", "wide-rho", "both-wide", "defaulted-t"],
+)
+def test_a_scenario_on_a_wide_grid_names_the_wide_axis(channel, line):
+    """A scenario's fixed-channel check names the first channel axis the
+    file lists more than one value for, not the rho line whatever it
+    holds, and falls back to the scenario mode line."""
+    text = f"[channel]\n{channel}\n[scenario]\nmode = unicast\n"
+    with pytest.raises(ConfigError) as err:
+        config.check_verb(parse_config(text, "s.ini"), "scenario")
+    assert str(err.value).startswith(f"s.ini:{line}: scenario modes use a fixed channel")
+
+
 def test_search_profiles_parse():
     text = """\
 [search]

@@ -1,5 +1,7 @@
 """Finite-field arithmetic against independent schoolbook oracles."""
 
+import itertools
+
 import pytest
 
 from lsc.errors import ParameterError
@@ -203,27 +205,93 @@ def test_rejects_bad_parameters():
 
 
 def test_irreducibility_check_runs_once_per_field(monkeypatch):
-    """A rebuilt field skips trial division; a reducible modulus raises every time."""
+    """The table build is the check, once per field: a rebuilt field builds
+    no second table, and a reducible modulus raises every time."""
     from lsc import field
 
-    field._irreducible.cache_clear()
-    calls = []
-    poly_mod = field._poly_mod
+    field._field_ops.cache_clear()
+    builds = []
+    powers = field._generator_powers
     monkeypatch.setattr(
-        field, "_poly_mod", lambda *args: calls.append(args) or poly_mod(*args)
+        field, "_generator_powers", lambda *args: builds.append(args) or powers(*args)
     )
     first = FieldParams(2, 12, DEFAULT_MODULI[(2, 12)])
-    assert len(calls) == 126  # every monic divisor of degree 1..6
-    calls.clear()
+    assert builds == [(2, 12, first.modulus)]
     assert FieldParams.default(2, 12) == first
     assert FieldParams(2, 12, first.modulus) == first
-    assert calls == []
+    assert first.ops.mul(2, 3) == 6
+    assert len(builds) == 1
+    builds.clear()
     for _ in range(2):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^modulus \(1, 0, 0, 0, 1\) is reducible over F_2$"):
             FieldParams(2, 4, (1, 0, 0, 0, 1))
-        with pytest.raises(ParameterError):
-            FieldParams(3, 2, (1, 0, 2))  # 2x^2 + 1 = 2(x + 1)(x + 2)
-    field._irreducible.cache_clear()
+        # 2x^2 + 1 = 2(x + 1)(x + 2), normalised to x^2 + 2
+        with pytest.raises(ParameterError, match=r"^modulus \(2, 0, 1\) is reducible over F_3$"):
+            FieldParams(3, 2, (1, 0, 2))
+    assert len(builds) == 4
+
+
+def _poly_rem(a, b, q):
+    """In-test oracle: the remainder of a mod a monic b over F_q."""
+    rem = list(a)
+    while len(rem) >= len(b):
+        lead = rem[-1]
+        shift = len(rem) - len(b)
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - lead * c) % q
+        rem.pop()
+    return rem
+
+
+def _irreducible_by_trial_division(modulus, q):
+    """In-test oracle: no monic polynomial of degree 1..m/2 divides the
+    monic modulus."""
+    m = len(modulus) - 1
+    for deg in range(1, m // 2 + 1):
+        for lower in itertools.product(range(q), repeat=deg):
+            if not any(_poly_rem(modulus, lower + (1,), q)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q, max_m", [(2, 8), (3, 4), (5, 3), (7, 3)])
+def test_field_check_matches_trial_division(q, max_m):
+    """Every monic modulus up to degree ``max_m``: the field accepts exactly
+    the moduli trial division finds irreducible, and refuses the rest."""
+    accepted = refused = 0
+    for m in range(1, max_m + 1):
+        for lower in itertools.product(range(q), repeat=m):
+            modulus = lower + (1,)
+            if _irreducible_by_trial_division(modulus, q):
+                assert FieldParams(q, m, modulus).modulus == modulus
+                accepted += 1
+            else:
+                with pytest.raises(ParameterError) as err:
+                    FieldParams(q, m, modulus)
+                assert str(err.value) == f"modulus {modulus} is reducible over F_{q}"
+                refused += 1
+    assert accepted and refused
+
+
+def _poly(*exponents):
+    """The F_2 polynomial with these exponents, constant term first."""
+    return tuple(int(i in exponents) for i in range(max(exponents) + 1))
+
+
+@pytest.mark.parametrize(
+    "modulus, factor",
+    [
+        # (x^8 + x^4 + x^3 + x^2 + 1)^2, squared term by term over F_2
+        (_poly(16, 8, 6, 4, 0), _poly(8, 4, 3, 2, 0)),
+        # x^16 + 1 = (x + 1)^16
+        (_poly(16, 0), _poly(1, 0)),
+    ],
+    ids=["square-of-degree-8", "x16-plus-1"],
+)
+def test_reducible_degree_16_products_are_refused(modulus, factor):
+    assert not any(_poly_rem(modulus, factor, 2))
+    with pytest.raises(ParameterError, match=r"is reducible over F_2$"):
+        FieldParams(2, 16, modulus)
 
 
 def test_mismatched_fields_rejected(fp24):

@@ -605,14 +605,14 @@ def test_lift_memo_never_grows_past_its_bound(fp24, monkeypatch):
     monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
     code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
     sizes = []
-    entry = LayeredCode._lift_entry
+    place = LayeredCode._component
 
-    def recording_entry(self, *args):
-        lifts = entry(self, *args)
+    def recording_component(self, *args):
+        placed = place(self, *args)
         sizes.append(len(self._lift_memo))
-        return lifts
+        return placed
 
-    monkeypatch.setattr(LayeredCode, "_lift_entry", recording_entry)
+    monkeypatch.setattr(LayeredCode, "_component", recording_component)
     for seed in range(10):
         word, outcome = make_trial(code, seed, ChannelSpec(rho=2, t=1))
         for layer, (matrix, component) in enumerate(
@@ -632,16 +632,19 @@ def test_lift_memo_never_grows_past_its_bound(fp24, monkeypatch):
 
 @pytest.mark.parametrize("q, shape, other_q", [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)])
 def test_a_warmed_lift_memo_still_rejects_a_wrong_matrix(q, shape, other_q):
-    """With both lifts of a codeword in the memo, a matrix that stores the
-    same rows but has another width, or lies over another field, is still
-    refused by ``layer_distance``."""
+    """With a codeword's component in the memo (encoding put it there), a
+    matrix that stores the same rows but has another width, or lies over
+    another field, is still refused by ``layer_distance``."""
     code = LayeredCode.standard(FieldParams.default(q, 4), shape)
     words = [code.encode([[0] * inner.k for inner in code.layers])]
     words.append(code.random_codeword(SplitMix64(5)))
     for word in words:
         for layer, matrix in enumerate(word.component_matrices, 1):
-            code.layer_distance(matrix, word.V, layer)
-            assert None not in code._lift_memo[(layer, matrix._data)]
+            assert code._lift_memo[(layer, matrix._data)] is word.components[layer - 1]
+            assert word.components[layer - 1] == code.embed_component(
+                layer, lift(code.layers[layer - 1], matrix)
+            )
+            assert code.layer_distance(matrix, word.V, layer) == 0
             wider = MatrixFq._unchecked(q, matrix.rows, matrix.cols + 1, matrix._data)
             bad = [wider]
             if not any(matrix._data):
