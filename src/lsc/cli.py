@@ -13,10 +13,10 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig, check_verb, load_config
+from .config import ExperimentConfig, check_verb, load_config, override
 from .errors import CapacityError, ConfigError
 from .harness import run_scenario, run_search_beyond, run_simulate, run_verify
-from .linalg import dump_subspace
+from .linalg import dump_pair, dump_subspace
 from .channel import ChannelSpec, make_trial
 
 EXIT_OK = 0
@@ -60,19 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
     """Apply the override flags the verb has (``VERB_FLAGS``) and the user gave."""
-    seed, trials, workers = (getattr(args, name, None) for name in ("seed", "trials", "workers"))
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed: must be non-negative")
-        cfg.seed = seed
-    if trials is not None:
-        if trials < 0:
-            raise ConfigError("--trials: must be non-negative")
-        cfg.trials = trials
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError("--workers: must be at least 1")
-        cfg.workers = workers
+    for key in ("seed", "trials", "workers"):
+        value = getattr(args, key, None)
+        if value is not None:
+            override(cfg, key, value)
 
 
 def _open_out(path: str):
@@ -108,10 +99,7 @@ def _dump_guaranteed_failures(cfg: ExperimentConfig, result) -> None:
         spec = ChannelSpec(rho=record.rho_requested, t=record.t_requested) if exact else None
         word, outcome = make_trial(code, record.seed, spec, cfg.collected, cfg.error_packets)
         print(f"# failed trial {record.trial} rho {record.rho_realized} t {record.t_realized}")
-        print("V")
-        print(dump_subspace(word.V), end="")
-        print("U")
-        print(dump_subspace(outcome.U), end="")
+        print(dump_pair(word.V, outcome.U), end="")
 
 
 def _cmd_verify(cfg: ExperimentConfig, args) -> int:

@@ -265,6 +265,13 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     return cfg
 
 
+def override(cfg: ExperimentConfig, key: str, value) -> None:
+    """Set the ``[run] key`` from its command-line flag, through the key's
+    own parser: ``--seed -1`` is refused as ``seed = -1`` is, at ``--seed``."""
+    attr, parse = _SCHEMA[("run", key)]
+    setattr(cfg, attr, parse(value, f"--{key}", key))
+
+
 def _cross_validate(cfg: ExperimentConfig) -> None:
     """Checks across keys.  A message names the line of the key it is
     about, or, when the file leaves that key at its default, the line of

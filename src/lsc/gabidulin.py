@@ -55,11 +55,18 @@ successful lifted decode returns the codeword matrix of the message it
 found.  So ``_codeword_matrix`` reads a memo on the code
 (``_codeword_memo``, made on first use and keyed by the message's index
 tuple) and evaluates (``_evaluate``) only on a miss.  The codebook
-evaluates outside the memo, so the oracle leaves it alone.  All four
-memos of a code (the codewords and lifted decodes of a
-``GabidulinCode``, and the steps and lifts of a ``LayeredCode``) hold at
-most ``MEMO_SIZE`` = 4,096 entries and are emptied when full
-(``_memo_put``, which reads the bound at call time).
+evaluates outside the memo, so the oracle leaves it alone.
+
+The memo rules hold for all four memos of a code: the codewords and
+lifted decodes of a ``GabidulinCode``, and the steps and lifts of a
+``LayeredCode``.  They are stated only here; README and the ``lifted``
+and ``layered`` docstrings point here.  A memo is made on first use and holds at most
+``MEMO_SIZE`` = 4,096 entries; a full one is emptied before the next
+store (``_memo_put``, which reads the bound at call time).  A key is
+stored only once what it names has passed its check, so a hit is not
+checked again: a key that names a space carries the space's q and
+ambient with its rows, so a space over another field or ambient that
+stores the same rows misses, and is refused by the check.
 ``ExperimentConfig.build_code`` builds fresh codes, so a memo lasts one
 run.
 
@@ -100,9 +107,7 @@ from .linalg import _ENUMERATION_CAP, MatrixFq, _add_rows, _eliminate, _kernel, 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
 
-# the most entries each memo of a code holds before it is emptied: the
-# codewords and lifted decodes of a ``GabidulinCode``, and the steps and
-# lifts of a ``LayeredCode``
+# the bound of every memo of a code (the memo rules: module docstring)
 MEMO_SIZE = 4096
 
 

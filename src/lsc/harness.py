@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Iterable, Sequence, TextIO
 
 from .channel import ChannelSpec, make_trial
 from .config import ExperimentConfig, check_verb
 from .errors import InvariantError
 from .layered import STATUS_OK, LayerDecodeReport, LayeredCode, LayeredCodeword
-from .linalg import Subspace, dump_subspace, subspace_distance
+from .linalg import Subspace, dump_pair, subspace_distance
 from .properties import (
     PROPERTY_MANIFEST,
     PropertyResult,
@@ -28,23 +28,6 @@ from .properties import (
     VerifyContext,
 )
 from .rng import derive_seed
-
-CSV_COLUMNS = (
-    "trial",
-    "seed",
-    "algorithm",
-    "rho_requested",
-    "t_requested",
-    "rho_realized",
-    "t_realized",
-    "dim_u",
-    "ds_vu",
-    "layer_ds",
-    "layer_status",
-    "success",
-    "sweeps",
-    "ds_chain",
-)
 
 SCENARIO_MULTICAST_COLUMNS = (
     "layer_count",
@@ -84,6 +67,7 @@ class TrialRecord:
     ds_chain: tuple[int, ...]
 
     def csv_row(self) -> tuple[str, ...]:
+        """One cell per field, in field order (``CSV_COLUMNS``)."""
         return (
             str(self.trial),
             str(self.seed),
@@ -100,6 +84,9 @@ class TrialRecord:
             str(self.sweeps),
             "|".join(map(str, self.ds_chain)),
         )
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _layer_distances(
@@ -152,7 +139,7 @@ def run_trial(
     algorithms: Sequence[str],
     max_sweeps: int,
     channel_mode: str = "exact",
-    collected: int | None = None,
+    collected: int = 0,
     error_packets: int = 0,
 ) -> list[TrialRecord]:
     """One encode -> channel -> decode cycle, one record per algorithm."""
@@ -160,7 +147,7 @@ def run_trial(
         seed = derive_seed(master_seed, rho, t, trial)
         word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
     else:
-        seed = derive_seed(master_seed, collected or 0, error_packets, trial)
+        seed = derive_seed(master_seed, collected, error_packets, trial)
         word, outcome = make_trial(code, seed, collected=collected, error_packets=error_packets)
     ds = outcome.distance
     layer_ds = _layer_distances(code, word, outcome.U)
@@ -193,11 +180,9 @@ def run_trial(
 _WORKER_CODE: LayeredCode | None = None
 
 
-def _worker_init(q: int, m: int, modulus: tuple[int, ...], shape: tuple[tuple[int, int], ...]) -> None:
+def _worker_init(code: LayeredCode) -> None:
     global _WORKER_CODE
-    from .field import FieldParams
-
-    _WORKER_CODE = LayeredCode.standard(FieldParams(q, m, modulus), shape)
+    _WORKER_CODE = code
 
 
 def _in_worker(task):
@@ -217,20 +202,17 @@ def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) 
 
     No more processes start than there are jobs or usable CPUs.  Results
     keep the order of ``jobs``.  ``trial_fn`` is a module-level function,
-    so that it pickles by name; each worker rebuilds ``code`` once, from
-    its field and shape.  ``multiprocessing`` is imported only when a pool
-    starts: a one-process run does not pay for the import.
+    so that it pickles by name.  Each worker receives ``code`` once, as
+    the pool's initializer argument: a forked worker inherits it, and a
+    spawned one unpickles it.  ``multiprocessing`` is imported only when a
+    pool starts: a one-process run does not pay for the import.
     """
     processes = min(cfg.workers, len(jobs), _usable_cpus())
     if processes > 1:
         import multiprocessing
 
-        params = code.params
-        shape = tuple((layer.n, layer.k) for layer in code.layers)
         with multiprocessing.Pool(
-            processes=processes,
-            initializer=_worker_init,
-            initargs=(params.q, params.m, params.modulus, shape),
+            processes=processes, initializer=_worker_init, initargs=(code,)
         ) as pool:
             return pool.map(
                 _in_worker,
@@ -427,12 +409,8 @@ class SearchInstance:
                 f"alg1 {'|'.join(self.alg1_status)} alg2 {'|'.join(self.alg2_status)} "
                 f"retry_ds {retry}"
             ),
-            "V",
-            dump_subspace(self.V).rstrip("\n"),
-            "U",
-            dump_subspace(self.U).rstrip("\n"),
         ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + dump_pair(self.V, self.U)
 
 
 @dataclass

@@ -43,26 +43,23 @@ lifts it and, under SIC, adds the lift to the working space; a lone
 ``decode_layer`` builds no lift.  Each part is a pure function of
 (layer, working space), and the decoders repeat many steps, so each
 code keeps the extraction and the sum in ``_step_memo``, keyed by the
-layer and the space's field, ambient and rows.  A key is stored only
-once ``extract_component`` has checked its space, so a hit is not
-checked again, and a space over another field or ambient misses and is
-refused.  The decode itself stays one ``lifted.subspace_decode`` call
-per attempt, which has its own memo (see ``lifted``).
-``layer_distance`` measures a layer on
-the extraction an attempt reads, d_S(lift(X_l), U_l) in the component
-ambient n_l + m, through the same memo entry: a trial's layer distances
-and its decodes extract each (layer, space) once.  The distance is one
-stacked rank, 2 rank([lift X_l; U_l]) - n_l - dim U_l, on the stored
-rows, with no ``Subspace`` built for the lift.
+layer and the space's field, ambient and rows; ``extract_component`` is
+the check a key passes before it is stored.  The decode itself stays
+one ``lifted.subspace_decode`` call per attempt, which has its own memo
+(see ``lifted``).  ``layer_distance`` measures a layer on the extraction
+an attempt reads, d_S(lift(X_l), U_l) in the component ambient n_l + m,
+through the same memo entry: a trial's layer distances and its decodes
+extract each (layer, space) once.  The distance is one stacked rank,
+2 rank([lift X_l; U_l]) - n_l - dim U_l, on the stored rows, with no
+``Subspace`` built for the lift.
 
 A component is a pure function of the layer and its codeword X_l, and a
 trial places each sent X_l twice: in encoding and in the walk once the
 layer decodes.  So each code keeps one lift memo (``_lift_memo``), keyed
 by (layer, codeword rows) once the matrix's shape and field are known to
 fit: an entry is the one component in the full ambient.  The codewords
-come from the inner codes' own memo (see ``gabidulin``).  Both memos
-here are made on first use and bounded like the others
-(``gabidulin.MEMO_SIZE``).
+come from the inner codes' own memo.  Both memos here follow the memo
+rules stated in ``gabidulin``.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -353,15 +350,13 @@ class LayeredCode:
         """The pure results of an attempt on this code (``_memo_entry``), by
         (layer, q, ambient, working basis rows): [extracted component,
         working + its decoded lift], the sum filled by ``_walk`` once the
-        step decodes under SIC.
-        At most ``gabidulin.MEMO_SIZE`` (4,096) keys; emptied when full."""
+        step decodes under SIC."""
         return {}
 
     @cached_property
     def _lift_memo(self) -> dict:
         """The components of codewords on this code (``_component``), by
-        (layer, codeword rows).  At most ``gabidulin.MEMO_SIZE`` (4,096)
-        keys; emptied when full."""
+        (layer, codeword rows)."""
         return {}
 
     def _component(self, layer: int, matrix: MatrixFq) -> Subspace:

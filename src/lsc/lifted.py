@@ -37,18 +37,13 @@ A lifted decode is a pure function of the inner code and the received
 space, and the layered decoders repeat many: alg2's first attempt is
 alg1's attempt at layer L, and alg2-iterative's first sweep is all of
 alg2.  So ``subspace_decode`` keeps a memo on the inner code
-(``GabidulinCode._subspace_decode_memo``, made on first use), keyed by
-the received space's field, ambient and canonical basis, and runs the
-ambient check and the uncached ``_decode_space`` only on a miss.  A key
-is stored only once its space has passed that check, so a hit is not
-checked again, and a space over another field or ambient that stores
-the same rows misses and is refused.  That check is the only one of a
-decode: ``_decode_space`` and ``_split`` run none.  An outcome (a
-codeword matrix or a ``DecodeFailure``) is immutable, so reports share
-it.  Like every memo of a code, it holds at most
-``gabidulin.MEMO_SIZE`` = 4,096 entries and is emptied when full
-(``gabidulin._memo_put``); ``ExperimentConfig.build_code`` builds fresh
-codes, so it lasts one run.
+(``GabidulinCode._subspace_decode_memo``), keyed by the received
+space's field, ambient and canonical basis, and runs the ambient check
+and the uncached ``_decode_space`` only on a miss; the memo rules (its
+bound, and a key stored only once checked) are stated in ``gabidulin``.
+That check is the only one of a decode: ``_decode_space`` and ``_split``
+run none.  An outcome (a codeword matrix or a ``DecodeFailure``) is
+immutable, so reports share it.
 
 One level up, ``LayeredCode._step_memo`` keeps the pure rest of an
 attempt, by (layer, working space), under the same bound: the
@@ -148,9 +143,8 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
 
     Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
     codeword V; beyond that radius success is opportunistic.  The outcome
-    is ``_decode_space``'s, looked up first in the code's memo: at most
-    ``gabidulin.MEMO_SIZE`` (4,096) outcomes keyed by the received space's
-    field, ambient and canonical basis, emptied when full; the ambient
+    is ``_decode_space``'s, looked up first in the code's memo, keyed by
+    the received space's field, ambient and canonical basis; the ambient
     check runs on a miss.  The layered walk calls this once per attempt, a
     repeat included, and memoizes the extraction before it itself (see the
     module docstring).

@@ -776,19 +776,26 @@ def random_full_rank_matrix(q: int, rows: int, cols: int, rng) -> MatrixFq:
 
 
 def random_subspace(q: int, ambient_dim: int, dim: int, rng) -> Subspace:
+    """A uniform ``dim``-dimensional subspace of F_q^ambient_dim.  The whole
+    space is the only one of its dimension: its canonical basis is the
+    identity, and nothing is drawn."""
     if not 0 <= dim <= ambient_dim:
         raise ParameterError("dimension outside [0, ambient]")
-    if dim == 0:
-        return Subspace.zero(q, ambient_dim)
-    return row_space(random_full_rank_matrix(q, dim, ambient_dim, rng), ambient_dim)
+    if dim < ambient_dim:
+        return row_space(random_full_rank_matrix(q, dim, ambient_dim, rng), ambient_dim)
+    _check_dims(q, dim, dim)
+    width = _field_bits(q)
+    identity = tuple(1 << i * width for i in reversed(range(dim)))
+    return Subspace._unchecked(dim, MatrixFq._unchecked(q, dim, dim, identity))
 
 
 def random_subspace_of(v: Subspace, dim: int, rng) -> Subspace:
-    """Uniform-coefficient subspace of ``v`` with the requested dimension."""
+    """Uniform-coefficient subspace of ``v`` with the requested dimension;
+    ``v`` itself, with nothing drawn, at ``dim == v.dim``."""
     if not 0 <= dim <= v.dim:
         raise ParameterError("dimension outside [0, dim(V)]")
-    if dim == 0:
-        return Subspace.zero(v.q, v.ambient_dim)
+    if dim == v.dim:
+        return v
     coeffs = random_full_rank_matrix(v.q, dim, v.dim, rng)
     return row_space(coeffs @ v.basis, v.ambient_dim)
 
@@ -803,6 +810,12 @@ def dump_subspace(v: Subspace) -> str:
     if any(len(line) != v.ambient_dim for line in lines[1:]):
         raise ParameterError("dump entries are single digits: an entry is above 9")
     return "\n".join(lines) + "\n"
+
+
+def dump_pair(v: Subspace, u: Subspace) -> str:
+    """A sent and a received space, as ``simulate --dump`` and the search
+    instances write them: ``V``, V's dump, ``U``, U's dump."""
+    return f"V\n{dump_subspace(v)}U\n{dump_subspace(u)}"
 
 
 def parse_subspace(text: str, q: int) -> Subspace:

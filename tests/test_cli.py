@@ -273,7 +273,34 @@ def test_config_error_exit_code(tmp_path):
 def test_negative_seed_override_rejected(capsys):
     args = ["simulate", "--config", str(CONFIGS / "default.ini"), "--trials", "1"]
     assert cli.main([*args, "--seed", "-1"]) == 2
-    assert "--seed: must be non-negative" in capsys.readouterr().err
+    assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("seed", -1), ("trials", -1), ("workers", 0)])
+def test_flag_bounds_are_the_config_keys(flag, value):
+    """A [run] flag is checked by its key's parser: its message is the one
+    the config line gives, at the flag in place of file:line."""
+    with pytest.raises(ConfigError) as refused:
+        parse_config(f"[run]\n{flag} = {value}\n", "run.ini")
+    message = str(refused.value).replace("run.ini:2", f"--{flag}")
+    proc = run_cli("simulate", "--config", str(CONFIGS / "default.ini"), f"--{flag}", str(value))
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {message}\n"
+    assert proc.stdout == ""
+
+
+def test_forced_failure_dump_bytes_are_pinned(monkeypatch, capsys):
+    """``simulate --dump`` with every decode made to fail: the CSV, then each
+    failed guaranteed-regime trial's header and V/U block (sha256 measured
+    at 8b1062c)."""
+    _fail_every_decode(monkeypatch)
+    args = ["simulate", "--config", str(CONFIGS / "default.ini"), "--trials", "3", "--dump"]
+    assert cli.main(args) == 1
+    out = capsys.readouterr().out
+    assert out.count("# failed trial") == 18
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "936688a84f5eed1f4c82885abc6f2a053c866790df0024749cb02a6a45ada30e"
+    )
 
 
 def test_search_beyond_exit_codes(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import pathlib
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from lsc.field import FieldParams
 from lsc.gabidulin import DecodeFailure
 from lsc.harness import (
     CSV_COLUMNS,
+    TrialRecord,
     _layer_distances,
     run_scenario,
     run_search_beyond,
@@ -83,6 +85,25 @@ def test_simulate_csv_matches_golden():
     assert result.csv_text == GOLDEN.read_text()
 
 
+def test_csv_cells_follow_the_record_fields():
+    """The columns are ``TrialRecord``'s fields, and ``csv_row`` renders a
+    record with a distinct value in every field in that order."""
+    record = TrialRecord(
+        trial=101, seed=102, algorithm="alg2", rho_requested=103, t_requested=104,
+        rho_realized=105, t_realized=106, dim_u=107, ds_vu=108, layer_ds=(109, 110),
+        layer_status=("ok", "fail"), success=True, sweeps=111, ds_chain=(112, 113),
+    )
+    cells = {
+        "trial": "101", "seed": "102", "algorithm": "alg2", "rho_requested": "103",
+        "t_requested": "104", "rho_realized": "105", "t_realized": "106", "dim_u": "107",
+        "ds_vu": "108", "layer_ds": "109|110", "layer_status": "ok|fail", "success": "1",
+        "sweeps": "111", "ds_chain": "112|113",
+    }
+    assert CSV_COLUMNS == tuple(cells)
+    assert record.csv_row() == tuple(cells[name] for name in CSV_COLUMNS)
+    assert GOLDEN.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
 def test_simulate_zero_trials_emits_header_only():
     cfg = parse_config(TINY_SIM.replace("trials = 4", "trials = 0"), "tiny.ini")
     result = run_simulate(cfg)
@@ -150,6 +171,41 @@ def test_workers_start_no_more_processes_than_jobs_or_cpus(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert harness._usable_cpus() == 3
+
+
+def test_spawned_workers_write_the_serial_csv(monkeypatch):
+    """Under the spawn start method each worker unpickles the code it is
+    handed, and the CSV is still the one-process CSV."""
+    import multiprocessing
+
+    from lsc import harness
+
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = parse_config(TINY_SIM, "tiny.ini")
+    serial = run_simulate(cfg).csv_text
+    cfg.workers = 2
+    assert run_simulate(cfg).csv_text == serial
+
+
+def test_a_pickled_code_decodes_as_the_original():
+    """What a spawned worker receives: a default.ini code, its memos warmed,
+    through pickle, gives the records the original gives."""
+    cfg = load_config(str(CONFIGS / "default.ini"))
+    code = cfg.build_code()
+    run_trial(code, cfg.seed, 0, 2, 1, ALGORITHMS, cfg.max_sweeps)
+    clone = pickle.loads(pickle.dumps(code))
+    for trial in range(6):
+        job = (cfg.seed, trial, trial % 3, 2 - trial % 3, ALGORITHMS, cfg.max_sweeps)
+        assert run_trial(clone, *job) == run_trial(code, *job)
+
+
+def test_matrix_trial_defaults_to_zero_collected_packets():
+    code = parse_config(TINY_SIM, "tiny.ini").build_code()
+    args = (code, 5, 2, None, None, ALGORITHMS, 4, "matrix")
+    records = run_trial(*args)
+    assert records == run_trial(*args, collected=0)
+    assert {record.dim_u for record in records} == {0}
 
 
 def test_summary_is_recounted_from_rows():

@@ -1,5 +1,6 @@
 """Subspace lattice operations against exhaustive membership oracles."""
 
+import copy
 import itertools
 import pickle
 from bisect import bisect_left
@@ -90,6 +91,22 @@ def test_row_space_trivial_cases():
     # the identity's rows, last first, reduce to the canonical basis of F_2^4
     reversed_identity = MatrixFq(2, 4, 4, [[int(i + j == 3) for j in range(4)] for i in range(4)])
     assert row_space(reversed_identity, 4) == full_space(2, 4)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_full_dimension_draws_leave_the_stream_untouched(q):
+    """The whole space and V itself are the only subspaces of their
+    dimension: they come back with nothing drawn."""
+    for ambient in range(6):
+        rng, untouched = SplitMix64(ambient), SplitMix64(ambient)
+        whole = random_subspace(q, ambient, ambient, rng)
+        assert whole == full_space(q, ambient)
+        assert Subspace(ambient, whole.basis) == whole
+        assert rng.next64() == untouched.next64()
+        v = random_subspace(q, ambient + 2, ambient, rng)
+        untouched = copy.copy(rng)
+        assert random_subspace_of(v, ambient, rng) is v
+        assert rng.next64() == untouched.next64()
 
 
 def test_sum_examples():
