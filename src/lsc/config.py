@@ -81,7 +81,7 @@ class ExperimentConfig:
         return tuple((r, t) for r in self.rho_values for t in self.t_values)
 
 
-def _int(minimum):
+def _int(minimum, maximum=None):
     def parse(value, at, name):
         try:
             out = int(value)
@@ -89,6 +89,8 @@ def _int(minimum):
             raise ConfigError(f"{at}: {name} must be an integer, got {value!r}") from None
         if out < minimum:
             raise ConfigError(f"{at}: {name} must be >= {minimum}, got {out}")
+        if maximum is not None and out > maximum:
+            raise ConfigError(f"{at}: {name} must be <= {maximum}, got {out}")
         return out
 
     return parse
@@ -180,7 +182,9 @@ _SCHEMA = {
         _choice(ALGORITHMS, f"algorithm must be one of {', '.join(ALGORITHMS)}"),
     ),
     ("run", "trials"): ("trials", _int(0)),
-    ("run", "seed"): ("seed", _int(0)),
+    # rng.derive_seed reads a master seed mod 2^64, so a larger one would
+    # alias a smaller one
+    ("run", "seed"): ("seed", _int(0, 2**64 - 1)),
     ("run", "max_sweeps"): ("max_sweeps", _int(1)),
     ("run", "workers"): ("workers", _int(1)),
     ("scenario", "mode"): (

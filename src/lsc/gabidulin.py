@@ -1,9 +1,11 @@
 """Gabidulin (maximum-rank-distance) codes over F_{q^m}.
 
 Encoding evaluates a linearized polynomial at F_q-linearly-independent
-points.  ``decode_bounded`` is an interpolation decoder in the
-Welch-Berlekamp style, extended to errors-and-erasures: a known part of
-the error row space is absorbed by composing with its subspace
+points.  ``decode_bounded`` is an errors-and-erasures decoder in the
+form of Silva and Kschischang ("Fast encoding and decoding of Gabidulin
+codes", ISIT 2009): it Newton-interpolates the word on some of the
+points and solves a key equation on the syndrome at the others.  A known
+part of the error row space is absorbed by composing with its subspace
 annihilator polynomial, and a known part of the error column space is
 projected out with an F_q left-annihilator of the received word.  It
 succeeds whenever some codeword c satisfies
@@ -25,19 +27,25 @@ indices.  ``lifted.subspace_decode`` calls the core directly, with a P
 and y it reads off the received space (see ``lifted``).
 
 In the core, the points are projected, g' = P g, when mu > 0.  Row hints
-(delta > 0) put y through their annihilator sigma and divide each
-candidate by sigma once more; without them there is no sigma.  A
-candidate f is then checked at the projected points: P (r - f(g)) =
-y - f(g'), because f is F_q-linear, so the residual is n - mu field
-elements, and its rank modulo the row hints is the rank of the residual
-rows stacked on the row-hint basis, less delta.
+(delta > 0) put y through their annihilator sigma, which turns the sent
+f into sigma o f, of q-degree < r = k + delta, and the hinted part of
+the error into 0; the core decodes sigma(y) on the (n - mu, r) Gabidulin
+code of the points g' and divides the result by sigma.  Without row
+hints there is no sigma.  The Newton data of the points
+(``_newton_table``) is a table on the code when mu = 0 (``_newton``) and
+is computed per call when mu > 0.  A candidate from the key equation is
+checked at the projected points: P (r - f(g)) = y - f(g'), because f is
+F_q-linear, so the residual is n - mu field elements, and its rank
+modulo the row hints is the rank of the residual rows stacked on the
+row-hint basis, less delta.  The failure detail says either that
+mu + delta exceeds d - 1 or that no codeword lies within the radius.
 
 Only the row space of P matters.  Another projection T P, with T
 invertible over F_q, gives T y and T g'; x -> x^(q^j) is F_q-linear, so
-each interpolation row becomes an F_q-combination of the old rows and
-the system keeps its row space.  The nullspace, its canonical basis, the
-order of the candidates and the rank of each residual are unchanged, and
-so is the outcome.
+each residual becomes T times the old one and keeps its rank.  The core
+returns the unique codeword within the radius when there is one and the
+radius failure when there is none, whichever points it interpolates on,
+so the outcome is unchanged.
 
 ``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.  It shares nothing with the decoder but
@@ -81,16 +89,17 @@ indices in [0, q^m): ``encode`` takes one and raises ``ParameterError``
 for anything else, and the public decoders and ``iter_messages`` give
 one.  The evaluation points are element indices too.
 
-The algorithms (linearized-polynomial evaluation, left division and
-subspace annihilators, encoding, the decoder and its F_{q^m} nullspace,
-the codebook) compute on element indices with ``FieldParams.ops``; the
-kernels that multiply one element into many (evaluation, left division,
-the interpolation rows and the nullspace) add logarithms on its
-zero-sentinel tables.  Words, points and hints meet their F_q matrices
-at one bridge,
-``MatrixFq._from_indices`` and ``MatrixFq._row_indices`` in ``linalg``:
-the projections P r and P g are ``MatrixFq`` products across it, and the
-points' independence is the rank of their matrix.
+The algorithms (linearized-polynomial evaluation, composition, left
+division, subspace annihilators and the Newton table, encoding, the
+decoder and its F_{q^m} nullspace, the codebook) compute on element
+indices with ``FieldParams.ops``; the kernels that multiply one element
+into many (evaluation, composition, left division, the Newton table and
+interpolation, the key-equation rows and the nullspace) add logarithms
+on its zero-sentinel tables.  Words, points and hints meet their F_q
+matrices at one bridge, ``MatrixFq._from_indices`` and
+``MatrixFq._row_indices`` in ``linalg``: the projections P r and P g are
+``MatrixFq`` products across it, and the points' independence is the
+rank of their matrix.
 """
 
 from __future__ import annotations
@@ -98,7 +107,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import FieldOps, FieldParams
@@ -143,16 +152,20 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], x: int) -> int:
-    """sum_i c_i x^(q^i): each term is one antilog lookup, zero coefficients included."""
-    if not x:
-        return 0
+def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], xs: Iterable[int]) -> list[int]:
+    """sum_i c_i x^(q^i) at each x of ``xs``: each nonzero term is one antilog
+    lookup, on logarithms of the coefficients taken once."""
     zexp, zlog, add, order = ops.zexp, ops.zlog, ops.add, ops.order
-    lx = zlog[x]
-    acc = 0
-    for c, qp in zip(coeffs, itertools.cycle(ops.qpow)):
-        acc = add(acc, zexp[zlog[c] + lx * qp % order])
-    return acc
+    terms = [(zlog[c], qp) for c, qp in zip(coeffs, itertools.cycle(ops.qpow)) if c]
+    out = []
+    for x in xs:
+        acc = 0
+        if x:
+            lx = zlog[x]
+            for lc, qp in terms:
+                acc = add(acc, zexp[lc + lx * qp % order])
+        out.append(acc)
+    return out
 
 
 def _lp_divide_left(
@@ -186,18 +199,102 @@ def _lp_divide_left(
     return _trim(quot), work
 
 
+def _lp_compose(ops: FieldOps, a: Sequence[int], b_logs: Sequence[int]) -> list[int]:
+    """a(b(x)) for b given by the logarithms of its coefficients (the zero
+    sentinel for 0): coefficient t is sum_(i+j=t) a_i b_j^(q^i), one antilog
+    lookup a term."""
+    if not a or not b_logs:
+        return []
+    zexp, zlog, add, order, qpow, m = ops.zexp, ops.zlog, ops.add, ops.order, ops.qpow, ops.m
+    zero = zlog[0]
+    b_terms = [(j, lb) for j, lb in enumerate(b_logs) if lb != zero]
+    out = [0] * (len(a) + len(b_logs) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            la, qp = zlog[ai], qpow[i % m]
+            for j, lb in b_terms:
+                out[i + j] = add(out[i + j], zexp[la + lb * qp % order])
+    return _trim(out)
+
+
+def _newton_table(ops: FieldOps, points: Sequence[int], top: int):
+    """The annihilator recurrence on ``points``: (bases, values) for i = 0..top.
+
+    A_0 = x and A_(i+1) = (x^q - w^(q-1) x) o A_i with w = A_i(points[i]),
+    so A_i is monic of q-degree i and vanishes exactly on the F_q-span of
+    the first i points.  ``bases[i]`` holds the logarithms of A_i's
+    coefficients and ``values[i]`` those of A_i at points i, i + 1, ...
+    (it is 0 at the earlier ones), all with the zero sentinel for 0.  A
+    point in the span of those before it makes w = 0, a ParameterError.
+    A_i(x)^q - w^(q-1) A_i(x) carries each value from A_i to A_(i+1), so
+    no polynomial is evaluated.
+    """
+    zexp, zlog, add, order, q = ops.zexp, ops.zlog, ops.add, ops.order, ops.q
+    zero, minus_one = zlog[0], ops.minus_one
+    base, logs = [0], [zlog[g] for g in points]
+    bases, values = [base], [logs]
+    for _ in range(top):
+        if logs[0] == zero:
+            raise ParameterError("annihilator basis is linearly dependent")
+        # the logarithm of -w^(q-1)
+        lneg = (logs[0] * (q - 1) + minus_one) % order
+        # coefficient t of A_(i+1) is A_i[t-1]^q - w^(q-1) A_i[t]: the first
+        # has no A_i[-1], and the last is A_i[i]^q = 1
+        base = [
+            zlog[zexp[lneg + base[0]]],
+            *[
+                zlog[add(zexp[h * q % order] if h != zero else 0, zexp[lneg + l])]
+                for h, l in zip(base, base[1:])
+            ],
+            0,
+        ]
+        logs = [
+            zlog[add(zexp[l * q % order], zexp[lneg + l])] if l != zero else zero for l in logs[1:]
+        ]
+        bases.append(base)
+        values.append(logs)
+    return bases, values
+
+
+def _newton_interpolate(ops: FieldOps, values, ys: Sequence[int], r: int):
+    """Newton interpolation of ``ys`` at the first r points of a
+    ``_newton_table`` with those ``values``: (terms, syndrome).
+
+    h = sum_i c_i A_i with c_i = (y_i - sum_(j<i) c_j A_j(g_i)) / A_i(g_i)
+    takes y_i at point i < r; ``terms`` lists (i, log c_i) for each nonzero
+    c_i, and ``syndrome`` holds y_j - h(g_j) at the points j >= r.  Each step
+    subtracts c_i A_i(g_j) from the later points.
+    """
+    zexp, zlog, add, order, minus_one = ops.zexp, ops.zlog, ops.add, ops.order, ops.minus_one
+    residue = list(ys)
+    terms = []
+    for i in range(r):
+        c = residue[i]
+        if c:
+            logs = values[i]
+            lc = (zlog[c] - logs[0]) % order
+            lneg = (lc + minus_one) % order
+            residue[i + 1 :] = [add(y, zexp[lneg + l]) for y, l in zip(residue[i + 1 :], logs[1:])]
+            terms.append((i, lc))
+    return terms, residue[r:]
+
+
+def _newton_sum(ops: FieldOps, bases, terms, start: Sequence[int]) -> list[int]:
+    """start + sum_i c_i A_i for the (i, log c_i) ``terms`` of
+    ``_newton_interpolate`` and the ``bases`` of ``_newton_table``: with
+    ``start`` = [] that is the interpolant h, of q-degree < r."""
+    zexp, add = ops.zexp, ops.add
+    out = list(start)
+    if terms:
+        out += [0] * (terms[-1][0] + 1 - len(out))
+    for i, lc in terms:
+        out[: i + 1] = [add(a, zexp[lc + la]) for a, la in zip(out, bases[i])]
+    return _trim(out)
+
+
 def _lp_annihilator(ops: FieldOps, elements: Sequence[int]) -> list[int]:
     """Monic polynomial whose kernel is the F_q-span of linearly independent elements."""
-    sigma = [1]
-    for z in elements:
-        w = _lp_evaluate(ops, sigma, z)
-        if not w:
-            raise ParameterError("annihilator basis is linearly dependent")
-        # x^q - w^(q-1) x vanishes at w = sigma(z); applied after sigma, its
-        # coefficient k is sigma_(k-1)^q - w^(q-1) sigma_k
-        scale = ops.pow(w, ops.q - 1)
-        sigma = [ops.sub(ops.frob(hi, 1), ops.mul(scale, lo)) for hi, lo in zip([0, *sigma], [*sigma, 0])]
-    return sigma
+    return [ops.zexp[l] for l in _newton_table(ops, elements, len(elements))[0][-1]]
 
 
 @dataclass(frozen=True)
@@ -247,6 +344,12 @@ class GabidulinCode:
         """The evaluation points as the rows of an n x m matrix over F_q."""
         return MatrixFq._from_indices(self.params.q, self.params.m, self.eval_points)
 
+    @cached_property
+    def _newton(self):
+        """``_newton_table`` on the evaluation points up to A_n: the Newton
+        data of every decode without column hints, whatever its r."""
+        return _newton_table(self.params.ops, self.eval_points, self.n)
+
     def encode(self, message: Sequence[int]) -> MatrixFq:
         """Evaluate f = sum_j u_j x^(q^j) at the evaluation points; the
         codeword is its n x m matrix over F_q."""
@@ -261,8 +364,7 @@ class GabidulinCode:
     def _evaluate(self, f: Sequence[int]) -> MatrixFq:
         """The linearized polynomial f (on indices) at every evaluation
         point: the codeword of the message f as its n x m matrix."""
-        ops = self.params.ops
-        points = [_lp_evaluate(ops, f, g) for g in self.eval_points]
+        points = _lp_evaluate(self.params.ops, f, self.eval_points)
         return MatrixFq._from_indices(self.params.q, self.params.m, points)
 
     def _codeword_matrix(self, f: tuple[int, ...]) -> MatrixFq:
@@ -328,9 +430,31 @@ class GabidulinCode:
 
         A hint costs only when it spans something: the points are projected
         only for mu > 0, and the annihilator sigma with the second left
-        division only for delta > 0.  A candidate f is checked on its
-        residual at the projected points, y_i - f(g'_i), which is the
-        projected error because f is F_q-linear.
+        division only for delta > 0.
+
+        The core Newton-interpolates sigma(y) on the first r = k + delta
+        projected points: h = sum_i c_i A_i, of q-degree < r, with the bases
+        A_i of ``_newton_table``, and A = A_r.  The syndrome
+        e_j = sigma(y_j) - h(g'_j) at the other n - mu - r points decides
+        the path:
+
+        - every e_j is 0: sigma(y) lies on the (n - mu, r) Gabidulin code,
+          and the message is h left-divided by sigma.  It is within the
+          radius (its residual lies in the row hints), and a nonzero
+          remainder means no codeword is, since any codeword within the
+          radius would leave an error of rank <= tau_max on a code of
+          distance > tau_max;
+        - tau_max = 0: a codeword within the radius would make every e_j 0;
+        - otherwise a pair (V, Q), q-deg V <= tau_max and q-deg Q <
+          tau_max, with V(e_j) = Q(A(g'_j)) at the syndrome points gives
+          N = V o h + Q o A, which solves the Welch-Berlekamp system
+          V(sigma(y_s)) = N(g'_s) at all n - mu points; every solution
+          arises this way.  A candidate f = N / V / sigma is checked on
+          its residual at the projected points, y_i - f(g'_i), which is
+          the projected error because f is F_q-linear.
+
+        At most one codeword lies within the radius, so the message does
+        not depend on which solution is tried first.
         """
         params = self.params
         ops = params.ops
@@ -341,40 +465,54 @@ class GabidulinCode:
         if mu + delta > d - 1:
             return DecodeFailure(REASON_RADIUS, f"mu+delta = {mu + delta} exceeds d-1 = {d - 1}")
         tau_max = (d - 1 - mu - delta) // 2
+        r = k + delta
 
         if proj is None:
             points = self.eval_points
+            bases, values = self._newton
         else:
             proj = MatrixFq._unchecked(q, n - mu, n, proj)
             points = (proj @ self._points_matrix)._row_indices()
+            bases, values = _newton_table(ops, points, r)
         if delta:
             hint_elements = MatrixFq._unchecked(q, delta, m, row_basis)._row_indices()
             sigma = _lp_annihilator(ops, hint_elements)
-            word_sigma = [_lp_evaluate(ops, sigma, y) for y in word]
+            word_sigma = _lp_evaluate(ops, sigma, word)
         else:
             word_sigma = word
 
-        # interpolation system: V(y'_s) - N(g'_s) = 0 with q-deg V <= tau_max,
-        # q-deg N <= k + delta + tau_max - 1
-        n_v = tau_max + 1
-        n_n = k + delta + tau_max
-        # entries y^(q^j) and -g^(q^j), one antilog lookup each; g' is never 0,
-        # since P has full rank and the points are independent
+        terms, syndrome = _newton_interpolate(ops, values, word_sigma, r)
+        if not any(syndrome):
+            h = _newton_sum(ops, bases, terms, [])
+            if delta:
+                h, rem = _lp_divide_left(ops, h, sigma)
+                if rem:
+                    return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
+            return tuple(h) + (0,) * (k - len(h))
+        if not tau_max:
+            return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
+
+        # key equation on the syndrome points: V(e_j) - Q(A(g'_j)) = 0 with
+        # q-deg V <= tau_max, q-deg Q <= tau_max - 1; entries e^(q^a) and
+        # -A(g')^(q^b), one antilog lookup each (A(g'_j) != 0 past r)
         zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
-        qpow_v, qpow_n = ops.qpow[:n_v], ops.qpow[:n_n]
-        rows = []
-        for y, g in zip(word_sigma, points):
-            ly, lg = zlog[y], zlog[g]
-            row = [zexp[ly * qp % order] for qp in qpow_v] if y else [0] * n_v
-            row += [zexp[(lg * qp + minus_one) % order] for qp in qpow_n]
-            rows.append(row)
-        for sol in _ext_nullspace(ops, rows, n_v + n_n):
+        n_v = tau_max + 1
+        qpow_v, qpow_q = ops.qpow[:n_v], ops.qpow[:tau_max]
+        rows = [
+            ([zexp[zlog[e] * qp % order] for qp in qpow_v] if e else [0] * n_v)
+            + [zexp[(la * qp + minus_one) % order] for qp in qpow_q]
+            for e, la in zip(syndrome, values[r])
+        ]
+        for sol in _ext_nullspace(ops, rows, n_v + tau_max):
             locator = _trim(sol[:n_v])
             if not locator:
                 continue
-            f, rem = _lp_divide_left(ops, _trim(sol[n_v:]), locator)
+            # N = V o h + Q o A, and V divides V o h: N / V = h + (Q o A) / V,
+            # with the remainder of (Q o A) / V
+            quot, rem = _lp_divide_left(ops, _lp_compose(ops, sol[n_v:], bases[r]), locator)
             if rem:
                 continue
+            f = _newton_sum(ops, bases, terms, quot)
             if delta:
                 f, rem = _lp_divide_left(ops, f, sigma)
                 if rem:
@@ -383,7 +521,7 @@ class GabidulinCode:
                 continue
             # P (r - f(g)) = y - f(g'); its rank modulo the row hints is
             # rank([residual; row hints]) - delta
-            residual = list(map(ops.sub, word, (_lp_evaluate(ops, f, g) for g in points)))
+            residual = list(map(ops.sub, word, _lp_evaluate(ops, f, points)))
             stacked = MatrixFq._from_indices(q, m, residual)._data + row_basis
             if 2 * (_rank(q, m, stacked) - delta) + mu + delta <= d - 1:
                 return tuple(f) + (0,) * (k - len(f))

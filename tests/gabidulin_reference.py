@@ -1,10 +1,11 @@
 """The errors-and-erasures Gabidulin decoder the tests check ``decode_bounded`` against.
 
-This is the interpolation decoder as it stood before the decoder learned
-to skip the steps its hints do not need: it always canonicalizes both
-hints, projects through an n x n identity when there are no column
-hints, composes with a degree-0 annihilator when there are no row
-hints, and checks a candidate on the full error matrix.  Its helpers
+This is the Welch-Berlekamp interpolation decoder as it stood before the
+decoder learned to skip the steps its hints do not need, and before it
+took to Newton interpolation and a key equation on the syndrome: it
+always canonicalizes both hints, projects through an n x n identity when
+there are no column hints, composes with a degree-0 annihilator when
+there are no row hints, and checks a candidate on the full error matrix.  Its helpers
 compute with ``FieldOps.add/sub/mul/frob/inv/pow`` only.  Kept verbatim
 but for ``self`` -> ``code``, the codeword evaluation, which used the
 decoder's own ``_lp_evaluate``, the hint kernels, which read ``_kernel``

@@ -276,7 +276,9 @@ def test_negative_seed_override_rejected(capsys):
     assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("seed", -1), ("trials", -1), ("workers", 0)])
+@pytest.mark.parametrize(
+    "flag, value", [("seed", -1), ("seed", 2**64), ("trials", -1), ("workers", 0)]
+)
 def test_flag_bounds_are_the_config_keys(flag, value):
     """A [run] flag is checked by its key's parser: its message is the one
     the config line gives, at the flag in place of file:line."""

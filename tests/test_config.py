@@ -102,6 +102,10 @@ def test_comments_and_inline_comments():
         ("[channel]\ncollected = -1\n", "nope.ini:2: collected must be >= 0, got -1"),
         ("[channel]\nerror_packets = -1\n", "nope.ini:2: error_packets must be >= 0, got -1"),
         ("[run]\nseed = -1\n", "nope.ini:2: seed must be >= 0, got -1"),
+        (
+            "[run]\nseed = 18446744073709551616\n",
+            "nope.ini:2: seed must be <= 18446744073709551615, got 18446744073709551616",
+        ),
         ("[run]\nmax_sweeps = 0\n", "nope.ini:2: max_sweeps must be >= 1, got 0"),
         ("[run]\nworkers = 0\n", "nope.ini:2: workers must be >= 1, got 0"),
         ("[scenario]\nunicast_layer = 0\n", "nope.ini:2: unicast_layer must be >= 1, got 0"),
@@ -271,3 +275,11 @@ def test_utf8_byte_order_mark_is_ignored(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
     cfg = load_config(str(marked))
     assert dataclasses.replace(cfg, source=str(original)) == load_config(str(original))
+
+
+def test_seed_bounds():
+    """derive_seed reads a master seed mod 2^64: 2^64 - 1 is the largest seed
+    accepted, and 2^64, which would alias seed 0, is refused."""
+    assert parse_config(f"[run]\nseed = {2**64 - 1}\n", "run.ini").seed == 2**64 - 1
+    with pytest.raises(ConfigError, match=f"run.ini:2: seed must be <= {2**64 - 1}, got {2**64}"):
+        parse_config(f"[run]\nseed = {2**64}\n", "run.ini")

@@ -14,8 +14,12 @@ from lsc.gabidulin import (
     DecodeFailure,
     GabidulinCode,
     _lp_annihilator,
+    _lp_compose,
     _lp_divide_left,
     _lp_evaluate,
+    _newton_interpolate,
+    _newton_sum,
+    _newton_table,
     _trim,
 )
 from lsc.lifted import brute_force_subspace_decode
@@ -375,6 +379,10 @@ def _random_poly(ops, rng, length):
 # F_16 and F_9: odd q takes the minus_one logarithm and the Zech-log adds
 KERNEL_FIELDS = [(2, 4), (3, 2)]
 
+# F_17 and F_289 = F_17[x]/(x^2 + 3): a stored row over F_17 has two-byte
+# entries, so the column-hint projection takes the product's wide-field path
+TWO_BYTE_MODULI = {(17, 1): (3, 1), (17, 2): (3, 0, 1)}
+
 
 def test_linearized_poly_evaluation_and_composition():
     """Evaluation on indices equals the reference's, which uses only
@@ -387,9 +395,10 @@ def test_linearized_poly_evaluation_and_composition():
             a = _random_poly(ops, rng, rng.randint(0, 6))
             b = _random_poly(ops, rng, rng.randint(0, 6))
             x = rng.randbelow(ops.order + 1)
-            assert _lp_evaluate(ops, a, x) == reference._lp_evaluate(ops, a, x)
+            assert _lp_evaluate(ops, a, [x]) == [reference._lp_evaluate(ops, a, x)]
             composed = reference._lp_compose(ops, a, b)
-            assert _lp_evaluate(ops, composed, x) == _lp_evaluate(ops, a, _lp_evaluate(ops, b, x))
+            inner = _lp_evaluate(ops, b, [x])
+            assert _lp_evaluate(ops, composed, [x]) == _lp_evaluate(ops, a, inner)
 
 
 def test_linearized_poly_division_roundtrip():
@@ -430,12 +439,105 @@ def test_subspace_annihilator_kernel():
                     functools.reduce(ops.add, map(ops.mul, coeffs, basis), 0)
                     for coeffs in itertools.product(range(q), repeat=dim)
                 }
-                kernel = {x for x in range(params.size) if not _lp_evaluate(ops, sigma, x)}
+                values = _lp_evaluate(ops, sigma, range(params.size))
+                kernel = {x for x, y in enumerate(values) if not y}
                 assert kernel == span
         z = rng.randint(1, params.size - 1)
         for annihilator in (_lp_annihilator, reference._lp_annihilator):
             with pytest.raises(ParameterError, match="linearly dependent"):
                 annihilator(ops, [z, ops.mul(q - 1, z)])
+
+
+def _newton_fields():
+    """``KERNEL_FIELDS`` and F_289, whose logarithms run past 2^8."""
+    return [FieldParams.default(q, m) for q, m in KERNEL_FIELDS] + [
+        FieldParams(17, 2, TWO_BYTE_MODULI[17, 2])
+    ]
+
+
+def _span(ops, elements):
+    """The F_q-span of ``elements``, by enumeration."""
+    return {
+        functools.reduce(ops.add, map(ops.mul, coeffs, elements), 0)
+        for coeffs in itertools.product(range(ops.q), repeat=len(elements))
+    }
+
+
+def test_newton_table_bases_and_values():
+    """Basis A_i of the table is the reference annihilator of the first i
+    points, vanishes exactly on their span (every field element tried), and
+    its logged values at points i, i + 1, ... are the reference's; a
+    dependent point is a ParameterError."""
+    for params in _newton_fields():
+        ops, q, m = params.ops, params.q, params.m
+        rng = SplitMix64(1650 + q)
+        for _ in range(8):
+            n = 1 + rng.randbelow(m)
+            points = random_full_rank_matrix(q, n, m, rng)._row_indices()
+            bases, values = _newton_table(ops, points, n)
+            assert len(bases) == len(values) == n + 1
+            for i, (logs, at) in enumerate(zip(bases, values)):
+                basis = [ops.zexp[l] for l in logs]
+                assert basis == reference._lp_annihilator(ops, points[:i])
+                assert at == [ops.zlog[reference._lp_evaluate(ops, basis, g)] for g in points[i:]]
+                values = _lp_evaluate(ops, basis, range(params.size))
+                kernel = {x for x, y in enumerate(values) if not y}
+                assert kernel == _span(ops, points[:i])
+        z = 1 + rng.randbelow(params.size - 1)
+        with pytest.raises(ParameterError, match="linearly dependent"):
+            _newton_table(ops, [z, 1, ops.mul(q - 1, z)], 3)
+        # a dependent point past ``top`` is not reached
+        assert len(_newton_table(ops, [z, ops.mul(q - 1, z)], 1)[0]) == 2
+
+
+def test_newton_interpolant_and_syndrome():
+    """h = ``_newton_sum`` of ``_newton_interpolate`` has q-degree < r and
+    takes y_j at the first r points (by the reference evaluation), and the
+    syndrome is y_j - h(g_j) at the others, so it is all 0 exactly when the
+    y_j are the values of a polynomial of q-degree < r."""
+    for params in _newton_fields():
+        ops, q, m = params.ops, params.q, params.m
+        rng = SplitMix64(1700 + q)
+        for _ in range(40):
+            n = 1 + rng.randbelow(m)
+            points = random_full_rank_matrix(q, n, m, rng)._row_indices()
+            bases, values = _newton_table(ops, points, n)
+            r = rng.randbelow(n + 1)
+            on_code = rng.randbelow(2)
+            if on_code:
+                f = _random_poly(ops, rng, rng.randint(0, r))
+                ys = [reference._lp_evaluate(ops, f, g) for g in points]
+            else:
+                ys = [rng.randbelow(params.size) for _ in points]
+            terms, syndrome = _newton_interpolate(ops, values, ys, r)
+            h = _newton_sum(ops, bases, terms, [])
+            assert len(h) <= r and len(syndrome) == n - r
+            fit = [reference._lp_evaluate(ops, h, g) for g in points]
+            assert fit[:r] == ys[:r]
+            assert syndrome == list(map(ops.sub, ys[r:], fit[r:]))
+            if on_code:
+                assert h == f and not any(syndrome)
+
+
+def test_composition_with_an_annihilator():
+    """``_lp_compose`` on b's logarithms equals the reference composition, and
+    evaluates as a(b(x)) at every field element: for random b and for b an
+    annihilator A of the Newton table, as in Q o A."""
+    for params in _newton_fields():
+        ops, q, m = params.ops, params.q, params.m
+        rng = SplitMix64(1750 + q)
+        for _ in range(30):
+            n = 1 + rng.randbelow(m)
+            points = random_full_rank_matrix(q, n, m, rng)._row_indices()
+            annihilator = [ops.zexp[l] for l in _newton_table(ops, points, n)[0][-1]]
+            a = _random_poly(ops, rng, rng.randint(0, 4))
+            for b in (annihilator, _random_poly(ops, rng, rng.randint(0, 4))):
+                composed = _lp_compose(ops, a, [ops.zlog[c] for c in b])
+                assert composed == reference._lp_compose(ops, a, b)
+                field = range(params.size)
+                assert _lp_evaluate(ops, composed, field) == _lp_evaluate(
+                    ops, a, _lp_evaluate(ops, b, field)
+                )
 
 
 # --- the decoder against the reference decoder (tests/gabidulin_reference.py) ---
@@ -476,11 +578,6 @@ def _random_hint(q, rows, width, rng):
         return None if rng.randbelow(2) else MatrixFq.zeros(q, 0, width)
     hint = random_full_rank_matrix(q, rows, width, rng)
     return _scrambled(hint, rng) if rng.randbelow(2) else hint
-
-
-# F_17 and F_289 = F_17[x]/(x^2 + 3): a stored row over F_17 has two-byte
-# entries, so the column-hint projection takes the product's wide-field path
-TWO_BYTE_MODULI = {(17, 1): (3, 1), (17, 2): (3, 0, 1)}
 
 
 @pytest.mark.parametrize(

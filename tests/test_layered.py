@@ -1,6 +1,7 @@
 """Layered code construction, extraction, and both decoding algorithms."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -10,6 +11,7 @@ from layered_reference import random_messages as reference_messages
 from lsc import gabidulin as gabidulin_mod
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
+from lsc.config import load_config
 from lsc.errors import InvariantError, ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import GabidulinCode
@@ -24,8 +26,11 @@ from lsc.linalg import (
     subspace_distance,
     subspace_sum,
 )
-from lsc.rng import SplitMix64
+from lsc.rng import SplitMix64, derive_seed
 from rref_reference import full_space, unit_span
+
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +301,50 @@ def test_guaranteed_regime_both_algorithms(example_code):
             ):
                 assert report.all_ok
                 assert report.recombined == word.V
+
+
+# Trials per grid point for the per-attempt radius rule, fixed before looking.
+RADIUS_RULE_TRIALS = 100
+
+
+@pytest.mark.parametrize("name", ["default", "unequal_protection", "q3"])
+def test_every_attempt_within_the_radius_decodes_the_sent_layer(name):
+    """Every attempt of every decoder, at every grid point of the config,
+    whose extraction lies within d_R(l) - 1 of the sent lift
+    (``layer_distance``) decodes the sent matrix.  Attempts outside the
+    radius that decode it anyway, exceptions to the "only if" half, are
+    counted in the message but not gated."""
+    cfg = load_config(str(CONFIGS / f"{name}.ini"))
+    code = cfg.build_code()
+    inside = lucky = 0
+    failures = []
+    for rho, t in cfg.grid():
+        for trial in range(RADIUS_RULE_TRIALS):
+            seed = derive_seed(cfg.seed, rho, t, trial)
+            word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
+            for algorithm in ALGORITHMS:
+                report = code.decode(outcome.U, algorithm, cfg.max_sweeps)
+                if report.accumulated:
+                    attempts = zip(report.accumulated, report.attempt_layers)
+                else:
+                    attempts = ((outcome.U, layer) for layer in range(1, code.num_layers + 1))
+                for working, layer in attempts:
+                    sent = word.component_matrices[layer - 1]
+                    distance = code.layer_distance(sent, working, layer)
+                    decoded = code.decode_layer(working, layer).matrix == sent
+                    where = (rho, t, trial, algorithm, layer, distance)
+                    if distance <= code.layers[layer - 1].min_rank_distance - 1:
+                        inside += 1
+                        if not decoded:
+                            failures.append(where)
+                    elif decoded:
+                        lucky += 1
+    assert inside
+    assert not failures, (
+        f"{len(failures)} of {inside} attempts within the radius missed the sent layer "
+        f"(rho, t, trial, algorithm, layer, d_S): {failures[:5]}; "
+        f"{lucky} attempts outside it decoded the sent layer"
+    )
 
 
 def test_sic_accumulated_distance_monotone(example_code):
