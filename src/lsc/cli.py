@@ -36,9 +36,9 @@ VERB_FLAGS = {
     "dump-code": ("--dump",),
 }
 _FLAG_OPTIONS = {
-    "--seed": dict(type=int, help="override config seed"),
-    "--trials": dict(type=int, help="override trial count"),
-    "--workers": dict(type=int, help="override worker count"),
+    "--seed": dict(help="override config seed"),
+    "--trials": dict(help="override trial count"),
+    "--workers": dict(help="override worker count"),
     "--out": dict(help="write the CSV / found instances here"),
     "--dump": dict(action="store_true", help="emit fixture dumps"),
 }

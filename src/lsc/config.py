@@ -81,12 +81,25 @@ class ExperimentConfig:
         return tuple((r, t) for r in self.rho_values for t in self.t_values)
 
 
+def _integer(text: str) -> int | None:
+    """The int that ``text`` spells as ASCII digits with an optional leading
+    '-', past surrounding whitespace; None for any other spelling ('1_0',
+    '+3', non-ASCII digits)."""
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        return None
+
+
 def _int(minimum, maximum=None):
     def parse(value, at, name):
-        try:
-            out = int(value)
-        except ValueError:
-            raise ConfigError(f"{at}: {name} must be an integer, got {value!r}") from None
+        out = _integer(value)
+        if out is None:
+            raise ConfigError(f"{at}: {name} must be an integer, got {value!r}")
         if out < minimum:
             raise ConfigError(f"{at}: {name} must be >= {minimum}, got {out}")
         if maximum is not None and out > maximum:
@@ -97,10 +110,10 @@ def _int(minimum, maximum=None):
 
 
 def _int_list(value, at, name):
-    try:
-        return tuple(int(x.strip()) for x in value.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"{at}: {name} must be a comma list of integers") from None
+    out = tuple(_integer(x) for x in value.split(",") if x.strip())
+    if None in out:
+        raise ConfigError(f"{at}: {name} must be a comma list of integers")
+    return out
 
 
 def _grid_list(value, at, name):
@@ -140,10 +153,10 @@ def _layers(value, at, name):
         if ":" not in part:
             raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}")
         n_str, _, k_str = part.partition(":")
-        try:
-            layers.append((int(n_str), int(k_str)))
-        except ValueError:
-            raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}") from None
+        pair = (_integer(n_str), _integer(k_str))
+        if None in pair:
+            raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}")
+        layers.append(pair)
     if not layers:
         raise ConfigError(f"{at}: layers must list at least one n:k pair")
     return tuple(layers)

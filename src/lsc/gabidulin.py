@@ -33,19 +33,17 @@ the error into 0; the core decodes sigma(y) on the (n - mu, r) Gabidulin
 code of the points g' and divides the result by sigma.  Without row
 hints there is no sigma.  The Newton data of the points
 (``_newton_table``) is a table on the code when mu = 0 (``_newton``) and
-is computed per call when mu > 0.  A candidate from the key equation is
-checked at the projected points: P (r - f(g)) = y - f(g'), because f is
-F_q-linear, so the residual is n - mu field elements, and its rank
-modulo the row hints is the rank of the residual rows stacked on the
-row-hint basis, less delta.  The failure detail says either that
-mu + delta exceeds d - 1 or that no codeword lies within the radius.
+is computed per call when mu > 0.  The projected error is
+y - f(g') = P (r - f(g)), because f is F_q-linear, and sigma maps it to
+values whose F_q-span has its rank modulo the row hints.  The failure
+detail says either that mu + delta exceeds d - 1 or that no codeword
+lies within the radius.
 
 Only the row space of P matters.  Another projection T P, with T
-invertible over F_q, gives T y and T g'; x -> x^(q^j) is F_q-linear, so
-each residual becomes T times the old one and keeps its rank.  The core
-returns the unique codeword within the radius when there is one and the
-radius failure when there is none, whichever points it interpolates on,
-so the outcome is unchanged.
+invertible over F_q, gives T y, T g' and T times the projected error, of
+the same rank.  The core returns the unique codeword within the radius
+when there is one and the radius failure when there is none, whichever
+points it interpolates on, so the outcome is unchanged.
 
 ``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.  It shares nothing with the decoder but
@@ -91,10 +89,10 @@ one.  The evaluation points are element indices too.
 
 The algorithms (linearized-polynomial evaluation, composition, left
 division, subspace annihilators and the Newton table, encoding, the
-decoder and its F_{q^m} nullspace, the codebook) compute on element
+decoder and its F_{q^m} null vector, the codebook) compute on element
 indices with ``FieldParams.ops``; the kernels that multiply one element
 into many (evaluation, composition, left division, the Newton table and
-interpolation, the key-equation rows and the nullspace) add logarithms
+interpolation, the key-equation rows and the null vector) add logarithms
 on its zero-sentinel tables.  Words, points and hints meet their F_q
 matrices at one bridge, ``MatrixFq._from_indices`` and
 ``MatrixFq._row_indices`` in ``linalg``: the projections P r and P g are
@@ -138,6 +136,9 @@ class DecodeFailure:
 
     def __bool__(self) -> bool:
         return False
+
+
+_NO_CODEWORD = DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
 
 
 # --- linearized polynomials on element indices ---
@@ -428,33 +429,31 @@ class GabidulinCode:
         row space of P matters: another P' = T P with T invertible over F_q
         gives the same outcome (see the module docstring).
 
-        A hint costs only when it spans something: the points are projected
-        only for mu > 0, and the annihilator sigma with the second left
-        division only for delta > 0.
-
         The core Newton-interpolates sigma(y) on the first r = k + delta
         projected points: h = sum_i c_i A_i, of q-degree < r, with the bases
         A_i of ``_newton_table``, and A = A_r.  The syndrome
-        e_j = sigma(y_j) - h(g'_j) at the other n - mu - r points decides
-        the path:
+        e_j = sigma(y_j) - h(g'_j) at the other n - mu - r >= 2 tau_max
+        points gives quot, and the message is f = (h + quot) / sigma unless
+        a remainder is nonzero or q-deg f >= k:
 
-        - every e_j is 0: sigma(y) lies on the (n - mu, r) Gabidulin code,
-          and the message is h left-divided by sigma.  It is within the
-          radius (its residual lies in the row hints), and a nonzero
-          remainder means no codeword is, since any codeword within the
-          radius would leave an error of rank <= tau_max on a code of
-          distance > tau_max;
+        - every e_j is 0: quot = 0, and f leaves a residual in the row
+          hints.  A codeword within the radius would leave an error of rank
+          <= tau_max on the (n - mu, r) code of sigma(y), of distance
+          > tau_max, so a remainder means there is none;
         - tau_max = 0: a codeword within the radius would make every e_j 0;
-        - otherwise a pair (V, Q), q-deg V <= tau_max and q-deg Q <
-          tau_max, with V(e_j) = Q(A(g'_j)) at the syndrome points gives
-          N = V o h + Q o A, which solves the Welch-Berlekamp system
-          V(sigma(y_s)) = N(g'_s) at all n - mu points; every solution
-          arises this way.  A candidate f = N / V / sigma is checked on
-          its residual at the projected points, y_i - f(g'_i), which is
-          the projected error because f is F_q-linear.
+        - otherwise a nonzero (V, Q), q-deg V <= tau_max > q-deg Q, with
+          V(e_j) = Q(A(g'_j)) at the syndrome points gives quot =
+          (Q o A) / V: N = V o h + Q o A solves V(sigma(y_s)) = N(g'_s) at
+          all n - mu points.  V = 0 would make Q vanish on 2 tau_max
+          independent A(g'_j), so Q = 0.
 
-        At most one codeword lies within the radius, so the message does
-        not depend on which solution is tried first.
+        One solution decides.  A pass gives N = V o sigma o f, so ker V, of
+        dimension <= tau_max, holds each sigma(y_s - f(g'_s)): f is within
+        the radius.  If F = sigma o f is, with errors E_s = sigma(y_s) -
+        F(g'_s) of rank tau, N - V o F (q-degree < r + tau_max) takes V(E_s)
+        at g'_s, so it vanishes on the n - mu - tau >= r + tau_max
+        independent combinations of the g'_s whose E_s combine to 0: every
+        solution gives N / V = F.
         """
         params = self.params
         ops = params.ops
@@ -468,64 +467,49 @@ class GabidulinCode:
         r = k + delta
 
         if proj is None:
-            points = self.eval_points
             bases, values = self._newton
         else:
             proj = MatrixFq._unchecked(q, n - mu, n, proj)
-            points = (proj @ self._points_matrix)._row_indices()
-            bases, values = _newton_table(ops, points, r)
+            bases, values = _newton_table(ops, (proj @ self._points_matrix)._row_indices(), r)
         if delta:
             hint_elements = MatrixFq._unchecked(q, delta, m, row_basis)._row_indices()
             sigma = _lp_annihilator(ops, hint_elements)
-            word_sigma = _lp_evaluate(ops, sigma, word)
-        else:
-            word_sigma = word
+            word = _lp_evaluate(ops, sigma, word)
 
-        terms, syndrome = _newton_interpolate(ops, values, word_sigma, r)
+        terms, syndrome = _newton_interpolate(ops, values, word, r)
         if not any(syndrome):
-            h = _newton_sum(ops, bases, terms, [])
-            if delta:
-                h, rem = _lp_divide_left(ops, h, sigma)
-                if rem:
-                    return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
-            return tuple(h) + (0,) * (k - len(h))
-        if not tau_max:
-            return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
-
-        # key equation on the syndrome points: V(e_j) - Q(A(g'_j)) = 0 with
-        # q-deg V <= tau_max, q-deg Q <= tau_max - 1; entries e^(q^a) and
-        # -A(g')^(q^b), one antilog lookup each (A(g'_j) != 0 past r)
-        zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
-        n_v = tau_max + 1
-        qpow_v, qpow_q = ops.qpow[:n_v], ops.qpow[:tau_max]
-        rows = [
-            ([zexp[zlog[e] * qp % order] for qp in qpow_v] if e else [0] * n_v)
-            + [zexp[(la * qp + minus_one) % order] for qp in qpow_q]
-            for e, la in zip(syndrome, values[r])
-        ]
-        for sol in _ext_nullspace(ops, rows, n_v + tau_max):
+            quot = []
+        elif not tau_max:
+            return _NO_CODEWORD
+        else:
+            # key equation on the syndrome points: V(e_j) - Q(A(g'_j)) = 0
+            # with q-deg V <= tau_max, q-deg Q <= tau_max - 1; entries
+            # e^(q^a) and -A(g')^(q^b), one antilog lookup each (A(g'_j) != 0
+            # past r)
+            zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
+            n_v = tau_max + 1
+            qpow_v, qpow_q = ops.qpow[:n_v], ops.qpow[:tau_max]
+            rows = [
+                ([zexp[zlog[e] * qp % order] for qp in qpow_v] if e else [0] * n_v)
+                + [zexp[(la * qp + minus_one) % order] for qp in qpow_q]
+                for e, la in zip(syndrome, values[r])
+            ]
+            sol = _ext_null_vector(ops, rows, n_v + tau_max)
+            if sol is None:
+                return _NO_CODEWORD
+            # V divides V o h, so the remainder of N / V is that of (Q o A) / V
             locator = _trim(sol[:n_v])
-            if not locator:
-                continue
-            # N = V o h + Q o A, and V divides V o h: N / V = h + (Q o A) / V,
-            # with the remainder of (Q o A) / V
             quot, rem = _lp_divide_left(ops, _lp_compose(ops, sol[n_v:], bases[r]), locator)
             if rem:
-                continue
-            f = _newton_sum(ops, bases, terms, quot)
-            if delta:
-                f, rem = _lp_divide_left(ops, f, sigma)
-                if rem:
-                    continue
-            if len(f) > k:
-                continue
-            # P (r - f(g)) = y - f(g'); its rank modulo the row hints is
-            # rank([residual; row hints]) - delta
-            residual = list(map(ops.sub, word, _lp_evaluate(ops, f, points)))
-            stacked = MatrixFq._from_indices(q, m, residual)._data + row_basis
-            if 2 * (_rank(q, m, stacked) - delta) + mu + delta <= d - 1:
-                return tuple(f) + (0,) * (k - len(f))
-        return DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
+                return _NO_CODEWORD
+        f = _newton_sum(ops, bases, terms, quot)
+        if delta:
+            f, rem = _lp_divide_left(ops, f, sigma)
+            if rem:
+                return _NO_CODEWORD
+        if len(f) > k:
+            return _NO_CODEWORD
+        return tuple(f) + (0,) * (k - len(f))
 
     def _hint_basis(
         self, hint: MatrixFq | None, width: int, name: str
@@ -601,15 +585,16 @@ def _element_indices(params: FieldParams, values: Sequence[int], what: str) -> t
     return tuple(values)
 
 
-def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Nullspace basis of a homogeneous system over F_{q^m}, on element indices:
-    one vector per free column, 1 there and 0 at the other free columns.
+def _ext_null_vector(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[int] | None:
+    """A nonzero solution of a homogeneous system over F_{q^m}, on element
+    indices, or None when there is none: 1 at the first free column and 0
+    past it.
 
     A forward pass (as ``linalg._echelon_gf2``) keeps each row, scaled to
     lead 1, under its leading column once the kept rows have cleared its
     earlier entries; a row subtracts a multiple of a kept row by adding
-    logarithms to the kept row's, one antilog lookup per entry.  Back
-    substitution then solves each basis vector's pivot entries.
+    logarithms to the kept row's, one antilog lookup per entry.  Every
+    column before the free one leads a kept row, solved by back substitution.
     """
     zexp, zlog, add, sub, order = ops.zexp, ops.zlog, ops.add, ops.sub, ops.order
     minus_one = ops.minus_one
@@ -626,20 +611,16 @@ def _ext_nullspace(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[lis
                 break
             lf = (zlog[f] + minus_one) % order
             row = [add(a, zexp[lf + lb]) for a, lb in zip(row, logs)]
-    pivots = sorted(kept, reverse=True)
-    basis = []
-    for free in range(ncols):
-        if free in kept:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        # x_p = -sum_{c > p} row_p[c] x_c; it is 0 for every pivot p > free
-        for p in pivots:
-            if p < free:
-                logs = kept[p]
-                acc = 0
-                for c in range(p + 1, ncols):
-                    acc = add(acc, zexp[logs[c] + zlog[vec[c]]])
-                vec[p] = sub(0, acc)
-        basis.append(vec)
-    return basis
+    free = next((col for col in range(ncols) if col not in kept), None)
+    if free is None:
+        return None
+    vec = [0] * ncols
+    vec[free] = 1
+    # x_p = -sum_(p < c <= free) row_p[c] x_c
+    for p in range(free - 1, -1, -1):
+        logs = kept[p]
+        acc = 0
+        for c in range(p + 1, free + 1):
+            acc = add(acc, zexp[logs[c] + zlog[vec[c]]])
+        vec[p] = sub(0, acc)
+    return vec

@@ -92,10 +92,11 @@ IGNORED_FLAGS = [
     ("dump-code", "--out"),
 ]
 # each flag's arguments on the command line, and the value they parse to
+# a [run] flag's value stays text until its key's parser reads it (config.override)
 FLAG_VALUES = {
-    "--seed": (["3"], 3),
-    "--trials": (["2"], 2),
-    "--workers": (["1"], 1),
+    "--seed": (["3"], "3"),
+    "--trials": (["2"], "2"),
+    "--workers": (["1"], "1"),
     "--out": (["x.out"], "x.out"),
     "--dump": ([], True),
 }
@@ -277,7 +278,8 @@ def test_negative_seed_override_rejected(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("seed", -1), ("seed", 2**64), ("trials", -1), ("workers", 0)]
+    "flag, value",
+    [("seed", -1), ("seed", 2**64), ("trials", -1), ("workers", 0), ("seed", "1_0")],
 )
 def test_flag_bounds_are_the_config_keys(flag, value):
     """A [run] flag is checked by its key's parser: its message is the one

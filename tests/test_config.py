@@ -130,6 +130,30 @@ def test_comments_and_inline_comments():
             "nope.ini:3: alg1-beyond.layer_ds has 3 entries; it needs one per layer (2)",
         ),
         ("[search]\nalg2-rescues.layer_ds =\n", "nope.ini:2: alg2-rescues.layer_ds has 0 entries"),
+        # an integer is ASCII digits with an optional leading '-': no '_',
+        # no '+', no other script's digits
+        *(
+            row
+            for spelling in ("1_0", "+3", "\uff13", "\u0663")
+            for row in (
+                (
+                    f"[run]\nseed = {spelling}\n",
+                    f"nope.ini:2: seed must be an integer, got {spelling!r}",
+                ),
+                (
+                    f"[field]\nmodulus = 1,{spelling},0,0,1\n",
+                    "nope.ini:2: modulus must be a comma list of integers",
+                ),
+                (
+                    f"[code]\nlayers = {spelling}:1\n",
+                    f"nope.ini:2: layers entries use 'n:k', got '{spelling}:1'",
+                ),
+            )
+        ),
+        # more digits than int() converts is a config error too
+        pytest.param(
+            "[run]\nseed = " + "9" * 5000 + "\n", "nope.ini:2: seed must be", id="seed-5000-digits"
+        ),
     ],
 )
 def test_line_precise_errors(text, fragment):

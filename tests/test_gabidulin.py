@@ -655,3 +655,79 @@ def test_decoder_matches_reference_on_edge_cases():
                     for h in (rows, cols)
                 ]
                 assert _agree(code, received, *noisy) == got
+
+
+def test_decoder_matches_reference_where_the_key_equation_has_many_solutions(monkeypatch):
+    """Codes with tau_max >= 2 and errors of rank 1 .. tau_max - 1, with and
+    without a column hint, for q = 2 and q = 3.  The key equation then has a
+    nullspace of dimension tau_max - rank + 1 >= 2: the decoder takes one
+    solution of it, and the reference tries a whole basis, so they agree only
+    if the first solution decides."""
+    kernel = gabidulin_mod._ext_null_vector
+    dims = []
+
+    def counted(ops, rows, ncols):
+        dims.append(len(reference._ext_nullspace(ops, rows, ncols)))
+        return kernel(ops, rows, ncols)
+
+    monkeypatch.setattr(gabidulin_mod, "_ext_null_vector", counted)
+    rng = SplitMix64(1850)
+    decodes = 0
+    for q, m, n, k in [(2, 8, 8, 2), (3, 6, 6, 1)]:
+        params = FieldParams.default(q, m)
+        code = GabidulinCode(params, n, k, random_full_rank_matrix(q, n, m, rng)._row_indices())
+        for mu in (0, 1):
+            tau_max = (n - k - mu) // 2
+            assert tau_max >= 2
+            for _ in range(12):
+                msg = tuple(rng.randbelow(params.size) for _ in range(k))
+                tau = 1 + rng.randbelow(tau_max - 1)
+                u = transpose(random_full_rank_matrix(q, tau, n, rng))
+                err = u @ random_full_rank_matrix(q, tau, m, rng)
+                cols = None
+                if mu:
+                    cols = random_full_rank_matrix(q, mu, n, rng)
+                    err = err + transpose(cols) @ MatrixFq.random(q, mu, m, rng)
+                assert _agree(code, code.encode(msg) + err, None, cols) == msg
+                decodes += 1
+    # a projection may lower the error's rank, to 0 at worst (no solve)
+    assert len(dims) >= decodes // 2 and min(dims) >= 2
+
+
+def test_null_vector_is_the_first_vector_of_the_reference_nullspace():
+    """On seeded random homogeneous systems over F_16 and F_9 (square, wide,
+    tall, of every rank, and all zero), ``_ext_null_vector`` is None exactly
+    when the reference nullspace is empty, and otherwise a nonzero solution
+    of every row: the reference's first basis vector, 1 at the first free
+    column and 0 past it."""
+    for q, m in KERNEL_FIELDS:
+        ops = FieldParams.default(q, m).ops
+        size = ops.order + 1
+        rng = SplitMix64(1900 + 10 * q + m)
+        nones = 0
+        for nrows, ncols in [(0, 3), (3, 3), (5, 5), (2, 5), (1, 4), (3, 7), (6, 3), (7, 4)]:
+            for _ in range(30):
+                # combinations of `rank` random rows, half of whose entries are 0
+                rank = rng.randbelow(min(nrows, ncols) + 1)
+                spanning = [
+                    [rng.randbelow(size) if rng.randbelow(2) else 0 for _ in range(ncols)]
+                    for _ in range(rank)
+                ]
+                rows = []
+                for _ in range(nrows):
+                    coeffs = [rng.randbelow(size) for _ in spanning]
+                    terms = [[ops.mul(c, x) for x in row] for c, row in zip(coeffs, spanning)]
+                    sums = [functools.reduce(ops.add, col, 0) for col in zip(*terms)]
+                    rows.append(sums or [0] * ncols)
+                basis = reference._ext_nullspace(ops, rows, ncols)
+                vec = gabidulin_mod._ext_null_vector(ops, rows, ncols)
+                if not basis:
+                    assert vec is None
+                    nones += 1
+                    continue
+                assert vec == basis[0] and any(vec)
+                for row in rows:
+                    assert functools.reduce(ops.add, map(ops.mul, row, vec), 0) == 0
+            zero = [[0] * ncols for _ in range(nrows)]
+            assert gabidulin_mod._ext_null_vector(ops, zero, ncols) == [1] + [0] * (ncols - 1)
+        assert nones

@@ -10,7 +10,7 @@ import lsc
 README = pathlib.Path(__file__).parent.parent / "README.md"
 SRC = pathlib.Path(lsc.__file__).parent
 
-# public functions and methods that no src code reads, each with its reason
+# functions and methods that no src code reads, each with its reason
 UNREAD = {
     "ExtFieldElement.inverse": "perfbench/tracer.py binds it by name (ROADMAP item 14)",
     "lifted.reduce_received": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
@@ -35,9 +35,10 @@ def test_every_public_name_resolves():
 
 
 def test_every_unread_public_function_is_accounted_for():
-    """An AST scan of ``src/lsc``: a public module function or method whose
-    name no src code reads (as a name or an attribute; an import or an
-    ``__all__`` string is no read) is either on ``UNREAD`` or is dead."""
+    """An AST scan of ``src/lsc``: a module function or method, public or
+    private (dunders aside), whose name no src code reads (as a name or an
+    attribute; an import or an ``__all__`` string is no read) is either on
+    ``UNREAD`` or is dead, such as a helper that a deletion left behind."""
     defined, read = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -51,5 +52,9 @@ def test_every_unread_public_function_is_accounted_for():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    unread = {f"{owner}.{name}" for owner, name in defined if name[0] != "_" and name not in read}
+    unread = {
+        f"{owner}.{name}"
+        for owner, name in defined
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
+    }
     assert unread == UNREAD.keys()
