@@ -109,8 +109,19 @@ def _int(minimum, maximum=None):
     return parse
 
 
+def _items(value, at, name):
+    """The stripped items of a comma list: none when every item is blank
+    (the key then lists nothing), else none may be blank."""
+    items = [x.strip() for x in value.split(",")]
+    if not any(items):
+        return []
+    if not all(items):
+        raise ConfigError(f"{at}: {name} has an empty item in {value!r}")
+    return items
+
+
 def _int_list(value, at, name):
-    out = tuple(_integer(x) for x in value.split(",") if x.strip())
+    out = tuple(map(_integer, _items(value, at, name)))
     if None in out:
         raise ConfigError(f"{at}: {name} must be a comma list of integers")
     return out
@@ -146,10 +157,7 @@ def _choice(options, message):
 
 def _layers(value, at, name):
     layers = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _items(value, at, name):
         if ":" not in part:
             raise ConfigError(f"{at}: layers entries use 'n:k', got {part!r}")
         n_str, _, k_str = part.partition(":")
@@ -163,7 +171,7 @@ def _layers(value, at, name):
 
 
 def _targets(value, at, name):
-    targets = tuple(x.strip() for x in value.split(",") if x.strip())
+    targets = tuple(_items(value, at, name))
     if not targets:
         raise ConfigError(f"{at}: targets must list at least one search target")
     for target in targets:
@@ -294,6 +302,12 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
     about, or, when the file leaves that key at its default, the line of
     the key that makes the default wrong."""
     where = cfg.where
+    for c in cfg.modulus or ():
+        if not 0 <= c < cfg.q:
+            raise ConfigError(
+                f"{where('field', 'modulus')}: modulus coefficients must lie in "
+                f"[0, q = {cfg.q}), got {c}"
+            )
     try:
         params = cfg.field_params()
     except ParameterError as exc:

@@ -7,8 +7,8 @@ constant term first, where ``a`` is a root of the defining modulus.  Its
 those coordinates (``coords_of`` and ``index_of`` convert).  ``q`` must
 be prime in this release, and a field has at most 2^16 elements.
 
-All arithmetic runs on indices, in ``FieldOps``.  Products, inverses,
-powers and the Frobenius map x -> x^(q^i) are lookups in log/antilog
+All arithmetic runs on indices, in ``FieldOps``.  Products, inverses
+and the Frobenius map x -> x^(q^i) are lookups in log/antilog
 tables over a primitive element g.  g is found by search: the modulus is
 only required to be irreducible, so ``a`` need not generate the
 multiplicative group.  The log/antilog pair carries a zero sentinel:
@@ -26,10 +26,10 @@ are distinct and nonzero exactly when the modulus is irreducible (see
 ``_generator_powers``), so no trial division runs.
 
 The codes speak indices too: a message, an evaluation point and a
-decoded message are tuples of element indices in [0, q^m).
-``ExtFieldElement``, the coordinate-tuple type, serves only the field's
-own property checks (``properties.field_suite``); its operators convert
-to indices and back.
+decoded message are tuples of element indices in [0, q^m), and so do
+the field's own property checks (``properties.field_suite``).
+``ExtFieldElement``, the coordinate-tuple type, is no part of that path:
+it stays only as a public name (see its docstring).
 """
 
 from __future__ import annotations
@@ -176,11 +176,6 @@ class FieldParams:
         field is constructed, or on first use by an unpickled copy."""
         return _field_ops(self.q, self.m, self.modulus)
 
-    # --- element factories ---
-
-    def element(self, coords: Sequence[int]) -> "ExtFieldElement":
-        return ExtFieldElement(self, tuple(c % self.q for c in coords))
-
     def from_index(self, index: int) -> "ExtFieldElement":
         """Element whose coordinates are the base-q digits of index."""
         if not 0 <= index < self.size:
@@ -241,13 +236,6 @@ class FieldOps:
         if not a:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.zexp[self.order - self.zlog[a]]
-
-    def pow(self, a: int, n: int) -> int:
-        if a:
-            return self.zexp[self.zlog[a] * n % self.order]
-        if n < 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return 0 if n else 1
 
     def frob(self, a: int, i: int) -> int:
         """a^(q^i); F_q-linear in a, periodic in i with period m."""
@@ -373,7 +361,9 @@ class ExtFieldElement:
     """An element of F_{q^m} as an m-tuple of base-field coordinates.
 
     The operators convert their operands to indices, compute with
-    ``FieldParams.ops`` and convert the result back.
+    ``FieldParams.ops`` and convert the result back.  No ``lsc`` code
+    builds one: the class stays because ``lsc`` exports it and
+    ``perfbench`` binds its methods by name.
     """
 
     params: FieldParams

@@ -64,6 +64,7 @@ from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
+from .field import _MAX_FIELD_SIZE
 
 # the most vectors of a subspace, or messages of a code, an enumeration lists
 _ENUMERATION_CAP = 1 << 20
@@ -334,13 +335,11 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
 # the row of index i is the row of i // q moved one field right, with the
 # digit i % q in front.
 
-_MAX_INDEXED = 1 << 16  # the largest supported field (``field._MAX_FIELD_SIZE``)
-
 
 @lru_cache(maxsize=16)
 def _index_rows(q: int, m: int) -> tuple[list[int], dict[int, int]]:
     """The stored row of each element index below q^m, and the inverse map."""
-    if m > 16 or q**m > _MAX_INDEXED:
+    if m > 16 or q**m > _MAX_FIELD_SIZE:
         raise ParameterError(f"element rows index at most 2^16 elements, got {q}^{m}")
     width = _field_bits(q)
     top = (m - 1) * width

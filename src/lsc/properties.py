@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import xor
 
 from .channel import ChannelSpec, apply_exact, apply_matrix, make_trial
-from .field import FieldParams
+from .field import FieldParams, coords_of, index_of
 from .gabidulin import DecodeFailure, GabidulinCode
 from .layered import ALGORITHMS, LayeredCode
 from .lifted import brute_force_subspace_decode, lift, subspace_decode
@@ -32,7 +32,7 @@ from .rng import SplitMix64, derive_seed
 PROPERTY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("field.axioms", "add/mul associativity, commutativity, distributivity on random triples"),
     ("field.frobenius_additive", "x -> x^q is additive and fixes F_q-linear combinations"),
-    ("field.coords_bijection", "coords <-> element round trip over all elements (q=2, m<=8)"),
+    ("field.coords_bijection", "index <-> coords <-> stored row round trip over all elements (q=2, m<=8)"),
     ("subspace.metric_axioms", "subspace distance: symmetry, identity, triangle inequality"),
     ("subspace.dim_identity", "dim(V+U) + dim(V∩U) = dim V + dim U on random pairs"),
     ("subspace.nested_deficiency", "dim(A)-dim(A∩B) >= dim(A')-dim(A'∩B) for random A' ⊆ A"),
@@ -117,41 +117,42 @@ def guaranteed_grid(code: LayeredCode) -> tuple[tuple[int, int], ...]:
 
 
 def field_suite(ctx: VerifyContext) -> list[PropertyResult]:
-    params = ctx.params
-    size = params.size
-    rng = ctx.rng(1)
+    """The axioms on the index arithmetic the codes run (``FieldOps``), and
+    the index <-> coordinates <-> stored row round trip (``linalg``'s bridge)."""
+    ops, size = ctx.params.ops, ctx.params.size
+    add, mul, frob = ops.add, ops.mul, ops.frob
+    randbelow = ctx.rng(1).randbelow
     n = ctx.count("random_checks")
     violations = 0
     for _ in range(n):
-        a = params.from_index(rng.randbelow(size))
-        b = params.from_index(rng.randbelow(size))
-        c = params.from_index(rng.randbelow(size))
-        if (a * b) * c != a * (b * c) or a * b != b * a:
+        a, b, c = randbelow(size), randbelow(size), randbelow(size)
+        if mul(mul(a, b), c) != mul(a, mul(b, c)) or mul(a, b) != mul(b, a):
             violations += 1
-        elif (a + b) + c != a + (b + c) or a + b != b + a:
+        elif add(add(a, b), c) != add(a, add(b, c)) or add(a, b) != add(b, a):
             violations += 1
-        elif a * (b + c) != a * b + a * c:
+        elif mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
             violations += 1
     axioms = PropertyResult("field.axioms", n, violations)
 
     violations = 0
     for _ in range(n):
-        a = params.from_index(rng.randbelow(size))
-        b = params.from_index(rng.randbelow(size))
-        if (a + b).frobenius(1) != a.frobenius(1) + b.frobenius(1):
+        a, b = randbelow(size), randbelow(size)
+        if frob(add(a, b), 1) != add(frob(a, 1), frob(b, 1)):
             violations += 1
-    frob = PropertyResult("field.frobenius_additive", n, violations)
+    additive = PropertyResult("field.frobenius_additive", n, violations)
 
     checks = violations = 0
-    for m_deg in range(1, 9):
-        small = FieldParams.default(2, m_deg)
-        for idx in range(small.size):
-            element = small.from_index(idx)
+    for m in range(1, 9):
+        for idx in range(2**m):
+            coords = coords_of(idx, 2, m)
+            row = MatrixFq._from_indices(2, m, [idx])
             checks += 1
-            if element.to_index() != idx or small.element(element.coords) != element:
+            if index_of(coords, 2) != idx:
+                violations += 1
+            elif row.entries != (coords,) or row._row_indices() != [idx]:
                 violations += 1
     bij = PropertyResult("field.coords_bijection", checks, violations)
-    return [axioms, frob, bij]
+    return [axioms, additive, bij]
 
 
 # --- subspace lattice ---

@@ -6,8 +6,9 @@ took to Newton interpolation and a key equation on the syndrome: it
 always canonicalizes both hints, projects through an n x n identity when
 there are no column hints, composes with a degree-0 annihilator when
 there are no row hints, and checks a candidate on the full error matrix.  Its helpers
-compute with ``FieldOps.add/sub/mul/frob/inv/pow`` only.  Kept verbatim
-but for ``self`` -> ``code``, the codeword evaluation, which used the
+compute with ``FieldOps.add/sub/mul/frob/inv`` and ``_pow`` only.  Kept verbatim
+but for ``self`` -> ``code``, ``ops.pow``, now this module's ``_pow`` with
+the same body, the codeword evaluation, which used the
 decoder's own ``_lp_evaluate``, the hint kernels, which read ``_kernel``
 off one more elimination of the hint's canonical basis (it called
 ``basis.kernel_basis()``, the same matrix), the transpose, now
@@ -34,6 +35,14 @@ def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def _pow(ops: FieldOps, a: int, n: int) -> int:
+    if a:
+        return ops.zexp[ops.zlog[a] * n % ops.order]
+    if n < 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    return 0 if n else 1
 
 
 def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], x: int) -> int:
@@ -95,7 +104,7 @@ def _lp_annihilator(ops: FieldOps, elements: Sequence[int]) -> list[int]:
         if not w:
             raise ParameterError("annihilator basis is linearly dependent")
         # x^q - w^(q-1) x vanishes at w
-        sigma = _lp_compose(ops, [ops.sub(0, ops.pow(w, ops.q - 1)), 1], sigma)
+        sigma = _lp_compose(ops, [ops.sub(0, _pow(ops, w, ops.q - 1)), 1], sigma)
     return sigma
 
 

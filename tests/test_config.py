@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import lsc
-from lsc import config
+from lsc import cli, config
 from lsc.config import load_config, parse_config
 from lsc.errors import ConfigError
 from lsc.properties import VERIFY_COUNTS
@@ -125,6 +125,16 @@ def test_comments_and_inline_comments():
         ("[channel]\nt = 0,1,0\n", "nope.ini:2: duplicate t value 0"),
         ("[channel]\nrho =\n", "nope.ini:2: rho must list at least one value"),
         ("[channel]\nt = ,\n", "nope.ini:2: t must list at least one value"),
+        # a blank item in a list that has others is refused, not dropped
+        ("[channel]\nrho = 0,,1,\n", "nope.ini:2: rho has an empty item in '0,,1,'"),
+        ("[channel]\nt = ,0\n", "nope.ini:2: t has an empty item in ',0'"),
+        ("[code]\nlayers = 3:1,,4:1,\n", "nope.ini:2: layers has an empty item in '3:1,,4:1,'"),
+        ("[field]\nmodulus = 1,1,0,0,1,\n", "nope.ini:2: modulus has an empty item in '1,1,0,0,1,'"),
+        (
+            "[search]\ntargets = alg1-beyond, ,alg1-only\n",
+            "nope.ini:2: targets has an empty item in 'alg1-beyond, ,alg1-only'",
+        ),
+        ("[search]\nalg1-only.layer_ds = 2,,3\n", "nope.ini:2: layer_ds has an empty item in '2,,3'"),
         (
             "[search]\nalg1-beyond.ds = 4\nalg1-beyond.layer_ds = 2,2,2\n",
             "nope.ini:3: alg1-beyond.layer_ds has 3 entries; it needs one per layer (2)",
@@ -160,6 +170,29 @@ def test_line_precise_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text, "nope.ini")
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[field]\nmodulus = 1,1,0,0,3\n", "mod.ini:2: modulus coefficients must lie in [0, q = 2), got 3"),
+        (
+            "[field]\nq = 3\nmodulus = 2,1,0,0,-1\n",
+            "mod.ini:3: modulus coefficients must lie in [0, q = 3), got -1",
+        ),
+    ],
+    ids=["3-over-F2", "minus-1-over-F3"],
+)
+def test_modulus_coefficients_must_lie_in_the_base_field(tmp_path, capsys, text, message):
+    """A coefficient outside [0, q) is refused at the modulus line, not read
+    mod q: ``1,1,0,0,3`` over F_2 would otherwise be x^4 + x + 1."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, "mod.ini")
+    assert str(err.value) == message
+    path = tmp_path / "mod.ini"
+    path.write_text(text)
+    assert cli.main(["dump-code", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.replace('mod.ini', str(path))}\n"
 
 
 @pytest.mark.parametrize(

@@ -313,6 +313,30 @@ def test_enumeration_references_catch_a_dropped_basis_row(monkeypatch, fp24, ope
     assert faulty["subspace.enumeration_agreement"].violations > 0
 
 
+def test_coords_bijection_catches_a_broken_row_bridge(monkeypatch, fp24):
+    """field.coords_bijection checks the rows the codes store, not only the
+    index <-> coordinates round trip: a bridge that swaps the rows of two
+    elements of F_4 (and its inverse map to match) is flagged on both."""
+    import lsc.linalg as linalg
+    import lsc.properties as properties
+
+    ctx = VerifyContext(params=fp24, code=None, seed=5, counts={"random_checks": 20})
+    clean = {r.name: r for r in properties.field_suite(ctx)}["field.coords_bijection"]
+    assert (clean.checks, clean.violations) == (510, 0)
+    correct = linalg._index_rows
+
+    def swapped(q, m):
+        rows, back = correct(q, m)
+        if m != 2:
+            return rows, back
+        rows = [rows[0], rows[2], rows[1], rows[3]]
+        return rows, {v: i for i, v in enumerate(rows)}
+
+    monkeypatch.setattr(linalg, "_index_rows", swapped)
+    faulty = {r.name: r for r in properties.field_suite(ctx)}["field.coords_bijection"]
+    assert faulty.violations == 2
+
+
 def test_search_finds_patterns_and_respects_profiles():
     text = """\
 [channel]

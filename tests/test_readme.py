@@ -12,6 +12,7 @@ SRC = pathlib.Path(lsc.__file__).parent
 
 # functions and methods that no src code reads, each with its reason
 UNREAD = {
+    "ExtFieldElement.frobenius": "perfbench/tracer.py binds it by name (ROADMAP item 14)",
     "ExtFieldElement.inverse": "perfbench/tracer.py binds it by name (ROADMAP item 14)",
     "lifted.reduce_received": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
     "linalg.rref": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
@@ -36,24 +37,27 @@ def test_every_public_name_resolves():
 
 def test_every_unread_public_function_is_accounted_for():
     """An AST scan of ``src/lsc``: a module function or method, public or
-    private (dunders aside), whose name no src code reads (as a name or an
-    attribute; an import or an ``__all__`` string is no read) is either on
-    ``UNREAD`` or is dead, such as a helper that a deletion left behind."""
-    defined, read = [], set()
+    private (dunders aside), that no src code reads is either on ``UNREAD``
+    or is dead, such as a helper that a deletion left behind.  A module
+    function is read as a name or an attribute, a method only as an
+    attribute: a bare name, such as the builtin ``pow``, reads no ``.pow``
+    method.  An import or an ``__all__`` string is no read."""
+    functions, methods, names, attrs = [], [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined.append((path.stem, node.name))
+                functions.append((path.stem, node.name))
             elif isinstance(node, ast.ClassDef):
-                defined += [(node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+                methods += [(node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attrs.add(node.attr)
     unread = {
         f"{owner}.{name}"
+        for defined, read in ((functions, names | attrs), (methods, attrs))
         for owner, name in defined
         if not (name.startswith("__") and name.endswith("__")) and name not in read
     }
