@@ -2,9 +2,10 @@
 
 Verbs: simulate, verify, search-beyond, scenario, dump-code.
 Exit codes: 0 success, 1 property violation, 2 config error (an
-unwritable ``--out`` included), 3 search target not found, 4 stdout
-closed by the reader (for example ``| head``): the rest of the output is
-dropped, with no traceback.
+``--out`` that cannot be opened, written or closed included) or a failed
+write to stdout, 3 search target not found, 4 stdout closed by the
+reader (for example ``| head``): one stderr line or none, and the rest
+of the output is dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -75,9 +76,22 @@ def _open_out(path: str):
         raise ConfigError(f"--out: {path}: {exc.strerror or exc}") from None
 
 
+def _emit(args, text: str) -> None:
+    """Write a verb's main text to stdout, or to ``--out`` and close it; a
+    failed write or close of ``--out`` (a full disk, say) is a config error."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with args.out:
+            args.out.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: {args.out.name}: {exc.strerror or exc}") from None
+
+
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     result = run_simulate(cfg)
-    (args.out or sys.stdout).write(result.csv_text)
+    _emit(args, result.csv_text)
     print(result.summary_text(), file=sys.stderr if args.out is None else sys.stdout)
     if args.dump and result.guaranteed_failures:
         _dump_guaranteed_failures(cfg, result)
@@ -114,7 +128,7 @@ def _cmd_search(cfg: ExperimentConfig, args) -> int:
         for target in cfg.search_targets
         if target in result.found
     )
-    (args.out or sys.stdout).write(text)
+    _emit(args, text)
     for target in cfg.search_targets:
         if target in result.found:
             inst = result.found[target]
@@ -133,7 +147,7 @@ def _cmd_search(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_scenario(cfg: ExperimentConfig, args) -> int:
     result = run_scenario(cfg)
-    (args.out or sys.stdout).write(result.csv_text)
+    _emit(args, result.csv_text)
     stream = sys.stderr if args.out is None else sys.stdout
     for line in result.summary_lines:
         print(line, file=stream)
@@ -196,6 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         # exit, to devnull (the Python docs' advice for SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # any other OSError here is a write to stdout: drop it as above
+        print(f"write error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -63,8 +63,8 @@ found.  So ``_codeword_matrix`` reads a memo on the code
 tuple) and evaluates (``_evaluate``) only on a miss.  The codebook
 evaluates outside the memo, so the oracle leaves it alone.
 
-The memo rules hold for all four memos of a code: the codewords and
-lifted decodes of a ``GabidulinCode``, and the steps and lifts of a
+The memo rules hold for all three memos of a code: the codewords and
+lifted decodes of a ``GabidulinCode``, and the steps of a
 ``LayeredCode``.  They are stated only here; README and the ``lifted``
 and ``layered`` docstrings point here.  A memo is made on first use and holds at most
 ``MEMO_SIZE`` = 4,096 entries; a full one is emptied before the next

@@ -19,28 +19,28 @@ decoding splits per layer.  One walk over the layers
 and sweep options spelled out.
 
 A layer's coordinates (its identity columns, then the payload columns)
-are fixed.  A component is built in place, [0 | I | 0 | X] with no
-elimination (``linalg.identity_lift``), and one cached per-layer block
-(``_blocks``: the identity block's start and width, and the payload
-width) serves embedding (``linalg.embed``) and extraction
-(``linalg.shorten``: the block moves past the later layers' identity
-columns, then one elimination).  The last layer has no later identity
-columns, so its extraction is read off the canonical basis with no
-elimination (see ``linalg``).
+are fixed.  A component is the lift [0 | I | 0 | X]: the layer's cached
+identity rows OR-ed with X's rows (``_lift``), with no elimination.  One
+cached per-layer block (``_blocks``: the identity block's start and
+width, and the payload width) serves embedding (``linalg.embed``) and
+extraction (``linalg.shorten``: the block moves past the later layers'
+identity columns, then one elimination).  The last layer has no later
+identity columns, so its extraction is read off the canonical basis
+with no elimination (see ``linalg``).
 
-Encoding stacks the lifts' rows into V directly, and a random codeword
-draws every layer's message in one batch (the layers share F_{q^m}, so
-the stream is that of one batch per layer).  A decoded layer is stored
-once, as its matrix X_l (``LayerResult``), which fixes the message; its
-component is placed from X_l as in encoding, so the recombined estimate
-is stacked like an encoded V: the embedded components in layer order,
-already canonical, with no elimination.  Failed layers contribute the
-zero subspace.  ``recompose`` direct-sums arbitrary per-layer estimates.
+Encoding stacks the lifts' rows into V directly, so a codeword's
+components are read off V, and a random codeword draws every layer's
+message in one batch (the layers share F_{q^m}, so the stream is that
+of one batch per layer).  A decoded layer is stored once, as its matrix
+X_l (``LayerResult``), which fixes the message; the walk lifts X_l as
+encoding does, so the recombined estimate is stacked like an encoded V,
+already canonical.  Failed layers contribute the zero subspace.
+``recompose`` direct-sums arbitrary per-layer estimates.
 
 An attempt is one step of the walk (``LayeredCode._step``): extract
 the layer from the working space and decode it.  On a success the walk
-lifts it and, under SIC, adds the lift to the working space; a lone
-``decode_layer`` builds no lift.  Each part is a pure function of
+lifts it and, under SIC, spans the working rows and the lift's rows; a
+lone ``decode_layer`` builds no lift.  Each part is a pure function of
 (layer, working space), and the decoders repeat many steps, so each
 code keeps the extraction and the sum in ``_step_memo``, keyed by the
 layer and the space's field, ambient and rows; ``extract_component`` is
@@ -51,15 +51,8 @@ an attempt reads, d_S(lift(X_l), U_l) in the component ambient n_l + m,
 through the same memo entry: a trial's layer distances and its decodes
 extract each (layer, space) once.  The distance is one stacked rank,
 2 rank([lift X_l; U_l]) - n_l - dim U_l, on the stored rows, with no
-``Subspace`` built for the lift.
-
-A component is a pure function of the layer and its codeword X_l, and a
-trial places each sent X_l twice: in encoding and in the walk once the
-layer decodes.  So each code keeps one lift memo (``_lift_memo``), keyed
-by (layer, codeword rows) once the matrix's shape and field are known to
-fit: an entry is the one component in the full ambient.  The codewords
-come from the inner codes' own memo.  Both memos here follow the memo
-rules stated in ``gabidulin``.
+``Subspace`` built for the lift.  With the inner codes' codeword and
+decode memos, a code keeps three, all under the rules in ``gabidulin``.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -71,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import accumulate, chain, islice
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
@@ -81,11 +75,10 @@ from .linalg import (
     Subspace,
     _lift_rows,
     _rank,
+    _span,
     embed,
-    identity_lift,
     row_space,
     shorten,
-    subspace_sum,
 )
 
 from . import lifted as lifted_mod
@@ -146,6 +139,17 @@ class LayeredCode:
         return tuple((offset, code.n, m) for offset, code in zip(self.offsets, self.layers))
 
     @cached_property
+    def _identity_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per layer, the stored rows of its lift of zero, [0 | I_n | 0 | 0]."""
+        q, ambient = self.params.q, self.ambient_dim
+        return tuple(_lift_rows(q, (0,) * n, start, ambient) for start, n, _ in self._blocks)
+
+    def _lift(self, layer: int, matrix: MatrixFq) -> tuple[int, ...]:
+        """The canonical rows of [0 | I | 0 | X] in the full ambient for a
+        codeword matrix X of ``layer`` whose shape and field are checked."""
+        return tuple(map(or_, self._identity_rows[layer - 1], matrix._data))
+
+    @cached_property
     def prefixes(self) -> tuple["LayeredCode", ...]:
         """``prefixes[c - 1]`` is the code of the first c layers; the last is this code."""
         shorter = [LayeredCode(self.layers[:count]) for count in range(1, self.num_layers)]
@@ -187,14 +191,8 @@ class LayeredCode:
         matrices = tuple(
             code._codeword_matrix(message) for code, message in zip(self.layers, messages)
         )
-        components = tuple(
-            self._component(layer, matrix) for layer, matrix in enumerate(matrices, 1)
-        )
-        return LayeredCodeword(
-            component_matrices=matrices,
-            components=components,
-            V=self._direct_sum(components),
-        )
+        lifts = (self._lift(layer, matrix) for layer, matrix in enumerate(matrices, 1))
+        return LayeredCodeword(component_matrices=matrices, V=self._stack(lifts))
 
     # --- layer extraction and embedding ---
 
@@ -238,9 +236,9 @@ class LayeredCode:
         start, width, _ = self._blocks[layer - 1]
         return embed(stripped, start, width, self.ambient_dim)
 
-    def _direct_sum(self, components: Iterable[Subspace]) -> Subspace:
-        """Stack embedded lifts given in layer order: disjoint identity blocks keep it canonical."""
-        rows = tuple(chain.from_iterable(component.basis._data for component in components))
+    def _stack(self, lifts: Iterable[tuple[int, ...]]) -> Subspace:
+        """Stack lifts' rows given in layer order: disjoint identity blocks keep it canonical."""
+        rows = tuple(chain.from_iterable(lifts))
         basis = MatrixFq._unchecked(self.params.q, len(rows), self.ambient_dim, rows)
         return Subspace._unchecked(self.ambient_dim, basis)
 
@@ -306,7 +304,7 @@ class LayeredCode:
         """
         working = received
         results: dict[int, LayerResult] = {}
-        decoded: dict[int, Subspace] = {}  # layer -> component in the full ambient
+        decoded: dict[int, tuple[int, ...]] = {}  # layer -> its lift's rows (``_lift``)
         accumulated = [working] if cancel else []
         attempts: list[int] = []
         sweeps = 0
@@ -319,11 +317,12 @@ class LayeredCode:
                 results[layer], step = self._step(working, layer)
                 matrix = results[layer].matrix
                 if matrix is not None:
-                    decoded[layer] = self._component(layer, matrix)
+                    decoded[layer] = self._lift(layer, matrix)
                     if cancel:
                         # the sum is built here, where it is read
                         if step[1] is None:
-                            step[1] = subspace_sum(working, decoded[layer])
+                            rows = working.basis._data + decoded[layer]
+                            step[1] = _span(working.q, working.ambient_dim, rows)
                         working = step[1]
                 if cancel:
                     accumulated.append(working)
@@ -333,7 +332,7 @@ class LayeredCode:
         return LayerDecodeReport(
             algorithm=algorithm,
             layers=[results[layer] for layer in range(1, self.num_layers + 1)],
-            recombined=self._direct_sum(decoded[layer] for layer in sorted(decoded)),
+            recombined=self._stack(decoded[layer] for layer in sorted(decoded)),
             sweeps=sweeps,
             accumulated=accumulated,
             attempt_layers=attempts,
@@ -352,24 +351,6 @@ class LayeredCode:
         working + its decoded lift], the sum filled by ``_walk`` once the
         step decodes under SIC."""
         return {}
-
-    @cached_property
-    def _lift_memo(self) -> dict:
-        """The components of codewords on this code (``_component``), by
-        (layer, codeword rows)."""
-        return {}
-
-    def _component(self, layer: int, matrix: MatrixFq) -> Subspace:
-        """[0 | I | 0 | X] in the full ambient for a codeword matrix X of
-        ``layer`` whose shape and field the caller has checked, through
-        ``_lift_memo``."""
-        key = (layer, matrix._data)
-        component = self._lift_memo.get(key)
-        if component is None:
-            component = _memo_put(
-                self._lift_memo, key, identity_lift(matrix, self.offsets[layer - 1], self.ambient_dim)
-            )
-        return component
 
     def _memo_entry(self, space: Subspace, layer: int) -> list:
         """``_step_memo``'s entry for ``layer`` on ``space``.  A space over
@@ -400,11 +381,19 @@ class LayeredCode:
 
 @dataclass(frozen=True)
 class LayeredCodeword:
-    """A codeword with its per-layer matrices and component spaces."""
+    """A codeword: its per-layer matrices and the sent space V."""
 
     component_matrices: tuple[MatrixFq, ...]
-    components: tuple[Subspace, ...]
     V: Subspace
+
+    @cached_property
+    def components(self) -> tuple[Subspace, ...]:
+        """Each layer's lift in the full ambient: V's basis rows, n_l per
+        layer, in layer order, as encoding stacks them."""
+        rows, q, ambient = iter(self.V.basis._data), self.V.q, self.V.ambient_dim
+        lifts = (tuple(islice(rows, x.rows)) for x in self.component_matrices)
+        bases = (MatrixFq._unchecked(q, len(lift), ambient, lift) for lift in lifts)
+        return tuple(Subspace._unchecked(ambient, basis) for basis in bases)
 
 
 @dataclass(frozen=True)

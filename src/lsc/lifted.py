@@ -47,8 +47,7 @@ immutable, so reports share it.
 
 One level up, ``LayeredCode._step_memo`` keeps the pure rest of an
 attempt, by (layer, working space), under the same bound: the
-extraction and the SIC sum, while ``LayeredCode._lift_memo`` keeps the
-lifts of each codeword (see ``layered``).  The step memo does not hold
+extraction and the SIC sum (see ``layered``).  The step memo does not hold
 the outcome: every decoder attempt is still exactly one
 ``subspace_decode`` call, a dict hit here on a repeat, because perfbench
 counts those calls against the attempts a simulate CSV implies.  Folding
@@ -76,8 +75,8 @@ from .linalg import (
     _index_rows,
     _kernel,
     _lead_columns,
+    _lift_rows,
     _rank,
-    identity_lift,
 )
 
 
@@ -85,7 +84,9 @@ def lift(inner: GabidulinCode, matrix: MatrixFq) -> Subspace:
     """Row space of [I_n | X] for the n x m codeword matrix X; already in
     reduced row echelon form."""
     inner._check_received(matrix)
-    return identity_lift(matrix, 0, inner.n + inner.params.m)
+    q, n, ambient = inner.params.q, inner.n, inner.n + inner.params.m
+    rows = _lift_rows(q, matrix._data, 0, ambient)
+    return Subspace._unchecked(ambient, MatrixFq._unchecked(q, n, ambient, rows))
 
 
 def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:

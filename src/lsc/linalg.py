@@ -22,9 +22,10 @@ a base-2 numeral per GF(2) row, big-endian bytes per one-byte-field row).
 Besides this module only ``lifted`` looks inside the packed rows: it cuts
 a received basis at the header/payload boundary with ``_field_bits`` and
 ``_head_rows`` and reads the payload as element indices (``_index_rows``).
-``gabidulin`` holds some without reading them: its oracle codebook hands
-them back to ``_add_rows`` and ``_rank``, lifted by ``_lift_rows`` for
-the lifted oracle, and its decoder eliminates a
+``gabidulin`` and ``layered`` hold some without reading them: a lift's
+rows are ``_lift_rows`` (``layered`` ORs a layer's cached identity rows,
+the lift of zero, with a codeword's rows), the oracle codebook hands
+them back to ``_add_rows`` and ``_rank``, and the decoder eliminates a
 hint's rows with ``_eliminate`` and hands the basis to ``_kernel``,
 ``_rank`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
 a GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
@@ -664,23 +665,10 @@ def rank_distance(x: MatrixFq, y: MatrixFq) -> int:
     return (x - y).rank()
 
 
-def identity_lift(x: MatrixFq, offset: int, ambient_dim: int) -> Subspace:
-    """Row space of [0 | I_n | 0 | X] in F_q^ambient_dim for an n x m matrix X.
-
-    The identity block starts at column ``offset`` and X fills the last m
-    columns.  Row i is a unit at its pivot plus X's row i, so the rows are
-    already the canonical basis.
-    """
-    q, n, m = x.q, x.rows, x.cols
-    if offset < 0 or offset + n + m > ambient_dim:
-        raise ParameterError(f"an {n} x {m} lift at column {offset} does not fit in {ambient_dim}")
-    rows = _lift_rows(q, x._data, offset, ambient_dim)
-    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, n, ambient_dim, rows))
-
-
 def _lift_rows(q: int, data: Sequence[int], offset: int, ambient_dim: int) -> tuple[int, ...]:
     """The stored rows of [0 | I_n | 0 | X] for the stored rows of X, with
-    no fit check: row i is the unit at column offset + i plus X's row i."""
+    no fit check: row i is the unit at column offset + i plus X's row i,
+    already the canonical basis of the lift."""
     width = _field_bits(q)
     unit = 1 << (ambient_dim - 1 - offset) * width
     return tuple((unit >> i * width) | row for i, row in enumerate(data))

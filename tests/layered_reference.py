@@ -9,8 +9,8 @@ attempt extracts with the public ``extract_component`` and runs
 ``lifted._decode_space``, the lifted decode without ``subspace_decode``'s
 memo, on a fresh copy of the inner code, whose codeword memo starts
 empty, and the loops add each lift back themselves, so every comparison
-with ``LayeredCode`` compares the walk and its four memos (the step,
-lift, decode and codeword memos) with paths that keep none.
+with ``LayeredCode`` compares the walk and its three memos (the step,
+decode and codeword memos) with paths that keep none.
 ``random_messages`` draws a codeword's messages as element indices, one
 batch per layer, for the public ``encode``.
 """

@@ -136,6 +136,10 @@ def test_dump_code(tmp_path):
 DUMP_CODE_SHA256 = {
     "default.ini": "1e824be95ff63c61965c79ad7c3cbc5599dbb340975d2405badee3ba1310e4bb",
     "unequal_protection.ini": "ba98161fc667f88a5f7406fc0f6ff9d25148663717eaf49b8e7deeb8912860f4",
+    # the middle layer's component, read off V, has identity columns on both sides
+    "three_layers.ini": "b47089183786874ba65c32ed68aeb179595f907a46d30cd5baf6098b39a268ad",
+    # the odd-q lift
+    "q3.ini": "76eb2dd3a5acf385eb4001ceae91c792e1c7d40660671b1b41ae7d226de7582b",
 }
 
 
@@ -172,6 +176,34 @@ def test_a_closed_stdout_is_its_own_exit_code(tmp_path, verb, extra):
     assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
     if verb == "simulate":
         assert (tmp_path / "rows.csv").read_text().startswith("trial,seed,algorithm")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "verb, extra, target",
+    [
+        ("dump-code", ("--dump",), "write error: stdout"),
+        ("simulate", ("--trials", "1", "--out", "/dev/full"), "config error: --out: /dev/full"),
+    ],
+    ids=["stdout", "out"],
+)
+def test_a_failed_write_is_one_line_and_exit_2(verb, extra, target, unbuffered):
+    """A write or close that fails on a full device, to stdout or to
+    ``--out``, is exit 2 with one stderr line naming the target and the
+    reason, and no traceback, whether stdout is buffered or not."""
+    stdout = "/dev/full" if "stdout" in target else os.devnull
+    with open(stdout, "w") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsc", verb, "--config", str(CONFIGS / "default.ini"), *extra],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=600,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == cli.EXIT_CONFIG == 2
+    assert proc.stderr.splitlines() == [f"{target}: No space left on device"]
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,9 @@ from rref_reference import full_space, unit_span
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
+# F_{17^2} over x^2 + 3 (``TWO_BYTE_MODULI`` in test_gabidulin): two bytes per entry
+F289 = FieldParams(17, 2, (3, 0, 1))
+
 
 @pytest.fixture(scope="module")
 def q3_three_layers():
@@ -94,7 +97,17 @@ def test_random_codeword_matches_encoding_random_messages(params, k):
     the public ``encode`` gives from one batch per layer, and leaves the stream
     in the same state.  Its components and V, stacked with no elimination,
     are the checked lifts and their sum."""
-    code = LayeredCode.standard(params, [(4, k), (3, 1), (2, min(k, 2))])
+    _assert_codewords_are_checked_lifts(LayeredCode.standard(params, [(4, k), (3, 1), (2, min(k, 2))]))
+
+
+def test_two_byte_field_codewords_are_checked_lifts():
+    """As above over F_{17^2}, where a stored entry takes two bytes: the
+    identity rows OR-ed into the payload rows, the middle layer's with
+    identity columns on both sides."""
+    _assert_codewords_are_checked_lifts(LayeredCode.standard(F289, [(2, 1), (1, 1), (2, 1)]))
+
+
+def _assert_codewords_are_checked_lifts(code):
     for seed in range(20):
         by_index, by_element = SplitMix64(seed), SplitMix64(seed)
         word = code.random_codeword(by_index)
@@ -105,7 +118,7 @@ def test_random_codeword_matches_encoding_random_messages(params, k):
             for layer, (inner, matrix) in enumerate(zip(code.layers, word.component_matrices), 1)
         ]
         assert list(word.components) == lifts
-        total = Subspace.zero(params.q, code.ambient_dim)
+        total = Subspace.zero(code.params.q, code.ambient_dim)
         for component in lifts:
             total = subspace_sum(total, component)
         assert word.V == total and word.V.basis.entries == total.basis.entries
@@ -563,7 +576,7 @@ def test_an_attempt_builds_no_lift(monkeypatch, q, m, shape):
         inside += outcome.distance <= code.capability
         beyond += outcome.distance > code.capability
         with monkeypatch.context() as patch:
-            patch.setattr(LayeredCode, "_component", no_lift)
+            patch.setattr(LayeredCode, "_lift", no_lift)
             for layer in range(1, code.num_layers + 1):
                 single_decodes += code.decode_layer(outcome.U, layer).matrix is not None
         for algorithm in ALGORITHMS:
@@ -584,10 +597,9 @@ def test_decode_by_name(example_code):
 
 
 def _memo_off(monkeypatch):
-    """Give every lookup of all four memos an empty dict: each step, lift,
+    """Give every lookup of all three memos an empty dict: each step,
     codeword and lifted decode then runs in full."""
     monkeypatch.setattr(LayeredCode, "_step_memo", property(lambda code: {}))
-    monkeypatch.setattr(LayeredCode, "_lift_memo", property(lambda code: {}))
     monkeypatch.setattr(GabidulinCode, "_subspace_decode_memo", property(lambda inner: {}))
     monkeypatch.setattr(GabidulinCode, "_codeword_memo", property(lambda inner: {}))
 
@@ -646,50 +658,16 @@ def test_step_memo_never_grows_past_its_bound(fp24, monkeypatch):
     assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
 
 
-def test_lift_memo_never_grows_past_its_bound(fp24, monkeypatch):
-    """The lift memo holds at most MEMO_SIZE keys and is emptied when full,
-    while the components, the layer distances and the reports stay those
-    of the memo-free paths."""
-    assert gabidulin_mod.MEMO_SIZE == 4096
-    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
-    code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
-    sizes = []
-    place = LayeredCode._component
-
-    def recording_component(self, *args):
-        placed = place(self, *args)
-        sizes.append(len(self._lift_memo))
-        return placed
-
-    monkeypatch.setattr(LayeredCode, "_component", recording_component)
-    for seed in range(10):
-        word, outcome = make_trial(code, seed, ChannelSpec(rho=2, t=1))
-        for layer, (matrix, component) in enumerate(
-            zip(word.component_matrices, word.components, strict=True), 1
-        ):
-            inner = code.layers[layer - 1]
-            assert component == code.embed_component(layer, lift(inner, matrix))
-            extracted = code.extract_component(outcome.U, layer)
-            want = subspace_distance(lift(inner, matrix), extracted)
-            assert code.layer_distance(matrix, outcome.U, layer) == want
-        for got, want in zip(
-            _every_decode(code, outcome.U, WALK), _every_decode(code, outcome.U, REFERENCE), strict=True
-        ):
-            _assert_same_report(got, want)
-    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
-
-
 @pytest.mark.parametrize("q, shape, other_q", [(3, [(3, 1), (4, 2)], 2), (2, [(3, 1), (4, 1)], 3)])
-def test_a_warmed_lift_memo_still_rejects_a_wrong_matrix(q, shape, other_q):
-    """With a codeword's component in the memo (encoding put it there), a
-    matrix that stores the same rows but has another width, or lies over
-    another field, is still refused by ``layer_distance``."""
+def test_layer_distance_rejects_a_matrix_with_the_same_rows(q, shape, other_q):
+    """A matrix that stores a codeword's rows but has another width, or
+    lies over another field, is refused by ``layer_distance``, on a code
+    that has already encoded and measured the codeword."""
     code = LayeredCode.standard(FieldParams.default(q, 4), shape)
     words = [code.encode([[0] * inner.k for inner in code.layers])]
     words.append(code.random_codeword(SplitMix64(5)))
     for word in words:
         for layer, matrix in enumerate(word.component_matrices, 1):
-            assert code._lift_memo[(layer, matrix._data)] is word.components[layer - 1]
             assert word.components[layer - 1] == code.embed_component(
                 layer, lift(code.layers[layer - 1], matrix)
             )
@@ -705,16 +683,21 @@ def test_a_warmed_lift_memo_still_rejects_a_wrong_matrix(q, shape, other_q):
 
 
 @pytest.mark.parametrize(
-    "q, m, shape",
-    [(2, 4, [(3, 1), (4, 1)]), (3, 3, [(2, 1), (3, 1)]), (5, 2, [(2, 1), (2, 1)])],
-    ids=["q2", "q3", "q5"],
+    "params, shape",
+    [
+        (FieldParams.default(2, 4), [(3, 1), (4, 1)]),
+        (FieldParams.default(3, 3), [(2, 1), (3, 1)]),
+        (FieldParams.default(5, 2), [(2, 1), (2, 1)]),
+        (F289, [(2, 1), (1, 1), (2, 1)]),
+    ],
+    ids=["q2", "q3", "q5", "q17"],
 )
-def test_step_memo_on_and_off_match_the_reference(monkeypatch, q, m, shape):
-    """At every (rho, t) the ambient allows, the walk with both memos on (one
-    code, warmed by every earlier decode) and with both off equals the
+def test_step_memo_on_and_off_match_the_reference(monkeypatch, params, shape):
+    """At every (rho, t) the ambient allows, the walk with its memos on (one
+    code, warmed by every earlier decode) and with them off equals the
     memo-free reference field for field, multi-sweep SIC and ascending
     order included."""
-    code = LayeredCode.standard(FieldParams.default(q, m), shape)
+    code = LayeredCode.standard(params, shape)
     dim = code.total_length
     receptions = [
         make_trial(code, 100 * trial + 10 * rho + t, ChannelSpec(rho=rho, t=t))[1].U
@@ -735,7 +718,7 @@ def test_step_memo_on_and_off_match_the_reference(monkeypatch, q, m, shape):
                     failed_layers += code.num_layers - len(mine.decoded_layers)
                     multi_sweeps += mine.sweeps > 1
         if memo:
-            assert code._step_memo and code._lift_memo
+            assert code._step_memo
             assert all(inner._codeword_memo for inner in code.layers)
     assert failed_layers and multi_sweeps
 

@@ -18,7 +18,6 @@ from lsc.linalg import (
     _rank,
     dump_subspace,
     embed,
-    identity_lift,
     intersection,
     parse_subspace,
     random_subspace,
@@ -399,18 +398,6 @@ def test_packed_rows_match_list_reference(q, count):
         start = rng.randint(0, n)
         width = rng.randint(0, n - start)
         _assert_block_moves(u, start, width, rng.randint(0, n - start - width))
-
-        offset = rng.randint(0, 3)
-        ambient = offset + n + c.cols + rng.randint(0, 3)
-        gap = (0,) * (ambient - offset - n - c.cols)
-        lifted = identity_lift(c, offset, ambient)
-        assert lifted.basis.entries == tuple(
-            (0,) * offset + tuple(int(i == j) for j in range(n)) + gap + tuple(row)
-            for i, row in enumerate(c_rows)
-        )
-        assert Subspace(ambient, lifted.basis) == lifted  # canonical
-        with pytest.raises(ParameterError):
-            identity_lift(c, offset + len(gap) + 1, ambient)
 
     # every block shape in small ambients, on the zero, the full and random spaces
     for n in range(7):
