@@ -109,8 +109,7 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
         raise CapacityError("insertion sampling exceeded its attempt cap")
 
     if kept == v.dim:
-        reduced, _ = _back_substitute(q, n, span)
-        u = Subspace._unchecked(n, MatrixFq._unchecked(q, len(reduced), n, tuple(reduced)))
+        u = Subspace._unchecked(q, n, _back_substitute(q, n, span)[0])
     else:
         u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
     if u.dim != kept + spec.t:

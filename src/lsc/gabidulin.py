@@ -67,12 +67,14 @@ The memo rules hold for all three memos of a code: the codewords and
 lifted decodes of a ``GabidulinCode``, and the steps of a
 ``LayeredCode``.  They are stated only here; README and the ``lifted``
 and ``layered`` docstrings point here.  A memo is made on first use and holds at most
-``MEMO_SIZE`` = 4,096 entries; a full one is emptied before the next
-store (``_memo_put``, which reads the bound at call time).  A key is
-stored only once what it names has passed its check, so a hit is not
-checked again: a key that names a space carries the space's q and
-ambient with its rows, so a space over another field or ambient that
-stores the same rows misses, and is refused by the check.
+``MEMO_SIZE`` = 4,096 entries, and every memo is read through one
+function, ``_memoized``: a miss runs the entry's maker and stores what
+it returns, and a full memo is emptied before that store (the bound is
+read at call time).  The maker runs the key's check before its
+computation, so a key is stored only once what it names has passed that
+check, and a hit is not checked again: a key that names a space carries
+the space's q and ambient with its rows, so a space over another field
+or ambient that stores the same rows misses, and is refused by the check.
 ``ExperimentConfig.build_code`` builds fresh codes, so a memo lasts one
 run.
 
@@ -118,12 +120,17 @@ REASON_TIE = "tie"
 MEMO_SIZE = 4096
 
 
-def _memo_put(memo: dict, key, value):
-    """Store ``value`` under ``key`` in one of the code memos and return it;
-    a memo that already holds ``MEMO_SIZE`` entries is emptied first."""
-    if len(memo) >= MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
+def _memoized(memo: dict, key, make):
+    """The one read of a code memo: ``memo[key]``, or on a miss ``make()``,
+    which runs the key's check and then the computation, stored under
+    ``key`` and returned; a memo that already holds ``MEMO_SIZE`` entries
+    is emptied before the store."""
+    value = memo.get(key)
+    if value is None:
+        value = make()
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
     return value
 
 
@@ -332,7 +339,7 @@ class GabidulinCode:
     @cached_property
     def _subspace_decode_memo(self) -> dict:
         """``lifted.subspace_decode``'s outcomes on this code, by (q,
-        ambient, received basis rows); ``lifted`` fills it through ``_memo_put``."""
+        ambient, received basis rows), read through ``_memoized``."""
         return {}
 
     @cached_property
@@ -371,10 +378,7 @@ class GabidulinCode:
     def _codeword_matrix(self, f: tuple[int, ...]) -> MatrixFq:
         """The codeword of the message with element indices f, as its n x m
         matrix: read from ``_codeword_memo``, evaluated on a miss."""
-        matrix = self._codeword_memo.get(f)
-        if matrix is None:
-            matrix = _memo_put(self._codeword_memo, f, self._evaluate(f))
-        return matrix
+        return _memoized(self._codeword_memo, f, lambda: self._evaluate(f))
 
     def _check_received(self, received: MatrixFq) -> None:
         """A word is an n x m ``MatrixFq`` over F_q; anything else is a ParameterError."""

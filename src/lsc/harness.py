@@ -471,8 +471,8 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
         ds = outcome.distance
         r1 = code.decode_alg1(outcome.U)
         r2 = code.decode_alg2(outcome.U)
-        alg1_full = r1.all_ok and r1.recombined == word.V
-        alg2_full = r2.all_ok and r2.recombined == word.V
+        alg1_full = r1.recombined == word.V
+        alg2_full = r2.recombined == word.V
         classification = {
             "alg1-beyond": ds > code.capability and alg1_full,
             "alg2-rescues": (not r1.all_ok) and alg2_full,

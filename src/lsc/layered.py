@@ -43,16 +43,18 @@ lifts it and, under SIC, spans the working rows and the lift's rows; a
 lone ``decode_layer`` builds no lift.  Each part is a pure function of
 (layer, working space), and the decoders repeat many steps, so each
 code keeps the extraction and the sum in ``_step_memo``, keyed by the
-layer and the space's field, ambient and rows; ``extract_component`` is
-the check a key passes before it is stored.  The decode itself stays
-one ``lifted.subspace_decode`` call per attempt, which has its own memo
-(see ``lifted``).  ``layer_distance`` measures a layer on the extraction
-an attempt reads, d_S(lift(X_l), U_l) in the component ambient n_l + m,
+layer and the space's field, ambient and rows and read through
+``gabidulin._memoized``; ``extract_component``, which checks the layer
+and the space (``linalg._check_space``), is the check a key passes
+before it is stored.  The decode itself stays one
+``lifted.subspace_decode`` call per attempt, which has its own memo (see
+``lifted``).  ``layer_distance`` measures a layer on the extraction an
+attempt reads, d_S(lift(X_l), U_l) in the component ambient n_l + m,
 through the same memo entry: a trial's layer distances and its decodes
-extract each (layer, space) once.  The distance is one stacked rank,
-2 rank([lift X_l; U_l]) - n_l - dim U_l, on the stored rows, with no
-``Subspace`` built for the lift.  With the inner codes' codeword and
-decode memos, a code keeps three, all under the rules in ``gabidulin``.
+extract each (layer, space) once.  The distance is one stacked rank
+(``linalg._distance``) on the stored rows, with no ``Subspace`` built
+for the lift.  With the inner codes' codeword and decode memos, a code
+keeps three, all under the rules in ``gabidulin``.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is
@@ -69,12 +71,13 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParameterError
 from .field import FieldParams
-from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
+from .gabidulin import DecodeFailure, GabidulinCode, _memoized
 from .linalg import (
     MatrixFq,
     Subspace,
+    _check_space,
+    _distance,
     _lift_rows,
-    _rank,
     _span,
     embed,
     row_space,
@@ -203,44 +206,35 @@ class LayeredCode:
         canonical basis in the component ambient n_l + m.
         ``embed_component`` reinserts the known-zero columns.
         """
-        self._check_received(received, layer)
+        self._check_layer(layer)
+        _check_space(received, self.params.q, self.ambient_dim)
         start, width, tail = self._blocks[layer - 1]
         return shorten(received, start, width, tail)
-
-    def _check_received(self, received: Subspace, layer: int) -> None:
-        self._check_layer(layer)
-        q, ambient = self.params.q, self.ambient_dim
-        if received.ambient_dim != ambient or received.q != q:
-            raise ParameterError(f"received space must lie in F_{q}^{ambient}")
 
     def layer_distance(self, matrix: MatrixFq, space: Subspace, layer: int) -> int:
         """d_S(lift(X_l), U_l) in the component ambient n_l + m, for the
         codeword matrix X_l of ``layer`` and U_l the layer extracted from
         ``space``: the extraction an attempt at ``layer`` on ``space`` decodes.
 
-        2 rank([lift X_l; U_l]) - n_l - dim U_l, one stacked rank as in
+        One stacked rank (``linalg._distance``), as in
         ``lifted.brute_force_subspace_decode``."""
         extracted = self._memo_entry(space, layer)[0]
         code = self.layers[layer - 1]
         code._check_received(matrix)
         q, ambient = self.params.q, code.n + self.params.m
-        rows = _lift_rows(q, matrix._data, 0, ambient) + extracted.basis._data
-        return 2 * _rank(q, ambient, rows) - code.n - extracted.dim
+        lift = _lift_rows(q, matrix._data, 0, ambient)
+        return _distance(q, ambient, lift, extracted.basis._data)
 
     def embed_component(self, layer: int, stripped: Subspace) -> Subspace:
         """Inverse of stripping: reinsert the known-zero columns."""
         self._check_layer(layer)
-        q, ambient = self.params.q, self.layers[layer - 1].n + self.params.m
-        if stripped.ambient_dim != ambient or stripped.q != q:
-            raise ParameterError(f"component space must lie in F_{q}^{ambient}")
+        _check_space(stripped, self.params.q, self.layers[layer - 1].n + self.params.m)
         start, width, _ = self._blocks[layer - 1]
         return embed(stripped, start, width, self.ambient_dim)
 
     def _stack(self, lifts: Iterable[tuple[int, ...]]) -> Subspace:
         """Stack lifts' rows given in layer order: disjoint identity blocks keep it canonical."""
-        rows = tuple(chain.from_iterable(lifts))
-        basis = MatrixFq._unchecked(self.params.q, len(rows), self.ambient_dim, rows)
-        return Subspace._unchecked(self.ambient_dim, basis)
+        return Subspace._unchecked(self.params.q, self.ambient_dim, chain.from_iterable(lifts))
 
     def recompose(self, components: Sequence[Subspace]) -> Subspace:
         """Direct-sum any per-layer estimates by one elimination, which checks the sum."""
@@ -360,10 +354,7 @@ class LayeredCode:
         so a hit is a space that has passed that check."""
         basis = space.basis
         key = (layer, basis.q, space.ambient_dim, basis._data)
-        step = self._step_memo.get(key)
-        if step is None:
-            step = _memo_put(self._step_memo, key, [self.extract_component(space, layer), None])
-        return step
+        return _memoized(self._step_memo, key, lambda: [self.extract_component(space, layer), None])
 
     def _step(self, working: Subspace, layer: int):
         """One attempt at ``layer`` on ``working``: (result, memo entry).
@@ -391,9 +382,9 @@ class LayeredCodeword:
         """Each layer's lift in the full ambient: V's basis rows, n_l per
         layer, in layer order, as encoding stacks them."""
         rows, q, ambient = iter(self.V.basis._data), self.V.q, self.V.ambient_dim
-        lifts = (tuple(islice(rows, x.rows)) for x in self.component_matrices)
-        bases = (MatrixFq._unchecked(q, len(lift), ambient, lift) for lift in lifts)
-        return tuple(Subspace._unchecked(ambient, basis) for basis in bases)
+        return tuple(
+            Subspace._unchecked(q, ambient, islice(rows, x.rows)) for x in self.component_matrices
+        )
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ space, and the layered decoders repeat many: alg2's first attempt is
 alg1's attempt at layer L, and alg2-iterative's first sweep is all of
 alg2.  So ``subspace_decode`` keeps a memo on the inner code
 (``GabidulinCode._subspace_decode_memo``), keyed by the received
-space's field, ambient and canonical basis, and runs the ambient check
-and the uncached ``_decode_space`` only on a miss; the memo rules (its
-bound, and a key stored only once checked) are stated in ``gabidulin``.
-That check is the only one of a decode: ``_decode_space`` and ``_split``
-run none.  An outcome (a codeword matrix or a ``DecodeFailure``) is
-immutable, so reports share it.
+space's field, ambient and canonical basis, and read through
+``gabidulin._memoized``: only a miss runs the uncached ``_decode_space``,
+which checks the ambient (``linalg._check_space``) before it decodes.
+The memo rules (its bound, and a key stored only once checked) are
+stated in ``gabidulin``.  An outcome (a codeword matrix or a
+``DecodeFailure``) is immutable, so reports share it.
 
 One level up, ``LayeredCode._step_memo`` keeps the pure rest of an
 attempt, by (layer, working space), under the same bound: the
@@ -54,29 +54,30 @@ counts those calls against the attempts a simulate CSV implies.  Folding
 the two memos into one waits on that check.
 
 Every function here takes the inner ``GabidulinCode`` itself and checks
-that a received space lies in F_q^(n + m); the lifted code has no object
-of its own.  A one-layer ``LayeredCode`` is the same code, and states its
-minimum distance 2 (n - k + 1).
+that a received space lies in F_q^(n + m), with ``linalg._check_space``;
+the lifted code has no object of its own.  A one-layer ``LayeredCode``
+is the same code, and states its minimum distance 2 (n - k + 1).
 
 The exhaustive oracle ``brute_force_subspace_decode`` scans the stored
 rows of the lifted codebook, cached on the inner code (see ``gabidulin``),
-with one stacked rank per codeword and no ``Subspace`` built.
+with one stacked rank per codeword (``linalg._distance``) and no
+``Subspace`` built.
 """
 
 from __future__ import annotations
 
-from .errors import ParameterError
-from .gabidulin import DecodeFailure, GabidulinCode, _memo_put
+from .gabidulin import DecodeFailure, GabidulinCode, _memoized
 from .linalg import (
     MatrixFq,
     Subspace,
+    _check_space,
+    _distance,
     _field_bits,
     _head_rows,
     _index_rows,
     _kernel,
     _lead_columns,
     _lift_rows,
-    _rank,
 )
 
 
@@ -84,15 +85,8 @@ def lift(inner: GabidulinCode, matrix: MatrixFq) -> Subspace:
     """Row space of [I_n | X] for the n x m codeword matrix X; already in
     reduced row echelon form."""
     inner._check_received(matrix)
-    q, n, ambient = inner.params.q, inner.n, inner.n + inner.params.m
-    rows = _lift_rows(q, matrix._data, 0, ambient)
-    return Subspace._unchecked(ambient, MatrixFq._unchecked(q, n, ambient, rows))
-
-
-def _check_ambient(inner: GabidulinCode, received: Subspace) -> None:
     q, ambient = inner.params.q, inner.n + inner.params.m
-    if received.ambient_dim != ambient or received.q != q:
-        raise ParameterError(f"received space must lie in F_{q}^{ambient}")
+    return Subspace._unchecked(q, ambient, _lift_rows(q, matrix._data, 0, ambient))
 
 
 def _split(inner: GabidulinCode, received: Subspace):
@@ -123,8 +117,8 @@ def reduce_received(inner: GabidulinCode, received: Subspace):
     the pure-payload basis vectors, and col_erasures rows span the header
     directions lost by the channel: the inputs of ``decode_bounded``.
     """
-    _check_ambient(inner, received)
     n, q, m = inner.n, inner.params.q, inner.params.m
+    _check_space(received, q, n + m)
     header, payload, rest = _split(inner, received)
     pivots = _lead_columns(header, q, n)
     symbols = [0] * n
@@ -145,25 +139,21 @@ def subspace_decode(inner: GabidulinCode, received: Subspace):
     Succeeds whenever 2 d_S(V, received) < 2 d_R(inner) for some lifted
     codeword V; beyond that radius success is opportunistic.  The outcome
     is ``_decode_space``'s, looked up first in the code's memo, keyed by
-    the received space's field, ambient and canonical basis; the ambient
+    the received space's field, ambient and canonical basis, so the ambient
     check runs on a miss.  The layered walk calls this once per attempt, a
     repeat included, and memoizes the extraction before it itself (see the
     module docstring).
     """
-    memo = inner._subspace_decode_memo
     basis = received.basis
     key = (basis.q, received.ambient_dim, basis._data)
-    outcome = memo.get(key)
-    if outcome is None:
-        _check_ambient(inner, received)
-        outcome = _memo_put(memo, key, _decode_space(inner, received))
-    return outcome
+    return _memoized(inner._subspace_decode_memo, key, lambda: _decode_space(inner, received))
 
 
 def _decode_space(inner: GabidulinCode, received: Subspace):
-    """``subspace_decode`` without the memo.  The reduced header is the
-    decoder's projection and the payload rows its projected word (see the
-    module docstring)."""
+    """``subspace_decode`` without the memo: the ambient check, then the
+    reduced header is the decoder's projection and the payload rows its
+    projected word (see the module docstring)."""
+    _check_space(received, inner.params.q, inner.n + inner.params.m)
     header, payload, rest = _split(inner, received)
     proj = header if len(header) < inner.n else None
     outcome = inner._decode_projected(payload, proj, rest)
@@ -176,13 +166,13 @@ def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace):
     """Minimum subspace-distance decoding by a scan of the lifted codebook;
     ties fail.  A success is the codeword matrix, as from ``subspace_decode``.
 
-    d_S(lift X, U) = 2 rank([lift X; U]) - n - dim U, one stacked rank per
-    codeword; ``GabidulinCode._nearest`` picks the codeword.
+    d_S(lift X, U) is one stacked rank per codeword (``linalg._distance``);
+    ``GabidulinCode._nearest`` picks the codeword.
     """
-    _check_ambient(inner, received)
     q, m, n = inner.params.q, inner.params.m, inner.n
-    basis, offset = received.basis._data, n + received.dim
-    distances = [2 * _rank(q, n + m, rows + basis) - offset for rows in inner._lifted_codebook]
+    _check_space(received, q, n + m)
+    basis = received.basis._data
+    distances = [_distance(q, n + m, rows, basis) for rows in inner._lifted_codebook]
     nearest = inner._nearest(distances)
     if isinstance(nearest, DecodeFailure):
         return nearest

@@ -50,10 +50,15 @@ range, canonical basis), and ``parse_subspace`` goes through them.
 Every result that is in range and canonical by construction
 (eliminations, sums, intersections, products, stacks, lifts and block
 moves here; codewords, hints and channel outputs in the other modules)
-is built by ``MatrixFq._unchecked`` or ``Subspace._unchecked``, which
-skip those checks.  The test suite points both at the checked
+is built by ``MatrixFq._unchecked`` or, for a subspace, by
+``Subspace._unchecked(q, ambient_dim, rows)`` from its basis's stored
+rows; both skip those checks.  The test suite points both at the checked
 constructors and runs the pipeline, so the invariants they skip stay
-checked.
+checked.  Two space rules are written once, here, for every module:
+``_check_space``, the check that a space lies in F_q^N (the operations
+on two subspaces, a lifted decode, a layer's extraction and embedding),
+and ``_distance``, d_S as one stacked rank of two bases
+(``subspace_distance``, a layer distance and the lifted oracle).
 """
 
 from __future__ import annotations
@@ -560,11 +565,13 @@ class Subspace:
             last = pivot
 
     @classmethod
-    def _unchecked(cls, ambient_dim: int, basis: MatrixFq) -> "Subspace":
-        """A subspace from a canonical basis of width ``ambient_dim``, without checks."""
+    def _unchecked(cls, q: int, ambient_dim: int, rows: Sequence[int]) -> "Subspace":
+        """A subspace of F_q^ambient_dim from the stored rows of its canonical
+        basis, without checks."""
+        rows = tuple(rows)
         space = object.__new__(cls)
         _set(space, "ambient_dim", ambient_dim)
-        _set(space, "basis", basis)
+        _set(space, "basis", MatrixFq._unchecked(q, len(rows), ambient_dim, rows))
         return space
 
     @property
@@ -577,11 +584,8 @@ class Subspace:
 
     @classmethod
     def zero(cls, q: int, ambient_dim: int) -> "Subspace":
-        return cls._unchecked(ambient_dim, MatrixFq.zeros(q, 0, ambient_dim))
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim or self.q != other.q:
-            raise ParameterError("subspaces live in different ambient spaces")
+        _check_dims(q, 0, ambient_dim)
+        return cls._unchecked(q, ambient_dim, ())
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """An iterator over all q^dim vectors of the subspace; more than the
@@ -610,11 +614,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}/{self.ambient_dim}, [{rows}])"
 
 
+def _check_space(space: Subspace, q: int, ambient_dim: int) -> None:
+    """The one membership check: a ParameterError unless ``space`` is a
+    subspace of F_q^ambient_dim."""
+    if space.ambient_dim != ambient_dim or space.q != q:
+        raise ParameterError(f"space must lie in F_{q}^{ambient_dim}")
+
+
+def _distance(q: int, ncols: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """d_S between the spans of two bases given as stored rows of width
+    ``ncols``: dim(A+B) - dim(A∩B) = 2 rank([A; B]) - dim A - dim B, one
+    stacked rank and no canonical sum."""
+    return 2 * _rank(q, ncols, a + b) - len(a) - len(b)
+
+
 def _span(q: int, ambient_dim: int, data: Sequence) -> Subspace:
     """The subspace spanned by stored rows of width ``ambient_dim``."""
-    reduced, _ = _eliminate(q, ambient_dim, data)
-    basis = MatrixFq._unchecked(q, len(reduced), ambient_dim, tuple(reduced))
-    return Subspace._unchecked(ambient_dim, basis)
+    return Subspace._unchecked(q, ambient_dim, _eliminate(q, ambient_dim, data)[0])
 
 
 def row_space(matrix: MatrixFq, ambient_dim: int) -> Subspace:
@@ -626,7 +642,7 @@ def row_space(matrix: MatrixFq, ambient_dim: int) -> Subspace:
 
 def subspace_sum(v: Subspace, u: Subspace) -> Subspace:
     """Smallest subspace containing both operands (span of the joint bases)."""
-    v._check_ambient(u)
+    _check_space(u, v.q, v.ambient_dim)
     return _span(v.q, v.ambient_dim, v.basis._data + u.basis._data)
 
 
@@ -637,7 +653,7 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     rows whose left half vanished span the intersection in the right half,
     which is already in canonical form.
     """
-    v._check_ambient(u)
+    _check_space(u, v.q, v.ambient_dim)
     n = v.ambient_dim
     q = v.q
     if v.dim == 0 or u.dim == 0:
@@ -647,17 +663,13 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     block += [row << shift for row in u.basis._data]
     reduced, pivots = _eliminate(q, 2 * n, block)
     # the kept rows are zero in the left half, so they are right-half rows
-    kept = reduced[bisect_left(pivots, n) :]
-    return Subspace._unchecked(n, MatrixFq._unchecked(q, len(kept), n, tuple(kept)))
+    return Subspace._unchecked(q, n, reduced[bisect_left(pivots, n) :])
 
 
 def subspace_distance(v: Subspace, u: Subspace) -> int:
-    """dim(V+U) - dim(V∩U) = 2 dim(V+U) - dim(V) - dim(U).
-
-    dim(V+U) is the rank of the stacked bases; no canonical sum is built.
-    """
-    v._check_ambient(u)
-    return 2 * _rank(v.q, v.ambient_dim, v.basis._data + u.basis._data) - v.dim - u.dim
+    """dim(V+U) - dim(V∩U), one stacked rank of the bases (``_distance``)."""
+    _check_space(u, v.q, v.ambient_dim)
+    return _distance(v.q, v.ambient_dim, v.basis._data, u.basis._data)
 
 
 def rank_distance(x: MatrixFq, y: MatrixFq) -> int:
@@ -717,10 +729,8 @@ def shorten(u: Subspace, start: int, width: int, tail: int) -> Subspace:
     data = u.basis._data
     if gap:
         moved = [(v & rest) | (v & gap_mask) << block | (v & block_mask) >> gap for v in data]
-        data = tuple(_eliminate(q, n, moved)[0])
-    rows = data[_head_rows(data, kept) :]
-    cols = width + tail
-    return Subspace._unchecked(cols, MatrixFq._unchecked(q, len(rows), cols, rows))
+        data = _eliminate(q, n, moved)[0]
+    return Subspace._unchecked(q, width + tail, data[_head_rows(data, kept) :])
 
 
 def embed(u: Subspace, start: int, width: int, ambient_dim: int) -> Subspace:
@@ -734,8 +744,8 @@ def embed(u: Subspace, start: int, width: int, ambient_dim: int) -> Subspace:
     q = u.q
     _, low, gap, _, _, _, _ = _block_plan(q, ambient_dim, start, width, u.ambient_dim - width)
     left, tail_mask = gap + low, (1 << low) - 1
-    data = tuple([(v >> low) << left | v & tail_mask for v in u.basis._data])
-    return Subspace._unchecked(ambient_dim, MatrixFq._unchecked(q, u.dim, ambient_dim, data))
+    data = [(v >> low) << left | v & tail_mask for v in u.basis._data]
+    return Subspace._unchecked(q, ambient_dim, data)
 
 
 # --- randomized constructions used by the channel and the test suites ---
@@ -772,8 +782,7 @@ def random_subspace(q: int, ambient_dim: int, dim: int, rng) -> Subspace:
         return row_space(random_full_rank_matrix(q, dim, ambient_dim, rng), ambient_dim)
     _check_dims(q, dim, dim)
     width = _field_bits(q)
-    identity = tuple(1 << i * width for i in reversed(range(dim)))
-    return Subspace._unchecked(dim, MatrixFq._unchecked(q, dim, dim, identity))
+    return Subspace._unchecked(q, dim, [1 << i * width for i in reversed(range(dim))])
 
 
 def random_subspace_of(v: Subspace, dim: int, rng) -> Subspace:

@@ -535,12 +535,14 @@ def test_unchecked_results_pass_the_checked_constructors(monkeypatch):
     def checked_matrix(cls, q, rows, cols, data):
         return MatrixFq(q, rows, cols, unchecked(q, rows, cols, data).entries)
 
+    def checked_space(cls, q, n, rows):
+        rows = tuple(rows)
+        return Subspace(n, MatrixFq._unchecked(q, len(rows), n, rows))
+
     monkeypatch.setattr(MatrixFq, "_unchecked", classmethod(checked_matrix))
-    monkeypatch.setattr(
-        Subspace, "_unchecked", classmethod(lambda cls, n, basis: Subspace(n, basis))
-    )
+    monkeypatch.setattr(Subspace, "_unchecked", classmethod(checked_space))
     with pytest.raises(ParameterError):
-        Subspace._unchecked(3, MatrixFq.zeros(2, 1, 3))
+        Subspace._unchecked(2, 3, (0,))
 
     assert run_simulate(parse_config(TINY_SIM, "tiny.ini")).csv_text == GOLDEN.read_text()
     assert run_simulate(parse_config(MATRIX_Q3, "q3.ini")).csv_text == matrix_q3

@@ -9,6 +9,7 @@ from layered_reference import decode_alg1 as reference_alg1
 from layered_reference import decode_alg2 as reference_alg2
 from layered_reference import random_messages as reference_messages
 from lsc import gabidulin as gabidulin_mod
+from lsc import layered as layered_mod
 from lsc import lifted as lifted_mod
 from lsc.channel import ChannelSpec, apply_exact, make_trial
 from lsc.config import load_config
@@ -749,24 +750,27 @@ def test_each_step_is_extracted_once(monkeypatch, fp24):
 
 
 def test_a_space_is_checked_once_per_memo_miss(monkeypatch, fp24):
-    """Over every decoder on many receptions, the step check runs once per
-    key the step memo stores and the ambient check once per key a decode
-    memo stores: never on a hit, while the attempts repeat."""
+    """Over every decoder on many receptions, the one membership check runs
+    once per key the step memo stores, in the full ambient N + m, and once
+    per key a decode memo stores, in a component ambient n_l + m: never on
+    a hit, while the attempts repeat."""
     code = LayeredCode.standard(fp24, [(3, 1), (4, 1)])
     calls = {"step": 0, "ambient": 0, "decode": 0}
-    check_received = LayeredCode._check_received
-    check_ambient, decode = lifted_mod._check_ambient, lifted_mod.subspace_decode
+    check_space, decode = layered_mod._check_space, lifted_mod.subspace_decode
+    m = code.params.m
+    ambients = {code.ambient_dim: "step"} | {inner.n + m: "ambient" for inner in code.layers}
 
-    def counting(name, function):
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
+    def counted_check(space, q, ambient_dim):
+        calls[ambients[ambient_dim]] += 1
+        return check_space(space, q, ambient_dim)
 
-        return counted
+    def counted_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
 
-    monkeypatch.setattr(LayeredCode, "_check_received", counting("step", check_received))
-    monkeypatch.setattr(lifted_mod, "_check_ambient", counting("ambient", check_ambient))
-    monkeypatch.setattr(lifted_mod, "subspace_decode", counting("decode", decode))
+    monkeypatch.setattr(layered_mod, "_check_space", counted_check)
+    monkeypatch.setattr(lifted_mod, "_check_space", counted_check)
+    monkeypatch.setattr(lifted_mod, "subspace_decode", counted_decode)
     for seed in range(30):
         received = make_trial(code, seed, ChannelSpec(rho=2 + seed % 2, t=1))[1].U
         _every_decode(code, received, WALK)
