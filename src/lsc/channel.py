@@ -22,6 +22,7 @@ from .linalg import (
     _back_substitute,
     _echelon,
     _random_rows,
+    _span,
     random_full_rank_matrix,
     row_space,
     subspace_distance,
@@ -71,10 +72,10 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     batch (the same stream as one at a time), each extends one kept forward
     pass in turn and is taken iff the pass grows, and only rejected ones are
     drawn again, in at most ``_INSERTION_ATTEMPT_CAP`` batches.  That forces
-    E ∩ V = {0} and hence realized == requested.  The final ``row_space``
-    reduces the kept rows and the insertions together; at rho = 0 the
-    forward pass already spans U, so back substitution on it alone gives
-    U's canonical basis.
+    E ∩ V = {0} and hence realized == requested.  One elimination
+    (``linalg._span``) reduces the kept rows and the insertions together;
+    at rho = 0 the forward pass already spans U, so back substitution on
+    it alone gives U's canonical basis.
 
     At rho = 0 no decoded result depends on the insertions drawn: U ⊇ V,
     so each layer's extraction U_l ⊇ V_l has dimension n_l + t and lies at
@@ -111,7 +112,7 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     if kept == v.dim:
         u = Subspace._unchecked(q, n, _back_substitute(q, n, span)[0])
     else:
-        u = row_space(MatrixFq._unchecked(q, len(rows), n, rows), n)
+        u = _span(q, n, rows)
     if u.dim != kept + spec.t:
         raise CapacityError("channel sampling produced a dependent insertion")
     return ChannelOutcome(U=u, realized_rho=spec.rho, realized_t=spec.t)

@@ -31,7 +31,7 @@ EXIT_BROKEN_PIPE = 4
 # search-beyond stops at ``[search] budget``, so it takes no --trials
 VERB_FLAGS = {
     "simulate": ("--seed", "--trials", "--workers", "--out", "--dump"),
-    "verify": ("--seed",),
+    "verify": ("--seed", "--workers"),
     "search-beyond": ("--seed", "--out"),
     "scenario": ("--seed", "--trials", "--workers", "--out"),
     "dump-code": ("--dump",),
@@ -117,7 +117,7 @@ def _dump_guaranteed_failures(cfg: ExperimentConfig, result) -> None:
 
 
 def _cmd_verify(cfg: ExperimentConfig, args) -> int:
-    passed = run_verify(cfg)
+    passed = run_verify(cfg, seconds=sys.stderr)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 

@@ -49,7 +49,8 @@ points it interpolates on, so the outcome is unchanged.
 oracle used to cross-check it.  It shares nothing with the decoder but
 encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
-every call scans it with one row difference and one rank per codeword.
+every call scans it with one forward pass per codeword, fed the row
+differences as they are made (``linalg._difference_ranks``).
 The lifted oracle scans the codewords' lifts, cached next to the codebook
 (``_lifted_codebook``); both pick by one rule, ``_nearest``.  The
 codebook lists the messages through ``iter_messages``, which checks the
@@ -111,7 +112,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import FieldOps, FieldParams
-from .linalg import _ENUMERATION_CAP, MatrixFq, _add_rows, _eliminate, _kernel, _lift_rows, _rank
+from .linalg import _ENUMERATION_CAP, MatrixFq, _difference_ranks, _eliminate, _kernel, _lift_rows
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -570,13 +571,14 @@ class GabidulinCode:
         return distances.index(best)
 
     def brute_force_decode(self, received: MatrixFq):
-        """Minimum rank-distance decoding by a scan of the codebook, one row
-        difference and one rank per codeword; ties fail (``_nearest``)."""
+        """Minimum rank-distance decoding by a scan of the codebook: the rank
+        of the row differences with each codeword, one forward pass each;
+        ties fail (``_nearest``)."""
         self._check_received(received)
         q, m = self.params.q, self.params.m
         rec = received._data
         messages, codewords = self._codebook
-        nearest = self._nearest([_rank(q, m, _add_rows(q, m, rec, rows, -1)) for rows in codewords])
+        nearest = self._nearest(_difference_ranks(q, m, rec, codewords))
         return nearest if isinstance(nearest, DecodeFailure) else messages[nearest]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Iterable, Sequence, TextIO
 
@@ -177,17 +178,17 @@ def run_trial(
 
 # --- worker pool plumbing (per-trial seeds make scheduling irrelevant) ---
 
-_WORKER_CODE: LayeredCode | None = None
+_WORKER_SHARED = None
 
 
-def _worker_init(code: LayeredCode) -> None:
-    global _WORKER_CODE
-    _WORKER_CODE = code
+def _worker_init(shared) -> None:
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
 
 
 def _in_worker(task):
     trial_fn, job = task
-    return trial_fn(_WORKER_CODE, job)
+    return trial_fn(_WORKER_SHARED, job)
 
 
 def _usable_cpus() -> int:
@@ -197,29 +198,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_trials(cfg: ExperimentConfig, code: LayeredCode, trial_fn, jobs: list) -> list:
-    """``[trial_fn(code, job) for job in jobs]``, on up to ``cfg.workers`` processes.
+def _map_trials(cfg: ExperimentConfig, shared, trial_fn, jobs: list) -> list:
+    """``[trial_fn(shared, job) for job in jobs]``, on up to ``cfg.workers``
+    processes; ``shared`` is what every job reads (the code, or for verify
+    its ``VerifyContext``).
 
     No more processes start than there are jobs or usable CPUs.  Results
     keep the order of ``jobs``.  ``trial_fn`` is a module-level function,
-    so that it pickles by name.  Each worker receives ``code`` once, as
+    so that it pickles by name.  Each worker receives ``shared`` once, as
     the pool's initializer argument: a forked worker inherits it, and a
     spawned one unpickles it.  ``multiprocessing`` is imported only when a
-    pool starts: a one-process run does not pay for the import.
+    pool starts: a one-process run does not pay for the import.  A job
+    that raises ends the run with its exception, as it does in one process.
     """
     processes = min(cfg.workers, len(jobs), _usable_cpus())
     if processes > 1:
         import multiprocessing
 
         with multiprocessing.Pool(
-            processes=processes, initializer=_worker_init, initargs=(code,)
+            processes=processes, initializer=_worker_init, initargs=(shared,)
         ) as pool:
             return pool.map(
                 _in_worker,
                 [(trial_fn, job) for job in jobs],
                 chunksize=max(1, len(jobs) // (processes * 8)),
             )
-    return [trial_fn(code, job) for job in jobs]
+    return [trial_fn(shared, job) for job in jobs]
 
 
 def _grid_trial(code: LayeredCode, job) -> list[TrialRecord]:
@@ -352,18 +356,61 @@ def _harness_suite(ctx: VerifyContext) -> list[PropertyResult]:
     return [det, cons]
 
 
-def run_verify(cfg: ExperimentConfig, out: TextIO = sys.stdout) -> bool:
-    """Execute every property suite; print one line per property id."""
+# The suites by their serial seconds on configs/default.ini, longest first:
+# a pool starts the suite that bounds its wall time at once.  A suite not
+# named here runs after these.
+_LONGEST_FIRST = (
+    "extraction_bound",
+    "guaranteed_recovery",
+    "channel",
+    "subspace",
+    "nested_deficiency",
+    "lifted",
+    "gabidulin",
+    "dominance",
+    "field",
+    "structure",
+    "harness",
+)
+
+
+def _suite_label(suite) -> str:
+    """``extraction_bound`` for ``extraction_bound_suite``."""
+    return suite.__name__.strip("_").removesuffix("_suite")
+
+
+def _timed_suite(ctx: VerifyContext, suite) -> tuple[list[PropertyResult], float]:
+    """A suite's results and its wall seconds."""
+    start = time.perf_counter()
+    results = suite(ctx)
+    return results, time.perf_counter() - start
+
+
+def run_verify(
+    cfg: ExperimentConfig, out: TextIO = sys.stdout, seconds: TextIO | None = None
+) -> bool:
+    """Execute every property suite; print one line per property id.
+
+    Each suite draws from streams of its own (``VerifyContext.rng``), so
+    the suites run on up to ``cfg.workers`` processes (``_map_trials``),
+    longest first, and their results are read in manifest order: the text
+    is the same at any worker count.  Given ``seconds``, each suite's wall
+    seconds, in manifest order, and the total go there, one line each.
+    """
+    start = time.perf_counter()
     ctx = VerifyContext(
         params=cfg.field_params(),
         code=cfg.build_code(),
         seed=cfg.seed,
         counts=dict(cfg.verify_counts),
     )
+    suites = SUITES + (_harness_suite,)
+    cost = {name: rank for rank, name in enumerate(_LONGEST_FIRST)}
+    order = sorted(suites, key=lambda suite: cost.get(_suite_label(suite), len(cost)))
+    timed = dict(zip(order, _map_trials(cfg, ctx, _timed_suite, order)))
     results: list[PropertyResult] = []
-    for suite in SUITES:
-        results.extend(suite(ctx))
-    results.extend(_harness_suite(ctx))
+    for suite in suites:
+        results.extend(timed[suite][0])
     by_name = {r.name: r for r in results}
     manifest_names = [name for name, _ in PROPERTY_MANIFEST]
     missing = [name for name in manifest_names if name not in by_name]
@@ -378,6 +425,10 @@ def run_verify(cfg: ExperimentConfig, out: TextIO = sys.stdout) -> bool:
         print(result.line(), file=out)
         passed = passed and result.passed
     print(("all properties hold" if passed else "property violations found"), file=out)
+    if seconds is not None:
+        for suite in suites:
+            print(f"{_suite_label(suite)}: {timed[suite][1]:.2f} s", file=seconds)
+        print(f"total: {time.perf_counter() - start:.2f} s", file=seconds)
     return passed
 
 

@@ -25,9 +25,10 @@ a received basis at the header/payload boundary with ``_field_bits`` and
 ``gabidulin`` and ``layered`` hold some without reading them: a lift's
 rows are ``_lift_rows`` (``layered`` ORs a layer's cached identity rows,
 the lift of zero, with a codeword's rows), the oracle codebook hands
-them back to ``_add_rows`` and ``_rank``, and the decoder eliminates a
-hint's rows with ``_eliminate`` and hands the basis to ``_kernel``,
-``_rank`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
+them back to ``_difference_ranks``, which feeds each codeword's row
+differences into one forward pass with no tuple built, and the decoder
+eliminates a hint's rows with ``_eliminate`` and hands the basis to
+``_kernel`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
 a GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
 tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
 
@@ -42,7 +43,10 @@ columns lie before the block and in the gap after it.  With no gap (the
 last layer) they are a leading block, so ``shorten`` needs no
 elimination, and a lifted decode cuts the received basis in the same
 way.  With a gap each row moves the block past it, a shift and a mask,
-and one elimination follows.
+and one elimination follows.  Nor back substitution where the forward
+pass answers: a rank is the size of the pass, and ``intersection``
+back-substitutes only the rows of its Zassenhaus pass that lead in the
+right half.
 
 Trust: the public constructors ``MatrixFq(q, rows, cols, entries)`` and
 ``Subspace(ambient_dim, basis)`` check their arguments (shape, entry
@@ -63,7 +67,6 @@ and ``_distance``, d_S as one stacked rank of two bases
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import xor
@@ -280,15 +283,28 @@ def _echelon(
 
 def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
     """The rank of stored rows: the size of the forward pass, no back substitution."""
-    return len(_echelon(q, ncols, data))
-
-
-def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> tuple[int, ...]:
-    """The stored rows of A + sign * B (sign 1 or -1) for equal-shape stored rows."""
     if q == 2:
-        return tuple(map(xor, a, b))
+        return len(_echelon_gf2(data))
+    return len(_echelon_odd(data, q, ncols))
+
+
+def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> Iterator[int]:
+    """The stored rows of A + sign * B (sign 1 or -1) for equal-shape stored
+    rows, one at a time: ``MatrixFq._add`` collects them, and
+    ``_difference_ranks`` feeds them straight into a forward pass."""
+    if q == 2:
+        return map(xor, a, b)
     reduce, factor = _reducer(q, ncols), sign % q
-    return tuple(reduce(x + factor * y) for x, y in zip(a, b))
+    return (reduce(x + factor * y) for x, y in zip(a, b))
+
+
+def _difference_ranks(q: int, ncols: int, a: Sequence[int], others: Iterable[Sequence[int]]) -> list[int]:
+    """rank(A - B) for each B of ``others``, all stored rows of one shape:
+    one forward pass per B, fed the row differences as they are made, with
+    no tuple built (the oracle's codebook scan)."""
+    if q == 2:
+        return [len(_echelon_gf2(map(xor, a, b))) for b in others]
+    return [len(_echelon_odd(_add_rows(q, ncols, a, b, -1), q, ncols)) for b in others]
 
 
 def _kernel(q: int, ncols: int, reduced: Sequence[int], pivots: Sequence[int]) -> "MatrixFq":
@@ -477,7 +493,7 @@ class MatrixFq:
 
     def _add(self, other: "MatrixFq", sign: int) -> "MatrixFq":
         self._check_shape(other)
-        data = _add_rows(self.q, self.cols, self._data, other._data, sign)
+        data = tuple(_add_rows(self.q, self.cols, self._data, other._data, sign))
         return MatrixFq._unchecked(self.q, self.rows, self.cols, data)
 
     def __matmul__(self, other: "MatrixFq") -> "MatrixFq":
@@ -649,9 +665,13 @@ def subspace_sum(v: Subspace, u: Subspace) -> Subspace:
 def intersection(v: Subspace, u: Subspace) -> Subspace:
     """Largest subspace contained in both operands.
 
-    Uses the Zassenhaus block trick: row-reduce [B_v | B_v ; B_u | 0];
-    rows whose left half vanished span the intersection in the right half,
-    which is already in canonical form.
+    Uses the Zassenhaus block trick: the vectors of the row space of
+    [B_v | B_v ; B_u | 0] whose left half vanishes are 0 | w for w in V∩U.
+    Its forward pass is an echelon form, so the kept rows that lead in the
+    right half span them, and they are zero in the left half.  Back
+    substitution changes a row only by rows that lead after it, which for
+    these rows lead in the right half too, so back substitution among
+    them alone gives the canonical basis of V∩U.
     """
     _check_space(u, v.q, v.ambient_dim)
     n = v.ambient_dim
@@ -661,9 +681,9 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     shift = n * _field_bits(q)
     block = [(row << shift) | row for row in v.basis._data]
     block += [row << shift for row in u.basis._data]
-    reduced, pivots = _eliminate(q, 2 * n, block)
-    # the kept rows are zero in the left half, so they are right-half rows
-    return Subspace._unchecked(q, n, reduced[bisect_left(pivots, n) :])
+    bound = 1 << shift
+    right = {lead: row for lead, row in _echelon(q, 2 * n, block).items() if row < bound}
+    return Subspace._unchecked(q, n, _back_substitute(q, n, right)[0])
 
 
 def subspace_distance(v: Subspace, u: Subspace) -> int:

@@ -49,3 +49,15 @@ def unit_span(q: int, ambient_dim: int, columns) -> Subspace:
 def full_space(q: int, ambient_dim: int) -> Subspace:
     """F_q^ambient_dim, its canonical basis the identity."""
     return unit_span(q, ambient_dim, range(ambient_dim))
+
+
+def zassenhaus_intersection(v: Subspace, u: Subspace) -> Subspace:
+    """V∩U by the Zassenhaus block trick with full elimination on lists:
+    the RREF of [B_v | B_v ; B_u | 0], whose nonzero rows with a zero left
+    half are the canonical basis of V∩U in their right half."""
+    n = v.ambient_dim
+    block = [list(row) * 2 for row in v.basis.entries]
+    block += [list(row) + [0] * n for row in u.basis.entries]
+    reduced, _ = rref_generic(block, v.q) if block else ([], [])
+    rows = [row[n:] for row in reduced if not any(row[:n]) and any(row[n:])]
+    return Subspace(n, MatrixFq(v.q, len(rows), n, rows))

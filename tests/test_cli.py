@@ -76,10 +76,9 @@ def test_a_huge_prime_q_is_refused_for_its_size(tmp_path, verb, modulus, line):
     ) in proc.stderr
 
 
-# every (verb, flag) pair the verb would ignore; the other 13 pairs are honoured
+# every (verb, flag) pair the verb would ignore; the other 14 pairs are honoured
 IGNORED_FLAGS = [
     ("verify", "--trials"),
-    ("verify", "--workers"),
     ("verify", "--out"),
     ("verify", "--dump"),
     ("search-beyond", "--trials"),
@@ -117,7 +116,7 @@ def test_every_honoured_flag_parses():
     honoured = [
         (verb, flag) for verb in verbs for flag in FLAG_VALUES if (verb, flag) not in IGNORED_FLAGS
     ]
-    assert len(honoured) == 13
+    assert len(honoured) == 14
     for verb, flag in honoured:
         argv, value = FLAG_VALUES[flag]
         assert getattr(parser.parse_args([verb, "--config", "x.ini", flag, *argv]), flag[2:]) == value
@@ -487,6 +486,10 @@ def test_verify_quick(tmp_path):
     proc = run_cli("verify", "--config", str(quick))
     assert proc.returncode == 0
     assert "all properties hold" in proc.stdout
+    # the eleven suites' seconds, then the total, on stderr only
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 12 and lines[-1].startswith("total: ")
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_scenario_verb(tmp_path):

@@ -169,12 +169,13 @@ def test_brute_force_cap():
 
 
 def _reference_brute_force(code, received):
-    """The oracle without a codebook: encode every message for every
-    received word, then rank(received - codeword); ties fail."""
+    """The oracle without a codebook or its one-pass scan: encode every
+    message for every received word, then ``rank_distance``, which builds
+    the difference matrix; ties fail."""
     best = best_dist = None
     tie = False
     for message in itertools.product(range(code.params.size), repeat=code.k):
-        dist = (received - code._codeword_matrix(message)).rank()
+        dist = rank_distance(received, code._codeword_matrix(message))
         if best_dist is None or dist < best_dist:
             best, best_dist, tie = message, dist, False
         elif dist == best_dist:

@@ -10,7 +10,7 @@ import pytest
 
 from lsc.channel import ChannelSpec, make_trial
 from lsc.config import load_config, parse_config
-from lsc.errors import ConfigError, ParameterError
+from lsc.errors import ConfigError, InvariantError, ParameterError
 from lsc.field import FieldParams
 from lsc.gabidulin import DecodeFailure
 from lsc.harness import (
@@ -159,7 +159,7 @@ def test_workers_start_no_more_processes_than_jobs_or_cpus(monkeypatch):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(harness, "_WORKER_CODE", None)
+    monkeypatch.setattr(harness, "_WORKER_SHARED", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = parse_config(TINY_SIM.replace("trials = 4", "trials = 8").replace("both", "alg1"), "tiny.ini")
     serial = run_simulate(cfg).csv_text
@@ -243,6 +243,45 @@ def test_verify_quick_counts_all_green():
     for name, _ in PROPERTY_MANIFEST:
         assert name in text
     assert "all properties hold" in text
+
+
+def test_verify_text_is_the_same_on_a_worker_pool(monkeypatch):
+    """The suites run longest first on two processes; the text is the
+    one-process text, and each suite's seconds and the total go to the
+    ``seconds`` stream, one line each."""
+    from lsc import harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = parse_config(QUICK_VERIFY, "verify.ini")
+    texts = []
+    for workers in (1, 2):
+        cfg.workers = workers
+        out, seconds = io.StringIO(), io.StringIO()
+        assert run_verify(cfg, out=out, seconds=seconds)
+        texts.append(out.getvalue())
+        labels = [line.split(":")[0] for line in seconds.getvalue().splitlines()]
+        assert labels == [harness._suite_label(s) for s in SUITES] + ["harness", "total"]
+    assert texts[0] == texts[1]
+
+
+def _raising_suite(ctx):
+    raise InvariantError("suite fault injection")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_suite_that_raises_ends_verify(monkeypatch, workers):
+    """A suite's exception ends the run, with nothing written, at one
+    worker and on a pool."""
+    from lsc import harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "SUITES", SUITES + (_raising_suite,))
+    cfg = parse_config(QUICK_VERIFY, "verify.ini")
+    cfg.workers = workers
+    out = io.StringIO()
+    with pytest.raises(InvariantError, match="suite fault injection"):
+        run_verify(cfg, out=out)
+    assert out.getvalue() == ""
 
 
 def test_manifest_matches_executed_suites():

@@ -30,7 +30,7 @@ from lsc.linalg import (
     subspace_sum,
 )
 from lsc.rng import SplitMix64
-from rref_reference import full_space, rref_generic, transpose
+from rref_reference import full_space, rref_generic, transpose, unit_span, zassenhaus_intersection
 
 
 def _span_vectors(rows, q, ambient):
@@ -519,6 +519,34 @@ def test_subspace_distance_is_the_rank_of_the_stacked_bases(q):
         assert subspace_distance(zero, full) == ambient
         assert subspace_distance(zero, some) == some.dim
         assert subspace_distance(some, full) == ambient - some.dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_intersection_matches_the_full_zassenhaus_elimination(q):
+    """``intersection`` back-substitutes only the forward-pass rows with a
+    zero left half; the full elimination of the block gives the same basis."""
+    rng = SplitMix64(90 + q)
+    pairs = []
+    for _ in range(150 if q == 2 else 60):
+        ambient = rng.randint(1, 12 if q == 2 else 7)
+        v = random_subspace(q, ambient, rng.randint(0, ambient), rng)
+        u = random_subspace(q, ambient, rng.randint(0, ambient), rng)
+        inside = random_subspace_of(v, rng.randint(0, v.dim), rng)
+        pairs += [(v, u), (v, inside), (inside, v), (v, v)]
+    for ambient in (1, 4, 7):
+        some = random_subspace(q, ambient, rng.randint(1, ambient), rng)
+        for other in (Subspace.zero(q, ambient), full_space(q, ambient)):
+            pairs += [(some, other), (other, some), (other, other)]
+        # a trivial intersection: complementary coordinate spans
+        half = ambient // 2
+        low, high = unit_span(q, ambient, range(half)), unit_span(q, ambient, range(half, ambient))
+        pairs += [(low, high), (high, low)]
+    trivial = 0
+    for v, u in pairs:
+        expected = zassenhaus_intersection(v, u)
+        assert intersection(v, u) == expected
+        trivial += expected.dim == 0 < min(v.dim, u.dim)
+    assert trivial
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
