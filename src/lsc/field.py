@@ -82,11 +82,11 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 # --- polynomial helpers over F_q (coefficient lists, constant term first) ---
 
 
-def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
-    out = list(a)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _trim(coeffs: list[int]) -> list[int]:
+    """``coeffs`` with its trailing zeros popped, in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def coords_of(index: int, q: int, m: int) -> tuple[int, ...]:
@@ -143,7 +143,7 @@ class FieldParams:
         # m > 16 short-cuts q^m for absurd m (q >= 2)
         if self.m > 16 or self.q**self.m > _MAX_FIELD_SIZE:
             raise _too_many(self.q, self.m)
-        mod = _poly_trim(tuple(c % self.q for c in self.modulus))
+        mod = tuple(_trim([c % self.q for c in self.modulus]))
         if len(mod) != self.m + 1:
             raise ParameterError(
                 f"modulus must have degree exactly {self.m}, got degree {len(mod) - 1}"

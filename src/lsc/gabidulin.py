@@ -111,7 +111,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import FieldOps, FieldParams
+from .field import FieldOps, FieldParams, _trim
 from .linalg import _ENUMERATION_CAP, MatrixFq, _difference_ranks, _eliminate, _kernel, _lift_rows
 
 REASON_RADIUS = "radius-exceeded"
@@ -152,13 +152,8 @@ _NO_CODEWORD = DecodeFailure(REASON_RADIUS, "no codeword within the decoding rad
 # --- linearized polynomials on element indices ---
 #
 # A coefficient list holds, at position i, the index of the coefficient
-# of x^(q^i), with trailing zeros trimmed; the zero polynomial is [].
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+# of x^(q^i), with trailing zeros trimmed (``field._trim``); the zero
+# polynomial is [].
 
 
 def _lp_evaluate(ops: FieldOps, coeffs: Sequence[int], xs: Iterable[int]) -> list[int]:

@@ -12,7 +12,6 @@ outcomes as plain simulation runs with the same seed.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Iterable, Sequence, TextIO
@@ -198,7 +197,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_trials(cfg: ExperimentConfig, shared, trial_fn, jobs: list) -> list:
+def _map_trials(cfg: ExperimentConfig, shared, trial_fn, jobs: Sequence) -> list:
     """``[trial_fn(shared, job) for job in jobs]``, on up to ``cfg.workers``
     processes; ``shared`` is what every job reads (the code, or for verify
     its ``VerifyContext``).
@@ -356,24 +355,6 @@ def _harness_suite(ctx: VerifyContext) -> list[PropertyResult]:
     return [det, cons]
 
 
-# The suites by their serial seconds on configs/default.ini, longest first:
-# a pool starts the suite that bounds its wall time at once.  A suite not
-# named here runs after these.
-_LONGEST_FIRST = (
-    "extraction_bound",
-    "guaranteed_recovery",
-    "channel",
-    "subspace",
-    "nested_deficiency",
-    "lifted",
-    "gabidulin",
-    "dominance",
-    "field",
-    "structure",
-    "harness",
-)
-
-
 def _suite_label(suite) -> str:
     """``extraction_bound`` for ``extraction_bound_suite``."""
     return suite.__name__.strip("_").removesuffix("_suite")
@@ -387,30 +368,26 @@ def _timed_suite(ctx: VerifyContext, suite) -> tuple[list[PropertyResult], float
 
 
 def run_verify(
-    cfg: ExperimentConfig, out: TextIO = sys.stdout, seconds: TextIO | None = None
+    cfg: ExperimentConfig, out: TextIO | None = None, seconds: TextIO | None = None
 ) -> bool:
-    """Execute every property suite; print one line per property id.
+    """Execute every property suite; print one line per property id to
+    ``out``, by default the ``sys.stdout`` of the call.
 
     Each suite draws from streams of its own (``VerifyContext.rng``), so
     the suites run on up to ``cfg.workers`` processes (``_map_trials``),
-    longest first, and their results are read in manifest order: the text
-    is the same at any worker count.  Given ``seconds``, each suite's wall
-    seconds, in manifest order, and the total go there, one line each.
+    in the order of ``SUITES`` and then the harness suite, and their
+    results are read in manifest order: the text is the same at any worker
+    count.  Given ``seconds``, each suite's wall seconds, in run order, and
+    the total go there, one line each.
     """
     start = time.perf_counter()
+    code = cfg.build_code()
     ctx = VerifyContext(
-        params=cfg.field_params(),
-        code=cfg.build_code(),
-        seed=cfg.seed,
-        counts=dict(cfg.verify_counts),
+        params=code.params, code=code, seed=cfg.seed, counts=dict(cfg.verify_counts)
     )
     suites = SUITES + (_harness_suite,)
-    cost = {name: rank for rank, name in enumerate(_LONGEST_FIRST)}
-    order = sorted(suites, key=lambda suite: cost.get(_suite_label(suite), len(cost)))
-    timed = dict(zip(order, _map_trials(cfg, ctx, _timed_suite, order)))
-    results: list[PropertyResult] = []
-    for suite in suites:
-        results.extend(timed[suite][0])
+    timed = _map_trials(cfg, ctx, _timed_suite, suites)
+    results = [result for suite_results, _ in timed for result in suite_results]
     by_name = {r.name: r for r in results}
     manifest_names = [name for name, _ in PROPERTY_MANIFEST]
     missing = [name for name in manifest_names if name not in by_name]
@@ -426,8 +403,8 @@ def run_verify(
         passed = passed and result.passed
     print(("all properties hold" if passed else "property violations found"), file=out)
     if seconds is not None:
-        for suite in suites:
-            print(f"{_suite_label(suite)}: {timed[suite][1]:.2f} s", file=seconds)
+        for suite, (_, took) in zip(suites, timed):
+            print(f"{_suite_label(suite)}: {took:.2f} s", file=seconds)
         print(f"total: {time.perf_counter() - start:.2f} s", file=seconds)
     return passed
 

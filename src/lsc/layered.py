@@ -21,8 +21,8 @@ and sweep options spelled out.
 A layer's coordinates (its identity columns, then the payload columns)
 are fixed.  A component is the lift [0 | I | 0 | X]: the layer's cached
 identity rows OR-ed with X's rows (``_lift``), with no elimination.  One
-cached per-layer block (``_blocks``: the identity block's start and
-width, and the payload width) serves embedding (``linalg.embed``) and
+block per layer, its n_l identity columns from ``offsets[l - 1]`` and
+then the m payload columns, serves embedding (``linalg.embed``) and
 extraction (``linalg.shorten``: the block moves past the later layers'
 identity columns, then one elimination).  The last layer has no later
 identity columns, so its extraction is read off the canonical basis
@@ -134,18 +134,13 @@ class LayeredCode:
         return self.total_length + self.params.m
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[int, int, int], ...]:
-        """Per layer, (start, width, tail) of its coordinates in the full
-        ambient: the identity block [offset, offset + n_l), then the m
-        payload columns (see ``linalg.shorten``)."""
-        m = self.params.m
-        return tuple((offset, code.n, m) for offset, code in zip(self.offsets, self.layers))
-
-    @cached_property
     def _identity_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per layer, the stored rows of its lift of zero, [0 | I_n | 0 | 0]."""
         q, ambient = self.params.q, self.ambient_dim
-        return tuple(_lift_rows(q, (0,) * n, start, ambient) for start, n, _ in self._blocks)
+        return tuple(
+            _lift_rows(q, (0,) * code.n, start, ambient)
+            for start, code in zip(self.offsets, self.layers)
+        )
 
     def _lift(self, layer: int, matrix: MatrixFq) -> tuple[int, ...]:
         """The canonical rows of [0 | I | 0 | X] in the full ambient for a
@@ -208,8 +203,7 @@ class LayeredCode:
         """
         self._check_layer(layer)
         _check_space(received, self.params.q, self.ambient_dim)
-        start, width, tail = self._blocks[layer - 1]
-        return shorten(received, start, width, tail)
+        return shorten(received, self.offsets[layer - 1], self.layers[layer - 1].n, self.params.m)
 
     def layer_distance(self, matrix: MatrixFq, space: Subspace, layer: int) -> int:
         """d_S(lift(X_l), U_l) in the component ambient n_l + m, for the
@@ -229,8 +223,7 @@ class LayeredCode:
         """Inverse of stripping: reinsert the known-zero columns."""
         self._check_layer(layer)
         _check_space(stripped, self.params.q, self.layers[layer - 1].n + self.params.m)
-        start, width, _ = self._blocks[layer - 1]
-        return embed(stripped, start, width, self.ambient_dim)
+        return embed(stripped, self.offsets[layer - 1], self.layers[layer - 1].n, self.ambient_dim)
 
     def _stack(self, lifts: Iterable[tuple[int, ...]]) -> Subspace:
         """Stack lifts' rows given in layer order: disjoint identity blocks keep it canonical."""

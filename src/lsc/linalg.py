@@ -283,9 +283,7 @@ def _echelon(
 
 def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
     """The rank of stored rows: the size of the forward pass, no back substitution."""
-    if q == 2:
-        return len(_echelon_gf2(data))
-    return len(_echelon_odd(data, q, ncols))
+    return len(_echelon(q, ncols, data))
 
 
 def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> Iterator[int]:

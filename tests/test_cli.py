@@ -492,6 +492,23 @@ def test_verify_quick(tmp_path):
     assert all(line.endswith(" s") for line in lines)
 
 
+def test_verify_holds_on_a_one_symbol_code(tmp_path, capsys):
+    """N = 1 (one layer 1:1 over F_2): every suite's channel draws fit
+    dim V = 1, so verify exits 0 with every property holding and no
+    traceback."""
+    config = tmp_path / "n1.ini"
+    config.write_text(
+        "[field]\nq = 2\nm = 1\n\n[code]\nlayers = 1:1\n\n[channel]\nrho = 0, 1\nt = 0, 1\n\n"
+        "[run]\nseed = 5\n\n"
+        "[verify]\nrandom_checks = 150\ntrials_per_point = 10\n"
+        "extraction_trials = 80\ndominance_trials = 30\nenumeration_pairs = 10\n"
+    )
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("all properties hold\n")
+    assert "Traceback" not in err
+
+
 def test_scenario_verb(tmp_path):
     scen = tmp_path / "scen.ini"
     scen.write_text(

@@ -245,6 +245,25 @@ def test_verify_quick_counts_all_green():
     assert "all properties hold" in text
 
 
+def test_verify_runs_its_suites_in_suites_order(monkeypatch):
+    """At one worker the suites start in the order of ``SUITES`` (longest
+    first), then the harness suite: the order a pool starts them in."""
+    from lsc import harness
+
+    started = []
+    timed_suite = harness._timed_suite
+
+    def spy(ctx, suite):
+        started.append(suite)
+        return timed_suite(ctx, suite)
+
+    monkeypatch.setattr(harness, "_timed_suite", spy)
+    cfg = parse_config(QUICK_VERIFY, "verify.ini")
+    cfg.workers = 1
+    assert run_verify(cfg, out=io.StringIO())
+    assert started == [*SUITES, harness._harness_suite]
+
+
 def test_verify_text_is_the_same_on_a_worker_pool(monkeypatch):
     """The suites run longest first on two processes; the text is the
     one-process text, and each suite's seconds and the total go to the
