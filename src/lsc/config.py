@@ -77,7 +77,12 @@ class ExperimentConfig:
             return layered.ALGORITHMS
         return (self.algorithm,)
 
-    def grid(self) -> tuple[tuple[int, int], ...]:
+    def grid(self) -> tuple[tuple[int | None, int | None], ...]:
+        """The channel points a run visits, as (rho, t): every pair of the
+        ``rho`` and ``t`` lists on the exact channel, and the matrix
+        channel's one point, (None, None), whose counts emerge per trial."""
+        if self.channel_mode != "exact":
+            return ((None, None),)
         return tuple((r, t) for r in self.rho_values for t in self.t_values)
 
 

@@ -51,8 +51,8 @@ encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
 every call scans it with one forward pass per codeword, fed the row
 differences as they are made (``linalg._difference_ranks``).
-The lifted oracle scans the codewords' lifts, cached next to the codebook
-(``_lifted_codebook``); both pick by one rule, ``_nearest``.  The
+The lifted oracle scans the same codebook and lifts each codeword as it
+meets it; both pick by one rule, ``_nearest``.  The
 codebook lists the messages through ``iter_messages``, which checks the
 one enumeration cap (``linalg._ENUMERATION_CAP``) when it is called.
 
@@ -112,7 +112,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import FieldOps, FieldParams, _trim
-from .linalg import _ENUMERATION_CAP, MatrixFq, _difference_ranks, _eliminate, _kernel, _lift_rows
+from .linalg import _ENUMERATION_CAP, MatrixFq, _difference_ranks, _eliminate, _kernel
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -207,8 +207,6 @@ def _lp_compose(ops: FieldOps, a: Sequence[int], b_logs: Sequence[int]) -> list[
     """a(b(x)) for b given by the logarithms of its coefficients (the zero
     sentinel for 0): coefficient t is sum_(i+j=t) a_i b_j^(q^i), one antilog
     lookup a term."""
-    if not a or not b_logs:
-        return []
     zexp, zlog, add, order, qpow, m = ops.zexp, ops.zlog, ops.add, ops.order, ops.qpow, ops.m
     zero = zlog[0]
     b_terms = [(j, lb) for j, lb in enumerate(b_logs) if lb != zero]
@@ -548,13 +546,6 @@ class GabidulinCode:
         """
         messages = tuple(self.iter_messages())
         return messages, tuple(self._evaluate(f)._data for f in messages)
-
-    @cached_property
-    def _lifted_codebook(self) -> tuple[tuple[int, ...], ...]:
-        """The stored rows of each codeword's lift [I_n | X], in codebook
-        order: what ``lifted.brute_force_subspace_decode`` scans."""
-        q, ambient = self.params.q, self.n + self.params.m
-        return tuple(_lift_rows(q, rows, 0, ambient) for rows in self._codebook[1])
 
     @staticmethod
     def _nearest(distances: list[int]):

@@ -187,7 +187,7 @@ def _worker_init(shared) -> None:
 
 def _in_worker(task):
     trial_fn, job = task
-    return trial_fn(_WORKER_SHARED, job)
+    return trial_fn(_WORKER_SHARED, *job)
 
 
 def _usable_cpus() -> int:
@@ -198,9 +198,9 @@ def _usable_cpus() -> int:
 
 
 def _map_trials(cfg: ExperimentConfig, shared, trial_fn, jobs: Sequence) -> list:
-    """``[trial_fn(shared, job) for job in jobs]``, on up to ``cfg.workers``
+    """``[trial_fn(shared, *job) for job in jobs]``, on up to ``cfg.workers``
     processes; ``shared`` is what every job reads (the code, or for verify
-    its ``VerifyContext``).
+    its ``VerifyContext``), and each job is a tuple of the other arguments.
 
     No more processes start than there are jobs or usable CPUs.  Results
     keep the order of ``jobs``.  ``trial_fn`` is a module-level function,
@@ -222,25 +222,7 @@ def _map_trials(cfg: ExperimentConfig, shared, trial_fn, jobs: Sequence) -> list
                 [(trial_fn, job) for job in jobs],
                 chunksize=max(1, len(jobs) // (processes * 8)),
             )
-    return [trial_fn(shared, job) for job in jobs]
-
-
-def _grid_trial(code: LayeredCode, job) -> list[TrialRecord]:
-    return run_trial(code, *job)
-
-
-def _run_grid(
-    cfg: ExperimentConfig, code: LayeredCode, grid: Sequence[tuple[int | None, int | None]]
-) -> list[TrialRecord]:
-    algorithms = cfg.algorithms()
-    jobs = [
-        (cfg.seed, trial, rho, t, algorithms, cfg.max_sweeps, cfg.channel_mode,
-         cfg.collected, cfg.error_packets)
-        for rho, t in grid
-        for trial in range(cfg.trials)
-    ]
-    chunks = _map_trials(cfg, code, _grid_trial, jobs)
-    return [record for chunk in chunks for record in chunk]
+    return [trial_fn(shared, *job) for job in jobs]
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -309,11 +291,17 @@ def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[Sum
 def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     """Monte Carlo decoding statistics over the configured channel grid."""
     code = cfg.build_code()
-    if cfg.channel_mode == "exact":
-        grid: Sequence[tuple[int | None, int | None]] = cfg.grid()
-    else:
-        grid = ((None, None),)
-    records = _run_grid(cfg, code, grid)
+    algorithms = cfg.algorithms()
+    jobs = [
+        (cfg.seed, trial, rho, t, algorithms, cfg.max_sweeps, cfg.channel_mode,
+         cfg.collected, cfg.error_packets)
+        for rho, t in cfg.grid()
+        for trial in range(cfg.trials)
+    ]
+    # ``run_trial`` is read from this module at the call, so a profiler
+    # that rebinds it here sees every trial
+    chunks = _map_trials(cfg, code, run_trial, jobs)
+    records = [record for chunk in chunks for record in chunk]
     csv_text = render_csv(CSV_COLUMNS, (r.csv_row() for r in records))
     summary, failures = summarize(records, code.capability)
     return SimulateResult(records, csv_text, summary, failures)
@@ -386,7 +374,7 @@ def run_verify(
         params=code.params, code=code, seed=cfg.seed, counts=dict(cfg.verify_counts)
     )
     suites = SUITES + (_harness_suite,)
-    timed = _map_trials(cfg, ctx, _timed_suite, suites)
+    timed = _map_trials(cfg, ctx, _timed_suite, [(suite,) for suite in suites])
     results = [result for suite_results, _ in timed for result in suite_results]
     by_name = {r.name: r for r in results}
     manifest_names = [name for name, _ in PROPERTY_MANIFEST]
@@ -562,9 +550,10 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     return _scenario_unicast(cfg)
 
 
-def _multicast_trial(code: LayeredCode, job) -> tuple[bool, ...]:
+def _multicast_trial(
+    code: LayeredCode, count: int, seed: int, spec: ChannelSpec, algorithms: Sequence[str], max_sweeps: int
+) -> tuple[bool, ...]:
     """Per algorithm, whether one trial of the first ``count`` layers decodes."""
-    count, seed, spec, algorithms, max_sweeps = job
     code = code.prefixes[count - 1]
     word, outcome = make_trial(code, seed, spec)
     return tuple(
@@ -627,9 +616,8 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(result.csv_text, summary, result.records, result.guaranteed_failures)
 
 
-def _unicast_trial(code: LayeredCode, job) -> bool:
+def _unicast_trial(code: LayeredCode, seed: int, spec: ChannelSpec, layer: int) -> bool:
     """Whether one trial's layer decodes from its extracted component alone."""
-    seed, spec, layer = job
     word, outcome = make_trial(code, seed, spec)
     result = code.decode_layer(outcome.U, layer)
     return result.matrix == word.component_matrices[layer - 1]

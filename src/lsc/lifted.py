@@ -58,10 +58,10 @@ that a received space lies in F_q^(n + m), with ``linalg._check_space``;
 the lifted code has no object of its own.  A one-layer ``LayeredCode``
 is the same code, and states its minimum distance 2 (n - k + 1).
 
-The exhaustive oracle ``brute_force_subspace_decode`` scans the stored
-rows of the lifted codebook, cached on the inner code (see ``gabidulin``),
-with one stacked rank per codeword (``linalg._distance``) and no
-``Subspace`` built.
+The exhaustive oracle ``brute_force_subspace_decode`` scans the inner
+code's one codebook (see ``gabidulin``), lifting each codeword's stored
+rows as it meets them (``linalg._lift_rows``), with one stacked rank per
+codeword (``linalg._distance``) and no ``Subspace`` built.
 """
 
 from __future__ import annotations
@@ -163,17 +163,22 @@ def _decode_space(inner: GabidulinCode, received: Subspace):
 
 
 def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace):
-    """Minimum subspace-distance decoding by a scan of the lifted codebook;
-    ties fail.  A success is the codeword matrix, as from ``subspace_decode``.
+    """Minimum subspace-distance decoding by a scan of the codebook, each
+    codeword lifted as it is met; ties fail.  A success is the codeword
+    matrix, as from ``subspace_decode``.
 
-    d_S(lift X, U) is one stacked rank per codeword (``linalg._distance``);
+    d_S(lift X, U) is one stacked rank per codeword (``linalg._distance``)
+    on the lift's stored rows (``linalg._lift_rows``);
     ``GabidulinCode._nearest`` picks the codeword.
     """
     q, m, n = inner.params.q, inner.params.m, inner.n
-    _check_space(received, q, n + m)
+    ambient = n + m
+    _check_space(received, q, ambient)
     basis = received.basis._data
-    distances = [_distance(q, n + m, rows, basis) for rows in inner._lifted_codebook]
-    nearest = inner._nearest(distances)
+    codewords = inner._codebook[1]
+    nearest = inner._nearest(
+        [_distance(q, ambient, _lift_rows(q, rows, 0, ambient), basis) for rows in codewords]
+    )
     if isinstance(nearest, DecodeFailure):
         return nearest
-    return MatrixFq._unchecked(q, n, m, inner._codebook[1][nearest])
+    return MatrixFq._unchecked(q, n, m, codewords[nearest])

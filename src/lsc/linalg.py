@@ -534,10 +534,6 @@ class MatrixFq:
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.rows != other.rows or self.q != other.q:
             raise ParameterError("hstack requires equal row counts and field")
-        if not other.cols:
-            return self
-        if not self.cols:
-            return other
         shift = other.cols * _field_bits(self.q)
         data = tuple((a << shift) | b for a, b in zip(self._data, other._data))
         return MatrixFq._unchecked(self.q, self.rows, self.cols + other.cols, data)
@@ -674,8 +670,6 @@ def intersection(v: Subspace, u: Subspace) -> Subspace:
     _check_space(u, v.q, v.ambient_dim)
     n = v.ambient_dim
     q = v.q
-    if v.dim == 0 or u.dim == 0:
-        return Subspace.zero(q, n)
     shift = n * _field_bits(q)
     block = [(row << shift) | row for row in v.basis._data]
     block += [row << shift for row in u.basis._data]

@@ -492,13 +492,22 @@ def test_verify_quick(tmp_path):
     assert all(line.endswith(" s") for line in lines)
 
 
-def test_verify_holds_on_a_one_symbol_code(tmp_path, capsys):
-    """N = 1 (one layer 1:1 over F_2): every suite's channel draws fit
-    dim V = 1, so verify exits 0 with every property holding and no
-    traceback."""
-    config = tmp_path / "n1.ini"
+@pytest.mark.parametrize(
+    "field, layers",
+    [
+        pytest.param("q = 2\nm = 1\n", "1:1", id="f2-n1"),
+        pytest.param("q = 17\nm = 2\nmodulus = 3,0,1\n", "1:1, 1:1", id="f17sq-n2"),
+    ],
+)
+def test_verify_holds_on_a_one_symbol_code(tmp_path, capsys, field, layers):
+    """Layers of one symbol each.  N = 1 (one layer 1:1 over F_2): every
+    suite's channel draws fit dim V = 1.  Two layers 1:1 over F_{17^2}:
+    the only verify on a field of two-byte packed entries, so every suite's
+    intersections, sums and extractions reduce field by field.  Either way
+    verify exits 0 with every property holding and no traceback."""
+    config = tmp_path / "one-symbol.ini"
     config.write_text(
-        "[field]\nq = 2\nm = 1\n\n[code]\nlayers = 1:1\n\n[channel]\nrho = 0, 1\nt = 0, 1\n\n"
+        f"[field]\n{field}\n[code]\nlayers = {layers}\n\n[channel]\nrho = 0, 1\nt = 0, 1\n\n"
         "[run]\nseed = 5\n\n"
         "[verify]\nrandom_checks = 150\ntrials_per_point = 10\n"
         "extraction_trials = 80\ndominance_trials = 30\nenumeration_pairs = 10\n"

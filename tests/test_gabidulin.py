@@ -523,7 +523,8 @@ def test_newton_interpolant_and_syndrome():
 def test_composition_with_an_annihilator():
     """``_lp_compose`` on b's logarithms equals the reference composition, and
     evaluates as a(b(x)) at every field element: for random b and for b an
-    annihilator A of the Newton table, as in Q o A."""
+    annihilator A of the Newton table, as in Q o A.  The zero polynomial,
+    ``[]``, composes to ``[]`` on either side."""
     for params in _newton_fields():
         ops, q, m = params.ops, params.q, params.m
         rng = SplitMix64(1750 + q)
@@ -539,6 +540,7 @@ def test_composition_with_an_annihilator():
                 assert _lp_evaluate(ops, composed, field) == _lp_evaluate(
                     ops, a, _lp_evaluate(ops, b, field)
                 )
+                assert _lp_compose(ops, a, []) == _lp_compose(ops, [], [ops.zlog[c] for c in b]) == []
 
 
 # --- the decoder against the reference decoder (tests/gabidulin_reference.py) ---

@@ -365,6 +365,9 @@ def test_packed_rows_match_list_reference(q, count):
         assert transpose(a).entries == (tuple(zip(*a_rows)) if a_rows else ((),) * n)
         assert transpose(transpose(a)) == a
         assert a.hstack(b).entries == tuple(tuple(x + y) for x, y in zip(a_rows, b_rows))
+        # a zero-width side adds no columns, on either side
+        empty = MatrixFq(q, len(a_rows), 0, [()] * len(a_rows))
+        assert a.hstack(empty) == a and empty.hstack(a) == a
         assert a.vstack(b).entries == tuple(map(tuple, a_rows + b_rows))
         assert (not any(a._data)) == (not any(map(any, a_rows)))
         reduced, pivots = rref_generic([list(r) for r in a_rows], q)
