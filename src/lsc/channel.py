@@ -19,6 +19,7 @@ from .layered import LayeredCode, LayeredCodeword
 from .linalg import (
     MatrixFq,
     Subspace,
+    _SAMPLING_ATTEMPT_CAP,
     _back_substitute,
     _echelon,
     _random_rows,
@@ -28,8 +29,6 @@ from .linalg import (
     subspace_distance,
 )
 from .rng import SplitMix64
-
-_INSERTION_ATTEMPT_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,12 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     V and of the insertions so far: the missing candidates are drawn in one
     batch (the same stream as one at a time), each extends one kept forward
     pass in turn and is taken iff the pass grows, and only rejected ones are
-    drawn again, in at most ``_INSERTION_ATTEMPT_CAP`` batches.  That forces
-    E ∩ V = {0} and hence realized == requested.  One elimination
-    (``linalg._span``) reduces the kept rows and the insertions together;
-    at rho = 0 the forward pass already spans U, so back substitution on
-    it alone gives U's canonical basis.
+    drawn again, in at most ``linalg._SAMPLING_ATTEMPT_CAP`` batches, the
+    one cap of every rejection sampler.  That forces E ∩ V = {0} and hence
+    realized == requested.  One elimination (``linalg._span``) reduces the
+    kept rows and the insertions together; at rho = 0 the forward pass
+    already spans U, so back substitution on it alone gives U's canonical
+    basis.
 
     At rho = 0 no decoded result depends on the insertions drawn: U ⊇ V,
     so each layer's extraction U_l ⊇ V_l has dimension n_l + t and lies at
@@ -97,7 +97,7 @@ def apply_exact(v: Subspace, spec: ChannelSpec, rng) -> ChannelOutcome:
     # insertions must stay independent of all of V, not just the kept part
     span = _echelon(q, n, v.basis._data)
     inserted = 0
-    for _ in range(_INSERTION_ATTEMPT_CAP):
+    for _ in range(_SAMPLING_ATTEMPT_CAP):
         if inserted == spec.t:
             break
         for cand in _random_rows(q, spec.t - inserted, n, rng):

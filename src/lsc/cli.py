@@ -1,6 +1,10 @@
 """Command-line harness.
 
-Verbs: simulate, verify, search-beyond, scenario, dump-code.
+Verbs: simulate, verify, search-beyond, scenario, dump-code, each with
+its handler and flags in ``VERBS``.  ``simulate`` and ``scenario`` share
+``_cmd_csv``: the CSV to stdout or ``--out``, the summary lines to stderr
+(stdout with ``--out``), and exit 1 on any guaranteed-regime failure.
+
 Exit codes: 0 success, 1 property violation, 2 config error (an
 ``--out`` that cannot be opened, written or closed included) or a failed
 write to stdout, 3 search target not found, 4 stdout closed by the
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .config import ExperimentConfig, check_verb, load_config, override
 from .errors import CapacityError, ConfigError
@@ -26,16 +31,6 @@ EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
 EXIT_BROKEN_PIPE = 4
 
-
-# the override flags each verb honours; argparse rejects the rest (exit 2).
-# search-beyond stops at ``[search] budget``, so it takes no --trials
-VERB_FLAGS = {
-    "simulate": ("--seed", "--trials", "--workers", "--out", "--dump"),
-    "verify": ("--seed", "--workers"),
-    "search-beyond": ("--seed", "--out"),
-    "scenario": ("--seed", "--trials", "--workers", "--out"),
-    "dump-code": ("--dump",),
-}
 _FLAG_OPTIONS = {
     "--seed": dict(help="override config seed"),
     "--trials": dict(help="override trial count"),
@@ -45,22 +40,8 @@ _FLAG_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lsc",
-        description="Layered subspace codes: simulation and verification harness",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, flags in VERB_FLAGS.items():
-        p = sub.add_parser(verb)
-        p.add_argument("--config", required=True, help="experiment config path")
-        for flag in flags:
-            p.add_argument(flag, **_FLAG_OPTIONS[flag])
-    return parser
-
-
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    """Apply the override flags the verb has (``VERB_FLAGS``) and the user gave."""
+    """Apply the override flags the verb has (``VERBS``) and the user gave."""
     for key in ("seed", "trials", "workers"):
         value = getattr(args, key, None)
         if value is not None:
@@ -89,11 +70,15 @@ def _emit(args, text: str) -> None:
         raise ConfigError(f"--out: {args.out.name}: {exc.strerror or exc}") from None
 
 
-def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    result = run_simulate(cfg)
+def _cmd_csv(run, cfg: ExperimentConfig, args) -> int:
+    """``simulate`` and ``scenario``: ``run`` is ``run_simulate`` or
+    ``run_scenario``.  Only ``simulate`` has ``--dump``."""
+    result = run(cfg)
     _emit(args, result.csv_text)
-    print(result.summary_text(), file=sys.stderr if args.out is None else sys.stdout)
-    if args.dump and result.guaranteed_failures:
+    stream = sys.stderr if args.out is None else sys.stdout
+    for line in result.summary_lines:
+        print(line, file=stream)
+    if getattr(args, "dump", False) and result.guaranteed_failures:
         _dump_guaranteed_failures(cfg, result)
     return EXIT_VIOLATION if result.guaranteed_failures else EXIT_OK
 
@@ -145,18 +130,6 @@ def _cmd_search(cfg: ExperimentConfig, args) -> int:
     return EXIT_NOT_FOUND if result.missing else EXIT_OK
 
 
-def _cmd_scenario(cfg: ExperimentConfig, args) -> int:
-    result = run_scenario(cfg)
-    _emit(args, result.csv_text)
-    stream = sys.stderr if args.out is None else sys.stdout
-    for line in result.summary_lines:
-        print(line, file=stream)
-    if result.guaranteed_failures:
-        print(f"guaranteed-regime failures: {result.guaranteed_failures}", file=stream)
-        return EXIT_VIOLATION
-    return EXIT_OK
-
-
 def _cmd_dump_code(cfg: ExperimentConfig, args) -> int:
     code = cfg.build_code()
     params = code.params
@@ -180,6 +153,32 @@ def _cmd_dump_code(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+# verb -> (handler, the override flags it honours); argparse rejects the
+# other flags (exit 2).  search-beyond stops at ``[search] budget``, so it
+# takes no --trials
+VERBS = {
+    "simulate": (partial(_cmd_csv, run_simulate), ("--seed", "--trials", "--workers", "--out", "--dump")),
+    "verify": (_cmd_verify, ("--seed", "--workers")),
+    "search-beyond": (_cmd_search, ("--seed", "--out")),
+    "scenario": (partial(_cmd_csv, run_scenario), ("--seed", "--trials", "--workers", "--out")),
+    "dump-code": (_cmd_dump_code, ("--dump",)),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lsc",
+        description="Layered subspace codes: simulation and verification harness",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (_, flags) in VERBS.items():
+        p = sub.add_parser(verb)
+        p.add_argument("--config", required=True, help="experiment config path")
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_OPTIONS[flag])
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -191,13 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{where}: subspace dumps need q <= 10, got {cfg.q}")
         # every config error is raised before --out is opened
         check_verb(cfg, args.verb)
-        handler = {
-            "simulate": _cmd_simulate,
-            "verify": _cmd_verify,
-            "search-beyond": _cmd_search,
-            "scenario": _cmd_scenario,
-            "dump-code": _cmd_dump_code,
-        }[args.verb]
+        handler = VERBS[args.verb][0]
         if getattr(args, "out", None) is None:
             code = handler(cfg, args)
         else:

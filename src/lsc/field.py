@@ -18,12 +18,14 @@ with no test for zero.  Kernels that multiply many elements by one
 (``gabidulin``'s elimination, evaluation and division) add logarithms
 directly.  Addition is XOR for q = 2; for odd q it goes through a
 Zech-log table, log(1 + g^k).  The tables are built when a
-``FieldParams`` is constructed, once per field per process, and held by
-the module-level ``_field_ops`` cache, never by a ``FieldParams``, which
-stays small and pickles by value (an unpickled copy builds them on first
-use).  That build is the irreducibility test: the q^m - 1 powers of g
-are distinct and nonzero exactly when the modulus is irreducible (see
-``_generator_powers``), so no trial division runs.
+``FieldParams`` is constructed and held by the module-level
+``_field_ops`` cache of 16 fields (a 17th evicts the least recently used
+one, whose tables are built again on its next use), never by a
+``FieldParams``, which stays small and pickles by value (an unpickled
+copy builds them on first use).  That build is the irreducibility test:
+the q^m - 1 powers of g are distinct and nonzero exactly when the
+modulus is irreducible (see ``_generator_powers``), so no trial division
+runs.
 
 The codes speak indices too: a message, an evaluation point and a
 decoded message are tuples of element indices in [0, q^m), and so do

@@ -252,7 +252,8 @@ class SimulateResult:
     summary: list[SummaryRow]
     guaranteed_failures: int
 
-    def summary_text(self) -> str:
+    @property
+    def summary_lines(self) -> list[str]:
         lines = ["rho  t    algorithm        trials  successes  rate      regime"]
         for row in self.summary:
             rho = "-" if row.rho is None else str(row.rho)
@@ -263,7 +264,7 @@ class SimulateResult:
                 f"{row.successes:<10d} {row.rate:<9.6f} {regime}"
             )
         lines.append(f"guaranteed-regime failures: {self.guaranteed_failures}")
-        return "\n".join(lines)
+        return lines
 
 
 def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[SummaryRow], int]:
@@ -543,11 +544,14 @@ class ScenarioResult:
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """The configured scenario mode, at the config's one grid point."""
     check_verb(cfg, "scenario")
-    if cfg.scenario_mode == "multicast":
-        return _scenario_multicast(cfg)
     if cfg.scenario_mode == "multi-source":
         return _scenario_multi_source(cfg)
-    return _scenario_unicast(cfg)
+    ((rho, t),) = cfg.grid()
+    spec = ChannelSpec(rho=rho, t=t)
+    code = cfg.build_code()
+    if cfg.scenario_mode == "multicast":
+        return _scenario_multicast(cfg, code, spec)
+    return _scenario_unicast(cfg, code, spec)
 
 
 def _multicast_trial(
@@ -562,21 +566,16 @@ def _multicast_trial(
     )
 
 
-def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
+def _scenario_multicast(cfg: ExperimentConfig, code: LayeredCode, spec: ChannelSpec) -> ScenarioResult:
     """Adaptive layer count: rate vs. success under a fixed channel."""
-    ((rho, t),) = cfg.grid()
-    spec = ChannelSpec(rho=rho, t=t)
-    code = cfg.build_code()
     m = code.params.m
     algorithms = cfg.algorithms()
     counts = range(1, len(cfg.layers) + 1)
-    # a count is skipped when the channel does not fit its code
-    fits = {
-        count: rho <= sum(n for n, _ in cfg.layers[:count]) and t <= m for count in counts
-    }
+    # a count is skipped when rho exceeds its dim V; the config bounds t by m
+    fits = {count: spec.rho <= sum(n for n, _ in cfg.layers[:count]) for count in counts}
     # the trial seed does not depend on the algorithm: build each trial once
     jobs = [
-        (count, derive_seed(cfg.seed, count, rho, t, trial), spec, algorithms, cfg.max_sweeps)
+        (count, derive_seed(cfg.seed, count, spec.rho, spec.t, trial), spec, algorithms, cfg.max_sweeps)
         for count in counts
         if fits[count]
         for trial in range(cfg.trials)
@@ -603,7 +602,8 @@ def _scenario_multicast(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
     """Independent per-layer sources: ``run_simulate`` at the one grid
-    point, reported as all-layer and per-layer recovery counts."""
+    point, reported as all-layer and per-layer recovery counts, and the
+    guaranteed-regime failures when there are any."""
     result = run_simulate(cfg)
     summary = ["multi-source multicast"]
     for algorithm in cfg.algorithms():
@@ -613,6 +613,8 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
         for layer in range(1, len(cfg.layers) + 1):
             ok = sum(1 for r in rows if r.layer_status[layer - 1] == STATUS_OK)
             summary.append(f"  layer {layer}: {ok}/{len(rows)}")
+    if result.guaranteed_failures:
+        summary.append(f"guaranteed-regime failures: {result.guaranteed_failures}")
     return ScenarioResult(result.csv_text, summary, result.records, result.guaranteed_failures)
 
 
@@ -623,16 +625,13 @@ def _unicast_trial(code: LayeredCode, seed: int, spec: ChannelSpec, layer: int) 
     return result.matrix == word.component_matrices[layer - 1]
 
 
-def _scenario_unicast(cfg: ExperimentConfig) -> ScenarioResult:
+def _scenario_unicast(cfg: ExperimentConfig, code: LayeredCode, spec: ChannelSpec) -> ScenarioResult:
     """Receiver wants one layer: extract it and run only that decoder."""
-    ((rho, t),) = cfg.grid()
-    spec = ChannelSpec(rho=rho, t=t)
-    code = cfg.build_code()
     layer = cfg.unicast_layer
-    seeds = [derive_seed(cfg.seed, rho, t, trial) for trial in range(cfg.trials)]
+    seeds = [derive_seed(cfg.seed, spec.rho, spec.t, trial) for trial in range(cfg.trials)]
     outcomes = _map_trials(cfg, code, _unicast_trial, [(seed, spec, layer) for seed in seeds])
     rows = [
-        (str(trial), str(seed), str(rho), str(t), str(layer), "1" if ok else "0")
+        (str(trial), str(seed), str(spec.rho), str(spec.t), str(layer), "1" if ok else "0")
         for trial, (seed, ok) in enumerate(zip(seeds, outcomes))
     ]
     summary = [

@@ -254,7 +254,7 @@ class LayeredCode:
 
     def decode_alg1(self, received: Subspace) -> "LayerDecodeReport":
         """Decode every layer independently from the received space."""
-        return self._walk("alg1", received, range(1, self.num_layers + 1), 1, cancel=False)
+        return self._walk("alg1", received, range(1, self.num_layers + 1), 1)
 
     def decode_alg2(
         self,
@@ -279,16 +279,17 @@ class LayeredCode:
         if sorted(order) != list(range(1, self.num_layers + 1)):
             raise ParameterError("order must be a permutation of the layers")
         algorithm = "alg2-iterative" if iterative else "alg2"
-        return self._walk(algorithm, received, order, max_sweeps if iterative else 1, cancel=True)
+        return self._walk(algorithm, received, order, max_sweeps if iterative else 1)
 
-    def _walk(self, algorithm, received, order, max_sweeps, cancel) -> "LayerDecodeReport":
+    def _walk(self, algorithm, received, order, max_sweeps) -> "LayerDecodeReport":
         """The one decode loop: sweep ``order`` over the undecoded layers.
 
-        With ``cancel`` each decoded component joins the working space
-        before the next extraction, and the report records every working
-        space.  Sweeps stop at ``max_sweeps``, or when one decodes nothing
-        new or nothing is left to decode.
+        All but ``alg1`` cancel: each decoded component joins the working
+        space before the next extraction, and the report records every
+        working space.  Sweeps stop at ``max_sweeps``, or when one decodes
+        nothing new or nothing is left to decode.
         """
+        cancel = algorithm != "alg1"
         working = received
         results: dict[int, LayerResult] = {}
         decoded: dict[int, tuple[int, ...]] = {}  # layer -> its lift's rows (``_lift``)

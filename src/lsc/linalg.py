@@ -73,7 +73,6 @@ from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
-from .field import _MAX_FIELD_SIZE
 
 # the most vectors of a subspace, or messages of a code, an enumeration lists
 _ENUMERATION_CAP = 1 << 20
@@ -358,9 +357,8 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
 
 @lru_cache(maxsize=16)
 def _index_rows(q: int, m: int) -> tuple[list[int], dict[int, int]]:
-    """The stored row of each element index below q^m, and the inverse map."""
-    if m > 16 or q**m > _MAX_FIELD_SIZE:
-        raise ParameterError(f"element rows index at most 2^16 elements, got {q}^{m}")
+    """The stored row of each element index below q^m, and the inverse map.
+    (q, m) is a constructed ``FieldParams``', which bounds q^m by 2^16."""
     width = _field_bits(q)
     top = (m - 1) * width
     rows = [0] * q**m

@@ -440,6 +440,90 @@ def test_multi_source_scenario_failures_within_capability_are_gated(
     assert "guaranteed-regime failures: 12\n" in capsys.readouterr().out
 
 
+# one grid point; at rho = 2 it lies beyond the capability 2, so the
+# algorithms disagree, and at rho = 1 within it
+CONSOLE_CONFIG = """\
+[code]
+layers = 3:1, 4:1
+
+[channel]
+rho = {rho}
+t = 1
+
+[run]
+algorithm = both
+trials = 4
+seed = 4242
+
+[scenario]
+mode = {mode}
+"""
+
+# (verb, mode, rho, every decode failing) -> with and without --out: the
+# exit code and the sha256 of stdout and of stderr (measured at 1d76ee9)
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+CONSOLE_BYTES = {
+    ("simulate", "multicast", 2, False): (
+        (0, "83c402af1285a1a5cc7cbc499c9d79d840397ac06fc0792f21a8d9aa346deaff",
+         "3b87062ffe56b70578516202c3f51a9b8a8d72e0bc72c7469cbdf192a4bc7841"),
+        (0, "3b87062ffe56b70578516202c3f51a9b8a8d72e0bc72c7469cbdf192a4bc7841", EMPTY),
+    ),
+    ("scenario", "multicast", 2, False): (
+        (0, "269ac089312cce99e5861da0355b2f4d9eeac911a720e48686a0fc11752d0ea7",
+         "5144e1b364f10a8f09754c904a78243aefcd5c9831a256030ae58cfd64331dc5"),
+        (0, "5144e1b364f10a8f09754c904a78243aefcd5c9831a256030ae58cfd64331dc5", EMPTY),
+    ),
+    ("scenario", "multi-source", 2, False): (
+        (0, "83c402af1285a1a5cc7cbc499c9d79d840397ac06fc0792f21a8d9aa346deaff",
+         "611cf1d366d95c791c592920cacb39758ce0f48e3f60c2f3c95030f099a76d7d"),
+        (0, "611cf1d366d95c791c592920cacb39758ce0f48e3f60c2f3c95030f099a76d7d", EMPTY),
+    ),
+    ("scenario", "unicast", 2, False): (
+        (0, "c72c2dcb9148f94c7ffdbf301cd133671537e4965879ed5815a143da3321efff",
+         "afa8c53c0df09a3f119c64778b39e78cc1bd6cb9e7d114f04561d840e17e7a15"),
+        (0, "afa8c53c0df09a3f119c64778b39e78cc1bd6cb9e7d114f04561d840e17e7a15", EMPTY),
+    ),
+    ("scenario", "multi-source", 1, True): (
+        (1, "05b4e274341199eee539d1f7d6d227bb15a88b85198d4a56d534bf241cfdc19e",
+         "e131a3d01772604d95b4fe42538fbf65a22865b5903f0b51cba6d4668bea1495"),
+        (1, "e131a3d01772604d95b4fe42538fbf65a22865b5903f0b51cba6d4668bea1495", EMPTY),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, mode, rho, failing",
+    list(CONSOLE_BYTES),
+    ids=["simulate", "multicast", "multi-source", "unicast", "multi-source-failing"],
+)
+def test_console_bytes_are_pinned(monkeypatch, tmp_path, capsys, verb, mode, rho, failing):
+    """What ``simulate`` and ``scenario`` write to each stream: the CSV to
+    stdout, or to ``--out``, where it is the stdout of the run without it;
+    the summary to stderr, or to stdout with ``--out``.  With every decode
+    failing, the guaranteed-regime failures line comes once, last on the
+    summary's stream, and the exit code is 1."""
+    if failing:
+        _fail_every_decode(monkeypatch)
+    config = tmp_path / "console.ini"
+    config.write_text(CONSOLE_CONFIG.format(rho=rho, mode=mode))
+    out = tmp_path / "out.csv"
+    runs = []
+    for extra in ([], ["--out", str(out)]):
+        code = cli.main([verb, "--config", str(config), *extra])
+        runs.append((code, *capsys.readouterr()))
+    got = tuple(
+        (code, *(hashlib.sha256(text.encode()).hexdigest() for text in streams))
+        for code, *streams in runs
+    )
+    assert got == CONSOLE_BYTES[verb, mode, rho, failing]
+    (_, csv, summary), _ = runs
+    assert out.read_text() == csv
+    if failing:
+        line = "guaranteed-regime failures: 12\n"
+        assert summary.endswith(line) and summary.count(line) == 1
+        assert "guaranteed-regime" not in csv
+
+
 # F_121 = F_11[x]/(x^2 + 1): dump entries could need two digits
 Q11_CONFIG = """\
 [field]
