@@ -271,16 +271,17 @@ def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[Sum
     """Aggregate the emitted rows; this is the only accounting path.
 
     A row is in the guaranteed regime when its ds_vu is within ``capability``,
-    on either channel, and a bucket when all its rows are.
+    on either channel, and a bucket when all its rows are.  A run's records
+    share one channel, so their keys are all (rho, t, algorithm) on the exact
+    channel or all (None, None, algorithm) on the matrix channel, and plain
+    tuple order sorts both.
     """
     buckets: dict[tuple, list[TrialRecord]] = {}
     for record in records:
         buckets.setdefault((record.rho_requested, record.t_requested, record.algorithm), []).append(record)
     summary = []
     guaranteed_failures = 0
-    for (rho, t, algorithm) in sorted(
-        buckets, key=lambda k: (k[0] is None, k[0], k[1] is None, k[1], k[2])
-    ):
+    for (rho, t, algorithm) in sorted(buckets):
         rows = buckets[(rho, t, algorithm)]
         successes = sum(1 for r in rows if r.success)
         guaranteed_failures += sum(1 for r in rows if r.ds_vu <= capability and not r.success)

@@ -117,8 +117,6 @@ def _reducer(q: int, ncols: int):
 def _pack(rows: Iterable[Sequence[int]], q: int) -> tuple[int, ...]:
     """Row tuples with entries in [0, q) as stored rows."""
     width = _field_bits(q)
-    if width == 8:
-        return tuple(int.from_bytes(bytes(row), "big") for row in rows)
     out = []
     for row in rows:
         v = 0
@@ -164,13 +162,15 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _random_rows(q: int, rows: int, cols: int, rng) -> tuple[int, ...]:
     """A uniform rows x cols matrix as stored rows, from one batch
-    ``rng.randbelow_many(q, rows * cols)`` read in row-major order; cols
-    is at least 1 (no caller draws an empty matrix).
+    ``rng.randbelow_many(q, rows * cols)`` read in row-major order; a
+    matrix with no entries draws nothing.
 
     Over GF(2) a row is its draws as the digits of a base-2 numeral, over
     one-byte fields its draws as big-endian bytes: both conversions run
     in C.  Wider fields pack one entry at a time.
     """
+    if not rows * cols:
+        return (0,) * rows
     draws = rng.randbelow_many(q, rows * cols)
     width = _field_bits(q)
     if width == 1:
@@ -469,8 +469,6 @@ class MatrixFq:
         A matrix with no entries draws nothing, so it leaves the stream alone.
         """
         _check_dims(q, rows, cols)
-        if not rows * cols:
-            return cls._unchecked(q, rows, cols, (0,) * rows)
         return cls._unchecked(q, rows, cols, _random_rows(q, rows, cols, rng))
 
     def _check_shape(self, other: "MatrixFq") -> None:
@@ -773,8 +771,6 @@ def random_full_rank_matrix(q: int, rows: int, cols: int, rng) -> MatrixFq:
     if rows > cols:
         raise ParameterError("cannot have rank beyond the column count")
     _check_dims(q, rows, cols)
-    if not rows:
-        return MatrixFq._unchecked(q, 0, cols, ())
     for _ in range(_SAMPLING_ATTEMPT_CAP):
         data = _random_rows(q, rows, cols, rng)
         if _rank(q, cols, data) == rows:

@@ -13,13 +13,14 @@ pass: the states sit in 128-bit lanes of one Python int, and mix64's
 xor-shifts and multiplies run on the whole int, each lane masked back to
 64 bits (a 64 x 64-bit product fits its lane, so no carry crosses lanes).
 The batch is the same stream, and leaves the same state, as one draw at
-a time.
+a time.  The lanes are read back with one little-endian ``struct``
+format, so one path serves every host.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
+from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import ParameterError
@@ -29,9 +30,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 _LANE_BITS = 128
 _LANES = 256  # lanes per pass: the ints of one pass hold 256 * 128 bits
-if array("Q").itemsize != 8:
-    raise ImportError("lsc.rng reads lanes as array('Q') items, which must be 8 bytes")
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def mix64(z: int) -> int:
@@ -51,25 +49,25 @@ def derive_seed(master: int, *indices: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _lane_constants(lanes: int) -> tuple[int, int, int]:
-    """(ones, steps, mask) for ``lanes`` lanes: 1, (i+1)·γ and 2^64 - 1 in lane i."""
+def _lane_constants(lanes: int) -> tuple[int, int, int, Callable[[bytes], tuple[int, ...]]]:
+    """(ones, steps, mask, read) for ``lanes`` lanes: 1, (i+1)·γ and 2^64 - 1
+    in lane i, and the unpacker of each lane's low word from the lanes'
+    little-endian bytes."""
     ones = sum(1 << (_LANE_BITS * i) for i in range(lanes))
     steps = sum(((i + 1) * _GOLDEN) << (_LANE_BITS * i) for i in range(lanes))
-    return ones, steps, ones * _MASK64
+    read = struct.Struct("<" + "Q8x" * lanes).unpack
+    return ones, steps, ones * _MASK64, read
 
 
-def _draw_lanes(state: int, lanes: int, low: int) -> list[int]:
+def _draw_lanes(state: int, lanes: int, low: int) -> tuple[int, ...]:
     """The next ``lanes`` outputs after ``state``, each and-ed with ``low``."""
-    ones, steps, mask = _lane_constants(lanes)
+    ones, steps, mask, read = _lane_constants(lanes)
     z = (state * ones + steps) & mask  # lane i: state + (i+1)·γ mod 2^64
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
     z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     z = (z ^ (z >> 31)) & ones * low
     # two 8-byte words per lane, the low word (the output) first
-    words = array("Q", z.to_bytes(lanes * _LANE_BITS // 8, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words[::2].tolist()
+    return read(z.to_bytes(lanes * _LANE_BITS // 8, "little"))
 
 
 class SplitMix64:

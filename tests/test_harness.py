@@ -132,6 +132,19 @@ def test_summary_regime_on_a_grid_across_the_capability():
         (2, 0, True),
         (2, 1, False),
     ]
+    # the rows come in (rho, t, algorithm) order, whatever order the grid lists
+    text = TINY_SIM.replace("rho = 0,1", "rho = 2,0").replace("trials = 4", "trials = 1")
+    result = run_simulate(parse_config(text, "tiny.ini"))
+    keys = [(row.rho, row.t, row.algorithm) for row in result.summary]
+    assert keys == [(rho, t, alg) for rho in (0, 2) for t in (0, 1) for alg in sorted(ALGORITHMS)]
+    # the matrix channel has one point, (None, None), and its rows follow the algorithm
+    text = MATRIX_Q3.replace("trials = 12", "trials = 1")
+    result = run_simulate(parse_config(text, "q3.ini"))
+    assert [(row.rho, row.t, row.algorithm) for row in result.summary] == [
+        (None, None, "alg1"),
+        (None, None, "alg2"),
+        (None, None, "alg2-iterative"),
+    ]
 
 
 def test_workers_start_no_more_processes_than_jobs_or_cpus(monkeypatch):

@@ -333,12 +333,16 @@ def _assert_block_moves(u, start, width, tail):
     assert shorten(placed, start, width, tail) == short
 
 
-@pytest.mark.parametrize("q, count", [(2, 200), (3, 40), (5, 30), (7, 30), (17, 20)])
+@pytest.mark.parametrize(
+    "q, count", [(2, 200), (3, 40), (5, 30), (7, 30), (11, 30), (13, 30), (17, 20)]
+)
 def test_packed_rows_match_list_reference(q, count):
     """Every operation on stored rows agrees with the list reference (N <= 40).
 
-    q = 2 has one-bit fields, q = 3, 5, 7 one-byte fields and q = 17 two-byte
-    fields (16 + 16^2 > 255).
+    q = 2 has one-bit fields, q = 3, 5, 7, 11, 13 one-byte fields and q = 17
+    two-byte fields (16 + 16^2 > 255).  q = 13 is the widest one-byte field
+    (12 + 12^2 = 156), and the only one whose products reduce after every
+    term.
     """
     rng = SplitMix64(40 + q)
     for _ in range(count):
