@@ -21,7 +21,7 @@ from functools import partial
 
 from .config import ExperimentConfig, check_verb, load_config, override
 from .errors import CapacityError, ConfigError
-from .harness import run_scenario, run_search_beyond, run_simulate, run_verify
+from .harness import _search_beyond, run_scenario, run_simulate, run_verify
 from .linalg import dump_pair, dump_subspace
 from .channel import ChannelSpec, make_trial
 
@@ -107,7 +107,7 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_search(cfg: ExperimentConfig, args) -> int:
-    result = run_search_beyond(cfg, progress=sys.stderr)
+    result = _search_beyond(cfg, args.code, progress=sys.stderr)
     text = "".join(
         result.found[target].dump() + "\n"
         for target in cfg.search_targets
@@ -188,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.q > 10 and (args.verb == "search-beyond" or args.verb == "simulate" and args.dump):
             where = cfg.where("field", "q")
             raise ConfigError(f"{where}: subspace dumps need q <= 10, got {cfg.q}")
-        # every config error is raised before --out is opened
-        check_verb(cfg, args.verb)
+        # every config error is raised before --out is opened (a search keeps its check's code)
+        args.code = check_verb(cfg, args.verb)
         handler = VERBS[args.verb][0]
         if getattr(args, "out", None) is None:
             code = handler(cfg, args)

@@ -360,17 +360,17 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
             )
 
 
-def check_verb(cfg: ExperimentConfig, verb: str) -> None:
+def check_verb(cfg: ExperimentConfig, verb: str) -> LayeredCode | None:
     """The checks that only some verbs make, all on the config alone.
 
     ``search-beyond`` and ``scenario`` draw from the exact channel only; a
     search needs a grid point beyond the capability, and a scenario exactly
     one grid point.  The CLI makes them before it opens ``--out``, and
-    ``run_search_beyond`` and ``run_scenario`` make them again for library
-    callers.
+    ``run_search_beyond`` and ``run_scenario`` make them for library
+    callers.  A search's check returns the code it built, to run on.
     """
     if verb not in ("search-beyond", "scenario"):
-        return
+        return None
     if cfg.channel_mode != "exact":
         raise ConfigError(
             f"{cfg.where('channel', 'mode')}: {verb} uses the exact channel only; "
@@ -383,7 +383,8 @@ def check_verb(cfg: ExperimentConfig, verb: str) -> None:
                 f"{cfg.where('channel', 'rho', ('code', 'layers'))}: search needs grid "
                 f"points with 2(rho+t) >= {code.min_distance()}; none configured"
             )
-    elif len(cfg.grid()) != 1:
+        return code
+    if len(cfg.grid()) != 1:
         # the first axis the file lists more than one value for, else the mode
         axes = (("rho", cfg.rho_values), ("t", cfg.t_values))
         wide = [("channel", key) for key, values in axes if len(values) > 1]

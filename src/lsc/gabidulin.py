@@ -49,10 +49,9 @@ points it interpolates on, so the outcome is unchanged.
 oracle used to cross-check it.  It shares nothing with the decoder but
 encoding: each code builds its codebook once, on the first oracle call
 (every message's element indices and its codeword's stored rows), and
-every call scans it with one forward pass per codeword, fed the row
-differences as they are made (``linalg._difference_ranks``).
-The lifted oracle scans the same codebook and lifts each codeword as it
-meets it; both pick by one rule, ``_nearest``.  The
+every call scans it in one bounded pass (``linalg._least_rank``), which
+drops a codeword once it can neither win nor tie.  The lifted oracle scans
+the same codebook in the same way; both fail a tie with ``_tie``.  The
 codebook lists the messages through ``iter_messages``, which checks the
 one enumeration cap (``linalg._ENUMERATION_CAP``) when it is called.
 
@@ -112,7 +111,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, ParameterError
 from .field import FieldOps, FieldParams, _trim
-from .linalg import _ENUMERATION_CAP, MatrixFq, _difference_ranks, _eliminate, _kernel
+from .linalg import _ENUMERATION_CAP, MatrixFq, _eliminate, _kernel, _least_rank
 
 REASON_RADIUS = "radius-exceeded"
 REASON_TIE = "tie"
@@ -147,6 +146,11 @@ class DecodeFailure:
 
 
 _NO_CODEWORD = DecodeFailure(REASON_RADIUS, "no codeword within the decoding radius")
+
+
+def _tie(distance: int) -> DecodeFailure:
+    """Both oracles' failure when two codewords share the least distance."""
+    return DecodeFailure(REASON_TIE, f"multiple codewords at distance {distance}")
 
 
 # --- linearized polynomials on element indices ---
@@ -547,25 +551,14 @@ class GabidulinCode:
         messages = tuple(self.iter_messages())
         return messages, tuple(self._evaluate(f)._data for f in messages)
 
-    @staticmethod
-    def _nearest(distances: list[int]):
-        """The index of the unique least of ``distances``, one per codeword in
-        codebook order, or a tie DecodeFailure when it occurs twice."""
-        best = min(distances)
-        if distances.count(best) > 1:
-            return DecodeFailure(REASON_TIE, f"multiple codewords at distance {best}")
-        return distances.index(best)
-
     def brute_force_decode(self, received: MatrixFq):
         """Minimum rank-distance decoding by a scan of the codebook: the rank
-        of the row differences with each codeword, one forward pass each;
-        ties fail (``_nearest``)."""
+        of the row differences with each codeword, in one bounded scan
+        (``linalg._least_rank``); ties fail (``_tie``)."""
         self._check_received(received)
-        q, m = self.params.q, self.params.m
-        rec = received._data
         messages, codewords = self._codebook
-        nearest = self._nearest(_difference_ranks(q, m, rec, codewords))
-        return nearest if isinstance(nearest, DecodeFailure) else messages[nearest]
+        best, index = _least_rank(self.params.q, self.params.m, (), received._data, -1, codewords)
+        return _tie(best) if index is None else messages[index]
 
 
 def _element_indices(params: FieldParams, values: Sequence[int], what: str) -> tuple[int, ...]:

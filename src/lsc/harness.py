@@ -476,8 +476,11 @@ def run_search_beyond(cfg: ExperimentConfig, progress: TextIO | None = None) -> 
     fails a layer but SIC recovers everything), ``alg1-only`` (parallel
     decoding succeeds while SIC loses a layer).
     """
-    check_verb(cfg, "search-beyond")
-    code = cfg.build_code()
+    return _search_beyond(cfg, check_verb(cfg, "search-beyond"), progress)
+
+
+def _search_beyond(cfg: ExperimentConfig, code: LayeredCode, progress: TextIO | None) -> SearchResult:
+    """``run_search_beyond`` on ``code``, the one its verb check built."""
     grid = [(rho, t) for rho, t in cfg.grid() if rho + t > code.capability]
     wanted = list(cfg.search_targets)
     found: dict[str, SearchInstance] = {}

@@ -210,8 +210,7 @@ class LayeredCode:
         codeword matrix X_l of ``layer`` and U_l the layer extracted from
         ``space``: the extraction an attempt at ``layer`` on ``space`` decodes.
 
-        One stacked rank (``linalg._distance``), as in
-        ``lifted.brute_force_subspace_decode``."""
+        One stacked rank (``linalg._distance``)."""
         extracted = self._memo_entry(space, layer)[0]
         code = self.layers[layer - 1]
         code._check_received(matrix)

@@ -59,24 +59,24 @@ the lifted code has no object of its own.  A one-layer ``LayeredCode``
 is the same code, and states its minimum distance 2 (n - k + 1).
 
 The exhaustive oracle ``brute_force_subspace_decode`` scans the inner
-code's one codebook (see ``gabidulin``), lifting each codeword's stored
-rows as it meets them (``linalg._lift_rows``), with one stacked rank per
-codeword (``linalg._distance``) and no ``Subspace`` built.
+code's one codebook (see ``gabidulin``) in one bounded pass that extends
+the received space's forward pass by each codeword's lift, with no
+``Subspace`` built.
 """
 
 from __future__ import annotations
 
-from .gabidulin import DecodeFailure, GabidulinCode, _memoized
+from .gabidulin import DecodeFailure, GabidulinCode, _memoized, _tie
 from .linalg import (
     MatrixFq,
     Subspace,
     _check_space,
-    _distance,
     _field_bits,
     _head_rows,
     _index_rows,
     _kernel,
     _lead_columns,
+    _least_rank,
     _lift_rows,
 )
 
@@ -163,22 +163,21 @@ def _decode_space(inner: GabidulinCode, received: Subspace):
 
 
 def brute_force_subspace_decode(inner: GabidulinCode, received: Subspace):
-    """Minimum subspace-distance decoding by a scan of the codebook, each
-    codeword lifted as it is met; ties fail.  A success is the codeword
-    matrix, as from ``subspace_decode``.
+    """Minimum subspace-distance decoding by a scan of the codebook; ties
+    fail (``gabidulin._tie``).  A success is the codeword matrix, as from
+    ``subspace_decode``.
 
-    d_S(lift X, U) is one stacked rank per codeword (``linalg._distance``)
-    on the lift's stored rows (``linalg._lift_rows``);
-    ``GabidulinCode._nearest`` picks the codeword.
+    d_S(lift X, U) = 2 rank([U; lift X]) - n - dim U, so the nearest lift
+    has the least stacked rank: one bounded scan (``linalg._least_rank``)
+    extends U's forward pass by each lift's rows, the lift of zero OR-ed
+    with the codeword's rows as they are met.
     """
     q, m, n = inner.params.q, inner.params.m, inner.n
     ambient = n + m
     _check_space(received, q, ambient)
     basis = received.basis._data
     codewords = inner._codebook[1]
-    nearest = inner._nearest(
-        [_distance(q, ambient, _lift_rows(q, rows, 0, ambient), basis) for rows in codewords]
-    )
-    if isinstance(nearest, DecodeFailure):
-        return nearest
-    return MatrixFq._unchecked(q, n, m, codewords[nearest])
+    best, index = _least_rank(q, ambient, basis, _lift_rows(q, (0,) * n, 0, ambient), 1, codewords)
+    if index is None:
+        return _tie(2 * best - n - len(basis))
+    return MatrixFq._unchecked(q, n, m, codewords[index])

@@ -23,14 +23,13 @@ Besides this module only ``lifted`` looks inside the packed rows: it cuts
 a received basis at the header/payload boundary with ``_field_bits`` and
 ``_head_rows`` and reads the payload as element indices (``_index_rows``).
 ``gabidulin`` and ``layered`` hold some without reading them: a lift's
-rows are ``_lift_rows`` (``layered`` ORs a layer's cached identity rows,
-the lift of zero, with a codeword's rows), the oracle codebook hands
-them back to ``_difference_ranks``, which feeds each codeword's row
-differences into one forward pass with no tuple built, and the decoder
-eliminates a hint's rows with ``_eliminate`` and hands the basis to
-``_kernel`` and ``MatrixFq._unchecked``.  At N <= 40 one machine word holds
-a GF(2) row, so elimination is a plain XOR sweep with no Four-Russians
-tables (cf. M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
+rows are ``_lift_rows`` (the lift of zero OR-ed with a codeword's rows),
+both oracles hand their codebook's rows to one bounded scan
+(``_least_rank``), and the decoder eliminates a hint's rows with
+``_eliminate`` and hands the basis to ``_kernel`` and
+``MatrixFq._unchecked``.  At N <= 40 one machine word holds a GF(2) row,
+so elimination is a plain XOR sweep with no Four-Russians tables (cf.
+M4RI, Albrecht, Bard and Hart, ACM TOMS 2010).
 
 No elimination where the canonical basis answers.  Its rows lead at
 increasing columns, so the stored rows decrease, and the rows that lead
@@ -62,7 +61,7 @@ checked.  Two space rules are written once, here, for every module:
 ``_check_space``, the check that a space lies in F_q^N (the operations
 on two subspaces, a lifted decode, a layer's extraction and embedding),
 and ``_distance``, d_S as one stacked rank of two bases
-(``subspace_distance``, a layer distance and the lifted oracle).
+(``subspace_distance`` and a layer distance).
 """
 
 from __future__ import annotations
@@ -288,20 +287,50 @@ def _rank(q: int, ncols: int, data: Sequence[int]) -> int:
 def _add_rows(q: int, ncols: int, a: Sequence[int], b: Sequence[int], sign: int) -> Iterator[int]:
     """The stored rows of A + sign * B (sign 1 or -1) for equal-shape stored
     rows, one at a time: ``MatrixFq._add`` collects them, and
-    ``_difference_ranks`` feeds them straight into a forward pass."""
+    ``_least_rank`` feeds them straight into a forward pass."""
     if q == 2:
         return map(xor, a, b)
     reduce, factor = _reducer(q, ncols), sign % q
     return (reduce(x + factor * y) for x, y in zip(a, b))
 
 
-def _difference_ranks(q: int, ncols: int, a: Sequence[int], others: Iterable[Sequence[int]]) -> list[int]:
-    """rank(A - B) for each B of ``others``, all stored rows of one shape:
-    one forward pass per B, fed the row differences as they are made, with
-    no tuple built (the oracle's codebook scan)."""
+def _least_rank(
+    q: int, ncols: int, base: Sequence[int], a: Sequence[int], sign: int, others: Iterable[Sequence[int]]
+) -> tuple[int, int | None]:
+    """The least rank of [base; A + sign * B] over the B of ``others``, and the
+    index of the one B that has it, or None when two or more do: both oracles'
+    scan.  Each B's rows extend a copy of base's forward pass (over GF(2)
+    inline, on kept rows indexed by bit length), and B is dropped once its
+    rank passes the least so far, when it can neither win nor tie."""
+    best, index, start = ncols + 1, None, _echelon(q, ncols, base)
     if q == 2:
-        return [len(_echelon_gf2(map(xor, a, b))) for b in others]
-    return [len(_echelon_odd(_add_rows(q, ncols, a, b, -1), q, ncols)) for b in others]
+        leads = [0] * (ncols + 1)
+        for lead, row in start.items():
+            leads[lead] = row
+        for i, b in enumerate(others):
+            kept, rank = leads.copy(), len(start)
+            for v in map(xor, a, b):
+                while v:
+                    lead = v.bit_length()
+                    row = kept[lead]
+                    if not row:
+                        kept[lead] = v
+                        rank += 1
+                        break
+                    v ^= row
+                if rank > best:
+                    break
+            else:
+                best, index = (rank, i) if rank < best else (best, None)
+        return best, index
+    for i, b in enumerate(others):
+        kept = dict(start)
+        for v in _add_rows(q, ncols, a, b, sign):
+            if len(_echelon_odd((v,), q, ncols, kept)) > best:
+                break
+        else:
+            best, index = (len(kept), i) if len(kept) < best else (best, None)
+    return best, index
 
 
 def _kernel(q: int, ncols: int, reduced: Sequence[int], pivots: Sequence[int]) -> "MatrixFq":

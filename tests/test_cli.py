@@ -12,7 +12,7 @@ import pytest
 from lsc import cli, harness
 from lsc import lifted as lifted_mod
 from lsc.channel import make_trial
-from lsc.config import load_config, parse_config
+from lsc.config import ExperimentConfig, load_config, parse_config
 from lsc.errors import ConfigError
 from lsc.gabidulin import DecodeFailure
 from lsc.linalg import dump_subspace
@@ -356,6 +356,27 @@ def test_search_beyond_exit_codes(tmp_path):
     proc = run_cli("search-beyond", "--config", str(impossible), "--out", str(out))
     assert proc.returncode == 3
     assert "not found" in proc.stderr
+
+
+def test_search_beyond_builds_its_code_once(tmp_path, monkeypatch, capsys):
+    """One ``lsc search-beyond`` builds one ``LayeredCode``: the verb check's
+    code is the one the search runs on.  The instances are ROADMAP's pinned
+    search.txt."""
+    built = []
+    build_code = ExperimentConfig.build_code
+
+    def counted(cfg):
+        built.append(cfg)
+        return build_code(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "build_code", counted)
+    out = tmp_path / "search.txt"
+    assert cli.main(["search-beyond", "--config", str(CONFIGS / "search.ini"), "--out", str(out)]) == 0
+    assert len(built) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "42a2dfb580a7714e359b448fc5b4ed28da6acf861da18cce39f1f329f6a2e518"
+    )
+    capsys.readouterr()
 
 
 def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch, capsys):

@@ -169,7 +169,7 @@ def test_brute_force_cap():
 
 
 def _reference_brute_force(code, received):
-    """The oracle without a codebook or its one-pass scan: encode every
+    """The oracle without a codebook or its bounded scan: encode every
     message for every received word, then ``rank_distance``, which builds
     the difference matrix; ties fail."""
     best = best_dist = None
@@ -185,22 +185,33 @@ def _reference_brute_force(code, received):
     return best
 
 
-@pytest.mark.parametrize("q, m, n, k", [(2, 4, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 3, 3, 1)])
+@pytest.mark.parametrize(
+    "q, m, n, k",
+    [(2, 4, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 3, 3, 1), (5, 2, 2, 1), (7, 2, 2, 1)],
+)
 def test_codebook_oracle_matches_reference_enumeration(q, m, n, k):
+    """The bounded scan gives the unbounded reference's outcome, a tie's text
+    verbatim: on random words (far from the code), on words near a codeword,
+    and on codewords, where every other codeword is cut at its first
+    independent row."""
     params = FieldParams.default(q, m)
     code = GabidulinCode.standard(params, n, k)
     rng = SplitMix64(100 * q + 10 * m + n)
     ties = unique = 0
     for trial in range(150):
         received = MatrixFq.random(q, n, m, rng)
-        if trial % 2:  # near a codeword: usually a unique nearest one
+        if trial % 3:  # near a codeword (usually a unique nearest one), or on it
             msg = [rng.randbelow(params.size) for _ in range(k)]
-            received = code.encode(msg) + received
+            received = code.encode(msg) + (received if trial % 3 == 1 else MatrixFq.zeros(q, n, m))
         got = code.brute_force_decode(received)
-        assert got == _reference_brute_force(code, received)
+        want = _reference_brute_force(code, received)
+        assert got == want
         if isinstance(got, DecodeFailure):
+            assert (got.reason, got.detail) == (want.reason, want.detail)
             ties += 1
         else:
+            if trial % 3 == 2:
+                assert got == tuple(msg)
             unique += 1
     assert ties and unique
 

@@ -1,6 +1,7 @@
 """Lifted subspace codes: lifting, reduction, decode vs oracle."""
 
 import gc
+import hashlib
 import itertools
 import pathlib
 import weakref
@@ -28,13 +29,15 @@ from lsc.linalg import (
     Subspace,
     _field_bits,
     _lead_columns,
+    _least_rank,
+    _lift_rows,
     embed,
     random_full_rank_matrix,
     random_subspace,
     rank_distance,
     subspace_distance,
 )
-from lsc.properties import _all_small_rank_errors
+from lsc.properties import _all_small_rank_errors, _desk_codes
 from lsc.rng import SplitMix64
 from rref_reference import full_space, unit_span
 
@@ -131,26 +134,43 @@ def _reference_subspace_oracle(inner, received):
     return best
 
 
-@pytest.mark.parametrize("q, m, n", [(2, 4, 3), (3, 2, 2), (3, 3, 2)])
-def test_lifted_oracle_matches_reference_enumeration(q, m, n):
-    inner = GabidulinCode.standard(FieldParams.default(q, m), n, 1)
-    rng = SplitMix64(1000 + 10 * q + m)
+@pytest.mark.parametrize(
+    "q, m, n, k",
+    [(2, 4, 3, 1), (2, 4, 3, 2), (3, 2, 2, 1), (3, 3, 2, 1), (3, 3, 3, 2), (5, 2, 2, 1), (7, 2, 2, 1)],
+)
+def test_lifted_oracle_matches_reference_enumeration(q, m, n, k):
+    """The bounded scan gives the unbounded reference's outcome, a tie's text
+    verbatim: on random spaces (mostly far from the code), on lifted
+    codewords through the channel, on lifted codewords themselves, where
+    every other lift is cut at its first row outside the received space,
+    and on the zero space, a tie of all q^(mk) codewords."""
+    inner = GabidulinCode.standard(FieldParams.default(q, m), n, k)
+    rng = SplitMix64(1000 + 100 * k + 10 * q + m)
     ties = unique = 0
     for trial in range(120):
-        if trial % 2:
+        msg = tuple(rng.randbelow(inner.params.size) for _ in range(k))
+        sent = lift(inner, inner.encode(msg))
+        if trial % 3 == 0:
             received = random_subspace(q, n + m, rng.randbelow(n + m + 1), rng)
-        else:  # a lifted codeword through the channel
-            msg = (rng.randbelow(inner.params.size),)
-            sent = lift(inner, inner.encode(msg))
+        elif trial % 3 == 1:  # a lifted codeword through the channel
             rho, t = rng.randbelow(n + 1), rng.randbelow(m + 1)
             received = apply_exact(sent, ChannelSpec(rho=rho, t=t), rng).U
+        else:
+            received = sent
         got = brute_force_subspace_decode(inner, received)
-        assert got == _reference_subspace_oracle(inner, received)
+        want = _reference_subspace_oracle(inner, received)
+        assert got == want
         if isinstance(got, DecodeFailure):
+            assert (got.reason, got.detail) == (want.reason, want.detail)
             ties += 1
         else:
+            if trial % 3 == 2:
+                assert got == inner.encode(msg)
             unique += 1
     assert ties and unique
+    zero = Subspace.zero(q, n + m)
+    want = DecodeFailure("tie", f"multiple codewords at distance {n}")
+    assert brute_force_subspace_decode(inner, zero) == _reference_subspace_oracle(inner, zero) == want
 
 
 def test_oracle_tie_case(fp24, inner31):
@@ -158,6 +178,73 @@ def test_oracle_tie_case(fp24, inner31):
     outcome = brute_force_subspace_decode(inner31, Subspace.zero(2, 7))
     assert isinstance(outcome, DecodeFailure)
     assert outcome.reason == "tie"
+
+
+# both oracles' outcomes on the desk workload below, recorded with the
+# unbounded scans the bounded one replaced
+DESK_ORACLES_SHA256 = "d7c67ced0851ebfc3144f05604e38975804f67d8436921040adef1fa6579bef5"
+
+
+def _outcome_text(outcome):
+    if isinstance(outcome, DecodeFailure):
+        return f"{outcome.reason}: {outcome.detail}"
+    if isinstance(outcome, tuple):
+        return repr(outcome)
+    return repr(outcome.entries)
+
+
+def test_both_oracles_on_verifys_desk_workload_are_pinned(fp24):
+    """Every codeword plus every error of rank <= 1 of the (3,1) and (4,1)
+    desk codes over F_16 (5,312 words, ``gabidulin_suite``'s exhaustive
+    workload) through ``brute_force_decode``, and their lifts through
+    ``brute_force_subspace_decode``: one line per word, one sha256."""
+    digest = hashlib.sha256()
+    count = 0
+    for desk in _desk_codes(fp24):
+        errors = _all_small_rank_errors(fp24, desk.n, 1)
+        for msg in desk.iter_messages():
+            word = desk.encode(msg)
+            for err in errors:
+                received = word + err
+                rank_outcome = _outcome_text(desk.brute_force_decode(received))
+                lifted_outcome = _outcome_text(brute_force_subspace_decode(desk, lift(desk, received)))
+                digest.update(f"{rank_outcome}|{lifted_outcome}\n".encode())
+                count += 1
+    assert count == 5312
+    assert digest.hexdigest() == DESK_ORACLES_SHA256
+
+
+class _CountingRows:
+    """A codeword's stored rows that count, in ``read``, the rows a scan takes."""
+
+    def __init__(self, rows, read):
+        self.rows, self.read = rows, read
+
+    def __iter__(self):
+        for row in self.rows:
+            self.read[0] += 1
+            yield row
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 3), (2, 4, 4), (3, 3, 3)])
+def test_the_scan_drops_a_codeword_once_it_cannot_win(q, m, n):
+    """On a received codeword the scan reads fewer than |C| n rows, in both
+    oracles' shapes: rank(R - C), and U's basis stacked on each lift.  In a
+    k = 1 code with n <= m two codewords differ in every row, so each
+    codeword before the match is read in full (its rank reaches the least
+    only at its last row) and each one after it is dropped at its first row."""
+    inner = GabidulinCode.standard(FieldParams.default(q, m), n, 1)
+    codewords = inner._codebook[1]
+    ambient = n + m
+    units = _lift_rows(q, (0,) * n, 0, ambient)
+    for index in (0, len(codewords) // 2):
+        received = codewords[index]
+        space = lift(inner, MatrixFq._unchecked(q, n, m, received)).basis._data
+        for ncols, base, a, sign, least in ((m, (), received, -1, 0), (ambient, space, units, 1, n)):
+            read = [0]
+            counting = [_CountingRows(rows, read) for rows in codewords]
+            assert _least_rank(q, ncols, base, a, sign, counting) == (least, index)
+            assert read[0] == (index + 1) * n + len(codewords) - index - 1 < len(codewords) * n
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 4, 3), (2, 4, 4), (3, 2, 2)])

@@ -18,6 +18,7 @@ UNREAD = {
     "linalg.rref": "perfbench/tracer.py binds it by name (ROADMAP item 12)",
     "linalg.parse_subspace": "the public reader of the dump format (ROADMAP item 15)",
     "SplitMix64.next64": "the one-draw reference stream every batch must equal",
+    "harness.run_search_beyond": "the library entry of search-beyond; the CLI runs the search on its verb check's code",
 }
 
 
