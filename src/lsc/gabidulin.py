@@ -37,13 +37,20 @@ is computed per call when mu > 0.  The projected error is
 y - f(g') = P (r - f(g)), because f is F_q-linear, and sigma maps it to
 values whose F_q-span has its rank modulo the row hints.  The failure
 detail says either that mu + delta exceeds d - 1 or that no codeword
-lies within the radius.
+lies within the radius.  The key equation is a function of (P's exact
+rows, delta, syndrome): the rows and r = k + delta fix A_r and its values
+at the syndrome points, and mu and delta fix tau_max.  So its solution is
+memoized by them (``_key_equation_memo``): the syndrome of a codeword
+plus an error does not depend on the codeword, so an error met again
+under another message is solved once.
 
-Only the row space of P matters.  Another projection T P, with T
-invertible over F_q, gives T y, T g' and T times the projected error, of
-the same rank.  The core returns the unique codeword within the radius
-when there is one and the radius failure when there is none, whichever
-points it interpolates on, so the outcome is unchanged.
+Only the row space of P matters to the outcome.  Another projection T P,
+with T invertible over F_q, gives T y, T g' and T times the projected
+error, of the same rank.  The core returns the unique codeword within
+the radius when there is one and the radius failure when there is none,
+whichever points it interpolates on, so the outcome is unchanged.  The
+key equation is not: T P moves the points g', and with them its
+solution, so its memo keys on P's rows, not on their span.
 
 ``brute_force_decode`` is the independent minimum-distance
 oracle used to cross-check it.  It shares nothing with the decoder but
@@ -63,9 +70,9 @@ found.  So ``_codeword_matrix`` reads a memo on the code
 tuple) and evaluates (``_evaluate``) only on a miss.  The codebook
 evaluates outside the memo, so the oracle leaves it alone.
 
-The memo rules hold for all three memos of a code: the codewords and
-lifted decodes of a ``GabidulinCode``, and the steps of a
-``LayeredCode``.  They are stated only here; README and the ``lifted``
+The memo rules hold for all four memos of a code: the codewords,
+key-equation solutions and lifted decodes of a ``GabidulinCode``, and the
+steps of a ``LayeredCode``.  They are stated only here; README and the ``lifted``
 and ``layered`` docstrings point here.  A memo is made on first use and holds at most
 ``MEMO_SIZE`` = 4,096 entries, and every memo is read through one
 function, ``_memoized``: a miss runs the entry's maker and stores what
@@ -75,6 +82,8 @@ computation, so a key is stored only once what it names has passed that
 check, and a hit is not checked again: a key that names a space carries
 the space's q and ambient with its rows, so a space over another field
 or ambient that stores the same rows misses, and is refused by the check.
+The key-equation memo's key is built by the core from inputs its callers
+have checked, so its maker has no check of its own.
 ``ExperimentConfig.build_code`` builds fresh codes, so a memo lasts one
 run.
 
@@ -346,6 +355,12 @@ class GabidulinCode:
         return {}
 
     @cached_property
+    def _key_equation_memo(self) -> dict:
+        """``_key_equation``'s outcomes in the decoder core, by (P's stored
+        rows or None, delta, syndrome)."""
+        return {}
+
+    @cached_property
     def _points_matrix(self) -> MatrixFq:
         """The evaluation points as the rows of an n x m matrix over F_q."""
         return MatrixFq._from_indices(self.params.q, self.params.m, self.eval_points)
@@ -435,7 +450,8 @@ class GabidulinCode:
         projected points: h = sum_i c_i A_i, of q-degree < r, with the bases
         A_i of ``_newton_table``, and A = A_r.  The syndrome
         e_j = sigma(y_j) - h(g'_j) at the other n - mu - r >= 2 tau_max
-        points gives quot, and the message is f = (h + quot) / sigma unless
+        points gives quot (``_key_equation``, read through
+        ``_key_equation_memo``), and the message is f = (h + quot) / sigma unless
         a remainder is nonzero or q-deg f >= k:
 
         - every e_j is 0: quot = 0, and f leaves a residual in the row
@@ -471,8 +487,8 @@ class GabidulinCode:
         if proj is None:
             bases, values = self._newton
         else:
-            proj = MatrixFq._unchecked(q, n - mu, n, proj)
-            bases, values = _newton_table(ops, (proj @ self._points_matrix)._row_indices(), r)
+            points = MatrixFq._unchecked(q, n - mu, n, proj) @ self._points_matrix
+            bases, values = _newton_table(ops, points._row_indices(), r)
         if delta:
             hint_elements = MatrixFq._unchecked(q, delta, m, row_basis)._row_indices()
             sigma = _lp_annihilator(ops, hint_elements)
@@ -480,30 +496,17 @@ class GabidulinCode:
 
         terms, syndrome = _newton_interpolate(ops, values, word, r)
         if not any(syndrome):
-            quot = []
+            quot = ()
         elif not tau_max:
             return _NO_CODEWORD
         else:
-            # key equation on the syndrome points: V(e_j) - Q(A(g'_j)) = 0
-            # with q-deg V <= tau_max, q-deg Q <= tau_max - 1; entries
-            # e^(q^a) and -A(g')^(q^b), one antilog lookup each (A(g'_j) != 0
-            # past r)
-            zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
-            n_v = tau_max + 1
-            qpow_v, qpow_q = ops.qpow[:n_v], ops.qpow[:tau_max]
-            rows = [
-                ([zexp[zlog[e] * qp % order] for qp in qpow_v] if e else [0] * n_v)
-                + [zexp[(la * qp + minus_one) % order] for qp in qpow_q]
-                for e, la in zip(syndrome, values[r])
-            ]
-            sol = _ext_null_vector(ops, rows, n_v + tau_max)
-            if sol is None:
-                return _NO_CODEWORD
-            # V divides V o h, so the remainder of N / V is that of (Q o A) / V
-            locator = _trim(sol[:n_v])
-            quot, rem = _lp_divide_left(ops, _lp_compose(ops, sol[n_v:], bases[r]), locator)
-            if rem:
-                return _NO_CODEWORD
+            quot = _memoized(
+                self._key_equation_memo,
+                (proj, delta, tuple(syndrome)),
+                lambda: _key_equation(ops, syndrome, bases[r], values[r], tau_max),
+            )
+            if quot is _NO_CODEWORD:
+                return quot
         f = _newton_sum(ops, bases, terms, quot)
         if delta:
             f, rem = _lp_divide_left(ops, f, sigma)
@@ -568,6 +571,33 @@ def _element_indices(params: FieldParams, values: Sequence[int], what: str) -> t
         if not isinstance(x, int) or not 0 <= x < size:
             raise ParameterError(f"{what} must be an element index in [0, {size}), got {x!r}")
     return tuple(values)
+
+
+def _key_equation(
+    ops: FieldOps, syndrome: Sequence[int], base: Sequence[int], values: Sequence[int], tau_max: int
+):
+    """quot = (Q o A) / V from one solution (V, Q) of the key equation (see
+    ``_decode_projected``), as a tuple, or ``_NO_CODEWORD`` when there is no
+    solution or the division leaves a remainder.  ``base`` and ``values``
+    are the logarithms of A = A_r's coefficients and of A at the syndrome
+    points."""
+    # V(e_j) - Q(A(g'_j)) = 0 with q-deg V <= tau_max, q-deg Q <= tau_max - 1;
+    # entries e^(q^a) and -A(g')^(q^b), one antilog lookup each (A(g'_j) != 0
+    # past r)
+    zexp, zlog, order, minus_one = ops.zexp, ops.zlog, ops.order, ops.minus_one
+    n_v = tau_max + 1
+    qpow_v, qpow_q = ops.qpow[:n_v], ops.qpow[:tau_max]
+    rows = [
+        ([zexp[zlog[e] * qp % order] for qp in qpow_v] if e else [0] * n_v)
+        + [zexp[(la * qp + minus_one) % order] for qp in qpow_q]
+        for e, la in zip(syndrome, values)
+    ]
+    sol = _ext_null_vector(ops, rows, n_v + tau_max)
+    if sol is None:
+        return _NO_CODEWORD
+    # V divides V o h, so the remainder of N / V is that of (Q o A) / V
+    quot, rem = _lp_divide_left(ops, _lp_compose(ops, sol[n_v:], base), _trim(sol[:n_v]))
+    return _NO_CODEWORD if rem else tuple(quot)
 
 
 def _ext_null_vector(ops: FieldOps, rows: list[list[int]], ncols: int) -> list[int] | None:

@@ -53,8 +53,8 @@ attempt reads, d_S(lift(X_l), U_l) in the component ambient n_l + m,
 through the same memo entry: a trial's layer distances and its decodes
 extract each (layer, space) once.  The distance is one stacked rank
 (``linalg._distance``) on the stored rows, with no ``Subspace`` built
-for the lift.  With the inner codes' codeword and decode memos, a code
-keeps three, all under the rules in ``gabidulin``.
+for the lift.  With the inner codes' codeword, key-equation and decode
+memos, a code keeps four, all under the rules in ``gabidulin``.
 
 ``LayeredCode.capability`` is the one statement of the guaranteed regime:
 a received space U with d_S(V, U) <= capability, that is

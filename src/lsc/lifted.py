@@ -33,6 +33,40 @@ indices, and the result is their codeword matrix X
 (``GabidulinCode._codeword_matrix``, read from the code's codeword memo):
 the encoding is injective, so X fixes the message.
 
+The same split gives the distance of any lift as one rank.  Write Y for
+the payload rows and R for the rest, mu = n - rows(H) and delta =
+rows(R).  A vector of A lies in lift(X) = rowspace [I | X] exactly when
+its coefficients (b, c) on the rows of [H | Y] and [0 | R] satisfy
+b (Y - H X) + c R = 0, so dim(lift X ∩ A) = dim A - rank [Y - H X; R] and
+
+    d_S(lift X, A) = mu - delta + 2 rank [Y - H X; R] = 2 tau(X) + mu + delta,
+
+where tau(X) is the rank of E = Y - H X modulo the row space of R (R's
+rows are independent, so rank [E; R] = tau(X) + delta).
+``LayeredCode.layer_distance`` keeps the stacked rank
+(``linalg._distance``): the rank above is cheaper for q = 2 but about
+twice as dear for q = 3 (ROADMAP item 27).
+
+Hence a decode lies within the radius of what it returns:
+``subspace_decode`` returns X only if d_S(lift X, A) <= d - 1.  So a
+layer attempt outside the radius of the sent X never returns X, the
+"only if" half of the bounded-distance claim.  The core gets y = Y and
+g' = H g, so f(g') = H X for the f of X (f is F_q-linear and X is f at
+the points g): its projected error y - f(g') is E.  The kernel of sigma
+is the span of R's rows, so the sigma(E_s) span tau(X) dimensions.  The
+core returns f only when mu + delta <= d - 1 and either
+
+- every syndrome is 0 and sigma o f = h: h interpolates sigma(y) at all
+  n - mu points, so every sigma(E_s) is 0 and tau(X) = 0; or
+- tau_max >= 1 and its key-equation solution (V, Q), with V nonzero of
+  q-degree <= tau_max (see the core), passes both divisions: then
+  N = V o h + Q o A = V o sigma o f, and N(g'_s) = V(sigma(y_s)) at
+  every point (h(g'_s) = sigma(y_s) and A(g'_s) = 0 at the first r,
+  V(e_s) = Q(A(g'_s)) at the others).  So V(sigma(E_s)) = 0: every
+  sigma(E_s) lies in ker V, of dimension <= tau_max, and tau(X) <= tau_max.
+
+Either way 2 tau(X) + mu + delta <= 2 tau_max + mu + delta <= d - 1.
+
 A lifted decode is a pure function of the inner code and the received
 space, and the layered decoders repeat many: alg2's first attempt is
 alg1's attempt at layer L, and alg2-iterative's first sweep is all of

@@ -264,6 +264,40 @@ def test_codeword_memo_never_grows_past_its_bound(fp24, monkeypatch):
     assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
 
 
+def test_key_equation_memo_never_grows_past_its_bound(fp24, monkeypatch):
+    """The key-equation memo holds at most MEMO_SIZE solutions, and is emptied
+    when full; decodes through a full, an emptied and a refilled memo stay
+    right."""
+    monkeypatch.setattr(gabidulin_mod, "MEMO_SIZE", 5)
+    code = GabidulinCode.standard(fp24, 3, 1)
+    word = code.encode((7,))
+    sizes = []
+    for err in _rank1_errors(2, 3, 4)[:40]:
+        assert code.decode_bounded(word + err) == (7,)
+        sizes.append(len(code._key_equation_memo))
+    assert max(sizes) == 5 and sizes.count(1) > 1  # full, emptied, filled again
+
+
+def test_key_equation_memo_keys_on_the_projections_rows(fp24):
+    """P and T P span one row space but project the points apart, so one
+    syndrome has another key-equation solution under each.  A word that is
+    0 on the first r = k points has its tail as syndrome under any P: a code
+    that solved it under P decodes it under T P as a fresh code does, where
+    the two outcomes differ too."""
+    code = GabidulinCode.standard(fp24, 4, 1)  # d - 1 = 3: tau_max = 1 at mu = 1
+    rng = SplitMix64(77)
+    differ = 0
+    for _ in range(60):
+        p = random_full_rank_matrix(2, 3, 4, rng)
+        tp = random_full_rank_matrix(2, 3, 3, rng) @ p
+        word = [0, 1 + rng.randbelow(15), rng.randbelow(16)]
+        under_p = code._decode_projected(word, p._data, ())
+        fresh = GabidulinCode.standard(fp24, 4, 1)._decode_projected(word, tp._data, ())
+        assert code._decode_projected(word, tp._data, ()) == fresh
+        differ += under_p != fresh
+    assert differ
+
+
 def test_the_oracle_leaves_the_codeword_memo_empty(fp24):
     """The codebook evaluates every message outside the memo, so the oracle
     fills no entry, and its codewords are the memoized ones."""
@@ -566,23 +600,43 @@ def _agree(code, received, rows=None, cols=None):
 
 
 @pytest.mark.parametrize("q, m, n, k", [(2, 3, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1)])
-def test_decoder_matches_reference_exhaustively(q, m, n, k):
+def test_decoder_matches_reference_exhaustively(q, m, n, k, monkeypatch):
     """Every received word, with no hints and with every one-row row hint or
-    column hint, the zero row included."""
+    column hint, the zero row included.  Where the key equation is solved
+    (tau_max >= 1: no hint, or a zero row), the code's memo answers most
+    solves, under hints other than the one that stored the entry too, so the
+    comparison covers its hits."""
     params = FieldParams.default(q, m)
     code = GabidulinCode.standard(params, n, k)
     row_hints = [MatrixFq(q, 1, m, (v,)) for v in itertools.product(range(q), repeat=m)]
     col_hints = [MatrixFq(q, 1, n, (v,)) for v in itertools.product(range(q), repeat=n)]
     hints = [(None, None)] + [(h, None) for h in row_hints] + [(None, h) for h in col_hints]
+    solves = []  # (key, hint) of each key-equation solve
+    memoized = gabidulin_mod._memoized
+
+    def counted(memo, key, make):
+        if memo is code._key_equation_memo:
+            solves.append((key, hint))
+        return memoized(memo, key, make)
+
+    monkeypatch.setattr(gabidulin_mod, "_memoized", counted)
     decoded = failed = 0
     for word in itertools.product(range(params.size), repeat=n):
         received = MatrixFq._from_indices(q, m, word)
-        for rows, cols in hints:
+        for hint, (rows, cols) in enumerate(hints):
             if isinstance(_agree(code, received, rows, cols), DecodeFailure):
                 failed += 1
             else:
                 decoded += 1
     assert decoded and failed
+    if n - k < 2:  # tau_max = 0 with or without a hint: nothing to solve
+        assert not solves
+        return
+    first = {}  # key -> the hint of the solve that stored it
+    for key, hint in solves:
+        first.setdefault(key, hint)
+    assert len(code._key_equation_memo) == len(first) < len(solves)
+    assert any(first[key] != hint for key, hint in solves)
 
 
 def _random_hint(q, rows, width, rng):
@@ -686,7 +740,7 @@ def test_decoder_matches_reference_where_the_key_equation_has_many_solutions(mon
 
     monkeypatch.setattr(gabidulin_mod, "_ext_null_vector", counted)
     rng = SplitMix64(1850)
-    decodes = 0
+    decodes = stored = 0
     for q, m, n, k in [(2, 8, 8, 2), (3, 6, 6, 1)]:
         params = FieldParams.default(q, m)
         code = GabidulinCode(params, n, k, random_full_rank_matrix(q, n, m, rng)._row_indices())
@@ -704,8 +758,10 @@ def test_decoder_matches_reference_where_the_key_equation_has_many_solutions(mon
                     err = err + transpose(cols) @ MatrixFq.random(q, mu, m, rng)
                 assert _agree(code, code.encode(msg) + err, None, cols) == msg
                 decodes += 1
-    # a projection may lower the error's rank, to 0 at worst (no solve)
-    assert len(dims) >= decodes // 2 and min(dims) >= 2
+        stored += len(code._key_equation_memo)
+    # a projection may lower the error's rank, to 0 at worst (no solve); each
+    # system is new, so no memo hit skips the counted null vector
+    assert len(dims) == stored >= decodes // 2 and min(dims) >= 2
 
 
 def test_null_vector_is_the_first_vector_of_the_reference_nullspace():

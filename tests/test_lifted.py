@@ -27,6 +27,7 @@ from lsc.lifted import (
 from lsc.linalg import (
     MatrixFq,
     Subspace,
+    _distance,
     _field_bits,
     _lead_columns,
     _least_rank,
@@ -35,6 +36,7 @@ from lsc.linalg import (
     random_full_rank_matrix,
     random_subspace,
     rank_distance,
+    row_space,
     subspace_distance,
 )
 from lsc.properties import _all_small_rank_errors, _desk_codes
@@ -72,6 +74,48 @@ def test_distance_identity_exhaustive(fp24):
                 assert ds == 2 * rank_distance(pairs[i][1], pairs[j][1])
                 dmin = ds if dmin is None else min(dmin, ds)
         assert dmin == LayeredCode((inner,)).min_distance()
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_distance_is_read_off_the_split(q, m):
+    """d_S(lift X, A) = mu - delta + 2 rank [Y - H X; R] for the split (H, Y,
+    R) of A (header, payload rows, rest), against ``linalg._distance``: on
+    spaces near a lift and on uniform ones, mu = n and delta = 0 included.
+    A successful decode of A is within d - 1 of it (the ``lifted``
+    docstring's proof)."""
+    params = FieldParams.default(q, m)
+    rng = SplitMix64(2700 + q)
+    seen, decodes = set(), 0
+    for n in range(1, m + 1):
+        inner = GabidulinCode.standard(params, n, 1)
+        for trial in range(40):
+            x = MatrixFq.random(q, n, m, rng)
+            if trial % 2:
+                x = inner.encode((rng.randbelow(params.size),))
+            if trial % 4 < 2:
+                # s header rows near [H | H X] and delta rows [0 | R]
+                s, delta = rng.randint(0, n), rng.randint(0, m)
+                h = random_full_rank_matrix(q, s, n, rng)
+                noise = MatrixFq.random(q, s, 1, rng) @ MatrixFq.random(q, 1, m, rng)
+                rows = h.hstack(h @ x + noise).vstack(
+                    MatrixFq.zeros(q, delta, n).hstack(random_full_rank_matrix(q, delta, m, rng))
+                )
+                space = row_space(rows, n + m)
+            else:
+                space = random_subspace(q, n + m, rng.randint(0, n + m), rng)
+            header, payload, rest = lifted_mod._split(inner, space)
+            mu, delta = n - len(header), len(rest)
+            seen.update({("mu = n", mu == n), ("delta = 0", delta == 0)})
+            h = MatrixFq._unchecked(q, len(header), n, header)
+            e = MatrixFq._from_indices(q, m, payload) - h @ x
+            ds = mu - delta + 2 * e.vstack(MatrixFq._unchecked(q, delta, m, rest)).rank()
+            assert ds == _distance(q, n + m, lift(inner, x).basis._data, space.basis._data)
+            decoded = subspace_decode(inner, space)
+            if not isinstance(decoded, DecodeFailure):
+                assert subspace_distance(lift(inner, decoded), space) <= inner.min_rank_distance - 1
+                decodes += 1
+    assert decodes
+    assert seen == {(name, flag) for name in ("mu = n", "delta = 0") for flag in (True, False)}
 
 
 def test_reduction_on_clean_codeword(inner31):
