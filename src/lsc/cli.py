@@ -4,6 +4,8 @@ Verbs: simulate, verify, search-beyond, scenario, dump-code, each with
 its handler and flags in ``VERBS``.  ``simulate`` and ``scenario`` share
 ``_cmd_csv``: the CSV to stdout or ``--out``, the summary lines to stderr
 (stdout with ``--out``), and exit 1 on any guaranteed-regime failure.
+The CLI draws no trial: each run, and the ``simulate --dump`` re-draw, is
+a ``harness`` function; a handler writes what it returns.
 
 Exit codes: 0 success, 1 property violation, 2 config error (an
 ``--out`` that cannot be opened, written or closed included) or a failed
@@ -21,9 +23,8 @@ from functools import partial
 
 from .config import ExperimentConfig, check_verb, load_config, override
 from .errors import CapacityError, ConfigError
-from .harness import _search_beyond, run_scenario, run_simulate, run_verify
-from .linalg import dump_pair, dump_subspace
-from .channel import ChannelSpec, make_trial
+from .harness import _search_beyond, dump_guaranteed_failures, run_scenario, run_simulate, run_verify
+from .linalg import dump_subspace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -79,26 +80,8 @@ def _cmd_csv(run, cfg: ExperimentConfig, args) -> int:
     for line in result.summary_lines:
         print(line, file=stream)
     if getattr(args, "dump", False) and result.guaranteed_failures:
-        _dump_guaranteed_failures(cfg, result)
+        sys.stdout.write(dump_guaranteed_failures(cfg, result.records))
     return EXIT_VIOLATION if result.guaranteed_failures else EXIT_OK
-
-
-def _dump_guaranteed_failures(cfg: ExperimentConfig, result) -> None:
-    """Re-derive and dump failed guaranteed-regime trials for diagnosis."""
-    code = cfg.build_code()
-    exact = cfg.channel_mode == "exact"
-    seen = set()
-    for record in result.records:
-        if record.success or record.ds_vu > code.capability:
-            continue
-        key = (record.trial, record.rho_requested, record.t_requested)
-        if key in seen:
-            continue
-        seen.add(key)
-        spec = ChannelSpec(rho=record.rho_requested, t=record.t_requested) if exact else None
-        word, outcome = make_trial(code, record.seed, spec, cfg.collected, cfg.error_packets)
-        print(f"# failed trial {record.trial} rho {record.rho_realized} t {record.t_realized}")
-        print(dump_pair(word.V, outcome.U), end="")
 
 
 def _cmd_verify(cfg: ExperimentConfig, args) -> int:

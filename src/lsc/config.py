@@ -14,11 +14,19 @@ from .errors import ConfigError, ParameterError
 from .field import FieldParams
 from . import layered
 from .layered import LayeredCode
-from .properties import VERIFY_COUNTS
 
 ALGORITHMS = layered.ALGORITHMS + ("both",)
 SCENARIO_MODES = ("multicast", "multi-source", "unicast")
 SEARCH_TARGETS = ("alg1-beyond", "alg2-rescues", "alg1-only")
+
+# Default of each count a [verify] config section may override.
+VERIFY_COUNTS: dict[str, int] = {
+    "random_checks": 10_000,
+    "trials_per_point": 1000,
+    "extraction_trials": 10_000,
+    "dominance_trials": 1000,
+    "enumeration_pairs": 300,
+}
 
 
 @dataclass(frozen=True)

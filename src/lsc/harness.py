@@ -1,12 +1,14 @@
 """Batch experiment drivers: simulate, verify, search-beyond, scenario.
 
 CSV columns and the fixture dump layout are frozen in docs/formats.md.
-Every trial is built by ``channel.make_trial`` from one derived seed:
-(master seed, rho, t, trial index) for the exact channel, (master seed,
-collected, error packets, trial index) for the matrix channel.  So output
-is byte-identical for a given config regardless of worker count or
-scheduling, and unicast and multi-source scenarios see the same channel
-outcomes as plain simulation runs with the same seed.
+Every trial is ``channel.make_trial`` on one derived seed, whose index
+path is (master seed, rho, t, trial) on the exact channel and (master
+seed, collected, error packets, trial) on the matrix channel, both drawn
+by ``_draw_trial``, or (master seed, layer count, rho, t, trial) in the
+multicast scenario.  So output is byte-identical for a given config
+regardless of worker count or scheduling, and unicast and multi-source
+scenarios see the same channel outcomes as plain simulation runs with
+the same seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Iterable, Sequence, TextIO
 
-from .channel import ChannelSpec, make_trial
+from .channel import ChannelOutcome, ChannelSpec, make_trial
 from .config import ExperimentConfig, check_verb
 from .errors import InvariantError
 from .layered import STATUS_OK, LayerDecodeReport, LayeredCode, LayeredCodeword
@@ -130,6 +132,18 @@ def _ds_chain(word: LayeredCodeword, report: LayerDecodeReport, ds: int) -> tupl
     return tuple(chain)
 
 
+def _draw_trial(
+    code: LayeredCode, master_seed: int, trial: int, rho: int | None, t: int | None,
+    channel_mode: str, collected: int, error_packets: int,
+) -> tuple[int, LayeredCodeword, ChannelOutcome]:
+    """(seed, codeword, outcome) at these coordinates; the other channel's arguments go unread."""
+    if channel_mode == "exact":
+        seed = derive_seed(master_seed, rho, t, trial)
+        return (seed, *make_trial(code, seed, ChannelSpec(rho=rho, t=t)))
+    seed = derive_seed(master_seed, collected, error_packets, trial)
+    return (seed, *make_trial(code, seed, collected=collected, error_packets=error_packets))
+
+
 def run_trial(
     code: LayeredCode,
     master_seed: int,
@@ -143,12 +157,9 @@ def run_trial(
     error_packets: int = 0,
 ) -> list[TrialRecord]:
     """One encode -> channel -> decode cycle, one record per algorithm."""
-    if channel_mode == "exact":
-        seed = derive_seed(master_seed, rho, t, trial)
-        word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
-    else:
-        seed = derive_seed(master_seed, collected, error_packets, trial)
-        word, outcome = make_trial(code, seed, collected=collected, error_packets=error_packets)
+    seed, word, outcome = _draw_trial(
+        code, master_seed, trial, rho, t, channel_mode, collected, error_packets
+    )
     ds = outcome.distance
     layer_ds = _layer_distances(code, word, outcome.U)
     records = []
@@ -263,8 +274,17 @@ class SimulateResult:
                 f"{rho:<4s} {t:<4s} {row.algorithm:<16s} {row.trials:<7d} "
                 f"{row.successes:<10d} {row.rate:<9.6f} {regime}"
             )
-        lines.append(f"guaranteed-regime failures: {self.guaranteed_failures}")
+        lines.append(self.failures_line)
         return lines
+
+    @property
+    def failures_line(self) -> str:
+        return f"guaranteed-regime failures: {self.guaranteed_failures}"
+
+
+def _guaranteed_failure(record: TrialRecord, capability: int) -> bool:
+    """A failed row with ds_vu within ``capability``: a decoder fault."""
+    return record.ds_vu <= capability and not record.success
 
 
 def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[SummaryRow], int]:
@@ -284,7 +304,7 @@ def summarize(records: Sequence[TrialRecord], capability: int) -> tuple[list[Sum
     for (rho, t, algorithm) in sorted(buckets):
         rows = buckets[(rho, t, algorithm)]
         successes = sum(1 for r in rows if r.success)
-        guaranteed_failures += sum(1 for r in rows if r.ds_vu <= capability and not r.success)
+        guaranteed_failures += sum(1 for r in rows if _guaranteed_failure(r, capability))
         guaranteed = all(r.ds_vu <= capability for r in rows)
         summary.append(SummaryRow(rho, t, algorithm, len(rows), successes, guaranteed))
     return summary, guaranteed_failures
@@ -307,6 +327,26 @@ def run_simulate(cfg: ExperimentConfig) -> SimulateResult:
     csv_text = render_csv(CSV_COLUMNS, (r.csv_row() for r in records))
     summary, failures = summarize(records, code.capability)
     return SimulateResult(records, csv_text, summary, failures)
+
+
+def dump_guaranteed_failures(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> str:
+    """``simulate --dump``: each failed guaranteed-regime trial among the records
+    of ``run_simulate(cfg)``, re-drawn once from its coordinates, as a V/U dump."""
+    code = cfg.build_code()
+    failed = {
+        (r.trial, r.rho_requested, r.t_requested): r
+        for r in records
+        if _guaranteed_failure(r, code.capability)
+    }
+    text = ""
+    for r in failed.values():
+        _, word, outcome = _draw_trial(
+            code, cfg.seed, r.trial, r.rho_requested, r.t_requested,
+            cfg.channel_mode, cfg.collected, cfg.error_packets,
+        )
+        text += f"# failed trial {r.trial} rho {r.rho_realized} t {r.t_realized}\n"
+        text += dump_pair(word.V, outcome.U)
+    return text
 
 
 # --- verify ---
@@ -487,8 +527,7 @@ def _search_beyond(cfg: ExperimentConfig, code: LayeredCode, progress: TextIO | 
     trial = 0
     while trial < cfg.search_budget and len(found) < len(wanted):
         rho, t = grid[trial % len(grid)]
-        seed = derive_seed(cfg.seed, rho, t, trial)
-        word, outcome = make_trial(code, seed, ChannelSpec(rho=rho, t=t))
+        seed, word, outcome = _draw_trial(code, cfg.seed, trial, rho, t, "exact", 0, 0)
         ds = outcome.distance
         r1 = code.decode_alg1(outcome.U)
         r2 = code.decode_alg2(outcome.U)
@@ -541,7 +580,7 @@ class ScenarioResult:
     csv_text: str
     summary_lines: list[str]
     records: list[TrialRecord] = dc_field(default_factory=list)
-    # failed records with ds_vu within the capability, counted as ``summarize`` does
+    # how many records ``_guaranteed_failure`` holds for, as in ``summarize``
     guaranteed_failures: int = 0
 
 
@@ -618,27 +657,27 @@ def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
             ok = sum(1 for r in rows if r.layer_status[layer - 1] == STATUS_OK)
             summary.append(f"  layer {layer}: {ok}/{len(rows)}")
     if result.guaranteed_failures:
-        summary.append(f"guaranteed-regime failures: {result.guaranteed_failures}")
+        summary.append(result.failures_line)
     return ScenarioResult(result.csv_text, summary, result.records, result.guaranteed_failures)
 
 
-def _unicast_trial(code: LayeredCode, seed: int, spec: ChannelSpec, layer: int) -> bool:
-    """Whether one trial's layer decodes from its extracted component alone."""
-    word, outcome = make_trial(code, seed, spec)
+def _unicast_trial(
+    code: LayeredCode, master_seed: int, trial: int, rho: int, t: int, layer: int
+) -> tuple[int, bool]:
+    """The trial's seed, and whether its layer decodes from its extracted component alone."""
+    seed, word, outcome = _draw_trial(code, master_seed, trial, rho, t, "exact", 0, 0)
     result = code.decode_layer(outcome.U, layer)
-    return result.matrix == word.component_matrices[layer - 1]
+    return seed, result.matrix == word.component_matrices[layer - 1]
 
 
 def _scenario_unicast(cfg: ExperimentConfig, code: LayeredCode, spec: ChannelSpec) -> ScenarioResult:
     """Receiver wants one layer: extract it and run only that decoder."""
     layer = cfg.unicast_layer
-    seeds = [derive_seed(cfg.seed, spec.rho, spec.t, trial) for trial in range(cfg.trials)]
-    outcomes = _map_trials(cfg, code, _unicast_trial, [(seed, spec, layer) for seed in seeds])
+    jobs = [(cfg.seed, trial, spec.rho, spec.t, layer) for trial in range(cfg.trials)]
+    outcomes = _map_trials(cfg, code, _unicast_trial, jobs)
     rows = [
         (str(trial), str(seed), str(spec.rho), str(spec.t), str(layer), "1" if ok else "0")
-        for trial, (seed, ok) in enumerate(zip(seeds, outcomes))
+        for trial, (seed, ok) in enumerate(outcomes)
     ]
-    summary = [
-        f"unicast layer {layer}: {sum(outcomes)}/{cfg.trials} recovered",
-    ]
+    summary = [f"unicast layer {layer}: {sum(ok for _, ok in outcomes)}/{cfg.trials} recovered"]
     return ScenarioResult(render_csv(SCENARIO_UNICAST_COLUMNS, rows), summary)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import xor
 
 from .channel import ChannelSpec, apply_exact, apply_matrix, make_trial
+from .config import VERIFY_COUNTS
 from .field import FieldParams, coords_of, index_of
 from .gabidulin import DecodeFailure, GabidulinCode
 from .layered import ALGORITHMS, LayeredCode
@@ -57,15 +58,6 @@ PROPERTY_MANIFEST: tuple[tuple[str, str], ...] = (
     ("harness.csv_deterministic", "simulate emits byte-identical CSV for identical configs"),
     ("harness.summary_consistency", "summary counts equal recounts of the emitted rows"),
 )
-
-# Default of each count a [verify] config section may override.
-VERIFY_COUNTS: dict[str, int] = {
-    "random_checks": 10_000,
-    "trials_per_point": 1000,
-    "extraction_trials": 10_000,
-    "dominance_trials": 1000,
-    "enumeration_pairs": 300,
-}
 
 
 @dataclass(frozen=True)

@@ -379,7 +379,7 @@ def test_search_beyond_builds_its_code_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch, capsys):
+def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch):
     # guaranteed-regime failures never occur, so feed the dump a synthetic one
     cfg = load_config(str(CONFIGS / "default.ini"))
     built = []
@@ -393,12 +393,11 @@ def test_dump_guaranteed_failures_rederives_the_trial(monkeypatch, capsys):
     ((word, outcome),) = built
     assert record.success
     failed = dataclasses.replace(record, success=False)
-    result = harness.SimulateResult([record, failed, failed], "", [], 1)
-    cli._dump_guaranteed_failures(cfg, result)
-    assert capsys.readouterr().out == (
+    assert harness.dump_guaranteed_failures(cfg, [record, failed, failed]) == (
         "# failed trial 3 rho 1 t 1\n"
         f"V\n{dump_subspace(word.V)}U\n{dump_subspace(outcome.U)}"
     )
+    assert len(built) == 2 and built[1] == built[0]
 
 
 def test_matrix_channel_failures_within_capability_are_gated(monkeypatch, tmp_path, capsys):

@@ -305,6 +305,17 @@ def test_verify_error_independent_of_hash_seed():
     assert messages == {"v.ini:2: random_checks must be >= 1, got 0"}
 
 
+def test_the_config_parser_loads_no_property_suite():
+    """The [verify] counts are config schema: ``import lsc.config`` in a
+    fresh interpreter leaves ``lsc.properties`` unloaded."""
+    script = "import sys, lsc.config\nprint('lsc.properties' in sys.modules)\n"
+    src = str(pathlib.Path(lsc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_formats_doc_config_block_covers_schema():
     """The docs/formats.md config block names every accepted key, with the verify defaults."""
     doc = (pathlib.Path(__file__).parent.parent / "docs" / "formats.md").read_text()

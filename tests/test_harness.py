@@ -444,6 +444,19 @@ alg2-rescues.retry_ds = 2
     assert "V\nambient 11\n" in dump and "U\nambient 11\n" in dump
 
 
+def test_search_draws_each_trial_on_the_simulate_stream():
+    """Each found instance is the trial that ``simulate`` draws at its own
+    (rho, t, trial): seed, V and U from ``make_trial`` on the exact seed path."""
+    cfg = load_config(str(CONFIGS / "search.ini"))
+    code = cfg.build_code()
+    result = run_search_beyond(cfg)
+    assert result.found and not result.missing
+    for inst in result.found.values():
+        seed = derive_seed(cfg.seed, inst.rho, inst.t, inst.trial)
+        word, outcome = make_trial(code, seed, ChannelSpec(inst.rho, inst.t))
+        assert (inst.seed, inst.V, inst.U) == (seed, word.V, outcome.U)
+
+
 def test_search_not_found_reports_missing():
     text = """\
 [channel]
