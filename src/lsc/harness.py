@@ -487,10 +487,8 @@ def _retry_distances(code: LayeredCode, word, alg1_report, alg2_report) -> tuple
             continue
         if alg1_report.layers[layer - 1].status == STATUS_OK:
             continue
-        last_attempt = max(
-            i for i, l in enumerate(alg2_report.attempt_layers) if l == layer
-        )
-        before = alg2_report.accumulated[last_attempt]
+        # plain alg2 tries each layer once
+        before = alg2_report.accumulated[alg2_report.attempt_layers.index(layer)]
         out.append((layer, code.layer_distance(word.component_matrices[layer - 1], before, layer)))
     return tuple(out)
 
@@ -534,7 +532,8 @@ def _search_beyond(cfg: ExperimentConfig, code: LayeredCode, progress: TextIO | 
         alg1_full = r1.recombined == word.V
         alg2_full = r2.recombined == word.V
         classification = {
-            "alg1-beyond": ds > code.capability and alg1_full,
+            # every grid point has rho + t > capability, and ds = rho + t
+            "alg1-beyond": alg1_full,
             "alg2-rescues": (not r1.all_ok) and alg2_full,
             "alg1-only": alg1_full and not r2.all_ok,
         }
@@ -646,16 +645,16 @@ def _scenario_multicast(cfg: ExperimentConfig, code: LayeredCode, spec: ChannelS
 def _scenario_multi_source(cfg: ExperimentConfig) -> ScenarioResult:
     """Independent per-layer sources: ``run_simulate`` at the one grid
     point, reported as all-layer and per-layer recovery counts, and the
-    guaranteed-regime failures when there are any."""
+    guaranteed-regime failures when there are any.  The all-layer counts
+    are ``summarize``'s rows, one per algorithm at the one grid point."""
     result = run_simulate(cfg)
     summary = ["multi-source multicast"]
-    for algorithm in cfg.algorithms():
-        rows = [r for r in result.records if r.algorithm == algorithm]
-        all_ok = sum(1 for r in rows if r.success)
-        summary.append(f"{algorithm}: all layers recovered {all_ok}/{len(rows)}")
+    for row in result.summary:
+        summary.append(f"{row.algorithm}: all layers recovered {row.successes}/{row.trials}")
+        rows = [r for r in result.records if r.algorithm == row.algorithm]
         for layer in range(1, len(cfg.layers) + 1):
             ok = sum(1 for r in rows if r.layer_status[layer - 1] == STATUS_OK)
-            summary.append(f"  layer {layer}: {ok}/{len(rows)}")
+            summary.append(f"  layer {layer}: {ok}/{row.trials}")
     if result.guaranteed_failures:
         summary.append(result.failures_line)
     return ScenarioResult(result.csv_text, summary, result.records, result.guaranteed_failures)

@@ -63,7 +63,7 @@ a received space U with d_S(V, U) <= capability, that is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
 from operator import or_
@@ -91,6 +91,12 @@ STATUS_FAIL = "fail"
 
 # the decoder names, in report order; ``LayeredCode.decode`` runs one by name
 ALGORITHMS = ("alg1", "alg2", "alg2-iterative")
+
+
+def _check_sweeps(max_sweeps: int) -> None:
+    """Refuse a sweep bound below 1, whichever decoder it is given to."""
+    if max_sweeps < 1:
+        raise ParameterError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -245,11 +251,12 @@ class LayeredCode:
     def decode(self, received: Subspace, algorithm: str, max_sweeps: int = 8) -> "LayerDecodeReport":
         """Run the decoder ``algorithm`` names, one of ``ALGORITHMS``, through
         ``decode_alg1``/``decode_alg2``: perfbench times those per algorithm."""
+        if algorithm not in ALGORITHMS:
+            raise ParameterError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+        _check_sweeps(max_sweeps)
         if algorithm == "alg1":
             return self.decode_alg1(received)
-        if algorithm in ALGORITHMS:
-            return self.decode_alg2(received, algorithm == "alg2-iterative", max_sweeps)
-        raise ParameterError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+        return self.decode_alg2(received, algorithm == "alg2-iterative", max_sweeps)
 
     def decode_alg1(self, received: Subspace) -> "LayerDecodeReport":
         """Decode every layer independently from the received space."""
@@ -272,8 +279,7 @@ class LayeredCode:
         new layer, so a walk ends within L sweeps (``report.sweeps <=
         num_layers``), and ``max_sweeps`` binds only below L.
         """
-        if max_sweeps < 1:
-            raise ParameterError("max_sweeps must be at least 1")
+        _check_sweeps(max_sweeps)
         order = range(self.num_layers, 0, -1) if order is None else list(order)
         if sorted(order) != list(range(1, self.num_layers + 1)):
             raise ParameterError("order must be a permutation of the layers")
@@ -409,8 +415,8 @@ class LayerDecodeReport:
     layers: list[LayerResult]
     recombined: Subspace
     sweeps: int
-    accumulated: list[Subspace] = dc_field(default_factory=list)
-    attempt_layers: list[int] = dc_field(default_factory=list)
+    accumulated: list[Subspace]
+    attempt_layers: list[int]
 
     @property
     def all_ok(self) -> bool:

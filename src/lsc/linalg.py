@@ -66,7 +66,7 @@ and ``_distance``, d_S as one stacked rank of two bases
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import xor
 from typing import Iterable, Iterator, Sequence
@@ -403,14 +403,20 @@ def _check_dims(q: int, rows: int, cols: int) -> None:
         raise ParameterError("matrix dimensions must be non-negative")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MatrixFq:
     """An immutable rows x cols matrix over F_q.
 
     ``entries`` is the row-major tuple of row tuples; the rows are stored
-    packed (see the module docstring).
+    packed (see the module docstring), and equality and hashing read them,
+    not the lazy ``entries`` cache (``_entries``).
     """
 
-    __slots__ = ("q", "rows", "cols", "_data", "_entries")
+    q: int
+    rows: int
+    cols: int
+    _data: tuple[int, ...]
+    _entries: tuple[tuple[int, ...], ...] = dc_field(compare=False)
 
     def __init__(self, q: int, rows: int, cols: int, entries: Iterable[Sequence[int]]) -> None:
         _set(self, "q", q)
@@ -461,22 +467,6 @@ class MatrixFq:
             _set(self, "_entries", entries)
             return entries
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not MatrixFq:
-            return NotImplemented
-        return (self.q, self.rows, self.cols, self._data) == (
-            other.q, other.rows, other.cols, other._data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.rows, self.cols, self._data))
-
     def __repr__(self) -> str:
         return (
             f"MatrixFq(q={self.q!r}, rows={self.rows!r}, cols={self.cols!r}, "
@@ -484,6 +474,8 @@ class MatrixFq:
         )
 
     def __reduce__(self):
+        """Pickle through the checked constructor: the generated slotted
+        state would read ``_entries``, which a matrix may not have set."""
         return (MatrixFq, (self.q, self.rows, self.cols, self.entries))
 
     @classmethod

@@ -434,6 +434,9 @@ def test_alg2_order_is_configurable(example_code):
         example_code.decode_alg2(outcome.U, order=[1, 1])
     with pytest.raises(ParameterError):
         example_code.decode_alg2(outcome.U, max_sweeps=0)
+    for algorithm in ALGORITHMS:
+        with pytest.raises(ParameterError, match="max_sweeps must be at least 1"):
+            example_code.decode(outcome.U, algorithm, 0)
 
 
 def test_iterative_dominance_erasure_only(example_code):

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 from bisect import bisect_left
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -500,6 +501,30 @@ def test_checked_constructors_reject_malformed_input():
     ):
         with pytest.raises(ParameterError):
             Subspace(ambient, MatrixFq(q, len(rows), len(rows[0]), rows))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_is_a_frozen_slotted_value(q):
+    """A matrix is frozen and slotted, compares and hashes by its stored
+    rows whether or not its ``entries`` cache is filled, and pickles whole
+    with that cache empty."""
+    rows = ((1, 0, q - 1), (0, 1, 1))
+    checked = MatrixFq(q, 2, 3, rows)
+    for name in ("q", "_data"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(checked, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(checked, name)
+    assert not hasattr(checked, "__dict__")
+    assert tuple(MatrixFq.__slots__) == ("q", "rows", "cols", "_data", "_entries")
+    for read in (False, True):
+        unchecked = MatrixFq._unchecked(q, 2, 3, checked._data)
+        if read:
+            assert unchecked.entries == rows
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+    assert checked.__eq__(checked.entries) is NotImplemented
+    lazy = MatrixFq._unchecked(q, 2, 3, checked._data)
+    assert pickle.loads(pickle.dumps(lazy)) == lazy
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 17])

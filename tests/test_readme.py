@@ -22,6 +22,16 @@ UNREAD = {
 }
 
 
+def test_readme_names_every_unread_function():
+    """The README paragraph on functions with no caller in the package
+    counts and names each ``UNREAD`` entry."""
+    words = "zero one two three four five six seven eight nine ten".split()
+    before, after = README.read_text().split(" public functions have no caller", 1)
+    assert before.rsplit("\n", 1)[-1] == words[len(UNREAD)].capitalize()
+    paragraph = after.split("\n\n", 1)[0]
+    assert [name for name in UNREAD if f"`{name}`" not in paragraph] == []
+
+
 def test_readme_library_example_runs():
     section = README.read_text().split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
