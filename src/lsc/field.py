@@ -115,10 +115,13 @@ def _too_many(q: int, m: int) -> ParameterError:
     )
 
 
+@lru_cache(maxsize=16)
 def _check_q(q: int, m: int) -> None:
     """Refuse a q that is not prime.  q^m <= 2^16 bounds q, so a larger q
     is refused for its size first, and the prime test (``_prime_factors``,
-    the generator search's own) runs at most 256 trial divisions."""
+    the generator search's own) runs at most 256 trial divisions.  A (q, m)
+    that passes is not tested again: ``linalg`` checks q on every random
+    matrix it draws."""
     if q > _MAX_FIELD_SIZE:
         raise _too_many(q, m)
     if _prime_factors(q) != [q]:

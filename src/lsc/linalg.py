@@ -16,9 +16,9 @@ field mod q at once: for byte fields one ``bytes.translate`` through a
 residue table, for wider fields one field at a time.  Stored rows are
 always fully reduced, so equal matrices have equal rows.  Moving a run of
 columns is a shift and a mask for every q.  ``MatrixFq.entries`` is the
-row-major tuple view for callers, unpacked on first use and cached.  A
-random matrix is packed from one batch of draws in C (``_random_rows``:
-a base-2 numeral per GF(2) row, big-endian bytes per one-byte-field row).
+row-major tuple view for callers, unpacked on each read.  A random
+matrix is packed from one batch of draws in C (``_random_rows``: a
+base-2 numeral per GF(2) row, big-endian bytes per one-byte-field row).
 Besides this module only ``lifted`` looks inside the packed rows: it cuts
 a received basis at the header/payload boundary with ``_field_bits`` and
 ``_head_rows`` and reads the payload as element indices (``_index_rows``).
@@ -66,12 +66,13 @@ and ``_distance``, d_S as one stacked rank of two bases
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
+from .field import _check_q
 
 # the most vectors of a subspace, or messages of a code, an enumeration lists
 _ENUMERATION_CAP = 1 << 20
@@ -362,11 +363,12 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, q: int) -> tuple[list[list[i
     Args:
         rows: the matrix rows (not mutated).
         ncols: column count (needed when rows is empty).
-        q: field order (prime).
+        q: field order, a prime (anything else is a ParameterError).
 
     Returns:
         (reduced rows including trailing zero rows, pivot column list).
     """
+    _check_dims(q, len(rows), ncols)
     data = _pack([[x % q for x in row] for row in rows], q)
     reduced, pivots = _eliminate(q, ncols, data)
     out = [list(row) for row in _unpack(reduced, q, ncols)]
@@ -399,6 +401,7 @@ def _index_rows(q: int, m: int) -> tuple[list[int], dict[int, int]]:
 def _check_dims(q: int, rows: int, cols: int) -> None:
     if q < 2:
         raise ParameterError("q must be at least 2")
+    _check_q(q, 1)  # ``FieldParams``' rule on q
     if rows < 0 or cols < 0:
         raise ParameterError("matrix dimensions must be non-negative")
 
@@ -407,30 +410,29 @@ def _check_dims(q: int, rows: int, cols: int) -> None:
 class MatrixFq:
     """An immutable rows x cols matrix over F_q.
 
-    ``entries`` is the row-major tuple of row tuples; the rows are stored
-    packed (see the module docstring), and equality and hashing read them,
-    not the lazy ``entries`` cache (``_entries``).
+    The rows are stored packed (see the module docstring), and equality
+    and hashing read them; ``entries``, the row-major tuple of row tuples,
+    is unpacked from them on each read.
     """
 
     q: int
     rows: int
     cols: int
     _data: tuple[int, ...]
-    _entries: tuple[tuple[int, ...], ...] = dc_field(compare=False)
 
     def __init__(self, q: int, rows: int, cols: int, entries: Iterable[Sequence[int]]) -> None:
         _set(self, "q", q)
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "_entries", tuple(map(tuple, entries)))
-        self.__post_init__()
-        _set(self, "_data", _pack(self._entries, q))
+        entries = tuple(map(tuple, entries))
+        self.__post_init__(entries)
+        _set(self, "_data", _pack(entries, q))
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         _check_dims(self.q, self.rows, self.cols)
-        if len(self._entries) != self.rows:
+        if len(entries) != self.rows:
             raise ParameterError("row count does not match entries")
-        for row in self._entries:
+        for row in entries:
             if len(row) != self.cols:
                 raise ParameterError("ragged matrix rows")
             if any(not 0 <= x < self.q for x in row):
@@ -460,23 +462,13 @@ class MatrixFq:
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        try:
-            return self._entries
-        except AttributeError:
-            entries = _unpack(self._data, self.q, self.cols)
-            _set(self, "_entries", entries)
-            return entries
+        return _unpack(self._data, self.q, self.cols)
 
     def __repr__(self) -> str:
         return (
             f"MatrixFq(q={self.q!r}, rows={self.rows!r}, cols={self.cols!r}, "
             f"entries={self.entries!r})"
         )
-
-    def __reduce__(self):
-        """Pickle through the checked constructor: the generated slotted
-        state would read ``_entries``, which a matrix may not have set."""
-        return (MatrixFq, (self.q, self.rows, self.cols, self.entries))
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "MatrixFq":
@@ -578,8 +570,9 @@ class Subspace:
             raise ParameterError("basis width does not match ambient dimension")
         if self.basis.rows > self.ambient_dim:
             raise ParameterError("basis has more rows than the ambient dimension")
+        entries = self.basis.entries
         last = -1
-        for i, row in enumerate(self.basis.entries):
+        for i, row in enumerate(entries):
             pivot = next((c for c, x in enumerate(row) if x), None)
             if pivot is None:
                 raise ParameterError("canonical basis must not contain zero rows")
@@ -587,7 +580,7 @@ class Subspace:
                 raise ParameterError("basis rows are not in echelon order")
             if row[pivot] != 1:
                 raise ParameterError("pivot entries must equal 1")
-            if any(self.basis.entries[j][pivot] for j in range(self.basis.rows) if j != i):
+            if any(entries[j][pivot] for j in range(self.basis.rows) if j != i):
                 raise ParameterError("pivot columns must be elsewhere zero")
             last = pivot
 

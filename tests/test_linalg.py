@@ -4,7 +4,7 @@ import copy
 import itertools
 import pickle
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict, astuple
 
 import pytest
 
@@ -488,9 +488,21 @@ def test_checked_constructors_reject_malformed_input():
         (2, 2, 2, ((0, 1),)),  # row count
         (1, 0, 0, ()),  # q < 2
         (2, -1, 2, ()),
+        (4, 2, 2, ((2, 0), (0, 1))),  # q not prime
+        (9, 1, 2, ((3, 1),)),
+        (4, 1, 2, ((1, 3),)),
     ):
         with pytest.raises(ParameterError):
             MatrixFq(*args)
+    for build in (
+        lambda: MatrixFq.zeros(6, 1, 1),
+        lambda: MatrixFq.random(4, 1, 1, SplitMix64(0)),
+        lambda: Subspace.zero(4, 2),
+        lambda: random_subspace(9, 2, 1, SplitMix64(0)),
+        lambda: rref([[2, 1]], 2, 4),
+    ):
+        with pytest.raises(ParameterError, match="^q must be prime"):
+            build()
     for q, ambient, rows in (
         (2, 3, ((1, 1, 0), (0, 0, 0))),  # zero row
         (2, 3, ((0, 1, 0), (1, 0, 0))),  # not echelon
@@ -506,8 +518,9 @@ def test_checked_constructors_reject_malformed_input():
 @pytest.mark.parametrize("q", [2, 3])
 def test_matrix_is_a_frozen_slotted_value(q):
     """A matrix is frozen and slotted, compares and hashes by its stored
-    rows whether or not its ``entries`` cache is filled, and pickles whole
-    with that cache empty."""
+    rows whether or not its ``entries`` were read, and pickles, copies and
+    converts with ``asdict`` and ``astuple`` inside a subspace whose basis
+    was built unchecked and never read."""
     rows = ((1, 0, q - 1), (0, 1, 1))
     checked = MatrixFq(q, 2, 3, rows)
     for name in ("q", "_data"):
@@ -516,7 +529,7 @@ def test_matrix_is_a_frozen_slotted_value(q):
         with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(checked, name)
     assert not hasattr(checked, "__dict__")
-    assert tuple(MatrixFq.__slots__) == ("q", "rows", "cols", "_data", "_entries")
+    assert tuple(MatrixFq.__slots__) == ("q", "rows", "cols", "_data")
     for read in (False, True):
         unchecked = MatrixFq._unchecked(q, 2, 3, checked._data)
         if read:
@@ -525,6 +538,11 @@ def test_matrix_is_a_frozen_slotted_value(q):
     assert checked.__eq__(checked.entries) is NotImplemented
     lazy = MatrixFq._unchecked(q, 2, 3, checked._data)
     assert pickle.loads(pickle.dumps(lazy)) == lazy
+    space = row_space(MatrixFq._unchecked(q, 1, 3, checked._data[:1]), 3)
+    fields = {"q": q, "rows": 1, "cols": 3, "_data": checked._data[:1]}
+    assert asdict(space) == {"ambient_dim": 3, "basis": fields}
+    assert astuple(space) == (3, tuple(fields.values()))
+    assert copy.deepcopy(space) == space
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 17])
